@@ -43,34 +43,22 @@ def _on_off(value: str) -> bool:
     return value == "on"
 
 
-def _apply_overrides(cfg, args) -> None:
-    if getattr(args, "days", None) is not None:
-        if args.days < 0:
-            raise ValueError("--days must be >= 0")
-        cfg.days = args.days
-    if getattr(args, "priority", None) is not None:
-        cfg.priority_enabled = args.priority
-    if getattr(args, "health", None) is not None:
-        cfg.health_enabled = args.health
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+# CLI flag -> key of the scenario's run section it overrides.
+_RUN_OVERRIDES = {
+    "days": "days",
+    "seed": "seed",
+    "priority": "priority_enabled",
+    "health": "health_enabled",
+}
 
 
 def _load(config_path: str, args):
-    cfg, topology = load_scenario(config_path)
-    _apply_overrides(cfg, args)
-    if getattr(args, "seed", None) is not None or getattr(args, "days", None) is not None:
-        # Seed and day overrides can change seeded unit wear, so rebuild.
-        doc = dict(cfg.raw)
-        run = dict(doc.get("run", {}))
-        run["seed"], run["days"] = cfg.seed, cfg.days
-        doc["run"] = run
-        from .scenario import parse_scenario
-
-        cfg2, topology = parse_scenario(doc)
-        _apply_overrides(cfg2, args)
-        cfg = cfg2
-    return cfg, topology
+    run = {
+        key: getattr(args, flag)
+        for flag, key in _RUN_OVERRIDES.items()
+        if getattr(args, flag, None) is not None
+    }
+    return load_scenario(config_path, run)
 
 
 def cmd_validate(args) -> int:

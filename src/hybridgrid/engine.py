@@ -1,11 +1,12 @@
 """Daily-tick simulation engine and A/B comparison runner.
 
-Each simulated day runs a fixed sequence: read the day's weather and turn it
-into per-source energy, forecast every load, dispatch charging at the grid
-level (priority or equal), distribute each system's inflow across its units
-(health-ranked or equal) with charge wear, then realize demand and settle
-loads one by one against their connected systems with discharge wear.
-Charging always precedes discharging within a day.
+Weather, per-source generation, realized demand and the day-ahead demand
+forecasts do not depend on policy. They are built once per run (forecasts on
+first use, from realized demand), and compare() shares them between its two
+arms. Each simulated day then dispatches charging at the grid level (priority
+or equal), distributes each system's inflow across its units (health-ranked or
+equal) with charge wear, and settles realized demand load by load against the
+connected systems with discharge wear. Charging always precedes discharging.
 
 Runs are deterministic: a config and seed reproduce byte-identical traces.
 """
@@ -15,7 +16,8 @@ from __future__ import annotations
 import copy
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,6 @@ from .dispatch import (
     prioritize,
 )
 from .forecast import (
-    SarimaModel,
     WeatherSample,
     fit_sarima,
     forecast_one,
@@ -44,7 +45,7 @@ from .health import (
     distribute_charge_ranked,
 )
 from .model import GridTopology, system_soc, validate_topology
-from .scenario import ScenarioConfig
+from .scenario import ForecastingConfig, ScenarioConfig
 from .synth import synth_demand, synth_weather
 
 # A system counts as hitting zero SoC when its end-of-day charge percentage
@@ -102,66 +103,87 @@ class ComparisonReport:
     baseline: SimulationTrace
 
 
+class Drivers:
+    """Policy-independent inputs of one run, shared by both arms of compare().
+
+    Generation and forecasts are computed on first use, so a run whose
+    dispatch never reads forecasts (the equal split) never fits a model.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, topology: GridTopology) -> None:
+        self.forecasting = cfg.forecasting
+        self.sources = topology.sources
+        self.weather_by_day = _build_weather(cfg, topology)
+        self.demand_by_load = _build_demand(cfg, topology, self)
+
+    @cached_property
+    def generation(self) -> list[dict[int, float]]:
+        """G[day][source] in MWd; the provider series doubles as the day-ahead forecast."""
+        return [predict_generation(samples, self.sources) for samples in self.weather_by_day]
+
+    @cached_property
+    def forecasts(self) -> dict[int, list[float]]:
+        """F[load][day]: the demand forecast dispatch sees on each day."""
+        return {
+            lid: _forecast_schedule(series.tolist(), self.forecasting)
+            for lid, series in self.demand_by_load.items()
+        }
+
+
+def _forecast_schedule(demand: list[float], fc: ForecastingConfig) -> list[float]:
+    """F[day] from the realized demand before each day: the last value, then
+    seasonal-naive during warm-up, then SARIMA refit every refit_interval_days
+    on the trailing window, its one-step forecast standing until the next refit."""
+    o = fc.orders
+    warmup = max(3 * o.s, 30, o.min_series_length())
+    out = []
+    last_fit = None
+    for day in range(len(demand)):
+        if day >= warmup:
+            if last_fit is None or day - last_fit >= fc.refit_interval_days:
+                model = fit_sarima(demand[max(0, day - fc.train_window_days) : day], o)
+                forecast = forecast_one(model)
+                last_fit = day
+        elif day >= o.s:
+            forecast = max(0.0, seasonal_naive(demand[day - o.s : day], o.s))
+        else:
+            forecast = demand[day - 1] if day else 0.0
+        out.append(forecast)
+    return out
+
+
 @dataclass
 class SimulationState:
-    """Everything step_day needs; mutated in place as days tick."""
+    """Everything step_day needs; the topology is mutated in place as days tick."""
 
     cfg: ScenarioConfig
     topology: GridTopology
-    weather_by_day: list[list[WeatherSample]]
-    demand_by_load: dict[int, np.ndarray]
-    histories: dict[int, list[float]] = field(default_factory=dict)
-    models: dict[int, SarimaModel | None] = field(default_factory=dict)
-    last_fit_day: dict[int, int] = field(default_factory=dict)
+    drivers: Drivers
 
-    def __post_init__(self) -> None:
-        for load in self.topology.loads:
-            self.histories.setdefault(load.id, [])
-            self.models.setdefault(load.id, None)
+    @property
+    def weather_by_day(self) -> list[list[WeatherSample]]:
+        return self.drivers.weather_by_day
 
-
-def _forecast_load(state: SimulationState, load_id: int, day: int) -> float:
-    """SARIMA once identifiable, seasonal-naive during warm-up, else last value."""
-    cfg = state.cfg.forecasting
-    o = cfg.orders
-    hist = state.histories[load_id]
-    warmup = max(3 * o.s, 30, o.min_series_length())
-
-    if len(hist) >= warmup:
-        model = state.models[load_id]
-        due = model is None or (day - state.last_fit_day[load_id]) >= cfg.refit_interval_days
-        if due:
-            window = hist[-cfg.train_window_days :]
-            model = fit_sarima(window, o)
-            state.models[load_id] = model
-            state.last_fit_day[load_id] = day
-        return forecast_one(state.models[load_id])
-    if len(hist) >= o.s:
-        return max(0.0, seasonal_naive(hist, o.s))
-    return hist[-1] if hist else 0.0
+    @property
+    def demand_by_load(self) -> dict[int, np.ndarray]:
+        return self.drivers.demand_by_load
 
 
 def step_day(state: SimulationState, day: int) -> DailyRecord:
     """Advance the grid by one day and return the end-of-day record."""
     t = state.topology
-    samples = state.weather_by_day[day]
+    drivers = state.drivers
+    generated = drivers.generation[day]
 
-    # 1. Weather to per-source energy (provider series doubles as the
-    #    next-day forecast, so dispatch sees the same value that arrives).
-    generated = predict_generation(samples, t.sources)
-
-    # 2. Per-load demand forecasts from realized history.
-    forecasts = {load.id: _forecast_load(state, load.id, day) for load in t.loads}
-
-    # 3. Grid-level dispatch.
-    targets = compute_charge_targets(t, forecasts)
+    # 1. Grid-level dispatch; only the priority policy reads forecasts.
     if state.cfg.priority_enabled:
-        order = prioritize(targets)
-        alloc = allocate_priority(order, targets, generated, t)
+        forecasts = {lid: f[day] for lid, f in drivers.forecasts.items()}
+        targets = compute_charge_targets(t, forecasts)
+        alloc = allocate_priority(prioritize(targets), targets, generated, t)
     else:
         alloc = allocate_equal(generated, t)
 
-    # 4. Intra-system distribution with charge wear.
+    # 2. Intra-system distribution with charge wear.
     charge_in = {s.id: 0.0 for s in t.systems}
     for (_, sid), amount in alloc.amounts.items():
         charge_in[sid] += amount
@@ -175,8 +197,8 @@ def step_day(state: SimulationState, day: int) -> DailyRecord:
         else:
             distribute_charge_equal(system, q)
 
-    # 5. Realize demand and settle loads in ascending id; each settlement
-    #    sees storage as the previous one left it.
+    # 3. Settle realized demand in ascending load id; each settlement sees
+    #    storage as the previous one left it.
     served = {}
     unmet = {}
     discharge_out = {s.id: 0.0 for s in t.systems}
@@ -195,7 +217,6 @@ def step_day(state: SimulationState, day: int) -> DailyRecord:
             discharge_out[sid] += amount
         served[load.id] = assignment.served_mwd
         unmet[load.id] = assignment.unmet_mwd
-        state.histories[load.id].append(demand)
 
     curtailed = {src.id: alloc.curtailed.get(src.id, 0.0) for src in t.sources}
     return DailyRecord(
@@ -236,7 +257,7 @@ def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSam
 
 
 def _build_demand(
-    cfg: ScenarioConfig, t: GridTopology, weather: list[list[WeatherSample]]
+    cfg: ScenarioConfig, t: GridTopology, drivers: Drivers
 ) -> dict[int, np.ndarray]:
     load_ids = [load.id for load in t.loads]
     if cfg.demand.kind == "csv":
@@ -261,8 +282,8 @@ def _build_demand(
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:
         total_gen = 0.0
-        for day in range(cfg.days):
-            total_gen += sum(predict_generation(weather[day], t.sources).values())
+        for generated in drivers.generation:
+            total_gen += sum(generated.values())
         mean_gen = total_gen / cfg.days
         mean_demand = sum(float(np.mean(d)) for d in demand.values())
         if mean_demand <= 0:
@@ -273,23 +294,23 @@ def _build_demand(
 
 
 def initialize_state(cfg: ScenarioConfig, topology: GridTopology) -> SimulationState:
-    """Validate inputs and materialize weather and demand for the whole run."""
+    """Validate inputs and build the run's drivers on a copy of the grid."""
     violations = validate_topology(topology)
     if violations:
         raise SimulationError(
             "invalid topology: " + "; ".join(str(v) for v in violations)
         )
     topology = copy.deepcopy(topology)  # runs never mutate the caller's grid
-    weather = _build_weather(cfg, topology)
-    demand = _build_demand(cfg, topology, weather)
-    return SimulationState(
-        cfg=cfg, topology=topology, weather_by_day=weather, demand_by_load=demand
-    )
+    return SimulationState(cfg=cfg, topology=topology, drivers=Drivers(cfg, topology))
 
 
 def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTrace:
     """Run the configured number of days and summarize."""
-    state = initialize_state(cfg, topology)
+    return _run(initialize_state(cfg, topology))
+
+
+def _run(state: SimulationState) -> SimulationTrace:
+    cfg = state.cfg
     records = [step_day(state, day) for day in range(cfg.days)]
 
     zero_events = {s.id: 0 for s in state.topology.systems}
@@ -344,21 +365,22 @@ def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> Compariso
 
     axis "priority" toggles grid-level dispatch; axis "health" toggles
     unit-level ranked distribution. Everything else, including the seed,
-    stays identical between the two runs.
+    stays identical between the two runs, which share one set of drivers.
     """
     if axis not in ("priority", "health"):
         raise ValueError(f"axis must be 'priority' or 'health', got {axis!r}")
 
-    def run_with(flag: bool) -> SimulationTrace:
-        arm = copy.copy(cfg)
+    def arm(flag: bool) -> ScenarioConfig:
+        arm_cfg = copy.copy(cfg)
         if axis == "priority":
-            arm.priority_enabled = flag
+            arm_cfg.priority_enabled = flag
         else:
-            arm.health_enabled = flag
-        return run_simulation(arm, topology)
+            arm_cfg.health_enabled = flag
+        return arm_cfg
 
-    treatment = run_with(True)
-    baseline = run_with(False)
+    on = initialize_state(arm(True), topology)
+    off = SimulationState(arm(False), copy.deepcopy(topology), on.drivers)
+    treatment, baseline = _run(on), _run(off)
     _check_comparable(treatment, baseline)
 
     gain = {

@@ -20,9 +20,7 @@ are conditioned to zero.
 from __future__ import annotations
 
 import csv
-import json
-import os
-import urllib.request
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,10 +49,10 @@ class WeatherSample:
     def __post_init__(self) -> None:
         if self.day_index < 0:
             raise ValueError(f"day_index must be >= 0, got {self.day_index}")
-        if self.ghi_w_m2 < 0:
-            raise ValueError(f"ghi must be >= 0, got {self.ghi_w_m2}")
-        if self.wind_speed_ms < 0:
-            raise ValueError(f"wind speed must be >= 0, got {self.wind_speed_ms}")
+        if not (math.isfinite(self.ghi_w_m2) and self.ghi_w_m2 >= 0):
+            raise ValueError(f"ghi must be finite and >= 0, got {self.ghi_w_m2}")
+        if not (math.isfinite(self.wind_speed_ms) and self.wind_speed_ms >= 0):
+            raise ValueError(f"wind speed must be finite and >= 0, got {self.wind_speed_ms}")
 
 
 @dataclass(frozen=True)
@@ -434,8 +432,8 @@ def load_demand_csv(path) -> dict[int, list[float]]:
                 lid, day, demand = int(row[0]), int(row[1]), float(row[2])
             except ValueError as exc:
                 raise ValueError(f"row {rownum}: {exc}") from None
-            if demand < 0:
-                raise ValueError(f"row {rownum}: negative demand {demand}")
+            if not (math.isfinite(demand) and demand >= 0):
+                raise ValueError(f"row {rownum}: demand must be finite and >= 0, got {demand}")
             if day < 0:
                 raise ValueError(f"row {rownum}: negative day index {day}")
             per = rows.setdefault(lid, {})
@@ -471,30 +469,3 @@ def predict_generation(samples, sources: list[EnergySource]) -> dict[int, float]
         out[src.id] = daily_energy(power)
     return out
 
-
-def fetch_live_weather(
-    site_id: str,
-    day_index: int = 0,
-    endpoint: str = "https://api.solcast.com.au/data/forecast/radiation_and_weather",
-    timeout: float = 10.0,
-) -> WeatherSample:
-    """Optional live-provider hook mapping a Solcast-style payload.
-
-    Reads the API key from the SOLCAST_API_KEY environment variable and maps
-    only the ghi and wind_speed_10m fields of the first forecast entry.
-    Excluded from the offline test suite; see README.
-    """
-    key = os.environ.get("SOLCAST_API_KEY")
-    if not key:
-        raise RuntimeError("SOLCAST_API_KEY is not set")
-    url = f"{endpoint}?format=json&api_key={key}"
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        payload = json.load(resp)
-    entries = payload.get("forecasts") or payload.get("estimated_actuals") or [payload]
-    first = entries[0]
-    return WeatherSample(
-        site_id=site_id,
-        day_index=day_index,
-        ghi_w_m2=float(first["ghi"]),
-        wind_speed_ms=float(first["wind_speed_10m"]),
-    )

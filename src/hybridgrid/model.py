@@ -9,7 +9,7 @@ decreases as energy is cycled through the unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .generation import SolarPlantParams, WindPlantParams
 
@@ -71,7 +71,6 @@ class LoadCenter:
 
     id: int
     connected_systems: tuple[int, ...]
-    demand_series: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.connected_systems = tuple(self.connected_systems)

@@ -116,6 +116,13 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _flag(section: dict, key: str, default: bool, where: str) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{where}.{key} must be a JSON boolean (true/false), got {value!r}")
+    return value
+
+
 def _parse_source(entry: dict) -> EnergySource:
     kind = _require(entry, "kind", "source")
     sid = int(_require(entry, "id", "source"))
@@ -245,14 +252,14 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     weights = ScoreWeights(
         soh=float(weights_section.get("soh", DEFAULT_W_SOH)),
         soc=float(weights_section.get("soc", DEFAULT_W_SOC)),
-        charge_full_first=bool(weights_section.get("charge_full_first", False)),
+        charge_full_first=_flag(weights_section, "charge_full_first", False, "run.score_weights"),
     )
 
     cfg = ScenarioConfig(
         days=int(run.get("days", 365)),
         seed=int(run.get("seed", 0)),
-        priority_enabled=bool(run.get("priority_enabled", True)),
-        health_enabled=bool(run.get("health_enabled", True)),
+        priority_enabled=_flag(run, "priority_enabled", True, "run"),
+        health_enabled=_flag(run, "health_enabled", True, "run"),
         forecasting=forecasting,
         degradation=degradation,
         weights=weights,
@@ -264,8 +271,8 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     return cfg, topology
 
 
-def load_scenario(path) -> tuple[ScenarioConfig, GridTopology]:
-    """Read and parse a scenario JSON file."""
+def load_scenario(path, run_overrides=None) -> tuple[ScenarioConfig, GridTopology]:
+    """Read and parse a scenario JSON file; run_overrides replace keys of its run section."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
@@ -273,4 +280,6 @@ def load_scenario(path) -> tuple[ScenarioConfig, GridTopology]:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
+    if run_overrides:
+        doc["run"] = {**doc.get("run", {}), **run_overrides}
     return parse_scenario(doc)

@@ -118,6 +118,74 @@ def test_simulate_toggle_flags(tmp_path):
     assert (on / "trace.csv").read_bytes() != (off / "trace.csv").read_bytes()
 
 
+def test_simulate_seed_flag_matches_seed_in_file(tmp_path):
+    doc = json.loads(open(TOY).read())
+    # A wear-rate spread makes the seed reach the topology as well as the data.
+    doc["degradation"] = {"r_charge": 0.2, "r_discharge": 0.25, "rate_spread": 0.8}
+    doc["run"].update(days=30, seed=1)
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps(doc))
+    doc["run"]["seed"] = 7
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(json.dumps(doc))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", str(flagged), "--out", str(a), "--seed", "7"]) == 0
+    assert main(["simulate", str(pinned), "--out", str(b)]) == 0
+    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["priority_enabled", "health_enabled"])
+def test_simulate_string_boolean_is_validation_error(tmp_path, capsys, key):
+    path = write_toy_variant(tmp_path, **{key: "false"})
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert f"run.{key}" in capsys.readouterr().err
+
+
+def write_csv_scenario(tmp_path, ghi="500.0", wind="8.0", demand="50.0"):
+    """Reference grid on 3 days of CSV weather and demand; day 1 carries the given values."""
+    weather = ["site_id,day_index,ghi_w_m2,wind_speed_ms"]
+    for day in range(3):
+        for site in ("coastal", "inland"):
+            bad = day == 1 and site == "coastal"
+            weather.append(f"{site},{day},{ghi if bad else 500.0},{wind if bad else 8.0}")
+    loads = ["load_id,day_index,demand_mwd"]
+    for lid in range(8):
+        loads += [f"{lid},{day},{demand if (lid, day) == (0, 1) else 50.0}" for day in range(3)]
+    (tmp_path / "weather.csv").write_text("\n".join(weather) + "\n")
+    (tmp_path / "demand.csv").write_text("\n".join(loads) + "\n")
+    doc = {
+        "topology": {"reference": True},
+        "weather": {"kind": "csv", "path": str(tmp_path / "weather.csv")},
+        "loads": {"kind": "csv", "path": str(tmp_path / "demand.csv")},
+        "run": {"days": 3, "seed": 1},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_simulate_csv_inputs_run(tmp_path):
+    path = write_csv_scenario(tmp_path)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize(
+    "bad, row",
+    [
+        ({"ghi": "nan"}, "row 4"),
+        ({"ghi": "inf"}, "row 4"),
+        ({"wind": "nan"}, "row 4"),
+        ({"wind": "inf"}, "row 4"),
+        ({"demand": "nan"}, "row 3"),
+        ({"demand": "inf"}, "row 3"),
+    ],
+)
+def test_simulate_non_finite_csv_value_is_validation_error(tmp_path, capsys, bad, row):
+    path = write_csv_scenario(tmp_path, **bad)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert row in capsys.readouterr().err
+
+
 # --- compare --------------------------------------------------------------------
 
 

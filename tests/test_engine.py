@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+import hybridgrid.engine as engine
 from hybridgrid import (
     SimulationError,
     atomic_write_text,
@@ -258,6 +259,35 @@ def test_compare_arms_share_weather_and_demand():
         for r in report.baseline.records
     ]
     assert dem_t == pytest.approx(dem_b)
+
+
+def record_fit_windows(monkeypatch):
+    """Swap the engine's fit_sarima for one that records each training window."""
+    windows = []
+    fit = engine.fit_sarima
+
+    def recording_fit(series, *args, **kwargs):
+        windows.append(tuple(series))
+        return fit(series, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "fit_sarima", recording_fit)
+    return windows
+
+
+def test_compare_fits_each_window_once(monkeypatch):
+    windows = record_fit_windows(monkeypatch)
+    cfg, topo = parse_scenario(small_doc(days=80, seed=5))
+    compare(cfg, topo, "health")
+    # Warm-up ends on day 32 and the model refits every 30 days: days 32 and 62.
+    assert len(windows) == len(set(windows)) == 2 * len(topo.loads)
+
+
+def test_equal_split_run_fits_no_model(monkeypatch):
+    windows = record_fit_windows(monkeypatch)
+    doc = small_doc(days=80, seed=5)
+    doc["run"]["priority_enabled"] = False
+    run_simulation(*parse_scenario(doc))
+    assert windows == []
 
 
 # --- CSV emitters -------------------------------------------------------------

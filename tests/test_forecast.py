@@ -194,6 +194,23 @@ def test_load_weather_csv_rejects_negative_values(tmp_path):
         load_weather_csv(path)
 
 
+@pytest.mark.parametrize("row", ["coastal,0,nan,8.0", "coastal,0,500.0,inf", "coastal,0,-inf,8.0"])
+def test_load_weather_csv_rejects_non_finite_values(tmp_path, row):
+    path = tmp_path / "weather.csv"
+    path.write_text(f"site_id,day_index,ghi_w_m2,wind_speed_ms\ninland,0,1.0,1.0\n{row}\n")
+    with pytest.raises(ValueError, match="row 3: .*finite"):
+        load_weather_csv(path)
+
+
+@pytest.mark.parametrize("field", ["ghi_w_m2", "wind_speed_ms"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_weather_sample_rejects_non_finite(field, value):
+    kwargs = {"site_id": "coastal", "day_index": 0, "ghi_w_m2": 1.0, "wind_speed_ms": 1.0}
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        WeatherSample(**kwargs)
+
+
 def test_load_demand_csv_roundtrip(tmp_path):
     path = tmp_path / "demand.csv"
     path.write_text(
@@ -207,6 +224,14 @@ def test_load_demand_csv_rejects_gaps(tmp_path):
     path = tmp_path / "demand.csv"
     path.write_text("load_id,day_index,demand_mwd\n0,0,100.0\n0,2,110.0\n")
     with pytest.raises(ValueError):
+        load_demand_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_demand_csv_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "demand.csv"
+    path.write_text(f"load_id,day_index,demand_mwd\n0,0,100.0\n0,1,{value}\n")
+    with pytest.raises(ValueError, match="row 3: demand must be finite"):
         load_demand_csv(path)
 
 

@@ -41,6 +41,36 @@ def test_parse_toggles():
     assert not cfg.health_enabled
 
 
+@pytest.mark.parametrize("key", ["priority_enabled", "health_enabled"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_parse_toggles_must_be_json_booleans(key, value):
+    with pytest.raises(ValueError, match=f"run.{key} must be a JSON boolean"):
+        parse_scenario(minimal_doc(**{key: value}))
+
+
+def test_parse_charge_full_first_must_be_json_boolean():
+    doc = minimal_doc(score_weights={"charge_full_first": "false"})
+    with pytest.raises(ValueError, match="run.score_weights.charge_full_first"):
+        parse_scenario(doc)
+    cfg, _ = parse_scenario(minimal_doc(score_weights={"charge_full_first": True}))
+    assert cfg.weights.charge_full_first is True
+
+
+def test_load_scenario_applies_run_overrides(tmp_path):
+    doc = minimal_doc()
+    doc["degradation"] = {"r_charge": 0.1, "r_discharge": 0.2, "rate_spread": 0.5}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    cfg, topo = load_scenario(path, {"seed": 9, "days": 2})
+    doc["run"].update(seed=9, days=2)
+    _, expected = parse_scenario(doc)
+    assert (cfg.seed, cfg.days) == (9, 2)
+    # The seed override reaches the seeded per-unit wear rates.
+    assert [u.r_charge for s in topo.systems for u in s.units] == [
+        u.r_charge for s in expected.systems for u in s.units
+    ]
+
+
 def test_parse_degradation_and_spread():
     doc = minimal_doc()
     doc["degradation"] = {"r_charge": 0.1, "r_discharge": 0.2, "rate_spread": 0.5}
