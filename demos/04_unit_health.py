@@ -36,9 +36,10 @@ def build_system(wear_rates):
 
 def cycle(system, ranked, days=365, charge=400.0):
     # Hard daily duty: take whatever charge arrives, then serve an evening
-    # peak that drains the whole pool. Deep cycling is where the policies
-    # separate — under a uniform split every unit works every day, while the
-    # ranked policy lets the most-worn units sit out.
+    # peak that drains the whole pool. Both legs cost wear: charging at each
+    # unit's r_charge, the drain at its r_discharge. Deep cycling is where the
+    # policies separate — under a uniform split every unit works every day,
+    # while the ranked policy lets the most-worn units sit out.
     for _ in range(days):
         room = sum(u.capacity_mwd - u.energy_mwd for u in system.units)
         q = min(charge, room)

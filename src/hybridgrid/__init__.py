@@ -8,8 +8,6 @@ from .dispatch import (
     DischargeAssignment,
     allocate_equal,
     allocate_priority,
-    apply_discharge,
-    available_energy,
     compute_charge_targets,
     discharge_shares,
     prioritize,
@@ -53,7 +51,7 @@ from .generation import (
     wind_power,
 )
 from .health import (
-    UnitScore,
+    apply_discharge,
     degrade_on_charge,
     degrade_on_discharge,
     distribute_charge_equal,

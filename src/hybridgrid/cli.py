@@ -129,13 +129,12 @@ def cmd_forecast(args) -> int:
             "seasonal_ar": list(map(float, model.seasonal_ar_coeffs)),
             "seasonal_ma": list(map(float, model.seasonal_ma_coeffs)),
         }
-        steps = []
-        for _ in range(args.horizon):
-            nxt = forecast_one(model)
-            steps.append(nxt)
-            if len(steps) < args.horizon:
-                history.append(nxt)
-                model = fit_sarima(history, orders)
+        # Later steps refit on the history extended by earlier forecasts; the
+        # printed model is the one fitted on the history alone.
+        steps = [forecast_one(model)]
+        while len(steps) < args.horizon:
+            history.append(steps[-1])
+            steps.append(forecast_one(fit_sarima(history, orders)))
         print(
             f"load {lid}: intercept {model.intercept:.6f} coeffs {json.dumps(coeffs)} "
             f"forecast {' '.join(f'{v:.6f}' for v in steps)}"

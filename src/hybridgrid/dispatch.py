@@ -12,13 +12,16 @@ the still-unsaturated ones.
 Discharge is need-blind: a load draws from its connected systems in
 proportion to how much each currently stores, so a shared pool drains evenly
 toward zero rather than emptying one system first.
+
+This module only decides system-level amounts. Moving energy into and out of
+units, and the wear that costs, is health.py's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import GridTopology, LoadCenter, StorageSystem, stored_energy
+from .model import GridTopology, StorageSystem, stored_energy
 
 # Charge targets anticipate next-day demand with a fixed safety margin.
 CHARGE_BUFFER = 1.25
@@ -58,7 +61,6 @@ class ChargeAllocation:
 class DischargeAssignment:
     """How one load's demand was split across its connected systems."""
 
-    load_id: int | None
     contributions: dict[int, float]  # system_id -> MWd
     served_mwd: float
     unmet_mwd: float
@@ -241,21 +243,7 @@ def _check_source_energy(per_source_energy: dict[int, float], t: GridTopology) -
             raise ValueError(f"missing energy entry for source {src.id}")
 
 
-def available_energy(load: LoadCenter, systems_by_id: dict[int, StorageSystem]) -> float:
-    """MWd currently stored across the systems a load can draw from."""
-    total = 0.0
-    for sid in load.connected_systems:
-        if sid not in systems_by_id:
-            raise ValueError(f"load {load.id}: unknown system {sid}")
-        total += stored_energy(systems_by_id[sid])
-    return total
-
-
-def discharge_shares(
-    demand_mwd: float,
-    systems: list[StorageSystem],
-    load_id: int | None = None,
-) -> DischargeAssignment:
+def discharge_shares(demand_mwd: float, systems: list[StorageSystem]) -> DischargeAssignment:
     """Split a load's demand across its systems proportional to storage.
 
     Serves min(demand, pooled energy); each system contributes in proportion
@@ -276,29 +264,7 @@ def discharge_shares(
             s.id: stored_energy(s) / pool * served if pool > 0 else 0.0 for s in systems
         }
     return DischargeAssignment(
-        load_id=load_id,
         contributions=contributions,
         served_mwd=served,
         unmet_mwd=max(0.0, demand_mwd - served),
     )
-
-
-def apply_discharge(system: StorageSystem, amount_mwd: float) -> list[float]:
-    """Withdraw amount from a system, split equally across its units.
-
-    Units that would go below zero are drained and the shortfall is re-split
-    among the rest. Mutates unit energies and returns per-unit withdrawals in
-    unit order; SoH bookkeeping is the caller's job.
-    """
-    stored = stored_energy(system)
-    if amount_mwd < 0:
-        raise ValueError(f"system {system.id}: negative discharge {amount_mwd}")
-    if amount_mwd > stored + _REL_TOL * max(1.0, stored):
-        raise ValueError(
-            f"system {system.id}: discharge {amount_mwd} exceeds stored {stored}"
-        )
-    amount_mwd = min(amount_mwd, stored)
-    taken = split_equally(amount_mwd, [u.energy_mwd for u in system.units])
-    for unit, w in zip(system.units, taken):
-        unit.energy_mwd = max(0.0, unit.energy_mwd - w)
-    return taken

@@ -5,8 +5,10 @@ forecasts do not depend on policy. They are built once per run (forecasts on
 first use, from realized demand), and compare() shares them between its two
 arms. Each simulated day then dispatches charging at the grid level (priority
 or equal), distributes each system's inflow across its units (health-ranked or
-equal) with charge wear, and settles realized demand load by load against the
-connected systems with discharge wear. Charging always precedes discharging.
+equal), and settles realized demand load by load against the connected
+systems. Charging always precedes discharging. The engine decides
+system-level amounts only; health.py moves energy through the units and
+applies the wear that costs.
 
 Runs are deterministic: a config and seed reproduce byte-identical traces.
 """
@@ -25,7 +27,6 @@ import numpy as np
 from .dispatch import (
     allocate_equal,
     allocate_priority,
-    apply_discharge,
     compute_charge_targets,
     discharge_shares,
     prioritize,
@@ -39,11 +40,7 @@ from .forecast import (
     predict_generation,
     seasonal_naive,
 )
-from .health import (
-    degrade_on_discharge,
-    distribute_charge_equal,
-    distribute_charge_ranked,
-)
+from .health import apply_discharge, distribute_charge_equal, distribute_charge_ranked
 from .model import GridTopology, system_soc, validate_topology
 from .scenario import ForecastingConfig, ScenarioConfig
 from .synth import synth_demand, synth_weather
@@ -184,16 +181,14 @@ def step_day(state: SimulationState, day: int) -> DailyRecord:
         alloc = allocate_equal(generated, t)
 
     # 2. Intra-system distribution with charge wear.
-    charge_in = {s.id: 0.0 for s in t.systems}
-    for (_, sid), amount in alloc.amounts.items():
-        charge_in[sid] += amount
+    charge_in = {s.id: alloc.inflow(s.id) for s in t.systems}
     for system in t.systems:
         q = charge_in[system.id]
         if q <= 0:
             continue
         if state.cfg.health_enabled:
             w = state.cfg.weights
-            distribute_charge_ranked(system, q, w.soh, w.soc, w.charge_full_first)
+            distribute_charge_ranked(system, q, w.soh, w.soc)
         else:
             distribute_charge_equal(system, q)
 
@@ -205,16 +200,11 @@ def step_day(state: SimulationState, day: int) -> DailyRecord:
     for load in sorted(t.loads, key=lambda l: l.id):
         demand = float(state.demand_by_load[load.id][day])
         systems = [t.system_by_id[sid] for sid in load.connected_systems]
-        assignment = discharge_shares(demand, systems, load.id)
+        assignment = discharge_shares(demand, systems)
         for sid, amount in assignment.contributions.items():
-            if amount <= 0:
-                continue
-            system = t.system_by_id[sid]
-            withdrawals = apply_discharge(system, amount)
-            for unit, w_amt in zip(system.units, withdrawals):
-                if w_amt > 0:
-                    degrade_on_discharge(unit, w_amt)
-            discharge_out[sid] += amount
+            if amount > 0:
+                apply_discharge(t.system_by_id[sid], amount)
+                discharge_out[sid] += amount
         served[load.id] = assignment.served_mwd
         unmet[load.id] = assignment.unmet_mwd
 
@@ -381,7 +371,6 @@ def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> Compariso
     on = initialize_state(arm(True), topology)
     off = SimulationState(arm(False), copy.deepcopy(topology), on.drivers)
     treatment, baseline = _run(on), _run(off)
-    _check_comparable(treatment, baseline)
 
     gain = {
         sid: treatment.summary.final_mean_soh_pct[sid]
@@ -398,13 +387,6 @@ def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> Compariso
         treatment=treatment,
         baseline=baseline,
     )
-
-
-def _check_comparable(a: SimulationTrace, b: SimulationTrace) -> None:
-    if len(a.records) != len(b.records):
-        raise ValueError("compared traces cover different numbers of days")
-    if set(a.summary.final_mean_soh_pct) != set(b.summary.final_mean_soh_pct):
-        raise ValueError("compared traces cover different systems")
 
 
 # ---------------------------------------------------------------------------

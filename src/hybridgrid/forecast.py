@@ -101,9 +101,7 @@ class SarimaModel:
     seasonal_ar_coeffs: np.ndarray
     seasonal_ma_coeffs: np.ndarray
     intercept: float
-    residual_variance: float
     converged: bool
-    n_obs: int
     # Tails, most recent value last.
     _diff_tail: np.ndarray
     _resid_tail: np.ndarray
@@ -325,8 +323,6 @@ def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
                 stacklevel=2,
             )
 
-    eps = _residuals(w, o, x)
-    resid_var = float(eps @ eps) / len(eps) if len(eps) else 0.0
     level_len = o.d + o.s * o.D
     return SarimaModel(
         orders=o,
@@ -335,11 +331,9 @@ def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
         seasonal_ar_coeffs=np.array(sphi, dtype=float),
         seasonal_ma_coeffs=np.array(stheta, dtype=float),
         intercept=mu,
-        residual_variance=resid_var,
         converged=converged,
-        n_obs=len(y),
         _diff_tail=w[-L:].copy() if L > 0 else np.empty(0),
-        _resid_tail=eps[-K:].copy() if K > 0 else np.empty(0),
+        _resid_tail=_residuals(w, o, x)[-K:].copy() if K > 0 else np.empty(0),
         _level_tail=y[-level_len:].copy() if level_len > 0 else np.empty(0),
     )
 

@@ -1,19 +1,18 @@
-"""Unit-level health accounting and intra-system charge distribution.
+"""Battery-unit state: charging, discharging and the cycle wear they cost.
 
-Every MWd pushed through a unit costs state of health in proportion to the
-unit's cycle-wear rate. The health-aware distributor ranks units by a
-weighted blend of SoH and emptiness and fills the best-ranked first, which
-steers throughput away from worn units; the baseline splits charge equally.
-Discharge is always split equally across units (see dispatch.apply_discharge)
-regardless of these settings.
+This is the only module that changes a unit's stored energy or state of
+health. Every MWd pushed through a unit, in either direction, costs SoH in
+proportion to the unit's cycle-wear rate. The health-aware distributor ranks
+units by a weighted blend of SoH and emptiness and fills the best-ranked
+first, which steers throughput away from worn units; the baseline splits
+charge equally. Discharge is always split equally across units
+(apply_discharge) regardless of these settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dispatch import split_equally
-from .model import BatteryUnit, StorageSystem, system_headroom
+from .model import BatteryUnit, StorageSystem, stored_energy, system_headroom
 
 _REL_TOL = 1e-9
 
@@ -26,12 +25,6 @@ DEFAULT_W_SOC = 0.5
 # become measurably different; see scenarios/reference.json.
 DEFAULT_R_CHARGE = 0.2
 DEFAULT_R_DISCHARGE = 0.25
-
-
-@dataclass(frozen=True)
-class UnitScore:
-    unit_id: int
-    score: float
 
 
 def degrade_on_charge(unit: BatteryUnit, charged_mwd: float) -> None:
@@ -51,34 +44,19 @@ def degrade_on_discharge(unit: BatteryUnit, discharged_mwd: float) -> None:
 
 
 def unit_score(
-    unit: BatteryUnit,
-    w_soh: float = DEFAULT_W_SOH,
-    w_soc: float = DEFAULT_W_SOC,
-    charge_full_first: bool = False,
-) -> UnitScore:
-    """Charging desirability in [0, 1]: healthy and empty scores high.
-
-    charge_full_first flips the emptiness term for experiments that
-    deliberately concentrate charge on already-full units.
-    """
+    unit: BatteryUnit, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC
+) -> float:
+    """Charging desirability in [0, 1]: healthy and empty scores high."""
     soc = unit.energy_mwd / unit.capacity_mwd
-    soc_term = soc if charge_full_first else 1.0 - soc
-    return UnitScore(unit.id, w_soh * unit.soh_pct / 100.0 + w_soc * soc_term)
+    return w_soh * unit.soh_pct / 100.0 + w_soc * (1.0 - soc)
 
 
 def rank_units(
-    system: StorageSystem,
-    w_soh: float = DEFAULT_W_SOH,
-    w_soc: float = DEFAULT_W_SOC,
-    charge_full_first: bool = False,
+    system: StorageSystem, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC
 ) -> list[int]:
-    """Unit ids by descending score; ties broken by ascending unit position."""
-    scored = [
-        (unit_score(u, w_soh, w_soc, charge_full_first).score, idx, u.id)
-        for idx, u in enumerate(system.units)
-    ]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return [uid for _, _, uid in scored]
+    """Unit positions by descending score; ties keep ascending position."""
+    scores = [unit_score(u, w_soh, w_soc) for u in system.units]
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
 
 
 def _check_charge(system: StorageSystem, q: float) -> float:
@@ -90,12 +68,20 @@ def _check_charge(system: StorageSystem, q: float) -> float:
     return min(q, room)
 
 
+def _commit_charge(system: StorageSystem, amounts: list[float]) -> list[float]:
+    """Add per-unit charge amounts (unit order) and wear each unit by its amount."""
+    for unit, amt in zip(system.units, amounts):
+        if amt > 0:
+            unit.energy_mwd = min(unit.capacity_mwd, unit.energy_mwd + amt)
+            degrade_on_charge(unit, amt)
+    return amounts
+
+
 def distribute_charge_ranked(
     system: StorageSystem,
     q_mwd: float,
     w_soh: float = DEFAULT_W_SOH,
     w_soc: float = DEFAULT_W_SOC,
-    charge_full_first: bool = False,
 ) -> list[float]:
     """Fill units greedily in rank order, wearing each by what it received.
 
@@ -103,23 +89,15 @@ def distribute_charge_ranked(
     units that looked best at the start of the day. Returns per-unit amounts
     in unit order.
     """
-    q_mwd = _check_charge(system, q_mwd)
-    order = rank_units(system, w_soh, w_soc, charge_full_first)
-    idx_of = {u.id: i for i, u in enumerate(system.units)}
+    left = _check_charge(system, q_mwd)
     amounts = [0.0] * len(system.units)
-    left = q_mwd
-    for uid in order:
+    for i in rank_units(system, w_soh, w_soc):
         if left <= 0:
             break
-        unit = system.units[idx_of[uid]]
-        take = min(left, unit.headroom_mwd)
-        amounts[idx_of[uid]] = take
+        take = min(left, system.units[i].headroom_mwd)
+        amounts[i] = take
         left -= take
-    for unit, amt in zip(system.units, amounts):
-        if amt > 0:
-            unit.energy_mwd = min(unit.capacity_mwd, unit.energy_mwd + amt)
-            degrade_on_charge(unit, amt)
-    return amounts
+    return _commit_charge(system, amounts)
 
 
 def distribute_charge_equal(system: StorageSystem, q_mwd: float) -> list[float]:
@@ -128,9 +106,26 @@ def distribute_charge_equal(system: StorageSystem, q_mwd: float) -> list[float]:
     Health-blind baseline. Returns per-unit amounts in unit order.
     """
     q_mwd = _check_charge(system, q_mwd)
-    amounts = split_equally(q_mwd, [u.headroom_mwd for u in system.units])
-    for unit, amt in zip(system.units, amounts):
-        if amt > 0:
-            unit.energy_mwd = min(unit.capacity_mwd, unit.energy_mwd + amt)
-            degrade_on_charge(unit, amt)
-    return amounts
+    return _commit_charge(system, split_equally(q_mwd, [u.headroom_mwd for u in system.units]))
+
+
+def apply_discharge(system: StorageSystem, amount_mwd: float) -> list[float]:
+    """Withdraw amount from a system, split equally across its units.
+
+    Units that would go below zero are drained and the shortfall is re-split
+    among the rest. Each unit is worn by what it gave. Returns per-unit
+    withdrawals in unit order.
+    """
+    stored = stored_energy(system)
+    if amount_mwd < 0:
+        raise ValueError(f"system {system.id}: negative discharge {amount_mwd}")
+    if amount_mwd > stored + _REL_TOL * max(1.0, stored):
+        raise ValueError(
+            f"system {system.id}: discharge {amount_mwd} exceeds stored {stored}"
+        )
+    taken = split_equally(min(amount_mwd, stored), [u.energy_mwd for u in system.units])
+    for unit, w in zip(system.units, taken):
+        unit.energy_mwd = max(0.0, unit.energy_mwd - w)
+        if w > 0:
+            degrade_on_discharge(unit, w)
+    return taken

@@ -110,7 +110,6 @@ class GridTopology:
     def __post_init__(self) -> None:
         self.system_by_id = {s.id: s for s in self.systems}
         self.load_by_id = {l.id: l for l in self.loads}
-        self.source_by_id = {s.id: s for s in self.sources}
         # Reverse map: system id -> load ids drawing from it.
         self.loads_of_system: dict[int, list[int]] = {s.id: [] for s in self.systems}
         for load in self.loads:
@@ -177,6 +176,9 @@ def validate_topology(t: GridTopology) -> list[Violation]:
             out.append(Violation(f"system {sid}", "unsourced-system", "no source feeds it"))
 
     for s in t.systems:
+        unit_ids = [u.id for u in s.units]
+        if len(set(unit_ids)) != len(unit_ids):
+            out.append(Violation(f"system {s.id}", "duplicate-unit-id", f"ids {sorted(unit_ids)}"))
         for u in s.units:
             if u.energy_mwd < -1e-9 or u.energy_mwd > u.capacity_mwd + 1e-9:
                 out.append(

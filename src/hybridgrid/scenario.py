@@ -4,13 +4,15 @@ Sections: topology, sources, loads, forecasting, degradation, weather, run.
 The topology section either names the built-in reference grid or lists
 systems explicitly; sources and loads may then be listed explicitly too.
 Weather and demand each come from a CSV file or a documented seeded
-generator. See README for the full schema and a worked example.
+generator. Every section accepts only its documented keys, and every number
+must be finite. See README for the full schema and a worked example.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .forecast import DEFAULT_ORDERS, SarimaOrders
@@ -25,6 +27,24 @@ from .model import (
     reference_topology,
 )
 from .synth import SynthDemandParams, SynthWeatherParams, wear_multipliers
+
+# The keys each section of a scenario document may hold.
+_TOP_KEYS = ("topology", "sources", "loads", "forecasting", "degradation", "weather", "run")
+_TOPOLOGY_KEYS = ("reference", "initial_soc_pct", "initial_soh_pct", "systems")
+_SYSTEM_KEYS = ("id", "unit_count", "unit_capacity_mwd")
+_SOURCE_KEYS = {
+    "solar": ("kind", "id", "site", "connected_systems", "area_m2", "efficiency"),
+    "wind": ("kind", "id", "site", "connected_systems", "power_coefficient", "air_density",
+             "rotor_area_m2", "turbine_count", "cut_in_ms", "cut_out_ms"),
+}
+_LOADS_KEYS = ("kind", "path", "centers", "base_mwd", "weekly_shape", "noise_sd", "gen_fraction")
+_CENTER_KEYS = ("id", "connected_systems")
+_FORECASTING_KEYS = ("orders", "refit_interval_days", "train_window_days")
+_DEGRADATION_KEYS = ("r_charge", "r_discharge", "rate_spread")
+_WEATHER_KEYS = ("kind", "path", "sites", "default")
+_SITE_KEYS = tuple(f.name for f in fields(SynthWeatherParams))
+_RUN_KEYS = ("days", "seed", "priority_enabled", "health_enabled", "score_weights")
+_WEIGHT_KEYS = ("soh", "soc")
 
 
 @dataclass(frozen=True)
@@ -60,7 +80,6 @@ class DegradationConfig:
 class ScoreWeights:
     soh: float = DEFAULT_W_SOH
     soc: float = DEFAULT_W_SOC
-    charge_full_first: bool = False
 
     def __post_init__(self) -> None:
         if self.soh < 0 or self.soc < 0 or abs(self.soh + self.soc - 1.0) > 1e-9:
@@ -110,6 +129,16 @@ class ScenarioConfig:
             raise ValueError("initial SoH must be in [0, 100]")
 
 
+def _known(section, keys, where: str) -> dict:
+    """The section itself, once it is known to be an object with only the given keys."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where or 'scenario'} must be a JSON object")
+    for key in section:
+        if key not in keys:
+            raise ValueError(f"unknown key {where}.{key}" if where else f"unknown key {key}")
+    return section
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ValueError(f"{where}: missing required key {key!r}")
@@ -123,8 +152,10 @@ def _flag(section: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
-def _parse_source(entry: dict) -> EnergySource:
-    kind = _require(entry, "kind", "source")
+def _parse_source(entry: dict, where: str) -> EnergySource:
+    kind = _require(entry, "kind", where)
+    if kind in _SOURCE_KEYS:
+        _known(entry, _SOURCE_KEYS[kind], where)
     sid = int(_require(entry, "id", "source"))
     site = str(_require(entry, "site", "source"))
     connected = tuple(int(x) for x in _require(entry, "connected_systems", f"source {sid}"))
@@ -148,7 +179,7 @@ def _parse_source(entry: dict) -> EnergySource:
 
 
 def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
-    topo = doc.get("topology", {"reference": True})
+    topo = _known(doc.get("topology", {"reference": True}), _TOPOLOGY_KEYS, "topology")
     soc0 = float(topo.get("initial_soc_pct", cfg.initial_soc_pct))
     soh0 = float(topo.get("initial_soh_pct", cfg.initial_soh_pct))
     cfg.initial_soc_pct, cfg.initial_soh_pct = soc0, soh0
@@ -158,7 +189,8 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
         t = reference_topology(soc0, soh0, deg.r_charge, deg.r_discharge)
     else:
         systems = []
-        for entry in _require(topo, "systems", "topology"):
+        for i, entry in enumerate(_require(topo, "systems", "topology")):
+            _known(entry, _SYSTEM_KEYS, f"topology.systems[{i}]")
             sid = int(_require(entry, "id", "topology.systems"))
             count = int(entry.get("unit_count", 10))
             cap = float(entry.get("unit_capacity_mwd", 100.0))
@@ -174,14 +206,16 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
                 for k in range(count)
             ]
             systems.append(StorageSystem(id=sid, units=units))
-        loads = [
-            LoadCenter(
-                id=int(_require(e, "id", "loads")),
-                connected_systems=tuple(int(x) for x in _require(e, "connected_systems", "loads")),
-            )
-            for e in _require(doc, "loads", "config")["centers"]
+        loads = []
+        for i, e in enumerate(_require(doc, "loads", "config")["centers"]):
+            _known(e, _CENTER_KEYS, f"loads.centers[{i}]")
+            lid = int(_require(e, "id", "loads"))
+            connected = tuple(int(x) for x in _require(e, "connected_systems", "loads"))
+            loads.append(LoadCenter(id=lid, connected_systems=connected))
+        sources = [
+            _parse_source(e, f"sources[{i}]")
+            for i, e in enumerate(_require(doc, "sources", "config"))
         ]
-        sources = [_parse_source(e) for e in _require(doc, "sources", "config")]
         t = GridTopology(systems=systems, loads=loads, sources=sources)
 
     if deg.rate_spread > 0:
@@ -194,20 +228,23 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
 
 
 def _parse_weather(section: dict) -> WeatherConfig:
+    _known(section, _WEATHER_KEYS, "weather")
     kind = section.get("kind", "synthetic")
     if kind == "csv":
         return WeatherConfig(kind="csv", path=str(_require(section, "path", "weather")))
     if kind != "synthetic":
         raise ValueError(f"weather kind must be synthetic or csv, got {kind!r}")
     site_params = {
-        site: SynthWeatherParams(**params)
+        site: SynthWeatherParams(**_known(params, _SITE_KEYS, f"weather.sites.{site}"))
         for site, params in section.get("sites", {}).items()
     }
-    default = SynthWeatherParams(**section.get("default", {}))
+    default = _known(section.get("default", {}), _SITE_KEYS, "weather.default")
+    default = SynthWeatherParams(**default)
     return WeatherConfig(kind="synthetic", site_params=site_params, default_params=default)
 
 
 def _parse_demand(section: dict) -> DemandConfig:
+    _known(section, _LOADS_KEYS, "loads")
     kind = section.get("kind", "synthetic")
     if kind == "csv":
         return DemandConfig(kind="csv", path=str(_require(section, "path", "loads")))
@@ -230,8 +267,9 @@ def _parse_demand(section: dict) -> DemandConfig:
 
 def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     """Build the run configuration and topology from a parsed JSON document."""
-    run = doc.get("run", {})
-    fc_section = doc.get("forecasting", {})
+    _known(doc, _TOP_KEYS, "")
+    run = _known(doc.get("run", {}), _RUN_KEYS, "run")
+    fc_section = _known(doc.get("forecasting", {}), _FORECASTING_KEYS, "forecasting")
     orders = (
         SarimaOrders.from_sequence(fc_section["orders"])
         if "orders" in fc_section
@@ -242,17 +280,16 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
         refit_interval_days=int(fc_section.get("refit_interval_days", 30)),
         train_window_days=int(fc_section.get("train_window_days", 365)),
     )
-    deg_section = doc.get("degradation", {})
+    deg_section = _known(doc.get("degradation", {}), _DEGRADATION_KEYS, "degradation")
     degradation = DegradationConfig(
         r_charge=float(deg_section.get("r_charge", DEFAULT_R_CHARGE)),
         r_discharge=float(deg_section.get("r_discharge", DEFAULT_R_DISCHARGE)),
         rate_spread=float(deg_section.get("rate_spread", 0.0)),
     )
-    weights_section = run.get("score_weights", {})
+    weights_section = _known(run.get("score_weights", {}), _WEIGHT_KEYS, "run.score_weights")
     weights = ScoreWeights(
         soh=float(weights_section.get("soh", DEFAULT_W_SOH)),
         soc=float(weights_section.get("soc", DEFAULT_W_SOC)),
-        charge_full_first=_flag(weights_section, "charge_full_first", False, "run.score_weights"),
     )
 
     cfg = ScenarioConfig(
@@ -271,12 +308,19 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     return cfg, topology
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load_scenario(path, run_overrides=None) -> tuple[ScenarioConfig, GridTopology]:
     """Read and parse a scenario JSON file; run_overrides replace keys of its run section."""
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")

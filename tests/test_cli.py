@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hybridgrid.cli import main
@@ -141,6 +142,19 @@ def test_simulate_string_boolean_is_validation_error(tmp_path, capsys, key):
     assert f"run.{key}" in capsys.readouterr().err
 
 
+def test_simulate_unknown_key_is_validation_error(tmp_path, capsys):
+    path = write_toy_variant(tmp_path, priorty_enabled=False)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "unknown key run.priorty_enabled" in capsys.readouterr().err
+
+
+def test_simulate_nan_number_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(open(TOY).read().replace('"noise_sd": 0.05', '"noise_sd": NaN'))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "non-finite number NaN" in capsys.readouterr().err
+
+
 def write_csv_scenario(tmp_path, ghi="500.0", wind="8.0", demand="50.0"):
     """Reference grid on 3 days of CSV weather and demand; day 1 carries the given values."""
     weather = ["site_id,day_index,ghi_w_m2,wind_speed_ms"]
@@ -238,6 +252,19 @@ def test_forecast_horizon_values(tmp_path, capsys):
     assert len(values) == 3
     for v in values:
         float(v)
+
+
+def test_forecast_horizon_prints_the_model_fitted_on_the_history(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    history = tmp_path / "history.csv"
+    rows = ["load_id,day_index,demand_mwd"]
+    rows += [f"0,{day},{100.0 + 10.0 * (day % 7) + rng.normal()}" for day in range(120)]
+    history.write_text("\n".join(rows) + "\n")
+    models = []
+    for horizon in ("1", "3"):
+        assert main(["forecast", str(history), "--horizon", horizon]) == 0
+        models.append(capsys.readouterr().out.split(" forecast ")[0])
+    assert models[0] == models[1]
 
 
 def test_forecast_short_series_is_validation_error(tmp_path, capsys):

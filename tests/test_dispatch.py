@@ -13,8 +13,6 @@ from hybridgrid import (
     StorageSystem,
     allocate_equal,
     allocate_priority,
-    apply_discharge,
-    available_energy,
     compute_charge_targets,
     discharge_shares,
     prioritize,
@@ -298,16 +296,6 @@ def test_allocation_invariants_fuzz():
 # --- discharge ------------------------------------------------------------
 
 
-def test_available_energy_sums_connected_storage():
-    topo = make_topology(
-        {1: (1000.0, 200.0), 2: (1000.0, 100.0), 3: (1000.0, 999.0)},
-        {1: [1, 2, 3]},
-        {0: [1, 2]},
-    )
-    load = topo.loads[0]
-    assert available_energy(load, topo.system_by_id) == pytest.approx(300.0)
-
-
 def test_discharge_shares_proportional_to_stored():
     systems = [
         make_system(1, 1000.0, 200.0),
@@ -365,29 +353,3 @@ def test_discharge_shares_fuzz_conservation():
         for system in systems:
             assert out.contributions[system.id] <= stored_energy(system) + 1e-6
         assert out.served_mwd + out.unmet_mwd == pytest.approx(demand, abs=1e-6)
-
-
-def test_apply_discharge_caps_at_unit_energy():
-    system = StorageSystem(
-        id=1,
-        units=[
-            BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=5.0),
-            BatteryUnit(id=1, capacity_mwd=100.0, energy_mwd=95.0),
-        ],
-    )
-    withdrawals = apply_discharge(system, 100.0)
-    assert withdrawals == pytest.approx([5.0, 95.0])
-    assert stored_energy(system) == pytest.approx(0.0)
-
-
-def test_apply_discharge_equal_when_unconstrained():
-    system = make_system(1, 1000.0, 500.0, n_units=10)
-    withdrawals = apply_discharge(system, 100.0)
-    assert withdrawals == pytest.approx([10.0] * 10)
-    assert stored_energy(system) == pytest.approx(400.0)
-
-
-def test_apply_discharge_rejects_overdraw():
-    system = make_system(1, 1000.0, 50.0)
-    with pytest.raises(ValueError):
-        apply_discharge(system, 51.0)

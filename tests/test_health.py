@@ -1,11 +1,14 @@
-"""Unit tests for unit scoring, ranked charging, and SoH degradation."""
+"""Unit tests for unit scoring, ranked charging, discharge, and SoH degradation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridgrid import (
     BatteryUnit,
     StorageSystem,
+    apply_discharge,
     degrade_on_charge,
     degrade_on_discharge,
     distribute_charge_equal,
@@ -34,28 +37,19 @@ def unit(uid=0, capacity=100.0, energy=0.0, soh=100.0, r_charge=0.0, r_discharge
 def test_unit_score_hand_value():
     # soh 80, SoC 0.4 with equal weights: 0.5*0.8 + 0.5*0.6 = 0.7
     u = unit(soh=80.0, energy=40.0)
-    assert unit_score(u).score == pytest.approx(0.7, rel=1e-12)
+    assert unit_score(u) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_unit_score_prefers_healthier_at_equal_soc():
     healthy = unit(uid=0, soh=100.0, energy=50.0)
     tired = unit(uid=1, soh=50.0, energy=50.0)
-    assert unit_score(healthy).score > unit_score(tired).score
+    assert unit_score(healthy) > unit_score(tired)
 
 
 def test_unit_score_prefers_emptier_at_equal_soh():
     empty = unit(uid=0, energy=0.0)
     full = unit(uid=1, energy=100.0)
-    assert unit_score(empty).score > unit_score(full).score
-
-
-def test_unit_score_charge_full_first_flips_soc_preference():
-    empty = unit(uid=0, energy=0.0)
-    nearly_full = unit(uid=1, energy=90.0)
-    assert (
-        unit_score(nearly_full, charge_full_first=True).score
-        > unit_score(empty, charge_full_first=True).score
-    )
+    assert unit_score(empty) > unit_score(full)
 
 
 def test_rank_units_orders_by_score_then_position():
@@ -67,10 +61,9 @@ def test_rank_units_orders_by_score_then_position():
             unit(uid=12, soh=90.0, energy=50.0),
         ],
     )
-    order = rank_units(system)
-    assert order[0] == 11
-    # Equal-score tie resolves by unit position, ascending.
-    assert order[1:] == [10, 12]
+    # Positions, not ids: the unit at position 1 (id 11) ranks first, and the
+    # equal-score tie resolves by unit position, ascending.
+    assert rank_units(system) == [1, 0, 2]
 
 
 # --- degradation ----------------------------------------------------------
@@ -168,6 +161,13 @@ def test_distribute_ranked_ranks_once_not_per_mwd():
     assert amounts == pytest.approx([20.0, 100.0])
 
 
+def test_distribute_ranked_stores_all_charge_with_duplicate_unit_ids():
+    system = StorageSystem(id=1, units=[unit(uid=0), unit(uid=0)])
+    amounts = distribute_charge_ranked(system, 150.0)
+    assert amounts == pytest.approx([100.0, 50.0])
+    assert stored_energy(system) == pytest.approx(150.0)
+
+
 # --- equal distribution -----------------------------------------------------
 
 
@@ -197,6 +197,35 @@ def test_distribute_equal_rejects_overflow():
     system = StorageSystem(id=1, units=[unit(uid=0)])
     with pytest.raises(ValueError):
         distribute_charge_equal(system, 101.0)
+
+
+# --- discharge -------------------------------------------------------------
+
+
+def test_apply_discharge_caps_at_unit_energy():
+    system = StorageSystem(
+        id=1,
+        units=[
+            unit(uid=0, energy=5.0),
+            unit(uid=1, energy=95.0),
+        ],
+    )
+    withdrawals = apply_discharge(system, 100.0)
+    assert withdrawals == pytest.approx([5.0, 95.0])
+    assert stored_energy(system) == pytest.approx(0.0)
+
+
+def test_apply_discharge_equal_when_unconstrained():
+    system = StorageSystem(id=1, units=[unit(uid=i, energy=50.0) for i in range(10)])
+    withdrawals = apply_discharge(system, 100.0)
+    assert withdrawals == pytest.approx([10.0] * 10)
+    assert stored_energy(system) == pytest.approx(400.0)
+
+
+def test_apply_discharge_rejects_overdraw():
+    system = StorageSystem(id=1, units=[unit(uid=i, energy=5.0) for i in range(10)])
+    with pytest.raises(ValueError):
+        apply_discharge(system, 51.0)
 
 
 # --- distribution fuzz ------------------------------------------------------
@@ -232,3 +261,50 @@ def test_distribution_conservation_fuzz():
         for u, amount in zip(system.units, amounts):
             assert -1e-9 <= amount
             assert u.energy_mwd <= u.capacity_mwd + 1e-9
+
+
+# --- properties of every unit-state change ----------------------------------
+
+
+@st.composite
+def systems(draw):
+    units = []
+    for _ in range(draw(st.integers(1, 8))):
+        cap = draw(st.floats(1.0, 200.0))
+        units.append(
+            unit(
+                uid=draw(st.integers(0, 2)),  # repeated ids must not matter
+                capacity=cap,
+                energy=draw(st.floats(0.0, 1.0)) * cap,
+                soh=draw(st.floats(0.0, 100.0)),
+                r_charge=draw(st.floats(0.0, 1.0)),
+                r_discharge=draw(st.floats(0.0, 1.0)),
+            )
+        )
+    return StorageSystem(id=1, units=units)
+
+
+@pytest.mark.parametrize(
+    "move", [distribute_charge_ranked, distribute_charge_equal, apply_discharge]
+)
+@settings(deadline=None)
+@given(system=systems(), share=st.floats(0.0, 1.0))
+def test_unit_state_change_properties(move, system, share):
+    discharging = move is apply_discharge
+    sign, rate = (-1.0, "r_discharge") if discharging else (1.0, "r_charge")
+    before = [(u.energy_mwd, u.soh_pct) for u in system.units]
+    stored = stored_energy(system)
+    amount = share * (stored if discharging else system_headroom(system))
+    tol = 1e-9 * system.capacity_mwd
+
+    moved = move(system, amount)
+
+    assert sum(moved) == pytest.approx(amount, abs=tol)
+    assert stored_energy(system) == pytest.approx(stored + sign * amount, abs=tol)
+    for u, (energy, soh), m in zip(system.units, before, moved):
+        assert m >= 0.0
+        assert 0.0 <= u.energy_mwd <= u.capacity_mwd
+        assert u.energy_mwd == pytest.approx(energy + sign * m, abs=tol)
+        assert u.soh_pct <= soh
+        assert u.soh_pct == max(0.0, soh - m * getattr(u, rate) / u.capacity_mwd)
+

@@ -149,6 +149,17 @@ def test_validate_topology_flags_duplicate_ids():
     assert any(v.rule == "duplicate-id" for v in validate_topology(topo))
 
 
+def test_validate_topology_flags_duplicate_unit_ids():
+    system = StorageSystem(
+        id=1, units=[BatteryUnit(id=0, capacity_mwd=100.0), BatteryUnit(id=0, capacity_mwd=100.0)]
+    )
+    load = LoadCenter(id=0, connected_systems=(1,))
+    topo = GridTopology(systems=[system], loads=[load], sources=[solar_source()])
+    violations = validate_topology(topo)
+    assert [v.rule for v in violations] == ["duplicate-unit-id"]
+    assert violations[0].entity == "system 1"
+
+
 def test_validate_topology_flags_unsourced_system():
     load = LoadCenter(id=0, connected_systems=(1, 2))
     topo = GridTopology(

@@ -1,6 +1,7 @@
 """Unit tests for scenario parsing and topology construction from JSON docs."""
 
 import json
+import re
 
 import pytest
 
@@ -48,12 +49,46 @@ def test_parse_toggles_must_be_json_booleans(key, value):
         parse_scenario(minimal_doc(**{key: value}))
 
 
-def test_parse_charge_full_first_must_be_json_boolean():
-    doc = minimal_doc(score_weights={"charge_full_first": "false"})
-    with pytest.raises(ValueError, match="run.score_weights.charge_full_first"):
+def test_parse_rejects_removed_charge_full_first():
+    doc = minimal_doc(score_weights={"charge_full_first": True})
+    with pytest.raises(ValueError, match="unknown key run.score_weights.charge_full_first"):
         parse_scenario(doc)
-    cfg, _ = parse_scenario(minimal_doc(score_weights={"charge_full_first": True}))
-    assert cfg.weights.charge_full_first is True
+
+
+@pytest.mark.parametrize(
+    "keys, path",
+    [
+        ((), "typo"),
+        (("topology",), "topology.typo"),
+        (("topology", "systems", 1), "topology.systems[1].typo"),
+        (("sources", 0), "sources[0].typo"),
+        (("loads",), "loads.typo"),
+        (("loads", "centers", 0), "loads.centers[0].typo"),
+        (("forecasting",), "forecasting.typo"),
+        (("degradation",), "degradation.typo"),
+        (("weather",), "weather.typo"),
+        (("weather", "sites", "roof"), "weather.sites.roof.typo"),
+        (("weather", "default"), "weather.default.typo"),
+        (("run",), "run.typo"),
+        (("run", "score_weights"), "run.score_weights.typo"),
+    ],
+)
+def test_parse_rejects_unknown_keys(keys, path):
+    doc = explicit_doc()
+    parse_scenario(doc)  # valid as written
+    section = doc
+    for key in keys:
+        section = section[key]
+    section["typo"] = 1
+    with pytest.raises(ValueError, match=re.escape(f"unknown key {path}")):
+        parse_scenario(doc)
+
+
+def test_parse_checks_source_keys_by_kind():
+    doc = explicit_doc()
+    doc["sources"][1]["area_m2"] = 10.0  # a solar key on a wind source
+    with pytest.raises(ValueError, match=re.escape("unknown key sources[1].area_m2")):
+        parse_scenario(doc)
 
 
 def test_load_scenario_applies_run_overrides(tmp_path):
@@ -90,8 +125,8 @@ def test_parse_zero_spread_keeps_uniform_rates():
     assert rates == {0.1}
 
 
-def test_parse_explicit_topology():
-    doc = {
+def explicit_doc():
+    return {
         "topology": {
             "systems": [
                 {"id": 1, "unit_count": 2, "unit_capacity_mwd": 50.0},
@@ -106,16 +141,23 @@ def test_parse_explicit_topology():
                 "area_m2": 2000.0,
                 "efficiency": 0.2,
                 "connected_systems": [1, 2],
-            }
+            },
+            {"id": 2, "kind": "wind", "site": "hill", "turbine_count": 3, "connected_systems": [1]},
         ],
         "loads": {
             "kind": "synthetic",
             "centers": [{"id": 0, "connected_systems": [1, 2]}],
             "base_mwd": {"0": 40.0},
         },
-        "weather": {"kind": "synthetic"},
-        "run": {"days": 3, "seed": 2},
+        "forecasting": {"refit_interval_days": 30},
+        "degradation": {"r_charge": 0.1},
+        "weather": {"kind": "synthetic", "sites": {"roof": {"cloud_ar": 0.5}}, "default": {}},
+        "run": {"days": 3, "seed": 2, "score_weights": {"soh": 0.5, "soc": 0.5}},
     }
+
+
+def test_parse_explicit_topology():
+    doc = explicit_doc()
     cfg, topo = parse_scenario(doc)
     assert [s.id for s in topo.systems] == [1, 2]
     assert topo.systems[0].capacity_mwd == pytest.approx(100.0)
@@ -166,6 +208,16 @@ def test_load_scenario_bad_json_raises_value_error(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text("{not json")
     with pytest.raises(ValueError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_load_scenario_rejects_non_finite_numbers(tmp_path, number):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        '{"degradation": {"r_charge": %s}, "run": {"days": 1, "seed": 1}}' % number
+    )
+    with pytest.raises(ValueError, match=f"non-finite number {re.escape(number)}"):
         load_scenario(path)
 
 
