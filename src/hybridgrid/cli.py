@@ -24,7 +24,7 @@ from .engine import (
 from .forecast import (
     DEFAULT_ORDERS,
     SarimaOrders,
-    fit_sarima,
+    fit_sarima_many,
     forecast_one,
     load_demand_csv,
 )
@@ -110,7 +110,9 @@ def cmd_compare(args) -> int:
 
 def cmd_forecast(args) -> int:
     orders = (
-        SarimaOrders.from_sequence(args.orders.split(",")) if args.orders else DEFAULT_ORDERS
+        SarimaOrders.from_sequence([int(v) for v in args.orders.split(",")], "--orders")
+        if args.orders
+        else DEFAULT_ORDERS
     )
     if args.horizon < 1:
         raise ValueError("--horizon must be >= 1")
@@ -120,24 +122,27 @@ def cmd_forecast(args) -> int:
             raise ValueError(f"no history for load {args.load_id}")
         series_by_load = {args.load_id: series_by_load[args.load_id]}
 
-    for lid, series in sorted(series_by_load.items()):
-        history = list(series)
-        model = fit_sarima(history, orders)
+    # Later steps refit on the histories extended by earlier forecasts, all
+    # loads of a step in one batch; the printed model is the one fitted on
+    # the history alone.
+    histories = [list(series) for _, series in sorted(series_by_load.items())]
+    models = fit_sarima_many(histories, orders)
+    steps = [[forecast_one(m)] for m in models]
+    for _ in range(args.horizon - 1):
+        for history, values in zip(histories, steps):
+            history.append(values[-1])
+        for values, refit in zip(steps, fit_sarima_many(histories, orders)):
+            values.append(forecast_one(refit))
+    for lid, model, values in zip(sorted(series_by_load), models, steps):
         coeffs = {
             "ar": list(map(float, model.ar_coeffs)),
             "ma": list(map(float, model.ma_coeffs)),
             "seasonal_ar": list(map(float, model.seasonal_ar_coeffs)),
             "seasonal_ma": list(map(float, model.seasonal_ma_coeffs)),
         }
-        # Later steps refit on the history extended by earlier forecasts; the
-        # printed model is the one fitted on the history alone.
-        steps = [forecast_one(model)]
-        while len(steps) < args.horizon:
-            history.append(steps[-1])
-            steps.append(forecast_one(fit_sarima(history, orders)))
         print(
             f"load {lid}: intercept {model.intercept:.6f} coeffs {json.dumps(coeffs)} "
-            f"forecast {' '.join(f'{v:.6f}' for v in steps)}"
+            f"forecast {' '.join(f'{v:.6f}' for v in values)}"
         )
     return EXIT_OK
 

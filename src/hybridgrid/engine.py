@@ -2,9 +2,10 @@
 
 Weather, per-source generation, realized demand and the day-ahead demand
 forecasts do not depend on policy. They are built once per run (forecasts on
-first use, from realized demand), and compare() shares them between its two
-arms. Each simulated day then dispatches charging at the grid level (priority
-or equal), distributes each system's inflow across its units (health-ranked or
+first use, from realized demand, with every SARIMA fit of the run in one
+fit_sarima_many batch), and compare() shares them between its two arms. Each
+simulated day then dispatches charging at the grid level (priority or
+equal), distributes each system's inflow across its units (health-ranked or
 equal), and settles realized demand load by load against the connected
 systems. Charging always precedes discharging. The engine decides
 system-level amounts only; health.py moves energy through the units and
@@ -33,7 +34,7 @@ from .dispatch import (
 )
 from .forecast import (
     WeatherSample,
-    fit_sarima,
+    fit_sarima_many,
     forecast_one,
     load_demand_csv,
     load_weather_csv,
@@ -42,7 +43,7 @@ from .forecast import (
 )
 from .health import apply_discharge, distribute_charge_equal, distribute_charge_ranked
 from .model import GridTopology, system_soc, validate_topology
-from .scenario import ForecastingConfig, ScenarioConfig
+from .scenario import ScenarioConfig
 from .synth import synth_demand, synth_weather
 
 # A system counts as hitting zero SoC when its end-of-day charge percentage
@@ -108,6 +109,7 @@ class Drivers:
     """
 
     def __init__(self, cfg: ScenarioConfig, topology: GridTopology) -> None:
+        self.days = cfg.days
         self.forecasting = cfg.forecasting
         self.sources = topology.sources
         self.weather_by_day = _build_weather(cfg, topology)
@@ -120,33 +122,39 @@ class Drivers:
 
     @cached_property
     def forecasts(self) -> dict[int, list[float]]:
-        """F[load][day]: the demand forecast dispatch sees on each day."""
-        return {
-            lid: _forecast_schedule(series.tolist(), self.forecasting)
-            for lid, series in self.demand_by_load.items()
-        }
+        """F[load][day]: the demand forecast dispatch sees on each day, from the
+        realized demand before it. A load sees its last value, then
+        seasonal-naive during warm-up, then a SARIMA model refit every
+        refit_interval_days on the trailing window, its one-step forecast
+        standing until the next refit. All fits of the run are one batch."""
+        fc = self.forecasting
+        o = fc.orders
+        warmup = max(3 * o.s, 30, o.min_series_length())
+        fit_days = range(warmup, self.days, fc.refit_interval_days)
+        windows = [
+            series[max(0, day - fc.train_window_days) : day]
+            for series in self.demand_by_load.values()
+            for day in fit_days
+        ]
+        models = iter(fit_sarima_many(windows, o))
+        out = {}
+        for lid, series in self.demand_by_load.items():
+            d = series.tolist()
+            standing = [forecast_one(next(models)) for _ in fit_days]
+            out[lid] = [
+                _warmup_forecast(d, day, o.s)
+                if day < warmup
+                else standing[(day - warmup) // fc.refit_interval_days]
+                for day in range(self.days)
+            ]
+        return out
 
 
-def _forecast_schedule(demand: list[float], fc: ForecastingConfig) -> list[float]:
-    """F[day] from the realized demand before each day: the last value, then
-    seasonal-naive during warm-up, then SARIMA refit every refit_interval_days
-    on the trailing window, its one-step forecast standing until the next refit."""
-    o = fc.orders
-    warmup = max(3 * o.s, 30, o.min_series_length())
-    out = []
-    last_fit = None
-    for day in range(len(demand)):
-        if day >= warmup:
-            if last_fit is None or day - last_fit >= fc.refit_interval_days:
-                model = fit_sarima(demand[max(0, day - fc.train_window_days) : day], o)
-                forecast = forecast_one(model)
-                last_fit = day
-        elif day >= o.s:
-            forecast = max(0.0, seasonal_naive(demand[day - o.s : day], o.s))
-        else:
-            forecast = demand[day - 1] if day else 0.0
-        out.append(forecast)
-    return out
+def _warmup_forecast(demand: list[float], day: int, s: int) -> float:
+    """Seasonal-naive once a season of history exists, else the last value."""
+    if day >= s:
+        return max(0.0, seasonal_naive(demand[day - s : day], s))
+    return demand[day - 1] if day else 0.0
 
 
 @dataclass

@@ -7,6 +7,14 @@ starts at the differenced-series mean, and a fixed-parameter Nelder-Mead
 simplex (iteration cap 2000, tolerance 1e-8) does the search, so refitting
 the same history reproduces bit-identical coefficients.
 
+fit_sarima_many fits a batch of windows in one search: the simplices are
+stacked along a leading axis and step in lockstep, each search leaving the
+batch once it converges. A batched fit equals a lone one bit for bit, because
+nothing mixes rows: every vertex update is elementwise, each branch scores
+only the rows that take it, the stable per-row sort breaks ties as the lone
+sort does, and the objective makes per row the same floating-point calls as
+a lone evaluation (see _css_objective). fit_sarima is a batch of one.
+
 Model convention, with B the backshift operator and w the series after d
 regular and D seasonal differences:
 
@@ -28,7 +36,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .generation import daily_energy, solar_power, wind_power
-from .model import EnergySource
+from .model import EnergySource, as_int
 
 MAX_ITER = 2000
 TOL = 1e-8
@@ -78,10 +86,10 @@ class SarimaOrders:
             raise ValueError(f"total differencing d + D must be <= 2, got {self.d + self.D}")
 
     @classmethod
-    def from_sequence(cls, seq) -> "SarimaOrders":
-        vals = [int(v) for v in seq]
+    def from_sequence(cls, seq, where: str = "orders") -> "SarimaOrders":
+        vals = [as_int(v, f"{where}[{i}]") for i, v in enumerate(seq)]
         if len(vals) != 7:
-            raise ValueError(f"orders need exactly 7 integers p,d,q,P,D,Q,s, got {len(vals)}")
+            raise ValueError(f"{where} needs exactly 7 integers p,d,q,P,D,Q,s, got {len(vals)}")
         return cls(*vals)
 
     def min_series_length(self) -> int:
@@ -175,154 +183,216 @@ def _residuals(w: np.ndarray, o: SarimaOrders, x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _css_objective(w: np.ndarray, o: SarimaOrders):
-    """Build the CSS objective; pure-AR models get a precomputed Gram form.
+def _css_objective(ws: list[np.ndarray], o: SarimaOrders):
+    """Build the CSS objective f(x, rows) of a batch of differenced windows.
 
-    For q = Q = 0 the residual is linear in lagged observations with
-    coefficients multilinear in the parameters, so the sum of squares is a
-    small quadratic form b' G b over a Gram matrix computed once. This is
-    algebraically identical to the direct evaluation and keeps repeated
-    refits cheap.
+    Row r of x is a parameter vector for window ws[rows[r]]; f returns one
+    sum of squares per row. For q = Q = 0 the residual is linear in lagged
+    observations with coefficients multilinear in the parameters, so the sum
+    of squares is a small quadratic form b' G b over a Gram matrix computed
+    once per window. This is algebraically identical to the direct
+    evaluation and keeps repeated refits cheap.
+
+    Bit-exactness with a lone evaluation: b sums the products of
+    (1, -phi) and (1, -PHI) into its lag slots in (i, j) loop order, and the
+    intercept slot takes their running sum in that same order. The stacked
+    matmul makes per row the same BLAS vector-matrix product and dot product
+    that ``b @ G @ b`` makes on one row.
     """
     if o.q == 0 and o.Q == 0:
         L = o.p + o.s * o.P
-        n = len(w)
-        lags = sorted({i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)})
-        cols = [w[L - lag : n - lag] for lag in lags]
-        cols.append(np.ones(n - L))
-        X = np.column_stack(cols)
-        G = X.T @ X
-        lag_index = {lag: k for k, lag in enumerate(lags)}
+        pair_lags = [i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)]
+        lags = sorted(set(pair_lags))
         m = len(lags)
+        # Pair column of each lag slot's first term, then the later terms
+        # of slots that several pairs share (only when p >= s).
+        first = np.array([pair_lags.index(lag) for lag in lags])
+        repeats = [
+            (lags.index(lag), col)
+            for col, lag in enumerate(pair_lags)
+            if pair_lags.index(lag) != col
+        ]
+        G = np.empty((len(ws), m + 1, m + 1))
+        for r, w in enumerate(ws):
+            n = len(w)
+            cols = [w[L - lag : n - lag] for lag in lags]
+            cols.append(np.ones(n - L))
+            X = np.column_stack(cols)
+            G[r] = X.T @ X
 
-        def objective(x: np.ndarray) -> float:
-            phi = x[: o.p]
-            sphi = x[o.p : o.p + o.P]
-            mu = x[-1]
-            beta = np.zeros(m + 1)
-            coeff_sum = 0.0
-            for i in range(o.p + 1):
-                ci = 1.0 if i == 0 else -phi[i - 1]
-                for j in range(o.P + 1):
-                    c = ci * (1.0 if j == 0 else -sphi[j - 1])
-                    beta[lag_index[i + j * o.s]] += c
-                    coeff_sum += c
-            beta[m] = -mu * coeff_sum
-            return float(beta @ G @ beta)
+        def objective(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            k = len(x)
+            a = np.ones((k, o.p + 1))
+            np.negative(x[:, : o.p], out=a[:, 1:])
+            b = np.ones((k, o.P + 1))
+            np.negative(x[:, o.p : o.p + o.P], out=b[:, 1:])
+            c = (a[:, :, None] * b[:, None, :]).reshape(k, -1)
+            beta = np.empty((k, m + 1))
+            # A lone evaluation adds each term to a zero, which maps -0.0 to 0.0.
+            beta[:, :m] = c.take(first, axis=1) + 0.0
+            for slot, col in repeats:
+                beta[:, slot] += c[:, col]
+            beta[:, m] = -x[:, -1] * np.add.accumulate(c, axis=1)[:, -1]
+            return np.matmul(np.matmul(beta[:, None, :], G[rows]), beta[:, :, None])[:, 0, 0]
 
         return objective
 
-    def objective(x: np.ndarray) -> float:
-        eps = _residuals(w, o, x)
-        return float(eps @ eps)
+    def objective(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = np.empty(len(x))
+        for r, (xr, row) in enumerate(zip(x, rows)):
+            eps = _residuals(ws[row], o, xr)
+            out[r] = eps @ eps
+        return out
 
     return objective
 
 
+def _sorted(sim: np.ndarray, fsim: np.ndarray):
+    """Each simplex ordered by score, ties kept in vertex order."""
+    order = fsim.argsort(axis=1, kind="stable")
+    order += np.arange(0, fsim.size, fsim.shape[1])[:, None]
+    return sim.reshape(-1, sim.shape[2])[order], fsim.take(order)
+
+
 def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float, fatol: float):
-    """Deterministic Nelder-Mead with standard reflect/expand/contract/shrink."""
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        v = x0.copy()
-        v[k] = v[k] * 1.05 if v[k] != 0.0 else 0.00025
-        sim[k + 1] = v
-    fsim = np.array([f(v) for v in sim])
-    order = np.argsort(fsim, kind="stable")
-    sim, fsim = sim[order], fsim[order]
+    """Deterministic Nelder-Mead with standard reflect/expand/contract/shrink,
+    run in lockstep on k searches: x0 is [k, n] and f(x, rows) scores the
+    points x[r] of searches rows[r].
+
+    Every step is elementwise per search and each branch scores only the
+    searches that take it, so search r follows exactly the path it would
+    follow alone. The centroid adds vertices in order, as a lone mean over
+    the vertex axis does. A search leaves the active set once it converges.
+    Returns the best vertices [k, n] and the converged flags [k].
+    """
+    k, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    for j in range(n):
+        v = x0[:, j]
+        sim[:, j + 1, j] = np.where(v != 0.0, v * 1.05, 0.00025)
+    rows = np.arange(k)
+    fsim = f(sim.reshape(-1, n), rows.repeat(n + 1)).reshape(k, n + 1)
+    sim, fsim = _sorted(sim, fsim)
+    best = np.empty((k, n))
+    converged = np.zeros(k, dtype=bool)
 
     rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
-    for it in range(max_iter):
-        if (
-            np.max(np.abs(sim[1:] - sim[0])) <= xatol
-            and np.max(np.abs(fsim[1:] - fsim[0])) <= fatol
-        ):
-            return sim[0], float(fsim[0]), True
-        centroid = sim[:-1].mean(axis=0)
-        xr = centroid + rho * (centroid - sim[-1])
-        fr = f(xr)
-        if fr < fsim[0]:
-            xe = centroid + rho * chi * (centroid - sim[-1])
-            fe = f(xe)
-            if fe < fr:
-                sim[-1], fsim[-1] = xe, fe
-            else:
-                sim[-1], fsim[-1] = xr, fr
-        elif fr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fr
-        else:
-            shrink = False
-            if fr < fsim[-1]:
-                xc = centroid + psi * rho * (centroid - sim[-1])
-                fc = f(xc)
-                if fc <= fr:
-                    sim[-1], fsim[-1] = xc, fc
-                else:
-                    shrink = True
-            else:
-                xcc = centroid - psi * (centroid - sim[-1])
-                fcc = f(xcc)
-                if fcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], float(fsim[0]), False
+    for _ in range(max_iter):
+        done = np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) <= fatol
+        if done.any():
+            done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(rows), -1).max(axis=1) <= xatol
+            best[rows[done]] = sim[done, 0]
+            converged[rows[done]] = True
+            keep = ~done
+            rows, sim, fsim = rows[keep], sim[keep], fsim[keep]
+            if not len(rows):
+                return best, converged
+        centroid = sim[:, 0].copy()
+        for j in range(1, n):
+            centroid += sim[:, j]
+        centroid /= n
+        away = centroid - sim[:, -1]
+        xr = centroid + rho * away
+        fr = f(xr, rows)
+
+        # Each row takes one branch; a branch writes only its own rows.
+        below_best = fr < fsim[:, 0]
+        below_worst = fr < fsim[:, -1]
+        contract = ~below_best & ~(fr < fsim[:, -2])
+        take_xr = ~below_best & ~contract
+        shrink = np.zeros(len(rows), dtype=bool)
+        (e,) = below_best.nonzero()
+        if len(e):
+            xe = centroid[e] + rho * chi * away[e]
+            fe = f(xe, rows[e])
+            take = fe < fr[e]
+            sim[e[take], -1], fsim[e[take], -1] = xe[take], fe[take]
+            take_xr[e[~take]] = True
+        (c,) = (contract & below_worst).nonzero()
+        if len(c):
+            xc = centroid[c] + psi * rho * away[c]
+            fc = f(xc, rows[c])
+            take = fc <= fr[c]
+            sim[c[take], -1], fsim[c[take], -1] = xc[take], fc[take]
+            shrink[c[~take]] = True
+        (c,) = (contract & ~below_worst).nonzero()
+        if len(c):
+            xcc = centroid[c] - psi * away[c]
+            fcc = f(xcc, rows[c])
+            take = fcc < fsim[c, -1]
+            sim[c[take], -1], fsim[c[take], -1] = xcc[take], fcc[take]
+            shrink[c[~take]] = True
+        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fr[take_xr]
+        if shrink.any():
+            (s,) = shrink.nonzero()
+            top = sim[s, :1]
+            sim[s, 1:] = top + sigma * (sim[s, 1:] - top)
+            fsim[s, 1:] = f(sim[s, 1:].reshape(-1, n), rows[s].repeat(n)).reshape(-1, n)
+        sim, fsim = _sorted(sim, fsim)
+    best[rows] = sim[:, 0]
+    return best, converged
 
 
-def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
-    """Fit by conditional sum of squares on the differenced series.
-
-    Requires len(series) >= 3s + p + q + 10 so the seasonal structure is
-    identifiable. Warns (without failing) when the search hits the iteration
-    cap or a fitted coefficient leaves the stationary region.
-    """
+def _differenced(series, o: SarimaOrders) -> tuple[np.ndarray, np.ndarray]:
+    """Check one training window and return it with its differenced series."""
     y = np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise ValueError("series must be one-dimensional")
     if not np.all(np.isfinite(y)):
         raise ValueError("series contains non-finite values")
-    o = orders
     if len(y) < o.min_series_length():
         raise ValueError(
             f"series too short to identify orders: need >= {o.min_series_length()}, "
             f"got {len(y)}"
         )
-
     w = _difference(y, o.d, o.D, o.s)
-    L = o.p + o.s * o.P
-    K = o.q + o.s * o.Q
-    if len(w) <= L + K + 1:
+    if len(w) <= o.p + o.s * o.P + o.q + o.s * o.Q + 1:
         raise ValueError("series too short after differencing for the given orders")
+    return y, w
 
-    n_params = o.p + o.q + o.P + o.Q + 1
-    x0 = np.zeros(n_params)
-    x0[-1] = float(np.mean(w))
 
-    objective = _css_objective(w, o)
-    x, sse, converged = _nelder_mead(objective, x0, MAX_ITER, TOL, TOL)
+def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[SarimaModel]:
+    """Fit one model per window by conditional sum of squares, in one search.
+
+    Windows may differ in length; each must satisfy fit_sarima's length
+    rule, and all are checked before any is fitted. Model i is bit-identical
+    to fit_sarima(windows[i], orders), and each fit warns on its own.
+    """
+    o = orders
+    data = [_differenced(series, o) for series in windows]
+    if not data:
+        return []
+    ws = [w for _, w in data]
+    x0 = np.zeros((len(ws), o.p + o.q + o.P + o.Q + 1))
+    x0[:, -1] = [float(np.mean(w)) for w in ws]
+    xs, converged = _nelder_mead(_css_objective(ws, o), x0, MAX_ITER, TOL, TOL)
+    models = []
+    for (y, w), x, ok in zip(data, xs, converged):
+        models.append(_model(y, w, x, bool(ok), o))
+    return models
+
+
+def _model(
+    y: np.ndarray, w: np.ndarray, x: np.ndarray, converged: bool, o: SarimaOrders
+) -> SarimaModel:
+    """The fitted model of one window; warnings point at fit_sarima_many's caller."""
     if not converged:
         warnings.warn(
             "SARIMA search hit the iteration cap; returning best coefficients so far",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-
     phi, theta, sphi, stheta, mu = _split_params(x, o)
     for name, coeffs in (("ar", phi), ("ma", theta), ("seasonal ar", sphi), ("seasonal ma", stheta)):
         if len(coeffs) and np.max(np.abs(coeffs)) >= 1.0:
             warnings.warn(
                 f"fitted {name} coefficient outside the stationary region: {coeffs}",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
+    L = o.p + o.s * o.P
+    K = o.q + o.s * o.Q
     level_len = o.d + o.s * o.D
     return SarimaModel(
         orders=o,
@@ -336,6 +406,16 @@ def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
         _resid_tail=_residuals(w, o, x)[-K:].copy() if K > 0 else np.empty(0),
         _level_tail=y[-level_len:].copy() if level_len > 0 else np.empty(0),
     )
+
+
+def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
+    """Fit by conditional sum of squares on the differenced series.
+
+    Requires len(series) >= 3s + p + q + 10 so the seasonal structure is
+    identifiable. Warns (without failing) when the search hits the iteration
+    cap or a fitted coefficient leaves the stationary region.
+    """
+    return fit_sarima_many([series], orders)[0]
 
 
 def forecast_one(model: SarimaModel) -> float:

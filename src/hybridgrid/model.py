@@ -9,6 +9,7 @@ decreases as energy is cycled through the unit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .generation import SolarPlantParams, WindPlantParams
@@ -128,6 +129,19 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.entity}: {self.rule} ({self.detail})"
+
+
+def as_int(value, where: str) -> int:
+    """An integer input field: an integer or an integral float such as 2.0.
+
+    Booleans, fractions and anything that is not a number are rejected
+    rather than truncated, naming the field.
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def stored_energy(system: StorageSystem) -> float:

@@ -24,6 +24,7 @@ from .model import (
     GridTopology,
     LoadCenter,
     StorageSystem,
+    as_int,
     reference_topology,
 )
 from .synth import SynthDemandParams, SynthWeatherParams, wear_multipliers
@@ -152,13 +153,18 @@ def _flag(section: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
+def _ids(values, where: str) -> tuple[int, ...]:
+    return tuple(as_int(x, f"{where}[{k}]") for k, x in enumerate(values))
+
+
 def _parse_source(entry: dict, where: str) -> EnergySource:
     kind = _require(entry, "kind", where)
     if kind in _SOURCE_KEYS:
         _known(entry, _SOURCE_KEYS[kind], where)
-    sid = int(_require(entry, "id", "source"))
+    sid = as_int(_require(entry, "id", "source"), f"{where}.id")
     site = str(_require(entry, "site", "source"))
-    connected = tuple(int(x) for x in _require(entry, "connected_systems", f"source {sid}"))
+    wired = _require(entry, "connected_systems", f"source {sid}")
+    connected = _ids(wired, f"{where}.connected_systems")
     if kind == "solar":
         params = SolarPlantParams(
             area_m2=float(_require(entry, "area_m2", f"source {sid}")),
@@ -169,7 +175,9 @@ def _parse_source(entry: dict, where: str) -> EnergySource:
             power_coefficient=float(entry.get("power_coefficient", 0.4)),
             air_density=float(entry.get("air_density", 1.225)),
             rotor_area_m2=float(entry.get("rotor_area_m2", 10_000.0)),
-            turbine_count=int(_require(entry, "turbine_count", f"source {sid}")),
+            turbine_count=as_int(
+                _require(entry, "turbine_count", f"source {sid}"), f"{where}.turbine_count"
+            ),
             cut_in_ms=float(entry.get("cut_in_ms", 3.0)),
             cut_out_ms=float(entry.get("cut_out_ms", 25.0)),
         )
@@ -185,14 +193,23 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
     cfg.initial_soc_pct, cfg.initial_soh_pct = soc0, soh0
     deg = cfg.degradation
 
-    if topo.get("reference", False):
+    if _flag(topo, "reference", False, "topology"):
+        # The built-in grid brings its own plants, loads and systems.
+        for listed, present in (
+            ("sources", "sources" in doc),
+            ("loads.centers", "centers" in doc.get("loads", {})),
+            ("topology.systems", "systems" in topo),
+        ):
+            if present:
+                raise ValueError(f"{listed} cannot be given with topology.reference: true")
         t = reference_topology(soc0, soh0, deg.r_charge, deg.r_discharge)
     else:
         systems = []
         for i, entry in enumerate(_require(topo, "systems", "topology")):
-            _known(entry, _SYSTEM_KEYS, f"topology.systems[{i}]")
-            sid = int(_require(entry, "id", "topology.systems"))
-            count = int(entry.get("unit_count", 10))
+            where = f"topology.systems[{i}]"
+            _known(entry, _SYSTEM_KEYS, where)
+            sid = as_int(_require(entry, "id", "topology.systems"), f"{where}.id")
+            count = as_int(entry.get("unit_count", 10), f"{where}.unit_count")
             cap = float(entry.get("unit_capacity_mwd", 100.0))
             units = [
                 BatteryUnit(
@@ -208,9 +225,11 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
             systems.append(StorageSystem(id=sid, units=units))
         loads = []
         for i, e in enumerate(_require(doc, "loads", "config")["centers"]):
-            _known(e, _CENTER_KEYS, f"loads.centers[{i}]")
-            lid = int(_require(e, "id", "loads"))
-            connected = tuple(int(x) for x in _require(e, "connected_systems", "loads"))
+            where = f"loads.centers[{i}]"
+            _known(e, _CENTER_KEYS, where)
+            lid = as_int(_require(e, "id", "loads"), f"{where}.id")
+            wired = _require(e, "connected_systems", "loads")
+            connected = _ids(wired, f"{where}.connected_systems")
             loads.append(LoadCenter(id=lid, connected_systems=connected))
         sources = [
             _parse_source(e, f"sources[{i}]")
@@ -271,14 +290,18 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     run = _known(doc.get("run", {}), _RUN_KEYS, "run")
     fc_section = _known(doc.get("forecasting", {}), _FORECASTING_KEYS, "forecasting")
     orders = (
-        SarimaOrders.from_sequence(fc_section["orders"])
+        SarimaOrders.from_sequence(fc_section["orders"], "forecasting.orders")
         if "orders" in fc_section
         else DEFAULT_ORDERS
     )
     forecasting = ForecastingConfig(
         orders=orders,
-        refit_interval_days=int(fc_section.get("refit_interval_days", 30)),
-        train_window_days=int(fc_section.get("train_window_days", 365)),
+        refit_interval_days=as_int(
+            fc_section.get("refit_interval_days", 30), "forecasting.refit_interval_days"
+        ),
+        train_window_days=as_int(
+            fc_section.get("train_window_days", 365), "forecasting.train_window_days"
+        ),
     )
     deg_section = _known(doc.get("degradation", {}), _DEGRADATION_KEYS, "degradation")
     degradation = DegradationConfig(
@@ -293,8 +316,8 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     )
 
     cfg = ScenarioConfig(
-        days=int(run.get("days", 365)),
-        seed=int(run.get("seed", 0)),
+        days=as_int(run.get("days", 365), "run.days"),
+        seed=as_int(run.get("seed", 0), "run.seed"),
         priority_enabled=_flag(run, "priority_enabled", True, "run"),
         health_enabled=_flag(run, "health_enabled", True, "run"),
         forecasting=forecasting,

@@ -155,6 +155,21 @@ def test_simulate_nan_number_is_validation_error(tmp_path, capsys):
     assert "non-finite number NaN" in capsys.readouterr().err
 
 
+def test_simulate_fractional_days_is_validation_error(tmp_path, capsys):
+    path = write_toy_variant(tmp_path, days=2.9, seed=1.7)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "run.days must be an integer, got 2.9" in capsys.readouterr().err
+
+
+def test_simulate_sources_beside_reference_grid_is_validation_error(tmp_path, capsys):
+    doc = json.loads(open(TOY).read())
+    doc["sources"] = [{"bogus": 1}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "sources cannot be given with topology.reference: true" in capsys.readouterr().err
+
+
 def write_csv_scenario(tmp_path, ghi="500.0", wind="8.0", demand="50.0"):
     """Reference grid on 3 days of CSV weather and demand; day 1 carries the given values."""
     weather = ["site_id,day_index,ghi_w_m2,wind_speed_ms"]
@@ -277,6 +292,32 @@ def test_forecast_bad_orders_is_validation_error(tmp_path):
     history = tmp_path / "history.csv"
     make_history_csv(history)
     assert main(["forecast", str(history), "--orders", "1,0"]) == 1
+
+
+def test_forecast_fractional_orders_is_validation_error(tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    make_history_csv(history)
+    assert main(["forecast", str(history), "--orders", "1,0,0,1.5,0,0,7"]) == 1
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_forecast_fits_each_load_as_alone(tmp_path, capsys):
+    # All loads of a step are fitted in one batch; each line matches a
+    # forecast of that load's history on its own.
+    rng = np.random.default_rng(8)
+    history = tmp_path / "history.csv"
+    rows = ["load_id,day_index,demand_mwd"]
+    for lid, n in ((0, 90), (1, 120)):
+        level = 80.0 + 10.0 * lid
+        rows += [f"{lid},{day},{level + 5.0 * (day % 7) + rng.normal()}" for day in range(n)]
+    history.write_text("\n".join(rows) + "\n")
+    assert main(["forecast", str(history), "--horizon", "2"]) == 0
+    together = capsys.readouterr().out.strip().split("\n")
+    alone = []
+    for lid in (0, 1):
+        assert main(["forecast", str(history), "--horizon", "2", "--load-id", str(lid)]) == 0
+        alone.append(capsys.readouterr().out.strip())
+    assert together == alone
 
 
 def test_forecast_missing_file_is_io_error(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridgrid import (
     BatteryUnit,
@@ -241,56 +243,43 @@ def test_single_source_single_system_policies_agree():
         assert a.total_curtailed() == pytest.approx(b.total_curtailed())
 
 
-# --- allocation fuzz ------------------------------------------------------
+# --- allocation properties ---------------------------------------------------
 
 
-def random_instance(rng):
-    n_sys = int(rng.integers(1, 6))
-    n_src = int(rng.integers(1, 5))
+@st.composite
+def grids(draw):
+    """1-5 systems and 1-4 sources, each wired to a non-empty set of systems,
+    with the day's energy per source and one load's forecast over all systems."""
+    n_sys = draw(st.integers(1, 5))
     specs = {}
-    for i in range(1, n_sys + 1):
-        cap = float(rng.uniform(10.0, 500.0))
-        specs[i] = (cap, float(rng.uniform(0.0, cap)))
-    sources = {}
-    for sid in range(1, n_src + 1):
-        k = int(rng.integers(1, n_sys + 1))
-        conn = sorted(rng.choice(np.arange(1, n_sys + 1), size=k, replace=False))
-        sources[sid] = [int(c) for c in conn]
-    energies = {sid: float(rng.uniform(0.0, 400.0)) for sid in sources}
-    forecasts = {0: float(rng.uniform(0.0, 600.0))}
-    return specs, sources, energies, forecasts
+    for sid in range(1, n_sys + 1):
+        cap = draw(st.floats(10.0, 500.0))
+        specs[sid] = (cap, draw(st.floats(0.0, 1.0)) * cap)
+    wiring = st.lists(st.integers(1, n_sys), min_size=1, unique=True).map(sorted)
+    sources = {src: draw(wiring) for src in range(1, draw(st.integers(1, 4)) + 1)}
+    energies = {src: draw(st.floats(0.0, 400.0)) for src in sources}
+    topo = make_topology(specs, sources, {0: list(specs)})
+    return topo, energies, draw(st.floats(0.0, 600.0))
 
 
-def check_allocation_invariants(alloc, energies, topo):
-    headrooms = {s.id: system_headroom(s) for s in topo.systems}
-    adjacency = {src.id: set(src.connected_systems) for src in topo.sources}
-    inflow_by_system = {s.id: 0.0 for s in topo.systems}
-    delivered_by_source = {sid: 0.0 for sid in energies}
-    for (src, sid), amount in alloc.amounts.items():
-        assert amount >= -1e-9
-        assert sid in adjacency[src]
-        inflow_by_system[sid] += amount
-        delivered_by_source[src] += amount
-    for sid, total_in in inflow_by_system.items():
-        assert total_in <= headrooms[sid] + 1e-6
-    for src, energy in energies.items():
-        assert delivered_by_source[src] + alloc.curtailed.get(src, 0.0) == pytest.approx(
-            energy, abs=1e-6
-        )
-
-
-def test_allocation_invariants_fuzz():
-    rng = np.random.default_rng(2024)
-    for _ in range(1500):
-        specs, sources, energies, forecasts = random_instance(rng)
-        topo = make_topology(specs, sources, {0: list(specs)})
-        targets = compute_charge_targets(topo, forecasts)
-        order = prioritize(targets)
-        alloc_p = allocate_priority(order, targets, energies, topo)
-        check_allocation_invariants(alloc_p, energies, topo)
-        topo2 = make_topology(specs, sources, {0: list(specs)})
-        alloc_e = allocate_equal(energies, topo2)
-        check_allocation_invariants(alloc_e, energies, topo2)
+@settings(deadline=None, max_examples=300)
+@given(grid=grids())
+def test_allocation_properties(grid):
+    topo, energies, forecast = grid
+    targets = compute_charge_targets(topo, {0: forecast})
+    headroom = {s.id: system_headroom(s) for s in topo.systems}
+    wired = {(src.id, sid) for src in topo.sources for sid in src.connected_systems}
+    for alloc in (
+        allocate_priority(prioritize(targets), targets, energies, topo),
+        allocate_equal(energies, topo),
+    ):
+        assert all(v >= 0.0 for v in [*alloc.amounts.values(), *alloc.curtailed.values()])
+        assert set(alloc.amounts) <= wired
+        for sid, room in headroom.items():
+            assert alloc.inflow(sid) <= room + 1e-6
+        for src, energy in energies.items():
+            delivered = sum(v for (s, _), v in alloc.amounts.items() if s == src)
+            assert delivered + alloc.curtailed.get(src, 0.0) == pytest.approx(energy, abs=1e-6)
 
 
 # --- discharge ------------------------------------------------------------

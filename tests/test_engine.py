@@ -262,15 +262,16 @@ def test_compare_arms_share_weather_and_demand():
 
 
 def record_fit_windows(monkeypatch):
-    """Swap the engine's fit_sarima for one that records each training window."""
+    """Swap the engine's fit_sarima_many for one that records every training
+    window of each batch."""
     windows = []
-    fit = engine.fit_sarima
+    fit_many = engine.fit_sarima_many
 
-    def recording_fit(series, *args, **kwargs):
-        windows.append(tuple(series))
-        return fit(series, *args, **kwargs)
+    def recording_fit_many(batch, *args, **kwargs):
+        windows.extend(tuple(series) for series in batch)
+        return fit_many(batch, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "fit_sarima", recording_fit)
+    monkeypatch.setattr(engine, "fit_sarima_many", recording_fit_many)
     return windows
 
 

@@ -1,7 +1,11 @@
 """Unit tests for the seasonal forecaster and the data-loading helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+from hybridgrid import forecast
 
 from hybridgrid import (
     EnergySource,
@@ -10,6 +14,7 @@ from hybridgrid import (
     WeatherSample,
     WindPlantParams,
     fit_sarima,
+    fit_sarima_many,
     forecast_one,
     load_demand_csv,
     load_weather_csv,
@@ -121,6 +126,90 @@ def test_fit_seasonal_structure_recovered():
     model = fit_sarima(series, ORDERS_WEEKLY)
     assert model.ar_coeffs[0] == pytest.approx(0.6, abs=0.15)
     assert model.seasonal_ar_coeffs[0] == pytest.approx(0.5, abs=0.15)
+
+
+# --- batched fitting ------------------------------------------------------------
+
+
+def seasonal_series(n, seed):
+    """Weekly multiplicative AR around level 100 (the check-6 generator)."""
+    rng = np.random.default_rng(seed)
+    dev = np.zeros(n + 60)
+    for t in range(8, n + 60):
+        dev[t] = 0.6 * dev[t - 1] + 0.5 * dev[t - 7] - 0.3 * dev[t - 8] + rng.normal(0.0, 3.0)
+    return 100.0 + dev[60:]
+
+
+def model_bits(model):
+    """Every fitted number of a model as float.hex, plus its converged flag."""
+    coeffs = [model.ar_coeffs, model.ma_coeffs, model.seasonal_ar_coeffs, model.seasonal_ma_coeffs]
+    return (
+        [[float(v).hex() for v in c] for c in coeffs],
+        float(model.intercept).hex(),
+        model.converged,
+        [t.tobytes() for t in (model._diff_tail, model._resid_tail, model._level_tail)],
+    )
+
+
+@pytest.mark.parametrize(
+    "orders, lengths",
+    [
+        (SarimaOrders(1, 0, 0, 1, 0, 0, 7), (32, 365, 90, 200, 61)),
+        (SarimaOrders(1, 0, 1, 0, 0, 1, 7), (60, 90, 75)),
+    ],
+)
+def test_fit_many_equals_lone_fits_bitwise(orders, lengths):
+    series = seasonal_series(400, seed=9)
+    windows = [series[len(series) - n :] for n in lengths]
+    batch = fit_sarima_many(windows, orders)
+    assert [model_bits(m) for m in batch] == [model_bits(fit_sarima(w, orders)) for w in windows]
+
+
+@pytest.mark.parametrize(
+    "orders, coeffs, intercept",
+    [
+        (
+            SarimaOrders(1, 0, 0, 1, 0, 0, 7),
+            [["0x1.4a9a4401cb71cp-1"], [], ["0x1.a120d90381286p-2"], []],
+            "0x1.86ece187fadf0p+6",
+        ),
+        (
+            SarimaOrders(1, 0, 1, 0, 0, 1, 7),
+            [["0x1.a4a2614ad0928p-2"], ["0x1.75e56406af446p-2"], [], ["0x1.8002739e014b0p-2"]],
+            "0x1.86bf78b321ee4p+6",
+        ),
+    ],
+)
+def test_fit_numerics_are_pinned(orders, coeffs, intercept):
+    # Recorded with the one-window-at-a-time search this batched one replaced.
+    bits = model_bits(fit_sarima(seasonal_series(200, seed=21), orders))
+    assert bits[:3] == (coeffs, intercept, True)
+
+
+def test_fit_many_warns_once_per_capped_fit(monkeypatch):
+    # These windows converge after 62, 126 and 192 iterations.
+    windows = [
+        np.full(120, 100.0),
+        100.0 + np.random.default_rng(5).normal(0.0, 2.0, 120),
+        100.0 + np.random.default_rng(6).normal(0.0, 2.0, 60),
+    ]
+    monkeypatch.setattr(forecast, "MAX_ITER", 150)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        models = fit_sarima_many(windows, ORDERS_WEEKLY)
+    assert [m.converged for m in models] == [True, True, False]
+    assert [str(w.message) for w in caught] == [
+        "SARIMA search hit the iteration cap; returning best coefficients so far"
+    ]
+
+
+def test_fit_many_of_nothing_is_empty():
+    assert fit_sarima_many([]) == []
+
+
+def test_fit_many_rejects_a_short_window():
+    with pytest.raises(ValueError, match="series too short"):
+        fit_sarima_many([np.ones(100), np.ones(10)], ORDERS_WEEKLY)
 
 
 def test_forecast_clamps_negative_to_zero():

@@ -231,3 +231,92 @@ def test_shipped_scenarios_parse_and_validate():
         cfg, topo = load_scenario(f"scenarios/{name}.json")
         assert cfg.days > 0
         assert validate_topology(topo) == []
+
+
+# --- integer fields -------------------------------------------------------------
+
+
+def _set(doc, keys, value):
+    section = doc
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+
+
+# (keys into explicit_doc(), dotted path, the document's valid value)
+INTEGER_FIELDS = [
+    (("run", "days"), "run.days", 3),
+    (("run", "seed"), "run.seed", 2),
+    (("forecasting", "refit_interval_days"), "forecasting.refit_interval_days", 30),
+    (("forecasting", "train_window_days"), "forecasting.train_window_days", 365),
+    (("topology", "systems", 1, "id"), "topology.systems[1].id", 2),
+    (("topology", "systems", 0, "unit_count"), "topology.systems[0].unit_count", 2),
+    (("sources", 1, "id"), "sources[1].id", 2),
+    (("sources", 0, "connected_systems", 1), "sources[0].connected_systems[1]", 2),
+    (("sources", 1, "turbine_count"), "sources[1].turbine_count", 3),
+    (("loads", "centers", 0, "id"), "loads.centers[0].id", 0),
+    (("loads", "centers", 0, "connected_systems", 0), "loads.centers[0].connected_systems[0]", 1),
+]
+
+
+@pytest.mark.parametrize("keys, path, valid", INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [2.9, 1.5, True, "3"])
+def test_parse_rejects_non_integer_fields(keys, path, valid, value):
+    doc = explicit_doc()
+    _set(doc, keys, value)
+    with pytest.raises(ValueError, match=re.escape(f"{path} must be an integer, got {value!r}")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("keys, path, valid", INTEGER_FIELDS)
+def test_parse_accepts_integral_floats(keys, path, valid):
+    as_int, as_float = explicit_doc(), explicit_doc()
+    _set(as_int, keys, valid)
+    _set(as_float, keys, float(valid))
+    cfg_i, topo_i = parse_scenario(as_int)
+    cfg_f, topo_f = parse_scenario(as_float)
+    for name in ("days", "seed", "forecasting"):
+        assert getattr(cfg_f, name) == getattr(cfg_i, name)
+    assert topo_f == topo_i
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1"])
+def test_parse_rejects_non_integer_orders(value):
+    doc = explicit_doc()
+    doc["forecasting"]["orders"] = [1, 0, 0, value, 0, 0, 7]
+    with pytest.raises(
+        ValueError, match=re.escape(f"forecasting.orders[3] must be an integer, got {value!r}")
+    ):
+        parse_scenario(doc)
+
+
+def test_parse_fractional_days_and_seed_are_not_truncated(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(minimal_doc(days=2.9, seed=1.7)))
+    with pytest.raises(ValueError, match=re.escape("run.days must be an integer, got 2.9")):
+        load_scenario(path)
+
+
+# --- reference grid ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("keys", [("sources",), ("loads", "centers"), ("topology", "systems")])
+def test_parse_rejects_explicit_grid_beside_reference(keys):
+    # explicit_doc()'s own plants, loads or systems next to "reference": true
+    doc, explicit = minimal_doc(), explicit_doc()
+    section = doc
+    for key in keys[:-1]:
+        section, explicit = section[key], explicit[key]
+    section[keys[-1]] = explicit[keys[-1]]
+    key = ".".join(keys)
+    with pytest.raises(
+        ValueError, match=re.escape(f"{key} cannot be given with topology.reference: true")
+    ):
+        parse_scenario(doc)
+
+
+def test_parse_reference_must_be_json_boolean():
+    doc = minimal_doc()
+    doc["topology"]["reference"] = "false"
+    with pytest.raises(ValueError, match="topology.reference must be a JSON boolean"):
+        parse_scenario(doc)
