@@ -11,6 +11,7 @@ from .dispatch import (
     compute_charge_targets,
     discharge_shares,
     prioritize,
+    split_by_storage,
     split_equally,
 )
 from .engine import (

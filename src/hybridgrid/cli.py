@@ -117,6 +117,8 @@ def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise ValueError("--horizon must be >= 1")
     series_by_load = load_demand_csv(args.history)
+    if not series_by_load:
+        raise ValueError(f"demand history {args.history} has no rows")
     if args.load_id is not None:
         if args.load_id not in series_by_load:
             raise ValueError(f"no history for load {args.load_id}")

@@ -11,7 +11,9 @@ the still-unsaturated ones.
 
 Discharge is need-blind: a load draws from its connected systems in
 proportion to how much each currently stores, so a shared pool drains evenly
-toward zero rather than emptying one system first.
+toward zero rather than emptying one system first. The split works on
+stored amounts alone, so the engine can settle a day's loads on running
+system totals without touching units.
 
 This module only decides system-level amounts. Moving energy into and out of
 units, and the wear that costs, is health.py's job.
@@ -243,28 +245,34 @@ def _check_source_energy(per_source_energy: dict[int, float], t: GridTopology) -
             raise ValueError(f"missing energy entry for source {src.id}")
 
 
-def discharge_shares(demand_mwd: float, systems: list[StorageSystem]) -> DischargeAssignment:
+def split_by_storage(demand_mwd: float, stored: dict[int, float]) -> DischargeAssignment:
     """Split a load's demand across its systems proportional to storage.
 
-    Serves min(demand, pooled energy); each system contributes in proportion
-    to what it holds, so no contribution exceeds its stored energy and the
-    pool empties together when demand exceeds it. The uncovered remainder is
+    stored maps system id to the MWd each connected system holds. Serves
+    min(demand, pooled energy); each system contributes in proportion to what
+    it holds, so no contribution exceeds its stored energy and the pool
+    empties together when demand exceeds it. The uncovered remainder is
     reported as unmet.
     """
     if demand_mwd < 0:
         raise ValueError(f"demand must be >= 0, got {demand_mwd}")
-    pool = sum(stored_energy(s) for s in systems)
+    pool = sum(stored.values())
     if demand_mwd >= pool:
         # Full drain: contributions are exactly what each system holds.
-        contributions = {s.id: stored_energy(s) for s in systems}
+        contributions = dict(stored)
         served = pool
     else:
         served = demand_mwd
         contributions = {
-            s.id: stored_energy(s) / pool * served if pool > 0 else 0.0 for s in systems
+            sid: energy / pool * served if pool > 0 else 0.0 for sid, energy in stored.items()
         }
     return DischargeAssignment(
         contributions=contributions,
         served_mwd=served,
         unmet_mwd=max(0.0, demand_mwd - served),
     )
+
+
+def discharge_shares(demand_mwd: float, systems: list[StorageSystem]) -> DischargeAssignment:
+    """split_by_storage over what the given systems store now."""
+    return split_by_storage(demand_mwd, {s.id: stored_energy(s) for s in systems})

@@ -11,6 +11,13 @@ systems. Charging always precedes discharging. The engine decides
 system-level amounts only; health.py moves energy through the units and
 applies the wear that costs.
 
+Settlement runs on system totals: loads draw in ascending id from a
+snapshot of each system's stored energy, each seeing storage as the previous
+load left it, and each system's units then give the day's total in one
+apply_discharge. One draw of the total equals the per-load draws in
+sequence, because the equal split with water-filling composes and wear is
+linear in the amount drawn, so units move once per system per day.
+
 Runs are deterministic: a config and seed reproduce byte-identical traces.
 """
 
@@ -29,8 +36,8 @@ from .dispatch import (
     allocate_equal,
     allocate_priority,
     compute_charge_targets,
-    discharge_shares,
     prioritize,
+    split_by_storage,
 )
 from .forecast import (
     WeatherSample,
@@ -42,7 +49,7 @@ from .forecast import (
     seasonal_naive,
 )
 from .health import apply_discharge, distribute_charge_equal, distribute_charge_ranked
-from .model import GridTopology, system_soc, validate_topology
+from .model import GridTopology, stored_energy, system_soc, validate_topology
 from .scenario import ScenarioConfig
 from .synth import synth_demand, synth_weather
 
@@ -200,21 +207,29 @@ def step_day(state: SimulationState, day: int) -> DailyRecord:
         else:
             distribute_charge_equal(system, q)
 
-    # 3. Settle realized demand in ascending load id; each settlement sees
-    #    storage as the previous one left it.
+    # 3. Settle realized demand in ascending load id against running system
+    #    totals taken after charging: each settlement sees storage as the
+    #    previous one left it. Units then give each system's day total in one
+    #    apply_discharge. That equals the per-load draws in sequence, because
+    #    the equal split with water-filling composes (draws d1 then d2 take
+    #    min(e_i, l1 + l2) from unit i, the same as one draw of d1 + d2) and
+    #    wear is linear in the amount drawn.
+    stored = {s.id: stored_energy(s) for s in t.systems}
+    discharge_out = {s.id: 0.0 for s in t.systems}
     served = {}
     unmet = {}
-    discharge_out = {s.id: 0.0 for s in t.systems}
     for load in sorted(t.loads, key=lambda l: l.id):
-        demand = float(state.demand_by_load[load.id][day])
-        systems = [t.system_by_id[sid] for sid in load.connected_systems]
-        assignment = discharge_shares(demand, systems)
+        demand = float(drivers.demand_by_load[load.id][day])
+        assignment = split_by_storage(demand, {sid: stored[sid] for sid in load.connected_systems})
         for sid, amount in assignment.contributions.items():
             if amount > 0:
-                apply_discharge(t.system_by_id[sid], amount)
+                stored[sid] -= amount
                 discharge_out[sid] += amount
         served[load.id] = assignment.served_mwd
         unmet[load.id] = assignment.unmet_mwd
+    for system in t.systems:
+        if discharge_out[system.id] > 0:
+            apply_discharge(system, discharge_out[system.id])
 
     curtailed = {src.id: alloc.curtailed.get(src.id, 0.0) for src in t.sources}
     return DailyRecord(

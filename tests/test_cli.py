@@ -320,5 +320,12 @@ def test_forecast_fits_each_load_as_alone(tmp_path, capsys):
     assert together == alone
 
 
+def test_forecast_history_without_rows_is_validation_error(tmp_path, capsys):
+    history = tmp_path / "empty.csv"
+    history.write_text("load_id,day_index,demand_mwd\n")
+    assert main(["forecast", str(history)]) == 1
+    assert "no rows" in capsys.readouterr().err
+
+
 def test_forecast_missing_file_is_io_error(tmp_path):
     assert main(["forecast", str(tmp_path / "none.csv")]) == 2

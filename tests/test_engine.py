@@ -197,6 +197,28 @@ def test_loads_settle_sequentially_within_a_day():
     assert record.unmet_mwd[1] == pytest.approx(10.0)
 
 
+def test_each_system_discharges_at_most_once_a_day(monkeypatch):
+    # Loads settle on system totals; units give each system's day total in
+    # one apply_discharge, however many loads share the system.
+    calls = []
+    discharge = engine.apply_discharge
+
+    def counting_discharge(system, amount):
+        calls.append(system.id)
+        return discharge(system, amount)
+
+    monkeypatch.setattr(engine, "apply_discharge", counting_discharge)
+    cfg, topo = load_scenario("scenarios/reference.json")
+    state = initialize_state(cfg, topo)
+    total = 0
+    for day in range(cfg.days):
+        calls.clear()
+        step_day(state, day)
+        assert len(calls) == len(set(calls))
+        total += len(calls)
+    assert 0 < total <= len(topo.systems) * cfg.days
+
+
 def test_csv_weather_exhaustion_raises_simulation_error(tmp_path):
     weather = tmp_path / "weather.csv"
     rows = ["site_id,day_index,ghi_w_m2,wind_speed_ms"]

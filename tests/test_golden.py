@@ -1,4 +1,4 @@
-"""Golden traces: sha256 of the CSV artifacts of three pinned runs.
+"""Golden traces: sha256 of the CSV artifacts of four pinned runs.
 
 A refactor that claims bit-exact output must leave every hash unchanged; a
 change that moves the numbers on purpose updates the hash and states why.
@@ -18,7 +18,7 @@ from hybridgrid import (
     summary_csv,
     trace_csv,
 )
-from hybridgrid.scenario import load_scenario
+from hybridgrid.scenario import load_scenario, parse_scenario
 
 
 def sha256(text: str) -> str:
@@ -58,3 +58,54 @@ def test_compare_is_pinned(path, axis, comparison_hash, series_hash):
     report = compare(cfg, topo, axis)
     assert sha256(comparison_csv(report)) == comparison_hash
     assert sha256(comparison_series_csv(report)) == series_hash
+
+
+# Systems of 1, 4 and 12 units; loads 0 and 1 share the 4-unit system and
+# loads 1 and 2 the 12-unit one. Demand outruns generation, so systems run
+# dry on some days and a shared system's units give to two loads a day.
+SHARED_SYSTEMS_DOC = {
+    "topology": {
+        "initial_soc_pct": 30.0,
+        "systems": [
+            {"id": 1, "unit_count": 1, "unit_capacity_mwd": 120.0},
+            {"id": 2, "unit_count": 4, "unit_capacity_mwd": 40.0},
+            {"id": 3, "unit_count": 12, "unit_capacity_mwd": 15.0},
+        ],
+    },
+    "sources": [
+        {
+            "id": 1,
+            "kind": "solar",
+            "site": "flat",
+            "area_m2": 60000.0,
+            "efficiency": 0.2,
+            "connected_systems": [1, 2],
+        },
+        {"id": 2, "kind": "wind", "site": "ridge", "turbine_count": 4, "connected_systems": [2, 3]},
+    ],
+    "loads": {
+        "kind": "synthetic",
+        "centers": [
+            {"id": 0, "connected_systems": [1, 2]},
+            {"id": 1, "connected_systems": [2, 3]},
+            {"id": 2, "connected_systems": [3]},
+        ],
+        "base_mwd": {"0": 50.0, "1": 35.0, "2": 20.0},
+        "gen_fraction": 1.1,
+    },
+    "degradation": {"rate_spread": 0.3},
+    "weather": {"kind": "synthetic", "default": {"cloud_ar": 0.6, "wind_ar": 0.6}},
+    "run": {"days": 90, "seed": 5, "priority_enabled": True, "health_enabled": True},
+}
+
+
+def test_shared_multi_unit_systems_run_is_pinned():
+    cfg, topo = parse_scenario(SHARED_SYSTEMS_DOC)
+    trace = run_simulation(cfg, topo)
+    assert sum(trace.summary.zero_soc_events.values()) > 0
+    assert sha256(trace_csv(trace)) == (
+        "27f9f09e44eaf45c70cd8b10d98695b2caa08e21ef93798c5036a5db124bbf72"
+    )
+    assert sha256(summary_csv(trace)) == (
+        "50f4ebb68ff3774e9448db9b4508dc2d4f69603a6080ffaf2b2b265744413c10"
+    )

@@ -308,3 +308,42 @@ def test_unit_state_change_properties(move, system, share):
         assert u.soh_pct <= soh
         assert u.soh_pct == max(0.0, soh - m * getattr(u, rate) / u.capacity_mwd)
 
+
+@st.composite
+def draws_on_one_system(draw):
+    """Two copies of a 1-12 unit system and 1-6 draws that sum to at most its store."""
+    specs = []
+    for _ in range(draw(st.integers(1, 12))):
+        cap = draw(st.floats(1.0, 200.0))
+        specs.append(
+            dict(
+                capacity=cap,
+                energy=draw(st.floats(0.0, 1.0)) * cap,
+                soh=draw(st.floats(50.0, 100.0)),
+                r_discharge=draw(st.floats(0.0, 10.0)),
+            )
+        )
+    stored = sum(s["energy"] for s in specs)
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    scale = draw(st.floats(0.0, 1.0)) * stored / max(1.0, sum(weights))
+    twins = [
+        StorageSystem(id=1, units=[unit(uid=i, **s) for i, s in enumerate(specs)])
+        for _ in range(2)
+    ]
+    return twins, [w * scale for w in weights]
+
+
+@settings(deadline=None)
+@given(case=draws_on_one_system())
+def test_successive_discharges_equal_one_discharge_of_their_sum(case):
+    # The engine settles a day's loads on system totals and discharges each
+    # system once; that is exact because the equal split with water-filling
+    # composes and wear is linear in the amount drawn. SoH starts at 50% or
+    # more and one full drain costs at most 10 points, so its floor never binds.
+    (stepwise, at_once), amounts = case
+    for amount in amounts:
+        apply_discharge(stepwise, amount)
+    apply_discharge(at_once, sum(amounts))
+    for a, b in zip(stepwise.units, at_once.units):
+        assert a.energy_mwd == pytest.approx(b.energy_mwd, abs=1e-9)
+        assert a.soh_pct == pytest.approx(b.soh_pct, abs=1e-9)
