@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import GridTopology, StorageSystem, stored_energy
+from .model import GridTopology, StorageSystem, stored_energy, system_headroom
 
 # Charge targets anticipate next-day demand with a fixed safety margin.
 CHARGE_BUFFER = 1.25
@@ -132,10 +132,7 @@ def prioritize(targets: list[ChargeTarget]) -> list[int]:
 
 
 def _headrooms(t: GridTopology) -> dict[int, float]:
-    return {
-        s.id: max(0.0, s.capacity_mwd - stored_energy(s))
-        for s in t.systems
-    }
+    return {s.id: system_headroom(s) for s in t.systems}
 
 
 def allocate_priority(

@@ -10,7 +10,7 @@ decreases as energy is cycled through the unit.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .generation import SolarPlantParams, WindPlantParams
 
@@ -47,19 +47,20 @@ class BatteryUnit:
 
 @dataclass
 class StorageSystem:
-    """A bank of battery units operated as one grid-level storage system."""
+    """A bank of battery units operated as one grid-level storage system.
+
+    A system's units, and so their capacities, are fixed once it is built:
+    capacity_mwd is their sum, computed once here.
+    """
 
     id: int
     units: list[BatteryUnit]
+    capacity_mwd: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.units:
             raise ValueError(f"system {self.id}: needs at least one unit")
-
-    @property
-    def capacity_mwd(self) -> float:
-        # Derived, never cached: stays exact under unit mutation.
-        return sum(u.capacity_mwd for u in self.units)
+        self.capacity_mwd = sum(u.capacity_mwd for u in self.units)
 
     @property
     def mean_soh_pct(self) -> float:

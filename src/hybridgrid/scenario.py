@@ -3,16 +3,20 @@
 Sections: topology, sources, loads, forecasting, degradation, weather, run.
 The topology section either names the built-in reference grid or lists
 systems explicitly; sources and loads may then be listed explicitly too.
-Weather and demand each come from a CSV file or a documented seeded
-generator. Every section accepts only its documented keys, and every number
-must be finite. See README for the full schema and a worked example.
+Weather and demand each come from a CSV file (a section of just kind, path
+and, for loads, centers) or a documented seeded generator. A section that
+configures a parameter dataclass takes exactly its fields, each read as the
+declared type: numbers must be finite JSON numbers, not booleans or strings.
+Weather sites and base demands must name a site or load of the grid. See
+README for the full schema and a worked example.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .forecast import DEFAULT_ORDERS, SarimaOrders
@@ -29,23 +33,13 @@ from .model import (
 )
 from .synth import SynthDemandParams, SynthWeatherParams, wear_multipliers
 
-# The keys each section of a scenario document may hold.
+# The keys of the sections no parameter dataclass describes.
 _TOP_KEYS = ("topology", "sources", "loads", "forecasting", "degradation", "weather", "run")
 _TOPOLOGY_KEYS = ("reference", "initial_soc_pct", "initial_soh_pct", "systems")
 _SYSTEM_KEYS = ("id", "unit_count", "unit_capacity_mwd")
-_SOURCE_KEYS = {
-    "solar": ("kind", "id", "site", "connected_systems", "area_m2", "efficiency"),
-    "wind": ("kind", "id", "site", "connected_systems", "power_coefficient", "air_density",
-             "rotor_area_m2", "turbine_count", "cut_in_ms", "cut_out_ms"),
-}
-_LOADS_KEYS = ("kind", "path", "centers", "base_mwd", "weekly_shape", "noise_sd", "gen_fraction")
 _CENTER_KEYS = ("id", "connected_systems")
-_FORECASTING_KEYS = ("orders", "refit_interval_days", "train_window_days")
-_DEGRADATION_KEYS = ("r_charge", "r_discharge", "rate_spread")
-_WEATHER_KEYS = ("kind", "path", "sites", "default")
-_SITE_KEYS = tuple(f.name for f in fields(SynthWeatherParams))
 _RUN_KEYS = ("days", "seed", "priority_enabled", "health_enabled", "score_weights")
-_WEIGHT_KEYS = ("soh", "soc")
+_PLANTS = {"solar": SolarPlantParams, "wind": WindPlantParams}
 
 
 @dataclass(frozen=True)
@@ -130,11 +124,15 @@ class ScenarioConfig:
             raise ValueError("initial SoH must be in [0, 100]")
 
 
-def _known(section, keys, where: str) -> dict:
-    """The section itself, once it is known to be an object with only the given keys."""
+def _object(section, where: str) -> dict:
     if not isinstance(section, dict):
         raise ValueError(f"{where or 'scenario'} must be a JSON object")
-    for key in section:
+    return section
+
+
+def _known(section, keys, where: str) -> dict:
+    """The section itself, once it is known to be an object with only the given keys."""
+    for key in _object(section, where):
         if key not in keys:
             raise ValueError(f"unknown key {where}.{key}" if where else f"unknown key {key}")
     return section
@@ -153,43 +151,74 @@ def _flag(section: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
-def _ids(values, where: str) -> tuple[int, ...]:
-    return tuple(as_int(x, f"{where}[{k}]") for k, x in enumerate(values))
+def _number(value, where: str) -> float:
+    """A float input field: a finite JSON number; booleans and strings are rejected."""
+    # The bound also rejects NaN, the infinities and integers too large for a float.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _items(values, read, where: str) -> tuple:
+    """A list input field, each element read by read(element, its dotted path)."""
+    if not isinstance(values, list):
+        raise ValueError(f"{where} must be a JSON list, got {values!r}")
+    return tuple(read(x, f"{where}[{k}]") for k, x in enumerate(values))
+
+
+# How a field is read, by its annotation as written (the parameter dataclasses'
+# modules postpone annotations, so a field's type is this string).
+_READERS = {
+    "float": _number,
+    "float | None": lambda value, where: None if value is None else _number(value, where),
+    "tuple[float, ...]": lambda value, where: _items(value, _number, where),
+    "int": as_int,
+    "SarimaOrders": lambda value, where: SarimaOrders.from_sequence(
+        _items(value, as_int, where), where
+    ),
+}
+
+
+# A section that configures a parameter dataclass takes exactly that class's
+# fields as keys, besides the structural keys its caller reads itself (kind,
+# id, site, ...). Each value present is read as its field's declared type; an
+# absent key takes the field's default, and a field without one is required.
+def _read(cls, section, where: str, structural: tuple[str, ...] = ()):
+    """An instance of the dataclass cls built from one scenario section."""
+    declared = fields(cls)
+    _known(section, (*structural, *(f.name for f in declared)), where)
+    values = {}
+    for f in declared:
+        if f.name in section:
+            values[f.name] = _READERS[f.type](section[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where}: missing required key {f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_source(entry: dict, where: str) -> EnergySource:
-    kind = _require(entry, "kind", where)
-    if kind in _SOURCE_KEYS:
-        _known(entry, _SOURCE_KEYS[kind], where)
-    sid = as_int(_require(entry, "id", "source"), f"{where}.id")
-    site = str(_require(entry, "site", "source"))
-    wired = _require(entry, "connected_systems", f"source {sid}")
-    connected = _ids(wired, f"{where}.connected_systems")
-    if kind == "solar":
-        params = SolarPlantParams(
-            area_m2=float(_require(entry, "area_m2", f"source {sid}")),
-            efficiency=float(_require(entry, "efficiency", f"source {sid}")),
-        )
-    elif kind == "wind":
-        params = WindPlantParams(
-            power_coefficient=float(entry.get("power_coefficient", 0.4)),
-            air_density=float(entry.get("air_density", 1.225)),
-            rotor_area_m2=float(entry.get("rotor_area_m2", 10_000.0)),
-            turbine_count=as_int(
-                _require(entry, "turbine_count", f"source {sid}"), f"{where}.turbine_count"
-            ),
-            cut_in_ms=float(entry.get("cut_in_ms", 3.0)),
-            cut_out_ms=float(entry.get("cut_out_ms", 25.0)),
-        )
-    else:
-        raise ValueError(f"source {sid}: unknown kind {kind!r}")
+    kind = _require(_object(entry, where), "kind", where)
+    if kind not in _PLANTS:
+        raise ValueError(f"{where}: unknown kind {kind!r}")
+    params = _read(_PLANTS[kind], entry, where, ("kind", "id", "site", "connected_systems"))
+    if kind == "wind":
+        _require(entry, "turbine_count", where)  # required here, unlike in WindPlantParams
+    sid = as_int(_require(entry, "id", where), f"{where}.id")
+    site = str(_require(entry, "site", where))
+    wired = _require(entry, "connected_systems", where)
+    connected = _items(wired, as_int, f"{where}.connected_systems")
     return EnergySource(sid, kind, params, connected, site)
 
 
 def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
     topo = _known(doc.get("topology", {"reference": True}), _TOPOLOGY_KEYS, "topology")
-    soc0 = float(topo.get("initial_soc_pct", cfg.initial_soc_pct))
-    soh0 = float(topo.get("initial_soh_pct", cfg.initial_soh_pct))
+    soc0 = _number(topo.get("initial_soc_pct", cfg.initial_soc_pct), "topology.initial_soc_pct")
+    soh0 = _number(topo.get("initial_soh_pct", cfg.initial_soh_pct), "topology.initial_soh_pct")
     cfg.initial_soc_pct, cfg.initial_soh_pct = soc0, soh0
     deg = cfg.degradation
 
@@ -210,7 +239,7 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
             _known(entry, _SYSTEM_KEYS, where)
             sid = as_int(_require(entry, "id", "topology.systems"), f"{where}.id")
             count = as_int(entry.get("unit_count", 10), f"{where}.unit_count")
-            cap = float(entry.get("unit_capacity_mwd", 100.0))
+            cap = _number(entry.get("unit_capacity_mwd", 100.0), f"{where}.unit_capacity_mwd")
             units = [
                 BatteryUnit(
                     id=k,
@@ -229,7 +258,7 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
             _known(e, _CENTER_KEYS, where)
             lid = as_int(_require(e, "id", "loads"), f"{where}.id")
             wired = _require(e, "connected_systems", "loads")
-            connected = _ids(wired, f"{where}.connected_systems")
+            connected = _items(wired, as_int, f"{where}.connected_systems")
             loads.append(LoadCenter(id=lid, connected_systems=connected))
         sources = [
             _parse_source(e, f"sources[{i}]")
@@ -246,41 +275,34 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
     return t
 
 
-def _parse_weather(section: dict) -> WeatherConfig:
-    _known(section, _WEATHER_KEYS, "weather")
-    kind = section.get("kind", "synthetic")
-    if kind == "csv":
+def _is_csv(section, where: str) -> bool:
+    """Whether a weather or loads section reads a CSV file rather than its generator."""
+    kind = _object(section, where).get("kind", "synthetic")
+    if kind not in ("csv", "synthetic"):
+        raise ValueError(f"{where} kind must be synthetic or csv, got {kind!r}")
+    return kind == "csv"
+
+
+def _parse_weather(section, sites: set[str]) -> WeatherConfig:
+    if _is_csv(section, "weather"):
+        _known(section, ("kind", "path"), "weather")
         return WeatherConfig(kind="csv", path=str(_require(section, "path", "weather")))
-    if kind != "synthetic":
-        raise ValueError(f"weather kind must be synthetic or csv, got {kind!r}")
+    _known(section, ("kind", "sites", "default"), "weather")
     site_params = {
-        site: SynthWeatherParams(**_known(params, _SITE_KEYS, f"weather.sites.{site}"))
-        for site, params in section.get("sites", {}).items()
+        site: _read(SynthWeatherParams, params, f"weather.sites.{site}")
+        for site, params in _known(section.get("sites", {}), sites, "weather.sites").items()
     }
-    default = _known(section.get("default", {}), _SITE_KEYS, "weather.default")
-    default = SynthWeatherParams(**default)
+    default = _read(SynthWeatherParams, section.get("default", {}), "weather.default")
     return WeatherConfig(kind="synthetic", site_params=site_params, default_params=default)
 
 
-def _parse_demand(section: dict) -> DemandConfig:
-    _known(section, _LOADS_KEYS, "loads")
-    kind = section.get("kind", "synthetic")
-    if kind == "csv":
+def _parse_demand(section, load_ids: set[str]) -> DemandConfig:
+    if _is_csv(section, "loads"):
+        _known(section, ("kind", "path", "centers"), "loads")
         return DemandConfig(kind="csv", path=str(_require(section, "path", "loads")))
-    if kind != "synthetic":
-        raise ValueError(f"loads kind must be synthetic or csv, got {kind!r}")
-    base = section.get("base_mwd", {})
-    if isinstance(base, dict):
-        base_by_load = {int(k): float(v) for k, v in base.items()}
-    else:
-        raise ValueError("loads.base_mwd must map load id to base demand")
-    params = SynthDemandParams(
-        weekly_shape=tuple(section.get("weekly_shape", SynthDemandParams().weekly_shape)),
-        noise_sd=float(section.get("noise_sd", SynthDemandParams().noise_sd)),
-        gen_fraction=(
-            float(section["gen_fraction"]) if section.get("gen_fraction") is not None else None
-        ),
-    )
+    params = _read(SynthDemandParams, section, "loads", ("kind", "centers", "base_mwd"))
+    base = _known(section.get("base_mwd", {}), load_ids, "loads.base_mwd")
+    base_by_load = {int(k): _number(v, f"loads.base_mwd.{k}") for k, v in base.items()}
     return DemandConfig(kind="synthetic", base_by_load=base_by_load, params=params)
 
 
@@ -288,46 +310,20 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     """Build the run configuration and topology from a parsed JSON document."""
     _known(doc, _TOP_KEYS, "")
     run = _known(doc.get("run", {}), _RUN_KEYS, "run")
-    fc_section = _known(doc.get("forecasting", {}), _FORECASTING_KEYS, "forecasting")
-    orders = (
-        SarimaOrders.from_sequence(fc_section["orders"], "forecasting.orders")
-        if "orders" in fc_section
-        else DEFAULT_ORDERS
-    )
-    forecasting = ForecastingConfig(
-        orders=orders,
-        refit_interval_days=as_int(
-            fc_section.get("refit_interval_days", 30), "forecasting.refit_interval_days"
-        ),
-        train_window_days=as_int(
-            fc_section.get("train_window_days", 365), "forecasting.train_window_days"
-        ),
-    )
-    deg_section = _known(doc.get("degradation", {}), _DEGRADATION_KEYS, "degradation")
-    degradation = DegradationConfig(
-        r_charge=float(deg_section.get("r_charge", DEFAULT_R_CHARGE)),
-        r_discharge=float(deg_section.get("r_discharge", DEFAULT_R_DISCHARGE)),
-        rate_spread=float(deg_section.get("rate_spread", 0.0)),
-    )
-    weights_section = _known(run.get("score_weights", {}), _WEIGHT_KEYS, "run.score_weights")
-    weights = ScoreWeights(
-        soh=float(weights_section.get("soh", DEFAULT_W_SOH)),
-        soc=float(weights_section.get("soc", DEFAULT_W_SOC)),
-    )
-
     cfg = ScenarioConfig(
         days=as_int(run.get("days", 365), "run.days"),
         seed=as_int(run.get("seed", 0), "run.seed"),
         priority_enabled=_flag(run, "priority_enabled", True, "run"),
         health_enabled=_flag(run, "health_enabled", True, "run"),
-        forecasting=forecasting,
-        degradation=degradation,
-        weights=weights,
-        weather=_parse_weather(doc.get("weather", {})),
-        demand=_parse_demand(doc.get("loads", {})),
+        forecasting=_read(ForecastingConfig, doc.get("forecasting", {}), "forecasting"),
+        degradation=_read(DegradationConfig, doc.get("degradation", {}), "degradation"),
+        weights=_read(ScoreWeights, run.get("score_weights", {}), "run.score_weights"),
         raw=doc,
     )
     topology = _build_topology(doc, cfg)
+    # Weather sites and base demands must name a site or load of the built grid.
+    cfg.weather = _parse_weather(doc.get("weather", {}), {s.site for s in topology.sources})
+    cfg.demand = _parse_demand(doc.get("loads", {}), {str(load.id) for load in topology.loads})
     return cfg, topology
 
 

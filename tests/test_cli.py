@@ -65,6 +65,35 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys):
     assert "unknown-system" in out
 
 
+@pytest.mark.parametrize(
+    "section, body, message",
+    [
+        ("degradation", {"r_charge": True}, "degradation.r_charge must be a number, got True"),
+        ("degradation", {"r_charge": "0.2"}, "degradation.r_charge must be a number, got '0.2'"),
+        (
+            "weather",
+            {"default": {"ghi_base": "600"}},
+            "weather.default.ghi_base must be a number, got '600'",
+        ),
+        (
+            "loads",
+            {"kind": "csv", "path": "d.csv", "gen_fraction": 0.5},
+            "unknown key loads.gen_fraction",
+        ),
+        ("loads", {"base_mwd": {"99": 10.0}}, "unknown key loads.base_mwd.99"),
+        ("loads", {"base_mwd": {"x": 10.0}}, "unknown key loads.base_mwd.x"),
+        ("weather", {"sites": {"costal": {}}}, "unknown key weather.sites.costal"),
+    ],
+)
+def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):
+    doc = json.loads(open(TOY).read())
+    doc[section] = body
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 # --- simulate ------------------------------------------------------------------
 
 

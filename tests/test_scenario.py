@@ -148,11 +148,12 @@ def explicit_doc():
             "kind": "synthetic",
             "centers": [{"id": 0, "connected_systems": [1, 2]}],
             "base_mwd": {"0": 40.0},
+            "weekly_shape": [1.0, 1.0, 1.0, 1.0, 1.0, 0.9, 0.9],
         },
         "forecasting": {"refit_interval_days": 30},
         "degradation": {"r_charge": 0.1},
         "weather": {"kind": "synthetic", "sites": {"roof": {"cloud_ar": 0.5}}, "default": {}},
-        "run": {"days": 3, "seed": 2, "score_weights": {"soh": 0.5, "soc": 0.5}},
+        "run": {"days": 3, "seed": 2, "score_weights": {"soh": 1.0, "soc": 0.0}},
     }
 
 
@@ -278,6 +279,128 @@ def test_parse_accepts_integral_floats(keys, path, valid):
     for name in ("days", "seed", "forecasting"):
         assert getattr(cfg_f, name) == getattr(cfg_i, name)
     assert topo_f == topo_i
+
+
+# --- float fields ------------------------------------------------------------------
+
+# (keys into explicit_doc(), dotted path, a valid integral value, or None when the
+# field has none)
+FLOAT_FIELDS = [
+    (("topology", "initial_soc_pct"), "topology.initial_soc_pct", 50),
+    (("topology", "initial_soh_pct"), "topology.initial_soh_pct", 90),
+    (("topology", "systems", 1, "unit_capacity_mwd"), "topology.systems[1].unit_capacity_mwd", 25),
+    (("sources", 0, "area_m2"), "sources[0].area_m2", 2000),
+    (("sources", 0, "efficiency"), "sources[0].efficiency", 1),
+    (("sources", 1, "power_coefficient"), "sources[1].power_coefficient", None),
+    (("sources", 1, "air_density"), "sources[1].air_density", 1),
+    (("sources", 1, "rotor_area_m2"), "sources[1].rotor_area_m2", 10_000),
+    (("sources", 1, "cut_in_ms"), "sources[1].cut_in_ms", 3),
+    (("sources", 1, "cut_out_ms"), "sources[1].cut_out_ms", 25),
+    (("loads", "noise_sd"), "loads.noise_sd", 0),
+    (("loads", "gen_fraction"), "loads.gen_fraction", 1),
+    (("loads", "weekly_shape", 5), "loads.weekly_shape[5]", 1),
+    (("loads", "base_mwd", "0"), "loads.base_mwd.0", 40),
+    (("degradation", "r_charge"), "degradation.r_charge", 0),
+    (("degradation", "r_discharge"), "degradation.r_discharge", 1),
+    (("degradation", "rate_spread"), "degradation.rate_spread", 1),
+    (("run", "score_weights", "soh"), "run.score_weights.soh", 1),
+    (("run", "score_weights", "soc"), "run.score_weights.soc", 0),
+    (("weather", "default", "ghi_base"), "weather.default.ghi_base", 600),
+]
+
+
+def _read_back(doc):
+    """Everything a document parses to, as text, apart from the document itself."""
+    cfg, topo = parse_scenario(doc)
+    cfg.raw = None
+    return repr((cfg, topo))
+
+
+@pytest.mark.parametrize("keys, path, valid", FLOAT_FIELDS)
+def test_parse_float_fields_take_only_json_numbers(keys, path, valid):
+    for value in (True, "1.0", None):
+        doc = explicit_doc()
+        _set(doc, keys, value)
+        if value is None and path == "loads.gen_fraction":
+            assert parse_scenario(doc)[0].demand.params.gen_fraction is None  # null: unset
+            continue
+        with pytest.raises(ValueError, match=re.escape(f"{path} must be a number, got {value!r}")):
+            parse_scenario(doc)
+    if valid is not None:
+        as_int, as_float = explicit_doc(), explicit_doc()
+        _set(as_int, keys, valid)
+        _set(as_float, keys, float(valid))
+        assert _read_back(as_int) == _read_back(as_float)
+
+
+def test_parse_field_range_errors_name_their_section():
+    doc = explicit_doc()
+    doc["weather"]["sites"]["roof"]["cloud_floor"] = 2.0
+    with pytest.raises(ValueError, match=re.escape("weather.sites.roof: cloud floor must be in")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("loads", "gen_fraction", 0.5),
+        ("loads", "base_mwd", {"0": 40.0}),
+        ("loads", "weekly_shape", [1.0] * 7),
+        ("loads", "noise_sd", 0.05),
+        ("weather", "default", {}),
+        ("weather", "sites", {"roof": {}}),
+    ],
+)
+def test_parse_csv_sections_reject_generator_keys(section, key, value):
+    doc = explicit_doc()
+    doc[section] = {"kind": "csv", "path": "data.csv", key: value}
+    if section == "loads":
+        doc["loads"]["centers"] = explicit_doc()["loads"]["centers"]
+    with pytest.raises(ValueError, match=re.escape(f"unknown key {section}.{key}")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("section", ["loads", "weather"])
+def test_parse_synthetic_sections_reject_a_path(section):
+    doc = explicit_doc()
+    doc[section]["path"] = "data.csv"
+    with pytest.raises(ValueError, match=re.escape(f"unknown key {section}.path")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "keys, name",
+    [
+        (("loads", "base_mwd"), "99"),
+        (("loads", "base_mwd"), "x"),
+        (("weather", "sites"), "costal"),
+    ],
+)
+def test_parse_rejects_names_not_in_the_grid(keys, name):
+    doc = explicit_doc()
+    _set(doc, (*keys, name), {"cloud_ar": 0.5} if keys[0] == "weather" else 10.0)
+    with pytest.raises(ValueError, match=re.escape(f"unknown key {'.'.join(keys)}.{name}")):
+        parse_scenario(doc)
+
+
+def test_parse_reference_grid_names_its_sites_and_loads():
+    doc = minimal_doc()
+    doc["loads"]["base_mwd"] = {"7": 60.0}
+    doc["weather"]["sites"] = {"coastal": {"wind_ar": 0.4}, "inland": {"cloud_ar": 0.4}}
+    cfg, _ = parse_scenario(doc)
+    assert cfg.demand.base_by_load == {7: 60.0}
+    assert cfg.weather.params_for("inland").cloud_ar == 0.4
+    doc["loads"]["base_mwd"] = {"8": 60.0}
+    with pytest.raises(ValueError, match=re.escape("unknown key loads.base_mwd.8")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("i, key", [(0, "area_m2"), (0, "efficiency"), (1, "turbine_count")])
+def test_parse_plant_without_its_size_is_rejected(i, key):
+    doc = explicit_doc()
+    del doc["sources"][i][key]
+    with pytest.raises(ValueError, match=re.escape(f"sources[{i}]: missing required key {key!r}")):
+        parse_scenario(doc)
 
 
 @pytest.mark.parametrize("value", [1.5, True, "1"])
