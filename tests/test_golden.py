@@ -1,4 +1,5 @@
-"""Golden traces: sha256 of the CSV artifacts of four pinned runs.
+"""Golden traces: sha256 of the CSV artifacts of four pinned runs, and of
+the raw float bits of every daily record of three of them.
 
 A refactor that claims bit-exact output must leave every hash unchanged; a
 change that moves the numbers on purpose updates the hash and states why.
@@ -7,6 +8,7 @@ recorded with (x86-64, numpy 2.x); another platform may need them re-recorded.
 """
 
 import hashlib
+from dataclasses import fields
 
 import pytest
 
@@ -109,3 +111,48 @@ def test_shared_multi_unit_systems_run_is_pinned():
     assert sha256(summary_csv(trace)) == (
         "50f4ebb68ff3774e9448db9b4508dc2d4f69603a6080ffaf2b2b265744413c10"
     )
+
+
+def records_sha256(*traces) -> str:
+    """sha256 over the exact bits of every float of every DailyRecord.
+
+    The CSV hashes above see six decimals only; these see every bit.
+    """
+    h = hashlib.sha256()
+    for trace in traces:
+        for rec in trace.records:
+            for f in fields(rec):
+                if f.name == "day":
+                    continue
+                values = getattr(rec, f.name)
+                for key in sorted(values):
+                    h.update(f"{rec.day},{f.name},{key},{float(values[key]).hex()};".encode())
+    return h.hexdigest()
+
+
+def test_shared_systems_records_are_pinned_bitwise():
+    cfg, topo = parse_scenario(SHARED_SYSTEMS_DOC)
+    assert records_sha256(run_simulation(cfg, topo)) == (
+        "59343ff79a7fd970847804d59df3c63653ec0e2c081f708c072c5c07cfec4966"
+    )
+
+
+@pytest.mark.parametrize(
+    "path, axis, digest",
+    [
+        (
+            "scenarios/stress.json",
+            "priority",
+            "d2ba90dd45df8eb89cc38bc026027611f51f177c074e7903931c360297654d31",
+        ),
+        (
+            "scenarios/reference.json",
+            "health",
+            "c6df93bf2143cde5ea16a34699ee52d2672d9be3dd1df81139ac8e9614f1f745",
+        ),
+    ],
+)
+def test_compare_records_are_pinned_bitwise(path, axis, digest):
+    cfg, topo = load_scenario(path)
+    report = compare(cfg, topo, axis)
+    assert records_sha256(report.treatment, report.baseline) == digest
