@@ -4,18 +4,13 @@ Builds one storage system whose units wear at different rates, then cycles
 it daily under two charging policies: score-ranked (healthier and emptier
 units first) versus a uniform split. Units that wear quickly end up doing
 less work under the ranked policy, so the fleet as a whole ages slower.
+GridUnits holds the units' state as arrays; the system it is built from
+keeps its initial state.
 """
 
 import numpy as np
 
-from hybridgrid import (
-    BatteryUnit,
-    StorageSystem,
-    apply_discharge,
-    distribute_charge_equal,
-    distribute_charge_ranked,
-    stored_energy,
-)
+from hybridgrid import BatteryUnit, GridUnits, StorageSystem
 
 
 def build_system(wear_rates):
@@ -40,15 +35,15 @@ def cycle(system, ranked, days=365, charge=400.0):
     # unit's r_charge, the drain at its r_discharge. Deep cycling is where the
     # policies separate — under a uniform split every unit works every day,
     # while the ranked policy lets the most-worn units sit out.
+    units = GridUnits([system])
     for _ in range(days):
-        room = sum(u.capacity_mwd - u.energy_mwd for u in system.units)
-        q = min(charge, room)
+        q = min(charge, units.capacity[0] - units.stored[0])
         if ranked:
-            distribute_charge_ranked(system, q)
+            units.charge_ranked([q])
         else:
-            distribute_charge_equal(system, q)
-        apply_discharge(system, stored_energy(system))
-    return system
+            units.charge_equal([q])
+        units.discharge(units.stored)
+    return units
 
 
 def main():
@@ -58,19 +53,17 @@ def main():
     print("  per-unit wear (SoH pp lost per full equivalent cycle):")
     print("  " + "  ".join(f"{r:.3f}" for r in wear_rates))
 
-    ranked = cycle(build_system(wear_rates), ranked=True)
-    uniform = cycle(build_system(wear_rates), ranked=False)
+    system = build_system(wear_rates)
+    ranked = cycle(system, ranked=True)
+    uniform = cycle(system, ranked=False)
 
     print()
     print("=== After one year of daily cycling ===")
     print("  unit   wear-rate   ranked SoH   uniform SoH")
-    for u_r, u_e in zip(ranked.units, uniform.units):
-        print(
-            f"  {u_r.id:>4}   {u_r.r_charge:9.3f}   {u_r.soh_pct:10.2f}"
-            f"   {u_e.soh_pct:11.2f}"
-        )
-    mean_ranked = ranked.mean_soh_pct
-    mean_uniform = uniform.mean_soh_pct
+    for u, soh_r, soh_e in zip(system.units, ranked.soh[0], uniform.soh[0]):
+        print(f"  {u.id:>4}   {u.r_charge:9.3f}   {soh_r:10.2f}   {soh_e:11.2f}")
+    mean_ranked = ranked.mean_soh_pct[0]
+    mean_uniform = uniform.mean_soh_pct[0]
     print(f"  fleet mean: ranked {mean_ranked:.2f}%  uniform {mean_uniform:.2f}%")
     print()
     print(

@@ -52,15 +52,7 @@ from .generation import (
     solar_power,
     wind_power,
 )
-from .health import (
-    apply_discharge,
-    degrade_on_charge,
-    degrade_on_discharge,
-    distribute_charge_equal,
-    distribute_charge_ranked,
-    rank_units,
-    unit_score,
-)
+from .health import GridUnits, degrade_on_charge, split_equally_rows
 from .model import (
     BatteryUnit,
     EnergySource,

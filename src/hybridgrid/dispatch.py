@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import GridTopology, StorageSystem, stored_energy, system_headroom
+from .model import GridTopology, StorageSystem, stored_energy
 
 # Charge targets anticipate next-day demand with a fixed safety margin.
 CHARGE_BUFFER = 1.25
@@ -98,14 +98,16 @@ def split_equally(total: float, caps: list[float]) -> list[float]:
 
 
 def compute_charge_targets(
-    t: GridTopology, load_forecasts: dict[int, float]
+    t: GridTopology, load_forecasts: dict[int, float], stored: dict[int, float] | None = None
 ) -> list[ChargeTarget]:
     """Demand-anticipating charge target for every system, ascending id.
 
     Each load's buffered forecast is split equally across the systems it is
     wired to; a system's target is the sum of its shares, capped at capacity.
-    The deficit is whatever the target exceeds current storage by.
+    The deficit is whatever the target exceeds stored energy by: stored[id],
+    or by default what the topology's units hold.
     """
+    stored = _stored(t, stored)
     for lid, f in load_forecasts.items():
         if f < 0:
             raise ValueError(f"load {lid}: negative forecast {f}")
@@ -121,7 +123,7 @@ def compute_charge_targets(
                 raise ValueError(f"missing forecast for load {lid}")
             want += CHARGE_BUFFER * fc / len(t.load_by_id[lid].connected_systems)
         target = min(system.capacity_mwd, want)
-        deficit = max(0.0, target - stored_energy(system))
+        deficit = max(0.0, target - stored[system.id])
         targets.append(ChargeTarget(system.id, target, deficit))
     return targets
 
@@ -131,8 +133,13 @@ def prioritize(targets: list[ChargeTarget]) -> list[int]:
     return [t.system_id for t in sorted(targets, key=lambda t: (-t.deficit_mwd, t.system_id))]
 
 
-def _headrooms(t: GridTopology) -> dict[int, float]:
-    return {s.id: system_headroom(s) for s in t.systems}
+def _stored(t: GridTopology, stored: dict[int, float] | None) -> dict[int, float]:
+    return {s.id: stored_energy(s) for s in t.systems} if stored is None else stored
+
+
+def _headrooms(t: GridTopology, stored: dict[int, float] | None) -> dict[int, float]:
+    stored = _stored(t, stored)
+    return {s.id: max(0.0, s.capacity_mwd - stored[s.id]) for s in t.systems}
 
 
 def allocate_priority(
@@ -140,6 +147,7 @@ def allocate_priority(
     targets: list[ChargeTarget],
     per_source_energy: dict[int, float],
     t: GridTopology,
+    stored: dict[int, float] | None = None,
 ) -> ChargeAllocation:
     """Two-pass priority dispatch of today's generation.
 
@@ -156,7 +164,7 @@ def allocate_priority(
         raise ValueError("priority order and targets must cover every system exactly once")
 
     remaining = dict(per_source_energy)
-    headroom = _headrooms(t)
+    headroom = _headrooms(t, stored)
     alloc = ChargeAllocation()
 
     sources_of_system: dict[int, list[int]] = {sid: [] for sid in t.system_by_id}
@@ -203,7 +211,9 @@ def allocate_priority(
     return alloc
 
 
-def allocate_equal(per_source_energy: dict[int, float], t: GridTopology) -> ChargeAllocation:
+def allocate_equal(
+    per_source_energy: dict[int, float], t: GridTopology, stored: dict[int, float] | None = None
+) -> ChargeAllocation:
     """Need-blind baseline: each source splits equally over its systems.
 
     Shares beyond a system's headroom are re-split among the source's
@@ -212,7 +222,7 @@ def allocate_equal(per_source_energy: dict[int, float], t: GridTopology) -> Char
     already consumed by earlier ones.
     """
     _check_source_energy(per_source_energy, t)
-    headroom = _headrooms(t)
+    headroom = _headrooms(t, stored)
     alloc = ChargeAllocation()
 
     for src in sorted(t.sources, key=lambda s: s.id):

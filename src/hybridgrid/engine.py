@@ -8,15 +8,12 @@ simulated day then dispatches charging at the grid level (priority or
 equal), distributes each system's inflow across its units (health-ranked or
 equal), and settles realized demand load by load against the connected
 systems. Charging always precedes discharging. The engine decides
-system-level amounts only; health.py moves energy through the units and
-applies the wear that costs.
-
-Settlement runs on system totals: loads draw in ascending id from a
-snapshot of each system's stored energy, each seeing storage as the previous
-load left it, and each system's units then give the day's total in one
-apply_discharge. One draw of the total equals the per-load draws in
-sequence, because the equal split with water-filling composes and wear is
-linear in the amount drawn, so units move once per system per day.
+system-level amounts only. health.GridUnits, built once per run from the
+topology, holds every unit as [system, unit] arrays, moves energy through
+them and applies the wear that costs; the topology is only read, so a run
+needs no copy of it. Loads settle in ascending id on running system totals,
+each seeing storage as the previous load left it, and one grid-wide
+discharge then takes the day's totals from the units.
 
 Runs are deterministic: a config and seed reproduce byte-identical traces.
 """
@@ -48,8 +45,8 @@ from .forecast import (
     predict_generation,
     seasonal_naive,
 )
-from .health import apply_discharge, distribute_charge_equal, distribute_charge_ranked
-from .model import GridTopology, stored_energy, system_soc, validate_topology
+from .health import GridUnits
+from .model import GridTopology, validate_topology
 from .scenario import ScenarioConfig
 from .synth import synth_demand, synth_weather
 
@@ -166,11 +163,13 @@ def _warmup_forecast(demand: list[float], day: int, s: int) -> float:
 
 @dataclass
 class SimulationState:
-    """Everything step_day needs; the topology is mutated in place as days tick."""
+    """Everything step_day needs. The topology is only read; units holds the
+    unit state the days advance, starting from the topology's."""
 
     cfg: ScenarioConfig
     topology: GridTopology
     drivers: Drivers
+    units: GridUnits
 
     @property
     def weather_by_day(self) -> list[list[WeatherSample]]:
@@ -184,40 +183,37 @@ class SimulationState:
 def step_day(state: SimulationState, day: int) -> DailyRecord:
     """Advance the grid by one day and return the end-of-day record."""
     t = state.topology
+    units = state.units
     drivers = state.drivers
     generated = drivers.generation[day]
 
     # 1. Grid-level dispatch; only the priority policy reads forecasts.
+    stored = dict(zip(units.ids, units.stored.tolist()))
     if state.cfg.priority_enabled:
         forecasts = {lid: f[day] for lid, f in drivers.forecasts.items()}
-        targets = compute_charge_targets(t, forecasts)
-        alloc = allocate_priority(prioritize(targets), targets, generated, t)
+        targets = compute_charge_targets(t, forecasts, stored)
+        alloc = allocate_priority(prioritize(targets), targets, generated, t, stored)
     else:
-        alloc = allocate_equal(generated, t)
+        alloc = allocate_equal(generated, t, stored)
 
-    # 2. Intra-system distribution with charge wear.
-    charge_in = {s.id: alloc.inflow(s.id) for s in t.systems}
-    for system in t.systems:
-        q = charge_in[system.id]
-        if q <= 0:
-            continue
-        if state.cfg.health_enabled:
-            w = state.cfg.weights
-            distribute_charge_ranked(system, q, w.soh, w.soc)
-        else:
-            distribute_charge_equal(system, q)
+    # 2. Intra-system distribution with charge wear, every system at once.
+    #    Each inflow adds its source amounts in alloc order, as inflow() does.
+    charge_in = dict.fromkeys(units.ids, 0.0)
+    for (_, sid), amount in alloc.amounts.items():
+        charge_in[sid] += amount
+    if state.cfg.health_enabled:
+        w = state.cfg.weights
+        units.charge_ranked(list(charge_in.values()), w.soh, w.soc)
+    else:
+        units.charge_equal(list(charge_in.values()))
 
-    # 3. Settle realized demand in ascending load id against running system
-    #    totals taken after charging: each settlement sees storage as the
-    #    previous one left it. Units then give each system's day total in one
-    #    apply_discharge. That equals the per-load draws in sequence, because
-    #    the equal split with water-filling composes (draws d1 then d2 take
-    #    min(e_i, l1 + l2) from unit i, the same as one draw of d1 + d2) and
-    #    wear is linear in the amount drawn.
-    stored = {s.id: stored_energy(s) for s in t.systems}
-    discharge_out = {s.id: 0.0 for s in t.systems}
-    served = {}
-    unmet = {}
+    # 3. Settle loads on running system totals, then discharge the day's
+    #    totals at once. That equals the per-load draws in sequence: draws d1
+    #    then d2 take min(e_i, l1 + l2) from unit i, as one draw of d1 + d2
+    #    does, and wear is linear in the amount drawn.
+    stored = dict(zip(units.ids, units.stored.tolist()))
+    discharge_out = dict.fromkeys(units.ids, 0.0)
+    served, unmet = {}, {}
     for load in sorted(t.loads, key=lambda l: l.id):
         demand = float(drivers.demand_by_load[load.id][day])
         assignment = split_by_storage(demand, {sid: stored[sid] for sid in load.connected_systems})
@@ -227,15 +223,13 @@ def step_day(state: SimulationState, day: int) -> DailyRecord:
                 discharge_out[sid] += amount
         served[load.id] = assignment.served_mwd
         unmet[load.id] = assignment.unmet_mwd
-    for system in t.systems:
-        if discharge_out[system.id] > 0:
-            apply_discharge(system, discharge_out[system.id])
+    units.discharge(list(discharge_out.values()))
 
     curtailed = {src.id: alloc.curtailed.get(src.id, 0.0) for src in t.sources}
     return DailyRecord(
         day=day,
-        soc_pct={s.id: system_soc(s) for s in t.systems},
-        mean_soh_pct={s.id: s.mean_soh_pct for s in t.systems},
+        soc_pct=dict(zip(units.ids, units.soc_pct.tolist())),
+        mean_soh_pct=dict(zip(units.ids, units.mean_soh_pct.tolist())),
         charge_in_mwd=charge_in,
         discharge_out_mwd=discharge_out,
         served_mwd=served,
@@ -307,14 +301,13 @@ def _build_demand(
 
 
 def initialize_state(cfg: ScenarioConfig, topology: GridTopology) -> SimulationState:
-    """Validate inputs and build the run's drivers on a copy of the grid."""
+    """Validate inputs and build the run's drivers and unit state."""
     violations = validate_topology(topology)
     if violations:
         raise SimulationError(
             "invalid topology: " + "; ".join(str(v) for v in violations)
         )
-    topology = copy.deepcopy(topology)  # runs never mutate the caller's grid
-    return SimulationState(cfg=cfg, topology=topology, drivers=Drivers(cfg, topology))
+    return SimulationState(cfg, topology, Drivers(cfg, topology), GridUnits(topology.systems))
 
 
 def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTrace:
@@ -336,14 +329,9 @@ def _run(state: SimulationState) -> SimulationTrace:
         total_unmet += sum(rec.unmet_mwd.values())
         total_curtailed += sum(rec.curtailed_mwd.values())
 
-    final_soh = (
-        records[-1].mean_soh_pct
-        if records
-        else {s.id: s.mean_soh_pct for s in state.topology.systems}
-    )
     summary = TraceSummary(
         zero_soc_events=zero_events,
-        final_mean_soh_pct=dict(final_soh),
+        final_mean_soh_pct=dict(zip(state.units.ids, state.units.mean_soh_pct.tolist())),
         total_unmet_mwd=total_unmet,
         total_curtailed_mwd=total_curtailed,
     )
@@ -392,7 +380,7 @@ def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> Compariso
         return arm_cfg
 
     on = initialize_state(arm(True), topology)
-    off = SimulationState(arm(False), copy.deepcopy(topology), on.drivers)
+    off = SimulationState(arm(False), topology, on.drivers, GridUnits(topology.systems))
     treatment, baseline = _run(on), _run(off)
 
     gain = {

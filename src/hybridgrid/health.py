@@ -1,18 +1,24 @@
 """Battery-unit state: charging, discharging and the cycle wear they cost.
 
-This is the only module that changes a unit's stored energy or state of
-health. Every MWd pushed through a unit, in either direction, costs SoH in
-proportion to the unit's cycle-wear rate. The health-aware distributor ranks
-units by a weighted blend of SoH and emptiness and fills the best-ranked
-first, which steers throughput away from worn units; the baseline splits
-charge equally. Discharge is always split equally across units
-(apply_discharge) regardless of these settings.
+GridUnits holds every unit of a grid as [system, unit] arrays and is the only
+writer of unit state during a run; the topology it is built from is never
+changed. Shorter systems are padded with zero-capacity units. Every MWd moved
+through a unit costs SoH in proportion to its cycle-wear rate. Ranked
+charging fills each system's healthiest, emptiest units first, steering
+throughput away from worn units; the baseline, and discharge always, split
+equally across units.
+
+Every step keeps the per-element arithmetic and the order of a sequential
+loop over units: differences run left to right with np.subtract.accumulate
+and totals with np.cumsum, whose last column is Python's sum. Results are
+bit for bit those of dispatch.split_equally and Python sums.
 """
 
 from __future__ import annotations
 
-from .dispatch import split_equally
-from .model import BatteryUnit, StorageSystem, stored_energy, system_headroom
+import numpy as np
+
+from .model import BatteryUnit, StorageSystem
 
 _REL_TOL = 1e-9
 
@@ -34,98 +40,123 @@ def degrade_on_charge(unit: BatteryUnit, charged_mwd: float) -> None:
     unit.soh_pct = max(0.0, unit.soh_pct - charged_mwd * unit.r_charge / unit.capacity_mwd)
 
 
-def degrade_on_discharge(unit: BatteryUnit, discharged_mwd: float) -> None:
-    """Apply cycle wear for a discharge of discharged_mwd; energy is untouched."""
-    if discharged_mwd < 0:
-        raise ValueError(f"unit {unit.id}: negative discharge {discharged_mwd}")
-    unit.soh_pct = max(
-        0.0, unit.soh_pct - discharged_mwd * unit.r_discharge / unit.capacity_mwd
-    )
+def _total(a: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as Python's sum adds."""
+    return np.cumsum(a, axis=1)[:, -1]
 
 
-def unit_score(
-    unit: BatteryUnit, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC
-) -> float:
-    """Charging desirability in [0, 1]: healthy and empty scores high."""
-    soc = unit.energy_mwd / unit.capacity_mwd
-    return w_soh * unit.soh_pct / 100.0 + w_soc * (1.0 - soc)
+def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
+    """dispatch.split_equally on every row at once, bit for bit.
 
-
-def rank_units(
-    system: StorageSystem, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC
-) -> list[int]:
-    """Unit positions by descending score; ties keep ascending position."""
-    scores = [unit_score(u, w_soh, w_soc) for u in system.units]
-    return sorted(range(len(scores)), key=lambda i: -scores[i])
-
-
-def _check_charge(system: StorageSystem, q: float) -> float:
-    room = system_headroom(system)
-    if q < 0:
-        raise ValueError(f"system {system.id}: negative charge {q}")
-    if q > room + _REL_TOL * max(1.0, room):
-        raise ValueError(f"system {system.id}: charge {q} exceeds headroom {room}")
-    return min(q, room)
-
-
-def _commit_charge(system: StorageSystem, amounts: list[float]) -> list[float]:
-    """Add per-unit charge amounts (unit order) and wear each unit by its amount."""
-    for unit, amt in zip(system.units, amounts):
-        if amt > 0:
-            unit.energy_mwd = min(unit.capacity_mwd, unit.energy_mwd + amt)
-            degrade_on_charge(unit, amt)
-    return amounts
-
-
-def distribute_charge_ranked(
-    system: StorageSystem,
-    q_mwd: float,
-    w_soh: float = DEFAULT_W_SOH,
-    w_soc: float = DEFAULT_W_SOC,
-) -> list[float]:
-    """Fill units greedily in rank order, wearing each by what it received.
-
-    The ranking is computed once per call, so one day's charge lands on the
-    units that looked best at the start of the day. Returns per-unit amounts
-    in unit order.
+    Each round gives every unsaturated slot of a row an equal share of what
+    the row has left, clamped at its cap, and re-splits the overflow among
+    the rest; a row stops when it has nothing left, no open slot, or no slot
+    saturated in its last round.
     """
-    left = _check_charge(system, q_mwd)
-    amounts = [0.0] * len(system.units)
-    for i in rank_units(system, w_soh, w_soc):
-        if left <= 0:
-            break
-        take = min(left, system.units[i].headroom_mwd)
-        amounts[i] = take
-        left -= take
-    return _commit_charge(system, amounts)
+    alloc = np.zeros_like(caps)
+    steps = np.column_stack([totals, alloc])
+    active = (caps > 0) & (steps[:, :1] > 1e-12)
+    while active.any():
+        share = steps[:, :1] / np.maximum(active.sum(axis=1, keepdims=True), 1)
+        room = caps - alloc
+        full = active & (room <= share)
+        steps[:, 1:] = np.where(active, np.minimum(room, share), 0.0)
+        alloc += steps[:, 1:]
+        np.subtract.accumulate(steps, axis=1, out=steps)
+        steps[:, 0] = steps[:, -1]
+        active &= ~full & full.any(axis=1, keepdims=True) & (steps[:, :1] > 1e-12)
+    return alloc
 
 
-def distribute_charge_equal(system: StorageSystem, q_mwd: float) -> list[float]:
-    """Split a day's charge equally across units, overflow re-split.
+class GridUnits:
+    """Energy, SoH, capacity and wear rates of every unit as [S, U] arrays.
 
-    Health-blind baseline. Returns per-unit amounts in unit order.
+    Row i holds systems[i]'s units in order; stored, soc_pct and mean_soh_pct
+    are per row. Each move takes one amount per row and returns what each
+    unit moved.
     """
-    q_mwd = _check_charge(system, q_mwd)
-    return _commit_charge(system, split_equally(q_mwd, [u.headroom_mwd for u in system.units]))
 
+    def __init__(self, systems: list[StorageSystem]) -> None:
+        self.ids = [s.id for s in systems]
+        state = np.zeros((len(systems), max(len(s.units) for s in systems), 5))
+        for i, s in enumerate(systems):
+            state[i, : len(s.units)] = [
+                (u.energy_mwd, u.soh_pct, u.capacity_mwd, u.r_charge, u.r_discharge)
+                for u in s.units
+            ]
+        state = state.transpose(2, 0, 1).copy()
+        self.energy, self.soh, self.cap, self.r_charge, self.r_discharge = state
+        self.real = self.cap > 0
+        self._divisor = np.where(self.real, self.cap, 1.0)  # pads move nothing
+        self.capacity = np.array([s.capacity_mwd for s in systems])
+        self.stored = _total(self.energy)
 
-def apply_discharge(system: StorageSystem, amount_mwd: float) -> list[float]:
-    """Withdraw amount from a system, split equally across its units.
+    @property
+    def soc_pct(self) -> np.ndarray:
+        return self.stored / self.capacity * 100.0
 
-    Units that would go below zero are drained and the shortfall is re-split
-    among the rest. Each unit is worn by what it gave. Returns per-unit
-    withdrawals in unit order.
-    """
-    stored = stored_energy(system)
-    if amount_mwd < 0:
-        raise ValueError(f"system {system.id}: negative discharge {amount_mwd}")
-    if amount_mwd > stored + _REL_TOL * max(1.0, stored):
-        raise ValueError(
-            f"system {system.id}: discharge {amount_mwd} exceeds stored {stored}"
-        )
-    taken = split_equally(min(amount_mwd, stored), [u.energy_mwd for u in system.units])
-    for unit, w in zip(system.units, taken):
-        unit.energy_mwd = max(0.0, unit.energy_mwd - w)
-        if w > 0:
-            degrade_on_discharge(unit, w)
-    return taken
+    @property
+    def mean_soh_pct(self) -> np.ndarray:
+        return _total(self.soh) / self.real.sum(axis=1)
+
+    def scores(self, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC) -> np.ndarray:
+        """Charging desirability in [0, 1]: healthy and empty scores high; pads -inf."""
+        score = w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor)
+        return np.where(self.real, score, -np.inf)
+
+    def _check(self, amounts, limit: np.ndarray, what: str) -> np.ndarray:
+        """The amounts as an array, clipped to limit after dust-sized overshoot."""
+        amounts = np.asarray(amounts, dtype=float)
+        bad = (amounts < 0) | (amounts > limit + _REL_TOL * np.maximum(1.0, limit))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"system {self.ids[i]}: {what} {amounts[i]} outside [0, {limit[i]}]")
+        return np.minimum(amounts, limit)
+
+    def _charge(self, q, fill) -> np.ndarray:
+        """Add fill(left, headroom) per unit and wear each unit by what it got."""
+        left = self._check(q, np.maximum(0.0, self.capacity - self.stored), "charge")
+        amounts = fill(left, np.maximum(0.0, self.cap - self.energy))
+        filled = np.minimum(self.cap, self.energy + amounts)
+        self.energy = np.where(amounts > 0, filled, self.energy)
+        return self._wear(amounts, self.r_charge)
+
+    def _wear(self, amounts: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        worn = np.maximum(0.0, self.soh - amounts * rate / self._divisor)
+        self.soh = np.where(amounts > 0, worn, self.soh)
+        self.stored = _total(self.energy)
+        return amounts
+
+    def charge_ranked(
+        self, q, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC
+    ) -> np.ndarray:
+        """Fill each system's units greedily in score order, ties by position.
+
+        The ranking is computed once per call, so one day's charge lands on
+        the units that looked best at the start of the day.
+        """
+        order = np.argsort(-self.scores(w_soh, w_soc), axis=1, kind="stable")
+        rank = (np.arange(len(self.ids))[:, None], order)
+
+        def greedy(left, headroom):
+            room = headroom[rank]
+            left = np.subtract.accumulate(np.concatenate([left[:, None], room], axis=1), axis=1)
+            amounts = np.empty_like(headroom)
+            amounts[rank] = np.where(left[:, :-1] > 0, np.minimum(left[:, :-1], room), 0.0)
+            return amounts
+
+        return self._charge(q, greedy)
+
+    def charge_equal(self, q) -> np.ndarray:
+        """Split each system's charge equally across its units, overflow re-split."""
+        return self._charge(q, split_equally_rows)
+
+    def discharge(self, d) -> np.ndarray:
+        """Withdraw d[i] from system i, split equally across its units.
+
+        Units that would go below zero are drained and the shortfall is
+        re-split among the rest. Each unit is worn by what it gave.
+        """
+        taken = split_equally_rows(self._check(d, self.stored, "discharge"), self.energy)
+        self.energy = np.maximum(0.0, self.energy - taken)
+        return self._wear(taken, self.r_discharge)

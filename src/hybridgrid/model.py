@@ -40,10 +40,6 @@ class BatteryUnit:
         if self.r_charge < 0 or self.r_discharge < 0:
             raise ValueError(f"unit {self.id}: degradation rates must be >= 0")
 
-    @property
-    def headroom_mwd(self) -> float:
-        return max(0.0, self.capacity_mwd - self.energy_mwd)
-
 
 @dataclass
 class StorageSystem:
@@ -163,6 +159,14 @@ def system_headroom(system: StorageSystem) -> float:
     return max(0.0, system.capacity_mwd - stored_energy(system))
 
 
+def uniform_units(
+    count: int, cap_mwd: float, soc_pct: float, soh_pct: float, r_charge: float, r_discharge: float
+) -> list[BatteryUnit]:
+    """count alike units, ids 0 to count - 1, each holding soc_pct of its capacity."""
+    energy = cap_mwd * soc_pct / 100.0
+    return [BatteryUnit(k, cap_mwd, energy, soh_pct, r_charge, r_discharge) for k in range(count)]
+
+
 def validate_topology(t: GridTopology) -> list[Violation]:
     """Static wiring checks; an empty list means the topology is sound."""
     out: list[Violation] = []
@@ -194,19 +198,6 @@ def validate_topology(t: GridTopology) -> list[Violation]:
         unit_ids = [u.id for u in s.units]
         if len(set(unit_ids)) != len(unit_ids):
             out.append(Violation(f"system {s.id}", "duplicate-unit-id", f"ids {sorted(unit_ids)}"))
-        for u in s.units:
-            if u.energy_mwd < -1e-9 or u.energy_mwd > u.capacity_mwd + 1e-9:
-                out.append(
-                    Violation(
-                        f"system {s.id} unit {u.id}",
-                        "energy-out-of-bounds",
-                        f"energy {u.energy_mwd} vs capacity {u.capacity_mwd}",
-                    )
-                )
-            if not 0.0 <= u.soh_pct <= 100.0:
-                out.append(
-                    Violation(f"system {s.id} unit {u.id}", "soh-out-of-bounds", f"{u.soh_pct}")
-                )
     return out
 
 
@@ -238,20 +229,11 @@ def reference_topology(
     """Construct the benchmark grid with uniform initial unit state."""
     if not 0.0 <= initial_soc_pct <= 100.0:
         raise ValueError("initial SoC must be in [0, 100]")
-    systems = []
-    for sid in range(1, 8):
-        units = [
-            BatteryUnit(
-                id=k,
-                capacity_mwd=100.0,
-                energy_mwd=100.0 * initial_soc_pct / 100.0,
-                soh_pct=initial_soh_pct,
-                r_charge=r_charge,
-                r_discharge=r_discharge,
-            )
-            for k in range(10)
-        ]
-        systems.append(StorageSystem(id=sid, units=units))
+    systems = [
+        StorageSystem(sid, uniform_units(10, 100.0, initial_soc_pct, initial_soh_pct,
+                                         r_charge, r_discharge))
+        for sid in range(1, 8)
+    ]
 
     loads = [LoadCenter(id=i, connected_systems=w) for i, w in _REFERENCE_LOAD_WIRING.items()]
 

@@ -23,13 +23,13 @@ from .forecast import DEFAULT_ORDERS, SarimaOrders
 from .generation import SolarPlantParams, WindPlantParams
 from .health import DEFAULT_R_CHARGE, DEFAULT_R_DISCHARGE, DEFAULT_W_SOC, DEFAULT_W_SOH
 from .model import (
-    BatteryUnit,
     EnergySource,
     GridTopology,
     LoadCenter,
     StorageSystem,
     as_int,
     reference_topology,
+    uniform_units,
 )
 from .synth import SynthDemandParams, SynthWeatherParams, wear_multipliers
 
@@ -118,10 +118,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.days < 0:
             raise ValueError("days must be >= 0")
-        if not 0.0 <= self.initial_soc_pct <= 100.0:
-            raise ValueError("initial SoC must be in [0, 100]")
-        if not 0.0 <= self.initial_soh_pct <= 100.0:
-            raise ValueError("initial SoH must be in [0, 100]")
 
 
 def _object(section, where: str) -> dict:
@@ -159,6 +155,19 @@ def _number(value, where: str) -> float:
     ):
         raise ValueError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a JSON string, got {value!r}")
+    return value
+
+
+def _percent(section: dict, key: str, default: float, where: str) -> float:
+    value = _number(section.get(key, default), f"{where}.{key}")
+    if not 0.0 <= value <= 100.0:
+        raise ValueError(f"{where}.{key} must be in [0, 100], got {value!r}")
+    return value
 
 
 def _items(values, read, where: str) -> tuple:
@@ -209,7 +218,7 @@ def _parse_source(entry: dict, where: str) -> EnergySource:
     if kind == "wind":
         _require(entry, "turbine_count", where)  # required here, unlike in WindPlantParams
     sid = as_int(_require(entry, "id", where), f"{where}.id")
-    site = str(_require(entry, "site", where))
+    site = _string(_require(entry, "site", where), f"{where}.site")
     wired = _require(entry, "connected_systems", where)
     connected = _items(wired, as_int, f"{where}.connected_systems")
     return EnergySource(sid, kind, params, connected, site)
@@ -217,8 +226,8 @@ def _parse_source(entry: dict, where: str) -> EnergySource:
 
 def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
     topo = _known(doc.get("topology", {"reference": True}), _TOPOLOGY_KEYS, "topology")
-    soc0 = _number(topo.get("initial_soc_pct", cfg.initial_soc_pct), "topology.initial_soc_pct")
-    soh0 = _number(topo.get("initial_soh_pct", cfg.initial_soh_pct), "topology.initial_soh_pct")
+    soc0 = _percent(topo, "initial_soc_pct", cfg.initial_soc_pct, "topology")
+    soh0 = _percent(topo, "initial_soh_pct", cfg.initial_soh_pct, "topology")
     cfg.initial_soc_pct, cfg.initial_soh_pct = soc0, soh0
     deg = cfg.degradation
 
@@ -240,17 +249,7 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
             sid = as_int(_require(entry, "id", "topology.systems"), f"{where}.id")
             count = as_int(entry.get("unit_count", 10), f"{where}.unit_count")
             cap = _number(entry.get("unit_capacity_mwd", 100.0), f"{where}.unit_capacity_mwd")
-            units = [
-                BatteryUnit(
-                    id=k,
-                    capacity_mwd=cap,
-                    energy_mwd=cap * soc0 / 100.0,
-                    soh_pct=soh0,
-                    r_charge=deg.r_charge,
-                    r_discharge=deg.r_discharge,
-                )
-                for k in range(count)
-            ]
+            units = uniform_units(count, cap, soc0, soh0, deg.r_charge, deg.r_discharge)
             systems.append(StorageSystem(id=sid, units=units))
         loads = []
         for i, e in enumerate(_require(doc, "loads", "config")["centers"]):
@@ -286,7 +285,8 @@ def _is_csv(section, where: str) -> bool:
 def _parse_weather(section, sites: set[str]) -> WeatherConfig:
     if _is_csv(section, "weather"):
         _known(section, ("kind", "path"), "weather")
-        return WeatherConfig(kind="csv", path=str(_require(section, "path", "weather")))
+        path = _string(_require(section, "path", "weather"), "weather.path")
+        return WeatherConfig(kind="csv", path=path)
     _known(section, ("kind", "sites", "default"), "weather")
     site_params = {
         site: _read(SynthWeatherParams, params, f"weather.sites.{site}")
@@ -299,7 +299,8 @@ def _parse_weather(section, sites: set[str]) -> WeatherConfig:
 def _parse_demand(section, load_ids: set[str]) -> DemandConfig:
     if _is_csv(section, "loads"):
         _known(section, ("kind", "path", "centers"), "loads")
-        return DemandConfig(kind="csv", path=str(_require(section, "path", "loads")))
+        path = _string(_require(section, "path", "loads"), "loads.path")
+        return DemandConfig(kind="csv", path=path)
     params = _read(SynthDemandParams, section, "loads", ("kind", "centers", "base_mwd"))
     base = _known(section.get("base_mwd", {}), load_ids, "loads.base_mwd")
     base_by_load = {int(k): _number(v, f"loads.base_mwd.{k}") for k, v in base.items()}

@@ -83,6 +83,16 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys):
         ("loads", {"base_mwd": {"99": 10.0}}, "unknown key loads.base_mwd.99"),
         ("loads", {"base_mwd": {"x": 10.0}}, "unknown key loads.base_mwd.x"),
         ("weather", {"sites": {"costal": {}}}, "unknown key weather.sites.costal"),
+        (
+            "topology",
+            {"reference": True, "initial_soh_pct": 150},
+            "topology.initial_soh_pct must be in [0, 100], got 150.0",
+        ),
+        (
+            "topology",
+            {"reference": True, "initial_soc_pct": -5},
+            "topology.initial_soc_pct must be in [0, 100], got -5.0",
+        ),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):
@@ -92,6 +102,19 @@ def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, bo
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_validate_non_string_site_names_its_path(tmp_path, capsys):
+    doc = json.loads(open(TOY).read())
+    doc["topology"] = {"systems": [{"id": 1, "unit_count": 2}]}
+    doc["sources"] = [
+        {"id": 1, "kind": "wind", "site": None, "turbine_count": 3, "connected_systems": [1]}
+    ]
+    doc["loads"]["centers"] = [{"id": 0, "connected_systems": [1]}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert "sources[0].site must be a JSON string, got None" in capsys.readouterr().err
 
 
 # --- simulate ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 import hybridgrid.engine as engine
 from hybridgrid import (
+    GridUnits,
     SimulationError,
     atomic_write_text,
     compare,
@@ -198,25 +199,23 @@ def test_loads_settle_sequentially_within_a_day():
 
 
 def test_each_system_discharges_at_most_once_a_day(monkeypatch):
-    # Loads settle on system totals; units give each system's day total in
-    # one apply_discharge, however many loads share the system.
+    # Loads settle on system totals; the units of every system then give the
+    # day's totals in one grid-wide discharge, however many loads share a system.
     calls = []
-    discharge = engine.apply_discharge
+    discharge = GridUnits.discharge
 
-    def counting_discharge(system, amount):
-        calls.append(system.id)
-        return discharge(system, amount)
+    def counting_discharge(units, amounts):
+        calls.append(list(amounts))
+        return discharge(units, amounts)
 
-    monkeypatch.setattr(engine, "apply_discharge", counting_discharge)
+    monkeypatch.setattr(GridUnits, "discharge", counting_discharge)
     cfg, topo = load_scenario("scenarios/reference.json")
     state = initialize_state(cfg, topo)
-    total = 0
     for day in range(cfg.days):
         calls.clear()
-        step_day(state, day)
-        assert len(calls) == len(set(calls))
-        total += len(calls)
-    assert 0 < total <= len(topo.systems) * cfg.days
+        record = step_day(state, day)
+        assert calls == [[record.discharge_out_mwd[sid] for sid in state.units.ids]]
+    assert state.units.ids == [s.id for s in topo.systems]
 
 
 def test_csv_weather_exhaustion_raises_simulation_error(tmp_path):

@@ -41,11 +41,6 @@ def test_battery_unit_rejects_bad_soh():
         BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=0.0, soh_pct=101.0)
 
 
-def test_battery_unit_headroom():
-    unit = BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=30.0)
-    assert unit.headroom_mwd == pytest.approx(70.0)
-
-
 def test_system_soc_reference_case():
     # Ten units of capacity 100 MWd each holding 50 MWd -> 50%.
     assert system_soc(make_system()) == pytest.approx(50.0, rel=1e-12)

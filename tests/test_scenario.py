@@ -360,6 +360,51 @@ def test_parse_csv_sections_reject_generator_keys(section, key, value):
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("value", [None, 5, ["roof"]])
+def test_parse_source_site_must_be_a_json_string(value):
+    doc = explicit_doc()
+    doc["sources"][1]["site"] = value
+    message = f"sources[1].site must be a JSON string, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("section", ["loads", "weather"])
+def test_parse_csv_path_must_be_a_json_string(section):
+    doc = explicit_doc()
+    doc[section] = {"kind": "csv", "path": None}
+    if section == "loads":
+        doc["loads"]["centers"] = explicit_doc()["loads"]["centers"]
+    message = f"{section}.path must be a JSON string, got None"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("key", ["initial_soc_pct", "initial_soh_pct"])
+@pytest.mark.parametrize("value", [-5, 150, 100.5])
+@pytest.mark.parametrize("reference", [True, False])
+def test_parse_initial_state_out_of_range_names_its_key(key, value, reference):
+    doc = minimal_doc() if reference else explicit_doc()
+    doc["topology"][key] = value
+    message = f"topology.{key} must be in [0, 100], got {float(value)!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("key", ["initial_soc_pct", "initial_soh_pct"])
+@pytest.mark.parametrize("value", [0, 100])
+def test_parse_initial_state_accepts_its_bounds(key, value):
+    doc = explicit_doc()
+    doc["topology"][key] = value
+    cfg, topo = parse_scenario(doc)
+    assert getattr(cfg, key) == value
+    unit = topo.systems[0].units[0]
+    if key == "initial_soc_pct":
+        assert unit.energy_mwd == unit.capacity_mwd * value / 100.0
+    else:
+        assert unit.soh_pct == value
+
+
 @pytest.mark.parametrize("section", ["loads", "weather"])
 def test_parse_synthetic_sections_reject_a_path(section):
     doc = explicit_doc()
