@@ -10,8 +10,8 @@ equally across units.
 
 Every step keeps the per-element arithmetic and the order of a sequential
 loop over units: differences run left to right with np.subtract.accumulate
-and totals with np.cumsum, whose last column is Python's sum. Results are
-bit for bit those of dispatch.split_equally and Python sums.
+and totals with np.cumsum, which adds left to right as the loop does. So
+results are bit for bit those of dispatch.split_equally and of such loops.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def degrade_on_charge(unit: BatteryUnit, charged_mwd: float) -> None:
 
 
 def _total(a: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as Python's sum adds."""
+    """Row sums added left to right, as a loop adds (np.sum adds pairwise)."""
     return np.cumsum(a, axis=1)[:, -1]
 
 
@@ -78,7 +78,7 @@ class GridUnits:
 
     def __init__(self, systems: list[StorageSystem]) -> None:
         self.ids = [s.id for s in systems]
-        state = np.zeros((len(systems), max(len(s.units) for s in systems), 5))
+        state = np.zeros((len(systems), max((len(s.units) for s in systems), default=1), 5))
         for i, s in enumerate(systems):
             state[i, : len(s.units)] = [
                 (u.energy_mwd, u.soh_pct, u.capacity_mwd, u.r_charge, u.r_discharge)

@@ -218,6 +218,18 @@ def test_each_system_discharges_at_most_once_a_day(monkeypatch):
     assert state.units.ids == [s.id for s in topo.systems]
 
 
+def test_grid_without_systems_runs_empty_days():
+    doc = {
+        "topology": {"systems": []},
+        "sources": [],
+        "loads": {"kind": "synthetic", "centers": []},
+        "run": {"days": 3},
+    }
+    trace = run_simulation(*parse_scenario(doc))
+    assert [r.day for r in trace.records] == [0, 1, 2]
+    assert trace.records[-1].soc_pct == {} and trace.summary.final_mean_soh_pct == {}
+
+
 def test_csv_weather_exhaustion_raises_simulation_error(tmp_path):
     weather = tmp_path / "weather.csv"
     rows = ["site_id,day_index,ghi_w_m2,wind_speed_ms"]
