@@ -99,9 +99,10 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     atomic_write_text(out / "comparison.csv", comparison_csv(report))
     atomic_write_text(out / "series.csv", comparison_series_csv(report))
-    mean_gain = sum(report.soh_gain_pct_points.values()) / len(report.soh_gain_pct_points)
+    gains = list(report.soh_gain_pct_points.values())
+    mean_gain = f"{sum(gains) / len(gains):+.3f} pp" if gains else "n/a"
     print(
-        f"axis={args.axis}: mean SoH gain {mean_gain:+.3f} pp, zero-SoC events "
+        f"axis={args.axis}: mean SoH gain {mean_gain}, zero-SoC events "
         f"{sum(report.zero_soc_events_treatment.values())} (on) vs "
         f"{sum(report.zero_soc_events_baseline.values())} (off)"
     )

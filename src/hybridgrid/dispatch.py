@@ -15,15 +15,19 @@ toward zero rather than emptying one system first. The split works on
 stored amounts alone, so the engine can settle a day's loads on running
 system totals without touching units.
 
-This module only decides system-level amounts. Moving energy into and out of
-units, and the wear that costs, is health.py's job.
+The *_rows functions do the work on a topology's Wiring index lists, as the
+engine calls them each day; the dict-based functions wrap them. This module
+only decides system-level amounts. Moving energy into and out of units, and
+the wear that costs, is health.py's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import GridTopology, StorageSystem, stored_energy
+import numpy as np
+
+from .model import GridTopology, StorageSystem, Wiring, stored_energy
 
 # Charge targets anticipate next-day demand with a fixed safety margin.
 CHARGE_BUFFER = 1.25
@@ -97,49 +101,126 @@ def split_equally(total: float, caps: list[float]) -> list[float]:
     return alloc
 
 
+def charge_wants(t: GridTopology, load_forecasts: dict) -> np.ndarray:
+    """Each system's demand-driven charge want, before the capacity cap.
+
+    Each load's buffered forecast is split equally across the systems it is
+    wired to; a system's want is the sum of its shares, added in load order.
+    Forecasts are scalars or equal-length series; systems are the last axis.
+    """
+    fcs = {lid: np.asarray(f, dtype=float) for lid, f in load_forecasts.items()}
+    bad = [lid for lid, f in fcs.items() if lid not in t.load_by_id or (f < 0).any()]
+    missing = [load.id for load in t.loads if load.id not in fcs]
+    if bad or missing:
+        raise ValueError(f"need one non-negative forecast per load: bad {bad}, missing {missing}")
+    want = np.zeros(np.broadcast_shapes(*(f.shape for f in fcs.values())) + (len(t.systems),))
+    for load in t.loads:
+        for sid in load.connected_systems:
+            want[..., t.wiring.row_of[sid]] += (
+                CHARGE_BUFFER * fcs[load.id] / len(load.connected_systems)
+            )
+    return want
+
+
+def charge_deficits(capacity, want, stored) -> np.ndarray:
+    """max(0, min(capacity, want) - stored): the shortfall against the target."""
+    return np.maximum(0.0, np.minimum(capacity, want) - stored)
+
+
 def compute_charge_targets(
     t: GridTopology, load_forecasts: dict[int, float], stored: dict[int, float] | None = None
 ) -> list[ChargeTarget]:
     """Demand-anticipating charge target for every system, ascending id.
 
-    Each load's buffered forecast is split equally across the systems it is
-    wired to; a system's target is the sum of its shares, capped at capacity.
-    The deficit is whatever the target exceeds stored energy by: stored[id],
-    or by default what the topology's units hold.
+    A system's target is its charge want capped at capacity; the deficit is
+    what the target exceeds stored energy by: stored[id], or by default
+    what the topology's units hold.
     """
     stored = _stored(t, stored)
-    for lid, f in load_forecasts.items():
-        if f < 0:
-            raise ValueError(f"load {lid}: negative forecast {f}")
-        if lid not in t.load_by_id:
-            raise ValueError(f"forecast for unknown load {lid}")
+    capacity = np.array([s.capacity_mwd for s in t.systems])
+    want = charge_wants(t, load_forecasts)
+    deficit = charge_deficits(capacity, want, [stored[s.id] for s in t.systems])
+    targets = zip(t.systems, np.minimum(capacity, want).tolist(), deficit.tolist())
+    return sorted((ChargeTarget(s.id, tg, d) for s, tg, d in targets), key=lambda c: c.system_id)
 
-    targets = []
-    for system in sorted(t.systems, key=lambda s: s.id):
-        want = 0.0
-        for lid in t.loads_of_system.get(system.id, []):
-            fc = load_forecasts.get(lid)
-            if fc is None:
-                raise ValueError(f"missing forecast for load {lid}")
-            want += CHARGE_BUFFER * fc / len(t.load_by_id[lid].connected_systems)
-        target = min(system.capacity_mwd, want)
-        deficit = max(0.0, target - stored[system.id])
-        targets.append(ChargeTarget(system.id, target, deficit))
-    return targets
+
+def priority_rows(deficit: list[float], ids: list[int]) -> list[int]:
+    """Positions by descending deficit, ties by ascending id."""
+    return sorted(range(len(ids)), key=lambda i: (-deficit[i], ids[i]))
 
 
 def prioritize(targets: list[ChargeTarget]) -> list[int]:
     """System ids ordered by descending deficit, ties by ascending id."""
-    return [t.system_id for t in sorted(targets, key=lambda t: (-t.deficit_mwd, t.system_id))]
+    ids = [t.system_id for t in targets]
+    return [ids[i] for i in priority_rows([t.deficit_mwd for t in targets], ids)]
 
 
 def _stored(t: GridTopology, stored: dict[int, float] | None) -> dict[int, float]:
     return {s.id: stored_energy(s) for s in t.systems} if stored is None else stored
 
 
-def _headrooms(t: GridTopology, stored: dict[int, float] | None) -> dict[int, float]:
+def _headrooms(t: GridTopology, stored: dict[int, float] | None) -> list[float]:
     stored = _stored(t, stored)
-    return {s.id: max(0.0, s.capacity_mwd - stored[s.id]) for s in t.systems}
+    return [max(0.0, s.capacity_mwd - stored[s.id]) for s in t.systems]
+
+
+def allocate_priority_rows(
+    w: Wiring, order: list[int], deficit: list[float], headroom: list[float], energy: list[float]
+) -> tuple[list[list[float]], list[float]]:
+    """allocate_priority on the wiring's rows: order lists rows, deficit and
+    headroom (used up in place) are per row, energy per source. Returns
+    flow[k][i], the MWd source k gives row i, and each source's curtailment.
+    """
+    remaining = list(energy)
+    flow = [[0.0] * len(headroom) for _ in energy]
+    curtailed = [0.0] * len(energy)
+    # Pass 1: cover deficits in priority order.
+    for i in order:
+        need = min(deficit[i], headroom[i])
+        for k in w.system_sources[i]:
+            if need <= 0:
+                break
+            take = min(need, remaining[k])
+            flow[k][i] = take
+            remaining[k] -= take
+            headroom[i] -= take
+            need -= take
+    # Pass 2: spread each source's leftover by remaining headroom.
+    for k, rows in enumerate(w.source_rows):
+        left = remaining[k]
+        if left <= 0:
+            continue
+        rooms = [(i, headroom[i]) for i in rows if headroom[i] > 0]
+        open_room = sum(room for _, room in rooms)
+        if left >= open_room:
+            give = rooms
+            curtailed[k] = left - open_room
+        else:
+            give = [(i, left * room / open_room) for i, room in rooms]
+        for i, amt in give:
+            flow[k][i] += amt
+            headroom[i] -= amt
+    return flow, curtailed
+
+
+def allocate_equal_rows(
+    w: Wiring, headroom: list[float], energy: list[float]
+) -> tuple[list[list[float]], list[float]]:
+    """allocate_equal on the wiring's rows, in and out as allocate_priority_rows."""
+    flow = [[0.0] * len(headroom) for _ in energy]
+    curtailed = [0.0] * len(energy)
+    for k, rows in enumerate(w.source_rows):
+        e = energy[k]
+        if e <= 0:
+            continue
+        delivered = 0.0
+        for i, amt in zip(rows, split_equally(e, [headroom[i] for i in rows])):
+            flow[k][i] = amt
+            headroom[i] -= amt
+            delivered += amt
+        if e - delivered > _REL_TOL * max(1.0, e):
+            curtailed[k] = e - delivered
+    return flow, curtailed
 
 
 def allocate_priority(
@@ -157,58 +238,12 @@ def allocate_priority(
     systems in proportion to the headroom still open after pass one;
     whatever exceeds total open headroom is curtailed.
     """
-    _check_source_energy(per_source_energy, t)
     target_by_id = {tg.system_id: tg for tg in targets}
-    missing = [sid for sid in order if sid not in target_by_id]
-    if missing or set(order) != set(t.system_by_id):
+    if set(order) != set(t.system_by_id) or not set(order) <= target_by_id.keys():
         raise ValueError("priority order and targets must cover every system exactly once")
-
-    remaining = dict(per_source_energy)
-    headroom = _headrooms(t, stored)
-    alloc = ChargeAllocation()
-
-    sources_of_system: dict[int, list[int]] = {sid: [] for sid in t.system_by_id}
-    for src in t.sources:
-        for sid in src.connected_systems:
-            if sid in sources_of_system:
-                sources_of_system[sid].append(src.id)
-
-    # Pass 1: cover deficits in priority order.
-    for sid in order:
-        need = min(target_by_id[sid].deficit_mwd, headroom[sid])
-        for src_id in sorted(sources_of_system[sid]):
-            if need <= 0:
-                break
-            take = min(need, remaining[src_id])
-            if take > 0:
-                alloc.amounts[(src_id, sid)] = alloc.amounts.get((src_id, sid), 0.0) + take
-                remaining[src_id] -= take
-                headroom[sid] -= take
-                need -= take
-
-    # Pass 2: spread each source's leftover by remaining headroom.
-    for src in sorted(t.sources, key=lambda s: s.id):
-        left = remaining[src.id]
-        if left <= 0:
-            continue
-        rooms = {sid: headroom[sid] for sid in src.connected_systems if headroom[sid] > 0}
-        open_room = sum(rooms.values())
-        if open_room <= 0:
-            alloc.curtailed[src.id] = alloc.curtailed.get(src.id, 0.0) + left
-            remaining[src.id] = 0.0
-            continue
-        if left >= open_room:
-            give = rooms
-            alloc.curtailed[src.id] = alloc.curtailed.get(src.id, 0.0) + (left - open_room)
-        else:
-            give = {sid: left * room / open_room for sid, room in rooms.items()}
-        for sid, amt in give.items():
-            if amt > 0:
-                alloc.amounts[(src.id, sid)] = alloc.amounts.get((src.id, sid), 0.0) + amt
-                headroom[sid] -= amt
-        remaining[src.id] = 0.0
-
-    return alloc
+    deficit = [target_by_id[s.id].deficit_mwd for s in t.systems]
+    rows = [t.wiring.row_of[sid] for sid in order]
+    return _allocate(t, per_source_energy, stored, allocate_priority_rows, rows, deficit)
 
 
 def allocate_equal(
@@ -221,35 +256,35 @@ def allocate_equal(
     Sources are processed in ascending id, so a later source sees headroom
     already consumed by earlier ones.
     """
-    _check_source_energy(per_source_energy, t)
-    headroom = _headrooms(t, stored)
-    alloc = ChargeAllocation()
-
-    for src in sorted(t.sources, key=lambda s: s.id):
-        energy = per_source_energy[src.id]
-        if energy <= 0:
-            continue
-        sids = list(src.connected_systems)
-        caps = [headroom[sid] for sid in sids]
-        amounts = split_equally(energy, caps)
-        delivered = 0.0
-        for sid, amt in zip(sids, amounts):
-            if amt > 0:
-                alloc.amounts[(src.id, sid)] = alloc.amounts.get((src.id, sid), 0.0) + amt
-                headroom[sid] -= amt
-                delivered += amt
-        if energy - delivered > _REL_TOL * max(1.0, energy):
-            alloc.curtailed[src.id] = energy - delivered
-    return alloc
+    return _allocate(t, per_source_energy, stored, allocate_equal_rows)
 
 
-def _check_source_energy(per_source_energy: dict[int, float], t: GridTopology) -> None:
+def _allocate(t: GridTopology, per_source_energy, stored, rows_fn, *args) -> ChargeAllocation:
+    """Check the day's source energies, run rows_fn on the topology's wiring
+    and return its flows as a ChargeAllocation."""
     for src_id, e in per_source_energy.items():
         if e < 0:
             raise ValueError(f"source {src_id}: negative energy {e}")
-    for src in t.sources:
-        if src.id not in per_source_energy:
-            raise ValueError(f"missing energy entry for source {src.id}")
+    missing = [src.id for src in t.sources if src.id not in per_source_energy]
+    if missing:
+        raise ValueError(f"missing energy entries for sources {missing}")
+    w, ids = t.wiring, [s.id for s in t.systems]
+    energy = [per_source_energy[src.id] for src in w.sources]
+    flow, curtailed = rows_fn(w, *args, _headrooms(t, stored), energy)
+    return ChargeAllocation(
+        {(src.id, ids[i]): f for src, row in zip(w.sources, flow) for i, f in enumerate(row) if f > 0},
+        {src.id: c for src, c in zip(w.sources, curtailed) if c > 0},
+    )
+
+
+def split_pool(demand_mwd: float, stored: list[float]) -> tuple[list[float], float]:
+    """split_by_storage on a list of stored amounts: (contributions, served)."""
+    if demand_mwd < 0:
+        raise ValueError(f"demand must be >= 0, got {demand_mwd}")
+    pool = sum(stored)
+    if demand_mwd >= pool:
+        return list(stored), pool  # full drain: each system gives what it holds
+    return [energy / pool * demand_mwd for energy in stored], demand_mwd
 
 
 def split_by_storage(demand_mwd: float, stored: dict[int, float]) -> DischargeAssignment:
@@ -261,23 +296,8 @@ def split_by_storage(demand_mwd: float, stored: dict[int, float]) -> DischargeAs
     empties together when demand exceeds it. The uncovered remainder is
     reported as unmet.
     """
-    if demand_mwd < 0:
-        raise ValueError(f"demand must be >= 0, got {demand_mwd}")
-    pool = sum(stored.values())
-    if demand_mwd >= pool:
-        # Full drain: contributions are exactly what each system holds.
-        contributions = dict(stored)
-        served = pool
-    else:
-        served = demand_mwd
-        contributions = {
-            sid: energy / pool * served if pool > 0 else 0.0 for sid, energy in stored.items()
-        }
-    return DischargeAssignment(
-        contributions=contributions,
-        served_mwd=served,
-        unmet_mwd=max(0.0, demand_mwd - served),
-    )
+    give, served = split_pool(demand_mwd, list(stored.values()))
+    return DischargeAssignment(dict(zip(stored, give)), served, max(0.0, demand_mwd - served))
 
 
 def discharge_shares(demand_mwd: float, systems: list[StorageSystem]) -> DischargeAssignment:

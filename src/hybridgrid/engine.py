@@ -1,19 +1,19 @@
 """Daily-tick simulation engine and A/B comparison runner.
 
-Weather, per-source generation, realized demand and the day-ahead demand
-forecasts do not depend on policy. They are built once per run (forecasts on
-first use, from realized demand, with every SARIMA fit of the run in one
-fit_sarima_many batch), and compare() shares them between its two arms. Each
-simulated day then dispatches charging at the grid level (priority or
-equal), distributes each system's inflow across its units (health-ranked or
-equal), and settles realized demand load by load against the connected
-systems. Charging always precedes discharging. The engine decides
-system-level amounts only. health.GridUnits, built once per run from the
-topology, holds every unit as [system, unit] arrays, moves energy through
-them and applies the wear that costs; the topology is only read, so a run
-needs no copy of it. Loads settle in ascending id on running system totals,
-each seeing storage as the previous load left it, and one grid-wide
-discharge then takes the day's totals from the units.
+Weather, per-source generation, realized demand, the day-ahead demand
+forecasts and each system's charge want do not depend on policy. They are
+built once per run (forecasts and wants on first use, with every SARIMA fit
+of the run in one fit_sarima_many batch). compare() runs its two arms in
+lockstep on them: one health.GridUnits holds both arms' units as arm-major
+rows (row b * S + i is system i of arm b), and each day makes one charge
+call and one discharge call for the whole batch. run_simulation and
+step_day are the one-arm case of the same step. Each day dispatches
+charging per arm at the grid level (priority or equal, on the topology's
+Wiring index lists), distributes each system's inflow across its units
+(health-ranked or equal, row by row), then settles realized demand: each
+arm settles its loads in ascending id on running system totals, each load
+seeing storage as the previous load of its arm left it, and the discharge
+takes every arm's totals from the units. The topology is only read.
 
 Runs are deterministic: a config and seed reproduce byte-identical traces.
 """
@@ -30,11 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .dispatch import (
-    allocate_equal,
-    allocate_priority,
-    compute_charge_targets,
-    prioritize,
-    split_by_storage,
+    allocate_equal_rows,
+    allocate_priority_rows,
+    charge_deficits,
+    charge_wants,
+    priority_rows,
+    split_pool,
 )
 from .forecast import (
     WeatherSample,
@@ -115,14 +116,14 @@ class Drivers:
     def __init__(self, cfg: ScenarioConfig, topology: GridTopology) -> None:
         self.days = cfg.days
         self.forecasting = cfg.forecasting
-        self.sources = topology.sources
+        self.topology = topology
         self.weather_by_day = _build_weather(cfg, topology)
         self.demand_by_load = _build_demand(cfg, topology, self)
 
     @cached_property
     def generation(self) -> list[dict[int, float]]:
         """G[day][source] in MWd; the provider series doubles as the day-ahead forecast."""
-        return [predict_generation(samples, self.sources) for samples in self.weather_by_day]
+        return [predict_generation(samples, self.topology.sources) for samples in self.weather_by_day]
 
     @cached_property
     def forecasts(self) -> dict[int, list[float]]:
@@ -153,6 +154,12 @@ class Drivers:
             ]
         return out
 
+    @cached_property
+    def wants(self) -> np.ndarray:
+        """W[day, system]: charge_wants over each day's forecasts."""
+        want = charge_wants(self.topology, self.forecasts)
+        return np.broadcast_to(want, (self.days, len(self.topology.systems)))
+
 
 def _warmup_forecast(demand: list[float], day: int, s: int) -> float:
     """Seasonal-naive once a season of history exists, else the last value."""
@@ -163,10 +170,11 @@ def _warmup_forecast(demand: list[float], day: int, s: int) -> float:
 
 @dataclass
 class SimulationState:
-    """Everything step_day needs. The topology is only read; units holds the
-    unit state the days advance, starting from the topology's."""
+    """One or more runs in lockstep: one config per arm (arms differ only in
+    their policy toggles), their shared drivers, and units with the arms
+    stacked as arm-major rows."""
 
-    cfg: ScenarioConfig
+    arms: list[ScenarioConfig]
     topology: GridTopology
     drivers: Drivers
     units: GridUnits
@@ -181,62 +189,77 @@ class SimulationState:
 
 
 def step_day(state: SimulationState, day: int) -> DailyRecord:
-    """Advance the grid by one day and return the end-of-day record."""
-    t = state.topology
-    units = state.units
-    drivers = state.drivers
+    """Advance a one-run state by one day and return its end-of-day record."""
+    (record,) = _step(state, day)
+    return record
+
+
+def _step(state: SimulationState, day: int) -> list[DailyRecord]:
+    """Advance every run by one day; one record per run."""
+    t, units, drivers = state.topology, state.units, state.drivers
+    w, ids = t.wiring, units.ids[: len(t.systems)]
+    runs = [slice(b * len(ids), (b + 1) * len(ids)) for b in range(len(state.arms))]
     generated = drivers.generation[day]
+    energy = [generated[src.id] for src in w.sources]
 
-    # 1. Grid-level dispatch; only the priority policy reads forecasts.
-    stored = dict(zip(units.ids, units.stored.tolist()))
-    if state.cfg.priority_enabled:
-        forecasts = {lid: f[day] for lid, f in drivers.forecasts.items()}
-        targets = compute_charge_targets(t, forecasts, stored)
-        alloc = allocate_priority(prioritize(targets), targets, generated, t, stored)
-    else:
-        alloc = allocate_equal(generated, t, stored)
+    # 1. Grid-level dispatch per run; only the priority policy reads forecasts.
+    #    A system's inflow adds its sources' gifts in ascending source id.
+    headroom = np.maximum(0.0, units.capacity - units.stored).tolist()
+    charge_in, curtailed = [], []
+    for cfg, rows in zip(state.arms, runs):
+        if cfg.priority_enabled:
+            deficit = charge_deficits(
+                units.capacity[rows], drivers.wants[day], units.stored[rows]
+            ).tolist()
+            order = priority_rows(deficit, ids)
+            flow, curt = allocate_priority_rows(w, order, deficit, headroom[rows], energy)
+        else:
+            flow, curt = allocate_equal_rows(w, headroom[rows], energy)
+        inflow = [0.0] * len(ids)
+        for gifts in flow:
+            inflow = [a + b for a, b in zip(inflow, gifts)]
+        charge_in += inflow
+        curtailed.append(dict.fromkeys(generated, 0.0))  # in the topology's source order
+        curtailed[-1].update((src.id, c) for src, c in zip(w.sources, curt))
 
-    # 2. Intra-system distribution with charge wear, every system at once.
-    #    Each inflow adds its source amounts in alloc order, as inflow() does.
-    charge_in = dict.fromkeys(units.ids, 0.0)
-    for (_, sid), amount in alloc.amounts.items():
-        charge_in[sid] += amount
-    if state.cfg.health_enabled:
-        w = state.cfg.weights
-        units.charge_ranked(list(charge_in.values()), w.soh, w.soc)
-    else:
-        units.charge_equal(list(charge_in.values()))
+    # 2. Intra-system distribution with charge wear, every run in one call.
+    ranked = np.repeat([cfg.health_enabled for cfg in state.arms], len(ids))
+    units.charge(charge_in, ranked, state.arms[0].weights.soh, state.arms[0].weights.soc)
 
-    # 3. Settle loads on running system totals, then discharge the day's
-    #    totals at once. That equals the per-load draws in sequence: draws d1
-    #    then d2 take min(e_i, l1 + l2) from unit i, as one draw of d1 + d2
-    #    does, and wear is linear in the amount drawn.
-    stored = dict(zip(units.ids, units.stored.tolist()))
-    discharge_out = dict.fromkeys(units.ids, 0.0)
-    served, unmet = {}, {}
-    for load in sorted(t.loads, key=lambda l: l.id):
-        demand = float(drivers.demand_by_load[load.id][day])
-        assignment = split_by_storage(demand, {sid: stored[sid] for sid in load.connected_systems})
-        for sid, amount in assignment.contributions.items():
-            if amount > 0:
-                stored[sid] -= amount
-                discharge_out[sid] += amount
-        served[load.id] = assignment.served_mwd
-        unmet[load.id] = assignment.unmet_mwd
-    units.discharge(list(discharge_out.values()))
+    # 3. Each run settles its loads in ascending id on running system totals,
+    #    each load seeing storage as the previous load of its run left it.
+    #    One discharge then takes every run's totals. That equals the per-load
+    #    draws in sequence: draws d1 then d2 take min(e_i, l1 + l2) from unit
+    #    i, as one draw of d1 + d2 does, and wear is linear in the amount drawn.
+    stored = units.stored.tolist()
+    demand = [float(drivers.demand_by_load[lid][day]) for lid in w.load_ids]
+    discharge_out, served, unmet = [], [{} for _ in runs], [{} for _ in runs]
+    for rows, srv, short in zip(runs, served, unmet):
+        left, out = stored[rows], [0.0] * len(ids)
+        for lid, d, at in zip(w.load_ids, demand, w.load_rows):
+            give, srv[lid] = split_pool(d, [left[i] for i in at])
+            short[lid] = max(0.0, d - srv[lid])
+            for i, amount in zip(at, give):
+                left[i] -= amount
+                out[i] += amount
+        discharge_out += out
+    units.discharge(discharge_out)
 
-    curtailed = {src.id: alloc.curtailed.get(src.id, 0.0) for src in t.sources}
-    return DailyRecord(
-        day=day,
-        soc_pct=dict(zip(units.ids, units.soc_pct.tolist())),
-        mean_soh_pct=dict(zip(units.ids, units.mean_soh_pct.tolist())),
-        charge_in_mwd=charge_in,
-        discharge_out_mwd=discharge_out,
-        served_mwd=served,
-        unmet_mwd=unmet,
-        generated_mwd=generated,
-        curtailed_mwd=curtailed,
-    )
+    soc, soh = units.soc_pct.tolist(), units.mean_soh_pct.tolist()
+    return [
+        DailyRecord(
+            day=day,
+            soc_pct=dict(zip(ids, soc[rows])),
+            mean_soh_pct=dict(zip(ids, soh[rows])),
+            charge_in_mwd=dict(zip(ids, charge_in[rows])),
+            discharge_out_mwd=dict(zip(ids, discharge_out[rows])),
+            served_mwd=served[b],
+            unmet_mwd=unmet[b],
+            generated_mwd=generated,
+            curtailed_mwd=curtailed[b],
+        )
+        for b, rows in enumerate(runs)
+    ]
 
 
 def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSample]]:
@@ -302,41 +325,48 @@ def _build_demand(
 
 def initialize_state(cfg: ScenarioConfig, topology: GridTopology) -> SimulationState:
     """Validate inputs and build the run's drivers and unit state."""
+    return _initialize([cfg], topology)
+
+
+def _initialize(arms: list[ScenarioConfig], topology: GridTopology) -> SimulationState:
     violations = validate_topology(topology)
     if violations:
         raise SimulationError(
             "invalid topology: " + "; ".join(str(v) for v in violations)
         )
-    return SimulationState(cfg, topology, Drivers(cfg, topology), GridUnits(topology.systems))
+    units = GridUnits(topology.systems * len(arms))
+    return SimulationState(arms, topology, Drivers(arms[0], topology), units)
 
 
 def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTrace:
     """Run the configured number of days and summarize."""
-    return _run(initialize_state(cfg, topology))
+    (trace,) = _run(initialize_state(cfg, topology))
+    return trace
 
 
-def _run(state: SimulationState) -> SimulationTrace:
-    cfg = state.cfg
-    records = [step_day(state, day) for day in range(cfg.days)]
-
-    zero_events = {s.id: 0 for s in state.topology.systems}
-    total_unmet = 0.0
-    total_curtailed = 0.0
-    for rec in records:
-        for sid, soc in rec.soc_pct.items():
-            if soc <= ZERO_SOC_EPS:
-                zero_events[sid] += 1
-        total_unmet += sum(rec.unmet_mwd.values())
-        total_curtailed += sum(rec.curtailed_mwd.values())
-
-    summary = TraceSummary(
-        zero_soc_events=zero_events,
-        final_mean_soh_pct=dict(zip(state.units.ids, state.units.mean_soh_pct.tolist())),
-        total_unmet_mwd=total_unmet,
-        total_curtailed_mwd=total_curtailed,
-    )
-    echo = _effective_config(cfg)
-    return SimulationTrace(config_echo=echo, records=records, summary=summary)
+def _run(state: SimulationState) -> list[SimulationTrace]:
+    """Run every arm of the state to the end in lockstep; one trace per arm."""
+    days = [_step(state, day) for day in range(state.arms[0].days)]
+    ids = [s.id for s in state.topology.systems]
+    final_soh = state.units.mean_soh_pct.tolist()
+    traces = []
+    for b, cfg in enumerate(state.arms):
+        records = [arms[b] for arms in days]
+        total_unmet = 0.0
+        total_curtailed = 0.0
+        for rec in records:
+            total_unmet += sum(rec.unmet_mwd.values())
+            total_curtailed += sum(rec.curtailed_mwd.values())
+        summary = TraceSummary(
+            zero_soc_events={
+                sid: sum(rec.soc_pct[sid] <= ZERO_SOC_EPS for rec in records) for sid in ids
+            },
+            final_mean_soh_pct=dict(zip(ids, final_soh[b * len(ids) : (b + 1) * len(ids)])),
+            total_unmet_mwd=total_unmet,
+            total_curtailed_mwd=total_curtailed,
+        )
+        traces.append(SimulationTrace(_effective_config(cfg), records, summary))
+    return traces
 
 
 def _effective_config(cfg: ScenarioConfig) -> dict:
@@ -371,23 +401,13 @@ def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> Compariso
     if axis not in ("priority", "health"):
         raise ValueError(f"axis must be 'priority' or 'health', got {axis!r}")
 
-    def arm(flag: bool) -> ScenarioConfig:
-        arm_cfg = copy.copy(cfg)
-        if axis == "priority":
-            arm_cfg.priority_enabled = flag
-        else:
-            arm_cfg.health_enabled = flag
-        return arm_cfg
+    arms = [copy.copy(cfg), copy.copy(cfg)]
+    for arm, flag in zip(arms, (True, False)):
+        setattr(arm, f"{axis}_enabled", flag)
+    treatment, baseline = _run(_initialize(arms, topology))
 
-    on = initialize_state(arm(True), topology)
-    off = SimulationState(arm(False), topology, on.drivers, GridUnits(topology.systems))
-    treatment, baseline = _run(on), _run(off)
-
-    gain = {
-        sid: treatment.summary.final_mean_soh_pct[sid]
-        - baseline.summary.final_mean_soh_pct[sid]
-        for sid in treatment.summary.final_mean_soh_pct
-    }
+    final_t, final_b = treatment.summary.final_mean_soh_pct, baseline.summary.final_mean_soh_pct
+    gain = {sid: final_t[sid] - final_b[sid] for sid in final_t}
     return ComparisonReport(
         axis=axis,
         soh_gain_pct_points=gain,

@@ -6,7 +6,8 @@ changed. Shorter systems are padded with zero-capacity units. Every MWd moved
 through a unit costs SoH in proportion to its cycle-wear rate. Ranked
 charging fills each system's healthiest, emptiest units first, steering
 throughput away from worn units; the baseline, and discharge always, split
-equally across units.
+equally across units. Every step is row by row, so compare() stacks its arms
+as more rows and one charge call mixes ranked rows with equal ones.
 
 Every step keeps the per-element arithmetic and the order of a sequential
 loop over units: differences run left to right with np.subtract.accumulate
@@ -54,7 +55,8 @@ def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
     saturated in its last round.
     """
     alloc = np.zeros_like(caps)
-    steps = np.column_stack([totals, alloc])
+    steps = np.zeros((len(caps), caps.shape[1] + 1))
+    steps[:, 0] = totals
     active = (caps > 0) & (steps[:, :1] > 1e-12)
     while active.any():
         share = steps[:, :1] / np.maximum(active.sum(axis=1, keepdims=True), 1)
@@ -113,10 +115,28 @@ class GridUnits:
             raise ValueError(f"system {self.ids[i]}: {what} {amounts[i]} outside [0, {limit[i]}]")
         return np.minimum(amounts, limit)
 
-    def _charge(self, q, fill) -> np.ndarray:
-        """Add fill(left, headroom) per unit and wear each unit by what it got."""
+    def charge(
+        self, q, ranked, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC
+    ) -> np.ndarray:
+        """Charge q[i] into row i and wear each unit by what it got.
+
+        Rows where ranked (one flag, or one per row) is true fill their units
+        greedily in score order, ties by position, ranked once per call: one
+        day's charge lands on the units that looked best at its start. The
+        other rows split equally across their units, overflow re-split.
+        """
         left = self._check(q, np.maximum(0.0, self.capacity - self.stored), "charge")
-        amounts = fill(left, np.maximum(0.0, self.cap - self.energy))
+        headroom = np.maximum(0.0, self.cap - self.energy)
+        ranked = np.reshape(ranked, (-1, 1))
+        amounts = split_equally_rows(np.where(ranked[:, 0], 0.0, left), headroom)
+        if ranked.any():
+            order = np.argsort(-self.scores(w_soh, w_soc), axis=1, kind="stable")
+            rank = (np.arange(len(self.ids))[:, None], order)
+            room = headroom[rank]
+            first = np.where(ranked, left[:, None], 0.0)
+            steps = np.subtract.accumulate(np.concatenate([first, room], axis=1), axis=1)[:, :-1]
+            greedy = np.where(steps > 0, np.minimum(steps, room), 0.0)
+            amounts[rank] = np.where(ranked, greedy, amounts[rank])
         filled = np.minimum(self.cap, self.energy + amounts)
         self.energy = np.where(amounts > 0, filled, self.energy)
         return self._wear(amounts, self.r_charge)
@@ -127,29 +147,13 @@ class GridUnits:
         self.stored = _total(self.energy)
         return amounts
 
-    def charge_ranked(
-        self, q, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC
-    ) -> np.ndarray:
-        """Fill each system's units greedily in score order, ties by position.
-
-        The ranking is computed once per call, so one day's charge lands on
-        the units that looked best at the start of the day.
-        """
-        order = np.argsort(-self.scores(w_soh, w_soc), axis=1, kind="stable")
-        rank = (np.arange(len(self.ids))[:, None], order)
-
-        def greedy(left, headroom):
-            room = headroom[rank]
-            left = np.subtract.accumulate(np.concatenate([left[:, None], room], axis=1), axis=1)
-            amounts = np.empty_like(headroom)
-            amounts[rank] = np.where(left[:, :-1] > 0, np.minimum(left[:, :-1], room), 0.0)
-            return amounts
-
-        return self._charge(q, greedy)
+    def charge_ranked(self, q, w_soh=DEFAULT_W_SOH, w_soc=DEFAULT_W_SOC) -> np.ndarray:
+        """charge() with every row ranked."""
+        return self.charge(q, True, w_soh, w_soc)
 
     def charge_equal(self, q) -> np.ndarray:
-        """Split each system's charge equally across its units, overflow re-split."""
-        return self._charge(q, split_equally_rows)
+        """charge() with every row split equally."""
+        return self.charge(q, False)
 
     def discharge(self, d) -> np.ndarray:
         """Withdraw d[i] from system i, split equally across its units.

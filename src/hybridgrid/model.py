@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .generation import SolarPlantParams, WindPlantParams
 
@@ -97,6 +99,17 @@ class EnergySource:
             raise ValueError(f"source {self.id}: params do not match kind {self.kind!r}")
 
 
+class Wiring(NamedTuple):
+    """A topology's connections as index lists; a row is a position in systems."""
+
+    row_of: dict[int, int]  # system id -> row
+    sources: list[EnergySource]  # ascending id
+    source_rows: list[list[int]]  # per source, its systems' rows in connection order
+    system_sources: list[list[int]]  # per row, positions in sources, ascending
+    load_ids: list[int]  # ascending
+    load_rows: list[list[int]]  # per load, its systems' rows in connection order
+
+
 @dataclass
 class GridTopology:
     """Systems, loads, sources, and their static wiring."""
@@ -108,12 +121,20 @@ class GridTopology:
     def __post_init__(self) -> None:
         self.system_by_id = {s.id: s for s in self.systems}
         self.load_by_id = {l.id: l for l in self.loads}
-        # Reverse map: system id -> load ids drawing from it.
-        self.loads_of_system: dict[int, list[int]] = {s.id: [] for s in self.systems}
-        for load in self.loads:
-            for sid in load.connected_systems:
-                if sid in self.loads_of_system:
-                    self.loads_of_system[sid].append(load.id)
+
+    @cached_property
+    def wiring(self) -> Wiring:
+        """Built on first use, so that validate_topology can still report a
+        topology wired to unknown systems."""
+        row = {s.id: i for i, s in enumerate(self.systems)}
+        sources = sorted(self.sources, key=lambda s: s.id)
+        source_rows = [[row[sid] for sid in s.connected_systems] for s in sources]
+        system_sources = [
+            [k for k, rows in enumerate(source_rows) if i in rows] for i in range(len(self.systems))
+        ]
+        loads = sorted(self.loads, key=lambda l: l.id)
+        load_rows = [[row[sid] for sid in l.connected_systems] for l in loads]
+        return Wiring(row, sources, source_rows, system_sources, [l.id for l in loads], load_rows)
 
 
 @dataclass(frozen=True)

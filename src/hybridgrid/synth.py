@@ -41,7 +41,7 @@ def _site_key(site: str) -> int:
 def _ar1_noise(rng: np.random.Generator, days: int, rho: float) -> np.ndarray:
     """Unit-variance gaussian noise with lag-1 autocorrelation rho."""
     g = rng.standard_normal(days)
-    if rho <= 0:
+    if rho <= 0 or days == 0:
         return g
     out = np.empty(days)
     scale = np.sqrt(1.0 - rho * rho)

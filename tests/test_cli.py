@@ -281,6 +281,22 @@ def test_compare_writes_reports(tmp_path):
     assert len(series.strip().split("\n")) == 1 + 3 * 7
 
 
+def test_compare_grid_without_systems_writes_headers(tmp_path, capsys):
+    doc = {
+        "topology": {"systems": []},
+        "sources": [],
+        "loads": {"kind": "synthetic", "centers": []},
+        "run": {"days": 3},
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", str(path), "--axis", "health", "--out", str(out_dir)]) == 0
+    assert "mean SoH gain n/a" in capsys.readouterr().out
+    assert (out_dir / "comparison.csv").read_text().count("\n") == 1
+    assert (out_dir / "series.csv").read_text().count("\n") == 1
+
+
 def test_compare_rejects_unknown_axis(tmp_path):
     # argparse enforces the axis choices at parse time with a usage error.
     out_dir = tmp_path / "cmp"

@@ -3,6 +3,7 @@
 import copy
 
 import pytest
+from conftest import SHARED_SYSTEMS_DOC, records_sha256
 
 import hybridgrid.engine as engine
 from hybridgrid import (
@@ -292,6 +293,72 @@ def test_compare_arms_share_weather_and_demand():
         for r in report.baseline.records
     ]
     assert dem_t == pytest.approx(dem_b)
+
+
+def with_days(doc, days):
+    doc = copy.deepcopy(doc)
+    doc["run"]["days"] = days
+    return doc
+
+
+NO_SYSTEMS_DOC = {
+    "topology": {"systems": []},
+    "sources": [],
+    "loads": {"kind": "synthetic", "centers": []},
+    "run": {"days": 3},
+}
+
+
+@pytest.mark.parametrize(
+    "source, axis",
+    [
+        ("scenarios/reference.json", "health"),
+        ("scenarios/stress.json", "priority"),
+        (SHARED_SYSTEMS_DOC, "health"),
+        (SHARED_SYSTEMS_DOC, "priority"),
+        (with_days(SHARED_SYSTEMS_DOC, 0), "health"),
+        (NO_SYSTEMS_DOC, "priority"),
+    ],
+    ids=["reference-health", "stress-priority", "shared-health", "shared-priority", "0-days",
+         "0-systems"],
+)
+def test_compare_arms_equal_their_own_runs(source, axis):
+    # The arms run in lockstep on shared unit arrays; neither may see the other.
+    cfg, topo = load_scenario(source) if isinstance(source, str) else parse_scenario(source)
+    report = compare(cfg, topo, axis)
+    for arm, flag in ((report.treatment, True), (report.baseline, False)):
+        own = copy.copy(cfg)
+        setattr(own, f"{axis}_enabled", flag)
+        alone = run_simulation(own, topo)
+        assert records_sha256(arm) == records_sha256(alone)
+        assert len(arm.records) == cfg.days
+        assert arm.summary == alone.summary
+        assert arm.config_echo == alone.config_echo
+
+
+@pytest.mark.parametrize("axis", ["health", "priority"])
+def test_compare_makes_one_charge_and_one_discharge_call_a_day(monkeypatch, axis):
+    calls = {"charge": [], "discharge": []}
+    for name in calls:
+        move = getattr(GridUnits, name)
+
+        def counting(units, amounts, *args, move=move, seen=calls[name]):
+            seen.append(list(amounts))
+            return move(units, amounts, *args)
+
+        monkeypatch.setattr(GridUnits, name, counting)
+    doc = small_doc(days=30, seed=4)
+    doc["degradation"] = {"r_charge": 0.2, "r_discharge": 0.25, "rate_spread": 0.8}
+    cfg, topo = parse_scenario(doc)
+    report = compare(cfg, topo, axis)
+    ids = [s.id for s in topo.systems]
+    arms = list(zip(report.treatment.records, report.baseline.records))
+    assert calls["charge"] == [
+        [rec.charge_in_mwd[sid] for rec in day for sid in ids] for day in arms
+    ]
+    assert calls["discharge"] == [
+        [rec.discharge_out_mwd[sid] for rec in day for sid in ids] for day in arms
+    ]
 
 
 def record_fit_windows(monkeypatch):

@@ -8,9 +8,9 @@ recorded with (x86-64, numpy 2.x); another platform may need them re-recorded.
 """
 
 import hashlib
-from dataclasses import fields
 
 import pytest
+from conftest import SHARED_SYSTEMS_DOC, records_sha256
 
 from hybridgrid import (
     compare,
@@ -62,45 +62,6 @@ def test_compare_is_pinned(path, axis, comparison_hash, series_hash):
     assert sha256(comparison_series_csv(report)) == series_hash
 
 
-# Systems of 1, 4 and 12 units; loads 0 and 1 share the 4-unit system and
-# loads 1 and 2 the 12-unit one. Demand outruns generation, so systems run
-# dry on some days and a shared system's units give to two loads a day.
-SHARED_SYSTEMS_DOC = {
-    "topology": {
-        "initial_soc_pct": 30.0,
-        "systems": [
-            {"id": 1, "unit_count": 1, "unit_capacity_mwd": 120.0},
-            {"id": 2, "unit_count": 4, "unit_capacity_mwd": 40.0},
-            {"id": 3, "unit_count": 12, "unit_capacity_mwd": 15.0},
-        ],
-    },
-    "sources": [
-        {
-            "id": 1,
-            "kind": "solar",
-            "site": "flat",
-            "area_m2": 60000.0,
-            "efficiency": 0.2,
-            "connected_systems": [1, 2],
-        },
-        {"id": 2, "kind": "wind", "site": "ridge", "turbine_count": 4, "connected_systems": [2, 3]},
-    ],
-    "loads": {
-        "kind": "synthetic",
-        "centers": [
-            {"id": 0, "connected_systems": [1, 2]},
-            {"id": 1, "connected_systems": [2, 3]},
-            {"id": 2, "connected_systems": [3]},
-        ],
-        "base_mwd": {"0": 50.0, "1": 35.0, "2": 20.0},
-        "gen_fraction": 1.1,
-    },
-    "degradation": {"rate_spread": 0.3},
-    "weather": {"kind": "synthetic", "default": {"cloud_ar": 0.6, "wind_ar": 0.6}},
-    "run": {"days": 90, "seed": 5, "priority_enabled": True, "health_enabled": True},
-}
-
-
 def test_shared_multi_unit_systems_run_is_pinned():
     cfg, topo = parse_scenario(SHARED_SYSTEMS_DOC)
     trace = run_simulation(cfg, topo)
@@ -111,23 +72,6 @@ def test_shared_multi_unit_systems_run_is_pinned():
     assert sha256(summary_csv(trace)) == (
         "50f4ebb68ff3774e9448db9b4508dc2d4f69603a6080ffaf2b2b265744413c10"
     )
-
-
-def records_sha256(*traces) -> str:
-    """sha256 over the exact bits of every float of every DailyRecord.
-
-    The CSV hashes above see six decimals only; these see every bit.
-    """
-    h = hashlib.sha256()
-    for trace in traces:
-        for rec in trace.records:
-            for f in fields(rec):
-                if f.name == "day":
-                    continue
-                values = getattr(rec, f.name)
-                for key in sorted(values):
-                    h.update(f"{rec.day},{f.name},{key},{float(values[key]).hex()};".encode())
-    return h.hexdigest()
 
 
 def test_shared_systems_records_are_pinned_bitwise():

@@ -326,6 +326,40 @@ def test_ranked_charge_reaches_a_unit_only_once_better_units_are_full(systems, s
                     assert g.energy[i, k] == pytest.approx(g.cap[i, k], abs=1e-9 * g.cap[i, k])
 
 
+def hexes(a: np.ndarray) -> list[str]:
+    return [x.hex() for x in a.ravel().tolist()]
+
+
+@settings(deadline=None)
+@given(grids=st.lists(ragged_systems(), min_size=1, max_size=3), data=st.data())
+def test_stacked_mixed_charge_equals_each_system_alone(grids, data):
+    # compare() stacks its runs' grids as rows of one GridUnits and charges
+    # them in one call, ranked rows beside equal ones.
+    systems = [s for grid in grids for s in grid]
+    n = len(systems)
+    ranked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    share = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    w_soh = data.draw(st.floats(0.0, 1.0))
+    stacked = GridUnits(systems)
+    q = np.array(share) * (stacked.capacity - stacked.stored)
+    moved = stacked.charge(q, ranked, w_soh, 1.0 - w_soh)
+
+    for i, (s, flag) in enumerate(zip(systems, ranked)):
+        alone, k = GridUnits([s]), len(s.units)
+        if flag:
+            want = alone.charge_ranked(q[i : i + 1], w_soh, 1.0 - w_soh)
+        else:
+            want = alone.charge_equal(q[i : i + 1])
+        assert hexes(moved[i, :k]) == hexes(want)
+        assert hexes(stacked.energy[i, :k]) == hexes(alone.energy)
+        assert hexes(stacked.soh[i, :k]) == hexes(alone.soh)
+        assert hexes(stacked.stored[i : i + 1]) == hexes(alone.stored)
+        # Padding stays empty and untouched.
+        assert not moved[i, k:].any()
+        assert not stacked.energy[i, k:].any()
+        assert not stacked.soh[i, k:].any()
+
+
 @settings(deadline=None)
 @given(
     rows=st.lists(
