@@ -6,13 +6,16 @@ how deficit-priority allocation routes scarce generation compared with a
 plain equal split.
 """
 
+import numpy as np
+
 from hybridgrid import (
+    GridUnits,
     allocate_equal,
     allocate_priority,
-    compute_charge_targets,
+    charge_deficits,
+    charge_wants,
     prioritize,
     reference_topology,
-    system_soc,
 )
 
 
@@ -22,41 +25,42 @@ def main():
     for system in topo.systems[3:]:
         for unit in system.units:
             unit.energy_mwd = unit.capacity_mwd * 0.12
+    units, w = GridUnits(topo.systems), topo.wiring
 
     forecasts = {load.id: 95.0 for load in topo.loads}
-    targets = compute_charge_targets(topo, forecasts)
-    order = prioritize(targets)
+    want = charge_wants(topo, forecasts)
+    targets = np.minimum(units.capacity, want)
+    deficits = charge_deficits(units.capacity, want, units.stored).tolist()
+    order = prioritize(deficits, units.ids)
 
     print("=== Charge targets (25% safety buffer over forecasts) ===")
-    for t in sorted(targets, key=lambda t: t.system_id):
-        soc = system_soc(topo.system_by_id[t.system_id])
+    for sid, soc, target, deficit in zip(units.ids, units.soc_pct, targets, deficits):
         print(
-            f"  system {t.system_id}: SoC {soc:5.1f}%  "
-            f"target {t.target_mwd:7.1f} MWd  deficit {t.deficit_mwd:7.1f} MWd"
+            f"  system {sid}: SoC {soc:5.1f}%  "
+            f"target {target:7.1f} MWd  deficit {deficit:7.1f} MWd"
         )
-    print(f"  charge priority order: {order}")
+    print(f"  charge priority order: {[units.ids[i] for i in order]}")
 
     # A lean generation day: the wind arm has little to give.
     per_source = {1: 120.0, 2: 260.0, 3: 300.0, 4: 420.0}
     print()
     print(f"=== Dispatching {sum(per_source.values()):.0f} MWd of generation ===")
 
-    priority_alloc = allocate_priority(order, targets, per_source, topo)
-    equal_topo = reference_topology(initial_soc_pct=4.0)
-    for system in equal_topo.systems[3:]:
-        for unit in system.units:
-            unit.energy_mwd = unit.capacity_mwd * 0.12
-    equal_alloc = allocate_equal(per_source, equal_topo)
+    # Flows are [source, system] in the wiring's order; each call uses up the
+    # headroom list it is given, so each gets its own.
+    energy = [per_source[src.id] for src in w.sources]
+    headroom = np.maximum(0.0, units.capacity - units.stored).tolist()
+    priority_flow, priority_curtailed = allocate_priority(
+        w, order, deficits, list(headroom), energy
+    )
+    equal_flow, equal_curtailed = allocate_equal(w, list(headroom), energy)
 
     print("  system   priority-inflow   equal-inflow")
-    for system in topo.systems:
-        print(
-            f"  {system.id:>6}   {priority_alloc.inflow(system.id):15.1f}"
-            f"   {equal_alloc.inflow(system.id):12.1f}"
-        )
+    for sid, p_in, e_in in zip(units.ids, np.sum(priority_flow, 0), np.sum(equal_flow, 0)):
+        print(f"  {sid:>6}   {p_in:15.1f}   {e_in:12.1f}")
     print(
-        f"  curtailed: priority {priority_alloc.total_curtailed():.1f} MWd, "
-        f"equal {equal_alloc.total_curtailed():.1f} MWd"
+        f"  curtailed: priority {sum(priority_curtailed):.1f} MWd, "
+        f"equal {sum(equal_curtailed):.1f} MWd"
     )
     print()
     print("Priority dispatch pushes energy at the emptiest systems first;")

@@ -38,10 +38,7 @@ def cycle(system, ranked, days=365, charge=400.0):
     units = GridUnits([system])
     for _ in range(days):
         q = min(charge, units.capacity[0] - units.stored[0])
-        if ranked:
-            units.charge_ranked([q])
-        else:
-            units.charge_equal([q])
+        units.charge([q], ranked)
         units.discharge(units.stored)
     return units
 

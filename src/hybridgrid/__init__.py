@@ -3,15 +3,12 @@ two-level priority battery charging and unit-health-aware distribution."""
 
 from .dispatch import (
     CHARGE_BUFFER,
-    ChargeAllocation,
-    ChargeTarget,
-    DischargeAssignment,
     allocate_equal,
     allocate_priority,
-    compute_charge_targets,
+    charge_deficits,
+    charge_wants,
     discharge_shares,
     prioritize,
-    split_by_storage,
     split_equally,
 )
 from .engine import (
@@ -52,7 +49,7 @@ from .generation import (
     solar_power,
     wind_power,
 )
-from .health import GridUnits, degrade_on_charge, split_equally_rows
+from .health import GridUnits, split_equally_rows
 from .model import (
     BatteryUnit,
     EnergySource,
@@ -61,9 +58,6 @@ from .model import (
     StorageSystem,
     Violation,
     reference_topology,
-    stored_energy,
-    system_headroom,
-    system_soc,
     validate_topology,
 )
 from .scenario import (

@@ -30,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .dispatch import (
-    allocate_equal_rows,
-    allocate_priority_rows,
+    allocate_equal,
+    allocate_priority,
     charge_deficits,
     charge_wants,
-    priority_rows,
-    split_pool,
+    discharge_shares,
+    prioritize,
 )
 from .forecast import (
     WeatherSample,
@@ -211,10 +211,10 @@ def _step(state: SimulationState, day: int) -> list[DailyRecord]:
             deficit = charge_deficits(
                 units.capacity[rows], drivers.wants[day], units.stored[rows]
             ).tolist()
-            order = priority_rows(deficit, ids)
-            flow, curt = allocate_priority_rows(w, order, deficit, headroom[rows], energy)
+            order = prioritize(deficit, ids)
+            flow, curt = allocate_priority(w, order, deficit, headroom[rows], energy)
         else:
-            flow, curt = allocate_equal_rows(w, headroom[rows], energy)
+            flow, curt = allocate_equal(w, headroom[rows], energy)
         inflow = [0.0] * len(ids)
         for gifts in flow:
             inflow = [a + b for a, b in zip(inflow, gifts)]
@@ -237,7 +237,7 @@ def _step(state: SimulationState, day: int) -> list[DailyRecord]:
     for rows, srv, short in zip(runs, served, unmet):
         left, out = stored[rows], [0.0] * len(ids)
         for lid, d, at in zip(w.load_ids, demand, w.load_rows):
-            give, srv[lid] = split_pool(d, [left[i] for i in at])
+            give, srv[lid] = discharge_shares(d, [left[i] for i in at])
             short[lid] = max(0.0, d - srv[lid])
             for i, amount in zip(at, give):
                 left[i] -= amount

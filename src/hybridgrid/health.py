@@ -1,7 +1,8 @@
 """Battery-unit state: charging, discharging and the cycle wear they cost.
 
-GridUnits holds every unit of a grid as [system, unit] arrays and is the only
-writer of unit state during a run; the topology it is built from is never
+GridUnits is the one API for unit state. It holds every unit of a grid as
+[system, unit] arrays, reports each system's stored energy, SoC and mean SoH,
+and is the only writer of unit state; the systems it is built from are never
 changed. Shorter systems are padded with zero-capacity units. Every MWd moved
 through a unit costs SoH in proportion to its cycle-wear rate. Ranked
 charging fills each system's healthiest, emptiest units first, steering
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BatteryUnit, StorageSystem
+from .model import StorageSystem
 
 _REL_TOL = 1e-9
 
@@ -32,13 +33,6 @@ DEFAULT_W_SOC = 0.5
 # become measurably different; see scenarios/reference.json.
 DEFAULT_R_CHARGE = 0.2
 DEFAULT_R_DISCHARGE = 0.25
-
-
-def degrade_on_charge(unit: BatteryUnit, charged_mwd: float) -> None:
-    """Apply cycle wear for a charge of charged_mwd; energy is untouched."""
-    if charged_mwd < 0:
-        raise ValueError(f"unit {unit.id}: negative charge {charged_mwd}")
-    unit.soh_pct = max(0.0, unit.soh_pct - charged_mwd * unit.r_charge / unit.capacity_mwd)
 
 
 def _total(a: np.ndarray) -> np.ndarray:
@@ -146,14 +140,6 @@ class GridUnits:
         self.soh = np.where(amounts > 0, worn, self.soh)
         self.stored = _total(self.energy)
         return amounts
-
-    def charge_ranked(self, q, w_soh=DEFAULT_W_SOH, w_soc=DEFAULT_W_SOC) -> np.ndarray:
-        """charge() with every row ranked."""
-        return self.charge(q, True, w_soh, w_soc)
-
-    def charge_equal(self, q) -> np.ndarray:
-        """charge() with every row split equally."""
-        return self.charge(q, False)
 
     def discharge(self, d) -> np.ndarray:
         """Withdraw d[i] from system i, split equally across its units.

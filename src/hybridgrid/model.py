@@ -60,10 +60,6 @@ class StorageSystem:
             raise ValueError(f"system {self.id}: needs at least one unit")
         self.capacity_mwd = sum(u.capacity_mwd for u in self.units)
 
-    @property
-    def mean_soh_pct(self) -> float:
-        return sum(u.soh_pct for u in self.units) / len(self.units)
-
 
 @dataclass
 class LoadCenter:
@@ -119,7 +115,6 @@ class GridTopology:
     sources: list[EnergySource]
 
     def __post_init__(self) -> None:
-        self.system_by_id = {s.id: s for s in self.systems}
         self.load_by_id = {l.id: l for l in self.loads}
 
     @cached_property
@@ -160,24 +155,6 @@ def as_int(value, where: str) -> int:
     ):
         raise ValueError(f"{where} must be an integer, got {value!r}")
     return int(value)
-
-
-def stored_energy(system: StorageSystem) -> float:
-    """Total MWd currently held across the system's units."""
-    return sum(u.energy_mwd for u in system.units)
-
-
-def system_soc(system: StorageSystem) -> float:
-    """System state of charge in percent: stored share of total capacity."""
-    cap = system.capacity_mwd
-    if cap <= 0:
-        raise ValueError(f"system {system.id}: zero capacity")
-    return stored_energy(system) / cap * 100.0
-
-
-def system_headroom(system: StorageSystem) -> float:
-    """MWd the system can still absorb before every unit is full."""
-    return max(0.0, system.capacity_mwd - stored_energy(system))
 
 
 def uniform_units(

@@ -157,6 +157,14 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _key(value, where: str) -> int:
+    """A seed or id that keys a seeded random stream, which takes no negative number."""
+    key = as_int(value, where)
+    if key < 0:
+        raise ValueError(f"{where} must be >= 0, got {key}")
+    return key
+
+
 def _string(value, where: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{where} must be a JSON string, got {value!r}")
@@ -246,7 +254,7 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
         for i, entry in enumerate(_require(topo, "systems", "topology")):
             where = f"topology.systems[{i}]"
             _known(entry, _SYSTEM_KEYS, where)
-            sid = as_int(_require(entry, "id", "topology.systems"), f"{where}.id")
+            sid = _key(_require(entry, "id", "topology.systems"), f"{where}.id")
             count = as_int(entry.get("unit_count", 10), f"{where}.unit_count")
             cap = _number(entry.get("unit_capacity_mwd", 100.0), f"{where}.unit_capacity_mwd")
             units = uniform_units(count, cap, soc0, soh0, deg.r_charge, deg.r_discharge)
@@ -255,7 +263,7 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
         for i, e in enumerate(_require(doc, "loads", "config")["centers"]):
             where = f"loads.centers[{i}]"
             _known(e, _CENTER_KEYS, where)
-            lid = as_int(_require(e, "id", "loads"), f"{where}.id")
+            lid = _key(_require(e, "id", "loads"), f"{where}.id")
             wired = _require(e, "connected_systems", "loads")
             connected = _items(wired, as_int, f"{where}.connected_systems")
             loads.append(LoadCenter(id=lid, connected_systems=connected))
@@ -313,7 +321,7 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     run = _known(doc.get("run", {}), _RUN_KEYS, "run")
     cfg = ScenarioConfig(
         days=as_int(run.get("days", 365), "run.days"),
-        seed=as_int(run.get("seed", 0), "run.seed"),
+        seed=_key(run.get("seed", 0), "run.seed"),
         priority_enabled=_flag(run, "priority_enabled", True, "run"),
         health_enabled=_flag(run, "health_enabled", True, "run"),
         forecasting=_read(ForecastingConfig, doc.get("forecasting", {}), "forecasting"),

@@ -18,9 +18,9 @@ import pytest
 
 from hybridgrid import (
     BatteryUnit,
-    ChargeTarget,
     EnergySource,
     GridTopology,
+    GridUnits,
     LoadCenter,
     SarimaOrders,
     SolarPlantParams,
@@ -28,18 +28,15 @@ from hybridgrid import (
     WindPlantParams,
     allocate_equal,
     allocate_priority,
+    charge_deficits,
+    charge_wants,
     compare,
-    compute_charge_targets,
-    degrade_on_charge,
     discharge_shares,
     fit_sarima,
     forecast_one,
     prioritize,
     run_simulation,
     seasonal_naive,
-    stored_energy,
-    system_headroom,
-    system_soc,
 )
 from hybridgrid.cli import main
 from hybridgrid.scenario import load_scenario, parse_scenario
@@ -86,11 +83,12 @@ def test_criterion_1_formula_fidelity():
             BatteryUnit(id=i, capacity_mwd=100.0, energy_mwd=50.0) for i in range(10)
         ],
     )
-    assert math.isclose(system_soc(system), 50.0, rel_tol=1e-9)
+    assert math.isclose(GridUnits([system]).soc_pct[0], 50.0, rel_tol=1e-9)
 
     unit = BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=0.0, r_charge=0.01)
-    degrade_on_charge(unit, 100.0)
-    assert math.isclose(unit.soh_pct, 100.0 - 0.01, rel_tol=1e-9)
+    units = GridUnits([StorageSystem(id=1, units=[unit])])
+    units.charge([100.0], True)  # one full cycle's worth into the empty unit
+    assert math.isclose(units.soh[0, 0], 100.0 - 0.01, rel_tol=1e-9)
 
     assert time.perf_counter() - start < 1.0
 
@@ -137,20 +135,20 @@ def _random_dispatch_instance(rng):
     return topo, energies
 
 
-def _assert_allocation_invariants(alloc, energies, topo, tol=1e-6):
-    headrooms = {s.id: system_headroom(s) for s in topo.systems}
-    adjacency = {src.id: set(src.connected_systems) for src in topo.sources}
-    inflow = {s.id: 0.0 for s in topo.systems}
-    delivered = {sid: 0.0 for sid in energies}
-    for (src, sid), amount in alloc.amounts.items():
-        assert amount >= -tol
-        assert sid in adjacency[src]
-        inflow[sid] += amount
-        delivered[src] += amount
-    for sid, total_in in inflow.items():
-        assert total_in <= headrooms[sid] + tol
-    for src, energy in energies.items():
-        assert abs(delivered[src] + alloc.curtailed.get(src, 0.0) - energy) <= tol
+def _assert_allocation_invariants(allocation, energy, headrooms, wiring, tol=1e-6):
+    """allocation is (flow[source][system row], curtailed per source); energy
+    and headrooms are what the sources and rows held before it."""
+    flow, curtailed = allocation
+    inflow = [0.0] * len(headrooms)
+    for k, gifts in enumerate(flow):
+        for i, amount in enumerate(gifts):
+            assert amount >= -tol
+            if amount > 0:
+                assert i in wiring.source_rows[k]
+            inflow[i] += amount
+        assert abs(sum(gifts) + curtailed[k] - energy[k]) <= tol
+    for total_in, room in zip(inflow, headrooms):
+        assert total_in <= room + tol
 
 
 def test_criterion_2_conservation_fuzz_10000_instances():
@@ -161,19 +159,25 @@ def test_criterion_2_conservation_fuzz_10000_instances():
         topo, energies = _random_dispatch_instance(rng)
 
         forecasts = {0: float(rng.uniform(0.0, 600.0))}
-        targets = compute_charge_targets(topo, forecasts)
-        order = prioritize(targets)
+        units, w = GridUnits(topo.systems), topo.wiring
+        stored = units.stored.tolist()
+        deficit = charge_deficits(units.capacity, charge_wants(topo, forecasts), stored).tolist()
+        headrooms = np.maximum(0.0, units.capacity - units.stored).tolist()
+        energy = [energies[src.id] for src in w.sources]
+        order = prioritize(deficit, units.ids)
         _assert_allocation_invariants(
-            allocate_priority(order, targets, energies, topo), energies, topo
+            allocate_priority(w, order, deficit, list(headrooms), energy), energy, headrooms, w
         )
-        _assert_allocation_invariants(allocate_equal(energies, topo), energies, topo)
+        _assert_allocation_invariants(
+            allocate_equal(w, list(headrooms), energy), energy, headrooms, w
+        )
 
-        pool = sum(stored_energy(s) for s in topo.systems)
+        pool = sum(stored)
         demand = float(rng.uniform(0.0, pool * 1.5 + 1.0))
-        out = discharge_shares(demand, topo.systems)
-        assert abs(sum(out.contributions.values()) - min(demand, pool)) <= 1e-6
-        for system in topo.systems:
-            assert out.contributions[system.id] <= stored_energy(system) + 1e-6
+        contributions, _ = discharge_shares(demand, stored)
+        assert abs(sum(contributions) - min(demand, pool)) <= 1e-6
+        for given, held in zip(contributions, stored):
+            assert given <= held + 1e-6
 
     assert time.perf_counter() - start < 30.0
 
@@ -235,20 +239,14 @@ def test_criterion_3_priority_matches_bruteforce_coverage():
             for energies in itertools.product(GRID_VALUES, repeat=n_src):
                 for deficits in itertools.product(GRID_VALUES, repeat=n_sys):
                     topo = _complete_topology(n_src, deficits)
-                    targets = [
-                        ChargeTarget(
-                            system_id=j + 1,
-                            target_mwd=deficits[j],
-                            deficit_mwd=deficits[j],
-                        )
-                        for j in range(n_sys)
-                    ]
-                    order = prioritize(targets)
-                    per_source = {i + 1: energies[i] for i in range(n_src)}
-                    alloc = allocate_priority(order, targets, per_source, topo)
-                    coverage = sum(
-                        min(alloc.inflow(j + 1), deficits[j]) for j in range(n_sys)
+                    units = GridUnits(topo.systems)
+                    headrooms = np.maximum(0.0, units.capacity - units.stored).tolist()
+                    order = prioritize(list(deficits), units.ids)
+                    flow, _ = allocate_priority(
+                        topo.wiring, order, list(deficits), headrooms, list(energies)
                     )
+                    inflow = [sum(gifts[j] for gifts in flow) for j in range(n_sys)]
+                    coverage = sum(min(inflow[j], deficits[j]) for j in range(n_sys))
                     optimum = _coverage_oracle(energies, deficits)
                     assert abs(coverage - optimum) <= 1e-6, (
                         energies,

@@ -93,6 +93,9 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys):
             {"reference": True, "initial_soc_pct": -5},
             "topology.initial_soc_pct must be in [0, 100], got -5.0",
         ),
+        # Seeds and ids key seeded random streams, which take no negative number.
+        ("run", {"seed": -1}, "run.seed must be >= 0, got -1"),
+        ("topology", {"systems": [{"id": -1}]}, "topology.systems[0].id must be >= 0, got -1"),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):
@@ -157,6 +160,11 @@ def test_simulate_seed_override_changes_trace(tmp_path):
     assert main(["simulate", TOY, "--out", str(a), "--seed", "1"]) == 0
     assert main(["simulate", TOY, "--out", str(b), "--seed", "2"]) == 0
     assert (a / "trace.csv").read_bytes() != (b / "trace.csv").read_bytes()
+
+
+def test_simulate_negative_seed_flag_is_validation_error(tmp_path, capsys):
+    assert main(["simulate", TOY, "--out", str(tmp_path / "run"), "--seed", "-1"]) == 1
+    assert "run.seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_simulate_toggle_flags(tmp_path):

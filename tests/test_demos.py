@@ -1,5 +1,7 @@
-"""Each demo script runs to completion from a checkout."""
+"""Each demo script runs to completion from a checkout; the dispatch and
+unit-health demos print exactly what they printed when pinned."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +12,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of the demo's stdout.
+STDOUT_SHA256 = {
+    "03_priority_dispatch.py": "d8ec1167d0aebf7276b6d9553843e8acfbfd69e43b106533cbcfdc6a7218385c",
+    "04_unit_health.py": "0ddc1117412a3c0cfb8c8ac84457a0ac250cc8a368b991b2339e0aca751618aa",
+}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
@@ -18,3 +26,5 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    if demo.name in STDOUT_SHA256:
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.name]

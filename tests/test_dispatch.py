@@ -7,21 +7,19 @@ from hypothesis import strategies as st
 
 from hybridgrid import (
     BatteryUnit,
-    ChargeTarget,
     EnergySource,
     GridTopology,
+    GridUnits,
     LoadCenter,
     SolarPlantParams,
     StorageSystem,
     allocate_equal,
     allocate_priority,
-    compute_charge_targets,
+    charge_deficits,
+    charge_wants,
     discharge_shares,
     prioritize,
-    split_by_storage,
     split_equally,
-    stored_energy,
-    system_headroom,
 )
 
 
@@ -53,6 +51,22 @@ def make_topology(system_specs, source_map, load_map=None):
         for lid, conn in (load_map or {0: list(system_specs)}).items()
     ]
     return GridTopology(systems=systems, loads=loads, sources=sources)
+
+
+def headroom(topo):
+    """Each system's open headroom, as the engine reads it from the units."""
+    units = GridUnits(topo.systems)
+    return np.maximum(0.0, units.capacity - units.stored).tolist()
+
+
+def deficits(topo, forecasts):
+    units = GridUnits(topo.systems)
+    return charge_deficits(units.capacity, charge_wants(topo, forecasts), units.stored).tolist()
+
+
+def inflow(flow):
+    """Each system's inflow: the column sums of flow[source][system]."""
+    return np.sum(flow, axis=0).tolist()
 
 
 # --- split_equally -------------------------------------------------------
@@ -96,7 +110,7 @@ def test_split_equally_fuzz_conservation_and_caps():
 # --- charge targets and priority order -----------------------------------
 
 
-def test_compute_charge_targets_buffer_split():
+def test_charge_wants_buffer_split():
     # One load forecasting 300 MWd over three systems: each target is
     # 1.25 x 300 / 3 = 125 MWd of desired stored energy.
     topo = make_topology(
@@ -104,45 +118,34 @@ def test_compute_charge_targets_buffer_split():
         {1: [1, 2, 3]},
         {0: [1, 2, 3]},
     )
-    targets = compute_charge_targets(topo, {0: 300.0})
-    assert [t.system_id for t in targets] == [1, 2, 3]
-    assert [t.target_mwd for t in targets] == pytest.approx([125.0] * 3)
-    assert [t.deficit_mwd for t in targets] == pytest.approx([125.0] * 3)
+    assert charge_wants(topo, {0: 300.0}).tolist() == pytest.approx([125.0] * 3)
+    assert deficits(topo, {0: 300.0}) == pytest.approx([125.0] * 3)
 
 
-def test_compute_charge_targets_capped_by_capacity():
+def test_charge_deficits_capped_by_capacity():
     topo = make_topology({1: (100.0, 0.0)}, {1: [1]}, {0: [1]})
-    targets = compute_charge_targets(topo, {0: 1000.0})
-    assert targets[0].target_mwd == pytest.approx(100.0)
+    assert deficits(topo, {0: 1000.0}) == pytest.approx([100.0])
 
 
-def test_compute_charge_targets_deficit_nonnegative():
+def test_charge_deficits_nonnegative():
     topo = make_topology({1: (1000.0, 900.0)}, {1: [1]}, {0: [1]})
-    targets = compute_charge_targets(topo, {0: 8.0})
     # Target 10 < stored 900: deficit clamps at zero.
-    assert targets[0].deficit_mwd == 0.0
+    assert deficits(topo, {0: 8.0}) == [0.0]
 
 
-def test_compute_charge_targets_rejects_missing_forecast():
+def test_charge_wants_rejects_missing_forecast():
     topo = make_topology({1: (1000.0, 0.0)}, {1: [1]}, {0: [1]})
-    with pytest.raises((KeyError, ValueError)):
-        compute_charge_targets(topo, {})
+    with pytest.raises(ValueError, match="missing \\[0\\]"):
+        charge_wants(topo, {})
 
 
 def test_prioritize_deficit_descending_with_id_ties():
-    targets = [
-        ChargeTarget(system_id=1, target_mwd=50.0, deficit_mwd=50.0),
-        ChargeTarget(system_id=2, target_mwd=80.0, deficit_mwd=80.0),
-        ChargeTarget(system_id=3, target_mwd=80.0, deficit_mwd=80.0),
-    ]
-    assert prioritize(targets) == [2, 3, 1]
+    # Returns positions: ids 2 and 3 tie on deficit and go in id order.
+    assert prioritize([50.0, 80.0, 80.0], [1, 2, 3]) == [1, 2, 0]
 
 
 def test_prioritize_all_zero_is_ascending_ids():
-    targets = [
-        ChargeTarget(system_id=i, target_mwd=0.0, deficit_mwd=0.0) for i in (3, 1, 2)
-    ]
-    assert prioritize(targets) == [1, 2, 3]
+    assert prioritize([0.0, 0.0, 0.0], [3, 1, 2]) == [1, 2, 0]
 
 
 # --- allocate_priority ----------------------------------------------------
@@ -152,59 +155,43 @@ def test_allocate_priority_two_pass_hand_trace():
     # Source 1 holds 100; the single system needs 60 and has 300 headroom:
     # pass 1 delivers 60, pass 2 delivers the remaining 40, nothing curtailed.
     topo = make_topology({1: (300.0, 0.0)}, {1: [1]})
-    targets = [ChargeTarget(system_id=1, target_mwd=60.0, deficit_mwd=60.0)]
-    alloc = allocate_priority([1], targets, {1: 100.0}, topo)
-    assert alloc.amounts == pytest.approx({(1, 1): 100.0})
-    assert alloc.total_curtailed() == pytest.approx(0.0)
+    flow, curtailed = allocate_priority(topo.wiring, [0], [60.0], headroom(topo), [100.0])
+    assert np.array(flow) == pytest.approx(np.array([[100.0]]))
+    assert curtailed == [0.0]
 
 
 def test_allocate_priority_exhausts_on_high_priority_first():
     # 100 MWd across deficits (80, 80): the higher-priority system gets 80,
     # the other gets the remaining 20.
     topo = make_topology({1: (1000.0, 0.0), 2: (1000.0, 0.0)}, {1: [1, 2]})
-    targets = [
-        ChargeTarget(system_id=1, target_mwd=80.0, deficit_mwd=80.0),
-        ChargeTarget(system_id=2, target_mwd=80.0, deficit_mwd=80.0),
-    ]
-    alloc = allocate_priority([1, 2], targets, {1: 100.0}, topo)
-    assert alloc.inflow(1) == pytest.approx(80.0)
-    assert alloc.inflow(2) == pytest.approx(20.0)
+    flow, _ = allocate_priority(topo.wiring, [0, 1], [80.0, 80.0], headroom(topo), [100.0])
+    assert inflow(flow) == pytest.approx([80.0, 20.0])
 
 
 def test_allocate_priority_curtails_when_full():
     topo = make_topology({1: (100.0, 100.0)}, {1: [1]})
-    targets = [ChargeTarget(system_id=1, target_mwd=100.0, deficit_mwd=0.0)]
-    alloc = allocate_priority([1], targets, {1: 100.0}, topo)
-    assert alloc.inflow(1) == pytest.approx(0.0)
-    assert alloc.curtailed[1] == pytest.approx(100.0)
+    flow, curtailed = allocate_priority(topo.wiring, [0], [0.0], headroom(topo), [100.0])
+    assert inflow(flow) == pytest.approx([0.0])
+    assert curtailed == pytest.approx([100.0])
 
 
 def test_allocate_priority_pass1_draws_sources_ascending():
     # System 1 (priority) needs 50: source 1 is drained first, source 2 covers
     # the rest; pass 2 then spreads leftovers to system 2's headroom.
     topo = make_topology({1: (50.0, 0.0), 2: (1000.0, 0.0)}, {1: [1, 2], 2: [1, 2]})
-    targets = [
-        ChargeTarget(system_id=1, target_mwd=50.0, deficit_mwd=50.0),
-        ChargeTarget(system_id=2, target_mwd=0.0, deficit_mwd=0.0),
-    ]
-    alloc = allocate_priority([1, 2], targets, {1: 30.0, 2: 40.0}, topo)
-    assert alloc.amounts[(1, 1)] == pytest.approx(30.0)
-    assert alloc.amounts[(2, 1)] == pytest.approx(20.0)
-    assert alloc.amounts[(2, 2)] == pytest.approx(20.0)
-    assert alloc.total_curtailed() == pytest.approx(0.0)
+    flow, curtailed = allocate_priority(
+        topo.wiring, [0, 1], [50.0, 0.0], headroom(topo), [30.0, 40.0]
+    )
+    assert np.array(flow) == pytest.approx(np.array([[30.0, 0.0], [20.0, 20.0]]))
+    assert curtailed == pytest.approx([0.0, 0.0])
 
 
 def test_allocate_priority_respects_adjacency():
     topo = make_topology({1: (1000.0, 0.0), 2: (1000.0, 0.0)}, {1: [1], 2: [2]})
-    targets = [
-        ChargeTarget(system_id=1, target_mwd=10.0, deficit_mwd=10.0),
-        ChargeTarget(system_id=2, target_mwd=500.0, deficit_mwd=500.0),
-    ]
-    alloc = allocate_priority([2, 1], targets, {1: 100.0, 2: 100.0}, topo)
+    flow, _ = allocate_priority(topo.wiring, [1, 0], [10.0, 500.0], headroom(topo), [100.0, 100.0])
     # Source 1 only reaches system 1 even though system 2 has priority.
-    assert alloc.inflow(1) == pytest.approx(100.0)
-    assert alloc.inflow(2) == pytest.approx(100.0)
-    assert all(sid == 1 for (src, sid) in alloc.amounts if src == 1)
+    assert inflow(flow) == pytest.approx([100.0, 100.0])
+    assert flow[0][1] == 0.0
 
 
 # --- allocate_equal -------------------------------------------------------
@@ -214,34 +201,33 @@ def test_allocate_equal_symmetric_split():
     topo = make_topology(
         {1: (1000.0, 0.0), 2: (1000.0, 0.0), 3: (1000.0, 0.0)}, {1: [1, 2, 3]}
     )
-    alloc = allocate_equal({1: 90.0}, topo)
-    assert [alloc.inflow(i) for i in (1, 2, 3)] == pytest.approx([30.0, 30.0, 30.0])
+    flow, _ = allocate_equal(topo.wiring, headroom(topo), [90.0])
+    assert inflow(flow) == pytest.approx([30.0, 30.0, 30.0])
 
 
 def test_allocate_equal_water_fills_overflow():
     topo = make_topology(
         {1: (10.0, 0.0), 2: (100.0, 0.0), 3: (100.0, 0.0)}, {1: [1, 2, 3]}
     )
-    alloc = allocate_equal({1: 90.0}, topo)
-    assert [alloc.inflow(i) for i in (1, 2, 3)] == pytest.approx([10.0, 40.0, 40.0])
+    flow, _ = allocate_equal(topo.wiring, headroom(topo), [90.0])
+    assert inflow(flow) == pytest.approx([10.0, 40.0, 40.0])
 
 
 def test_allocate_equal_curtails_when_all_full():
     topo = make_topology({1: (100.0, 100.0), 2: (50.0, 50.0)}, {1: [1, 2]})
-    alloc = allocate_equal({1: 75.0}, topo)
-    assert alloc.total_curtailed() == pytest.approx(75.0)
+    _, curtailed = allocate_equal(topo.wiring, headroom(topo), [75.0])
+    assert curtailed == pytest.approx([75.0])
 
 
 def test_single_source_single_system_policies_agree():
     for energy, stored in [(40.0, 0.0), (500.0, 100.0), (1000.0, 900.0)]:
-        topo_a = make_topology({1: (1000.0, stored)}, {1: [1]})
-        topo_b = make_topology({1: (1000.0, stored)}, {1: [1]})
-        targets = compute_charge_targets(topo_a, {0: 200.0})
-        order = prioritize(targets)
-        a = allocate_priority(order, targets, {1: energy}, topo_a)
-        b = allocate_equal({1: energy}, topo_b)
-        assert a.inflow(1) == pytest.approx(b.inflow(1))
-        assert a.total_curtailed() == pytest.approx(b.total_curtailed())
+        topo = make_topology({1: (1000.0, stored)}, {1: [1]})
+        deficit = deficits(topo, {0: 200.0})
+        order = prioritize(deficit, [1])
+        a = allocate_priority(topo.wiring, order, deficit, headroom(topo), [energy])
+        b = allocate_equal(topo.wiring, headroom(topo), [energy])
+        assert inflow(a[0]) == pytest.approx(inflow(b[0]))
+        assert a[1] == pytest.approx(b[1])
 
 
 # --- allocation properties ---------------------------------------------------
@@ -258,7 +244,7 @@ def grids(draw):
         specs[sid] = (cap, draw(st.floats(0.0, 1.0)) * cap)
     wiring = st.lists(st.integers(1, n_sys), min_size=1, unique=True).map(sorted)
     sources = {src: draw(wiring) for src in range(1, draw(st.integers(1, 4)) + 1)}
-    energies = {src: draw(st.floats(0.0, 400.0)) for src in sources}
+    energies = [draw(st.floats(0.0, 400.0)) for _ in sources]
     topo = make_topology(specs, sources, {0: list(specs)})
     return topo, energies, draw(st.floats(0.0, 600.0))
 
@@ -267,78 +253,67 @@ def grids(draw):
 @given(grid=grids())
 def test_allocation_properties(grid):
     topo, energies, forecast = grid
-    targets = compute_charge_targets(topo, {0: forecast})
-    headroom = {s.id: system_headroom(s) for s in topo.systems}
-    wired = {(src.id, sid) for src in topo.sources for sid in src.connected_systems}
-    for alloc in (
-        allocate_priority(prioritize(targets), targets, energies, topo),
-        allocate_equal(energies, topo),
+    w, room = topo.wiring, headroom(topo)
+    deficit = deficits(topo, {0: forecast})
+    for flow, curtailed in (
+        allocate_priority(w, prioritize(deficit, [s.id for s in topo.systems]), deficit,
+                          list(room), energies),
+        allocate_equal(w, list(room), energies),
     ):
-        assert all(v >= 0.0 for v in [*alloc.amounts.values(), *alloc.curtailed.values()])
-        assert set(alloc.amounts) <= wired
-        for sid, room in headroom.items():
-            assert alloc.inflow(sid) <= room + 1e-6
-        for src, energy in energies.items():
-            delivered = sum(v for (s, _), v in alloc.amounts.items() if s == src)
-            assert delivered + alloc.curtailed.get(src, 0.0) == pytest.approx(energy, abs=1e-6)
+        assert all(v >= 0.0 for v in [*np.ravel(flow), *curtailed])
+        for k, rows in enumerate(w.source_rows):
+            assert not any(flow[k][i] for i in range(len(room)) if i not in rows)
+        for got, open_room in zip(inflow(flow), room):
+            assert got <= open_room + 1e-6
+        for row, energy, curt in zip(flow, energies, curtailed):
+            assert sum(row) + curt == pytest.approx(energy, abs=1e-6)
 
 
 # --- discharge ------------------------------------------------------------
 
 
 def test_discharge_shares_proportional_to_stored():
-    systems = [
-        make_system(1, 1000.0, 200.0),
-        make_system(2, 1000.0, 100.0),
-        make_system(3, 1000.0, 100.0),
-    ]
-    out = discharge_shares(200.0, systems)
-    assert out.contributions == pytest.approx({1: 100.0, 2: 50.0, 3: 50.0})
-    assert out.served_mwd == pytest.approx(200.0)
-    assert out.unmet_mwd == pytest.approx(0.0)
+    give, served = discharge_shares(200.0, [200.0, 100.0, 100.0])
+    assert give == pytest.approx([100.0, 50.0, 50.0])
+    assert served == pytest.approx(200.0)
 
 
 def test_discharge_shares_full_drain_is_exact():
-    systems = [make_system(1, 1000.0, 123.456), make_system(2, 1000.0, 76.544)]
-    pool = [stored_energy(s) for s in systems]
-    out = discharge_shares(500.0, systems)
+    pool = [123.456, 76.544]
+    give, served = discharge_shares(500.0, pool)
     # When demand exceeds the pool every system contributes its exact stored
     # energy, bit for bit — no proportional rounding residue.
-    assert out.contributions[1] == pool[0]
-    assert out.contributions[2] == pool[1]
-    assert out.served_mwd == pytest.approx(200.0)
-    assert out.unmet_mwd == pytest.approx(300.0)
+    assert give == pool
+    assert served == pytest.approx(200.0)
+    assert 500.0 - served == pytest.approx(300.0)
 
 
 def test_discharge_shares_zero_demand():
-    systems = [make_system(1, 1000.0, 100.0)]
-    out = discharge_shares(0.0, systems)
-    assert out.contributions[1] == pytest.approx(0.0)
-    assert out.unmet_mwd == 0.0
+    give, served = discharge_shares(0.0, [100.0])
+    assert give == pytest.approx([0.0])
+    assert served == 0.0
 
 
 def test_discharge_shares_empty_pool_all_unmet():
-    systems = [make_system(1, 1000.0, 0.0)]
-    out = discharge_shares(50.0, systems)
-    assert out.served_mwd == 0.0
-    assert out.unmet_mwd == pytest.approx(50.0)
+    give, served = discharge_shares(50.0, [0.0])
+    assert served == 0.0
+    assert give == [0.0]
 
 
 @settings(deadline=None)
 @given(
-    stored=st.dictionaries(st.integers(1, 9), st.floats(0.0, 300.0), min_size=1, max_size=5),
+    stored=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=5),
     share=st.floats(0.0, 1.5),
     extra=st.floats(0.0, 1.0),
 )
-def test_split_by_storage_properties(stored, share, extra):
-    pool = sum(stored.values())
+def test_discharge_shares_properties(stored, share, extra):
+    pool = sum(stored)
     demand = share * pool + extra
-    out = split_by_storage(demand, stored)
-    assert sum(out.contributions.values()) == pytest.approx(min(demand, pool), abs=1e-6)
-    for sid, energy in stored.items():
-        assert out.contributions[sid] <= energy + 1e-6
-        assert 0.0 <= out.contributions[sid] <= energy
-    assert out.served_mwd + out.unmet_mwd == pytest.approx(demand, abs=1e-6)
+    give, served = discharge_shares(demand, stored)
+    assert sum(give) == pytest.approx(min(demand, pool), abs=1e-6)
+    for amount, energy in zip(give, stored):
+        assert 0.0 <= amount <= energy
+    assert served == pytest.approx(min(demand, pool), abs=1e-6)
     if demand >= pool:
         # A full drain gives each system exactly what it stores, bit for bit.
-        assert out.contributions == stored
+        assert give == stored

@@ -16,9 +16,7 @@ from hybridgrid import (
     initialize_state,
     run_simulation,
     step_day,
-    stored_energy,
     summary_csv,
-    system_soc,
     trace_csv,
 )
 from hybridgrid.scenario import load_scenario, parse_scenario
@@ -47,17 +45,18 @@ def test_run_produces_one_record_per_day():
 
 def test_run_does_not_mutate_input_topology():
     cfg, topo = parse_scenario(small_doc(days=5))
-    before = [stored_energy(s) for s in topo.systems]
+    before = GridUnits(topo.systems)
     run_simulation(cfg, topo)
-    after = [stored_energy(s) for s in topo.systems]
-    assert before == after
+    after = GridUnits(topo.systems)
+    assert after.energy.tolist() == before.energy.tolist()
+    assert after.soh.tolist() == before.soh.tolist()
 
 
 def test_daily_conservation_identities():
     cfg, topo = parse_scenario(small_doc(days=60, seed=11))
     trace = run_simulation(cfg, topo)
     state = initialize_state(cfg, topo)
-    prev_soc = {s.id: system_soc(s) for s in state.topology.systems}
+    prev_soc = dict(zip(state.units.ids, state.units.soc_pct.tolist()))
     caps = {s.id: s.capacity_mwd for s in state.topology.systems}
     for record in trace.records:
         for sid in caps:

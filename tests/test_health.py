@@ -9,10 +9,8 @@ from hybridgrid import (
     BatteryUnit,
     GridUnits,
     StorageSystem,
-    degrade_on_charge,
     split_equally,
     split_equally_rows,
-    stored_energy,
 )
 
 
@@ -61,13 +59,13 @@ def test_rank_units_orders_by_score_then_position():
     )
     # Positions, not ids: the unit at position 1 (id 11) fills first, and the
     # equal-score tie resolves by unit position, ascending.
-    assert g.charge_ranked([75.0])[0] == pytest.approx([25.0, 50.0, 0.0])
+    assert g.charge([75.0], True)[0] == pytest.approx([25.0, 50.0, 0.0])
 
 
 def test_padding_units_rank_last_and_take_nothing():
     g = grid([unit(uid=0)], [unit(uid=i) for i in range(3)])
     assert g.scores()[0, 1:].tolist() == [-np.inf, -np.inf]
-    moved = g.charge_equal([100.0, 90.0])
+    moved = g.charge([100.0, 90.0], False)
     assert moved.tolist() == [[100.0, 0.0, 0.0], [30.0, 30.0, 30.0]]
     assert g.energy[0, 1:].tolist() == [0.0, 0.0]
 
@@ -75,10 +73,10 @@ def test_padding_units_rank_last_and_take_nothing():
 # --- degradation ----------------------------------------------------------
 
 
-def test_degrade_on_charge_full_cycle_reference():
-    u = unit(r_charge=0.01)
-    degrade_on_charge(u, 100.0)  # one full capacity's worth
-    assert u.soh_pct == pytest.approx(100.0 - 0.01, rel=1e-12)
+def test_charge_wear_full_cycle_reference():
+    g = grid([unit(r_charge=0.01)])
+    g.charge([100.0], False)  # one full capacity's worth
+    assert g.soh[0, 0] == pytest.approx(100.0 - 0.01, rel=1e-12)
 
 
 def test_degrade_on_discharge_scales_with_energy():
@@ -88,21 +86,23 @@ def test_degrade_on_discharge_scales_with_energy():
 
 
 def test_degrade_leaves_energy_untouched():
-    u = unit(energy=60.0, r_charge=0.1)
-    degrade_on_charge(u, 10.0)
-    assert u.energy_mwd == 60.0
+    # Wear costs SoH only: the unit stores exactly what it was charged.
+    g = grid([unit(energy=60.0, r_charge=0.1)])
+    g.charge([10.0], False)
+    assert g.energy[0, 0] == 70.0
+    assert g.soh[0, 0] == 100.0 - 10.0 * 0.1 / 100.0
 
 
 def test_degrade_floors_at_zero():
-    u = unit(soh=0.004, r_charge=0.01)
-    degrade_on_charge(u, 100.0)
-    assert u.soh_pct == 0.0
+    g = grid([unit(soh=0.004, r_charge=0.01)])
+    g.charge([100.0], False)
+    assert g.soh[0, 0] == 0.0
 
 
 def test_degrade_zero_quantity_is_noop():
-    u = unit(r_charge=0.01)
-    degrade_on_charge(u, 0.0)
-    assert u.soh_pct == 100.0
+    g = grid([unit(r_charge=0.01)])
+    assert g.charge([0.0], False).tolist() == [[0.0]]
+    assert g.soh[0, 0] == 100.0
 
 
 # --- ranked distribution ---------------------------------------------------
@@ -110,7 +110,7 @@ def test_degrade_zero_quantity_is_noop():
 
 def test_distribute_ranked_small_charge_goes_to_top_unit():
     g = grid([unit(uid=0, soh=80.0), unit(uid=1, soh=100.0)])
-    amounts = g.charge_ranked([40.0])
+    amounts = g.charge([40.0], True)
     # Unit 1 outranks unit 0 (higher SoH, same SoC) and has 100 headroom.
     assert amounts[0] == pytest.approx([0.0, 40.0])
     assert g.energy[0, 1] == pytest.approx(40.0)
@@ -120,32 +120,32 @@ def test_distribute_ranked_greedy_overflow_to_next():
     # Both units are empty (equal SoC term); the healthier one outranks but
     # only has 30 MWd of headroom, so the remaining 10 cascades to the next.
     g = grid([unit(uid=0, capacity=30.0, soh=100.0), unit(uid=1, soh=80.0)])
-    assert g.charge_ranked([40.0])[0] == pytest.approx([30.0, 10.0])
+    assert g.charge([40.0], True)[0] == pytest.approx([30.0, 10.0])
 
 
 def test_distribute_ranked_full_headroom_fills_everything():
     g = grid([unit(uid=0, energy=20.0), unit(uid=1)])
-    amounts = g.charge_ranked(g.capacity - g.stored)
+    amounts = g.charge(g.capacity - g.stored, True)
     assert amounts[0] == pytest.approx([80.0, 100.0])
     assert g.energy[0] == pytest.approx(g.cap[0])
 
 
 def test_distribute_ranked_zero_is_noop():
     g = grid([unit(uid=0, r_charge=0.1)])
-    assert g.charge_ranked([0.0]).tolist() == [[0.0]]
+    assert g.charge([0.0], True).tolist() == [[0.0]]
     assert g.soh[0, 0] == 100.0
 
 
 def test_distribute_ranked_applies_charge_wear():
     g = grid([unit(uid=0, r_charge=0.01)])
-    g.charge_ranked([100.0])
+    g.charge([100.0], True)
     assert g.soh[0, 0] == pytest.approx(99.99)
 
 
 def test_distribute_ranked_rejects_overflow():
     g = grid([unit(uid=0)])
     with pytest.raises(ValueError, match="system 1: charge"):
-        g.charge_ranked([100.1])
+        g.charge([100.1], True)
 
 
 def test_distribute_ranked_ranks_once_not_per_mwd():
@@ -153,12 +153,12 @@ def test_distribute_ranked_ranks_once_not_per_mwd():
     # the day's ranking is computed once: the top unit is filled to headroom
     # before any energy reaches the next unit.
     g = grid([unit(uid=0, soh=99.0), unit(uid=1, soh=100.0)])
-    assert g.charge_ranked([120.0])[0] == pytest.approx([20.0, 100.0])
+    assert g.charge([120.0], True)[0] == pytest.approx([20.0, 100.0])
 
 
 def test_distribute_ranked_stores_all_charge_with_duplicate_unit_ids():
     g = grid([unit(uid=0), unit(uid=0)])
-    assert g.charge_ranked([150.0])[0] == pytest.approx([100.0, 50.0])
+    assert g.charge([150.0], True)[0] == pytest.approx([100.0, 50.0])
     assert g.stored[0] == pytest.approx(150.0)
 
 
@@ -167,24 +167,24 @@ def test_distribute_ranked_stores_all_charge_with_duplicate_unit_ids():
 
 def test_distribute_equal_symmetric():
     g = grid([unit(uid=i) for i in range(10)])
-    assert g.charge_equal([100.0])[0] == pytest.approx([10.0] * 10)
+    assert g.charge([100.0], False)[0] == pytest.approx([10.0] * 10)
 
 
 def test_distribute_equal_water_fills():
     g = grid([unit(uid=0, energy=95.0), unit(uid=1, energy=5.0)])
-    assert g.charge_equal([100.0])[0] == pytest.approx([5.0, 95.0])
+    assert g.charge([100.0], False)[0] == pytest.approx([5.0, 95.0])
 
 
 def test_distribute_equal_applies_wear():
     g = grid([unit(uid=0, r_charge=0.02), unit(uid=1, r_charge=0.02)])
-    g.charge_equal([100.0])
+    g.charge([100.0], False)
     assert g.soh[0] == pytest.approx([100.0 - 0.02 * 0.5] * 2)
 
 
 def test_distribute_equal_rejects_overflow():
     g = grid([unit(uid=0)], [unit(uid=0)])
     with pytest.raises(ValueError, match="system 2: charge"):
-        g.charge_equal([0.0, 101.0])
+        g.charge([0.0, 101.0], False)
 
 
 # --- discharge -------------------------------------------------------------
@@ -232,7 +232,7 @@ def test_distribution_conservation_fuzz():
         g = GridUnits(systems)
         before = g.stored.copy()
         q = rng.uniform(0.0, 1.0, len(systems)) * (g.capacity - g.stored)
-        amounts = g.charge_ranked(q) if rng.random() < 0.5 else g.charge_equal(q)
+        amounts = g.charge(q, rng.random() < 0.5)
         assert amounts.sum(axis=1) == pytest.approx(q, abs=1e-9)
         assert g.stored == pytest.approx(before + q, abs=1e-6)
         assert (amounts >= -1e-9).all()
@@ -283,7 +283,7 @@ def test_totals_add_units_left_to_right_bitwise(systems):
     assert g.mean_soh_pct.tolist() == means
 
 
-@pytest.mark.parametrize("move", ["charge_ranked", "charge_equal", "discharge"])
+@pytest.mark.parametrize("move", ["ranked", "equal", "discharge"])
 @settings(deadline=None)
 @given(systems=ragged_systems(), data=st.data())
 def test_unit_state_change_properties(move, systems, data):
@@ -296,7 +296,7 @@ def test_unit_state_change_properties(move, systems, data):
     amount = np.array(share) * limit
     tol = 1e-9 * g.capacity
 
-    moved = getattr(g, move)(amount)
+    moved = g.discharge(amount) if discharging else g.charge(amount, move == "ranked")
 
     assert moved.sum(axis=1) == pytest.approx(amount, abs=tol.max())
     assert np.all(np.abs(g.stored - (stored + sign * amount)) <= tol)
@@ -318,7 +318,7 @@ def test_unit_state_change_properties(move, systems, data):
 def test_ranked_charge_reaches_a_unit_only_once_better_units_are_full(systems, share, w_soh):
     g = GridUnits(systems)
     score = g.scores(w_soh, 1.0 - w_soh)
-    moved = g.charge_ranked(share * (g.capacity - g.stored), w_soh, 1.0 - w_soh)
+    moved = g.charge(share * (g.capacity - g.stored), True, w_soh, 1.0 - w_soh)
     for i, s in enumerate(systems):
         for j in np.flatnonzero(moved[i] > 0):
             for k in range(len(s.units)):
@@ -346,10 +346,7 @@ def test_stacked_mixed_charge_equals_each_system_alone(grids, data):
 
     for i, (s, flag) in enumerate(zip(systems, ranked)):
         alone, k = GridUnits([s]), len(s.units)
-        if flag:
-            want = alone.charge_ranked(q[i : i + 1], w_soh, 1.0 - w_soh)
-        else:
-            want = alone.charge_equal(q[i : i + 1])
+        want = alone.charge(q[i : i + 1], flag, w_soh, 1.0 - w_soh)
         assert hexes(moved[i, :k]) == hexes(want)
         assert hexes(stacked.energy[i, :k]) == hexes(alone.energy)
         assert hexes(stacked.soh[i, :k]) == hexes(alone.soh)
@@ -387,7 +384,7 @@ def draws_on_systems(draw):
     """Two grids of the same ragged systems and 1-6 rounds of draws that sum,
     per system, to at most its store."""
     systems = draw(ragged_systems(max_units=12, min_soh=50.0, max_rate=10.0))
-    stored = np.array([stored_energy(s) for s in systems])
+    stored = GridUnits(systems).stored
     rounds = draw(st.integers(1, 6))
     weights = np.array(
         draw(st.lists(st.floats(0.0, 1.0), min_size=rounds * len(systems),

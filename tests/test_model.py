@@ -6,14 +6,12 @@ from hybridgrid import (
     BatteryUnit,
     EnergySource,
     GridTopology,
+    GridUnits,
     LoadCenter,
     SolarPlantParams,
     StorageSystem,
     WindPlantParams,
     reference_topology,
-    stored_energy,
-    system_headroom,
-    system_soc,
     validate_topology,
 )
 
@@ -41,14 +39,19 @@ def test_battery_unit_rejects_bad_soh():
         BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=0.0, soh_pct=101.0)
 
 
-def test_system_soc_reference_case():
+def soc_pct(*systems):
+    return GridUnits(list(systems)).soc_pct.tolist()
+
+
+def test_soc_pct_reference_case():
     # Ten units of capacity 100 MWd each holding 50 MWd -> 50%.
-    assert system_soc(make_system()) == pytest.approx(50.0, rel=1e-12)
+    assert soc_pct(make_system()) == pytest.approx([50.0], rel=1e-12)
 
 
-def test_system_soc_empty_and_full():
-    assert system_soc(make_system(energy=0.0)) == 0.0
-    assert system_soc(make_system(energy=100.0)) == pytest.approx(100.0)
+def test_soc_pct_empty_and_full():
+    assert soc_pct(make_system(energy=0.0), make_system(energy=100.0)) == pytest.approx(
+        [0.0, 100.0]
+    )
 
 
 def test_storage_system_rejects_empty_unit_list():
@@ -56,11 +59,11 @@ def test_storage_system_rejects_empty_unit_list():
         StorageSystem(id=1, units=[])
 
 
-def test_stored_energy_and_headroom_sum_to_capacity():
-    system = make_system(energy=37.5)
-    assert stored_energy(system) + system_headroom(system) == pytest.approx(
-        system.capacity_mwd
-    )
+def test_stored_and_headroom_sum_to_capacity():
+    units = GridUnits([make_system(energy=37.5)])
+    assert units.capacity.tolist() == [1000.0]
+    assert units.stored == pytest.approx([375.0])
+    assert units.capacity - units.stored == pytest.approx([625.0])
 
 
 def test_system_mean_soh():
@@ -68,7 +71,7 @@ def test_system_mean_soh():
         BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=0.0, soh_pct=90.0),
         BatteryUnit(id=1, capacity_mwd=100.0, energy_mwd=0.0, soh_pct=70.0),
     ]
-    assert StorageSystem(id=1, units=units).mean_soh_pct == pytest.approx(80.0)
+    assert GridUnits([StorageSystem(id=1, units=units)]).mean_soh_pct == pytest.approx([80.0])
 
 
 def test_reference_topology_shape():
@@ -109,10 +112,9 @@ def test_reference_topology_source_wiring():
 
 
 def test_reference_topology_initial_state_applied():
-    topo = reference_topology(initial_soc_pct=80.0, initial_soh_pct=95.0)
-    for system in topo.systems:
-        assert system_soc(system) == pytest.approx(80.0)
-        assert system.mean_soh_pct == pytest.approx(95.0)
+    units = GridUnits(reference_topology(initial_soc_pct=80.0, initial_soh_pct=95.0).systems)
+    assert units.soc_pct == pytest.approx([80.0] * 7)
+    assert units.mean_soh_pct == pytest.approx([95.0] * 7)
 
 
 def test_reference_topology_validates_clean():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hybridgrid import system_soc, validate_topology
+from hybridgrid import GridUnits, validate_topology
 from hybridgrid.scenario import load_scenario, parse_scenario
 
 
@@ -33,7 +33,7 @@ def test_parse_applies_initial_soc():
     doc = minimal_doc()
     doc["topology"]["initial_soc_pct"] = 25.0
     _, topo = parse_scenario(doc)
-    assert all(system_soc(s) == pytest.approx(25.0) for s in topo.systems)
+    assert GridUnits(topo.systems).soc_pct == pytest.approx([25.0] * 7)
 
 
 def test_parse_toggles():
@@ -279,6 +279,21 @@ def test_parse_accepts_integral_floats(keys, path, valid):
     for name in ("days", "seed", "forecasting"):
         assert getattr(cfg_f, name) == getattr(cfg_i, name)
     assert topo_f == topo_i
+
+
+STREAM_KEYS = ("run.seed", "topology.systems[1].id", "loads.centers[0].id")
+
+
+@pytest.mark.parametrize("keys, path, valid", [f for f in INTEGER_FIELDS if f[1] in STREAM_KEYS])
+@pytest.mark.parametrize("spread", [0.0, 0.5])
+def test_parse_rejects_negative_seed_and_ids(keys, path, valid, spread):
+    # The seed keys every synthetic stream, a load id its demand stream and a
+    # system id its wear-spread stream; numpy takes no negative key.
+    doc = explicit_doc()
+    doc["degradation"]["rate_spread"] = spread
+    _set(doc, keys, -1)
+    with pytest.raises(ValueError, match=re.escape(f"{path} must be >= 0, got -1")):
+        parse_scenario(doc)
 
 
 # --- float fields ------------------------------------------------------------------
