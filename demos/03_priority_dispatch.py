@@ -49,7 +49,7 @@ def main():
     # Flows are [source, system] in the wiring's order; each call uses up the
     # headroom list it is given, so each gets its own.
     energy = [per_source[src.id] for src in w.sources]
-    headroom = np.maximum(0.0, units.capacity - units.stored).tolist()
+    headroom = units.headroom.tolist()
     priority_flow, priority_curtailed = allocate_priority(
         w, order, deficits, list(headroom), energy
     )

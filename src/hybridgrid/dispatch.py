@@ -76,10 +76,9 @@ def charge_wants(t: GridTopology, load_forecasts: dict) -> np.ndarray:
         raise ValueError(f"need one non-negative forecast per load: bad {bad}, missing {missing}")
     want = np.zeros(np.broadcast_shapes(*(f.shape for f in fcs.values())) + (len(t.systems),))
     for load in t.loads:
+        share = CHARGE_BUFFER * fcs[load.id] / len(load.connected_systems)
         for sid in load.connected_systems:
-            want[..., t.wiring.row_of[sid]] += (
-                CHARGE_BUFFER * fcs[load.id] / len(load.connected_systems)
-            )
+            want[..., t.wiring.row_of[sid]] += share
     return want
 
 

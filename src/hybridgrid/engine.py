@@ -204,7 +204,7 @@ def _step(state: SimulationState, day: int) -> list[DailyRecord]:
 
     # 1. Grid-level dispatch per run; only the priority policy reads forecasts.
     #    A system's inflow adds its sources' gifts in ascending source id.
-    headroom = np.maximum(0.0, units.capacity - units.stored).tolist()
+    headroom = units.headroom.tolist()
     charge_in, curtailed = [], []
     for cfg, rows in zip(state.arms, runs):
         if cfg.priority_enabled:

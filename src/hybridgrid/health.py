@@ -67,9 +67,9 @@ def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
 class GridUnits:
     """Energy, SoH, capacity and wear rates of every unit as [S, U] arrays.
 
-    Row i holds systems[i]'s units in order; stored, soc_pct and mean_soh_pct
-    are per row. Each move takes one amount per row and returns what each
-    unit moved.
+    Row i holds systems[i]'s units in order; stored, headroom, soc_pct and
+    mean_soh_pct are per row. Each move takes one amount per row and returns
+    what each unit moved.
     """
 
     def __init__(self, systems: list[StorageSystem]) -> None:
@@ -90,6 +90,10 @@ class GridUnits:
     @property
     def soc_pct(self) -> np.ndarray:
         return self.stored / self.capacity * 100.0
+
+    @property
+    def headroom(self) -> np.ndarray:
+        return np.maximum(0.0, self.capacity - self.stored)
 
     @property
     def mean_soh_pct(self) -> np.ndarray:
@@ -119,7 +123,7 @@ class GridUnits:
         day's charge lands on the units that looked best at its start. The
         other rows split equally across their units, overflow re-split.
         """
-        left = self._check(q, np.maximum(0.0, self.capacity - self.stored), "charge")
+        left = self._check(q, self.headroom, "charge")
         headroom = np.maximum(0.0, self.cap - self.energy)
         ranked = np.reshape(ranked, (-1, 1))
         amounts = split_equally_rows(np.where(ranked[:, 0], 0.0, left), headroom)

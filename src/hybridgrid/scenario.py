@@ -158,7 +158,7 @@ def _number(value, where: str) -> float:
 
 
 def _key(value, where: str) -> int:
-    """A seed or id that keys a seeded random stream, which takes no negative number."""
+    """A seed or id, which may key a seeded random stream and so is never negative."""
     key = as_int(value, where)
     if key < 0:
         raise ValueError(f"{where} must be >= 0, got {key}")

@@ -135,16 +135,20 @@ def _random_dispatch_instance(rng):
     return topo, energies
 
 
-def _assert_allocation_invariants(allocation, energy, headrooms, wiring, tol=1e-6):
-    """allocation is (flow[source][system row], curtailed per source); energy
-    and headrooms are what the sources and rows held before it."""
+def _assert_allocation_invariants(allocation, energy, headrooms, topo, tol=1e-6):
+    """allocation is (flow[source][system], curtailed per source), sources in
+    ascending id and systems in topo.systems order; energy and headrooms are
+    what the sources and systems held before it."""
     flow, curtailed = allocation
+    ids = [s.id for s in topo.systems]
+    sources = sorted(topo.sources, key=lambda s: s.id)
+    assert len(flow) == len(sources)
     inflow = [0.0] * len(headrooms)
     for k, gifts in enumerate(flow):
         for i, amount in enumerate(gifts):
             assert amount >= -tol
             if amount > 0:
-                assert i in wiring.source_rows[k]
+                assert ids[i] in sources[k].connected_systems
             inflow[i] += amount
         assert abs(sum(gifts) + curtailed[k] - energy[k]) <= tol
     for total_in, room in zip(inflow, headrooms):
@@ -162,14 +166,14 @@ def test_criterion_2_conservation_fuzz_10000_instances():
         units, w = GridUnits(topo.systems), topo.wiring
         stored = units.stored.tolist()
         deficit = charge_deficits(units.capacity, charge_wants(topo, forecasts), stored).tolist()
-        headrooms = np.maximum(0.0, units.capacity - units.stored).tolist()
+        headrooms = units.headroom.tolist()
         energy = [energies[src.id] for src in w.sources]
         order = prioritize(deficit, units.ids)
         _assert_allocation_invariants(
-            allocate_priority(w, order, deficit, list(headrooms), energy), energy, headrooms, w
+            allocate_priority(w, order, deficit, list(headrooms), energy), energy, headrooms, topo
         )
         _assert_allocation_invariants(
-            allocate_equal(w, list(headrooms), energy), energy, headrooms, w
+            allocate_equal(w, list(headrooms), energy), energy, headrooms, topo
         )
 
         pool = sum(stored)
@@ -240,7 +244,7 @@ def test_criterion_3_priority_matches_bruteforce_coverage():
                 for deficits in itertools.product(GRID_VALUES, repeat=n_sys):
                     topo = _complete_topology(n_src, deficits)
                     units = GridUnits(topo.systems)
-                    headrooms = np.maximum(0.0, units.capacity - units.stored).tolist()
+                    headrooms = units.headroom.tolist()
                     order = prioritize(list(deficits), units.ids)
                     flow, _ = allocate_priority(
                         topo.wiring, order, list(deficits), headrooms, list(energies)

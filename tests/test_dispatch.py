@@ -53,12 +53,6 @@ def make_topology(system_specs, source_map, load_map=None):
     return GridTopology(systems=systems, loads=loads, sources=sources)
 
 
-def headroom(topo):
-    """Each system's open headroom, as the engine reads it from the units."""
-    units = GridUnits(topo.systems)
-    return np.maximum(0.0, units.capacity - units.stored).tolist()
-
-
 def deficits(topo, forecasts):
     units = GridUnits(topo.systems)
     return charge_deficits(units.capacity, charge_wants(topo, forecasts), units.stored).tolist()
@@ -155,7 +149,8 @@ def test_allocate_priority_two_pass_hand_trace():
     # Source 1 holds 100; the single system needs 60 and has 300 headroom:
     # pass 1 delivers 60, pass 2 delivers the remaining 40, nothing curtailed.
     topo = make_topology({1: (300.0, 0.0)}, {1: [1]})
-    flow, curtailed = allocate_priority(topo.wiring, [0], [60.0], headroom(topo), [100.0])
+    room = GridUnits(topo.systems).headroom.tolist()
+    flow, curtailed = allocate_priority(topo.wiring, [0], [60.0], room, [100.0])
     assert np.array(flow) == pytest.approx(np.array([[100.0]]))
     assert curtailed == [0.0]
 
@@ -164,13 +159,15 @@ def test_allocate_priority_exhausts_on_high_priority_first():
     # 100 MWd across deficits (80, 80): the higher-priority system gets 80,
     # the other gets the remaining 20.
     topo = make_topology({1: (1000.0, 0.0), 2: (1000.0, 0.0)}, {1: [1, 2]})
-    flow, _ = allocate_priority(topo.wiring, [0, 1], [80.0, 80.0], headroom(topo), [100.0])
+    room = GridUnits(topo.systems).headroom.tolist()
+    flow, _ = allocate_priority(topo.wiring, [0, 1], [80.0, 80.0], room, [100.0])
     assert inflow(flow) == pytest.approx([80.0, 20.0])
 
 
 def test_allocate_priority_curtails_when_full():
     topo = make_topology({1: (100.0, 100.0)}, {1: [1]})
-    flow, curtailed = allocate_priority(topo.wiring, [0], [0.0], headroom(topo), [100.0])
+    room = GridUnits(topo.systems).headroom.tolist()
+    flow, curtailed = allocate_priority(topo.wiring, [0], [0.0], room, [100.0])
     assert inflow(flow) == pytest.approx([0.0])
     assert curtailed == pytest.approx([100.0])
 
@@ -179,16 +176,16 @@ def test_allocate_priority_pass1_draws_sources_ascending():
     # System 1 (priority) needs 50: source 1 is drained first, source 2 covers
     # the rest; pass 2 then spreads leftovers to system 2's headroom.
     topo = make_topology({1: (50.0, 0.0), 2: (1000.0, 0.0)}, {1: [1, 2], 2: [1, 2]})
-    flow, curtailed = allocate_priority(
-        topo.wiring, [0, 1], [50.0, 0.0], headroom(topo), [30.0, 40.0]
-    )
+    room = GridUnits(topo.systems).headroom.tolist()
+    flow, curtailed = allocate_priority(topo.wiring, [0, 1], [50.0, 0.0], room, [30.0, 40.0])
     assert np.array(flow) == pytest.approx(np.array([[30.0, 0.0], [20.0, 20.0]]))
     assert curtailed == pytest.approx([0.0, 0.0])
 
 
 def test_allocate_priority_respects_adjacency():
     topo = make_topology({1: (1000.0, 0.0), 2: (1000.0, 0.0)}, {1: [1], 2: [2]})
-    flow, _ = allocate_priority(topo.wiring, [1, 0], [10.0, 500.0], headroom(topo), [100.0, 100.0])
+    room = GridUnits(topo.systems).headroom.tolist()
+    flow, _ = allocate_priority(topo.wiring, [1, 0], [10.0, 500.0], room, [100.0, 100.0])
     # Source 1 only reaches system 1 even though system 2 has priority.
     assert inflow(flow) == pytest.approx([100.0, 100.0])
     assert flow[0][1] == 0.0
@@ -201,7 +198,7 @@ def test_allocate_equal_symmetric_split():
     topo = make_topology(
         {1: (1000.0, 0.0), 2: (1000.0, 0.0), 3: (1000.0, 0.0)}, {1: [1, 2, 3]}
     )
-    flow, _ = allocate_equal(topo.wiring, headroom(topo), [90.0])
+    flow, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [90.0])
     assert inflow(flow) == pytest.approx([30.0, 30.0, 30.0])
 
 
@@ -209,13 +206,13 @@ def test_allocate_equal_water_fills_overflow():
     topo = make_topology(
         {1: (10.0, 0.0), 2: (100.0, 0.0), 3: (100.0, 0.0)}, {1: [1, 2, 3]}
     )
-    flow, _ = allocate_equal(topo.wiring, headroom(topo), [90.0])
+    flow, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [90.0])
     assert inflow(flow) == pytest.approx([10.0, 40.0, 40.0])
 
 
 def test_allocate_equal_curtails_when_all_full():
     topo = make_topology({1: (100.0, 100.0), 2: (50.0, 50.0)}, {1: [1, 2]})
-    _, curtailed = allocate_equal(topo.wiring, headroom(topo), [75.0])
+    _, curtailed = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [75.0])
     assert curtailed == pytest.approx([75.0])
 
 
@@ -224,8 +221,9 @@ def test_single_source_single_system_policies_agree():
         topo = make_topology({1: (1000.0, stored)}, {1: [1]})
         deficit = deficits(topo, {0: 200.0})
         order = prioritize(deficit, [1])
-        a = allocate_priority(topo.wiring, order, deficit, headroom(topo), [energy])
-        b = allocate_equal(topo.wiring, headroom(topo), [energy])
+        room = GridUnits(topo.systems).headroom.tolist()
+        a = allocate_priority(topo.wiring, order, deficit, list(room), [energy])
+        b = allocate_equal(topo.wiring, room, [energy])
         assert inflow(a[0]) == pytest.approx(inflow(b[0]))
         assert a[1] == pytest.approx(b[1])
 
@@ -253,16 +251,21 @@ def grids(draw):
 @given(grid=grids())
 def test_allocation_properties(grid):
     topo, energies, forecast = grid
-    w, room = topo.wiring, headroom(topo)
+    units = GridUnits(topo.systems)
+    w, room = topo.wiring, units.headroom.tolist()
     deficit = deficits(topo, {0: forecast})
+    wired = {(src.id, sid) for src in topo.sources for sid in src.connected_systems}
     for flow, curtailed in (
-        allocate_priority(w, prioritize(deficit, [s.id for s in topo.systems]), deficit,
-                          list(room), energies),
+        allocate_priority(w, prioritize(deficit, units.ids), deficit, list(room), energies),
         allocate_equal(w, list(room), energies),
     ):
         assert all(v >= 0.0 for v in [*np.ravel(flow), *curtailed])
-        for k, rows in enumerate(w.source_rows):
-            assert not any(flow[k][i] for i in range(len(room)) if i not in rows)
+        # Flow rows are sources in ascending id, columns the topology's systems.
+        sources = sorted(topo.sources, key=lambda s: s.id)
+        assert len(flow) == len(sources)
+        given = {(src.id, units.ids[i]) for src, gifts in zip(sources, flow)
+                 for i, amount in enumerate(gifts) if amount}
+        assert given <= wired
         for got, open_room in zip(inflow(flow), room):
             assert got <= open_room + 1e-6
         for row, energy, curt in zip(flow, energies, curtailed):
