@@ -17,8 +17,9 @@ def main():
     print("=== Stress year: priority vs equal dispatch ===")
     cfg, topo = load_scenario("scenarios/stress.json")
     report = compare(cfg, topo, "priority")
-    z_on = sum(report.zero_soc_events_treatment.values())
-    z_off = sum(report.zero_soc_events_baseline.values())
+    prio, equal = report.treatment.summary, report.baseline.summary
+    z_on = sum(prio.zero_soc_events.values())
+    z_off = sum(equal.zero_soc_events.values())
     worst = min(
         min(r.soc_pct.values()) for r in report.treatment.records
     )
@@ -26,8 +27,8 @@ def main():
     print(f"  zero-SoC events with equal split       : {z_off}")
     print(f"  lowest SoC any system touched (priority): {worst:.2f}%")
     print(
-        f"  unmet demand: priority {report.total_unmet_treatment_mwd:.0f} MWd, "
-        f"equal {report.total_unmet_baseline_mwd:.0f} MWd"
+        f"  unmet demand: priority {prio.total_unmet_mwd:.0f} MWd, "
+        f"equal {equal.total_unmet_mwd:.0f} MWd"
     )
 
     print()

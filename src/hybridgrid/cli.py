@@ -103,8 +103,8 @@ def cmd_compare(args) -> int:
     mean_gain = f"{sum(gains) / len(gains):+.3f} pp" if gains else "n/a"
     print(
         f"axis={args.axis}: mean SoH gain {mean_gain}, zero-SoC events "
-        f"{sum(report.zero_soc_events_treatment.values())} (on) vs "
-        f"{sum(report.zero_soc_events_baseline.values())} (off)"
+        f"{sum(report.treatment.summary.zero_soc_events.values())} (on) vs "
+        f"{sum(report.baseline.summary.zero_soc_events.values())} (off)"
     )
     return EXIT_OK
 

@@ -1,29 +1,29 @@
 """Daily-tick simulation engine and A/B comparison runner.
 
-Weather, per-source generation, realized demand, the day-ahead demand
-forecasts and each system's charge want do not depend on policy. They are
-built once per run (forecasts and wants on first use, with every SARIMA fit
-of the run in one fit_sarima_many batch). compare() runs its two arms in
-lockstep on them: one health.GridUnits holds both arms' units as arm-major
-rows (row b * S + i is system i of arm b), and each day makes one charge
-call and one discharge call for the whole batch. run_simulation and
-step_day are the one-arm case of the same step. Each day dispatches
-charging per arm at the grid level (priority or equal, on the topology's
-Wiring index lists), distributes each system's inflow across its units
-(health-ranked or equal, row by row), then settles realized demand: each
-arm settles its loads in ascending id on running system totals, each load
-seeing storage as the previous load of its arm left it, and the discharge
-takes every arm's totals from the units. The topology is only read.
+A SimulationState is one run, or several in lockstep: one config per arm
+(arms differ only in their policy toggles) over one topology. Weather,
+per-source generation, realized demand, the day-ahead demand forecasts and
+each system's charge want do not depend on policy, so the state builds them
+once for all its arms (forecasts and wants on first use, with every SARIMA
+fit of the run in one fit_sarima_many batch). One health.GridUnits holds
+every arm's units as arm-major rows (row b * S + i is system i of arm b),
+and step_day makes one charge call and one discharge call for the whole
+batch. run_simulation is the one-arm case; compare() runs two arms. Each day
+dispatches charging per arm at the grid level (priority or equal, on the
+topology's Wiring index lists), distributes each system's inflow across its
+units (health-ranked or equal, row by row), then settles realized demand:
+each arm settles its loads in ascending id on running system totals, each
+load seeing storage as the previous load of its arm left it, and the
+discharge takes every arm's totals from the units. The topology is only read.
 
 Runs are deterministic: a config and seed reproduce byte-identical traces.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -59,7 +59,7 @@ DEFAULT_BASE_DEMAND_MWD = 100.0
 
 
 class SimulationError(RuntimeError):
-    """Raised when a run cannot proceed (exhausted data, broken topology)."""
+    """Raised when a run cannot proceed (e.g. its CSV data is exhausted)."""
 
 
 @dataclass
@@ -98,27 +98,35 @@ class ComparisonReport:
 
     axis: str
     soh_gain_pct_points: dict[int, float]
-    zero_soc_events_treatment: dict[int, int]
-    zero_soc_events_baseline: dict[int, int]
-    total_unmet_treatment_mwd: float
-    total_unmet_baseline_mwd: float
     treatment: SimulationTrace
     baseline: SimulationTrace
 
 
-class Drivers:
-    """Policy-independent inputs of one run, shared by both arms of compare().
+def _warmup_forecast(demand: list[float], day: int, s: int) -> float:
+    """Seasonal-naive once a season of history exists, else the last value."""
+    if day >= s:
+        return max(0.0, seasonal_naive(demand[day - s : day], s))
+    return demand[day - 1] if day else 0.0
 
-    Generation and forecasts are computed on first use, so a run whose
-    dispatch never reads forecasts (the equal split) never fits a model.
+
+class SimulationState:
+    """One or more runs in lockstep: one config per arm (arms differ only in
+    their policy toggles), the policy-independent inputs they share, and
+    units with the arms stacked as arm-major rows.
+
+    Generation, forecasts and wants are computed on first use, so a run
+    whose dispatch never reads forecasts (the equal split) never fits a model.
     """
 
-    def __init__(self, cfg: ScenarioConfig, topology: GridTopology) -> None:
-        self.days = cfg.days
-        self.forecasting = cfg.forecasting
+    def __init__(self, arms: list[ScenarioConfig], topology: GridTopology) -> None:
+        violations = validate_topology(topology)
+        if violations:
+            raise ValueError("invalid topology: " + "; ".join(str(v) for v in violations))
+        self.arms = arms
         self.topology = topology
-        self.weather_by_day = _build_weather(cfg, topology)
-        self.demand_by_load = _build_demand(cfg, topology, self)
+        self.units = GridUnits(topology.systems * len(arms))
+        self.weather_by_day = _build_weather(arms[0], topology)
+        self.demand_by_load = _build_demand(arms[0], topology, self)
 
     @cached_property
     def generation(self) -> list[dict[int, float]]:
@@ -132,10 +140,10 @@ class Drivers:
         seasonal-naive during warm-up, then a SARIMA model refit every
         refit_interval_days on the trailing window, its one-step forecast
         standing until the next refit. All fits of the run are one batch."""
-        fc = self.forecasting
+        days, fc = self.arms[0].days, self.arms[0].forecasting
         o = fc.orders
         warmup = max(3 * o.s, 30, o.min_series_length())
-        fit_days = range(warmup, self.days, fc.refit_interval_days)
+        fit_days = range(warmup, days, fc.refit_interval_days)
         windows = [
             series[max(0, day - fc.train_window_days) : day]
             for series in self.demand_by_load.values()
@@ -150,7 +158,7 @@ class Drivers:
                 _warmup_forecast(d, day, o.s)
                 if day < warmup
                 else standing[(day - warmup) // fc.refit_interval_days]
-                for day in range(self.days)
+                for day in range(days)
             ]
         return out
 
@@ -158,48 +166,15 @@ class Drivers:
     def wants(self) -> np.ndarray:
         """W[day, system]: charge_wants over each day's forecasts."""
         want = charge_wants(self.topology, self.forecasts)
-        return np.broadcast_to(want, (self.days, len(self.topology.systems)))
+        return np.broadcast_to(want, (self.arms[0].days, len(self.topology.systems)))
 
 
-def _warmup_forecast(demand: list[float], day: int, s: int) -> float:
-    """Seasonal-naive once a season of history exists, else the last value."""
-    if day >= s:
-        return max(0.0, seasonal_naive(demand[day - s : day], s))
-    return demand[day - 1] if day else 0.0
-
-
-@dataclass
-class SimulationState:
-    """One or more runs in lockstep: one config per arm (arms differ only in
-    their policy toggles), their shared drivers, and units with the arms
-    stacked as arm-major rows."""
-
-    arms: list[ScenarioConfig]
-    topology: GridTopology
-    drivers: Drivers
-    units: GridUnits
-
-    @property
-    def weather_by_day(self) -> list[list[WeatherSample]]:
-        return self.drivers.weather_by_day
-
-    @property
-    def demand_by_load(self) -> dict[int, np.ndarray]:
-        return self.drivers.demand_by_load
-
-
-def step_day(state: SimulationState, day: int) -> DailyRecord:
-    """Advance a one-run state by one day and return its end-of-day record."""
-    (record,) = _step(state, day)
-    return record
-
-
-def _step(state: SimulationState, day: int) -> list[DailyRecord]:
-    """Advance every run by one day; one record per run."""
-    t, units, drivers = state.topology, state.units, state.drivers
+def step_day(state: SimulationState, day: int) -> list[DailyRecord]:
+    """Advance every run of the state by one day; one record per run."""
+    t, units = state.topology, state.units
     w, ids = t.wiring, units.ids[: len(t.systems)]
     runs = [slice(b * len(ids), (b + 1) * len(ids)) for b in range(len(state.arms))]
-    generated = drivers.generation[day]
+    generated = state.generation[day]
     energy = [generated[src.id] for src in w.sources]
 
     # 1. Grid-level dispatch per run; only the priority policy reads forecasts.
@@ -209,7 +184,7 @@ def _step(state: SimulationState, day: int) -> list[DailyRecord]:
     for cfg, rows in zip(state.arms, runs):
         if cfg.priority_enabled:
             deficit = charge_deficits(
-                units.capacity[rows], drivers.wants[day], units.stored[rows]
+                units.capacity[rows], state.wants[day], units.stored[rows]
             ).tolist()
             order = prioritize(deficit, ids)
             flow, curt = allocate_priority(w, order, deficit, headroom[rows], energy)
@@ -232,7 +207,7 @@ def _step(state: SimulationState, day: int) -> list[DailyRecord]:
     #    draws in sequence: draws d1 then d2 take min(e_i, l1 + l2) from unit
     #    i, as one draw of d1 + d2 does, and wear is linear in the amount drawn.
     stored = units.stored.tolist()
-    demand = [float(drivers.demand_by_load[lid][day]) for lid in w.load_ids]
+    demand = [float(state.demand_by_load[lid][day]) for lid in w.load_ids]
     discharge_out, served, unmet = [], [{} for _ in runs], [{} for _ in runs]
     for rows, srv, short in zip(runs, served, unmet):
         left, out = stored[rows], [0.0] * len(ids)
@@ -287,7 +262,7 @@ def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSam
 
 
 def _build_demand(
-    cfg: ScenarioConfig, t: GridTopology, drivers: Drivers
+    cfg: ScenarioConfig, t: GridTopology, state: SimulationState
 ) -> dict[int, np.ndarray]:
     load_ids = [load.id for load in t.loads]
     if cfg.demand.kind == "csv":
@@ -312,7 +287,7 @@ def _build_demand(
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:
         total_gen = 0.0
-        for generated in drivers.generation:
+        for generated in state.generation:
             total_gen += sum(generated.values())
         mean_gen = total_gen / cfg.days
         mean_demand = sum(float(np.mean(d)) for d in demand.values())
@@ -324,18 +299,8 @@ def _build_demand(
 
 
 def initialize_state(cfg: ScenarioConfig, topology: GridTopology) -> SimulationState:
-    """Validate inputs and build the run's drivers and unit state."""
-    return _initialize([cfg], topology)
-
-
-def _initialize(arms: list[ScenarioConfig], topology: GridTopology) -> SimulationState:
-    violations = validate_topology(topology)
-    if violations:
-        raise SimulationError(
-            "invalid topology: " + "; ".join(str(v) for v in violations)
-        )
-    units = GridUnits(topology.systems * len(arms))
-    return SimulationState(arms, topology, Drivers(arms[0], topology), units)
+    """Validate inputs and build one run's inputs and unit state."""
+    return SimulationState([cfg], topology)
 
 
 def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTrace:
@@ -346,7 +311,7 @@ def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTra
 
 def _run(state: SimulationState) -> list[SimulationTrace]:
     """Run every arm of the state to the end in lockstep; one trace per arm."""
-    days = [_step(state, day) for day in range(state.arms[0].days)]
+    days = [step_day(state, day) for day in range(state.arms[0].days)]
     ids = [s.id for s in state.topology.systems]
     final_soh = state.units.mean_soh_pct.tolist()
     traces = []
@@ -396,28 +361,18 @@ def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> Compariso
 
     axis "priority" toggles grid-level dispatch; axis "health" toggles
     unit-level ranked distribution. Everything else, including the seed,
-    stays identical between the two runs, which share one set of drivers.
+    stays identical between the two arms, which run in lockstep on one
+    SimulationState and so share its weather, demand and forecasts.
     """
     if axis not in ("priority", "health"):
         raise ValueError(f"axis must be 'priority' or 'health', got {axis!r}")
 
-    arms = [copy.copy(cfg), copy.copy(cfg)]
-    for arm, flag in zip(arms, (True, False)):
-        setattr(arm, f"{axis}_enabled", flag)
-    treatment, baseline = _run(_initialize(arms, topology))
+    arms = [replace(cfg, **{f"{axis}_enabled": flag}) for flag in (True, False)]
+    treatment, baseline = _run(SimulationState(arms, topology))
 
     final_t, final_b = treatment.summary.final_mean_soh_pct, baseline.summary.final_mean_soh_pct
     gain = {sid: final_t[sid] - final_b[sid] for sid in final_t}
-    return ComparisonReport(
-        axis=axis,
-        soh_gain_pct_points=gain,
-        zero_soc_events_treatment=dict(treatment.summary.zero_soc_events),
-        zero_soc_events_baseline=dict(baseline.summary.zero_soc_events),
-        total_unmet_treatment_mwd=treatment.summary.total_unmet_mwd,
-        total_unmet_baseline_mwd=baseline.summary.total_unmet_mwd,
-        treatment=treatment,
-        baseline=baseline,
-    )
+    return ComparisonReport(axis, gain, treatment, baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +435,13 @@ def summary_csv(trace: SimulationTrace) -> str:
 
 
 def comparison_csv(report: ComparisonReport) -> str:
+    on, off = report.treatment.summary, report.baseline.summary
     lines = [COMPARISON_HEADER]
     for sid in sorted(report.soh_gain_pct_points):
         lines.append(
             f"{sid},{_f(report.soh_gain_pct_points[sid])},"
-            f"{report.zero_soc_events_treatment[sid]},"
-            f"{report.zero_soc_events_baseline[sid]},"
-            f"{_f(report.total_unmet_treatment_mwd)},"
-            f"{_f(report.total_unmet_baseline_mwd)}"
+            f"{on.zero_soc_events[sid]},{off.zero_soc_events[sid]},"
+            f"{_f(on.total_unmet_mwd)},{_f(off.total_unmet_mwd)}"
         )
     return "\n".join(lines) + "\n"
 

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from .forecast import DEFAULT_ORDERS, SarimaOrders
@@ -157,12 +158,17 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _check(value, ok: bool, rule: str, where: str):
+    """The value, once ok holds; else an error naming its key and the rule it breaks."""
+    if not ok:
+        raise ValueError(f"{where} must be {rule}, got {value!r}")
+    return value
+
+
 def _key(value, where: str) -> int:
     """A seed or id, which may key a seeded random stream and so is never negative."""
     key = as_int(value, where)
-    if key < 0:
-        raise ValueError(f"{where} must be >= 0, got {key}")
-    return key
+    return _check(key, key >= 0, ">= 0", where)
 
 
 def _string(value, where: str) -> str:
@@ -173,9 +179,7 @@ def _string(value, where: str) -> str:
 
 def _percent(section: dict, key: str, default: float, where: str) -> float:
     value = _number(section.get(key, default), f"{where}.{key}")
-    if not 0.0 <= value <= 100.0:
-        raise ValueError(f"{where}.{key} must be in [0, 100], got {value!r}")
-    return value
+    return _check(value, 0.0 <= value <= 100.0, "in [0, 100]", f"{where}.{key}")
 
 
 def _items(values, read, where: str) -> tuple:
@@ -232,46 +236,51 @@ def _parse_source(entry: dict, where: str) -> EnergySource:
     return EnergySource(sid, kind, params, connected, site)
 
 
+def _parse_system(cfg: ScenarioConfig, entry, where: str) -> StorageSystem:
+    _known(entry, _SYSTEM_KEYS, where)
+    sid = _key(_require(entry, "id", where), f"{where}.id")
+    count = as_int(entry.get("unit_count", 10), f"{where}.unit_count")
+    cap = _number(entry.get("unit_capacity_mwd", 100.0), f"{where}.unit_capacity_mwd")
+    _check(count, count >= 1, ">= 1", f"{where}.unit_count")
+    _check(cap, cap > 0, "> 0", f"{where}.unit_capacity_mwd")
+    deg = cfg.degradation
+    units = uniform_units(
+        count, cap, cfg.initial_soc_pct, cfg.initial_soh_pct, deg.r_charge, deg.r_discharge
+    )
+    return StorageSystem(id=sid, units=units)
+
+
+def _parse_center(entry, where: str) -> LoadCenter:
+    _known(entry, _CENTER_KEYS, where)
+    lid = _key(_require(entry, "id", where), f"{where}.id")
+    wired = _require(entry, "connected_systems", where)
+    return LoadCenter(id=lid, connected_systems=_items(wired, as_int, f"{where}.connected_systems"))
+
+
 def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
     topo = _known(doc.get("topology", {"reference": True}), _TOPOLOGY_KEYS, "topology")
     soc0 = _percent(topo, "initial_soc_pct", cfg.initial_soc_pct, "topology")
     soh0 = _percent(topo, "initial_soh_pct", cfg.initial_soh_pct, "topology")
     cfg.initial_soc_pct, cfg.initial_soh_pct = soc0, soh0
     deg = cfg.degradation
+    demand = _object(doc.get("loads", {}), "loads")
 
     if _flag(topo, "reference", False, "topology"):
         # The built-in grid brings its own plants, loads and systems.
         for listed, present in (
             ("sources", "sources" in doc),
-            ("loads.centers", "centers" in doc.get("loads", {})),
+            ("loads.centers", "centers" in demand),
             ("topology.systems", "systems" in topo),
         ):
             if present:
                 raise ValueError(f"{listed} cannot be given with topology.reference: true")
         t = reference_topology(soc0, soh0, deg.r_charge, deg.r_discharge)
     else:
-        systems = []
-        for i, entry in enumerate(_require(topo, "systems", "topology")):
-            where = f"topology.systems[{i}]"
-            _known(entry, _SYSTEM_KEYS, where)
-            sid = _key(_require(entry, "id", "topology.systems"), f"{where}.id")
-            count = as_int(entry.get("unit_count", 10), f"{where}.unit_count")
-            cap = _number(entry.get("unit_capacity_mwd", 100.0), f"{where}.unit_capacity_mwd")
-            units = uniform_units(count, cap, soc0, soh0, deg.r_charge, deg.r_discharge)
-            systems.append(StorageSystem(id=sid, units=units))
-        loads = []
-        for i, e in enumerate(_require(doc, "loads", "config")["centers"]):
-            where = f"loads.centers[{i}]"
-            _known(e, _CENTER_KEYS, where)
-            lid = _key(_require(e, "id", "loads"), f"{where}.id")
-            wired = _require(e, "connected_systems", "loads")
-            connected = _items(wired, as_int, f"{where}.connected_systems")
-            loads.append(LoadCenter(id=lid, connected_systems=connected))
-        sources = [
-            _parse_source(e, f"sources[{i}]")
-            for i, e in enumerate(_require(doc, "sources", "config"))
-        ]
-        t = GridTopology(systems=systems, loads=loads, sources=sources)
+        read_system = partial(_parse_system, cfg)
+        systems = _items(_require(topo, "systems", "topology"), read_system, "topology.systems")
+        loads = _items(_require(demand, "centers", "loads"), _parse_center, "loads.centers")
+        sources = _items(_require(doc, "sources", "config"), _parse_source, "sources")
+        t = GridTopology(list(systems), list(loads), list(sources))
 
     if deg.rate_spread > 0:
         for system in t.systems:
@@ -311,7 +320,10 @@ def _parse_demand(section, load_ids: set[str]) -> DemandConfig:
         return DemandConfig(kind="csv", path=path)
     params = _read(SynthDemandParams, section, "loads", ("kind", "centers", "base_mwd"))
     base = _known(section.get("base_mwd", {}), load_ids, "loads.base_mwd")
-    base_by_load = {int(k): _number(v, f"loads.base_mwd.{k}") for k, v in base.items()}
+    base_by_load = {}
+    for k, v in base.items():
+        mwd = _number(v, f"loads.base_mwd.{k}")
+        base_by_load[int(k)] = _check(mwd, mwd >= 0, ">= 0", f"loads.base_mwd.{k}")
     return DemandConfig(kind="synthetic", base_by_load=base_by_load, params=params)
 
 

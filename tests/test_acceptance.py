@@ -272,9 +272,9 @@ def test_criterion_4_stress_scenario_stability():
     cfg, topo = load_scenario(STRESS)
     assert cfg.days == 365 and cfg.seed == 42
     report = compare(cfg, topo, "priority")
-    for sid, events in report.zero_soc_events_treatment.items():
+    for sid, events in report.treatment.summary.zero_soc_events.items():
         assert events == 0, f"system {sid} hit zero SoC with priority dispatch"
-    assert sum(report.zero_soc_events_baseline.values()) >= 1
+    assert sum(report.baseline.summary.zero_soc_events.values()) >= 1
     assert time.perf_counter() - start < 10.0
 
 

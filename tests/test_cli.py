@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from conftest import SHARED_SYSTEMS_DOC
 
+from hybridgrid import compare
 from hybridgrid.cli import main
+from hybridgrid.scenario import load_scenario
 
 TOY = "scenarios/toy.json"
+CENTERS = SHARED_SYSTEMS_DOC["loads"]["centers"]
 
 
 def write_toy_variant(tmp_path, **run_overrides):
@@ -37,7 +41,16 @@ def test_validate_bad_json_is_validation_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
-def test_validate_bad_topology_reports_violations(tmp_path, capsys):
+# A topology that parses but breaks an invariant is bad input to every command.
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["validate"], id="validate"),
+        pytest.param(["simulate", "--out", "out"], id="simulate"),
+        pytest.param(["compare", "--axis", "priority", "--out", "out"], id="compare"),
+    ],
+)
+def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
     doc = {
         "topology": {"systems": [{"id": 1, "unit_count": 1, "unit_capacity_mwd": 10.0}]},
         "sources": [
@@ -60,9 +73,11 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert main(["validate", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "unknown-system" in out
+    name, *flags = command
+    flags = [str(tmp_path / f) if f == "out" else f for f in flags]
+    assert main([name, str(path), *flags]) == 1
+    printed = capsys.readouterr()
+    assert "load 0: unknown-system" in printed.out + printed.err
 
 
 @pytest.mark.parametrize(
@@ -77,11 +92,11 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys):
         ),
         (
             "loads",
-            {"kind": "csv", "path": "d.csv", "gen_fraction": 0.5},
+            {"kind": "csv", "path": "d.csv", "centers": CENTERS, "gen_fraction": 0.5},
             "unknown key loads.gen_fraction",
         ),
-        ("loads", {"base_mwd": {"99": 10.0}}, "unknown key loads.base_mwd.99"),
-        ("loads", {"base_mwd": {"x": 10.0}}, "unknown key loads.base_mwd.x"),
+        ("loads", {"centers": CENTERS, "base_mwd": {"99": 10.0}}, "unknown key loads.base_mwd.99"),
+        ("loads", {"centers": CENTERS, "base_mwd": {"x": 10.0}}, "unknown key loads.base_mwd.x"),
         ("weather", {"sites": {"costal": {}}}, "unknown key weather.sites.costal"),
         (
             "topology",
@@ -96,11 +111,42 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys):
         # Seeds and ids key seeded random streams, which take no negative number.
         ("run", {"seed": -1}, "run.seed must be >= 0, got -1"),
         ("topology", {"systems": [{"id": -1}]}, "topology.systems[0].id must be >= 0, got -1"),
+        # List sections that are missing or not lists.
+        ("loads", {"kind": "synthetic"}, "loads: missing required key 'centers'"),
+        ("loads", {"centers": 5}, "loads.centers must be a JSON list, got 5"),
+        ("sources", 5, "sources must be a JSON list, got 5"),
+        ("topology", {"systems": {"id": 1}}, "topology.systems must be a JSON list, got {'id': 1}"),
+        # Out-of-range numbers.
+        (
+            "topology",
+            {"systems": [{"id": 1, "unit_count": 0}]},
+            "topology.systems[0].unit_count must be >= 1, got 0",
+        ),
+        (
+            "topology",
+            {"systems": [{"id": 1, "unit_count": -1}]},
+            "topology.systems[0].unit_count must be >= 1, got -1",
+        ),
+        (
+            "topology",
+            {"systems": [{"id": 1, "unit_capacity_mwd": 0}]},
+            "topology.systems[0].unit_capacity_mwd must be > 0, got 0.0",
+        ),
+        (
+            "topology",
+            {"systems": [{"id": 1, "unit_capacity_mwd": -5}]},
+            "topology.systems[0].unit_capacity_mwd must be > 0, got -5.0",
+        ),
+        (
+            "loads",
+            {"centers": CENTERS, "base_mwd": {"0": -1.0}},
+            "loads.base_mwd.0 must be >= 0, got -1.0",
+        ),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):
-    doc = json.loads(open(TOY).read())
-    doc[section] = body
+    # An explicit grid, so that its sources and load centers are read too.
+    doc = {**SHARED_SYSTEMS_DOC, section: body}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
@@ -278,9 +324,13 @@ def test_simulate_non_finite_csv_value_is_validation_error(tmp_path, capsys, bad
 # --- compare --------------------------------------------------------------------
 
 
-def test_compare_writes_reports(tmp_path):
+def test_compare_writes_reports(tmp_path, capsys):
     out_dir = tmp_path / "cmp"
     assert main(["compare", TOY, "--axis", "priority", "--out", str(out_dir)]) == 0
+    report = compare(*load_scenario(TOY), "priority")
+    on = sum(report.treatment.summary.zero_soc_events.values())
+    off = sum(report.baseline.summary.zero_soc_events.values())
+    assert f"zero-SoC events {on} (on) vs {off} (off)" in capsys.readouterr().out
     comparison = (out_dir / "comparison.csv").read_text()
     series = (out_dir / "series.csv").read_text()
     assert comparison.startswith("system_id,")

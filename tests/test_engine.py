@@ -85,7 +85,7 @@ def test_served_plus_unmet_equals_realized_demand():
     cfg, topo = parse_scenario(small_doc(days=40, seed=13))
     state = initialize_state(cfg, topo)
     for day in range(cfg.days):
-        record = step_day(state, day)
+        (record,) = step_day(state, day)
         for lid, series in state.demand_by_load.items():
             assert record.served_mwd[lid] + record.unmet_mwd[lid] == pytest.approx(
                 series[day], abs=1e-9
@@ -213,7 +213,7 @@ def test_each_system_discharges_at_most_once_a_day(monkeypatch):
     state = initialize_state(cfg, topo)
     for day in range(cfg.days):
         calls.clear()
-        record = step_day(state, day)
+        (record,) = step_day(state, day)
         assert calls == [[record.discharge_out_mwd[sid] for sid in state.units.ids]]
     assert state.units.ids == [s.id for s in topo.systems]
 
@@ -380,6 +380,16 @@ def test_compare_fits_each_window_once(monkeypatch):
     compare(cfg, topo, "health")
     # Warm-up ends on day 32 and the model refits every 30 days: days 32 and 62.
     assert len(windows) == len(set(windows)) == 2 * len(topo.loads)
+
+
+def test_initialize_state_fits_no_model(monkeypatch):
+    windows = record_fit_windows(monkeypatch)
+    cfg, topo = parse_scenario(small_doc(days=80, seed=5))
+    assert cfg.priority_enabled
+    state = initialize_state(cfg, topo)
+    assert windows == []
+    assert state.wants.shape == (cfg.days, len(topo.systems))
+    assert len(windows) == 2 * len(topo.loads)
 
 
 def test_equal_split_run_fits_no_model(monkeypatch):
