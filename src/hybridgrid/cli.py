@@ -139,9 +139,7 @@ def cmd_forecast(args) -> int:
     for lid, model, values in zip(sorted(series_by_load), models, steps):
         coeffs = {
             "ar": list(map(float, model.ar_coeffs)),
-            "ma": list(map(float, model.ma_coeffs)),
             "seasonal_ar": list(map(float, model.seasonal_ar_coeffs)),
-            "seasonal_ma": list(map(float, model.seasonal_ma_coeffs)),
         }
         print(
             f"load {lid}: intercept {model.intercept:.6f} coeffs {json.dumps(coeffs)} "

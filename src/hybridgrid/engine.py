@@ -282,7 +282,11 @@ def _build_demand(
     base = {
         lid: cfg.demand.base_by_load.get(lid, DEFAULT_BASE_DEMAND_MWD) for lid in load_ids
     }
-    demand = synth_demand(cfg.seed, cfg.days, base, cfg.demand.params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        demand = synth_demand(cfg.seed, cfg.days, base, cfg.demand.params)
+        total = sum(float(np.sum(d)) for d in demand.values())
+    if not np.isfinite(total):
+        raise ValueError("loads: synthetic demand summed over loads and days is not finite")
 
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:

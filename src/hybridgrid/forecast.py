@@ -1,7 +1,8 @@
 """Demand forecasting and weather-driven generation prediction.
 
-The demand forecaster is a seasonal ARIMA fitted by minimizing the
-conditional sum of squared one-step residuals on the differenced series.
+The demand forecaster is a multiplicative seasonal AR model of the series
+after regular and seasonal differencing, fitted by minimizing the
+conditional sum of squared one-step residuals.
 Estimation is fully deterministic: coefficients start at zero, the intercept
 starts at the differenced-series mean, and a fixed-parameter Nelder-Mead
 simplex (iteration cap 2000, tolerance 1e-8) does the search, so refitting
@@ -18,11 +19,11 @@ a lone evaluation (see _css_objective). fit_sarima is a batch of one.
 Model convention, with B the backshift operator and w the series after d
 regular and D seasonal differences:
 
-    phi(B) * PHI(B^s) * (w_t - mu) = theta(B) * THETA(B^s) * eps_t
+    phi(B) * PHI(B^s) * (w_t - mu) = eps_t
 
-with phi(B) = 1 - phi_1 B - ..., theta(B) = 1 + theta_1 B + ... and the
-seasonal polynomials in B^s alike. Residuals before the first full AR window
-are conditioned to zero.
+with phi(B) = 1 - phi_1 B - ... and PHI(B^s) = 1 - PHI_1 B^s - .... The
+orders keep the (p, d, q)(P, D, Q)_s shape, but the moving-average orders q
+and Q must be 0. The sum of squares starts at the first full AR window.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .generation import daily_energy, solar_power, wind_power
 from .model import EnergySource, as_int
@@ -65,7 +65,7 @@ class WeatherSample:
 
 @dataclass(frozen=True)
 class SarimaOrders:
-    """(p, d, q)(P, D, Q)_s orders; all non-negative, s >= 2, d + D <= 2."""
+    """(p, d, q)(P, D, Q)_s orders; all non-negative, q = Q = 0, s >= 2, d + D <= 2."""
 
     p: int
     d: int
@@ -80,6 +80,8 @@ class SarimaOrders:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"order {name} must be a non-negative int, got {v!r}")
+        if self.q or self.Q:
+            raise ValueError(f"moving-average orders q and Q must be 0, got {self.q} and {self.Q}")
         if not isinstance(self.s, int) or self.s < 2:
             raise ValueError(f"season length s must be an int >= 2, got {self.s!r}")
         if self.d + self.D > 2:
@@ -90,10 +92,13 @@ class SarimaOrders:
         vals = [as_int(v, f"{where}[{i}]") for i, v in enumerate(seq)]
         if len(vals) != 7:
             raise ValueError(f"{where} needs exactly 7 integers p,d,q,P,D,Q,s, got {len(vals)}")
-        return cls(*vals)
+        try:
+            return cls(*vals)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
     def min_series_length(self) -> int:
-        return 3 * self.s + self.p + self.q + 10
+        return 3 * self.s + self.p + 10
 
 
 DEFAULT_ORDERS = SarimaOrders(1, 0, 0, 1, 0, 0, 7)
@@ -105,14 +110,11 @@ class SarimaModel:
 
     orders: SarimaOrders
     ar_coeffs: np.ndarray
-    ma_coeffs: np.ndarray
     seasonal_ar_coeffs: np.ndarray
-    seasonal_ma_coeffs: np.ndarray
     intercept: float
     converged: bool
     # Tails, most recent value last.
     _diff_tail: np.ndarray
-    _resid_tail: np.ndarray
     _level_tail: np.ndarray
 
 
@@ -137,61 +139,28 @@ def _diff_poly(d: int, D: int, s: int) -> np.ndarray:
     return poly
 
 
-def _expand(coeffs: np.ndarray, seasonal: np.ndarray, s: int, sign: float) -> np.ndarray:
-    """Multiplicative lag polynomial (1 + sign*c_1 B + ...)(1 + sign*C_1 B^s + ...)."""
+def _expand(coeffs: np.ndarray, seasonal: np.ndarray, s: int) -> np.ndarray:
+    """Multiplicative AR lag polynomial (1 - c_1 B - ...)(1 - C_1 B^s - ...)."""
     a = np.zeros(len(coeffs) + 1)
     a[0] = 1.0
     if len(coeffs):
-        a[1:] = sign * coeffs
+        a[1:] = -coeffs
     b = np.zeros(len(seasonal) * s + 1)
     b[0] = 1.0
     if len(seasonal):
-        b[s::s] = sign * seasonal
+        b[s::s] = -seasonal
     return np.convolve(a, b)
-
-
-def _split_params(x: np.ndarray, o: SarimaOrders):
-    i = 0
-    phi = x[i : i + o.p]
-    i += o.p
-    theta = x[i : i + o.q]
-    i += o.q
-    sphi = x[i : i + o.P]
-    i += o.P
-    stheta = x[i : i + o.Q]
-    i += o.Q
-    return phi, theta, sphi, stheta, float(x[i])
-
-
-def _residuals(w: np.ndarray, o: SarimaOrders, x: np.ndarray) -> np.ndarray:
-    """Conditional one-step residuals on the differenced series."""
-    phi, theta, sphi, stheta, mu = _split_params(x, o)
-    wt = w - mu
-    ar = _expand(phi, sphi, o.s, -1.0)
-    ma = _expand(theta, stheta, o.s, +1.0)
-    L = len(ar) - 1
-    n = len(wt)
-    if L > 0:
-        u = np.zeros(n - L)
-        for k, a in enumerate(ar):
-            if a != 0.0:
-                u += a * wt[L - k : n - k]
-    else:
-        u = wt.copy()
-    if len(ma) > 1:
-        u = lfilter([1.0], ma, u)
-    return u
 
 
 def _css_objective(ws: list[np.ndarray], o: SarimaOrders):
     """Build the CSS objective f(x, rows) of a batch of differenced windows.
 
     Row r of x is a parameter vector for window ws[rows[r]]; f returns one
-    sum of squares per row. For q = Q = 0 the residual is linear in lagged
-    observations with coefficients multilinear in the parameters, so the sum
-    of squares is a small quadratic form b' G b over a Gram matrix computed
-    once per window. This is algebraically identical to the direct
-    evaluation and keeps repeated refits cheap.
+    sum of squares per row. The residual is linear in lagged observations
+    with coefficients multilinear in the parameters, so the sum of squares
+    is a small quadratic form b' G b over a Gram matrix computed once per
+    window. This is algebraically identical to the direct evaluation and
+    keeps repeated refits cheap.
 
     Bit-exactness with a lone evaluation: b sums the products of
     (1, -phi) and (1, -PHI) into its lag slots in (i, j) loop order, and the
@@ -199,50 +168,40 @@ def _css_objective(ws: list[np.ndarray], o: SarimaOrders):
     matmul makes per row the same BLAS vector-matrix product and dot product
     that ``b @ G @ b`` makes on one row.
     """
-    if o.q == 0 and o.Q == 0:
-        L = o.p + o.s * o.P
-        pair_lags = [i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)]
-        lags = sorted(set(pair_lags))
-        m = len(lags)
-        # Pair column of each lag slot's first term, then the later terms
-        # of slots that several pairs share (only when p >= s).
-        first = np.array([pair_lags.index(lag) for lag in lags])
-        repeats = [
-            (lags.index(lag), col)
-            for col, lag in enumerate(pair_lags)
-            if pair_lags.index(lag) != col
-        ]
-        G = np.empty((len(ws), m + 1, m + 1))
-        for r, w in enumerate(ws):
-            n = len(w)
-            cols = [w[L - lag : n - lag] for lag in lags]
-            cols.append(np.ones(n - L))
-            X = np.column_stack(cols)
-            G[r] = X.T @ X
-
-        def objective(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            k = len(x)
-            a = np.ones((k, o.p + 1))
-            np.negative(x[:, : o.p], out=a[:, 1:])
-            b = np.ones((k, o.P + 1))
-            np.negative(x[:, o.p : o.p + o.P], out=b[:, 1:])
-            c = (a[:, :, None] * b[:, None, :]).reshape(k, -1)
-            beta = np.empty((k, m + 1))
-            # A lone evaluation adds each term to a zero, which maps -0.0 to 0.0.
-            beta[:, :m] = c.take(first, axis=1) + 0.0
-            for slot, col in repeats:
-                beta[:, slot] += c[:, col]
-            beta[:, m] = -x[:, -1] * np.add.accumulate(c, axis=1)[:, -1]
-            return np.matmul(np.matmul(beta[:, None, :], G[rows]), beta[:, :, None])[:, 0, 0]
-
-        return objective
+    L = o.p + o.s * o.P
+    pair_lags = [i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)]
+    lags = sorted(set(pair_lags))
+    m = len(lags)
+    # Pair column of each lag slot's first term, then the later terms of
+    # slots that several pairs share (only when p >= s).
+    first = np.array([pair_lags.index(lag) for lag in lags])
+    repeats = [
+        (lags.index(lag), col)
+        for col, lag in enumerate(pair_lags)
+        if pair_lags.index(lag) != col
+    ]
+    G = np.empty((len(ws), m + 1, m + 1))
+    for r, w in enumerate(ws):
+        n = len(w)
+        cols = [w[L - lag : n - lag] for lag in lags]
+        cols.append(np.ones(n - L))
+        X = np.column_stack(cols)
+        G[r] = X.T @ X
 
     def objective(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        out = np.empty(len(x))
-        for r, (xr, row) in enumerate(zip(x, rows)):
-            eps = _residuals(ws[row], o, xr)
-            out[r] = eps @ eps
-        return out
+        k = len(x)
+        a = np.ones((k, o.p + 1))
+        np.negative(x[:, : o.p], out=a[:, 1:])
+        b = np.ones((k, o.P + 1))
+        np.negative(x[:, o.p : o.p + o.P], out=b[:, 1:])
+        c = (a[:, :, None] * b[:, None, :]).reshape(k, -1)
+        beta = np.empty((k, m + 1))
+        # A lone evaluation adds each term to a zero, which maps -0.0 to 0.0.
+        beta[:, :m] = c.take(first, axis=1) + 0.0
+        for slot, col in repeats:
+            beta[:, slot] += c[:, col]
+        beta[:, m] = -x[:, -1] * np.add.accumulate(c, axis=1)[:, -1]
+        return np.matmul(np.matmul(beta[:, None, :], G[rows]), beta[:, :, None])[:, 0, 0]
 
     return objective
 
@@ -346,7 +305,7 @@ def _differenced(series, o: SarimaOrders) -> tuple[np.ndarray, np.ndarray]:
             f"got {len(y)}"
         )
     w = _difference(y, o.d, o.D, o.s)
-    if len(w) <= o.p + o.s * o.P + o.q + o.s * o.Q + 1:
+    if len(w) <= o.p + o.s * o.P + 1:
         raise ValueError("series too short after differencing for the given orders")
     return y, w
 
@@ -363,7 +322,7 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
     if not data:
         return []
     ws = [w for _, w in data]
-    x0 = np.zeros((len(ws), o.p + o.q + o.P + o.Q + 1))
+    x0 = np.zeros((len(ws), o.p + o.P + 1))
     x0[:, -1] = [float(np.mean(w)) for w in ws]
     xs, converged = _nelder_mead(_css_objective(ws, o), x0, MAX_ITER, TOL, TOL)
     models = []
@@ -382,8 +341,8 @@ def _model(
             RuntimeWarning,
             stacklevel=3,
         )
-    phi, theta, sphi, stheta, mu = _split_params(x, o)
-    for name, coeffs in (("ar", phi), ("ma", theta), ("seasonal ar", sphi), ("seasonal ma", stheta)):
+    phi, sphi, mu = x[: o.p], x[o.p : o.p + o.P], float(x[-1])
+    for name, coeffs in (("ar", phi), ("seasonal ar", sphi)):
         if len(coeffs) and np.max(np.abs(coeffs)) >= 1.0:
             warnings.warn(
                 f"fitted {name} coefficient outside the stationary region: {coeffs}",
@@ -392,18 +351,14 @@ def _model(
             )
 
     L = o.p + o.s * o.P
-    K = o.q + o.s * o.Q
     level_len = o.d + o.s * o.D
     return SarimaModel(
         orders=o,
         ar_coeffs=np.array(phi, dtype=float),
-        ma_coeffs=np.array(theta, dtype=float),
         seasonal_ar_coeffs=np.array(sphi, dtype=float),
-        seasonal_ma_coeffs=np.array(stheta, dtype=float),
         intercept=mu,
         converged=converged,
         _diff_tail=w[-L:].copy() if L > 0 else np.empty(0),
-        _resid_tail=_residuals(w, o, x)[-K:].copy() if K > 0 else np.empty(0),
         _level_tail=y[-level_len:].copy() if level_len > 0 else np.empty(0),
     )
 
@@ -411,7 +366,7 @@ def _model(
 def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
     """Fit by conditional sum of squares on the differenced series.
 
-    Requires len(series) >= 3s + p + q + 10 so the seasonal structure is
+    Requires len(series) >= 3s + p + 10 so the seasonal structure is
     identifiable. Warns (without failing) when the search hits the iteration
     cap or a fitted coefficient leaves the stationary region.
     """
@@ -421,17 +376,13 @@ def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
 def forecast_one(model: SarimaModel) -> float:
     """One-step-ahead forecast on the original scale, clamped at zero."""
     o = model.orders
-    ar = _expand(model.ar_coeffs, model.seasonal_ar_coeffs, o.s, -1.0)
-    ma = _expand(model.ma_coeffs, model.seasonal_ma_coeffs, o.s, +1.0)
+    ar = _expand(model.ar_coeffs, model.seasonal_ar_coeffs, o.s)
     mu = model.intercept
 
     w_hat = 0.0
     for k in range(1, len(ar)):
         if ar[k] != 0.0:
             w_hat -= ar[k] * (model._diff_tail[-k] - mu)
-    for j in range(1, len(ma)):
-        if ma[j] != 0.0 and j <= len(model._resid_tail):
-            w_hat += ma[j] * model._resid_tail[-j]
     w_next = mu + w_hat
 
     diff = _diff_poly(o.d, o.D, o.s)

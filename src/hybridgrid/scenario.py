@@ -42,6 +42,11 @@ _CENTER_KEYS = ("id", "connected_systems")
 _RUN_KEYS = ("days", "seed", "priority_enabled", "health_enabled", "score_weights")
 _PLANTS = {"solar": SolarPlantParams, "wind": WindPlantParams}
 
+# Size caps, so that a typo cannot ask for more memory than any grid needs.
+MAX_DAYS = 36_500
+MAX_UNIT_COUNT = 10_000
+MAX_UNIT_CAPACITY_MWD = 1e6
+
 
 @dataclass(frozen=True)
 class ForecastingConfig:
@@ -116,10 +121,6 @@ class ScenarioConfig:
     initial_soh_pct: float = 100.0
     raw: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.days < 0:
-            raise ValueError("days must be >= 0")
-
 
 def _object(section, where: str) -> dict:
     if not isinstance(section, dict):
@@ -169,6 +170,14 @@ def _key(value, where: str) -> int:
     """A seed or id, which may key a seeded random stream and so is never negative."""
     key = as_int(value, where)
     return _check(key, key >= 0, ">= 0", where)
+
+
+def _size(value, lo: int, hi: int, where: str) -> int:
+    """An integer size field in [lo, hi]; above hi, the error shows the value as written."""
+    n = as_int(value, where)
+    _check(n, n >= lo, f">= {lo}", where)
+    _check(value, n <= hi, f"<= {hi}", where)
+    return n
 
 
 def _string(value, where: str) -> str:
@@ -223,7 +232,7 @@ def _read(cls, section, where: str, structural: tuple[str, ...] = ()):
 
 
 def _parse_source(entry: dict, where: str) -> EnergySource:
-    kind = _require(_object(entry, where), "kind", where)
+    kind = _string(_require(_object(entry, where), "kind", where), f"{where}.kind")
     if kind not in _PLANTS:
         raise ValueError(f"{where}: unknown kind {kind!r}")
     params = _read(_PLANTS[kind], entry, where, ("kind", "id", "site", "connected_systems"))
@@ -239,10 +248,11 @@ def _parse_source(entry: dict, where: str) -> EnergySource:
 def _parse_system(cfg: ScenarioConfig, entry, where: str) -> StorageSystem:
     _known(entry, _SYSTEM_KEYS, where)
     sid = _key(_require(entry, "id", where), f"{where}.id")
-    count = as_int(entry.get("unit_count", 10), f"{where}.unit_count")
-    cap = _number(entry.get("unit_capacity_mwd", 100.0), f"{where}.unit_capacity_mwd")
-    _check(count, count >= 1, ">= 1", f"{where}.unit_count")
-    _check(cap, cap > 0, "> 0", f"{where}.unit_capacity_mwd")
+    count = _size(entry.get("unit_count", 10), 1, MAX_UNIT_COUNT, f"{where}.unit_count")
+    at = f"{where}.unit_capacity_mwd"
+    cap = _number(entry.get("unit_capacity_mwd", 100.0), at)
+    _check(cap, cap > 0, "> 0", at)
+    _check(cap, cap <= MAX_UNIT_CAPACITY_MWD, f"<= {MAX_UNIT_CAPACITY_MWD:g}", at)
     deg = cfg.degradation
     units = uniform_units(
         count, cap, cfg.initial_soc_pct, cfg.initial_soh_pct, deg.r_charge, deg.r_discharge
@@ -332,7 +342,7 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     _known(doc, _TOP_KEYS, "")
     run = _known(doc.get("run", {}), _RUN_KEYS, "run")
     cfg = ScenarioConfig(
-        days=as_int(run.get("days", 365), "run.days"),
+        days=_size(run.get("days", 365), 0, MAX_DAYS, "run.days"),
         seed=_key(run.get("seed", 0), "run.seed"),
         priority_enabled=_flag(run, "priority_enabled", True, "run"),
         health_enabled=_flag(run, "health_enabled", True, "run"),

@@ -142,6 +142,48 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
             {"centers": CENTERS, "base_mwd": {"0": -1.0}},
             "loads.base_mwd.0 must be >= 0, got -1.0",
         ),
+        # The forecaster is seasonal AR only, with orders in range.
+        (
+            "forecasting",
+            {"orders": [1, 0, 1, 0, 0, 0, 7]},
+            "forecasting.orders: moving-average orders q and Q must be 0",
+        ),
+        (
+            "forecasting",
+            {"orders": [1, 0, 0, 1, 0, 1, 7]},
+            "forecasting.orders: moving-average orders q and Q must be 0",
+        ),
+        (
+            "forecasting",
+            {"orders": [-1, 0, 0, 1, 0, 0, 7]},
+            "forecasting.orders: order p must be a non-negative int, got -1",
+        ),
+        (
+            "forecasting",
+            {"orders": [1, 0, 0, 1, 0, 0, 1]},
+            "forecasting.orders: season length s must be an int >= 2, got 1",
+        ),
+        (
+            "forecasting",
+            {"orders": [1, 2, 0, 1, 1, 0, 7]},
+            "forecasting.orders: total differencing d + D must be <= 2, got 3",
+        ),
+        # Sizes are capped.
+        ("run", {"days": -1}, "run.days must be >= 0, got -1"),
+        ("run", {"days": 1e308}, "run.days must be <= 36500, got 1e+308"),
+        (
+            "topology",
+            {"systems": [{"id": 1, "unit_count": 1e308}]},
+            "topology.systems[0].unit_count must be <= 10000, got 1e+308",
+        ),
+        (
+            "topology",
+            {"systems": [{"id": 1, "unit_capacity_mwd": 1e308}]},
+            "topology.systems[0].unit_capacity_mwd must be <= 1e+06, got 1e+308",
+        ),
+        # A source kind is read as a string before it is looked up.
+        ("sources", [{"id": 1, "kind": []}], "sources[0].kind must be a JSON string, got []"),
+        ("sources", [{"id": 1, "kind": {}}], "sources[0].kind must be a JSON string, got {}"),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):
@@ -259,6 +301,32 @@ def test_simulate_nan_number_is_validation_error(tmp_path, capsys):
     path.write_text(open(TOY).read().replace('"noise_sd": 0.05', '"noise_sd": NaN'))
     assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
     assert "non-finite number NaN" in capsys.readouterr().err
+
+
+def test_simulate_days_flag_is_capped(tmp_path, capsys):
+    assert main(["simulate", TOY, "--out", str(tmp_path / "run"), "--days", "36501"]) == 1
+    assert "run.days must be <= 36500, got 36501" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "loads",
+    [
+        {"base_mwd": {"0": 1e308, "1": 35.0, "2": 20.0}},
+        {"weekly_shape": [1e308, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]},
+        {"noise_sd": 1e308},
+    ],
+)
+def test_simulate_overflowing_synthetic_demand_is_validation_error(tmp_path, capsys, loads):
+    doc = {
+        **SHARED_SYSTEMS_DOC,
+        "loads": {**SHARED_SYSTEMS_DOC["loads"], **loads},
+        "run": {"days": 10, "seed": 5},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "loads: synthetic demand summed over loads and days is not finite" in err
 
 
 def test_simulate_fractional_days_is_validation_error(tmp_path, capsys):
@@ -418,6 +486,15 @@ def test_forecast_bad_orders_is_validation_error(tmp_path):
     history = tmp_path / "history.csv"
     make_history_csv(history)
     assert main(["forecast", str(history), "--orders", "1,0"]) == 1
+
+
+def test_forecast_moving_average_orders_is_validation_error(tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    make_history_csv(history)
+    assert main(["forecast", str(history), "--orders", "1,0,1,1,0,0,7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--orders: moving-average orders q and Q must be 0" in captured.err
 
 
 def test_forecast_fractional_orders_is_validation_error(tmp_path, capsys):

@@ -54,6 +54,12 @@ def test_orders_reject_heavy_differencing():
         SarimaOrders(p=0, d=2, q=0, P=0, D=1, Q=0, s=7)
 
 
+@pytest.mark.parametrize("orders", [(1, 0, 1, 0, 0, 0, 7), (1, 0, 0, 1, 0, 1, 7)])
+def test_orders_reject_moving_average(orders):
+    with pytest.raises(ValueError, match="moving-average orders q and Q must be 0"):
+        SarimaOrders(*orders)
+
+
 def test_orders_from_sequence():
     orders = SarimaOrders.from_sequence([1, 0, 0, 1, 0, 0, 7])
     assert orders == ORDERS_WEEKLY
@@ -142,12 +148,12 @@ def seasonal_series(n, seed):
 
 def model_bits(model):
     """Every fitted number of a model as float.hex, plus its converged flag."""
-    coeffs = [model.ar_coeffs, model.ma_coeffs, model.seasonal_ar_coeffs, model.seasonal_ma_coeffs]
+    coeffs = [model.ar_coeffs, model.seasonal_ar_coeffs]
     return (
         [[float(v).hex() for v in c] for c in coeffs],
         float(model.intercept).hex(),
         model.converged,
-        [t.tobytes() for t in (model._diff_tail, model._resid_tail, model._level_tail)],
+        [t.tobytes() for t in (model._diff_tail, model._level_tail)],
     )
 
 
@@ -155,9 +161,13 @@ def model_bits(model):
     "orders, lengths",
     [
         (SarimaOrders(1, 0, 0, 1, 0, 0, 7), (32, 365, 90, 200, 61)),
-        (SarimaOrders(1, 0, 1, 0, 0, 1, 7), (60, 90, 75)),
+        # Regular and seasonal differencing.
+        (SarimaOrders(1, 1, 0, 1, 1, 0, 7), (60, 365, 90, 45)),
+        # p >= s, so lag slots are shared; these fits hit the iteration cap.
+        (SarimaOrders(8, 0, 0, 1, 0, 0, 7), (60, 200, 90)),
     ],
 )
+@pytest.mark.filterwarnings("ignore:SARIMA search hit the iteration cap")
 def test_fit_many_equals_lone_fits_bitwise(orders, lengths):
     series = seasonal_series(400, seed=9)
     windows = [series[len(series) - n :] for n in lengths]
@@ -170,13 +180,8 @@ def test_fit_many_equals_lone_fits_bitwise(orders, lengths):
     [
         (
             SarimaOrders(1, 0, 0, 1, 0, 0, 7),
-            [["0x1.4a9a4401cb71cp-1"], [], ["0x1.a120d90381286p-2"], []],
+            [["0x1.4a9a4401cb71cp-1"], ["0x1.a120d90381286p-2"]],
             "0x1.86ece187fadf0p+6",
-        ),
-        (
-            SarimaOrders(1, 0, 1, 0, 0, 1, 7),
-            [["0x1.a4a2614ad0928p-2"], ["0x1.75e56406af446p-2"], [], ["0x1.8002739e014b0p-2"]],
-            "0x1.86bf78b321ee4p+6",
         ),
     ],
 )
