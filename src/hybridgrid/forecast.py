@@ -1,29 +1,30 @@
 """Demand forecasting and weather-driven generation prediction.
 
-The demand forecaster is a multiplicative seasonal AR model of the series
-after regular and seasonal differencing, fitted by minimizing the
-conditional sum of squared one-step residuals.
-Estimation is fully deterministic: coefficients start at zero, the intercept
-starts at the differenced-series mean, and a fixed-parameter Nelder-Mead
-simplex (iteration cap 2000, tolerance 1e-8) does the search, so refitting
-the same history reproduces bit-identical coefficients.
-
-fit_sarima_many fits a batch of windows in one search: the simplices are
-stacked along a leading axis and step in lockstep, each search leaving the
-batch once it converges. A batched fit equals a lone one bit for bit, because
-nothing mixes rows: every vertex update is elementwise, each branch scores
-only the rows that take it, the stable per-row sort breaks ties as the lone
-sort does, and the objective makes per row the same floating-point calls as
-a lone evaluation (see _css_objective). fit_sarima is a batch of one.
-
-Model convention, with B the backshift operator and w the series after d
-regular and D seasonal differences:
+The demand forecaster is a multiplicative seasonal AR model. With B the
+backshift operator and w the series after d regular and D seasonal
+differences:
 
     phi(B) * PHI(B^s) * (w_t - mu) = eps_t
 
 with phi(B) = 1 - phi_1 B - ... and PHI(B^s) = 1 - PHI_1 B^s - .... The
 orders keep the (p, d, q)(P, D, Q)_s shape, but the moving-average orders q
-and Q must be 0. The sum of squares starts at the first full AR window.
+and Q must be 0.
+
+A fit minimizes the conditional sum of squared one-step residuals, from the
+first full AR window on. With PHI fixed the residual is affine in phi and
+the intercept c = mu * phi(1) * PHI(1), and with phi fixed it is affine in
+PHI and c, so the fit is alternating least squares: from zero coefficients
+(the first half-step is the OLS AR(p) fit), solve for phi, then for PHI,
+until no coefficient moves by more than TOL in a round, or MAX_ROUNDS pass.
+Each half-step is a small normal-equation solve over a Gram matrix of the
+window's lagged values, built once per window. Estimation is deterministic:
+refitting the same history reproduces bit-identical coefficients.
+
+fit_sarima_many fits a batch of windows in one search, each window leaving
+the batch once it converges. A batched fit equals a lone one bit for bit,
+because nothing mixes rows: every update is elementwise or a stacked
+matmul or solve, which makes per row the calls a lone fit makes.
+fit_sarima is a batch of one.
 """
 
 from __future__ import annotations
@@ -38,8 +39,13 @@ import numpy as np
 from .generation import daily_energy, solar_power, wind_power
 from .model import EnergySource, as_int
 
-MAX_ITER = 2000
-TOL = 1e-8
+MAX_ROUNDS = 200
+TOL = 1e-10
+# A regressor whose centred sum of squares is below VANISHED times the
+# window's carries no information and is fitted as 0; RIDGE loads each
+# kept diagonal relatively, so exactly collinear regressors stay solvable.
+VANISHED = 1e-10
+RIDGE = 1e-12
 
 WEATHER_HEADER = ["site_id", "day_index", "ghi_w_m2", "wind_speed_ms"]
 DEMAND_HEADER = ["load_id", "day_index", "demand_mwd"]
@@ -152,144 +158,84 @@ def _expand(coeffs: np.ndarray, seasonal: np.ndarray, s: int) -> np.ndarray:
     return np.convolve(a, b)
 
 
-def _css_objective(ws: list[np.ndarray], o: SarimaOrders):
-    """Build the CSS objective f(x, rows) of a batch of differenced windows.
-
-    Row r of x is a parameter vector for window ws[rows[r]]; f returns one
-    sum of squares per row. The residual is linear in lagged observations
-    with coefficients multilinear in the parameters, so the sum of squares
-    is a small quadratic form b' G b over a Gram matrix computed once per
-    window. This is algebraically identical to the direct evaluation and
-    keeps repeated refits cheap.
-
-    Bit-exactness with a lone evaluation: b sums the products of
-    (1, -phi) and (1, -PHI) into its lag slots in (i, j) loop order, and the
-    intercept slot takes their running sum in that same order. The stacked
-    matmul makes per row the same BLAS vector-matrix product and dot product
-    that ``b @ G @ b`` makes on one row.
-    """
+def _gram(ws: list[np.ndarray], o: SarimaOrders, lags: list[int]) -> np.ndarray:
+    """G[k, m+1, m+1]: per window, the Gram matrix of its lagged values at the
+    m distinct lags of phi(B) PHI(B^s), plus a column of ones, over the rows
+    of the conditional sum of squares (from the first full AR window on)."""
     L = o.p + o.s * o.P
-    pair_lags = [i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)]
-    lags = sorted(set(pair_lags))
-    m = len(lags)
-    # Pair column of each lag slot's first term, then the later terms of
-    # slots that several pairs share (only when p >= s).
-    first = np.array([pair_lags.index(lag) for lag in lags])
-    repeats = [
-        (lags.index(lag), col)
-        for col, lag in enumerate(pair_lags)
-        if pair_lags.index(lag) != col
-    ]
-    G = np.empty((len(ws), m + 1, m + 1))
+    G = np.empty((len(ws), len(lags) + 1, len(lags) + 1))
     for r, w in enumerate(ws):
         n = len(w)
-        cols = [w[L - lag : n - lag] for lag in lags]
-        cols.append(np.ones(n - L))
-        X = np.column_stack(cols)
+        X = np.column_stack([w[L - lag : n - lag] for lag in lags] + [np.ones(n - L)])
         G[r] = X.T @ X
-
-    def objective(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        k = len(x)
-        a = np.ones((k, o.p + 1))
-        np.negative(x[:, : o.p], out=a[:, 1:])
-        b = np.ones((k, o.P + 1))
-        np.negative(x[:, o.p : o.p + o.P], out=b[:, 1:])
-        c = (a[:, :, None] * b[:, None, :]).reshape(k, -1)
-        beta = np.empty((k, m + 1))
-        # A lone evaluation adds each term to a zero, which maps -0.0 to 0.0.
-        beta[:, :m] = c.take(first, axis=1) + 0.0
-        for slot, col in repeats:
-            beta[:, slot] += c[:, col]
-        beta[:, m] = -x[:, -1] * np.add.accumulate(c, axis=1)[:, -1]
-        return np.matmul(np.matmul(beta[:, None, :], G[rows]), beta[:, :, None])[:, 0, 0]
-
-    return objective
+    return G
 
 
-def _sorted(sim: np.ndarray, fsim: np.ndarray):
-    """Each simplex ordered by score, ties kept in vertex order."""
-    order = fsim.argsort(axis=1, kind="stable")
-    order += np.arange(0, fsim.size, fsim.shape[1])[:, None]
-    return sim.reshape(-1, sim.shape[2])[order], fsim.take(order)
+def _factor_index(o: SarimaOrders, lags: list[int], seasonal: bool):
+    """Where each term phi_i * PHI_j of the AR product lands when one factor
+    is solved for: its lag slot, the solved factor's column (j when seasonal,
+    else i) and the fixed factor's entry (the other one)."""
+    pairs = [(i, j) for i in range(o.p + 1) for j in range(o.P + 1)]
+    slots = [lags.index(i + j * o.s) for i, j in pairs]
+    i, j = zip(*pairs)
+    return (slots, j, i) if seasonal else (slots, i, j)
 
 
-def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float, fatol: float):
-    """Deterministic Nelder-Mead with standard reflect/expand/contract/shrink,
-    run in lockstep on k searches: x0 is [k, n] and f(x, rows) scores the
-    points x[r] of searches rows[r].
+def _half_step(G: np.ndarray, fixed: np.ndarray, index, q: int):
+    """Least squares for one AR factor and the intercept, the other factor
+    held at `fixed` [k, F]. Returns the factor's q coefficients [k, q] and
+    the intercepts [k].
 
-    Every step is elementwise per search and each branch scores only the
-    searches that take it, so search r follows exactly the path it would
-    follow alone. The centroid adds vertices in order, as a lone mean over
-    the vertex axis does. A search leaves the active set once it converges.
-    Returns the best vertices [k, n] and the converged flags [k].
+    With one factor fixed the residual is y - theta . x - c, where column 0
+    of the projection B maps the lag slots to the response y and columns
+    1..q to the regressors x. The normal equations are solved about the
+    means, and c follows from them.
     """
-    k, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for j in range(n):
-        v = x0[:, j]
-        sim[:, j + 1, j] = np.where(v != 0.0, v * 1.05, 0.00025)
+    k = len(G)
+    f = np.ones((k, fixed.shape[1] + 1))
+    np.negative(fixed, out=f[:, 1:])
+    slots, cols, entries = index
+    B = np.zeros((k, G.shape[1], q + 2))
+    B[:, slots, cols] = f[:, entries]
+    B[:, -1, -1] = 1.0
+    H = np.matmul(B.transpose(0, 2, 1), np.matmul(G, B))
+    n, s = H[:, -1:, -1:], H[:, :-1, -1:]
+    C = H[:, :-1, :-1] - s * s.transpose(0, 2, 1) / n
+    A, r = C[:, 1:, 1:], C[:, 1:, :1]
+    diag = np.arange(q)
+    keep = A[:, diag, diag] > VANISHED * G[:, :1, 0]
+    A = np.where(keep[:, :, None] & keep[:, None, :], A, 0.0)
+    A[:, diag, diag] = np.where(keep, A[:, diag, diag] * (1.0 + RIDGE), 1.0)
+    theta = np.linalg.solve(A, np.where(keep[:, :, None], r, 0.0))
+    c = (s[:, 0] - np.matmul(theta.transpose(0, 2, 1), s[:, 1:])[:, 0]) / n[:, 0]
+    return theta[:, :, 0], c[:, 0]
+
+
+def _als(G: np.ndarray, o: SarimaOrders, lags: list[int]):
+    """Alternating least squares on k windows at once: from zero
+    coefficients, fit phi with PHI fixed, then PHI with phi fixed, until no
+    coefficient of a window moves by more than TOL in a round; that window
+    then leaves the active set. Returns [k, p + P + 1] rows of (phi, PHI, c)
+    and the converged flags [k].
+    """
+    k = len(G)
+    regular, seasonal = _factor_index(o, lags, False), _factor_index(o, lags, True)
+    phi, sphi = np.zeros((k, o.p)), np.zeros((k, o.P))
     rows = np.arange(k)
-    fsim = f(sim.reshape(-1, n), rows.repeat(n + 1)).reshape(k, n + 1)
-    sim, fsim = _sorted(sim, fsim)
-    best = np.empty((k, n))
+    out = np.empty((k, o.p + o.P + 1))
     converged = np.zeros(k, dtype=bool)
-
-    rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
-    for _ in range(max_iter):
-        done = np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) <= fatol
-        if done.any():
-            done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(rows), -1).max(axis=1) <= xatol
-            best[rows[done]] = sim[done, 0]
-            converged[rows[done]] = True
-            keep = ~done
-            rows, sim, fsim = rows[keep], sim[keep], fsim[keep]
-            if not len(rows):
-                return best, converged
-        centroid = sim[:, 0].copy()
-        for j in range(1, n):
-            centroid += sim[:, j]
-        centroid /= n
-        away = centroid - sim[:, -1]
-        xr = centroid + rho * away
-        fr = f(xr, rows)
-
-        # Each row takes one branch; a branch writes only its own rows.
-        below_best = fr < fsim[:, 0]
-        below_worst = fr < fsim[:, -1]
-        contract = ~below_best & ~(fr < fsim[:, -2])
-        take_xr = ~below_best & ~contract
-        shrink = np.zeros(len(rows), dtype=bool)
-        (e,) = below_best.nonzero()
-        if len(e):
-            xe = centroid[e] + rho * chi * away[e]
-            fe = f(xe, rows[e])
-            take = fe < fr[e]
-            sim[e[take], -1], fsim[e[take], -1] = xe[take], fe[take]
-            take_xr[e[~take]] = True
-        (c,) = (contract & below_worst).nonzero()
-        if len(c):
-            xc = centroid[c] + psi * rho * away[c]
-            fc = f(xc, rows[c])
-            take = fc <= fr[c]
-            sim[c[take], -1], fsim[c[take], -1] = xc[take], fc[take]
-            shrink[c[~take]] = True
-        (c,) = (contract & ~below_worst).nonzero()
-        if len(c):
-            xcc = centroid[c] - psi * away[c]
-            fcc = f(xcc, rows[c])
-            take = fcc < fsim[c, -1]
-            sim[c[take], -1], fsim[c[take], -1] = xcc[take], fcc[take]
-            shrink[c[~take]] = True
-        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fr[take_xr]
-        if shrink.any():
-            (s,) = shrink.nonzero()
-            top = sim[s, :1]
-            sim[s, 1:] = top + sigma * (sim[s, 1:] - top)
-            fsim[s, 1:] = f(sim[s, 1:].reshape(-1, n), rows[s].repeat(n)).reshape(-1, n)
-        sim, fsim = _sorted(sim, fsim)
-    best[rows] = sim[:, 0]
-    return best, converged
+    for _ in range(MAX_ROUNDS):
+        new_phi, _ = _half_step(G, sphi, regular, o.p)
+        new_sphi, c = _half_step(G, new_phi, seasonal, o.P)
+        out[rows] = np.concatenate([new_phi, new_sphi, c[:, None]], axis=1)
+        moved = np.concatenate([np.abs(new_phi - phi), np.abs(new_sphi - sphi)], axis=1)
+        done = (moved <= TOL).all(axis=1)
+        converged[rows[done]] = True
+        keep = ~done
+        rows, G, phi, sphi = rows[keep], G[keep], new_phi[keep], new_sphi[keep]
+        if not len(rows):
+            break
+    return out, converged
 
 
 def _differenced(series, o: SarimaOrders) -> tuple[np.ndarray, np.ndarray]:
@@ -321,27 +267,34 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
     data = [_differenced(series, o) for series in windows]
     if not data:
         return []
-    ws = [w for _, w in data]
-    x0 = np.zeros((len(ws), o.p + o.P + 1))
-    x0[:, -1] = [float(np.mean(w)) for w in ws]
-    xs, converged = _nelder_mead(_css_objective(ws, o), x0, MAX_ITER, TOL, TOL)
+    means = [float(np.mean(w)) for _, w in data]
+    lags = sorted({i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)})
+    G = _gram([w - m for (_, w), m in zip(data, means)], o, lags)
+    xs, converged = _als(G, o, lags)
     models = []
-    for (y, w), x, ok in zip(data, xs, converged):
-        models.append(_model(y, w, x, bool(ok), o))
+    for (y, w), m, x, ok in zip(data, means, xs, converged):
+        models.append(_model(y, w, m, x, bool(ok), o))
     return models
 
 
 def _model(
-    y: np.ndarray, w: np.ndarray, x: np.ndarray, converged: bool, o: SarimaOrders
+    y: np.ndarray, w: np.ndarray, m: float, x: np.ndarray, converged: bool, o: SarimaOrders
 ) -> SarimaModel:
-    """The fitted model of one window; warnings point at fit_sarima_many's caller."""
+    """The fitted model of one window; warnings point at fit_sarima_many's caller.
+
+    x is (phi, PHI, c) fitted on w - m, where m is the mean of the
+    differenced series w, so c = (mu - m) * phi(1) * PHI(1). Where the fit
+    puts a unit root in either factor, mu is free and stays at m.
+    """
     if not converged:
         warnings.warn(
             "SARIMA search hit the iteration cap; returning best coefficients so far",
             RuntimeWarning,
             stacklevel=3,
         )
-    phi, sphi, mu = x[: o.p], x[o.p : o.p + o.P], float(x[-1])
+    phi, sphi = x[: o.p], x[o.p : o.p + o.P]
+    gain = (1.0 - sum(map(float, phi))) * (1.0 - sum(map(float, sphi)))
+    mu = m + float(x[-1]) / gain if gain else m
     for name, coeffs in (("ar", phi), ("seasonal ar", sphi)):
         if len(coeffs) and np.max(np.abs(coeffs)) >= 1.0:
             warnings.warn(
