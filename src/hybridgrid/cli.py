@@ -109,12 +109,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _parse_orders(text: str) -> SarimaOrders:
+    values = []
+    for i, token in enumerate(text.split(",")):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"--orders[{i}] must be an integer, got {token!r}") from None
+    return SarimaOrders.from_sequence(values, "--orders")
+
+
 def cmd_forecast(args) -> int:
-    orders = (
-        SarimaOrders.from_sequence([int(v) for v in args.orders.split(",")], "--orders")
-        if args.orders
-        else DEFAULT_ORDERS
-    )
+    orders = _parse_orders(args.orders) if args.orders else DEFAULT_ORDERS
     if args.horizon < 1:
         raise ValueError("--horizon must be >= 1")
     series_by_load = load_demand_csv(args.history)

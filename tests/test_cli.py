@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ CENTERS = SHARED_SYSTEMS_DOC["loads"]["centers"]
 
 
 def write_toy_variant(tmp_path, **run_overrides):
-    doc = json.loads(open(TOY).read())
+    doc = json.loads(Path(TOY).read_text())
     doc["run"].update(run_overrides)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -196,7 +199,7 @@ def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, bo
 
 
 def test_validate_non_string_site_names_its_path(tmp_path, capsys):
-    doc = json.loads(open(TOY).read())
+    doc = json.loads(Path(TOY).read_text())
     doc["topology"] = {"systems": [{"id": 1, "unit_count": 2}]}
     doc["sources"] = [
         {"id": 1, "kind": "wind", "site": None, "turbine_count": 3, "connected_systems": [1]}
@@ -268,7 +271,7 @@ def test_simulate_toggle_flags(tmp_path):
 
 
 def test_simulate_seed_flag_matches_seed_in_file(tmp_path):
-    doc = json.loads(open(TOY).read())
+    doc = json.loads(Path(TOY).read_text())
     # A wear-rate spread makes the seed reach the topology as well as the data.
     doc["degradation"] = {"r_charge": 0.2, "r_discharge": 0.25, "rate_spread": 0.8}
     doc["run"].update(days=30, seed=1)
@@ -298,7 +301,7 @@ def test_simulate_unknown_key_is_validation_error(tmp_path, capsys):
 
 def test_simulate_nan_number_is_validation_error(tmp_path, capsys):
     path = tmp_path / "scenario.json"
-    path.write_text(open(TOY).read().replace('"noise_sd": 0.05', '"noise_sd": NaN'))
+    path.write_text(Path(TOY).read_text().replace('"noise_sd": 0.05', '"noise_sd": NaN'))
     assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
     assert "non-finite number NaN" in capsys.readouterr().err
 
@@ -336,7 +339,7 @@ def test_simulate_fractional_days_is_validation_error(tmp_path, capsys):
 
 
 def test_simulate_sources_beside_reference_grid_is_validation_error(tmp_path, capsys):
-    doc = json.loads(open(TOY).read())
+    doc = json.loads(Path(TOY).read_text())
     doc["sources"] = [{"bogus": 1}]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -476,6 +479,18 @@ def test_forecast_horizon_prints_the_model_fitted_on_the_history(tmp_path, capsy
     assert models[0] == models[1]
 
 
+def test_forecast_noise_free_weekly_history_prints_finite_numbers(tmp_path, capsys):
+    # The history repeats each week exactly, so the seasonal factor is a unit
+    # root and the other terms have nothing left to fit.
+    history = tmp_path / "history.csv"
+    make_history_csv(history)
+    assert main(["forecast", str(history), "--horizon", "3"]) == 0
+    out = capsys.readouterr().out
+    numbers = [float(v) for v in re.findall(r"-?[\d.]+(?:e-?\d+)?|nan|inf", out)]
+    assert all(math.isfinite(v) for v in numbers)
+    assert out.split("forecast ")[1].split() == ["110.000000", "120.000000", "130.000000"]
+
+
 def test_forecast_short_series_is_validation_error(tmp_path, capsys):
     history = tmp_path / "history.csv"
     make_history_csv(history, days=5)
@@ -501,7 +516,16 @@ def test_forecast_fractional_orders_is_validation_error(tmp_path, capsys):
     history = tmp_path / "history.csv"
     make_history_csv(history)
     assert main(["forecast", str(history), "--orders", "1,0,0,1.5,0,0,7"]) == 1
-    assert "invalid input" in capsys.readouterr().err
+    assert "--orders[3] must be an integer, got '1.5'" in capsys.readouterr().err
+
+
+def test_forecast_letter_in_orders_is_validation_error(tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    make_history_csv(history)
+    assert main(["forecast", str(history), "--orders", "x,0,0,1,0,0,7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: --orders[0] must be an integer, got 'x'" in captured.err
 
 
 def test_forecast_fits_each_load_as_alone(tmp_path, capsys):
