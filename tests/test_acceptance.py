@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -283,7 +284,7 @@ def test_criterion_4_stress_scenario_stability():
 
 def test_criterion_5_health_gap_across_seeds():
     start = time.perf_counter()
-    doc = json.loads(open(REFERENCE).read())
+    doc = json.loads(Path(REFERENCE).read_text())
     gaps = []
     for seed in range(1, 11):
         doc["run"]["seed"] = seed

@@ -1,6 +1,8 @@
 """Integration tests for the daily simulation engine and its CSV emitters."""
 
 import copy
+import dataclasses
+import warnings
 
 import pytest
 from conftest import SHARED_SYSTEMS_DOC, records_sha256
@@ -434,6 +436,19 @@ def test_comparison_csv_headers():
         "day,system_id,soc_pct_treatment,soc_pct_baseline,"
         "mean_soh_pct_treatment,mean_soh_pct_baseline"
     )
+
+
+@pytest.mark.parametrize(
+    "path, seeds", [("scenarios/reference.json", range(1, 24)), ("scenarios/stress.json", [42])]
+)
+def test_shipped_scenarios_fit_without_warnings(path, seeds):
+    # Every demand fit of these runs converges inside the stationary region.
+    cfg, topo = load_scenario(path)
+    for seed in seeds:
+        state = engine.SimulationState([dataclasses.replace(cfg, seed=seed)], topo)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state.forecasts
 
 
 def test_atomic_write_text(tmp_path):
