@@ -6,18 +6,21 @@ a stable hash of the site name or load id, so adding a site never perturbs
 another site's series.
 
 Daily irradiance follows a seasonal envelope scaled by a multiplicative
-cloud factor in [cloud_floor, 1]; wind speed follows a seasonal sine plus
-(optionally autocorrelated) noise, floored at zero. Demand follows a
-per-load base level shaped by a weekly profile and multiplicative noise.
+cloud factor in [cloud_floor, 1]. The cloud factor is a Gaussian copula: the
+standard normal CDF, 0.5 * erfc(-x / sqrt(2)) from the standard library's
+math.erfc, maps a unit-variance AR(1) latent to a uniform marginal. Wind
+speed follows a seasonal sine plus (optionally autocorrelated) noise, floored
+at zero. Demand follows a per-load base level shaped by a weekly profile and
+multiplicative noise.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .forecast import WeatherSample
 
@@ -38,19 +41,25 @@ def _site_key(site: str) -> int:
     return zlib.crc32(site.encode("utf-8"))
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def normal_cdf(x) -> np.ndarray:
+    """The standard normal CDF of each element of the 1-d array x."""
+    return np.array([0.5 * math.erfc(-v / _SQRT2) for v in x.tolist()])
+
+
 def _ar1_noise(rng: np.random.Generator, days: int, rho: float) -> np.ndarray:
     """Unit-variance gaussian noise with lag-1 autocorrelation rho."""
     g = rng.standard_normal(days)
     if rho <= 0 or days == 0:
         return g
-    out = np.empty(days)
-    scale = np.sqrt(1.0 - rho * rho)
-    prev = g[0]
-    out[0] = prev
+    # The recurrence runs on Python floats: the same bits as numpy scalars, faster.
+    out = g.tolist()
+    scale = math.sqrt(1.0 - rho * rho)
     for t in range(1, days):
-        prev = rho * prev + scale * g[t]
-        out[t] = prev
-    return out
+        out[t] = rho * out[t - 1] + scale * out[t]
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,7 @@ def synth_weather(
 
     season = 1.0 + params.ghi_seasonal_amplitude * np.sin(2.0 * np.pi * d / DAYS_PER_YEAR)
     cloud_latent = _ar1_noise(rng, days, params.cloud_ar)
-    u = ndtr(cloud_latent)  # uniform marginal regardless of autocorrelation
+    u = normal_cdf(cloud_latent)  # uniform marginal regardless of autocorrelation
     cloud = 1.0 - (1.0 - params.cloud_floor) * u**params.cloud_power
     ghi = np.maximum(0.0, params.ghi_base * season * cloud)
 

@@ -1,5 +1,10 @@
 """Unit tests for the synthetic weather, demand, and wear generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,38 @@ from hybridgrid import (
     synth_weather,
     wear_multipliers,
 )
+from hybridgrid.synth import normal_cdf
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_normal_cdf_of_zero_is_one_half():
+    assert normal_cdf(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+
+
+def test_normal_cdf_is_symmetric_within_two_ulp():
+    x = 4.0 * np.random.default_rng(5).standard_normal(100_000)
+    gap = np.abs(normal_cdf(x) + normal_cdf(-x) - 1.0)
+    assert gap.max() <= 2 * np.spacing(1.0)
+
+
+def test_normal_cdf_agrees_with_scipy_ndtr():
+    special = pytest.importorskip("scipy.special")
+    x = np.random.default_rng(7).standard_normal(100_000)
+    assert np.abs(normal_cdf(x) - special.ndtr(x)).max() <= 2.3e-16
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, hybridgrid, hybridgrid.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_synth_weather_is_deterministic():
