@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 from .forecast import DEFAULT_ORDERS, SarimaOrders
@@ -43,9 +42,14 @@ _RUN_KEYS = ("days", "seed", "priority_enabled", "health_enabled", "score_weight
 _PLANTS = {"solar": SolarPlantParams, "wind": WindPlantParams}
 
 # Size caps, so that a typo cannot ask for more memory than any grid needs.
+# The unit caps are checked before any unit is built.
 MAX_DAYS = 36_500
 MAX_UNIT_COUNT = 10_000
+MAX_TOTAL_UNITS = 1_000_000
 MAX_UNIT_CAPACITY_MWD = 1e6
+MAX_SYSTEMS = 10_000
+MAX_LOADS = 10_000
+MAX_SOURCES = 10_000
 
 
 @dataclass(frozen=True)
@@ -191,10 +195,15 @@ def _percent(section: dict, key: str, default: float, where: str) -> float:
     return _check(value, 0.0 <= value <= 100.0, "in [0, 100]", f"{where}.{key}")
 
 
-def _items(values, read, where: str) -> tuple:
-    """A list input field, each element read by read(element, its dotted path)."""
+def _items(values, read, where: str, most: int | None = None) -> tuple:
+    """A list input field, each element read by read(element, its dotted path).
+
+    A list longer than most is rejected before any element is read.
+    """
     if not isinstance(values, list):
         raise ValueError(f"{where} must be a JSON list, got {values!r}")
+    if most is not None and len(values) > most:
+        raise ValueError(f"{where} must have at most {most} entries, got {len(values)}")
     return tuple(read(x, f"{where}[{k}]") for k, x in enumerate(values))
 
 
@@ -245,7 +254,8 @@ def _parse_source(entry: dict, where: str) -> EnergySource:
     return EnergySource(sid, kind, params, connected, site)
 
 
-def _parse_system(cfg: ScenarioConfig, entry, where: str) -> StorageSystem:
+def _parse_system(entry, where: str) -> tuple[int, int, float]:
+    """A system's id, unit count and unit capacity; its units are built later."""
     _known(entry, _SYSTEM_KEYS, where)
     sid = _key(_require(entry, "id", where), f"{where}.id")
     count = _size(entry.get("unit_count", 10), 1, MAX_UNIT_COUNT, f"{where}.unit_count")
@@ -253,11 +263,7 @@ def _parse_system(cfg: ScenarioConfig, entry, where: str) -> StorageSystem:
     cap = _number(entry.get("unit_capacity_mwd", 100.0), at)
     _check(cap, cap > 0, "> 0", at)
     _check(cap, cap <= MAX_UNIT_CAPACITY_MWD, f"<= {MAX_UNIT_CAPACITY_MWD:g}", at)
-    deg = cfg.degradation
-    units = uniform_units(
-        count, cap, cfg.initial_soc_pct, cfg.initial_soh_pct, deg.r_charge, deg.r_discharge
-    )
-    return StorageSystem(id=sid, units=units)
+    return sid, count, cap
 
 
 def _parse_center(entry, where: str) -> LoadCenter:
@@ -286,11 +292,20 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
                 raise ValueError(f"{listed} cannot be given with topology.reference: true")
         t = reference_topology(soc0, soh0, deg.r_charge, deg.r_discharge)
     else:
-        read_system = partial(_parse_system, cfg)
-        systems = _items(_require(topo, "systems", "topology"), read_system, "topology.systems")
-        loads = _items(_require(demand, "centers", "loads"), _parse_center, "loads.centers")
-        sources = _items(_require(doc, "sources", "config"), _parse_source, "sources")
-        t = GridTopology(list(systems), list(loads), list(sources))
+        sizes = _items(
+            _require(topo, "systems", "topology"), _parse_system, "topology.systems", MAX_SYSTEMS
+        )
+        total = sum(count for _, count, _ in sizes)
+        _check(total, total <= MAX_TOTAL_UNITS, f"<= {MAX_TOTAL_UNITS}",
+               "the total unit_count of topology.systems")
+        centers = _require(demand, "centers", "loads")
+        loads = _items(centers, _parse_center, "loads.centers", MAX_LOADS)
+        sources = _items(_require(doc, "sources", "config"), _parse_source, "sources", MAX_SOURCES)
+        systems = [
+            StorageSystem(sid, uniform_units(count, cap, soc0, soh0, deg.r_charge, deg.r_discharge))
+            for sid, count, cap in sizes
+        ]
+        t = GridTopology(systems, list(loads), list(sources))
 
     if deg.rate_spread > 0:
         for system in t.systems:

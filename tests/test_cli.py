@@ -187,6 +187,18 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
         # A source kind is read as a string before it is looked up.
         ("sources", [{"id": 1, "kind": []}], "sources[0].kind must be a JSON string, got []"),
         ("sources", [{"id": 1, "kind": {}}], "sources[0].kind must be a JSON string, got {}"),
+        # The grid's size is capped before any unit is built.
+        (
+            "topology",
+            {"systems": [{"id": k, "unit_count": 10_000} for k in range(101)]},
+            "the total unit_count of topology.systems must be <= 1000000, got 1010000",
+        ),
+        (
+            "topology",
+            {"systems": [{"id": k} for k in range(10_001)]},
+            "topology.systems must have at most 10000 entries, got 10001",
+        ),
+        ("sources", [{}] * 10_001, "sources must have at most 10000 entries, got 10001"),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):
@@ -211,7 +223,36 @@ def test_validate_non_string_site_names_its_path(tmp_path, capsys):
     assert "sources[0].site must be a JSON string, got None" in capsys.readouterr().err
 
 
+# A grid with no systems, loads or sources is a valid run that does nothing.
+def write_empty_grid(tmp_path):
+    doc = {
+        "topology": {"systems": []},
+        "sources": [],
+        "loads": {"kind": "synthetic", "centers": []},
+        "run": {"days": 3},
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_validate_empty_grid_is_ok(tmp_path, capsys):
+    assert main(["validate", str(write_empty_grid(tmp_path))]) == 0
+    assert "ok: 0 systems, 0 loads, 0 sources" in capsys.readouterr().out
+
+
 # --- simulate ------------------------------------------------------------------
+
+
+def test_simulate_empty_grid_writes_headers(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", str(write_empty_grid(tmp_path)), "--out", str(out_dir)]) == 0
+    assert (out_dir / "trace.csv").read_text() == (
+        "day,system_id,soc_pct,mean_soh_pct,charge_in_mwd,discharge_out_mwd\n"
+    )
+    assert (out_dir / "summary.csv").read_text() == (
+        "system_id,zero_soc_events,final_mean_soh_pct,total_unmet_mwd,total_curtailed_mwd\n"
+    )
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):
@@ -411,14 +452,7 @@ def test_compare_writes_reports(tmp_path, capsys):
 
 
 def test_compare_grid_without_systems_writes_headers(tmp_path, capsys):
-    doc = {
-        "topology": {"systems": []},
-        "sources": [],
-        "loads": {"kind": "synthetic", "centers": []},
-        "run": {"days": 3},
-    }
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps(doc))
+    path = write_empty_grid(tmp_path)
     out_dir = tmp_path / "cmp"
     assert main(["compare", str(path), "--axis", "health", "--out", str(out_dir)]) == 0
     assert "mean SoH gain n/a" in capsys.readouterr().out

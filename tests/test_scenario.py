@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hybridgrid import GridUnits, validate_topology
+from hybridgrid import GridUnits, scenario, validate_topology
 from hybridgrid.scenario import load_scenario, parse_scenario
 
 
@@ -503,3 +503,52 @@ def test_parse_reference_must_be_json_boolean():
     doc["topology"]["reference"] = "false"
     with pytest.raises(ValueError, match="topology.reference must be a JSON boolean"):
         parse_scenario(doc)
+
+
+def _no_units(*args):
+    raise AssertionError("a unit was built")
+
+
+# Each case is over a cap by its counts alone: 101 systems of 10,000 units would
+# need about 180 MB, and 10,001 list entries would each be read.
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (
+            ("topology", "systems"),
+            [{"id": k, "unit_count": 10_000} for k in range(101)],
+            "the total unit_count of topology.systems must be <= 1000000, got 1010000",
+        ),
+        (
+            ("topology", "systems"),
+            [{"id": k, "unit_count": 1} for k in range(10_001)],
+            "topology.systems must have at most 10000 entries, got 10001",
+        ),
+        (
+            ("loads", "centers"),
+            [{"id": k, "connected_systems": [1]} for k in range(10_001)],
+            "loads.centers must have at most 10000 entries, got 10001",
+        ),
+        (("sources",), [{}] * 10_001, "sources must have at most 10000 entries, got 10001"),
+    ],
+    ids=["total-units", "systems", "loads", "sources"],
+)
+def test_parse_grid_over_a_size_cap_builds_no_unit(monkeypatch, keys, value, message):
+    monkeypatch.setattr(scenario, "uniform_units", _no_units)
+    doc = explicit_doc()
+    section = doc
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_scenario(doc)
+
+
+def test_parse_total_unit_cap_is_inclusive(monkeypatch):
+    # explicit_doc() has 2 + 4 units.
+    monkeypatch.setattr(scenario, "MAX_TOTAL_UNITS", 6)
+    _, topo = parse_scenario(explicit_doc())
+    assert sum(len(s.units) for s in topo.systems) == 6
+    monkeypatch.setattr(scenario, "MAX_TOTAL_UNITS", 5)
+    with pytest.raises(ValueError, match=re.escape("must be <= 5, got 6")):
+        parse_scenario(explicit_doc())
