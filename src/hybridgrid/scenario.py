@@ -296,8 +296,8 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
             _require(topo, "systems", "topology"), _parse_system, "topology.systems", MAX_SYSTEMS
         )
         total = sum(count for _, count, _ in sizes)
-        _check(total, total <= MAX_TOTAL_UNITS, f"<= {MAX_TOTAL_UNITS}",
-               "the total unit_count of topology.systems")
+        at = "the total unit_count of topology.systems"
+        _check(total, total <= MAX_TOTAL_UNITS, f"<= {MAX_TOTAL_UNITS}", at)
         centers = _require(demand, "centers", "loads")
         loads = _items(centers, _parse_center, "loads.centers", MAX_LOADS)
         sources = _items(_require(doc, "sources", "config"), _parse_source, "sources", MAX_SOURCES)

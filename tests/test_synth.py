@@ -15,7 +15,7 @@ from hybridgrid import (
     synth_weather,
     wear_multipliers,
 )
-from hybridgrid.synth import normal_cdf
+from hybridgrid.synth import _ar1_noise, _rng, normal_cdf
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,6 +34,26 @@ def test_normal_cdf_agrees_with_scipy_ndtr():
     special = pytest.importorskip("scipy.special")
     x = np.random.default_rng(7).standard_normal(100_000)
     assert np.abs(normal_cdf(x) - special.ndtr(x)).max() <= 2.3e-16
+
+
+def numpy_ar1_noise(g, rho):
+    """The AR(1) recurrence on numpy scalars, as a reference."""
+    out = np.empty(len(g))
+    scale = np.sqrt(1.0 - rho * rho)
+    prev = g[0]
+    out[0] = prev
+    for t in range(1, len(g)):
+        prev = rho * prev + scale * g[t]
+        out[t] = prev
+    return out
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999])
+def test_ar1_noise_matches_numpy_scalar_recurrence_bitwise(rho):
+    for seed, days in [(1, 1), (2, 2), (3, 365), (4, 730), (5, 3650)]:
+        g = _rng(seed, 1, 7).standard_normal(days)
+        got = _ar1_noise(_rng(seed, 1, 7), days, rho)
+        assert got.tobytes() == numpy_ar1_noise(g, rho).tobytes()
 
 
 def test_import_loads_no_scipy():
