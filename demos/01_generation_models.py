@@ -6,13 +6,7 @@ speeds for turbine parks, and the one-day energy convention that the rest of
 the package builds on.
 """
 
-from hybridgrid import (
-    SolarPlantParams,
-    WindPlantParams,
-    daily_energy,
-    solar_power,
-    wind_power,
-)
+from hybridgrid import SolarPlantParams, WindPlantParams, solar_power, wind_power
 
 
 def main():
@@ -20,8 +14,8 @@ def main():
     solar = SolarPlantParams(area_m2=900_000.0, efficiency=0.21)
     for ghi in (200.0, 600.0, 1000.0):
         mw = solar_power(ghi, solar)
-        print(f"  irradiance {ghi:6.1f} W/m2 -> {mw:7.2f} MW "
-              f"({daily_energy(mw):7.2f} MWd over the day)")
+        # A constant MW held over the one-day tick is the same number of MWd.
+        print(f"  irradiance {ghi:6.1f} W/m2 -> {mw:7.2f} MW ({mw:7.2f} MWd over the day)")
 
     print()
     print("=== Wind park (50 turbines) ===")

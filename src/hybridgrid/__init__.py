@@ -38,14 +38,12 @@ from .forecast import (
     forecast_one,
     load_demand_csv,
     load_weather_csv,
-    predict_generation,
     seasonal_naive,
 )
 from .generation import (
     BETZ_LIMIT,
     SolarPlantParams,
     WindPlantParams,
-    daily_energy,
     solar_power,
     wind_power,
 )

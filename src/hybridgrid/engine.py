@@ -21,6 +21,7 @@ Runs are deterministic: a config and seed reproduce byte-identical traces.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -43,9 +44,9 @@ from .forecast import (
     forecast_one,
     load_demand_csv,
     load_weather_csv,
-    predict_generation,
     seasonal_naive,
 )
+from .generation import solar_power, wind_power
 from .health import GridUnits
 from .model import GridTopology, validate_topology
 from .scenario import ScenarioConfig
@@ -130,8 +131,23 @@ class SimulationState:
 
     @cached_property
     def generation(self) -> list[dict[int, float]]:
-        """G[day][source] in MWd; the provider series doubles as the day-ahead forecast."""
-        return [predict_generation(samples, self.topology.sources) for samples in self.weather_by_day]
+        """G[day][source] in MWd, keys in the topology's source order; the
+        provider series doubles as the day-ahead forecast. A constant MW output
+        over the one-day tick is the same number in MWd."""
+        sites = sorted({src.site for src in self.topology.sources})
+        series = []
+        for src in self.topology.sources:
+            at = sites.index(src.site)
+            if src.kind == "solar":
+                mw = [solar_power(day[at].ghi_w_m2, src.params) for day in self.weather_by_day]
+            else:
+                mw = [wind_power(day[at].wind_speed_ms, src.params) for day in self.weather_by_day]
+            if not all(map(math.isfinite, mw)):
+                raise ValueError(f"source {src.id}: generation is not finite")
+            series.append(mw)
+        ids = [src.id for src in self.topology.sources]
+        # With no sources zip(*series) is empty; each day still gets a dict.
+        return [dict(zip(ids, g)) for g in zip(*series)] or [{} for _ in self.weather_by_day]
 
     @cached_property
     def forecasts(self) -> dict[int, list[float]]:
@@ -238,12 +254,10 @@ def step_day(state: SimulationState, day: int) -> list[DailyRecord]:
 
 
 def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSample]]:
+    """W[day]: each day's samples in sorted-site order, one per site a source names."""
     sites = sorted({src.site for src in t.sources})
     if cfg.weather.kind == "csv":
-        samples = load_weather_csv(cfg.weather.path)
-        by_day: dict[int, dict[str, WeatherSample]] = {}
-        for s in samples:
-            by_day.setdefault(s.day_index, {})[s.site_id] = s
+        by_day = load_weather_csv(cfg.weather.path)
         out = []
         for day in range(cfg.days):
             row = by_day.get(day, {})
@@ -254,10 +268,13 @@ def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSam
                 )
             out.append([row[site] for site in sites])
         return out
-    per_site = {
-        site: synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
-        for site in sites
-    }
+    per_site = {}
+    for site in sites:
+        try:
+            per_site[site] = synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
+        except ValueError as exc:
+            where = f"weather.sites.{site}" if site in cfg.weather.site_params else "weather.default"
+            raise ValueError(f"{where}: {exc}") from None
     return [[per_site[site][day] for site in sites] for day in range(cfg.days)]
 
 

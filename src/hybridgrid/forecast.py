@@ -1,4 +1,4 @@
-"""Demand forecasting and weather-driven generation prediction.
+"""Demand forecasting and the weather and demand CSV readers.
 
 The demand forecaster is a multiplicative seasonal AR model. With B the
 backshift operator and w the series after d regular and D seasonal
@@ -33,11 +33,11 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .generation import daily_energy, solar_power, wind_power
-from .model import EnergySource, as_int
+from .model import as_int
 
 MAX_ROUNDS = 200
 TOL = 1e-10
@@ -51,22 +51,15 @@ WEATHER_HEADER = ["site_id", "day_index", "ghi_w_m2", "wind_speed_ms"]
 DEMAND_HEADER = ["load_id", "day_index", "demand_mwd"]
 
 
-@dataclass(frozen=True)
-class WeatherSample:
-    """One site-day of provider weather."""
+class WeatherSample(NamedTuple):
+    """One site-day of provider weather. Its producers, load_weather_csv and
+    synth_weather, check that day_index >= 0 and that ghi and wind speed are
+    finite and >= 0."""
 
     site_id: str
     day_index: int
     ghi_w_m2: float
     wind_speed_ms: float
-
-    def __post_init__(self) -> None:
-        if self.day_index < 0:
-            raise ValueError(f"day_index must be >= 0, got {self.day_index}")
-        if not (math.isfinite(self.ghi_w_m2) and self.ghi_w_m2 >= 0):
-            raise ValueError(f"ghi must be finite and >= 0, got {self.ghi_w_m2}")
-        if not (math.isfinite(self.wind_speed_ms) and self.wind_speed_ms >= 0):
-            raise ValueError(f"wind speed must be finite and >= 0, got {self.wind_speed_ms}")
 
 
 @dataclass(frozen=True)
@@ -355,8 +348,10 @@ def seasonal_naive(series, s: int) -> float:
     return float(series[len(series) - s])
 
 
-def load_weather_csv(path) -> list[WeatherSample]:
-    """Read per-site-day weather rows; schema site_id,day_index,ghi_w_m2,wind_speed_ms."""
+def load_weather_csv(path) -> dict[int, dict[str, WeatherSample]]:
+    """Read per-site-day weather rows as {day: {site: sample}}; schema
+    site_id,day_index,ghi_w_m2,wind_speed_ms."""
+    by_day: dict[int, dict[str, WeatherSample]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -364,8 +359,6 @@ def load_weather_csv(path) -> list[WeatherSample]:
             raise ValueError(
                 f"weather csv header must be {','.join(WEATHER_HEADER)}, got {header}"
             )
-        samples = []
-        seen: set[tuple[str, int]] = set()
         for rownum, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -376,16 +369,17 @@ def load_weather_csv(path) -> list[WeatherSample]:
                 ghi, wind = float(row[2]), float(row[3])
             except ValueError as exc:
                 raise ValueError(f"row {rownum}: {exc}") from None
-            key = (site, day)
-            if key in seen:
+            if day < 0:
+                raise ValueError(f"row {rownum}: day_index must be >= 0, got {day}")
+            if not (math.isfinite(ghi) and ghi >= 0):
+                raise ValueError(f"row {rownum}: ghi must be finite and >= 0, got {ghi}")
+            if not (math.isfinite(wind) and wind >= 0):
+                raise ValueError(f"row {rownum}: wind speed must be finite and >= 0, got {wind}")
+            samples = by_day.setdefault(day, {})
+            if site in samples:
                 raise ValueError(f"row {rownum}: duplicate sample for site {site} day {day}")
-            seen.add(key)
-            try:
-                samples.append(WeatherSample(site, day, ghi, wind))
-            except ValueError as exc:
-                raise ValueError(f"row {rownum}: {exc}") from None
-    samples.sort(key=lambda s: (s.site_id, s.day_index))
-    return samples
+            samples[site] = WeatherSample(site, day, ghi, wind)
+    return by_day
 
 
 def load_demand_csv(path) -> dict[int, list[float]]:
@@ -425,25 +419,3 @@ def load_demand_csv(path) -> dict[int, list[float]]:
             raise ValueError(f"load {lid}: day indices must be gap-free from 0")
         out[lid] = [per[d] for d in days]
     return out
-
-
-def predict_generation(samples, sources: list[EnergySource]) -> dict[int, float]:
-    """Per-source MWd for one day from that day's site weather samples."""
-    by_site: dict[str, WeatherSample] = {}
-    for s in samples:
-        if s.site_id in by_site:
-            raise ValueError(f"multiple samples for site {s.site_id} on one day")
-        by_site[s.site_id] = s
-
-    out: dict[int, float] = {}
-    for src in sources:
-        sample = by_site.get(src.site)
-        if sample is None:
-            raise ValueError(f"source {src.id}: no weather sample for site {src.site!r}")
-        if src.kind == "solar":
-            power = solar_power(sample.ghi_w_m2, src.params)
-        else:
-            power = wind_power(sample.wind_speed_ms, src.params)
-        out[src.id] = daily_energy(power)
-    return out
-

@@ -85,9 +85,3 @@ def wind_power(speed_ms: float, params: WindPlantParams) -> float:
     )
     return params.turbine_count * per_turbine_w / W_PER_MW
 
-
-def daily_energy(power_mw: float) -> float:
-    """Energy in MWd delivered by a constant power over one daily tick."""
-    if power_mw < 0:
-        raise ValueError(f"power must be >= 0, got {power_mw}")
-    return power_mw * 1.0

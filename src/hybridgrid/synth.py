@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -92,28 +93,30 @@ def synth_weather(
     site: str,
     params: SynthWeatherParams = SynthWeatherParams(),
 ) -> list[WeatherSample]:
-    """Deterministic daily weather for one site."""
+    """Deterministic daily weather for one site; raises ValueError if parameters
+    overflow a series to a non-finite value."""
     if days < 0:
         raise ValueError(f"days must be >= 0, got {days}")
     rng = _rng(seed, _WEATHER_STREAM, _site_key(site))
     d = np.arange(days, dtype=float)
 
-    season = 1.0 + params.ghi_seasonal_amplitude * np.sin(2.0 * np.pi * d / DAYS_PER_YEAR)
-    cloud_latent = _ar1_noise(rng, days, params.cloud_ar)
-    u = normal_cdf(cloud_latent)  # uniform marginal regardless of autocorrelation
-    cloud = 1.0 - (1.0 - params.cloud_floor) * u**params.cloud_power
-    ghi = np.maximum(0.0, params.ghi_base * season * cloud)
+    with np.errstate(over="ignore", invalid="ignore"):
+        season = 1.0 + params.ghi_seasonal_amplitude * np.sin(2.0 * np.pi * d / DAYS_PER_YEAR)
+        cloud_latent = _ar1_noise(rng, days, params.cloud_ar)
+        u = normal_cdf(cloud_latent)  # uniform marginal regardless of autocorrelation
+        cloud = 1.0 - (1.0 - params.cloud_floor) * u**params.cloud_power
+        ghi = np.maximum(0.0, params.ghi_base * season * cloud)
 
-    wind_season = params.wind_seasonal_amplitude * np.sin(
-        2.0 * np.pi * d / DAYS_PER_YEAR + params.wind_phase
-    )
-    noise = params.wind_noise_sd * _ar1_noise(rng, days, params.wind_ar)
-    wind = np.maximum(0.0, params.wind_base + wind_season + noise)
+        wind_season = params.wind_seasonal_amplitude * np.sin(
+            2.0 * np.pi * d / DAYS_PER_YEAR + params.wind_phase
+        )
+        noise = params.wind_noise_sd * _ar1_noise(rng, days, params.wind_ar)
+        wind = np.maximum(0.0, params.wind_base + wind_season + noise)
 
-    return [
-        WeatherSample(site, t, float(ghi[t]), float(wind[t]))
-        for t in range(days)
-    ]
+    for name, series in (("ghi", ghi), ("wind speed", wind)):
+        if not np.isfinite(series).all():
+            raise ValueError(f"synthetic {name} for site {site!r} is not finite")
+    return list(map(WeatherSample, repeat(site), range(days), ghi.tolist(), wind.tolist()))
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,64 @@ def test_simulate_overflowing_synthetic_demand_is_validation_error(tmp_path, cap
     assert "loads: synthetic demand summed over loads and days is not finite" in err
 
 
+NON_FINITE_GENERATION_DOCS = {
+    "shared-systems": (
+        {
+            **SHARED_SYSTEMS_DOC,
+            "sources": [{**SHARED_SYSTEMS_DOC["sources"][0], "area_m2": 1e308},
+                        SHARED_SYSTEMS_DOC["sources"][1]],
+            "loads": {k: v for k, v in SHARED_SYSTEMS_DOC["loads"].items() if k != "gen_fraction"},
+            "run": {"days": 5, "seed": 5},
+        },
+        "source 1: generation is not finite",
+    ),
+    "reference": (
+        {
+            **json.loads(Path(TOY).read_text()),
+            "weather": {
+                "kind": "synthetic",
+                "default": {"ghi_base": 1e308, "ghi_seasonal_amplitude": 0.5},
+            },
+        },
+        "source 3: generation is not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_GENERATION_DOCS))
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["compare", "--axis", "health"]], ids=["simulate", "compare"]
+)
+def test_non_finite_generation_is_validation_error(tmp_path, capsys, name, command):
+    doc, message = NON_FINITE_GENERATION_DOCS[name]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    assert main([command[0], str(path), "--out", str(out_dir), *command[1:]]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "weather, section",
+    [
+        ({"sites": {"coastal": {"wind_noise_sd": 1e308}}}, "weather.sites.coastal"),
+        ({"default": {"wind_noise_sd": 1e308}}, "weather.default"),
+    ],
+)
+def test_simulate_overflowing_synthetic_weather_names_its_section(
+    tmp_path, capsys, recwarn, weather, section
+):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**json.loads(Path(TOY).read_text()), "weather": weather}))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run"), "--days", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: invalid input: {section}: synthetic wind speed for site 'coastal' is not finite\n"
+    )
+    assert not recwarn.list
+
+
 def test_simulate_fractional_days_is_validation_error(tmp_path, capsys):
     path = write_toy_variant(tmp_path, days=2.9, seed=1.7)
     assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1

@@ -232,6 +232,30 @@ def test_grid_without_systems_runs_empty_days():
     assert trace.records[-1].soc_pct == {} and trace.summary.final_mean_soh_pct == {}
 
 
+def test_generation_reads_each_source_site_in_topology_order(tmp_path):
+    weather = tmp_path / "weather.csv"
+    weather.write_text(
+        "site_id,day_index,ghi_w_m2,wind_speed_ms\n"
+        "coastal,0,0.0,10.0\ninland,0,1000.0,2.0\n"
+        "coastal,1,1000.0,2.0\ninland,1,0.0,10.0\n"
+    )
+    doc = copy.deepcopy(SHARED_SYSTEMS_DOC)
+    doc["sources"] = [
+        {"id": 2, "kind": "solar", "site": "inland", "area_m2": 900_000.0, "efficiency": 0.21,
+         "connected_systems": [1]},
+        {"id": 1, "kind": "wind", "site": "coastal", "turbine_count": 50,
+         "connected_systems": [2, 3]},
+    ]
+    doc["weather"] = {"kind": "csv", "path": str(weather)}
+    doc["run"]["days"] = 2
+    state = initialize_state(*parse_scenario(doc))
+    day0, day1 = state.generation
+    assert list(day0) == [2, 1]
+    assert day0 == {2: pytest.approx(189.0), 1: pytest.approx(122.5)}
+    # Day 1 swaps the sites' weather: each plant sees only its own site's.
+    assert day1 == {2: 0.0, 1: 0.0}
+
+
 def test_csv_weather_exhaustion_raises_simulation_error(tmp_path):
     weather = tmp_path / "weather.csv"
     rows = ["site_id,day_index,ghi_w_m2,wind_speed_ms"]

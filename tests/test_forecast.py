@@ -11,17 +11,13 @@ from hypothesis import strategies as st
 from hybridgrid import forecast
 
 from hybridgrid import (
-    EnergySource,
     SarimaOrders,
-    SolarPlantParams,
     WeatherSample,
-    WindPlantParams,
     fit_sarima,
     fit_sarima_many,
     forecast_one,
     load_demand_csv,
     load_weather_csv,
-    predict_generation,
     seasonal_naive,
 )
 
@@ -317,18 +313,18 @@ inland,1,580.0,3.5
 def test_load_weather_csv_roundtrip(tmp_path):
     path = tmp_path / "weather.csv"
     path.write_text(WEATHER_CSV)
-    samples = load_weather_csv(path)
-    assert len(samples) == 4
-    assert samples[0] == WeatherSample(
-        site_id="coastal", day_index=0, ghi_w_m2=500.0, wind_speed_ms=8.0
-    )
-    # Sorted by (site, day).
-    assert [(s.site_id, s.day_index) for s in samples] == [
-        ("coastal", 0),
-        ("coastal", 1),
-        ("inland", 0),
-        ("inland", 1),
-    ]
+    by_day = load_weather_csv(path)
+    assert by_day == {
+        0: {
+            "coastal": WeatherSample("coastal", 0, 500.0, 8.0),
+            "inland": WeatherSample("inland", 0, 620.0, 4.0),
+        },
+        1: {
+            "coastal": WeatherSample("coastal", 1, 450.0, 9.5),
+            "inland": WeatherSample("inland", 1, 580.0, 3.5),
+        },
+    }
+    assert by_day[1]["coastal"].wind_speed_ms == 9.5
 
 
 def test_load_weather_csv_rejects_bad_header(tmp_path):
@@ -353,6 +349,11 @@ def test_load_weather_csv_rejects_negative_values(tmp_path):
     path.write_text("site_id,day_index,ghi_w_m2,wind_speed_ms\ncoastal,0,-5.0,8.0\n")
     with pytest.raises(ValueError):
         load_weather_csv(path)
+    path.write_text(
+        "site_id,day_index,ghi_w_m2,wind_speed_ms\ninland,0,1.0,1.0\ncoastal,-1,5.0,8.0\n"
+    )
+    with pytest.raises(ValueError, match="row 3: day_index must be >= 0, got -1"):
+        load_weather_csv(path)
 
 
 @pytest.mark.parametrize("row", ["coastal,0,nan,8.0", "coastal,0,500.0,inf", "coastal,0,-inf,8.0"])
@@ -361,15 +362,6 @@ def test_load_weather_csv_rejects_non_finite_values(tmp_path, row):
     path.write_text(f"site_id,day_index,ghi_w_m2,wind_speed_ms\ninland,0,1.0,1.0\n{row}\n")
     with pytest.raises(ValueError, match="row 3: .*finite"):
         load_weather_csv(path)
-
-
-@pytest.mark.parametrize("field", ["ghi_w_m2", "wind_speed_ms"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_weather_sample_rejects_non_finite(field, value):
-    kwargs = {"site_id": "coastal", "day_index": 0, "ghi_w_m2": 1.0, "wind_speed_ms": 1.0}
-    kwargs[field] = value
-    with pytest.raises(ValueError, match="finite"):
-        WeatherSample(**kwargs)
 
 
 def test_load_demand_csv_roundtrip(tmp_path):
@@ -394,54 +386,3 @@ def test_load_demand_csv_rejects_non_finite(tmp_path, value):
     path.write_text(f"load_id,day_index,demand_mwd\n0,0,100.0\n0,1,{value}\n")
     with pytest.raises(ValueError, match="row 3: demand must be finite"):
         load_demand_csv(path)
-
-
-# --- generation prediction ---------------------------------------------------
-
-
-def test_predict_generation_maps_sites_to_sources():
-    sources = [
-        EnergySource(
-            id=1,
-            kind="wind",
-            params=WindPlantParams(
-                power_coefficient=0.4,
-                air_density=1.225,
-                rotor_area_m2=10_000.0,
-                turbine_count=50,
-                cut_in_ms=3.0,
-                cut_out_ms=25.0,
-            ),
-            connected_systems=(1,),
-            site="coastal",
-        ),
-        EnergySource(
-            id=2,
-            kind="solar",
-            params=SolarPlantParams(area_m2=900_000.0, efficiency=0.21),
-            connected_systems=(1,),
-            site="inland",
-        ),
-    ]
-    samples = [
-        WeatherSample(site_id="coastal", day_index=0, ghi_w_m2=0.0, wind_speed_ms=10.0),
-        WeatherSample(site_id="inland", day_index=0, ghi_w_m2=1000.0, wind_speed_ms=2.0),
-    ]
-    energy = predict_generation(samples, sources)
-    assert energy[1] == pytest.approx(122.5)
-    assert energy[2] == pytest.approx(189.0)
-
-
-def test_predict_generation_missing_site_rejected():
-    source = EnergySource(
-        id=1,
-        kind="solar",
-        params=SolarPlantParams(area_m2=1000.0, efficiency=0.2),
-        connected_systems=(1,),
-        site="nowhere",
-    )
-    samples = [
-        WeatherSample(site_id="inland", day_index=0, ghi_w_m2=100.0, wind_speed_ms=1.0)
-    ]
-    with pytest.raises((KeyError, ValueError)):
-        predict_generation(samples, [source])

@@ -6,7 +6,6 @@ from hybridgrid import (
     BETZ_LIMIT,
     SolarPlantParams,
     WindPlantParams,
-    daily_energy,
     solar_power,
     wind_power,
 )
@@ -112,13 +111,3 @@ def test_wind_params_reject_inverted_cut_speeds():
             cut_out_ms=5.0,
         )
 
-
-def test_daily_energy_is_identity_on_megawatts():
-    # One tick is one day, so a constant 189 MW day stores 189 MW-days.
-    assert daily_energy(189.0) == 189.0
-    assert daily_energy(0.0) == 0.0
-
-
-def test_daily_energy_rejects_negative_power():
-    with pytest.raises(ValueError):
-        daily_energy(-1.0)

@@ -110,6 +110,19 @@ def test_synth_weather_cloud_floor_bounds_darkening():
     assert min(s.ghi_w_m2 for s in samples) >= 0.4 * params.ghi_base - 1e-9
 
 
+@pytest.mark.parametrize(
+    "params, name",
+    [
+        (SynthWeatherParams(ghi_base=1e308, ghi_seasonal_amplitude=1.0), "ghi"),
+        (SynthWeatherParams(wind_base=1e308, wind_seasonal_amplitude=1e308), "wind speed"),
+    ],
+)
+def test_synth_weather_rejects_non_finite_series(recwarn, params, name):
+    with pytest.raises(ValueError, match=f"synthetic {name} for site 'w' is not finite"):
+        synth_weather(seed=1, days=365, site="w", params=params)
+    assert not recwarn.list
+
+
 def test_synth_demand_deterministic_and_shaped():
     base = {0: 100.0, 1: 50.0}
     a = synth_demand(seed=5, days=28, base_by_load=base)
