@@ -29,7 +29,7 @@ from .forecast import (
     load_demand_csv,
 )
 from .model import validate_topology
-from .scenario import load_scenario
+from .scenario import MAX_SEED, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,6 +53,8 @@ _RUN_OVERRIDES = {
 
 
 def _load(config_path: str, args):
+    if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+        raise ValueError(f"--seed must be in [0, {MAX_SEED}], got {args.seed}")
     run = {
         key: getattr(args, flag)
         for flag, key in _RUN_OVERRIDES.items()

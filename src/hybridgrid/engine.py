@@ -1,20 +1,20 @@
 """Daily-tick simulation engine and A/B comparison runner.
 
 A SimulationState is one run, or several in lockstep: one config per arm
-(arms differ only in their policy toggles) over one topology. Weather,
-per-source generation, realized demand, the day-ahead demand forecasts and
-each system's charge want do not depend on policy, so the state builds them
-once for all its arms (forecasts and wants on first use, with every SARIMA
-fit of the run in one fit_sarima_many batch). One health.GridUnits holds
-every arm's units as arm-major rows (row b * S + i is system i of arm b),
-and step_day makes one charge call and one discharge call for the whole
-batch. run_simulation is the one-arm case; compare() runs two arms. Each day
-dispatches charging per arm at the grid level (priority or equal, on the
-topology's Wiring index lists), distributes each system's inflow across its
-units (health-ranked or equal, row by row), then settles realized demand:
-each arm settles its loads in ascending id on running system totals, each
-load seeing storage as the previous load of its arm left it, and the
-discharge takes every arm's totals from the units. The topology is only read.
+over one topology. Weather, per-source generation, realized demand, the
+day-ahead demand forecasts and each system's charge want do not depend on
+policy, so the state builds them once for all its arms (forecasts, wants and
+the day step's lists on first use, outside set-up; a run's SARIMA fits are
+one fit_sarima_many batch). One health.GridUnits holds every arm's units as
+arm-major rows (row b * S + i is system i of arm b), and step_day makes one
+charge call and one discharge call for the whole batch. run_simulation is
+the one-arm case; compare() runs two arms. Each day dispatches charging per
+arm at the grid level (priority or equal, on the topology's Wiring index
+lists), distributes each system's inflow across its units (health-ranked or
+equal, row by row), then settles realized demand: each arm settles its loads
+in ascending id on running system totals, each load seeing storage as the
+previous load of its arm left it, and one discharge takes every arm's totals
+from the units. The topology is only read.
 
 Runs are deterministic: a config and seed reproduce byte-identical traces.
 """
@@ -184,14 +184,29 @@ class SimulationState:
         want = charge_wants(self.topology, self.forecasts)
         return np.broadcast_to(want, (self.arms[0].days, len(self.topology.systems)))
 
+    @cached_property
+    def energy(self) -> list[list[float]]:
+        """E[day][k]: the MWd the wiring's k-th source makes on each day."""
+        return [[g[src.id] for src in self.topology.wiring.sources] for g in self.generation]
+
+    @cached_property
+    def demand(self) -> list[list[float]]:
+        """D[day][j]: the wiring's j-th load's realized demand on each day, as floats."""
+        series = [self.demand_by_load[lid] for lid in self.topology.wiring.load_ids]
+        return np.reshape(series, (len(series), self.arms[0].days)).T.tolist()
+
+    @cached_property
+    def arm_rows(self) -> tuple[list[slice], np.ndarray]:
+        """Each arm's rows of units, and per row whether its arm charges them ranked."""
+        n, flags = len(self.topology.systems), [cfg.health_enabled for cfg in self.arms]
+        return [slice(b * n, (b + 1) * n) for b in range(len(flags))], np.repeat(flags, n)
+
 
 def step_day(state: SimulationState, day: int) -> list[DailyRecord]:
     """Advance every run of the state by one day; one record per run."""
-    t, units = state.topology, state.units
+    t, units, (runs, ranked) = state.topology, state.units, state.arm_rows
     w, ids = t.wiring, units.ids[: len(t.systems)]
-    runs = [slice(b * len(ids), (b + 1) * len(ids)) for b in range(len(state.arms))]
-    generated = state.generation[day]
-    energy = [generated[src.id] for src in w.sources]
+    generated, energy = state.generation[day], state.energy[day]
 
     # 1. Grid-level dispatch per run; only the priority policy reads forecasts.
     #    A system's inflow adds its sources' gifts in ascending source id.
@@ -214,7 +229,6 @@ def step_day(state: SimulationState, day: int) -> list[DailyRecord]:
         curtailed[-1].update((src.id, c) for src, c in zip(w.sources, curt))
 
     # 2. Intra-system distribution with charge wear, every run in one call.
-    ranked = np.repeat([cfg.health_enabled for cfg in state.arms], len(ids))
     units.charge(charge_in, ranked, state.arms[0].weights.soh, state.arms[0].weights.soc)
 
     # 3. Each run settles its loads in ascending id on running system totals,
@@ -223,7 +237,7 @@ def step_day(state: SimulationState, day: int) -> list[DailyRecord]:
     #    draws in sequence: draws d1 then d2 take min(e_i, l1 + l2) from unit
     #    i, as one draw of d1 + d2 does, and wear is linear in the amount drawn.
     stored = units.stored.tolist()
-    demand = [float(state.demand_by_load[lid][day]) for lid in w.load_ids]
+    demand = state.demand[day]
     discharge_out, served, unmet = [], [{} for _ in runs], [{} for _ in runs]
     for rows, srv, short in zip(runs, served, unmet):
         left, out = stored[rows], [0.0] * len(ids)
@@ -268,13 +282,8 @@ def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSam
                 )
             out.append([row[site] for site in sites])
         return out
-    per_site = {}
-    for site in sites:
-        try:
-            per_site[site] = synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
-        except ValueError as exc:
-            where = f"weather.sites.{site}" if site in cfg.weather.site_params else "weather.default"
-            raise ValueError(f"{where}: {exc}") from None
+    per_site = {site: synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
+                for site in sites}
     return [[per_site[site][day] for site in sites] for day in range(cfg.days)]
 
 

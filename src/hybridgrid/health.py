@@ -1,19 +1,22 @@
 """Battery-unit state: charging, discharging and the cycle wear they cost.
 
-GridUnits is the one API for unit state. It holds every unit of a grid as
-[system, unit] arrays, reports each system's stored energy, SoC and mean SoH,
-and is the only writer of unit state; the systems it is built from are never
-changed. Shorter systems are padded with zero-capacity units. Every MWd moved
-through a unit costs SoH in proportion to its cycle-wear rate. Ranked
-charging fills each system's healthiest, emptiest units first, steering
-throughput away from worn units; the baseline, and discharge always, split
-equally across units. Every step is row by row, so compare() stacks its arms
-as more rows and one charge call mixes ranked rows with equal ones.
+GridUnits is the one API and the only writer of unit state: it holds every
+unit of a grid as [system, unit] arrays and reports each system's stored
+energy, SoC and mean SoH; the systems it is built from are never changed.
+Shorter systems are padded with zero-capacity units. Every MWd moved through
+a unit costs SoH in proportion to its cycle-wear rate. Ranked charging fills
+each system's healthiest, emptiest units first, steering throughput away from
+worn units; the baseline, and discharge always, split equally across units.
+Every step is row by row, so compare() stacks its arms as more rows and one
+charge call mixes ranked rows with equal ones.
 
 Every step keeps the per-element arithmetic and the order of a sequential
-loop over units: differences run left to right with np.subtract.accumulate
-and totals with np.cumsum, which adds left to right as the loop does. So
-results are bit for bit those of dispatch.split_equally and of such loops.
+loop over units (differences and totals run left to right, with
+np.subtract.accumulate and np.add.accumulate), so results are bit for bit
+those of dispatch.split_equally and of such loops. Arrays are small, so a
+step costs its numpy calls: the equal split stops at the first round that
+saturates no slot, a move refreshes stored and headroom once, and charge
+skips a pass that no row takes.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ DEFAULT_R_DISCHARGE = 0.25
 
 def _total(a: np.ndarray) -> np.ndarray:
     """Row sums added left to right, as a loop adds (np.sum adds pairwise)."""
-    return np.cumsum(a, axis=1)[:, -1]
+    return np.add.accumulate(a, axis=1)[:, -1]
 
 
 def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
@@ -46,21 +49,22 @@ def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
     Each round gives every unsaturated slot of a row an equal share of what
     the row has left, clamped at its cap, and re-splits the overflow among
     the rest; a row stops when it has nothing left, no open slot, or no slot
-    saturated in its last round.
+    saturated in its last round. A round that saturates no slot ends the split.
     """
-    alloc = np.zeros_like(caps)
-    steps = np.zeros((len(caps), caps.shape[1] + 1))
-    steps[:, 0] = totals
-    active = (caps > 0) & (steps[:, :1] > 1e-12)
+    room, alloc = caps, np.zeros(caps.shape)
+    left = np.asarray(totals, dtype=float).reshape(-1, 1)
+    active = (room > 0) & (left > 1e-12)
     while active.any():
-        share = steps[:, :1] / np.maximum(active.sum(axis=1, keepdims=True), 1)
-        room = caps - alloc
+        share = left / np.maximum(active.sum(axis=1, keepdims=True, dtype=float), 1.0)
         full = active & (room <= share)
-        steps[:, 1:] = np.where(active, np.minimum(room, share), 0.0)
-        alloc += steps[:, 1:]
-        np.subtract.accumulate(steps, axis=1, out=steps)
-        steps[:, 0] = steps[:, -1]
-        active &= ~full & full.any(axis=1, keepdims=True) & (steps[:, :1] > 1e-12)
+        take = np.minimum(room, share)
+        take *= active  # closed slots take +-0.0, which adds and subtracts as nothing
+        alloc += take
+        if not full.any():
+            break
+        left = np.subtract.accumulate(np.concatenate([left, take], axis=1), axis=1)[:, -1:]
+        active &= ~full & full.any(axis=1, keepdims=True) & (left > 1e-12)
+        room = caps - alloc
     return alloc
 
 
@@ -82,32 +86,34 @@ class GridUnits:
             ]
         state = state.transpose(2, 0, 1).copy()
         self.energy, self.soh, self.cap, self.r_charge, self.r_discharge = state
-        self.real = self.cap > 0
-        self._divisor = np.where(self.real, self.cap, 1.0)  # pads move nothing
+        real = self.cap > 0
+        self._divisor = np.where(real, self.cap, 1.0)  # pads move nothing
+        self._pad = np.where(real, 0.0, np.inf)  # subtracting a score ranks pads last
+        self._count = real.sum(axis=1)
+        self._flat = np.arange(len(systems))[:, None] * self.cap.shape[1]  # row starts
         self.capacity = np.array([s.capacity_mwd for s in systems])
+        self._refresh()
+
+    def _refresh(self) -> None:
         self.stored = _total(self.energy)
+        self.headroom = np.maximum(0.0, self.capacity - self.stored)
 
     @property
     def soc_pct(self) -> np.ndarray:
         return self.stored / self.capacity * 100.0
 
     @property
-    def headroom(self) -> np.ndarray:
-        return np.maximum(0.0, self.capacity - self.stored)
-
-    @property
     def mean_soh_pct(self) -> np.ndarray:
-        return _total(self.soh) / self.real.sum(axis=1)
+        return _total(self.soh) / self._count
 
     def scores(self, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC) -> np.ndarray:
         """Charging desirability in [0, 1]: healthy and empty scores high; pads -inf."""
-        score = w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor)
-        return np.where(self.real, score, -np.inf)
+        return w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor) - self._pad
 
     def _check(self, amounts, limit: np.ndarray, what: str) -> np.ndarray:
         """The amounts as an array, clipped to limit after dust-sized overshoot."""
         amounts = np.asarray(amounts, dtype=float)
-        bad = (amounts < 0) | (amounts > limit + _REL_TOL * np.maximum(1.0, limit))
+        bad = ~((amounts >= 0) & (amounts <= limit + _REL_TOL * np.maximum(1.0, limit)))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"system {self.ids[i]}: {what} {amounts[i]} outside [0, {limit[i]}]")
@@ -124,25 +130,24 @@ class GridUnits:
         other rows split equally across their units, overflow re-split.
         """
         left = self._check(q, self.headroom, "charge")
-        headroom = np.maximum(0.0, self.cap - self.energy)
-        ranked = np.reshape(ranked, (-1, 1))
-        amounts = split_equally_rows(np.where(ranked[:, 0], 0.0, left), headroom)
+        room = np.maximum(0.0, self.cap - self.energy)
+        ranked = np.asarray(ranked)
+        equal = np.where(ranked, 0.0, left)
+        amounts = np.zeros(room.shape) if ranked.all() else split_equally_rows(equal, room)
         if ranked.any():
-            order = np.argsort(-self.scores(w_soh, w_soc), axis=1, kind="stable")
-            rank = (np.arange(len(self.ids))[:, None], order)
-            room = headroom[rank]
-            first = np.where(ranked, left[:, None], 0.0)
-            steps = np.subtract.accumulate(np.concatenate([first, room], axis=1), axis=1)[:, :-1]
-            greedy = np.where(steps > 0, np.minimum(steps, room), 0.0)
-            amounts[rank] = np.where(ranked, greedy, amounts[rank])
-        filled = np.minimum(self.cap, self.energy + amounts)
-        self.energy = np.where(amounts > 0, filled, self.energy)
+            # Greedy in rank order: each unit takes what is left, up to its room.
+            order = (-self.scores(w_soh, w_soc)).argsort(axis=1, kind="stable") + self._flat
+            room = room.take(order)  # order holds flat indices, as take and put read them
+            first = np.where(ranked, left, 0.0)[:, None]
+            rest = np.subtract.accumulate(np.concatenate([first, room], axis=1), axis=1)[:, :-1]
+            amounts.put(order, amounts.take(order) + np.maximum(0.0, np.minimum(rest, room)))
+        np.copyto(self.energy, np.minimum(self.cap, self.energy + amounts), where=amounts > 0)
         return self._wear(amounts, self.r_charge)
 
     def _wear(self, amounts: np.ndarray, rate: np.ndarray) -> np.ndarray:
         worn = np.maximum(0.0, self.soh - amounts * rate / self._divisor)
-        self.soh = np.where(amounts > 0, worn, self.soh)
-        self.stored = _total(self.energy)
+        np.copyto(self.soh, worn, where=amounts > 0)
+        self._refresh()
         return amounts
 
     def discharge(self, d) -> np.ndarray:
@@ -152,5 +157,5 @@ class GridUnits:
         re-split among the rest. Each unit is worn by what it gave.
         """
         taken = split_equally_rows(self._check(d, self.stored, "discharge"), self.energy)
-        self.energy = np.maximum(0.0, self.energy - taken)
+        np.maximum(0.0, self.energy - taken, out=self.energy)
         return self._wear(taken, self.r_discharge)

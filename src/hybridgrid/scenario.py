@@ -47,6 +47,13 @@ MAX_DAYS = 36_500
 MAX_UNIT_COUNT = 10_000
 MAX_TOTAL_UNITS = 1_000_000
 MAX_UNIT_CAPACITY_MWD = 1e6
+# Caps on the magnitudes of the synthetic weather scales (W/m^2, times ghi_base,
+# then m/s), so that no seed's draws can overflow.
+MAX_WEATHER_SCALES = {"ghi_base": 2_000.0, "ghi_seasonal_amplitude": 10.0, "wind_base": 100.0,
+                      "wind_seasonal_amplitude": 100.0, "wind_noise_sd": 100.0}
+# Source ids may be negative; system and load ids key seeded streams, as seeds do.
+MAX_ID = 2**31 - 1
+MAX_SEED = 2**32 - 1
 MAX_SYSTEMS = 10_000
 MAX_LOADS = 10_000
 MAX_SOURCES = 10_000
@@ -170,18 +177,17 @@ def _check(value, ok: bool, rule: str, where: str):
     return value
 
 
-def _key(value, where: str) -> int:
-    """A seed or id, which may key a seeded random stream and so is never negative."""
-    key = as_int(value, where)
-    return _check(key, key >= 0, ">= 0", where)
-
-
 def _size(value, lo: int, hi: int, where: str) -> int:
-    """An integer size field in [lo, hi]; above hi, the error shows the value as written."""
+    """An integer field in [lo, hi]; out of range, the error shows the value as written."""
     n = as_int(value, where)
-    _check(n, n >= lo, f">= {lo}", where)
+    _check(value, n >= lo, f">= {lo}", where)
     _check(value, n <= hi, f"<= {hi}", where)
     return n
+
+
+def _ref(value, where: str) -> int:
+    """A source id or a wired system id; an unknown one is a topology violation."""
+    return _size(value, -MAX_ID, MAX_ID, where)
 
 
 def _string(value, where: str) -> str:
@@ -247,17 +253,17 @@ def _parse_source(entry: dict, where: str) -> EnergySource:
     params = _read(_PLANTS[kind], entry, where, ("kind", "id", "site", "connected_systems"))
     if kind == "wind":
         _require(entry, "turbine_count", where)  # required here, unlike in WindPlantParams
-    sid = as_int(_require(entry, "id", where), f"{where}.id")
+    sid = _ref(_require(entry, "id", where), f"{where}.id")
     site = _string(_require(entry, "site", where), f"{where}.site")
     wired = _require(entry, "connected_systems", where)
-    connected = _items(wired, as_int, f"{where}.connected_systems")
+    connected = _items(wired, _ref, f"{where}.connected_systems")
     return EnergySource(sid, kind, params, connected, site)
 
 
 def _parse_system(entry, where: str) -> tuple[int, int, float]:
     """A system's id, unit count and unit capacity; its units are built later."""
     _known(entry, _SYSTEM_KEYS, where)
-    sid = _key(_require(entry, "id", where), f"{where}.id")
+    sid = _size(_require(entry, "id", where), 0, MAX_ID, f"{where}.id")
     count = _size(entry.get("unit_count", 10), 1, MAX_UNIT_COUNT, f"{where}.unit_count")
     at = f"{where}.unit_capacity_mwd"
     cap = _number(entry.get("unit_capacity_mwd", 100.0), at)
@@ -268,9 +274,9 @@ def _parse_system(entry, where: str) -> tuple[int, int, float]:
 
 def _parse_center(entry, where: str) -> LoadCenter:
     _known(entry, _CENTER_KEYS, where)
-    lid = _key(_require(entry, "id", where), f"{where}.id")
+    lid = _size(_require(entry, "id", where), 0, MAX_ID, f"{where}.id")
     wired = _require(entry, "connected_systems", where)
-    return LoadCenter(id=lid, connected_systems=_items(wired, as_int, f"{where}.connected_systems"))
+    return LoadCenter(id=lid, connected_systems=_items(wired, _ref, f"{where}.connected_systems"))
 
 
 def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
@@ -300,7 +306,7 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
         _check(total, total <= MAX_TOTAL_UNITS, f"<= {MAX_TOTAL_UNITS}", at)
         centers = _require(demand, "centers", "loads")
         loads = _items(centers, _parse_center, "loads.centers", MAX_LOADS)
-        sources = _items(_require(doc, "sources", "config"), _parse_source, "sources", MAX_SOURCES)
+        sources = _items(_require(doc, "sources", "scenario"), _parse_source, "sources", MAX_SOURCES)
         systems = [
             StorageSystem(sid, uniform_units(count, cap, soc0, soh0, deg.r_charge, deg.r_discharge))
             for sid, count, cap in sizes
@@ -331,11 +337,19 @@ def _parse_weather(section, sites: set[str]) -> WeatherConfig:
         return WeatherConfig(kind="csv", path=path)
     _known(section, ("kind", "sites", "default"), "weather")
     site_params = {
-        site: _read(SynthWeatherParams, params, f"weather.sites.{site}")
+        site: _weather_params(params, f"weather.sites.{site}")
         for site, params in _known(section.get("sites", {}), sites, "weather.sites").items()
     }
-    default = _read(SynthWeatherParams, section.get("default", {}), "weather.default")
+    default = _weather_params(section.get("default", {}), "weather.default")
     return WeatherConfig(kind="synthetic", site_params=site_params, default_params=default)
+
+
+def _weather_params(section, where: str) -> SynthWeatherParams:
+    params = _read(SynthWeatherParams, section, where)
+    for name, most in MAX_WEATHER_SCALES.items():
+        value = getattr(params, name)
+        _check(value, abs(value) <= most, f"in [-{most:g}, {most:g}]", f"{where}.{name}")
+    return params
 
 
 def _parse_demand(section, load_ids: set[str]) -> DemandConfig:
@@ -358,7 +372,7 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     run = _known(doc.get("run", {}), _RUN_KEYS, "run")
     cfg = ScenarioConfig(
         days=_size(run.get("days", 365), 0, MAX_DAYS, "run.days"),
-        seed=_key(run.get("seed", 0), "run.seed"),
+        seed=_size(run.get("seed", 0), 0, MAX_SEED, "run.seed"),
         priority_enabled=_flag(run, "priority_enabled", True, "run"),
         health_enabled=_flag(run, "health_enabled", True, "run"),
         forecasting=_read(ForecastingConfig, doc.get("forecasting", {}), "forecasting"),
@@ -390,5 +404,5 @@ def load_scenario(path, run_overrides=None) -> tuple[ScenarioConfig, GridTopolog
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     if run_overrides:
-        doc["run"] = {**doc.get("run", {}), **run_overrides}
+        doc["run"] = {**_object(doc.get("run", {}), "run"), **run_overrides}
     return parse_scenario(doc)

@@ -1,6 +1,6 @@
 """Shared test tooling: a one-line PASS/FAIL digest for each acceptance
-check, the one digest of daily records, and a scenario shared by the golden
-and engine tests."""
+check, the one digest of daily records, a scenario shared by the golden
+and engine tests, and a small explicit grid the scenario and CLI tests mutate."""
 
 import hashlib
 from dataclasses import fields
@@ -66,6 +66,38 @@ SHARED_SYSTEMS_DOC = {
     "weather": {"kind": "synthetic", "default": {"cloud_ar": 0.6, "wind_ar": 0.6}},
     "run": {"days": 90, "seed": 5, "priority_enabled": True, "health_enabled": True},
 }
+
+
+def explicit_doc():
+    return {
+        "topology": {
+            "systems": [
+                {"id": 1, "unit_count": 2, "unit_capacity_mwd": 50.0},
+                {"id": 2, "unit_count": 4, "unit_capacity_mwd": 25.0},
+            ]
+        },
+        "sources": [
+            {
+                "id": 1,
+                "kind": "solar",
+                "site": "roof",
+                "area_m2": 2000.0,
+                "efficiency": 0.2,
+                "connected_systems": [1, 2],
+            },
+            {"id": 2, "kind": "wind", "site": "hill", "turbine_count": 3, "connected_systems": [1]},
+        ],
+        "loads": {
+            "kind": "synthetic",
+            "centers": [{"id": 0, "connected_systems": [1, 2]}],
+            "base_mwd": {"0": 40.0},
+            "weekly_shape": [1.0, 1.0, 1.0, 1.0, 1.0, 0.9, 0.9],
+        },
+        "forecasting": {"refit_interval_days": 30},
+        "degradation": {"r_charge": 0.1},
+        "weather": {"kind": "synthetic", "sites": {"roof": {"cloud_ar": 0.5}}, "default": {}},
+        "run": {"days": 3, "seed": 2, "score_weights": {"soh": 1.0, "soc": 0.0}},
+    }
 
 
 def records_sha256(*traces) -> str:

@@ -1,13 +1,19 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
+import io
 import json
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SHARED_SYSTEMS_DOC
+from conftest import SHARED_SYSTEMS_DOC, explicit_doc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridgrid import compare
 from hybridgrid.cli import main
@@ -193,6 +199,59 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
             {"systems": [{"id": k, "unit_count": 10_000} for k in range(101)]},
             "the total unit_count of topology.systems must be <= 1000000, got 1010000",
         ),
+        # Synthetic weather scales are capped, so no seed's draws overflow.
+        (
+            "weather",
+            {"sites": {"ridge": {"wind_noise_sd": 1e308}}},
+            "weather.sites.ridge.wind_noise_sd must be in [-100, 100], got 1e+308",
+        ),
+        (
+            "weather",
+            {"default": {"ghi_base": 1e308}},
+            "weather.default.ghi_base must be in [-2000, 2000], got 1e+308",
+        ),
+        (
+            "weather",
+            {"default": {"wind_base": -101}},
+            "weather.default.wind_base must be in [-100, 100], got -101.0",
+        ),
+        (
+            "weather",
+            {"default": {"ghi_seasonal_amplitude": -1e308}},
+            "weather.default.ghi_seasonal_amplitude must be in [-10, 10], got -1e+308",
+        ),
+        (
+            "weather",
+            {"default": {"wind_seasonal_amplitude": 1e308}},
+            "weather.default.wind_seasonal_amplitude must be in [-100, 100], got 1e+308",
+        ),
+        # Ids and the seed are bounded, and shown as written.
+        ("run", {"seed": 1e308}, "run.seed must be <= 4294967295, got 1e+308"),
+        (
+            "topology",
+            {"systems": [{"id": 1e308}]},
+            "topology.systems[0].id must be <= 2147483647, got 1e+308",
+        ),
+        (
+            "sources",
+            [{**SHARED_SYSTEMS_DOC["sources"][0], "id": 1e308}],
+            "sources[0].id must be <= 2147483647, got 1e+308",
+        ),
+        (
+            "sources",
+            [{**SHARED_SYSTEMS_DOC["sources"][0], "id": -1e308}],
+            "sources[0].id must be >= -2147483647, got -1e+308",
+        ),
+        (
+            "loads",
+            {"centers": [{"id": 1e308, "connected_systems": [1]}]},
+            "loads.centers[0].id must be <= 2147483647, got 1e+308",
+        ),
+        (
+            "loads",
+            {"centers": [{"id": 0, "connected_systems": [1e308]}]},
+            "loads.centers[0].connected_systems[0] must be <= 2147483647, got 1e+308",
+        ),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):
@@ -233,6 +292,75 @@ def write_empty_grid(tmp_path):
 def test_validate_empty_grid_is_ok(tmp_path, capsys):
     assert main(["validate", str(write_empty_grid(tmp_path))]) == 0
     assert "ok: 0 systems, 0 loads, 0 sources" in capsys.readouterr().out
+
+
+# --- mutated documents -------------------------------------------------------
+
+# One value replaced, deleted or added anywhere in a known-good document, from a
+# fixed pool (MacIver et al., "Hypothesis", JOSS 2019). No value of the pool is a
+# size the caps admit but that would build a large grid.
+MUTATION_POOL = [None, True, "x", "1", -1, 0, 2.5, 1e308, [], {}]
+MUTATED_DOCS = {
+    "explicit": explicit_doc(),
+    "shared-systems": SHARED_SYSTEMS_DOC,
+    "toy": json.loads(Path(TOY).read_text()),
+    "stress": json.loads(Path("scenarios/stress.json").read_text()),
+}
+# A rejected document is named by a dotted key (or the key a section is missing),
+# by a topology violation, or by the source whose generation is not finite.
+NAMES_WHERE = re.compile(
+    r"(topology|sources|loads|forecasting|degradation|weather|run)\b|unknown key \S"
+    r"|.*missing required key '\w+'|invalid topology: |violation: |source -?\d+: "
+)
+
+
+def _paths(node, at=()):
+    """Every path into a JSON document, the root first."""
+    yield at
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*at, key))
+
+
+@st.composite
+def mutated_docs(draw):
+    doc = copy.deepcopy(MUTATED_DOCS[draw(st.sampled_from(sorted(MUTATED_DOCS)))])
+    at = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(st.sampled_from(MUTATION_POOL))
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    target = parent[at[-1]] if at else doc
+    op = draw(st.sampled_from(["replace", "delete", "add"])) if at else "add"
+    if op == "add" and isinstance(target, list):
+        target.append(value)
+    elif op == "add" and isinstance(target, dict):
+        target["extra"] = value
+    elif op == "delete":
+        del parent[at[-1]]
+    else:
+        parent[at[-1]] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_docs())
+def test_mutated_scenario_runs_or_names_what_is_wrong(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        run = ["simulate", str(path), "--out", str(Path(tmp) / "run"), "--days", "3"]
+        for argv in (["validate", str(path)], run):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            if code != 0:
+                message = (out.getvalue() + err.getvalue()).strip().splitlines()[-1]
+                message = message.removeprefix("error: invalid input: ")
+                assert code == 1 and NAMES_WHERE.match(message), (argv[0], code, message)
 
 
 # --- simulate ------------------------------------------------------------------
@@ -290,7 +418,15 @@ def test_simulate_seed_override_changes_trace(tmp_path):
 
 def test_simulate_negative_seed_flag_is_validation_error(tmp_path, capsys):
     assert main(["simulate", TOY, "--out", str(tmp_path / "run"), "--seed", "-1"]) == 1
-    assert "run.seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "--seed must be in [0, 4294967295], got -1" in capsys.readouterr().err
+
+
+def test_simulate_flags_beside_a_run_that_is_not_an_object_name_it(tmp_path, capsys):
+    doc = {**json.loads(Path(TOY).read_text()), "run": None}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run"), "--days", "3"]) == 1
+    assert capsys.readouterr().err == "error: invalid input: run must be a JSON object\n"
 
 
 def test_simulate_toggle_flags(tmp_path):
@@ -378,25 +514,26 @@ NON_FINITE_GENERATION_DOCS = {
         },
         "source 1: generation is not finite",
     ),
+    # Synthetic weather scales are capped at parse, so the built-in grid's
+    # plants overflow only on weather read from a CSV.
     "reference": (
-        {
-            **json.loads(Path(TOY).read_text()),
-            "weather": {
-                "kind": "synthetic",
-                "default": {"ghi_base": 1e308, "ghi_seasonal_amplitude": 0.5},
-            },
-        },
+        {**json.loads(Path(TOY).read_text()), "weather": {"kind": "csv", "path": "weather.csv"}},
         "source 3: generation is not finite",
     ),
 }
+HUGE_GHI_WEATHER = "site_id,day_index,ghi_w_m2,wind_speed_ms\n" + "".join(
+    f"coastal,{day},500.0,8.0\ninland,{day},1e308,8.0\n" for day in range(3)
+)
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_GENERATION_DOCS))
 @pytest.mark.parametrize(
     "command", [["simulate"], ["compare", "--axis", "health"]], ids=["simulate", "compare"]
 )
-def test_non_finite_generation_is_validation_error(tmp_path, capsys, name, command):
+def test_non_finite_generation_is_validation_error(tmp_path, capsys, monkeypatch, name, command):
     doc, message = NON_FINITE_GENERATION_DOCS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weather.csv").write_text(HUGE_GHI_WEATHER)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     out_dir = tmp_path / "run"
@@ -415,13 +552,15 @@ def test_non_finite_generation_is_validation_error(tmp_path, capsys, name, comma
 def test_simulate_overflowing_synthetic_weather_names_its_section(
     tmp_path, capsys, recwarn, weather, section
 ):
+    # The scale is capped at parse, so the run fails however few days it has.
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**json.loads(Path(TOY).read_text()), "weather": weather}))
-    assert main(["simulate", str(path), "--out", str(tmp_path / "run"), "--days", "100"]) == 1
-    err = capsys.readouterr().err
-    assert err == (
-        f"error: invalid input: {section}: synthetic wind speed for site 'coastal' is not finite\n"
-    )
+    for days in ("3", "100"):
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run"), "--days", days]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: invalid input: {section}.wind_noise_sd must be in [-100, 100], got 1e+308\n"
+        )
     assert not recwarn.list
 
 

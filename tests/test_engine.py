@@ -418,6 +418,21 @@ def test_initialize_state_fits_no_model(monkeypatch):
     assert len(windows) == 2 * len(topo.loads)
 
 
+def test_day_inputs_are_built_on_first_use():
+    # The day step's policy-independent inputs stay out of a run's set-up.
+    cfg, topo = parse_scenario(small_doc(days=20, seed=5))
+    state = engine.SimulationState([cfg, dataclasses.replace(cfg, health_enabled=False)], topo)
+    lazy = ("energy", "demand", "arm_rows")
+    assert not set(lazy) & set(vars(state))
+    w = topo.wiring
+    for day in range(cfg.days):
+        assert state.energy[day] == [state.generation[day][src.id] for src in w.sources]
+        assert state.demand[day] == [float(state.demand_by_load[lid][day]) for lid in w.load_ids]
+    runs, ranked = state.arm_rows
+    assert runs == [slice(0, 7), slice(7, 14)]
+    assert ranked.tolist() == [True] * 7 + [False] * 7
+
+
 def test_equal_split_run_fits_no_model(monkeypatch):
     windows = record_fit_windows(monkeypatch)
     doc = small_doc(days=80, seed=5)

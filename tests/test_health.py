@@ -208,6 +208,14 @@ def test_apply_discharge_rejects_overdraw():
         g.discharge([51.0])
 
 
+@pytest.mark.parametrize("move", ["ranked", "equal", "discharge"])
+def test_moves_reject_nan_amounts(move):
+    g = grid([unit(uid=0, energy=50.0)])
+    what = "discharge" if move == "discharge" else "charge"
+    with pytest.raises(ValueError, match=f"system 1: {what} nan outside"):
+        g.discharge([np.nan]) if move == "discharge" else g.charge([np.nan], move == "ranked")
+
+
 # --- distribution fuzz ------------------------------------------------------
 
 
@@ -331,13 +339,21 @@ def hexes(a: np.ndarray) -> list[str]:
 
 
 @settings(deadline=None)
-@given(grids=st.lists(ragged_systems(), min_size=1, max_size=3), data=st.data())
-def test_stacked_mixed_charge_equals_each_system_alone(grids, data):
+@given(
+    grids=st.lists(ragged_systems(), min_size=1, max_size=3),
+    flags=st.sampled_from(["all ranked", "none ranked", "mixed"]),
+    data=st.data(),
+)
+def test_stacked_mixed_charge_equals_each_system_alone(grids, flags, data):
     # compare() stacks its runs' grids as rows of one GridUnits and charges
-    # them in one call, ranked rows beside equal ones.
+    # them in one call, ranked rows beside equal ones. A call whose rows are
+    # all ranked skips the equal split, and one with none skips the greedy pass.
     systems = [s for grid in grids for s in grid]
     n = len(systems)
-    ranked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if flags == "mixed":
+        ranked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        ranked = [flags == "all ranked"] * n
     share = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     w_soh = data.draw(st.floats(0.0, 1.0))
     stacked = GridUnits(systems)
@@ -357,17 +373,29 @@ def test_stacked_mixed_charge_equals_each_system_alone(grids, data):
         assert not stacked.soh[i, k:].any()
 
 
+@st.composite
+def split_rows(draw):
+    """1-5 rows of (total, caps). A total is anything up to 1000, often above
+    the row's summed caps; or below every open cap's equal share, so the row
+    finishes in one round; or zero. Sometimes every total is zero."""
+    rows, all_zero = [], draw(st.booleans())
+    for _ in range(draw(st.integers(1, 5))):
+        caps = draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=1, max_size=8)
+        )
+        kind = "zero" if all_zero else draw(st.sampled_from(["any", "one round", "zero"]))
+        open_caps = [cap for cap in caps if cap > 0]
+        if kind == "one round" and open_caps:
+            fill = draw(st.floats(0.0, 1.0, exclude_max=True))
+            total = fill * min(open_caps) * len(open_caps)
+        else:
+            total = draw(st.floats(0.0, 1000.0)) if kind == "any" else 0.0
+        rows.append((total, caps))
+    return rows
+
+
 @settings(deadline=None)
-@given(
-    rows=st.lists(
-        st.tuples(
-            st.floats(0.0, 1000.0),  # often above the row's summed caps
-            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=1, max_size=8),
-        ),
-        min_size=1,
-        max_size=5,
-    )
-)
+@given(rows=split_rows())
 def test_split_equally_rows_equals_split_equally_bitwise(rows):
     width = max(len(caps) for _, caps in rows)
     padded = np.zeros((len(rows), width))

@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+from conftest import explicit_doc
 
 from hybridgrid import GridUnits, scenario, validate_topology
 from hybridgrid.scenario import load_scenario, parse_scenario
@@ -123,38 +124,6 @@ def test_parse_zero_spread_keeps_uniform_rates():
     _, topo = parse_scenario(doc)
     rates = {u.r_charge for s in topo.systems for u in s.units}
     assert rates == {0.1}
-
-
-def explicit_doc():
-    return {
-        "topology": {
-            "systems": [
-                {"id": 1, "unit_count": 2, "unit_capacity_mwd": 50.0},
-                {"id": 2, "unit_count": 4, "unit_capacity_mwd": 25.0},
-            ]
-        },
-        "sources": [
-            {
-                "id": 1,
-                "kind": "solar",
-                "site": "roof",
-                "area_m2": 2000.0,
-                "efficiency": 0.2,
-                "connected_systems": [1, 2],
-            },
-            {"id": 2, "kind": "wind", "site": "hill", "turbine_count": 3, "connected_systems": [1]},
-        ],
-        "loads": {
-            "kind": "synthetic",
-            "centers": [{"id": 0, "connected_systems": [1, 2]}],
-            "base_mwd": {"0": 40.0},
-            "weekly_shape": [1.0, 1.0, 1.0, 1.0, 1.0, 0.9, 0.9],
-        },
-        "forecasting": {"refit_interval_days": 30},
-        "degradation": {"r_charge": 0.1},
-        "weather": {"kind": "synthetic", "sites": {"roof": {"cloud_ar": 0.5}}, "default": {}},
-        "run": {"days": 3, "seed": 2, "score_weights": {"soh": 1.0, "soc": 0.0}},
-    }
 
 
 def test_parse_explicit_topology():
@@ -460,6 +429,13 @@ def test_parse_plant_without_its_size_is_rejected(i, key):
     doc = explicit_doc()
     del doc["sources"][i][key]
     with pytest.raises(ValueError, match=re.escape(f"sources[{i}]: missing required key {key!r}")):
+        parse_scenario(doc)
+
+
+def test_parse_explicit_grid_without_sources_names_the_key():
+    doc = explicit_doc()
+    del doc["sources"]
+    with pytest.raises(ValueError, match=re.escape("scenario: missing required key 'sources'")):
         parse_scenario(doc)
 
 
