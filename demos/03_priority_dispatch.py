@@ -14,6 +14,7 @@ from hybridgrid import (
     allocate_priority,
     charge_deficits,
     charge_wants,
+    inflow,
     prioritize,
     reference_topology,
 )
@@ -46,8 +47,8 @@ def main():
     print()
     print(f"=== Dispatching {sum(per_source.values()):.0f} MWd of generation ===")
 
-    # Flows are [source, system] in the wiring's order; each call uses up the
-    # headroom list it is given, so each gets its own.
+    # Flows are per source and wired system in the wiring's order; each call
+    # uses up the headroom list it is given, so each gets its own.
     energy = [per_source[src.id] for src in w.sources]
     headroom = units.headroom.tolist()
     priority_flow, priority_curtailed = allocate_priority(
@@ -56,7 +57,7 @@ def main():
     equal_flow, equal_curtailed = allocate_equal(w, list(headroom), energy)
 
     print("  system   priority-inflow   equal-inflow")
-    for sid, p_in, e_in in zip(units.ids, np.sum(priority_flow, 0), np.sum(equal_flow, 0)):
+    for sid, p_in, e_in in zip(units.ids, inflow(w, priority_flow), inflow(w, equal_flow)):
         print(f"  {sid:>6}   {p_in:15.1f}   {e_in:12.1f}")
     print(
         f"  curtailed: priority {sum(priority_curtailed):.1f} MWd, "

@@ -20,9 +20,7 @@ def main():
     prio, equal = report.treatment.summary, report.baseline.summary
     z_on = sum(prio.zero_soc_events.values())
     z_off = sum(equal.zero_soc_events.values())
-    worst = min(
-        min(r.soc_pct.values()) for r in report.treatment.records
-    )
+    worst = report.treatment.soc_pct.min()
     print(f"  zero-SoC events with priority dispatch : {z_on}")
     print(f"  zero-SoC events with equal split       : {z_off}")
     print(f"  lowest SoC any system touched (priority): {worst:.2f}%")
@@ -39,8 +37,8 @@ def main():
     report = compare(cfg, topo, "health")
 
     def fleet(trace):
-        last = trace.records[-1]
-        return sum(last.mean_soh_pct.values()) / len(last.mean_soh_pct)
+        last = trace.mean_soh_pct[-1].tolist()
+        return sum(last) / len(last)
 
     on, off = fleet(report.treatment), fleet(report.baseline)
     print(f"  fleet mean SoH, ranked charging : {on:.2f}%")

@@ -8,6 +8,7 @@ from .dispatch import (
     charge_deficits,
     charge_wants,
     discharge_shares,
+    inflow,
     prioritize,
     split_equally,
 )

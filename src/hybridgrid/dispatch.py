@@ -17,8 +17,10 @@ system totals without touching units.
 
 Every function works on plain per-system lists in the order of a topology's
 systems (its rows) and on the topology's Wiring index lists, as the engine
-calls them each day. This module only decides system-level amounts. Moving
-energy into and out of units, and the wear that costs, is health.py's job.
+calls them each day. Charge flows come one per wired edge, aligned with
+Wiring.source_rows, so a day costs the connections, not sources x systems;
+inflow() adds them per system. This module only decides system-level amounts.
+Moving energy into and out of units, and the wear that costs, is health.py's job.
 """
 
 from __future__ import annotations
@@ -99,19 +101,20 @@ def allocate_priority(
     (used up in place) are per row, energy is per source of the wiring. Pass
     one covers deficits in order from each row's sources, ascending; pass two
     spreads each source's leftover by open headroom and curtails the rest.
-    Returns flow[k][i], the MWd source k gives row i, and each curtailment.
+    Returns flow[k][j], the MWd source k gives row w.source_rows[k][j], and
+    each curtailment.
     """
     remaining = list(energy)
-    flow = [[0.0] * len(headroom) for _ in energy]
+    flow = [[0.0] * len(rows) for rows in w.source_rows]
     curtailed = [0.0] * len(energy)
     # Pass 1: cover deficits in priority order.
     for i in order:
         need = min(deficit[i], headroom[i])
-        for k in w.system_sources[i]:
+        for k, j in zip(w.system_sources[i], w.system_slots[i]):
             if need <= 0:
                 break
             take = min(need, remaining[k])
-            flow[k][i] = take
+            flow[k][j] = take
             remaining[k] -= take
             headroom[i] -= take
             need -= take
@@ -120,16 +123,17 @@ def allocate_priority(
         left = remaining[k]
         if left <= 0:
             continue
-        rooms = [(i, headroom[i]) for i in rows if headroom[i] > 0]
-        open_room = sum(room for _, room in rooms)
-        if left >= open_room:
-            give = rooms
+        open_room = sum([room for i in rows if (room := headroom[i]) > 0])
+        fills = left >= open_room
+        if fills:
             curtailed[k] = left - open_room
-        else:
-            give = [(i, left * room / open_room) for i, room in rooms]
-        for i, amt in give:
-            flow[k][i] += amt
-            headroom[i] -= amt
+        gifts = flow[k]
+        for j, i in enumerate(rows):  # a source lists each row once
+            room = headroom[i]
+            if room > 0:
+                amt = room if fills else left * room / open_room
+                gifts[j] += amt
+                headroom[i] -= amt
     return flow, curtailed
 
 
@@ -138,20 +142,24 @@ def allocate_equal(
 ) -> tuple[list[list[float]], list[float]]:
     """Need-blind baseline: each source in turn splits equally over its rows,
     overflow re-split and the rest curtailed; in and out as allocate_priority."""
-    flow = [[0.0] * len(headroom) for _ in energy]
-    curtailed = [0.0] * len(energy)
-    for k, rows in enumerate(w.source_rows):
-        e = energy[k]
-        if e <= 0:
-            continue
-        delivered = 0.0
-        for i, amt in zip(rows, split_equally(e, [headroom[i] for i in rows])):
-            flow[k][i] = amt
+    flow, curtailed = [], [0.0] * len(energy)
+    for k, (rows, e) in enumerate(zip(w.source_rows, energy)):
+        flow.append(split_equally(e, [headroom[i] for i in rows]) if e > 0 else [0.0] * len(rows))
+        for i, amt in zip(rows, flow[k]):
             headroom[i] -= amt
-            delivered += amt
+        delivered = sum(flow[k])
         if e - delivered > _REL_TOL * max(1.0, e):
             curtailed[k] = e - delivered
     return flow, curtailed
+
+
+def inflow(w: Wiring, flow: list[list[float]]) -> list[float]:
+    """Each row's MWd in: its sources' gifts added in ascending source order from 0.0."""
+    total = [0.0] * len(w.system_sources)
+    for rows, gifts in zip(w.source_rows, flow):
+        for i, amt in zip(rows, gifts):
+            total[i] += amt
+    return total
 
 
 def discharge_shares(demand_mwd: float, stored: list[float]) -> tuple[list[float], float]:

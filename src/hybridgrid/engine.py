@@ -10,11 +10,14 @@ arm-major rows (row b * S + i is system i of arm b), and step_day makes one
 charge call and one discharge call for the whole batch. run_simulation is
 the one-arm case; compare() runs two arms. Each day dispatches charging per
 arm at the grid level (priority or equal, on the topology's Wiring index
-lists), distributes each system's inflow across its units (health-ranked or
-equal, row by row), then settles realized demand: each arm settles its loads
-in ascending id on running system totals, each load seeing storage as the
-previous load of its arm left it, and one discharge takes every arm's totals
-from the units. The topology is only read.
+lists, one flow per wired edge), distributes each system's inflow across its
+units (health-ranked or equal, row by row), then settles realized demand:
+each arm settles its loads in ascending id on running system totals, each
+load seeing storage as the previous load of its arm left it, and one
+discharge takes every arm's totals from the units. The topology is only read.
+step_day writes one row of the state's [days, arms x width] arrays a day; a
+SimulationTrace is one arm's columns of them, and summaries add them in
+day-then-column order.
 
 Runs are deterministic: a config and seed reproduce byte-identical traces.
 """
@@ -30,14 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import (
-    allocate_equal,
-    allocate_priority,
-    charge_deficits,
-    charge_wants,
-    discharge_shares,
-    prioritize,
-)
+from .dispatch import allocate_equal, allocate_priority, charge_wants, inflow, prioritize
 from .forecast import (
     WeatherSample,
     fit_sarima_many,
@@ -63,9 +59,15 @@ class SimulationError(RuntimeError):
     """Raised when a run cannot proceed (e.g. its CSV data is exhausted)."""
 
 
+# Each per-day trace field and the topology list its columns follow.
+TRACE_FIELDS = {**dict.fromkeys(["soc_pct", "mean_soh_pct", "charge_in_mwd", "discharge_out_mwd"],
+                                "systems"),
+                "served_mwd": "loads", "unmet_mwd": "loads", "curtailed_mwd": "sources"}
+
+
 @dataclass
 class DailyRecord:
-    """End-of-day snapshot of one simulated day."""
+    """End-of-day snapshot of one simulated day, as dicts keyed by id."""
 
     day: int
     soc_pct: dict[int, float]
@@ -86,11 +88,33 @@ class TraceSummary:
     total_curtailed_mwd: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationTrace:
+    """One arm's run as [days, width] arrays, a row per day, columns in system_ids,
+    load_ids or source_ids order (TRACE_FIELDS); generated_mwd is the state's."""
+
     config_echo: dict
-    records: list[DailyRecord]
     summary: TraceSummary
+    system_ids: list[int]
+    load_ids: list[int]
+    source_ids: list[int]
+    generated_mwd: list[dict[int, float]]
+    soc_pct: np.ndarray
+    mean_soh_pct: np.ndarray
+    charge_in_mwd: np.ndarray
+    discharge_out_mwd: np.ndarray
+    served_mwd: np.ndarray
+    unmet_mwd: np.ndarray
+    curtailed_mwd: np.ndarray
+
+    @cached_property
+    def records(self) -> list[DailyRecord]:
+        """The arrays as one DailyRecord per day, built on first read."""
+        ids = {"systems": self.system_ids, "loads": self.load_ids, "sources": self.source_ids}
+        *daily, curtailed = [[dict(zip(ids[of], row)) for row in getattr(self, f).tolist()]
+                             for f, of in TRACE_FIELDS.items()]
+        return [DailyRecord(day, *(f[day] for f in daily), dict(g), curtailed[day])
+                for day, g in enumerate(self.generated_mwd)]
 
 
 @dataclass
@@ -160,22 +184,16 @@ class SimulationState:
         o = fc.orders
         warmup = max(3 * o.s, 30, o.min_series_length())
         fit_days = range(warmup, days, fc.refit_interval_days)
-        windows = [
-            series[max(0, day - fc.train_window_days) : day]
-            for series in self.demand_by_load.values()
-            for day in fit_days
-        ]
+        windows = [series[max(0, day - fc.train_window_days) : day]
+                   for series in self.demand_by_load.values() for day in fit_days]
         models = iter(fit_sarima_many(windows, o))
         out = {}
         for lid, series in self.demand_by_load.items():
             d = series.tolist()
             standing = [forecast_one(next(models)) for _ in fit_days]
-            out[lid] = [
-                _warmup_forecast(d, day, o.s)
-                if day < warmup
-                else standing[(day - warmup) // fc.refit_interval_days]
-                for day in range(days)
-            ]
+            out[lid] = [_warmup_forecast(d, day, o.s) if day < warmup
+                        else standing[(day - warmup) // fc.refit_interval_days]
+                        for day in range(days)]
         return out
 
     @cached_property
@@ -183,6 +201,11 @@ class SimulationState:
         """W[day, system]: charge_wants over each day's forecasts."""
         want = charge_wants(self.topology, self.forecasts)
         return np.broadcast_to(want, (self.arms[0].days, len(self.topology.systems)))
+
+    @cached_property
+    def targets(self) -> list[list[float]]:
+        """T[day][i]: min(capacity, want), the stored MWd priority dispatch charges toward."""
+        return np.minimum(self.units.capacity[: len(self.topology.systems)], self.wants).tolist()
 
     @cached_property
     def energy(self) -> list[list[float]]:
@@ -201,70 +224,66 @@ class SimulationState:
         n, flags = len(self.topology.systems), [cfg.health_enabled for cfg in self.arms]
         return [slice(b * n, (b + 1) * n) for b in range(len(flags))], np.repeat(flags, n)
 
+    @cached_property
+    def rows(self) -> dict[str, np.ndarray]:
+        """Each TRACE_FIELDS array as [days, arms x width], arm-major columns;
+        curtailment columns in wiring source order. step_day fills a row a day."""
+        days, t = self.arms[0].days, self.topology
+        return {f: np.zeros((days, len(self.arms) * len(getattr(t, of))))
+                for f, of in TRACE_FIELDS.items()}
 
-def step_day(state: SimulationState, day: int) -> list[DailyRecord]:
-    """Advance every run of the state by one day; one record per run."""
-    t, units, (runs, ranked) = state.topology, state.units, state.arm_rows
-    w, ids = t.wiring, units.ids[: len(t.systems)]
-    generated, energy = state.generation[day], state.energy[day]
 
-    # 1. Grid-level dispatch per run; only the priority policy reads forecasts.
-    #    A system's inflow adds its sources' gifts in ascending source id.
-    headroom = units.headroom.tolist()
+def step_day(state: SimulationState, day: int) -> None:
+    """Advance every arm of the state by one day, writing row day of state.rows."""
+    t, units, (runs, ranked), out = state.topology, state.units, state.arm_rows, state.rows
+    w, ids, energy = t.wiring, units.ids[: len(t.systems)], state.energy[day]
+
+    # 1. Grid-level dispatch per arm; only the priority policy reads forecasts.
+    #    max(x, 0.0) keeps a NaN deficit, as dispatch.charge_deficits does.
+    headroom, stored = units.headroom.tolist(), units.stored.tolist()
     charge_in, curtailed = [], []
     for cfg, rows in zip(state.arms, runs):
         if cfg.priority_enabled:
-            deficit = charge_deficits(
-                units.capacity[rows], state.wants[day], units.stored[rows]
-            ).tolist()
+            deficit = [max(tg - s, 0.0) for tg, s in zip(state.targets[day], stored[rows])]
             order = prioritize(deficit, ids)
             flow, curt = allocate_priority(w, order, deficit, headroom[rows], energy)
         else:
             flow, curt = allocate_equal(w, headroom[rows], energy)
-        inflow = [0.0] * len(ids)
-        for gifts in flow:
-            inflow = [a + b for a, b in zip(inflow, gifts)]
-        charge_in += inflow
-        curtailed.append(dict.fromkeys(generated, 0.0))  # in the topology's source order
-        curtailed[-1].update((src.id, c) for src, c in zip(w.sources, curt))
+        charge_in += inflow(w, flow)
+        curtailed += curt
+    out["charge_in_mwd"][day] = charge_in
+    out["curtailed_mwd"][day] = curtailed
 
-    # 2. Intra-system distribution with charge wear, every run in one call.
-    units.charge(charge_in, ranked, state.arms[0].weights.soh, state.arms[0].weights.soc)
+    # 2. Intra-system distribution with charge wear, every arm in one call.
+    units.charge(out["charge_in_mwd"][day], ranked, state.arms[0].weights.soh,
+                 state.arms[0].weights.soc)
 
-    # 3. Each run settles its loads in ascending id on running system totals,
-    #    each load seeing storage as the previous load of its run left it.
-    #    One discharge then takes every run's totals. That equals the per-load
-    #    draws in sequence: draws d1 then d2 take min(e_i, l1 + l2) from unit
-    #    i, as one draw of d1 + d2 does, and wear is linear in the amount drawn.
+    # 3. Each arm settles its loads in ascending id on running system totals,
+    #    as dispatch.discharge_shares splits a load. One discharge then takes
+    #    every arm's totals. That equals the per-load draws in sequence: draws
+    #    d1 then d2 take min(e_i, l1 + l2) from unit i, as one draw of d1 + d2
+    #    does, and wear is linear in the amount drawn.
     stored = units.stored.tolist()
-    demand = state.demand[day]
-    discharge_out, served, unmet = [], [{} for _ in runs], [{} for _ in runs]
-    for rows, srv, short in zip(runs, served, unmet):
-        left, out = stored[rows], [0.0] * len(ids)
-        for lid, d, at in zip(w.load_ids, demand, w.load_rows):
-            give, srv[lid] = discharge_shares(d, [left[i] for i in at])
-            short[lid] = max(0.0, d - srv[lid])
+    served, unmet, drawn = [], [], []
+    for rows in runs:
+        left, took = stored[rows], [0.0] * len(ids)
+        for d, at in zip(state.demand[day], w.load_rows):
+            give = [left[i] for i in at]
+            pool = sum(give)
+            if d < pool:
+                give, pool = [e / pool * d for e in give], d
+            served.append(pool)
+            unmet.append(max(0.0, d - pool))
             for i, amount in zip(at, give):
                 left[i] -= amount
-                out[i] += amount
-        discharge_out += out
-    units.discharge(discharge_out)
-
-    soc, soh = units.soc_pct.tolist(), units.mean_soh_pct.tolist()
-    return [
-        DailyRecord(
-            day=day,
-            soc_pct=dict(zip(ids, soc[rows])),
-            mean_soh_pct=dict(zip(ids, soh[rows])),
-            charge_in_mwd=dict(zip(ids, charge_in[rows])),
-            discharge_out_mwd=dict(zip(ids, discharge_out[rows])),
-            served_mwd=served[b],
-            unmet_mwd=unmet[b],
-            generated_mwd=generated,
-            curtailed_mwd=curtailed[b],
-        )
-        for b, rows in enumerate(runs)
-    ]
+                took[i] += amount
+        drawn += took
+    out["discharge_out_mwd"][day] = drawn
+    units.discharge(out["discharge_out_mwd"][day])
+    out["served_mwd"][day] = served
+    out["unmet_mwd"][day] = unmet
+    out["soc_pct"][day] = units.soc_pct
+    out["mean_soh_pct"][day] = units.mean_soh_pct
 
 
 def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSample]]:
@@ -277,9 +296,7 @@ def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSam
             row = by_day.get(day, {})
             missing = [site for site in sites if site not in row]
             if missing:
-                raise SimulationError(
-                    f"weather data exhausted: day {day} missing sites {missing}"
-                )
+                raise SimulationError(f"weather data exhausted: day {day} missing sites {missing}")
             out.append([row[site] for site in sites])
         return out
     per_site = {site: synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
@@ -287,9 +304,8 @@ def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSam
     return [[per_site[site][day] for site in sites] for day in range(cfg.days)]
 
 
-def _build_demand(
-    cfg: ScenarioConfig, t: GridTopology, state: SimulationState
-) -> dict[int, np.ndarray]:
+def _build_demand(cfg: ScenarioConfig, t: GridTopology,
+                  state: SimulationState) -> dict[int, np.ndarray]:
     load_ids = [load.id for load in t.loads]
     if cfg.demand.kind == "csv":
         series = load_demand_csv(cfg.demand.path)
@@ -298,16 +314,12 @@ def _build_demand(
             if lid not in series:
                 raise SimulationError(f"demand csv has no rows for load {lid}")
             if len(series[lid]) < cfg.days:
-                raise SimulationError(
-                    f"demand data exhausted for load {lid}: "
-                    f"{len(series[lid])} days < {cfg.days}"
-                )
+                raise SimulationError(f"demand data exhausted for load {lid}: "
+                                      f"{len(series[lid])} days < {cfg.days}")
             out[lid] = np.asarray(series[lid][: cfg.days])
         return out
 
-    base = {
-        lid: cfg.demand.base_by_load.get(lid, DEFAULT_BASE_DEMAND_MWD) for lid in load_ids
-    }
+    base = {lid: cfg.demand.base_by_load.get(lid, DEFAULT_BASE_DEMAND_MWD) for lid in load_ids}
     with np.errstate(over="ignore", invalid="ignore"):
         demand = synth_demand(cfg.seed, cfg.days, base, cfg.demand.params)
         total = sum(float(np.sum(d)) for d in demand.values())
@@ -316,10 +328,7 @@ def _build_demand(
 
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:
-        total_gen = 0.0
-        for generated in state.generation:
-            total_gen += sum(generated.values())
-        mean_gen = total_gen / cfg.days
+        mean_gen = sum(sum(generated.values()) for generated in state.generation) / cfg.days
         mean_demand = sum(float(np.mean(d)) for d in demand.values())
         if mean_demand <= 0:
             raise SimulationError("gen_fraction scaling needs positive base demand")
@@ -341,49 +350,45 @@ def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTra
 
 def _run(state: SimulationState) -> list[SimulationTrace]:
     """Run every arm of the state to the end in lockstep; one trace per arm."""
-    days = [step_day(state, day) for day in range(state.arms[0].days)]
-    ids = [s.id for s in state.topology.systems]
+    for day in range(state.arms[0].days):
+        step_day(state, day)
+    t, n_arms = state.topology, len(state.arms)
+    ids, source_ids = [s.id for s in t.systems], [s.id for s in t.sources]
+    wired = np.argsort(np.argsort(source_ids))  # each topology source's wiring column
     final_soh = state.units.mean_soh_pct.tolist()
     traces = []
     for b, cfg in enumerate(state.arms):
-        records = [arms[b] for arms in days]
-        total_unmet = 0.0
-        total_curtailed = 0.0
-        for rec in records:
-            total_unmet += sum(rec.unmet_mwd.values())
-            total_curtailed += sum(rec.curtailed_mwd.values())
-        summary = TraceSummary(
-            zero_soc_events={
-                sid: sum(rec.soc_pct[sid] <= ZERO_SOC_EPS for rec in records) for sid in ids
-            },
-            final_mean_soh_pct=dict(zip(ids, final_soh[b * len(ids) : (b + 1) * len(ids)])),
-            total_unmet_mwd=total_unmet,
-            total_curtailed_mwd=total_curtailed,
-        )
-        traces.append(SimulationTrace(_effective_config(cfg), records, summary))
+        arm = {f: a[:, b * a.shape[1] // n_arms : (b + 1) * a.shape[1] // n_arms]
+               for f, a in state.rows.items()}
+        arm["curtailed_mwd"] = arm["curtailed_mwd"][:, wired]
+        zero_soc = np.count_nonzero(arm["soc_pct"] <= ZERO_SOC_EPS, axis=0).tolist()
+        soh = dict(zip(ids, final_soh[b * len(ids) : (b + 1) * len(ids)]))
+        summary = TraceSummary(dict(zip(ids, zero_soc)), soh, _run_total(arm["unmet_mwd"]),
+                               _run_total(arm["curtailed_mwd"]))
+        traces.append(SimulationTrace(_effective_config(cfg), summary, ids, t.wiring.load_ids,
+                                      source_ids, state.generation, **arm))
     return traces
 
 
+def _run_total(a: np.ndarray) -> float:
+    """Every value of a [days, width] array, added as the per-day loops did:
+    each day's row left to right, then the day totals in order from 0.0."""
+    if not a.size:
+        return 0.0
+    return 0.0 + float(np.add.accumulate(np.add.accumulate(a, axis=1)[:, -1])[-1])
+
+
 def _effective_config(cfg: ScenarioConfig) -> dict:
-    o = cfg.forecasting.orders
-    return {
-        "source_document": cfg.raw,
-        "effective": {
-            "days": cfg.days,
-            "seed": cfg.seed,
-            "priority_enabled": cfg.priority_enabled,
-            "health_enabled": cfg.health_enabled,
-            "orders": [o.p, o.d, o.q, o.P, o.D, o.Q, o.s],
-            "refit_interval_days": cfg.forecasting.refit_interval_days,
-            "train_window_days": cfg.forecasting.train_window_days,
-            "r_charge": cfg.degradation.r_charge,
-            "r_discharge": cfg.degradation.r_discharge,
-            "rate_spread": cfg.degradation.rate_spread,
-            "score_weights": {"soh": cfg.weights.soh, "soc": cfg.weights.soc},
-            "initial_soc_pct": cfg.initial_soc_pct,
-            "initial_soh_pct": cfg.initial_soh_pct,
-        },
-    }
+    o, fc, deg = cfg.forecasting.orders, cfg.forecasting, cfg.degradation
+    return {"source_document": cfg.raw, "effective": {
+        "days": cfg.days, "seed": cfg.seed,
+        "priority_enabled": cfg.priority_enabled, "health_enabled": cfg.health_enabled,
+        "orders": [o.p, o.d, o.q, o.P, o.D, o.Q, o.s],
+        "refit_interval_days": fc.refit_interval_days, "train_window_days": fc.train_window_days,
+        "r_charge": deg.r_charge, "r_discharge": deg.r_discharge, "rate_spread": deg.rate_spread,
+        "score_weights": {"soh": cfg.weights.soh, "soc": cfg.weights.soc},
+        "initial_soc_pct": cfg.initial_soc_pct, "initial_soh_pct": cfg.initial_soh_pct,
+    }}
 
 
 def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> ComparisonReport:
@@ -442,46 +447,41 @@ def _f(x: float) -> str:
     return f"{x:.6f}"
 
 
-def trace_csv(trace: SimulationTrace) -> str:
-    lines = [TRACE_HEADER]
-    for rec in trace.records:
-        for sid in sorted(rec.soc_pct):
-            lines.append(
-                f"{rec.day},{sid},{_f(rec.soc_pct[sid])},{_f(rec.mean_soh_pct[sid])},"
-                f"{_f(rec.charge_in_mwd[sid])},{_f(rec.discharge_out_mwd[sid])}"
-            )
+def _per_system_csv(header: str, ids: list[int], *arrays: np.ndarray) -> str:
+    """The header, then per day and system by id: day, id and four values as _f writes them."""
+    cols = sorted(range(len(ids)), key=ids.__getitem__)
+    lines = [header]
+    for day, (a, b, c, d) in enumerate(zip(*(x.tolist() for x in arrays))):
+        lines += ["%d,%d,%.6f,%.6f,%.6f,%.6f" % (day, ids[i], a[i], b[i], c[i], d[i]) for i in cols]
     return "\n".join(lines) + "\n"
+
+
+def trace_csv(trace: SimulationTrace) -> str:
+    return _per_system_csv(TRACE_HEADER, trace.system_ids, trace.soc_pct, trace.mean_soh_pct,
+                           trace.charge_in_mwd, trace.discharge_out_mwd)
 
 
 def summary_csv(trace: SimulationTrace) -> str:
     s = trace.summary
-    lines = [SUMMARY_HEADER]
-    for sid in sorted(s.final_mean_soh_pct):
-        lines.append(
-            f"{sid},{s.zero_soc_events[sid]},{_f(s.final_mean_soh_pct[sid])},"
-            f"{_f(s.total_unmet_mwd)},{_f(s.total_curtailed_mwd)}"
-        )
+    totals = f"{_f(s.total_unmet_mwd)},{_f(s.total_curtailed_mwd)}"
+    lines = [SUMMARY_HEADER] + [
+        f"{sid},{s.zero_soc_events[sid]},{_f(s.final_mean_soh_pct[sid])},{totals}"
+        for sid in sorted(s.final_mean_soh_pct)
+    ]
     return "\n".join(lines) + "\n"
 
 
 def comparison_csv(report: ComparisonReport) -> str:
     on, off = report.treatment.summary, report.baseline.summary
-    lines = [COMPARISON_HEADER]
-    for sid in sorted(report.soh_gain_pct_points):
-        lines.append(
-            f"{sid},{_f(report.soh_gain_pct_points[sid])},"
-            f"{on.zero_soc_events[sid]},{off.zero_soc_events[sid]},"
-            f"{_f(on.total_unmet_mwd)},{_f(off.total_unmet_mwd)}"
-        )
+    unmet = f"{_f(on.total_unmet_mwd)},{_f(off.total_unmet_mwd)}"
+    lines = [COMPARISON_HEADER] + [
+        f"{sid},{_f(gain)},{on.zero_soc_events[sid]},{off.zero_soc_events[sid]},{unmet}"
+        for sid, gain in sorted(report.soh_gain_pct_points.items())
+    ]
     return "\n".join(lines) + "\n"
 
 
 def comparison_series_csv(report: ComparisonReport) -> str:
-    lines = [SERIES_HEADER]
-    for rec_t, rec_b in zip(report.treatment.records, report.baseline.records):
-        for sid in sorted(rec_t.soc_pct):
-            lines.append(
-                f"{rec_t.day},{sid},{_f(rec_t.soc_pct[sid])},{_f(rec_b.soc_pct[sid])},"
-                f"{_f(rec_t.mean_soh_pct[sid])},{_f(rec_b.mean_soh_pct[sid])}"
-            )
-    return "\n".join(lines) + "\n"
+    on, off = report.treatment, report.baseline
+    return _per_system_csv(SERIES_HEADER, on.system_ids, on.soc_pct, off.soc_pct,
+                           on.mean_soh_pct, off.mean_soh_pct)

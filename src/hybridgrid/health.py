@@ -54,13 +54,13 @@ def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
     room, alloc = caps, np.zeros(caps.shape)
     left = np.asarray(totals, dtype=float).reshape(-1, 1)
     active = (room > 0) & (left > 1e-12)
-    while active.any():
+    while np.count_nonzero(active):
         share = left / np.maximum(active.sum(axis=1, keepdims=True, dtype=float), 1.0)
         full = active & (room <= share)
         take = np.minimum(room, share)
         take *= active  # closed slots take +-0.0, which adds and subtracts as nothing
         alloc += take
-        if not full.any():
+        if not np.count_nonzero(full):
             break
         left = np.subtract.accumulate(np.concatenate([left, take], axis=1), axis=1)[:, -1:]
         active &= ~full & full.any(axis=1, keepdims=True) & (left > 1e-12)
@@ -114,7 +114,7 @@ class GridUnits:
         """The amounts as an array, clipped to limit after dust-sized overshoot."""
         amounts = np.asarray(amounts, dtype=float)
         bad = ~((amounts >= 0) & (amounts <= limit + _REL_TOL * np.maximum(1.0, limit)))
-        if bad.any():
+        if np.count_nonzero(bad):
             i = int(np.argmax(bad))
             raise ValueError(f"system {self.ids[i]}: {what} {amounts[i]} outside [0, {limit[i]}]")
         return np.minimum(amounts, limit)
@@ -132,9 +132,11 @@ class GridUnits:
         left = self._check(q, self.headroom, "charge")
         room = np.maximum(0.0, self.cap - self.energy)
         ranked = np.asarray(ranked)
-        equal = np.where(ranked, 0.0, left)
-        amounts = np.zeros(room.shape) if ranked.all() else split_equally_rows(equal, room)
-        if ranked.any():
+        n_ranked = np.count_nonzero(ranked)
+        amounts = np.zeros(room.shape)
+        if n_ranked < ranked.size:
+            amounts = split_equally_rows(np.where(ranked, 0.0, left), room)
+        if n_ranked:
             # Greedy in rank order: each unit takes what is left, up to its room.
             order = (-self.scores(w_soh, w_soc)).argsort(axis=1, kind="stable") + self._flat
             room = room.take(order)  # order holds flat indices, as take and put read them

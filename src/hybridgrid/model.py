@@ -102,6 +102,7 @@ class Wiring(NamedTuple):
     sources: list[EnergySource]  # ascending id
     source_rows: list[list[int]]  # per source, its systems' rows in connection order
     system_sources: list[list[int]]  # per row, positions in sources, ascending
+    system_slots: list[list[int]]  # per row, its position in each of those sources' source_rows
     load_ids: list[int]  # ascending
     load_rows: list[list[int]]  # per load, its systems' rows in connection order
 
@@ -124,12 +125,16 @@ class GridTopology:
         row = {s.id: i for i, s in enumerate(self.systems)}
         sources = sorted(self.sources, key=lambda s: s.id)
         source_rows = [[row[sid] for sid in s.connected_systems] for s in sources]
-        system_sources = [
-            [k for k, rows in enumerate(source_rows) if i in rows] for i in range(len(self.systems))
-        ]
+        system_sources = [[] for _ in self.systems]
+        system_slots = [[] for _ in self.systems]
+        for k, rows in enumerate(source_rows):
+            for j, i in enumerate(rows):
+                system_sources[i].append(k)
+                system_slots[i].append(j)
         loads = sorted(self.loads, key=lambda l: l.id)
         load_rows = [[row[sid] for sid in l.connected_systems] for l in loads]
-        return Wiring(row, sources, source_rows, system_sources, [l.id for l in loads], load_rows)
+        return Wiring(row, sources, source_rows, system_sources, system_slots,
+                      [l.id for l in loads], load_rows)
 
 
 @dataclass(frozen=True)

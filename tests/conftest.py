@@ -1,9 +1,8 @@
 """Shared test tooling: a one-line PASS/FAIL digest for each acceptance
-check, the one digest of daily records, a scenario shared by the golden
-and engine tests, and a small explicit grid the scenario and CLI tests mutate."""
+check, the one digest of a trace's daily values, scenarios shared by the
+golden and engine tests, and a small explicit grid the scenario and CLI tests mutate."""
 
 import hashlib
-from dataclasses import fields
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
@@ -67,6 +66,9 @@ SHARED_SYSTEMS_DOC = {
     "run": {"days": 90, "seed": 5, "priority_enabled": True, "health_enabled": True},
 }
 
+# The same grid with no loads: served and unmet have no columns.
+NO_LOADS_DOC = {**SHARED_SYSTEMS_DOC, "loads": {"kind": "synthetic", "centers": []}}
+
 
 def explicit_doc():
     return {
@@ -101,17 +103,26 @@ def explicit_doc():
 
 
 def records_sha256(*traces) -> str:
-    """sha256 over the exact bits of every float of every DailyRecord.
+    """sha256 over the exact bits of every float a trace holds for each day.
 
-    The golden CSV hashes see six decimals only; this sees every bit.
+    Per day, fields in DailyRecord order and each field's values by ascending
+    id. The golden CSV hashes see six decimals only; this sees every bit.
     """
     h = hashlib.sha256()
     for trace in traces:
-        for rec in trace.records:
-            for f in fields(rec):
-                if f.name == "day":
-                    continue
-                values = getattr(rec, f.name)
-                for key in sorted(values):
-                    h.update(f"{rec.day},{f.name},{key},{float(values[key]).hex()};".encode())
+        src = trace.source_ids
+        columns = [
+            ("soc_pct", trace.system_ids, trace.soc_pct.tolist()),
+            ("mean_soh_pct", trace.system_ids, trace.mean_soh_pct.tolist()),
+            ("charge_in_mwd", trace.system_ids, trace.charge_in_mwd.tolist()),
+            ("discharge_out_mwd", trace.system_ids, trace.discharge_out_mwd.tolist()),
+            ("served_mwd", trace.load_ids, trace.served_mwd.tolist()),
+            ("unmet_mwd", trace.load_ids, trace.unmet_mwd.tolist()),
+            ("generated_mwd", src, [[g[k] for k in src] for g in trace.generated_mwd]),
+            ("curtailed_mwd", src, trace.curtailed_mwd.tolist()),
+        ]
+        for day in range(len(trace.generated_mwd)):
+            for name, ids, rows in columns:
+                for key, value in sorted(zip(ids, rows[day])):
+                    h.update(f"{day},{name},{key},{float(value).hex()};".encode())
     return h.hexdigest()

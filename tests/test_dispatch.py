@@ -18,6 +18,7 @@ from hybridgrid import (
     charge_deficits,
     charge_wants,
     discharge_shares,
+    inflow,
     prioritize,
     split_equally,
 )
@@ -58,9 +59,17 @@ def deficits(topo, forecasts):
     return charge_deficits(units.capacity, charge_wants(topo, forecasts), units.stored).tolist()
 
 
-def inflow(flow):
-    """Each system's inflow: the column sums of flow[source][system]."""
-    return np.sum(flow, axis=0).tolist()
+def dense(topo, flow):
+    """flow[source][edge] as a [source, system row] matrix, zero where unwired."""
+    out = np.zeros((len(flow), len(topo.systems)))
+    for k, (rows, gifts) in enumerate(zip(topo.wiring.source_rows, flow)):
+        out[k, rows] = gifts
+    return out
+
+
+def column_sums(topo, flow):
+    """Each system's inflow: the column sums of the dense flow matrix."""
+    return dense(topo, flow).sum(axis=0).tolist()
 
 
 # --- split_equally -------------------------------------------------------
@@ -151,7 +160,7 @@ def test_allocate_priority_two_pass_hand_trace():
     topo = make_topology({1: (300.0, 0.0)}, {1: [1]})
     room = GridUnits(topo.systems).headroom.tolist()
     flow, curtailed = allocate_priority(topo.wiring, [0], [60.0], room, [100.0])
-    assert np.array(flow) == pytest.approx(np.array([[100.0]]))
+    assert dense(topo, flow) == pytest.approx(np.array([[100.0]]))
     assert curtailed == [0.0]
 
 
@@ -161,14 +170,14 @@ def test_allocate_priority_exhausts_on_high_priority_first():
     topo = make_topology({1: (1000.0, 0.0), 2: (1000.0, 0.0)}, {1: [1, 2]})
     room = GridUnits(topo.systems).headroom.tolist()
     flow, _ = allocate_priority(topo.wiring, [0, 1], [80.0, 80.0], room, [100.0])
-    assert inflow(flow) == pytest.approx([80.0, 20.0])
+    assert column_sums(topo, flow) == pytest.approx([80.0, 20.0])
 
 
 def test_allocate_priority_curtails_when_full():
     topo = make_topology({1: (100.0, 100.0)}, {1: [1]})
     room = GridUnits(topo.systems).headroom.tolist()
     flow, curtailed = allocate_priority(topo.wiring, [0], [0.0], room, [100.0])
-    assert inflow(flow) == pytest.approx([0.0])
+    assert column_sums(topo, flow) == pytest.approx([0.0])
     assert curtailed == pytest.approx([100.0])
 
 
@@ -178,7 +187,7 @@ def test_allocate_priority_pass1_draws_sources_ascending():
     topo = make_topology({1: (50.0, 0.0), 2: (1000.0, 0.0)}, {1: [1, 2], 2: [1, 2]})
     room = GridUnits(topo.systems).headroom.tolist()
     flow, curtailed = allocate_priority(topo.wiring, [0, 1], [50.0, 0.0], room, [30.0, 40.0])
-    assert np.array(flow) == pytest.approx(np.array([[30.0, 0.0], [20.0, 20.0]]))
+    assert dense(topo, flow) == pytest.approx(np.array([[30.0, 0.0], [20.0, 20.0]]))
     assert curtailed == pytest.approx([0.0, 0.0])
 
 
@@ -187,8 +196,8 @@ def test_allocate_priority_respects_adjacency():
     room = GridUnits(topo.systems).headroom.tolist()
     flow, _ = allocate_priority(topo.wiring, [1, 0], [10.0, 500.0], room, [100.0, 100.0])
     # Source 1 only reaches system 1 even though system 2 has priority.
-    assert inflow(flow) == pytest.approx([100.0, 100.0])
-    assert flow[0][1] == 0.0
+    assert column_sums(topo, flow) == pytest.approx([100.0, 100.0])
+    assert dense(topo, flow)[0][1] == 0.0
 
 
 # --- allocate_equal -------------------------------------------------------
@@ -199,7 +208,7 @@ def test_allocate_equal_symmetric_split():
         {1: (1000.0, 0.0), 2: (1000.0, 0.0), 3: (1000.0, 0.0)}, {1: [1, 2, 3]}
     )
     flow, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [90.0])
-    assert inflow(flow) == pytest.approx([30.0, 30.0, 30.0])
+    assert column_sums(topo, flow) == pytest.approx([30.0, 30.0, 30.0])
 
 
 def test_allocate_equal_water_fills_overflow():
@@ -207,7 +216,7 @@ def test_allocate_equal_water_fills_overflow():
         {1: (10.0, 0.0), 2: (100.0, 0.0), 3: (100.0, 0.0)}, {1: [1, 2, 3]}
     )
     flow, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [90.0])
-    assert inflow(flow) == pytest.approx([10.0, 40.0, 40.0])
+    assert column_sums(topo, flow) == pytest.approx([10.0, 40.0, 40.0])
 
 
 def test_allocate_equal_curtails_when_all_full():
@@ -224,7 +233,7 @@ def test_single_source_single_system_policies_agree():
         room = GridUnits(topo.systems).headroom.tolist()
         a = allocate_priority(topo.wiring, order, deficit, list(room), [energy])
         b = allocate_equal(topo.wiring, room, [energy])
-        assert inflow(a[0]) == pytest.approx(inflow(b[0]))
+        assert column_sums(topo, a[0]) == pytest.approx(column_sums(topo, b[0]))
         assert a[1] == pytest.approx(b[1])
 
 
@@ -259,14 +268,20 @@ def test_allocation_properties(grid):
         allocate_priority(w, prioritize(deficit, units.ids), deficit, list(room), energies),
         allocate_equal(w, list(room), energies),
     ):
-        assert all(v >= 0.0 for v in [*np.ravel(flow), *curtailed])
-        # Flow rows are sources in ascending id, columns the topology's systems.
+        assert all(v >= 0.0 for v in [*(v for gifts in flow for v in gifts), *curtailed])
+        # Flow rows are sources in ascending id, one amount per wired system.
         sources = sorted(topo.sources, key=lambda s: s.id)
-        assert len(flow) == len(sources)
-        given = {(src.id, units.ids[i]) for src, gifts in zip(sources, flow)
+        assert [len(gifts) for gifts in flow] == [len(src.connected_systems) for src in sources]
+        given = {(src.id, units.ids[i]) for src, gifts in zip(sources, dense(topo, flow))
                  for i, amount in enumerate(gifts) if amount}
         assert given <= wired
-        for got, open_room in zip(inflow(flow), room):
+        # Summing only the wired edges equals the dense source-by-source sum
+        # bit for bit: every gift is >= 0, so the zeros added nothing.
+        summed = [0.0] * len(room)
+        for gifts in dense(topo, flow).tolist():
+            summed = [a + b for a, b in zip(summed, gifts)]
+        assert inflow(w, flow) == summed
+        for got, open_room in zip(summed, room):
             assert got <= open_room + 1e-6
         for row, energy, curt in zip(flow, energies, curtailed):
             assert sum(row) + curt == pytest.approx(energy, abs=1e-6)

@@ -5,9 +5,10 @@ import dataclasses
 import warnings
 
 import pytest
-from conftest import SHARED_SYSTEMS_DOC, records_sha256
+from conftest import NO_LOADS_DOC, SHARED_SYSTEMS_DOC, records_sha256
 
 import hybridgrid.engine as engine
+from hybridgrid.engine import TRACE_FIELDS
 from hybridgrid import (
     GridUnits,
     SimulationError,
@@ -41,8 +42,12 @@ def small_doc(days=30, seed=3, **extra):
 def test_run_produces_one_record_per_day():
     cfg, topo = parse_scenario(small_doc(days=10))
     trace = run_simulation(cfg, topo)
-    assert len(trace.records) == 10
-    assert [r.day for r in trace.records] == list(range(10))
+    assert trace.system_ids == [s.id for s in topo.systems]
+    assert trace.load_ids == sorted(load.id for load in topo.loads)
+    assert trace.source_ids == [s.id for s in topo.sources]
+    for name, of in TRACE_FIELDS.items():
+        assert getattr(trace, name).shape == (10, len(getattr(topo, of)))
+    assert len(trace.generated_mwd) == 10
 
 
 def test_run_does_not_mutate_input_topology():
@@ -58,40 +63,32 @@ def test_daily_conservation_identities():
     cfg, topo = parse_scenario(small_doc(days=60, seed=11))
     trace = run_simulation(cfg, topo)
     state = initialize_state(cfg, topo)
-    prev_soc = dict(zip(state.units.ids, state.units.soc_pct.tolist()))
-    caps = {s.id: s.capacity_mwd for s in state.topology.systems}
-    for record in trace.records:
-        for sid in caps:
-            # Stored-energy bookkeeping: new stored = old stored + in - out.
-            expected = (
-                prev_soc[sid] / 100.0 * caps[sid]
-                + record.charge_in_mwd[sid]
-                - record.discharge_out_mwd[sid]
-            )
-            assert record.soc_pct[sid] * caps[sid] / 100.0 == pytest.approx(
-                expected, abs=1e-6
-            )
+    prev_soc = state.units.soc_pct
+    caps = state.units.capacity
+    for day, generated in enumerate(trace.generated_mwd):
+        # Stored-energy bookkeeping: new stored = old stored + in - out.
+        expected = prev_soc / 100.0 * caps + trace.charge_in_mwd[day] - trace.discharge_out_mwd[day]
+        assert trace.soc_pct[day] * caps / 100.0 == pytest.approx(expected, abs=1e-6)
         # Source-side conservation: generation = inflow + curtailment.
-        assert sum(record.generated_mwd.values()) == pytest.approx(
-            sum(record.charge_in_mwd.values()) + sum(record.curtailed_mwd.values()),
-            abs=1e-6,
+        assert sum(generated.values()) == pytest.approx(
+            sum(trace.charge_in_mwd[day]) + sum(trace.curtailed_mwd[day]), abs=1e-6
         )
         # Load-side conservation: discharge equals served demand.
-        assert sum(record.discharge_out_mwd.values()) == pytest.approx(
-            sum(record.served_mwd.values()), abs=1e-6
+        assert sum(trace.discharge_out_mwd[day]) == pytest.approx(
+            sum(trace.served_mwd[day]), abs=1e-6
         )
-        prev_soc = record.soc_pct
+        prev_soc = trace.soc_pct[day]
 
 
 def test_served_plus_unmet_equals_realized_demand():
     cfg, topo = parse_scenario(small_doc(days=40, seed=13))
     state = initialize_state(cfg, topo)
+    load_ids = state.topology.wiring.load_ids
     for day in range(cfg.days):
-        (record,) = step_day(state, day)
-        for lid, series in state.demand_by_load.items():
-            assert record.served_mwd[lid] + record.unmet_mwd[lid] == pytest.approx(
-                series[day], abs=1e-9
-            )
+        assert step_day(state, day) is None
+        served, unmet = state.rows["served_mwd"][day], state.rows["unmet_mwd"][day]
+        for j, lid in enumerate(load_ids):
+            assert served[j] + unmet[j] == pytest.approx(state.demand_by_load[lid][day], abs=1e-9)
 
 
 def test_identical_seeds_reproduce_exactly():
@@ -145,11 +142,9 @@ def test_zero_generation_drains_storage():
     doc["loads"] = {"kind": "synthetic", "base_mwd": {str(i): 200.0 for i in range(8)}}
     cfg, topo = parse_scenario(doc)
     trace = run_simulation(cfg, topo)
-    first = trace.records[0]
-    last = trace.records[-1]
-    assert sum(first.generated_mwd.values()) == 0.0
-    assert sum(last.soc_pct.values()) < sum(first.soc_pct.values())
-    assert sum(last.unmet_mwd.values()) > 0.0
+    assert sum(trace.generated_mwd[0].values()) == 0.0
+    assert sum(trace.soc_pct[-1]) < sum(trace.soc_pct[0])
+    assert sum(trace.unmet_mwd[-1]) > 0.0
 
 
 def test_abundant_generation_fills_storage():
@@ -157,9 +152,8 @@ def test_abundant_generation_fills_storage():
     doc["loads"] = {"kind": "synthetic", "base_mwd": {str(i): 1.0 for i in range(8)}}
     cfg, topo = parse_scenario(doc)
     trace = run_simulation(cfg, topo)
-    last = trace.records[-1]
-    assert min(last.soc_pct.values()) > 99.0
-    assert sum(last.curtailed_mwd.values()) > 0.0
+    assert min(trace.soc_pct[-1]) > 99.0
+    assert sum(trace.curtailed_mwd[-1]) > 0.0
 
 
 def test_loads_settle_sequentially_within_a_day():
@@ -194,10 +188,10 @@ def test_loads_settle_sequentially_within_a_day():
         "run": {"days": 1, "seed": 1},
     }
     cfg, topo = parse_scenario(doc)
-    record = run_simulation(cfg, topo).records[0]
-    assert record.served_mwd[0] == pytest.approx(10.0)
-    assert record.served_mwd[1] == pytest.approx(0.0)
-    assert record.unmet_mwd[1] == pytest.approx(10.0)
+    trace = run_simulation(cfg, topo)
+    assert trace.load_ids == [0, 1]
+    assert trace.served_mwd[0].tolist() == pytest.approx([10.0, 0.0])
+    assert trace.unmet_mwd[0][1] == pytest.approx(10.0)
 
 
 def test_each_system_discharges_at_most_once_a_day(monkeypatch):
@@ -215,8 +209,8 @@ def test_each_system_discharges_at_most_once_a_day(monkeypatch):
     state = initialize_state(cfg, topo)
     for day in range(cfg.days):
         calls.clear()
-        (record,) = step_day(state, day)
-        assert calls == [[record.discharge_out_mwd[sid] for sid in state.units.ids]]
+        step_day(state, day)
+        assert calls == [state.rows["discharge_out_mwd"][day].tolist()]
     assert state.units.ids == [s.id for s in topo.systems]
 
 
@@ -228,8 +222,8 @@ def test_grid_without_systems_runs_empty_days():
         "run": {"days": 3},
     }
     trace = run_simulation(*parse_scenario(doc))
-    assert [r.day for r in trace.records] == [0, 1, 2]
-    assert trace.records[-1].soc_pct == {} and trace.summary.final_mean_soh_pct == {}
+    assert trace.soc_pct.shape == (3, 0) and len(trace.generated_mwd) == 3
+    assert trace.summary.final_mean_soh_pct == {}
 
 
 def test_generation_reads_each_source_site_in_topology_order(tmp_path):
@@ -306,18 +300,9 @@ def test_compare_rejects_unknown_axis():
 def test_compare_arms_share_weather_and_demand():
     cfg, topo = parse_scenario(small_doc(days=20, seed=8))
     report = compare(cfg, topo, "priority")
-    gen_t = [sum(r.generated_mwd.values()) for r in report.treatment.records]
-    gen_b = [sum(r.generated_mwd.values()) for r in report.baseline.records]
-    assert gen_t == gen_b
-    dem_t = [
-        sum(r.served_mwd.values()) + sum(r.unmet_mwd.values())
-        for r in report.treatment.records
-    ]
-    dem_b = [
-        sum(r.served_mwd.values()) + sum(r.unmet_mwd.values())
-        for r in report.baseline.records
-    ]
-    assert dem_t == pytest.approx(dem_b)
+    on, off = report.treatment, report.baseline
+    assert on.generated_mwd == off.generated_mwd
+    assert (on.served_mwd + on.unmet_mwd) == pytest.approx(off.served_mwd + off.unmet_mwd)
 
 
 def with_days(doc, days):
@@ -343,9 +328,10 @@ NO_SYSTEMS_DOC = {
         (SHARED_SYSTEMS_DOC, "priority"),
         (with_days(SHARED_SYSTEMS_DOC, 0), "health"),
         (NO_SYSTEMS_DOC, "priority"),
+        (NO_LOADS_DOC, "priority"),
     ],
     ids=["reference-health", "stress-priority", "shared-health", "shared-priority", "0-days",
-         "0-systems"],
+         "0-systems", "0-loads"],
 )
 def test_compare_arms_equal_their_own_runs(source, axis):
     # The arms run in lockstep on shared unit arrays; neither may see the other.
@@ -356,9 +342,40 @@ def test_compare_arms_equal_their_own_runs(source, axis):
         setattr(own, f"{axis}_enabled", flag)
         alone = run_simulation(own, topo)
         assert records_sha256(arm) == records_sha256(alone)
-        assert len(arm.records) == cfg.days
+        assert arm.soc_pct.shape == (cfg.days, len(topo.systems))
+        assert arm.served_mwd.shape == (cfg.days, len(topo.loads))
         assert arm.summary == alone.summary
         assert arm.config_echo == alone.config_echo
+
+
+def test_records_view_equals_the_arrays_bitwise():
+    # The DailyRecord view is built from the arrays on first read: the same
+    # floats, keyed in topology system order, ascending load id and topology
+    # source order. A record changed in place stays changed through deepcopy.
+    def bits(pairs):
+        return [(key, float(value).hex()) for key, value in pairs]
+
+    report = compare(*load_scenario("scenarios/reference.json"), "health")
+    for trace in (report.treatment, report.baseline):
+        records = trace.records
+        assert [r.day for r in records] == list(range(730))
+        keys = {"systems": trace.system_ids, "loads": trace.load_ids, "sources": trace.source_ids}
+        for name, of in TRACE_FIELDS.items():
+            ids, rows = keys[of], getattr(trace, name).tolist()
+            assert [bits(getattr(r, name).items()) for r in records] == [
+                bits(zip(ids, row)) for row in rows
+            ]
+        assert [list(r.generated_mwd.items()) for r in records] == [
+            list(g.items()) for g in trace.generated_mwd
+        ]
+        assert all(list(r.curtailed_mwd) == trace.source_ids for r in records)
+
+    trace = report.treatment
+    trace.records[100].charge_in_mwd[3] += 0.5
+    copied = copy.deepcopy(trace)
+    assert copied.records[100].charge_in_mwd[3] == trace.charge_in_mwd[100][2] + 0.5
+    copied.records[150].soc_pct[5] = 0.0
+    assert trace.records[150].soc_pct[5] == trace.soc_pct[150][4] > 0.0
 
 
 @pytest.mark.parametrize("axis", ["health", "priority"])
@@ -376,14 +393,9 @@ def test_compare_makes_one_charge_and_one_discharge_call_a_day(monkeypatch, axis
     doc["degradation"] = {"r_charge": 0.2, "r_discharge": 0.25, "rate_spread": 0.8}
     cfg, topo = parse_scenario(doc)
     report = compare(cfg, topo, axis)
-    ids = [s.id for s in topo.systems]
-    arms = list(zip(report.treatment.records, report.baseline.records))
-    assert calls["charge"] == [
-        [rec.charge_in_mwd[sid] for rec in day for sid in ids] for day in arms
-    ]
-    assert calls["discharge"] == [
-        [rec.discharge_out_mwd[sid] for rec in day for sid in ids] for day in arms
-    ]
+    for name, field in (("charge", "charge_in_mwd"), ("discharge", "discharge_out_mwd")):
+        on, off = getattr(report.treatment, field), getattr(report.baseline, field)
+        assert calls[name] == [[*t, *b] for t, b in zip(on.tolist(), off.tolist())]
 
 
 def record_fit_windows(monkeypatch):

@@ -1,5 +1,5 @@
-"""Golden traces: sha256 of the CSV artifacts of four pinned runs, and of
-the raw float bits of every daily record of three of them.
+"""Golden traces: sha256 of the CSV artifacts of five pinned runs, and of
+the raw float bits of every daily value of three of them.
 
 A refactor that claims bit-exact output must leave every hash unchanged; a
 change that moves the numbers on purpose updates the hash and states why.
@@ -16,7 +16,7 @@ no CSV value.
 import hashlib
 
 import pytest
-from conftest import SHARED_SYSTEMS_DOC, records_sha256
+from conftest import NO_LOADS_DOC, SHARED_SYSTEMS_DOC, records_sha256
 
 from hybridgrid import (
     compare,
@@ -78,6 +78,17 @@ def test_shared_multi_unit_systems_run_is_pinned():
     )
     assert sha256(summary_csv(trace)) == (
         "50f4ebb68ff3774e9448db9b4508dc2d4f69603a6080ffaf2b2b265744413c10"
+    )
+
+
+def test_grid_without_loads_run_is_pinned():
+    trace = run_simulation(*parse_scenario(NO_LOADS_DOC))
+    assert trace.served_mwd.shape == (90, 0)
+    assert sha256(trace_csv(trace)) == (
+        "3a26cc875d869227fe33f73c7f1f4989dbe60617a763fe81dc6768b107bcf621"
+    )
+    assert sha256(summary_csv(trace)) == (
+        "01c12b32f9d2af55942d9197dbf6115b0ce05b616cab13fccc5794b3357ec59d"
     )
 
 

@@ -1,5 +1,6 @@
 """Unit tests for grid entities, state accessors, and topology validation."""
 
+import numpy as np
 import pytest
 
 from hybridgrid import (
@@ -185,3 +186,22 @@ def test_energy_source_rejects_mismatched_params():
         EnergySource(
             id=1, kind="solar", params=wind_params, connected_systems=(1,), site="x"
         )
+
+
+def test_wiring_system_sources_match_a_scan_of_every_source():
+    # The one-pass build over source_rows equals testing every row against
+    # every source's rows, and system_slots points back at each row.
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n_sys, n_src = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        ids = [int(x) for x in rng.permutation(40)[:n_sys]]
+        sources = []
+        for k in rng.permutation(n_src):
+            wired = rng.permutation(ids)[: int(rng.integers(1, n_sys + 1))]
+            sources.append(solar_source(int(k) * 3 - 5, tuple(int(x) for x in wired)))
+        topo = GridTopology([make_system(sid, n_units=1) for sid in ids], [], sources)
+        w = topo.wiring
+        scanned = [[k for k, rows in enumerate(w.source_rows) if i in rows] for i in range(n_sys)]
+        assert w.system_sources == scanned
+        for i, (ks, slots) in enumerate(zip(w.system_sources, w.system_slots)):
+            assert [w.source_rows[k][j] for k, j in zip(ks, slots)] == [i] * len(ks)
