@@ -72,10 +72,13 @@ def charge_wants(t: GridTopology, load_forecasts: dict) -> np.ndarray:
     Forecasts are scalars or equal-length series; systems are the last axis.
     """
     fcs = {lid: np.asarray(f, dtype=float) for lid, f in load_forecasts.items()}
-    bad = [lid for lid, f in fcs.items() if lid not in t.load_by_id or (f < 0).any()]
+    # 0 <= f < inf is false for NaN and for either infinity.
+    bad = [lid for lid, f in fcs.items()
+           if lid not in t.load_by_id or not ((0 <= f) & (f < np.inf)).all()]
     missing = [load.id for load in t.loads if load.id not in fcs]
     if bad or missing:
-        raise ValueError(f"need one non-negative forecast per load: bad {bad}, missing {missing}")
+        raise ValueError(
+            f"need one finite, non-negative forecast per load: bad {bad}, missing {missing}")
     want = np.zeros(np.broadcast_shapes(*(f.shape for f in fcs.values())) + (len(t.systems),))
     for load in t.loads:
         share = CHARGE_BUFFER * fcs[load.id] / len(load.connected_systems)

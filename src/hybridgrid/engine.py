@@ -5,9 +5,11 @@ over one topology. Weather, per-source generation, realized demand, the
 day-ahead demand forecasts and each system's charge want do not depend on
 policy, so the state builds them once for all its arms (forecasts, wants and
 the day step's lists on first use, outside set-up; a run's SARIMA fits are
-one fit_sarima_many batch). One health.GridUnits holds every arm's units as
-arm-major rows (row b * S + i is system i of arm b), and step_day makes one
-charge call and one discharge call for the whole batch. run_simulation is
+one fit_sarima_many batch). Weather is a pair of arrays per site and
+generation one [days, sources] array, so set-up builds no per-day objects.
+One health.GridUnits holds every arm's units as arm-major rows (row b * S + i
+is system i of arm b), and step_day makes one charge call and one discharge
+call for the whole batch. run_simulation is
 the one-arm case; compare() runs two arms. Each day dispatches charging per
 arm at the grid level (priority or equal, on the topology's Wiring index
 lists, one flow per wired edge), distributes each system's inflow across its
@@ -24,11 +26,12 @@ Runs are deterministic: a config and seed reproduce byte-identical traces.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -91,14 +94,15 @@ class TraceSummary:
 @dataclass(eq=False)
 class SimulationTrace:
     """One arm's run as [days, width] arrays, a row per day, columns in system_ids,
-    load_ids or source_ids order (TRACE_FIELDS); generated_mwd is the state's."""
+    load_ids or source_ids order (TRACE_FIELDS); generated_mwd is the state's
+    [days, sources] generation, in source_ids order."""
 
     config_echo: dict
     summary: TraceSummary
     system_ids: list[int]
     load_ids: list[int]
     source_ids: list[int]
-    generated_mwd: list[dict[int, float]]
+    generated_mwd: np.ndarray
     soc_pct: np.ndarray
     mean_soh_pct: np.ndarray
     charge_in_mwd: np.ndarray
@@ -109,12 +113,13 @@ class SimulationTrace:
 
     @cached_property
     def records(self) -> list[DailyRecord]:
-        """The arrays as one DailyRecord per day, built on first read."""
+        """The arrays as one DailyRecord per day, built on first read; only the
+        benchmark's checks (bench/checks.py, bench/selftest.py) read it."""
         ids = {"systems": self.system_ids, "loads": self.load_ids, "sources": self.source_ids}
-        *daily, curtailed = [[dict(zip(ids[of], row)) for row in getattr(self, f).tolist()]
-                             for f, of in TRACE_FIELDS.items()]
-        return [DailyRecord(day, *(f[day] for f in daily), dict(g), curtailed[day])
-                for day, g in enumerate(self.generated_mwd)]
+        daily = {f: [dict(zip(ids[of], row)) for row in getattr(self, f).tolist()]
+                 for f, of in {**TRACE_FIELDS, "generated_mwd": "sources"}.items()}
+        return [DailyRecord(day, **{f: rows[day] for f, rows in daily.items()})
+                for day in range(len(self.generated_mwd))]
 
 
 @dataclass
@@ -139,8 +144,10 @@ class SimulationState:
     their policy toggles), the policy-independent inputs they share, and
     units with the arms stacked as arm-major rows.
 
-    Generation, forecasts and wants are computed on first use, so a run
-    whose dispatch never reads forecasts (the equal split) never fits a model.
+    Set-up builds each site's weather as (ghi, wind speed) arrays and the
+    realized demand. Generation, forecasts and wants are computed on first
+    use, so a run whose dispatch never reads forecasts (the equal split)
+    never fits a model.
     """
 
     def __init__(self, arms: list[ScenarioConfig], topology: GridTopology) -> None:
@@ -150,28 +157,36 @@ class SimulationState:
         self.arms = arms
         self.topology = topology
         self.units = GridUnits(topology.systems * len(arms))
-        self.weather_by_day = _build_weather(arms[0], topology)
+        self.weather = _build_weather(arms[0], topology)
         self.demand_by_load = _build_demand(arms[0], topology, self)
 
     @cached_property
-    def generation(self) -> list[dict[int, float]]:
-        """G[day][source] in MWd, keys in the topology's source order; the
-        provider series doubles as the day-ahead forecast. A constant MW output
-        over the one-day tick is the same number in MWd."""
-        sites = sorted({src.site for src in self.topology.sources})
-        series = []
-        for src in self.topology.sources:
-            at = sites.index(src.site)
+    def generation(self) -> np.ndarray:
+        """G[day, k]: the MWd the topology's k-th source makes on each day, one
+        power-curve call per source over its site's series; the provider series
+        doubles as the day-ahead forecast. A constant MW output over the
+        one-day tick is the same number in MWd."""
+        sources = self.topology.sources
+        out = np.empty((self.arms[0].days, len(sources)))
+        for k, src in enumerate(sources):
+            ghi, wind = self.weather[src.site]
             if src.kind == "solar":
-                mw = [solar_power(day[at].ghi_w_m2, src.params) for day in self.weather_by_day]
+                mw = solar_power(ghi, src.params)
             else:
-                mw = [wind_power(day[at].wind_speed_ms, src.params) for day in self.weather_by_day]
-            if not all(map(math.isfinite, mw)):
+                mw = wind_power(wind, src.params)
+            if not np.isfinite(mw).all():
                 raise ValueError(f"source {src.id}: generation is not finite")
-            series.append(mw)
-        ids = [src.id for src in self.topology.sources]
-        # With no sources zip(*series) is empty; each day still gets a dict.
-        return [dict(zip(ids, g)) for g in zip(*series)] or [{} for _ in self.weather_by_day]
+            out[:, k] = mw
+        return out
+
+    @cached_property
+    def weather_by_day(self) -> list[list[WeatherSample]]:
+        """W[day]: each day's samples in sorted-site order, built from the
+        arrays on first read; only the benchmark's checks read it."""
+        per_site = [map(WeatherSample, repeat(site), range(self.arms[0].days),
+                        ghi.tolist(), wind.tolist())
+                    for site, (ghi, wind) in self.weather.items()]
+        return [list(day) for day in zip(*per_site)] or [[] for _ in range(self.arms[0].days)]
 
     @cached_property
     def forecasts(self) -> dict[int, list[float]]:
@@ -210,7 +225,9 @@ class SimulationState:
     @cached_property
     def energy(self) -> list[list[float]]:
         """E[day][k]: the MWd the wiring's k-th source makes on each day."""
-        return [[g[src.id] for src in self.topology.wiring.sources] for g in self.generation]
+        t = self.topology
+        col = {src.id: k for k, src in enumerate(t.sources)}
+        return self.generation[:, [col[src.id] for src in t.wiring.sources]].tolist()
 
     @cached_property
     def demand(self) -> list[list[float]]:
@@ -286,22 +303,27 @@ def step_day(state: SimulationState, day: int) -> None:
     out["mean_soh_pct"][day] = units.mean_soh_pct
 
 
-def _build_weather(cfg: ScenarioConfig, t: GridTopology) -> list[list[WeatherSample]]:
-    """W[day]: each day's samples in sorted-site order, one per site a source names."""
+_GHI, _WIND = attrgetter("ghi_w_m2"), attrgetter("wind_speed_ms")
+
+
+def _build_weather(cfg: ScenarioConfig,
+                   t: GridTopology) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each site a source names, in sorted order: its (ghi, wind speed) arrays,
+    one value a day."""
     sites = sorted({src.site for src in t.sources})
     if cfg.weather.kind == "csv":
         by_day = load_weather_csv(cfg.weather.path)
-        out = []
-        for day in range(cfg.days):
-            row = by_day.get(day, {})
-            missing = [site for site in sites if site not in row]
-            if missing:
-                raise SimulationError(f"weather data exhausted: day {day} missing sites {missing}")
-            out.append([row[site] for site in sites])
-        return out
-    per_site = {site: synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
-                for site in sites}
-    return [[per_site[site][day] for site in sites] for day in range(cfg.days)]
+        rows = [by_day.get(day, {}) for day in range(cfg.days)]
+        cols = [[row.get(site) for row in rows] for site in sites]  # None where missing
+        if any(None in col for col in cols):
+            day = min(col.index(None) for col in cols if None in col)
+            missing = [site for site, col in zip(sites, cols) if col[day] is None]
+            raise SimulationError(f"weather data exhausted: day {day} missing sites {missing}")
+        return {site: (np.fromiter(map(_GHI, col), float, cfg.days),
+                       np.fromiter(map(_WIND, col), float, cfg.days))
+                for site, col in zip(sites, cols)}
+    return {site: synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
+            for site in sites}
 
 
 def _build_demand(cfg: ScenarioConfig, t: GridTopology,
@@ -328,12 +350,16 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology,
 
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:
-        mean_gen = sum(sum(generated.values()) for generated in state.generation) / cfg.days
+        mean_gen = _run_total(state.generation) / cfg.days
         mean_demand = sum(float(np.mean(d)) for d in demand.values())
         if mean_demand <= 0:
             raise SimulationError("gen_fraction scaling needs positive base demand")
         scale = frac * mean_gen / mean_demand
-        demand = {lid: d * scale for lid, d in demand.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            demand = {lid: d * scale for lid, d in demand.items()}
+        if not all(np.isfinite(d).all() for d in demand.values()):
+            raise ValueError(f"loads.gen_fraction: demand scaled to {frac:g} of mean generation "
+                             "is not finite")
     return demand
 
 

@@ -52,9 +52,10 @@ DEMAND_HEADER = ["load_id", "day_index", "demand_mwd"]
 
 
 class WeatherSample(NamedTuple):
-    """One site-day of provider weather. Its producers, load_weather_csv and
-    synth_weather, check that day_index >= 0 and that ghi and wind speed are
-    finite and >= 0."""
+    """One site-day of provider weather, as load_weather_csv reads it; the
+    reader checks that day_index >= 0 and that ghi and wind speed are finite
+    and >= 0. A run holds weather as per-site arrays instead, and
+    SimulationState.weather_by_day rebuilds samples from them on request."""
 
     site_id: str
     day_index: int

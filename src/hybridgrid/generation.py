@@ -4,11 +4,18 @@ Converts site weather into plant output: global horizontal irradiance to
 photovoltaic power, and hub-height wind speed to turbine-farm power with
 cut-in/cut-out clamping. Power is expressed in MW; under the one-day tick
 convention a constant MW output over a day equals the same number in MWd.
+
+Each curve takes a float or an array and returns the same kind, from one
+formula: the engine computes a source's whole series in one call, and every
+element carries the bits of a scalar call on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 W_PER_MW = 1e6
 
@@ -58,30 +65,44 @@ class WindPlantParams:
             )
 
 
-def solar_power(irradiance_w_m2: float, params: SolarPlantParams) -> float:
-    """PV plant output in MW for a given irradiance in W/m^2."""
-    if irradiance_w_m2 < 0:
-        raise ValueError(f"irradiance must be >= 0, got {irradiance_w_m2}")
-    return irradiance_w_m2 * params.area_m2 * params.efficiency / W_PER_MW
+def _require_non_negative(x, what: str) -> None:
+    negative = np.asarray(x)[np.less(x, 0)]
+    if negative.size:
+        raise ValueError(f"{what} must be >= 0, got {negative[0]}")
 
 
-def wind_power(speed_ms: float, params: WindPlantParams) -> float:
-    """Wind farm output in MW at a given wind speed in m/s.
+def solar_power(irradiance_w_m2, params: SolarPlantParams):
+    """PV plant output in MW for an irradiance in W/m^2. Takes a float or an
+    array of them and returns the same kind, with the same bits per element."""
+    _require_non_negative(irradiance_w_m2, "irradiance")
+    with np.errstate(over="ignore"):
+        return irradiance_w_m2 * params.area_m2 * params.efficiency / W_PER_MW
+
+
+def wind_power(speed_ms, params: WindPlantParams):
+    """Wind farm output in MW at a wind speed in m/s. Takes a float or an array
+    of them and returns the same kind, with the same bits per element.
 
     Output is exactly zero below cut-in and above cut-out; both boundary
     speeds themselves produce power. Between the cuts each turbine delivers
-    Cp * rho * A * v^3 / 2 watts.
+    Cp * rho * A * v^3 / 2 watts. The cube is libm's pow, per element for an
+    array, as Python's float ** takes it: numpy's ** may differ in the last bit.
     """
-    if speed_ms < 0:
-        raise ValueError(f"wind speed must be >= 0, got {speed_ms}")
-    if speed_ms < params.cut_in_ms or speed_ms > params.cut_out_ms:
-        return 0.0
+    _require_non_negative(speed_ms, "wind speed")
+    v = np.asarray(speed_ms, dtype=float)
+    off = (v < params.cut_in_ms) | (v > params.cut_out_ms)
+    if v.ndim == 0:
+        return 0.0 if off else _farm_mw(float(v) ** 3, params)
+    # A speed outside the cuts is cubed as 0, so it cannot overflow pow.
+    on = np.where(off, 0.0, v).ravel().tolist()
+    cube = np.fromiter(map(pow, on, repeat(3)), float, v.size).reshape(v.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(off, 0.0, _farm_mw(cube, params))
+
+
+def _farm_mw(cube, params: WindPlantParams):
+    """The farm's MW for a wind speed's cube: a float, or an array of them."""
     per_turbine_w = (
-        params.power_coefficient
-        * params.air_density
-        * params.rotor_area_m2
-        * speed_ms**3
-        / 2.0
+        params.power_coefficient * params.air_density * params.rotor_area_m2 * cube / 2.0
     )
     return params.turbine_count * per_turbine_w / W_PER_MW
-

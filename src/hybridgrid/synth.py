@@ -5,6 +5,7 @@ draws from its own numpy Generator keyed by the run seed, a stream tag, and
 a stable hash of the site name or load id, so adding a site never perturbs
 another site's series.
 
+synth_weather returns a site's daily irradiance and wind-speed arrays.
 Daily irradiance follows a seasonal envelope scaled by a multiplicative
 cloud factor in [cloud_floor, 1]. The cloud factor is a Gaussian copula: the
 standard normal CDF, 0.5 * erfc(-x / sqrt(2)) from the standard library's
@@ -19,11 +20,8 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
-
-from .forecast import WeatherSample
 
 _WEATHER_STREAM = 1
 _DEMAND_STREAM = 2
@@ -92,8 +90,9 @@ def synth_weather(
     days: int,
     site: str,
     params: SynthWeatherParams = SynthWeatherParams(),
-) -> list[WeatherSample]:
-    """Deterministic daily weather for one site; raises ValueError if parameters
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic daily weather for one site: its irradiance (W/m^2) and
+    wind-speed (m/s) arrays, one value a day. Raises ValueError if parameters
     overflow a series to a non-finite value."""
     if days < 0:
         raise ValueError(f"days must be >= 0, got {days}")
@@ -116,7 +115,7 @@ def synth_weather(
     for name, series in (("ghi", ghi), ("wind speed", wind)):
         if not np.isfinite(series).all():
             raise ValueError(f"synthetic {name} for site {site!r} is not finite")
-    return list(map(WeatherSample, repeat(site), range(days), ghi.tolist(), wind.tolist()))
+    return ghi, wind
 
 
 @dataclass(frozen=True)

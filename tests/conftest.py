@@ -118,7 +118,7 @@ def records_sha256(*traces) -> str:
             ("discharge_out_mwd", trace.system_ids, trace.discharge_out_mwd.tolist()),
             ("served_mwd", trace.load_ids, trace.served_mwd.tolist()),
             ("unmet_mwd", trace.load_ids, trace.unmet_mwd.tolist()),
-            ("generated_mwd", src, [[g[k] for k in src] for g in trace.generated_mwd]),
+            ("generated_mwd", src, trace.generated_mwd.tolist()),
             ("curtailed_mwd", src, trace.curtailed_mwd.tolist()),
         ]
         for day in range(len(trace.generated_mwd)):

@@ -503,6 +503,22 @@ def test_simulate_overflowing_synthetic_demand_is_validation_error(tmp_path, cap
     assert "loads: synthetic demand summed over loads and days is not finite" in err
 
 
+def test_simulate_overflowing_gen_fraction_is_validation_error(tmp_path, capsys):
+    # The scale overflows the demand to inf, which the run once settled as
+    # infinite unmet demand with exit 0.
+    doc = {
+        **SHARED_SYSTEMS_DOC,
+        "loads": {**SHARED_SYSTEMS_DOC["loads"], "gen_fraction": 1e308},
+        "run": {"days": 3, "seed": 5},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "loads.gen_fraction: demand scaled to 1e+308 of mean generation is not finite" in err
+    assert not (tmp_path / "run").exists()
+
+
 NON_FINITE_GENERATION_DOCS = {
     "shared-systems": (
         {

@@ -1,6 +1,6 @@
-"""Each demo script runs to completion from a checkout; the dispatch,
-unit-health and full-comparison demos print exactly what they printed when
-pinned."""
+"""Each demo script runs to completion from a checkout; the generation,
+dispatch, unit-health and full-comparison demos print exactly what they
+printed when pinned."""
 
 import hashlib
 import os
@@ -15,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # sha256 of the demo's stdout.
 STDOUT_SHA256 = {
+    "01_generation_models.py": "9f07943cd1f1d46bd36603c53abd994eedba3e357eec1e35a262fcf7308ed5fe",
     "03_priority_dispatch.py": "d8ec1167d0aebf7276b6d9553843e8acfbfd69e43b106533cbcfdc6a7218385c",
     "04_unit_health.py": "0ddc1117412a3c0cfb8c8ac84457a0ac250cc8a368b991b2339e0aca751618aa",
     "05_full_comparison.py": "bf965a8a443253961e5bc84063e863be701f016f59dd55d8ccf68bc8e6eb0614",

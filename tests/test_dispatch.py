@@ -1,5 +1,7 @@
 """Unit tests for charge targeting, prioritization, allocation, and discharge."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from hybridgrid import (
     discharge_shares,
     inflow,
     prioritize,
+    reference_topology,
     split_equally,
 )
 
@@ -140,6 +143,19 @@ def test_charge_wants_rejects_missing_forecast():
     topo = make_topology({1: (1000.0, 0.0)}, {1: [1]}, {0: [1]})
     with pytest.raises(ValueError, match="missing \\[0\\]"):
         charge_wants(topo, {})
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+def test_charge_wants_rejects_a_forecast_that_is_negative_or_not_finite(bad):
+    # NaN fails no "< 0" test, so it is caught as not finite, naming its load.
+    topo = reference_topology()
+    forecasts = {load.id: 100.0 for load in topo.loads}
+    forecasts[4] = bad
+    with pytest.raises(ValueError, match=r"finite, non-negative forecast per load: bad \[4\]"):
+        charge_wants(topo, forecasts)
+    series = {lid: np.full(3, f) for lid, f in forecasts.items()}
+    with pytest.raises(ValueError, match=r"bad \[4\], missing \[\]"):
+        charge_wants(topo, series)
 
 
 def test_prioritize_deficit_descending_with_id_ties():

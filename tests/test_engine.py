@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import warnings
 
+import numpy as np
 import pytest
 from conftest import NO_LOADS_DOC, SHARED_SYSTEMS_DOC, records_sha256
 
@@ -12,11 +13,13 @@ from hybridgrid.engine import TRACE_FIELDS
 from hybridgrid import (
     GridUnits,
     SimulationError,
+    WeatherSample,
     atomic_write_text,
     compare,
     comparison_csv,
     comparison_series_csv,
     initialize_state,
+    load_weather_csv,
     run_simulation,
     step_day,
     summary_csv,
@@ -47,7 +50,7 @@ def test_run_produces_one_record_per_day():
     assert trace.source_ids == [s.id for s in topo.sources]
     for name, of in TRACE_FIELDS.items():
         assert getattr(trace, name).shape == (10, len(getattr(topo, of)))
-    assert len(trace.generated_mwd) == 10
+    assert trace.generated_mwd.shape == (10, len(topo.sources))
 
 
 def test_run_does_not_mutate_input_topology():
@@ -70,7 +73,7 @@ def test_daily_conservation_identities():
         expected = prev_soc / 100.0 * caps + trace.charge_in_mwd[day] - trace.discharge_out_mwd[day]
         assert trace.soc_pct[day] * caps / 100.0 == pytest.approx(expected, abs=1e-6)
         # Source-side conservation: generation = inflow + curtailment.
-        assert sum(generated.values()) == pytest.approx(
+        assert sum(generated) == pytest.approx(
             sum(trace.charge_in_mwd[day]) + sum(trace.curtailed_mwd[day]), abs=1e-6
         )
         # Load-side conservation: discharge equals served demand.
@@ -142,7 +145,7 @@ def test_zero_generation_drains_storage():
     doc["loads"] = {"kind": "synthetic", "base_mwd": {str(i): 200.0 for i in range(8)}}
     cfg, topo = parse_scenario(doc)
     trace = run_simulation(cfg, topo)
-    assert sum(trace.generated_mwd[0].values()) == 0.0
+    assert sum(trace.generated_mwd[0]) == 0.0
     assert sum(trace.soc_pct[-1]) < sum(trace.soc_pct[0])
     assert sum(trace.unmet_mwd[-1]) > 0.0
 
@@ -243,11 +246,11 @@ def test_generation_reads_each_source_site_in_topology_order(tmp_path):
     doc["weather"] = {"kind": "csv", "path": str(weather)}
     doc["run"]["days"] = 2
     state = initialize_state(*parse_scenario(doc))
-    day0, day1 = state.generation
-    assert list(day0) == [2, 1]
-    assert day0 == {2: pytest.approx(189.0), 1: pytest.approx(122.5)}
+    # Columns follow the topology's sources: solar 2, then wind 1.
+    day0, day1 = state.generation.tolist()
+    assert day0 == [pytest.approx(189.0), pytest.approx(122.5)]
     # Day 1 swaps the sites' weather: each plant sees only its own site's.
-    assert day1 == {2: 0.0, 1: 0.0}
+    assert day1 == [0.0, 0.0]
 
 
 def test_csv_weather_exhaustion_raises_simulation_error(tmp_path):
@@ -260,8 +263,58 @@ def test_csv_weather_exhaustion_raises_simulation_error(tmp_path):
     doc = small_doc(days=10)
     doc["weather"] = {"kind": "csv", "path": str(weather)}
     cfg, topo = parse_scenario(doc)
-    with pytest.raises(SimulationError):
+    missing = r"weather data exhausted: day 3 missing sites \['coastal', 'inland'\]"
+    with pytest.raises(SimulationError, match=missing):
         run_simulation(cfg, topo)
+
+
+def test_csv_weather_gap_names_its_first_day_and_sites(tmp_path):
+    # Day 1 lacks inland and day 2 lacks both sites: day 1 is named.
+    weather = tmp_path / "weather.csv"
+    weather.write_text("site_id,day_index,ghi_w_m2,wind_speed_ms\n"
+                       "coastal,0,500.0,8.0\ninland,0,600.0,4.0\ncoastal,1,500.0,8.0\n"
+                       "coastal,3,500.0,8.0\ninland,3,600.0,4.0\n")
+    doc = small_doc(days=4)
+    doc["weather"] = {"kind": "csv", "path": str(weather)}
+    with pytest.raises(SimulationError, match=r"day 1 missing sites \['inland'\]$"):
+        initialize_state(*parse_scenario(doc))
+
+
+def samples_from_arrays(state):
+    """The per-day samples the state's weather arrays stand for."""
+    return [[WeatherSample(site, day, ghi[day], wind[day])
+             for site, (ghi, wind) in state.weather.items()]
+            for day in range(state.arms[0].days)]
+
+
+def test_weather_and_generation_are_arrays_with_samples_built_on_read(tmp_path):
+    # Set-up builds each site's weather and each source's generation as
+    # arrays; the per-day samples are a view made only when read.
+    state = initialize_state(*load_scenario("scenarios/reference.json"))
+    assert type(state.generation) is np.ndarray
+    assert state.generation.dtype == np.float64 and state.generation.shape == (730, 4)
+    assert list(state.weather) == ["coastal", "inland"]
+    assert "weather_by_day" not in vars(state)
+    assert state.weather_by_day == samples_from_arrays(state)
+
+    weather = tmp_path / "weather.csv"
+    rng = np.random.default_rng(7)
+    rows = ["site_id,day_index,ghi_w_m2,wind_speed_ms"]
+    for day in (3, 0, 2, 1, 4):  # out of order; day 4 lies past the run
+        for site in ("ridge", "flat", "unused"):
+            rows.append(f"{site},{day},{rng.uniform(0, 900)!r},{rng.uniform(0, 30)!r}")
+    weather.write_text("\n".join(rows) + "\n")
+    doc = copy.deepcopy(SHARED_SYSTEMS_DOC)
+    doc["weather"] = {"kind": "csv", "path": str(weather)}
+    doc["run"]["days"] = 4
+    state = initialize_state(*parse_scenario(doc))
+    assert list(state.weather) == ["flat", "ridge"]
+    assert state.generation.shape == (4, 2)
+    assert "weather_by_day" not in vars(state)
+    by_day = load_weather_csv(weather)
+    assert state.weather_by_day == samples_from_arrays(state) == [
+        [by_day[day]["flat"], by_day[day]["ridge"]] for day in range(4)
+    ]
 
 
 def test_summary_counts_zero_soc_events():
@@ -301,7 +354,7 @@ def test_compare_arms_share_weather_and_demand():
     cfg, topo = parse_scenario(small_doc(days=20, seed=8))
     report = compare(cfg, topo, "priority")
     on, off = report.treatment, report.baseline
-    assert on.generated_mwd == off.generated_mwd
+    assert on.generated_mwd.tolist() == off.generated_mwd.tolist()
     assert (on.served_mwd + on.unmet_mwd) == pytest.approx(off.served_mwd + off.unmet_mwd)
 
 
@@ -360,14 +413,11 @@ def test_records_view_equals_the_arrays_bitwise():
         records = trace.records
         assert [r.day for r in records] == list(range(730))
         keys = {"systems": trace.system_ids, "loads": trace.load_ids, "sources": trace.source_ids}
-        for name, of in TRACE_FIELDS.items():
+        for name, of in {**TRACE_FIELDS, "generated_mwd": "sources"}.items():
             ids, rows = keys[of], getattr(trace, name).tolist()
             assert [bits(getattr(r, name).items()) for r in records] == [
                 bits(zip(ids, row)) for row in rows
             ]
-        assert [list(r.generated_mwd.items()) for r in records] == [
-            list(g.items()) for g in trace.generated_mwd
-        ]
         assert all(list(r.curtailed_mwd) == trace.source_ids for r in records)
 
     trace = report.treatment
@@ -438,7 +488,8 @@ def test_day_inputs_are_built_on_first_use():
     assert not set(lazy) & set(vars(state))
     w = topo.wiring
     for day in range(cfg.days):
-        assert state.energy[day] == [state.generation[day][src.id] for src in w.sources]
+        assert state.energy[day] == [state.generation[day, topo.sources.index(src)]
+                                     for src in w.sources]
         assert state.demand[day] == [float(state.demand_by_load[lid][day]) for lid in w.load_ids]
     runs, ranked = state.arm_rows
     assert runs == [slice(0, 7), slice(7, 14)]

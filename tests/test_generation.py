@@ -1,6 +1,11 @@
 """Unit tests for the solar and wind generation models."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridgrid import (
     BETZ_LIMIT,
@@ -111,3 +116,66 @@ def test_wind_params_reject_inverted_cut_speeds():
             cut_out_ms=5.0,
         )
 
+
+# --- array and scalar calls -------------------------------------------------
+
+
+@st.composite
+def wind_plants_and_speeds(draw):
+    cut_in = draw(st.floats(0.0, 10.0))
+    cut_out = draw(st.floats(cut_in + 0.5, 60.0))
+    params = WindPlantParams(
+        power_coefficient=draw(st.floats(0.05, BETZ_LIMIT)),
+        air_density=draw(st.floats(0.5, 1.5)),
+        rotor_area_m2=draw(st.floats(100.0, 50_000.0)),
+        turbine_count=draw(st.integers(1, 500)),
+        cut_in_ms=cut_in,
+        cut_out_ms=cut_out,
+    )
+    edges = [0.0, cut_in, cut_out]
+    edges += [math.nextafter(c, to) for c in (cut_in, cut_out) for to in (0.0, math.inf)]
+    speed = st.one_of(st.sampled_from(edges), st.floats(0.0, 100.0))
+    return params, draw(st.lists(speed, min_size=1, max_size=60))
+
+
+@st.composite
+def solar_plants_and_irradiances(draw):
+    params = SolarPlantParams(
+        area_m2=draw(st.floats(1.0, 5e6)), efficiency=draw(st.floats(0.01, 1.0))
+    )
+    ghi = st.one_of(st.just(0.0), st.floats(0.0, 2_000.0))
+    return params, draw(st.lists(ghi, min_size=1, max_size=60))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(deadline=None, max_examples=300)
+@given(wind_plants_and_speeds())
+def test_wind_power_array_equals_scalar_calls_bitwise(case):
+    # The engine computes a whole series in one call; each element must carry
+    # the bits of a scalar call, the cube included (numpy's ** is not libm's pow).
+    params, speeds = case
+    scalar = [wind_power(v, params) for v in speeds]
+    assert all(type(mw) is float for mw in scalar)
+    array = wind_power(np.array(speeds), params)
+    assert array.dtype == np.float64 and array.shape == (len(speeds),)
+    assert hexes(array.tolist()) == hexes(scalar)
+
+
+@settings(deadline=None, max_examples=300)
+@given(solar_plants_and_irradiances())
+def test_solar_power_array_equals_scalar_calls_bitwise(case):
+    params, irradiances = case
+    scalar = [solar_power(g, params) for g in irradiances]
+    assert all(type(mw) is float for mw in scalar)
+    array = solar_power(np.array(irradiances), params)
+    assert array.dtype == np.float64 and array.shape == (len(irradiances),)
+    assert hexes(array.tolist()) == hexes(scalar)
+
+
+@pytest.mark.parametrize("power, params", [(solar_power, SOLAR_SMALL), (wind_power, WIND_SMALL)])
+def test_array_call_rejects_a_negative_element(power, params):
+    with pytest.raises(ValueError, match="must be >= 0, got -0.5"):
+        power(np.array([10.0, -0.5, 5.0]), params)

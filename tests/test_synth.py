@@ -72,42 +72,41 @@ def test_import_loads_no_scipy():
 def test_synth_weather_is_deterministic():
     a = synth_weather(seed=3, days=50, site="coastal")
     b = synth_weather(seed=3, days=50, site="coastal")
-    assert a == b
+    assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
 
 def test_synth_weather_sites_differ():
     a = synth_weather(seed=3, days=50, site="coastal")
     b = synth_weather(seed=3, days=50, site="inland")
-    assert [s.ghi_w_m2 for s in a] != [s.ghi_w_m2 for s in b]
+    assert a[0].tolist() != b[0].tolist()
 
 
 def test_synth_weather_seeds_differ():
     a = synth_weather(seed=3, days=50, site="coastal")
     b = synth_weather(seed=4, days=50, site="coastal")
-    assert [s.wind_speed_ms for s in a] != [s.wind_speed_ms for s in b]
+    assert a[1].tolist() != b[1].tolist()
 
 
 def test_synth_weather_shape_and_metadata():
-    samples = synth_weather(seed=1, days=30, site="x")
-    assert len(samples) == 30
-    assert [s.day_index for s in samples] == list(range(30))
-    assert all(s.site_id == "x" for s in samples)
+    # An irradiance and a wind-speed array, one float64 value a day.
+    ghi, wind = synth_weather(seed=1, days=30, site="x")
+    assert ghi.shape == wind.shape == (30,)
+    assert ghi.dtype == wind.dtype == np.float64
 
 
 def test_synth_weather_values_physical():
     params = SynthWeatherParams(cloud_ar=0.6, wind_ar=0.5)
-    samples = synth_weather(seed=9, days=730, site="w", params=params)
+    ghi, wind = synth_weather(seed=9, days=730, site="w", params=params)
     ceiling = params.ghi_base * (1.0 + params.ghi_seasonal_amplitude)
-    for s in samples:
-        assert 0.0 <= s.ghi_w_m2 <= ceiling + 1e-9
-        assert s.wind_speed_ms >= 0.0
+    assert 0.0 <= ghi.min() and ghi.max() <= ceiling + 1e-9
+    assert wind.min() >= 0.0
 
 
 def test_synth_weather_cloud_floor_bounds_darkening():
     # With cloud_floor f, attenuation never drops below f of the clear-sky value.
     params = SynthWeatherParams(cloud_floor=0.4, ghi_seasonal_amplitude=0.0)
-    samples = synth_weather(seed=2, days=365, site="w", params=params)
-    assert min(s.ghi_w_m2 for s in samples) >= 0.4 * params.ghi_base - 1e-9
+    ghi, _ = synth_weather(seed=2, days=365, site="w", params=params)
+    assert ghi.min() >= 0.4 * params.ghi_base - 1e-9
 
 
 @pytest.mark.parametrize(
