@@ -15,6 +15,7 @@ from hybridgrid import (
     charge_deficits,
     charge_wants,
     inflow,
+    positions_by_id,
     prioritize,
     reference_topology,
 )
@@ -24,15 +25,14 @@ def main():
     # Start the fleet low and uneven so the deficits differ per system.
     topo = reference_topology(initial_soc_pct=4.0)
     for system in topo.systems[3:]:
-        for unit in system.units:
-            unit.energy_mwd = unit.capacity_mwd * 0.12
+        system.energy[:] = system.cap * 0.12
     units, w = GridUnits(topo.systems), topo.wiring
 
     forecasts = {load.id: 95.0 for load in topo.loads}
     want = charge_wants(topo, forecasts)
     targets = np.minimum(units.capacity, want)
     deficits = charge_deficits(units.capacity, want, units.stored).tolist()
-    order = prioritize(deficits, units.ids)
+    order = prioritize(deficits, positions_by_id(units.ids))
 
     print("=== Charge targets (25% safety buffer over forecasts) ===")
     for sid, soc, target, deficit in zip(units.ids, units.soc_pct, targets, deficits):

@@ -10,22 +10,17 @@ keeps its initial state.
 
 import numpy as np
 
-from hybridgrid import BatteryUnit, GridUnits, StorageSystem
+from hybridgrid import GridUnits, StorageSystem
 
 
 def build_system(wear_rates):
+    # One value per unit, or a scalar for all ten; a unit's id is its position.
     return StorageSystem(
         id=1,
-        units=[
-            BatteryUnit(
-                id=i,
-                capacity_mwd=100.0,
-                energy_mwd=50.0,
-                r_charge=rate,
-                r_discharge=rate * 1.25,
-            )
-            for i, rate in enumerate(wear_rates)
-        ],
+        cap=np.full(len(wear_rates), 100.0),
+        energy=50.0,
+        r_charge=wear_rates,
+        r_discharge=wear_rates * 1.25,
     )
 
 
@@ -57,8 +52,8 @@ def main():
     print()
     print("=== After one year of daily cycling ===")
     print("  unit   wear-rate   ranked SoH   uniform SoH")
-    for u, soh_r, soh_e in zip(system.units, ranked.soh[0], uniform.soh[0]):
-        print(f"  {u.id:>4}   {u.r_charge:9.3f}   {soh_r:10.2f}   {soh_e:11.2f}")
+    for k, (rate, soh_r, soh_e) in enumerate(zip(system.r_charge, ranked.soh[0], uniform.soh[0])):
+        print(f"  {k:>4}   {rate:9.3f}   {soh_r:10.2f}   {soh_e:11.2f}")
     mean_ranked = ranked.mean_soh_pct[0]
     mean_uniform = uniform.mean_soh_pct[0]
     print(f"  fleet mean: ranked {mean_ranked:.2f}%  uniform {mean_uniform:.2f}%")

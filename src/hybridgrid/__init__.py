@@ -9,6 +9,7 @@ from .dispatch import (
     charge_wants,
     discharge_shares,
     inflow,
+    positions_by_id,
     prioritize,
     split_equally,
 )
@@ -50,7 +51,6 @@ from .generation import (
 )
 from .health import GridUnits, split_equally_rows
 from .model import (
-    BatteryUnit,
     EnergySource,
     GridTopology,
     LoadCenter,

@@ -136,7 +136,7 @@ def cmd_forecast(args) -> int:
     # Later steps refit on the histories extended by earlier forecasts, all
     # loads of a step in one batch; the printed model is the one fitted on
     # the history alone.
-    histories = [list(series) for _, series in sorted(series_by_load.items())]
+    histories = [series.tolist() for _, series in sorted(series_by_load.items())]
     models = fit_sarima_many(histories, orders)
     steps = [[forecast_one(m)] for m in models]
     for _ in range(args.horizon - 1):

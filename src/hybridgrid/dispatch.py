@@ -92,9 +92,16 @@ def charge_deficits(capacity, want, stored) -> np.ndarray:
     return np.maximum(0.0, np.minimum(capacity, want) - stored)
 
 
-def prioritize(deficit: list[float], ids: list[int]) -> list[int]:
-    """Positions by descending deficit, ties by ascending id."""
-    return sorted(range(len(ids)), key=lambda i: (-deficit[i], ids[i]))
+def positions_by_id(ids: list[int]) -> list[int]:
+    """Positions in ascending-id order, as prioritize takes them."""
+    return sorted(range(len(ids)), key=ids.__getitem__)
+
+
+def prioritize(deficit: list[float], by_id: list[int]) -> list[int]:
+    """Positions by descending deficit, ties by ascending id; by_id is
+    positions_by_id(ids). A stable sort keeps equal deficits, -0.0 and 0.0
+    among them, in by_id's order under reverse=True too."""
+    return sorted(by_id, key=deficit.__getitem__, reverse=True)
 
 
 def allocate_priority(

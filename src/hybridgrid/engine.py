@@ -31,12 +31,18 @@ import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .dispatch import allocate_equal, allocate_priority, charge_wants, inflow, prioritize
+from .dispatch import (
+    allocate_equal,
+    allocate_priority,
+    charge_wants,
+    inflow,
+    positions_by_id,
+    prioritize,
+)
 from .forecast import (
     WeatherSample,
     fit_sarima_many,
@@ -236,6 +242,11 @@ class SimulationState:
         return np.reshape(series, (len(series), self.arms[0].days)).T.tolist()
 
     @cached_property
+    def by_id(self) -> list[int]:
+        """The topology's system positions in ascending-id order, as prioritize takes them."""
+        return positions_by_id([s.id for s in self.topology.systems])
+
+    @cached_property
     def arm_rows(self) -> tuple[list[slice], np.ndarray]:
         """Each arm's rows of units, and per row whether its arm charges them ranked."""
         n, flags = len(self.topology.systems), [cfg.health_enabled for cfg in self.arms]
@@ -253,7 +264,7 @@ class SimulationState:
 def step_day(state: SimulationState, day: int) -> None:
     """Advance every arm of the state by one day, writing row day of state.rows."""
     t, units, (runs, ranked), out = state.topology, state.units, state.arm_rows, state.rows
-    w, ids, energy = t.wiring, units.ids[: len(t.systems)], state.energy[day]
+    w, energy = t.wiring, state.energy[day]
 
     # 1. Grid-level dispatch per arm; only the priority policy reads forecasts.
     #    max(x, 0.0) keeps a NaN deficit, as dispatch.charge_deficits does.
@@ -262,7 +273,7 @@ def step_day(state: SimulationState, day: int) -> None:
     for cfg, rows in zip(state.arms, runs):
         if cfg.priority_enabled:
             deficit = [max(tg - s, 0.0) for tg, s in zip(state.targets[day], stored[rows])]
-            order = prioritize(deficit, ids)
+            order = prioritize(deficit, state.by_id)
             flow, curt = allocate_priority(w, order, deficit, headroom[rows], energy)
         else:
             flow, curt = allocate_equal(w, headroom[rows], energy)
@@ -283,7 +294,7 @@ def step_day(state: SimulationState, day: int) -> None:
     stored = units.stored.tolist()
     served, unmet, drawn = [], [], []
     for rows in runs:
-        left, took = stored[rows], [0.0] * len(ids)
+        left, took = stored[rows], [0.0] * len(t.systems)
         for d, at in zip(state.demand[day], w.load_rows):
             give = [left[i] for i in at]
             pool = sum(give)
@@ -303,25 +314,20 @@ def step_day(state: SimulationState, day: int) -> None:
     out["mean_soh_pct"][day] = units.mean_soh_pct
 
 
-_GHI, _WIND = attrgetter("ghi_w_m2"), attrgetter("wind_speed_ms")
-
-
 def _build_weather(cfg: ScenarioConfig,
                    t: GridTopology) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each site a source names, in sorted order: its (ghi, wind speed) arrays,
     one value a day."""
     sites = sorted({src.site for src in t.sources})
     if cfg.weather.kind == "csv":
-        by_day = load_weather_csv(cfg.weather.path)
-        rows = [by_day.get(day, {}) for day in range(cfg.days)]
-        cols = [[row.get(site) for row in rows] for site in sites]  # None where missing
-        if any(None in col for col in cols):
-            day = min(col.index(None) for col in cols if None in col)
-            missing = [site for site, col in zip(sites, cols) if col[day] is None]
+        by_site, none = load_weather_csv(cfg.weather.path), (np.empty(0), np.empty(0))
+        series = {site: by_site.get(site, none) for site in sites}
+        # A site's arrays end the day before its first missing day.
+        day = min([len(ghi) for ghi, _ in series.values()], default=cfg.days)
+        if day < cfg.days:
+            missing = [site for site, (ghi, _) in series.items() if len(ghi) == day]
             raise SimulationError(f"weather data exhausted: day {day} missing sites {missing}")
-        return {site: (np.fromiter(map(_GHI, col), float, cfg.days),
-                       np.fromiter(map(_WIND, col), float, cfg.days))
-                for site, col in zip(sites, cols)}
+        return {site: (ghi[: cfg.days], wind[: cfg.days]) for site, (ghi, wind) in series.items()}
     return {site: synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
             for site in sites}
 
@@ -338,7 +344,7 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology,
             if len(series[lid]) < cfg.days:
                 raise SimulationError(f"demand data exhausted for load {lid}: "
                                       f"{len(series[lid])} days < {cfg.days}")
-            out[lid] = np.asarray(series[lid][: cfg.days])
+            out[lid] = series[lid][: cfg.days]
         return out
 
     base = {lid: cfg.demand.base_by_load.get(lid, DEFAULT_BASE_DEMAND_MWD) for lid in load_ids}

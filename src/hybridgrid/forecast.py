@@ -30,7 +30,6 @@ fit_sarima is a batch of one.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,9 +51,7 @@ DEMAND_HEADER = ["load_id", "day_index", "demand_mwd"]
 
 
 class WeatherSample(NamedTuple):
-    """One site-day of provider weather, as load_weather_csv reads it; the
-    reader checks that day_index >= 0 and that ghi and wind speed are finite
-    and >= 0. A run holds weather as per-site arrays instead, and
+    """One site-day of weather. A run holds weather as per-site arrays, and
     SimulationState.weather_by_day rebuilds samples from them on request."""
 
     site_id: str
@@ -349,74 +346,149 @@ def seasonal_naive(series, s: int) -> float:
     return float(series[len(series) - s])
 
 
-def load_weather_csv(path) -> dict[int, dict[str, WeatherSample]]:
-    """Read per-site-day weather rows as {day: {site: sample}}; schema
-    site_id,day_index,ghi_w_m2,wind_speed_ms."""
-    by_day: dict[int, dict[str, WeatherSample]] = {}
+# The CSV readers parse a file's body in one numpy.loadtxt pass and check it
+# column by column. Fields may be quoted as in CSV. Numbers take loadtxt's
+# grammar: ASCII decimal, with blanks around them ignored; its nan and inf
+# spellings parse and then fail the finite checks.
+_CSV = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
+_WEATHER_DTYPE = np.dtype([("site_id", object), ("day_index", np.int64),
+                           ("ghi_w_m2", np.float64), ("wind_speed_ms", np.float64)])
+_DEMAND_DTYPE = np.dtype([("load_id", np.int64), ("day_index", np.int64),
+                          ("demand_mwd", np.float64)])
+
+
+def _loadtxt(lines, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only
+        return np.loadtxt(lines, dtype=dtype, skiprows=skiprows, **_CSV)
+
+
+def _data_lines(path) -> list[tuple[int, str]]:
+    """Each line after the header that loadtxt reads as a record (every
+    non-blank one), with its 1-based row in the file."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != WEATHER_HEADER:
-            raise ValueError(
-                f"weather csv header must be {','.join(WEATHER_HEADER)}, got {header}"
-            )
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"row {rownum}: expected 4 fields, got {len(row)}")
-            try:
-                site, day = row[0], int(row[1])
-                ghi, wind = float(row[2]), float(row[3])
-            except ValueError as exc:
-                raise ValueError(f"row {rownum}: {exc}") from None
-            if day < 0:
-                raise ValueError(f"row {rownum}: day_index must be >= 0, got {day}")
-            if not (math.isfinite(ghi) and ghi >= 0):
-                raise ValueError(f"row {rownum}: ghi must be finite and >= 0, got {ghi}")
-            if not (math.isfinite(wind) and wind >= 0):
-                raise ValueError(f"row {rownum}: wind speed must be finite and >= 0, got {wind}")
-            samples = by_day.setdefault(day, {})
-            if site in samples:
-                raise ValueError(f"row {rownum}: duplicate sample for site {site} day {day}")
-            samples[site] = WeatherSample(site, day, ghi, wind)
-    return by_day
+        next(fh, None)
+        return [(row, line) for row, line in enumerate(fh, start=2) if line.strip("\r\n")]
 
 
-def load_demand_csv(path) -> dict[int, list[float]]:
+def _why(line: str, dtype: np.dtype) -> str:
+    """What makes one line unreadable: its field count, or its first bad field."""
+    try:
+        fields = next(csv.reader([line]), [])
+    except csv.Error as exc:
+        return str(exc)
+    if len(fields) != len(dtype.names):
+        return f"expected {len(dtype.names)} fields, got {len(fields)}"
+    for name, token in zip(dtype.names, fields):
+        kind = dtype[name]
+        try:
+            read = len(_loadtxt([token], kind)) == 1  # a blank token reads as no record
+        except ValueError:
+            read = False
+        if not read:
+            rule = "an ASCII decimal integer within 64 bits" if kind.kind == "i" else \
+                "an ASCII decimal number"
+            return f"{name} must be {rule}, got {token!r}"
+    return f"cannot be read: {line.rstrip()!r}"
+
+
+def _read_csv(path, dtype: np.dtype, what: str) -> tuple[np.ndarray, ValueError | None]:
+    """The records of a CSV file whose header names dtype's fields, one per
+    non-blank line after it, and None; or, when a line does not parse, the
+    records before the first such line and the error naming its row. The
+    callers check the records they got first, so that the first bad row of
+    the file is the one named."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header != list(dtype.names):
+        raise ValueError(f"{what} csv header must be {','.join(dtype.names)}, got {header}")
+    try:
+        return _loadtxt(path, dtype, skiprows=1), None
+    except ValueError:
+        pass
+    lines = _data_lines(path)
+    texts = [line for _, line in lines]
+    lo, hi = 0, len(lines)  # the first unreadable line is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt(texts[lo:mid], dtype)
+            lo = mid
+        except ValueError:
+            hi = mid
+    row, line = lines[lo]
+    return _loadtxt(texts[:lo], dtype), ValueError(f"row {row}: {_why(line, dtype)}")
+
+
+def _reject_first(path, rules, unread: ValueError | None) -> None:
+    """Raise for the first record that breaks a rule, naming its row and its
+    first rule broken; rules are (bad mask, message of record i) in order.
+    Then raise unread, the error for a later line that did not parse."""
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(text(i) for mask, text in rules if mask[i])
+        raise ValueError(f"row {_data_lines(path)[i][0]}: {message}")
+    if unread is not None:
+        raise unread
+
+
+def _repeats(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The records ordered by keys (the last primary, stably), and per record
+    whether an earlier record has the same keys."""
+    order = np.lexsort(keys)
+    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:][same]] = True
+    return order, repeat
+
+
+def load_weather_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Read per-site-day weather rows; schema site_id,day_index,ghi_w_m2,wind_speed_ms.
+
+    Returns each site's (ghi, wind speed) arrays, one value a day from day 0
+    up to the site's first missing day: a run can never read past that day,
+    so later rows are checked but not returned. Days may come in any order.
+    """
+    data, unread = _read_csv(path, _WEATHER_DTYPE, "weather")
+    site, day, ghi, wind = (data[name] for name in _WEATHER_DTYPE.names)
+    names, key = np.unique(site, return_inverse=True)
+    order, repeat = _repeats(day, key)
+    _reject_first(path, [
+        (day < 0, lambda i: f"day_index must be >= 0, got {day[i]}"),
+        (~(np.isfinite(ghi) & (ghi >= 0)), lambda i: f"ghi must be finite and >= 0, got {ghi[i]}"),
+        (~(np.isfinite(wind) & (wind >= 0)),
+         lambda i: f"wind speed must be finite and >= 0, got {wind[i]}"),
+        (repeat, lambda i: f"duplicate sample for site {site[i]} day {day[i]}"),
+    ], unread)
+    # Sorted by site then day, unique and >= 0: a site's days run 0, 1, ...
+    # exactly as long as each equals its position among the site's rows.
+    key = key[order]
+    starts = np.searchsorted(key, np.arange(len(names)))
+    kept = np.bincount(key[day[order] == np.arange(len(order)) - starts[key]],
+                       minlength=len(names))
+    ghi, wind = ghi[order], wind[order]
+    return {name: (ghi[a : a + n], wind[a : a + n])
+            for name, a, n in zip(names.tolist(), starts.tolist(), kept.tolist())}
+
+
+def load_demand_csv(path) -> dict[int, np.ndarray]:
     """Read per-load demand history; schema load_id,day_index,demand_mwd.
 
-    Each load's days must form a gap-free 0..N-1 range.
+    Returns each load's demand by day, loads in ascending id. Each load's
+    days must form a gap-free 0..N-1 range, in any order.
     """
-    rows: dict[int, dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DEMAND_HEADER:
-            raise ValueError(
-                f"demand csv header must be {','.join(DEMAND_HEADER)}, got {header}"
-            )
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"row {rownum}: expected 3 fields, got {len(row)}")
-            try:
-                lid, day, demand = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"row {rownum}: {exc}") from None
-            if not (math.isfinite(demand) and demand >= 0):
-                raise ValueError(f"row {rownum}: demand must be finite and >= 0, got {demand}")
-            if day < 0:
-                raise ValueError(f"row {rownum}: negative day index {day}")
-            per = rows.setdefault(lid, {})
-            if day in per:
-                raise ValueError(f"row {rownum}: duplicate day {day} for load {lid}")
-            per[day] = demand
-    out: dict[int, list[float]] = {}
-    for lid, per in sorted(rows.items()):
-        days = sorted(per)
-        if days != list(range(len(days))):
-            raise ValueError(f"load {lid}: day indices must be gap-free from 0")
-        out[lid] = [per[d] for d in days]
-    return out
+    data, unread = _read_csv(path, _DEMAND_DTYPE, "demand")
+    lid, day, demand = (data[name] for name in _DEMAND_DTYPE.names)
+    order, repeat = _repeats(day, lid)
+    _reject_first(path, [
+        (~(np.isfinite(demand) & (demand >= 0)),
+         lambda i: f"demand must be finite and >= 0, got {demand[i]}"),
+        (day < 0, lambda i: f"negative day index {day[i]}"),
+        (repeat, lambda i: f"duplicate day {day[i]} for load {lid[i]}"),
+    ], unread)
+    ids, starts, load = np.unique(lid[order], return_index=True, return_inverse=True)
+    gap = day[order] != np.arange(len(order)) - starts[load]
+    if gap.any():
+        raise ValueError(f"load {lid[order][np.argmax(gap)]}: day indices must be gap-free from 0")
+    return dict(zip(ids.tolist(), np.split(demand[order], starts[1:])))

@@ -78,20 +78,17 @@ class GridUnits:
 
     def __init__(self, systems: list[StorageSystem]) -> None:
         self.ids = [s.id for s in systems]
-        state = np.zeros((len(systems), max((len(s.units) for s in systems), default=1), 5))
-        for i, s in enumerate(systems):
-            state[i, : len(s.units)] = [
-                (u.energy_mwd, u.soh_pct, u.capacity_mwd, u.r_charge, u.r_discharge)
-                for u in s.units
-            ]
-        state = state.transpose(2, 0, 1).copy()
+        self._count = np.array([len(s.cap) for s in systems], dtype=int)
+        real = np.arange(self._count.max(initial=1)) < self._count[:, None]
+        state = np.zeros((5, *real.shape))
+        if systems:
+            for a, f in zip(state, ("energy", "soh", "cap", "r_charge", "r_discharge")):
+                a[real] = np.concatenate([getattr(s, f) for s in systems])
         self.energy, self.soh, self.cap, self.r_charge, self.r_discharge = state
-        real = self.cap > 0
         self._divisor = np.where(real, self.cap, 1.0)  # pads move nothing
         self._pad = np.where(real, 0.0, np.inf)  # subtracting a score ranks pads last
-        self._count = real.sum(axis=1)
         self._flat = np.arange(len(systems))[:, None] * self.cap.shape[1]  # row starts
-        self.capacity = np.array([s.capacity_mwd for s in systems])
+        self.capacity = _total(self.cap)  # pads add +0.0, which changes no sum
         self._refresh()
 
     def _refresh(self) -> None:

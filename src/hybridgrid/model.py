@@ -1,5 +1,5 @@
-"""Domain model: battery units, storage systems, load centers, sources,
-and the wiring between them.
+"""Domain model: storage systems and their battery units, load centers,
+sources, and the wiring between them.
 
 All stored energy is tracked in MWd under the one-day tick convention.
 State of charge (SoC) of a system is the stored share of total capacity in
@@ -10,55 +10,92 @@ decreases as energy is cycled through the unit.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .generation import SolarPlantParams, WindPlantParams
 
 
-@dataclass
-class BatteryUnit:
-    """One battery unit inside a storage system.
-
-    r_charge / r_discharge are the SoH percentage points lost per equivalent
-    full cycle of charging / discharging (throughput equal to capacity).
-    """
+class UnitView(NamedTuple):
+    """One unit of a StorageSystem, as its units view lists it."""
 
     id: int
     capacity_mwd: float
-    energy_mwd: float = 0.0
-    soh_pct: float = 100.0
-    r_charge: float = 0.0
-    r_discharge: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.capacity_mwd <= 0:
-            raise ValueError(f"unit {self.id}: capacity must be positive")
-        if not 0.0 <= self.energy_mwd <= self.capacity_mwd + 1e-9:
-            raise ValueError(f"unit {self.id}: energy outside [0, capacity]")
-        if not 0.0 <= self.soh_pct <= 100.0:
-            raise ValueError(f"unit {self.id}: SoH outside [0, 100]")
-        if self.r_charge < 0 or self.r_discharge < 0:
-            raise ValueError(f"unit {self.id}: degradation rates must be >= 0")
+    energy_mwd: float
+    soh_pct: float
+    r_charge: float
+    r_discharge: float
 
 
-@dataclass
+# Each unit array's bounds, in StorageSystem field order: capacity > 0 (the
+# least positive float is its lower bound), energy in [0, capacity], SoH in
+# [0, 100] and wear rates >= 0. NaN is outside every bound.
+_UNIT_FIELDS = ("cap", "energy", "soh", "r_charge", "r_discharge")
+_UNIT_LO = np.array([[5e-324], [0.0], [0.0], [0.0], [0.0]])
+_UNIT_HI = np.array([[np.inf], [np.inf], [100.0], [np.inf], [np.inf]])
+_UNIT_RULES = ("capacity must be positive", "energy outside [0, capacity]",
+               "SoH outside [0, 100]", "degradation rates must be >= 0",
+               "degradation rates must be >= 0")
+
+
+@dataclass(eq=False)
 class StorageSystem:
     """A bank of battery units operated as one grid-level storage system.
 
-    A system's units, and so their capacities, are fixed once it is built:
-    capacity_mwd is their sum, computed once here.
+    Its units are arrays with one value per unit, and a unit's id is its
+    position: cap and energy in MWd (energy defaults to empty), soh in
+    percent (default 100), and r_charge / r_discharge, the SoH percentage
+    points a unit loses per equivalent full cycle of charging / discharging
+    (throughput equal to its capacity; default 0). A scalar stands for every
+    unit. Each array is copied and checked once, against the bounds in
+    _UNIT_LO and _UNIT_HI, with energy at most cap + 1e-9.
     """
 
     id: int
-    units: list[BatteryUnit]
-    capacity_mwd: float = field(init=False, repr=False)
+    cap: np.ndarray
+    energy: np.ndarray = 0.0
+    soh: np.ndarray = 100.0
+    r_charge: np.ndarray = 0.0
+    r_discharge: np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if not self.units:
+        cap = np.array(self.cap, dtype=float, ndmin=1)
+        if cap.ndim != 1 or not cap.size:
             raise ValueError(f"system {self.id}: needs at least one unit")
-        self.capacity_mwd = sum(u.capacity_mwd for u in self.units)
+        units = np.empty((5, cap.size))
+        try:
+            units[0], units[1], units[2], units[3], units[4] = (
+                cap, self.energy, self.soh, self.r_charge, self.r_discharge)
+        except ValueError:
+            raise ValueError(f"system {self.id}: unit arrays must have one value per unit "
+                             f"({cap.size})") from None
+        bad = ~((units >= _UNIT_LO) & (units <= _UNIT_HI))
+        bad[1] |= units[1] > units[0] + 1e-9
+        if bad.any():  # name the first unit that breaks a rule, and its first rule broken
+            k = int(np.argmax(bad.any(axis=0)))
+            raise ValueError(f"system {self.id} unit {k}: {_UNIT_RULES[np.argmax(bad[:, k])]}")
+        self.cap, self.energy, self.soh, self.r_charge, self.r_discharge = units
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StorageSystem):
+            return NotImplemented
+        return self.id == other.id and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in _UNIT_FIELDS)
+
+    @property
+    def capacity_mwd(self) -> float:
+        """The units' capacities added in order."""
+        return float(np.add.accumulate(self.cap)[-1])
+
+    @property
+    def units(self) -> tuple[UnitView, ...]:
+        """The units as UnitView tuples, built on each read from the arrays;
+        only the benchmark's checks (bench/checks.py, bench/run.py) read it."""
+        values = (getattr(self, f).tolist() for f in _UNIT_FIELDS)
+        return tuple(map(UnitView, range(len(self.cap)), *values))
 
 
 @dataclass
@@ -162,14 +199,6 @@ def as_int(value, where: str) -> int:
     return int(value)
 
 
-def uniform_units(
-    count: int, cap_mwd: float, soc_pct: float, soh_pct: float, r_charge: float, r_discharge: float
-) -> list[BatteryUnit]:
-    """count alike units, ids 0 to count - 1, each holding soc_pct of its capacity."""
-    energy = cap_mwd * soc_pct / 100.0
-    return [BatteryUnit(k, cap_mwd, energy, soh_pct, r_charge, r_discharge) for k in range(count)]
-
-
 def validate_topology(t: GridTopology) -> list[Violation]:
     """Static wiring checks; an empty list means the topology is sound."""
     out: list[Violation] = []
@@ -196,11 +225,6 @@ def validate_topology(t: GridTopology) -> list[Violation]:
     for sid in sys_ids:
         if sid not in fed:
             out.append(Violation(f"system {sid}", "unsourced-system", "no source feeds it"))
-
-    for s in t.systems:
-        unit_ids = [u.id for u in s.units]
-        if len(set(unit_ids)) != len(unit_ids):
-            out.append(Violation(f"system {s.id}", "duplicate-unit-id", f"ids {sorted(unit_ids)}"))
     return out
 
 
@@ -233,8 +257,8 @@ def reference_topology(
     if not 0.0 <= initial_soc_pct <= 100.0:
         raise ValueError("initial SoC must be in [0, 100]")
     systems = [
-        StorageSystem(sid, uniform_units(10, 100.0, initial_soc_pct, initial_soh_pct,
-                                         r_charge, r_discharge))
+        StorageSystem(sid, np.full(10, 100.0), 100.0 * initial_soc_pct / 100.0, initial_soh_pct,
+                      r_charge, r_discharge)
         for sid in range(1, 8)
     ]
 

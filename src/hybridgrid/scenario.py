@@ -19,6 +19,8 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .forecast import DEFAULT_ORDERS, SarimaOrders
 from .generation import SolarPlantParams, WindPlantParams
 from .health import DEFAULT_R_CHARGE, DEFAULT_R_DISCHARGE, DEFAULT_W_SOC, DEFAULT_W_SOH
@@ -29,7 +31,6 @@ from .model import (
     StorageSystem,
     as_int,
     reference_topology,
-    uniform_units,
 )
 from .synth import SynthDemandParams, SynthWeatherParams, wear_multipliers
 
@@ -308,17 +309,16 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
         loads = _items(centers, _parse_center, "loads.centers", MAX_LOADS)
         sources = _items(_require(doc, "sources", "scenario"), _parse_source, "sources", MAX_SOURCES)
         systems = [
-            StorageSystem(sid, uniform_units(count, cap, soc0, soh0, deg.r_charge, deg.r_discharge))
+            StorageSystem(sid, np.full(count, cap), cap * soc0 / 100.0, soh0, deg.r_charge,
+                          deg.r_discharge)
             for sid, count, cap in sizes
         ]
         t = GridTopology(systems, list(loads), list(sources))
 
-    if deg.rate_spread > 0:
+    if deg.rate_spread > 0:  # seeded per-unit wear rates, one multiply per system
         for system in t.systems:
-            mult = wear_multipliers(cfg.seed, system.id, len(system.units), deg.rate_spread)
-            for unit, m in zip(system.units, mult):
-                unit.r_charge = deg.r_charge * float(m)
-                unit.r_discharge = deg.r_discharge * float(m)
+            mult = wear_multipliers(cfg.seed, system.id, len(system.cap), deg.rate_spread)
+            system.r_charge, system.r_discharge = deg.r_charge * mult, deg.r_discharge * mult
     return t
 
 

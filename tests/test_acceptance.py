@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from hybridgrid import (
-    BatteryUnit,
     EnergySource,
     GridTopology,
     GridUnits,
@@ -35,6 +34,7 @@ from hybridgrid import (
     discharge_shares,
     fit_sarima,
     forecast_one,
+    positions_by_id,
     prioritize,
     run_simulation,
     seasonal_naive,
@@ -78,16 +78,10 @@ def test_criterion_1_formula_fidelity():
     )
     assert math.isclose(wind_power(10.0, wind), 122.5, rel_tol=1e-9)
 
-    system = StorageSystem(
-        id=1,
-        units=[
-            BatteryUnit(id=i, capacity_mwd=100.0, energy_mwd=50.0) for i in range(10)
-        ],
-    )
+    system = StorageSystem(id=1, cap=[100.0] * 10, energy=50.0)
     assert math.isclose(GridUnits([system]).soc_pct[0], 50.0, rel_tol=1e-9)
 
-    unit = BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=0.0, r_charge=0.01)
-    units = GridUnits([StorageSystem(id=1, units=[unit])])
+    units = GridUnits([StorageSystem(id=1, cap=[100.0], energy=0.0, r_charge=0.01)])
     units.charge([100.0], True)  # one full cycle's worth into the empty unit
     assert math.isclose(units.soh[0, 0], 100.0 - 0.01, rel_tol=1e-9)
 
@@ -103,16 +97,7 @@ def _random_dispatch_instance(rng):
     systems = []
     for sid in range(1, n_sys + 1):
         cap = float(rng.uniform(10.0, 500.0))
-        systems.append(
-            StorageSystem(
-                id=sid,
-                units=[
-                    BatteryUnit(
-                        id=0, capacity_mwd=cap, energy_mwd=float(rng.uniform(0.0, cap))
-                    )
-                ],
-            )
-        )
+        systems.append(StorageSystem(id=sid, cap=[cap], energy=float(rng.uniform(0.0, cap))))
     sources = []
     energies = {}
     for src_id in range(1, n_src + 1):
@@ -168,7 +153,7 @@ def test_criterion_2_conservation_fuzz_10000_instances():
         deficit = charge_deficits(units.capacity, charge_wants(topo, forecasts), stored).tolist()
         headrooms = units.headroom.tolist()
         energy = [energies[src.id] for src in w.sources]
-        order = prioritize(deficit, units.ids)
+        order = prioritize(deficit, positions_by_id(units.ids))
         _assert_allocation_invariants(
             allocate_priority(w, order, deficit, list(headrooms), energy), energy, headrooms, topo
         )
@@ -216,11 +201,7 @@ def _complete_topology(n_src, deficits):
     systems = []
     for j, deficit in enumerate(deficits, start=1):
         cap = deficit + 1000.0  # slack headroom; coverage is measured vs deficit
-        systems.append(
-            StorageSystem(
-                id=j, units=[BatteryUnit(id=0, capacity_mwd=cap, energy_mwd=0.0)]
-            )
-        )
+        systems.append(StorageSystem(id=j, cap=[cap], energy=0.0))
     sources = [
         EnergySource(
             id=i,
@@ -240,14 +221,14 @@ def test_criterion_3_priority_matches_bruteforce_coverage():
     checked = 0
     for n_src in (1, 2, 3):
         for n_sys in (1, 2, 3, 4):
-            for energies in itertools.product(GRID_VALUES, repeat=n_src):
-                for deficits in itertools.product(GRID_VALUES, repeat=n_sys):
-                    topo = _complete_topology(n_src, deficits)
-                    units = GridUnits(topo.systems)
-                    headrooms = units.headroom.tolist()
-                    order = prioritize(list(deficits), units.ids)
+            for deficits in itertools.product(GRID_VALUES, repeat=n_sys):
+                # Dispatch only reads the grid, so one grid serves every energy tuple.
+                topo = _complete_topology(n_src, deficits)
+                units = GridUnits(topo.systems)
+                order = prioritize(list(deficits), positions_by_id(units.ids))
+                for energies in itertools.product(GRID_VALUES, repeat=n_src):
                     flow, _ = allocate_priority(
-                        topo.wiring, order, list(deficits), headrooms, list(energies)
+                        topo.wiring, order, list(deficits), units.headroom.tolist(), list(energies)
                     )
                     # Every source feeds every system in row order: edge j is row j.
                     inflow = [sum(gifts[j] for gifts in flow) for j in range(n_sys)]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridgrid import (
-    BatteryUnit,
     EnergySource,
     GridTopology,
     GridUnits,
@@ -21,6 +20,7 @@ from hybridgrid import (
     charge_wants,
     discharge_shares,
     inflow,
+    positions_by_id,
     prioritize,
     reference_topology,
     split_equally,
@@ -28,13 +28,7 @@ from hybridgrid import (
 
 
 def make_system(system_id, capacity=1000.0, energy=0.0, n_units=10):
-    per_cap = capacity / n_units
-    per_energy = energy / n_units
-    units = [
-        BatteryUnit(id=i, capacity_mwd=per_cap, energy_mwd=per_energy)
-        for i in range(n_units)
-    ]
-    return StorageSystem(id=system_id, units=units)
+    return StorageSystem(system_id, np.full(n_units, capacity / n_units), energy / n_units)
 
 
 def make_topology(system_specs, source_map, load_map=None):
@@ -160,11 +154,27 @@ def test_charge_wants_rejects_a_forecast_that_is_negative_or_not_finite(bad):
 
 def test_prioritize_deficit_descending_with_id_ties():
     # Returns positions: ids 2 and 3 tie on deficit and go in id order.
-    assert prioritize([50.0, 80.0, 80.0], [1, 2, 3]) == [1, 2, 0]
+    assert prioritize([50.0, 80.0, 80.0], positions_by_id([1, 2, 3])) == [1, 2, 0]
 
 
 def test_prioritize_all_zero_is_ascending_ids():
-    assert prioritize([0.0, 0.0, 0.0], [3, 1, 2]) == [1, 2, 0]
+    assert prioritize([0.0, 0.0, 0.0], positions_by_id([3, 1, 2])) == [1, 2, 0]
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(0.0, 1e6), st.integers()),
+        max_size=12,
+        unique_by=lambda row: row[1],
+    )
+)
+def test_prioritize_equals_the_deficit_then_id_key(rows):
+    # A stable reverse sort over positions in id order ranks exactly as the
+    # key (-deficit, id) does, ties and signed zeros included.
+    deficit, ids = [d for d, _ in rows], [i for _, i in rows]
+    key = sorted(range(len(ids)), key=lambda i: (-deficit[i], ids[i]))
+    assert prioritize(deficit, positions_by_id(ids)) == key
 
 
 # --- allocate_priority ----------------------------------------------------
@@ -245,7 +255,7 @@ def test_single_source_single_system_policies_agree():
     for energy, stored in [(40.0, 0.0), (500.0, 100.0), (1000.0, 900.0)]:
         topo = make_topology({1: (1000.0, stored)}, {1: [1]})
         deficit = deficits(topo, {0: 200.0})
-        order = prioritize(deficit, [1])
+        order = prioritize(deficit, [0])
         room = GridUnits(topo.systems).headroom.tolist()
         a = allocate_priority(topo.wiring, order, deficit, list(room), [energy])
         b = allocate_equal(topo.wiring, room, [energy])
@@ -281,7 +291,8 @@ def test_allocation_properties(grid):
     deficit = deficits(topo, {0: forecast})
     wired = {(src.id, sid) for src in topo.sources for sid in src.connected_systems}
     for flow, curtailed in (
-        allocate_priority(w, prioritize(deficit, units.ids), deficit, list(room), energies),
+        allocate_priority(w, prioritize(deficit, positions_by_id(units.ids)), deficit,
+                          list(room), energies),
         allocate_equal(w, list(room), energies),
     ):
         assert all(v >= 0.0 for v in [*(v for gifts in flow for v in gifts), *curtailed])

@@ -311,9 +311,11 @@ def test_weather_and_generation_are_arrays_with_samples_built_on_read(tmp_path):
     assert list(state.weather) == ["flat", "ridge"]
     assert state.generation.shape == (4, 2)
     assert "weather_by_day" not in vars(state)
-    by_day = load_weather_csv(weather)
+    by_site = load_weather_csv(weather)
     assert state.weather_by_day == samples_from_arrays(state) == [
-        [by_day[day]["flat"], by_day[day]["ridge"]] for day in range(4)
+        [WeatherSample(site, day, *(float(a[day]) for a in by_site[site]))
+         for site in ("flat", "ridge")]
+        for day in range(4)
     ]
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the seasonal forecaster and the data-loading helpers."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from hybridgrid import forecast
 
 from hybridgrid import (
     SarimaOrders,
-    WeatherSample,
     fit_sarima,
     fit_sarima_many,
     forecast_one,
@@ -302,56 +302,53 @@ def test_seasonal_naive_short_series_rejected():
 # --- CSV loaders -------------------------------------------------------------
 
 
-WEATHER_CSV = """site_id,day_index,ghi_w_m2,wind_speed_ms
-coastal,0,500.0,8.0
+WEATHER_HEADER = "site_id,day_index,ghi_w_m2,wind_speed_ms\n"
+DEMAND_HEADER = "load_id,day_index,demand_mwd\n"
+
+WEATHER_CSV = WEATHER_HEADER + """coastal,0,500.0,8.0
 coastal,1,450.0,9.5
-inland,0,620.0,4.0
 inland,1,580.0,3.5
+inland,0,620.0,4.0
+inland,3,610.0,3.0
 """
 
 
+def arrays(by_key):
+    return {key: [a.tolist() for a in value] if isinstance(value, tuple) else value.tolist()
+            for key, value in by_key.items()}
+
+
 def test_load_weather_csv_roundtrip(tmp_path):
+    # Per site, (ghi, wind) by day from day 0 up to its first missing day:
+    # inland's day 3 lies past its gap at day 2.
     path = tmp_path / "weather.csv"
     path.write_text(WEATHER_CSV)
-    by_day = load_weather_csv(path)
-    assert by_day == {
-        0: {
-            "coastal": WeatherSample("coastal", 0, 500.0, 8.0),
-            "inland": WeatherSample("inland", 0, 620.0, 4.0),
-        },
-        1: {
-            "coastal": WeatherSample("coastal", 1, 450.0, 9.5),
-            "inland": WeatherSample("inland", 1, 580.0, 3.5),
-        },
+    assert arrays(load_weather_csv(path)) == {
+        "coastal": [[500.0, 450.0], [8.0, 9.5]],
+        "inland": [[620.0, 580.0], [4.0, 3.5]],
     }
-    assert by_day[1]["coastal"].wind_speed_ms == 9.5
 
 
 def test_load_weather_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "weather.csv"
     path.write_text("site,day,ghi,wind\ncoastal,0,1,2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weather csv header must be"):
         load_weather_csv(path)
 
 
 def test_load_weather_csv_rejects_duplicate_key(tmp_path):
     path = tmp_path / "weather.csv"
-    path.write_text(
-        "site_id,day_index,ghi_w_m2,wind_speed_ms\n"
-        "coastal,0,500.0,8.0\ncoastal,0,400.0,7.0\n"
-    )
-    with pytest.raises(ValueError):
+    path.write_text(WEATHER_HEADER + "coastal,0,500.0,8.0\ncoastal,0,400.0,7.0\n")
+    with pytest.raises(ValueError, match="row 3: duplicate sample for site coastal day 0"):
         load_weather_csv(path)
 
 
 def test_load_weather_csv_rejects_negative_values(tmp_path):
     path = tmp_path / "weather.csv"
-    path.write_text("site_id,day_index,ghi_w_m2,wind_speed_ms\ncoastal,0,-5.0,8.0\n")
-    with pytest.raises(ValueError):
+    path.write_text(WEATHER_HEADER + "coastal,0,-5.0,8.0\n")
+    with pytest.raises(ValueError, match="row 2: ghi must be finite and >= 0, got -5.0"):
         load_weather_csv(path)
-    path.write_text(
-        "site_id,day_index,ghi_w_m2,wind_speed_ms\ninland,0,1.0,1.0\ncoastal,-1,5.0,8.0\n"
-    )
+    path.write_text(WEATHER_HEADER + "inland,0,1.0,1.0\ncoastal,-1,5.0,8.0\n")
     with pytest.raises(ValueError, match="row 3: day_index must be >= 0, got -1"):
         load_weather_csv(path)
 
@@ -359,30 +356,161 @@ def test_load_weather_csv_rejects_negative_values(tmp_path):
 @pytest.mark.parametrize("row", ["coastal,0,nan,8.0", "coastal,0,500.0,inf", "coastal,0,-inf,8.0"])
 def test_load_weather_csv_rejects_non_finite_values(tmp_path, row):
     path = tmp_path / "weather.csv"
-    path.write_text(f"site_id,day_index,ghi_w_m2,wind_speed_ms\ninland,0,1.0,1.0\n{row}\n")
+    path.write_text(f"{WEATHER_HEADER}inland,0,1.0,1.0\n{row}\n")
     with pytest.raises(ValueError, match="row 3: .*finite"):
         load_weather_csv(path)
 
 
 def test_load_demand_csv_roundtrip(tmp_path):
     path = tmp_path / "demand.csv"
-    path.write_text(
-        "load_id,day_index,demand_mwd\n0,0,100.0\n0,1,110.0\n1,0,90.0\n1,1,95.0\n"
-    )
+    path.write_text(DEMAND_HEADER + "1,1,95.0\n0,0,100.0\n0,1,110.0\n1,0,90.0\n")
     series = load_demand_csv(path)
-    assert series == {0: [100.0, 110.0], 1: [90.0, 95.0]}
+    assert list(series) == [0, 1]
+    assert arrays(series) == {0: [100.0, 110.0], 1: [90.0, 95.0]}
 
 
 def test_load_demand_csv_rejects_gaps(tmp_path):
     path = tmp_path / "demand.csv"
-    path.write_text("load_id,day_index,demand_mwd\n0,0,100.0\n0,2,110.0\n")
-    with pytest.raises(ValueError):
+    path.write_text(DEMAND_HEADER + "0,0,100.0\n0,2,110.0\n")
+    with pytest.raises(ValueError, match="load 0: day indices must be gap-free from 0"):
         load_demand_csv(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_demand_csv_rejects_non_finite(tmp_path, value):
     path = tmp_path / "demand.csv"
-    path.write_text(f"load_id,day_index,demand_mwd\n0,0,100.0\n0,1,{value}\n")
+    path.write_text(f"{DEMAND_HEADER}0,0,100.0\n0,1,{value}\n")
     with pytest.raises(ValueError, match="row 3: demand must be finite"):
         load_demand_csv(path)
+
+
+# Each case: the file body after a good first row (file row 2) and a blank
+# line (row 3), so that the bad row is file row 4 unless a case says otherwise,
+# and the message its rejection must give.
+WEATHER_REJECTIONS = {
+    "two fields": ("inland,1", "row 4: expected 4 fields, got 2"),
+    "five fields": ("inland,1,1.0,1.0,1.0", "row 4: expected 4 fields, got 5"),
+    "fractional day": ("inland,1.0,1.0,1.0",
+                       "row 4: day_index must be an ASCII decimal integer within 64 bits, got '1.0'"),
+    "letter day": ("inland,x,1.0,1.0",
+                   "row 4: day_index must be an ASCII decimal integer within 64 bits, got 'x'"),
+    "underscore": ("inland,1,1_000,1.0",
+                   "row 4: ghi_w_m2 must be an ASCII decimal number, got '1_000'"),
+    "arabic-indic digit": ("inland,\u0661,1.0,1.0",
+                           "row 4: day_index must be an ASCII decimal integer within 64 bits, "
+                           "got '\u0661'"),
+    "fullwidth digit": ("inland,1,1.0,\uff15",
+                        "row 4: wind_speed_ms must be an ASCII decimal number, got '\uff15'"),
+    "empty field": ("inland,1,,1.0", "row 4: ghi_w_m2 must be an ASCII decimal number, got ''"),
+    "negative day": ("inland,-1,1.0,1.0", "row 4: day_index must be >= 0, got -1"),
+    "nan": ("inland,1,nan,1.0", "row 4: ghi must be finite and >= 0, got nan"),
+    "inf": ("inland,1,1.0,inf", "row 4: wind speed must be finite and >= 0, got inf"),
+    "-inf": ("inland,1,-inf,1.0", "row 4: ghi must be finite and >= 0, got -inf"),
+    "1e400": ("inland,1,1e400,1.0", "row 4: ghi must be finite and >= 0, got inf"),
+    "negative": ("inland,1,1.0,-0.5", "row 4: wind speed must be finite and >= 0, got -0.5"),
+    "duplicate": ("inland,0,1.0,1.0", "row 4: duplicate sample for site inland day 0"),
+    # The first bad row is named, even when a later row does not parse.
+    "bad value before unreadable row": ("inland,1,-1.0,1.0\ninland,x,1.0,1.0",
+                                        "row 4: ghi must be finite and >= 0, got -1.0"),
+    "unreadable row before bad value": ("inland,x,1.0,1.0\ninland,1,-1.0,1.0",
+                                        "row 4: day_index must be an ASCII decimal integer"),
+    "blank-only line": ("   ", "row 4: expected 4 fields, got 1"),
+}
+
+DEMAND_REJECTIONS = {
+    "two fields": ("0,1", "row 4: expected 3 fields, got 2"),
+    "four fields": ("0,1,1.0,1.0", "row 4: expected 3 fields, got 4"),
+    "fractional day": ("0,1.0,1.0",
+                       "row 4: day_index must be an ASCII decimal integer within 64 bits, got '1.0'"),
+    "letter day": ("0,x,1.0",
+                   "row 4: day_index must be an ASCII decimal integer within 64 bits, got 'x'"),
+    "letter load": ("a,1,1.0",
+                    "row 4: load_id must be an ASCII decimal integer within 64 bits, got 'a'"),
+    "underscore": ("0,1,1_000", "row 4: demand_mwd must be an ASCII decimal number, got '1_000'"),
+    "arabic-indic digit": ("0,\u0661,1.0",
+                           "row 4: day_index must be an ASCII decimal integer within 64 bits, "
+                           "got '\u0661'"),
+    "day past int64": ("0,9223372036854775808,1.0",
+                       "row 4: day_index must be an ASCII decimal integer within 64 bits"),
+    "negative day": ("0,-1,1.0", "row 4: negative day index -1"),
+    "nan": ("0,1,nan", "row 4: demand must be finite and >= 0, got nan"),
+    "inf": ("0,1,inf", "row 4: demand must be finite and >= 0, got inf"),
+    "-inf": ("0,1,-inf", "row 4: demand must be finite and >= 0, got -inf"),
+    "1e400": ("0,1,1e400", "row 4: demand must be finite and >= 0, got inf"),
+    "negative": ("0,1,-0.5", "row 4: demand must be finite and >= 0, got -0.5"),
+    "duplicate": ("0,0,1.0", "row 4: duplicate day 0 for load 0"),
+    "gap": ("0,2,1.0\n1,0,1.0", "load 0: day indices must be gap-free from 0"),
+    "gap in a later load": ("0,1,1.0\n5,0,1.0\n5,2,1.0", "load 5: day indices must be gap-free"),
+    "bad value before unreadable row": ("0,1,-1.0\n0,x,1.0",
+                                        "row 4: demand must be finite and >= 0, got -1.0"),
+    "blank-only line": ("   ", "row 4: expected 3 fields, got 1"),
+}
+
+
+@pytest.mark.parametrize("body, message", WEATHER_REJECTIONS.values(), ids=WEATHER_REJECTIONS)
+def test_load_weather_csv_rejection_names_the_row(tmp_path, body, message):
+    path = tmp_path / "weather.csv"
+    path.write_text(f"{WEATHER_HEADER}inland,0,1.0,1.0\n\n{body}\n")
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        load_weather_csv(path)
+
+
+@pytest.mark.parametrize("body, message", DEMAND_REJECTIONS.values(), ids=DEMAND_REJECTIONS)
+def test_load_demand_csv_rejection_names_the_row(tmp_path, body, message):
+    path = tmp_path / "demand.csv"
+    path.write_text(f"{DEMAND_HEADER}0,0,1.0\n\n{body}\n")
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        load_demand_csv(path)
+
+
+@pytest.mark.parametrize("loader, what, header", [
+    (load_weather_csv, "weather", WEATHER_HEADER), (load_demand_csv, "demand", DEMAND_HEADER)])
+@pytest.mark.parametrize("text", ["", "\n", "site_id,day\n", "load_id,day_index,demand\n0,0,1\n"])
+def test_load_csv_rejects_a_bad_header(tmp_path, loader, what, header, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{what} csv header must be {header.strip()}, got "):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader", [load_weather_csv, load_demand_csv])
+@pytest.mark.parametrize("tail", ["", "\n", "\n\n", "\r\n"])
+def test_load_csv_header_only_file_is_empty(tmp_path, loader, tail):
+    header = WEATHER_HEADER if loader is load_weather_csv else DEMAND_HEADER
+    path = tmp_path / "data.csv"
+    path.write_bytes((header.strip() + tail).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert loader(path) == {}
+
+
+def test_load_csv_reads_quoted_fields_crlf_and_blanks_around_numbers(tmp_path):
+    path = tmp_path / "demand.csv"
+    path.write_bytes(b'"load_id","day_index","demand_mwd"\r\n"0","0","5"\r\n 0 , +1 , 2.5e1 \r\n')
+    assert arrays(load_demand_csv(path)) == {0: [5.0, 25.0]}
+    path = tmp_path / "weather.csv"
+    path.write_text(WEATHER_HEADER + '"hill, north",0,1.0,2.0\n')
+    assert arrays(load_weather_csv(path)) == {"hill, north": [[1.0], [2.0]]}
+
+
+finite = st.floats(min_value=0.0, allow_infinity=False, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(values=st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=40))
+def test_load_csv_round_trips_repr_floats_bit_for_bit(tmp_path_factory, values):
+    # Floats written with repr load back with the same bits, as float() reads them.
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    rows = [f"{k % 3},{k // 3},{d!r}" for k, (d, _, _) in enumerate(values)]
+    path.write_text(DEMAND_HEADER + "\n".join(rows) + "\n")
+    loaded = load_demand_csv(path)
+    want = {load: [d for k, (d, _, _) in enumerate(values) if k % 3 == load] for load in loaded}
+    assert {load: [v.hex() for v in a.tolist()] for load, a in loaded.items()} == {
+        load: [float(v).hex() for v in vs] for load, vs in want.items()}
+
+    rows = [f"site{k % 2},{k // 2},{g!r},{w!r}" for k, (_, g, w) in enumerate(values)]
+    path.write_text(WEATHER_HEADER + "\n".join(rows) + "\n")
+    for site, (ghi, wind) in load_weather_csv(path).items():
+        mine = [(g, w) for k, (_, g, w) in enumerate(values) if f"site{k % 2}" == site]
+        assert [v.hex() for v in ghi.tolist()] == [g.hex() for g, _ in mine]
+        assert [v.hex() for v in wind.tolist()] == [w.hex() for _, w in mine]

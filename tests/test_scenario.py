@@ -102,8 +102,8 @@ def test_load_scenario_applies_run_overrides(tmp_path):
     _, expected = parse_scenario(doc)
     assert (cfg.seed, cfg.days) == (9, 2)
     # The seed override reaches the seeded per-unit wear rates.
-    assert [u.r_charge for s in topo.systems for u in s.units] == [
-        u.r_charge for s in expected.systems for u in s.units
+    assert [s.r_charge.tolist() for s in topo.systems] == [
+        s.r_charge.tolist() for s in expected.systems
     ]
 
 
@@ -111,7 +111,7 @@ def test_parse_degradation_and_spread():
     doc = minimal_doc()
     doc["degradation"] = {"r_charge": 0.1, "r_discharge": 0.2, "rate_spread": 0.5}
     cfg, topo = parse_scenario(doc)
-    rates = [u.r_charge for s in topo.systems for u in s.units]
+    rates = [r for s in topo.systems for r in s.r_charge.tolist()]
     # Spread perturbs per-unit rates around the base value within +/-50%.
     assert min(rates) >= 0.05 - 1e-12
     assert max(rates) <= 0.15 + 1e-12
@@ -122,7 +122,7 @@ def test_parse_zero_spread_keeps_uniform_rates():
     doc = minimal_doc()
     doc["degradation"] = {"r_charge": 0.1, "r_discharge": 0.2}
     _, topo = parse_scenario(doc)
-    rates = {u.r_charge for s in topo.systems for u in s.units}
+    rates = {r for s in topo.systems for r in s.r_charge.tolist()}
     assert rates == {0.1}
 
 
@@ -382,11 +382,11 @@ def test_parse_initial_state_accepts_its_bounds(key, value):
     doc["topology"][key] = value
     cfg, topo = parse_scenario(doc)
     assert getattr(cfg, key) == value
-    unit = topo.systems[0].units[0]
+    system = topo.systems[0]
     if key == "initial_soc_pct":
-        assert unit.energy_mwd == unit.capacity_mwd * value / 100.0
+        assert (system.energy == system.cap * value / 100.0).all()
     else:
-        assert unit.soh_pct == value
+        assert (system.soh == value).all()
 
 
 @pytest.mark.parametrize("section", ["loads", "weather"])
@@ -482,7 +482,7 @@ def test_parse_reference_must_be_json_boolean():
 
 
 def _no_units(*args):
-    raise AssertionError("a unit was built")
+    raise AssertionError("a storage system was built")
 
 
 # Each case is over a cap by its counts alone: 101 systems of 10,000 units would
@@ -510,7 +510,7 @@ def _no_units(*args):
     ids=["total-units", "systems", "loads", "sources"],
 )
 def test_parse_grid_over_a_size_cap_builds_no_unit(monkeypatch, keys, value, message):
-    monkeypatch.setattr(scenario, "uniform_units", _no_units)
+    monkeypatch.setattr(scenario, "StorageSystem", _no_units)
     doc = explicit_doc()
     section = doc
     for key in keys[:-1]:
@@ -524,7 +524,7 @@ def test_parse_total_unit_cap_is_inclusive(monkeypatch):
     # explicit_doc() has 2 + 4 units.
     monkeypatch.setattr(scenario, "MAX_TOTAL_UNITS", 6)
     _, topo = parse_scenario(explicit_doc())
-    assert sum(len(s.units) for s in topo.systems) == 6
+    assert sum(len(s.cap) for s in topo.systems) == 6
     monkeypatch.setattr(scenario, "MAX_TOTAL_UNITS", 5)
     with pytest.raises(ValueError, match=re.escape("must be <= 5, got 6")):
         parse_scenario(explicit_doc())
