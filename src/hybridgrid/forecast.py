@@ -46,9 +46,6 @@ TOL = 1e-10
 VANISHED = 1e-10
 RIDGE = 1e-12
 
-WEATHER_HEADER = ["site_id", "day_index", "ghi_w_m2", "wind_speed_ms"]
-DEMAND_HEADER = ["load_id", "day_index", "demand_mwd"]
-
 
 class WeatherSample(NamedTuple):
     """One site-day of weather. A run holds weather as per-site arrays, and

@@ -50,8 +50,9 @@ class StorageSystem:
     percent (default 100), and r_charge / r_discharge, the SoH percentage
     points a unit loses per equivalent full cycle of charging / discharging
     (throughput equal to its capacity; default 0). A scalar stands for every
-    unit. Each array is copied and checked once, against the bounds in
-    _UNIT_LO and _UNIT_HI, with energy at most cap + 1e-9.
+    unit. Each array is copied and checked once: cap > 0, energy in
+    [0, cap + 1e-9], soh in [0, 100] and rates >= 0, NaN failing each. An
+    error names the first unit that breaks a rule, and its first rule broken.
     """
 
     id: int
