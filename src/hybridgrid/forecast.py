@@ -346,8 +346,9 @@ def seasonal_naive(series, s: int) -> float:
 # The CSV readers parse a file's body in one numpy.loadtxt pass and check it
 # column by column. Fields may be quoted as in CSV. Numbers take loadtxt's
 # grammar: ASCII decimal, with blanks around them ignored; its nan and inf
-# spellings parse and then fail the finite checks.
-_CSV = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
+# spellings parse and then fail the finite checks. A file is decoded as
+# open() decodes it, on every numpy version.
+_CSV = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1, "encoding": None}
 _WEATHER_DTYPE = np.dtype([("site_id", object), ("day_index", np.int64),
                            ("ghi_w_m2", np.float64), ("wind_speed_ms", np.float64)])
 _DEMAND_DTYPE = np.dtype([("load_id", np.int64), ("day_index", np.int64),

@@ -75,7 +75,8 @@ class StorageSystem:
                              f"({cap.size})") from None
         bad = ~((units >= _UNIT_LO) & (units <= _UNIT_HI))
         bad[1] |= units[1] > units[0] + 1e-9
-        if bad.any():  # name the first unit that breaks a rule, and its first rule broken
+        if np.count_nonzero(bad):
+            # Name the first unit that breaks a rule, and its first rule broken.
             k = int(np.argmax(bad.any(axis=0)))
             raise ValueError(f"system {self.id} unit {k}: {_UNIT_RULES[np.argmax(bad[:, k])]}")
         self.cap, self.energy, self.soh, self.r_charge, self.r_discharge = units

@@ -161,7 +161,7 @@ def test_prioritize_all_zero_is_ascending_ids():
     assert prioritize([0.0, 0.0, 0.0], positions_by_id([3, 1, 2])) == [1, 2, 0]
 
 
-@settings(deadline=None, max_examples=500)
+@settings(deadline=None, max_examples=300)
 @given(
     rows=st.lists(
         st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(0.0, 1e6), st.integers()),
