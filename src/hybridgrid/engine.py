@@ -320,8 +320,8 @@ def _build_weather(cfg: ScenarioConfig,
     one value a day."""
     sites = sorted({src.site for src in t.sources})
     if cfg.weather.kind == "csv":
-        by_site, none = load_weather_csv(cfg.weather.path), (np.empty(0), np.empty(0))
-        series = {site: by_site.get(site, none) for site in sites}
+        by_site = load_weather_csv(cfg.weather.path)
+        series = {site: by_site.get(site, (np.empty(0), np.empty(0))) for site in sites}
         # A site's arrays end the day before its first missing day.
         day = min([len(ghi) for ghi, _ in series.values()], default=cfg.days)
         if day < cfg.days:
