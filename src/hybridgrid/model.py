@@ -31,8 +31,9 @@ class UnitView(NamedTuple):
 
 
 # Each unit array's bounds, in StorageSystem field order: capacity > 0 (the
-# least positive float is its lower bound), energy in [0, capacity], SoH in
-# [0, 100] and wear rates >= 0. NaN is outside every bound.
+# least positive float is its lower bound), energy >= 0 (its upper bound,
+# cap + 1e-9, is checked apart), SoH in [0, 100] and wear rates >= 0. NaN is
+# outside every bound.
 _UNIT_FIELDS = ("cap", "energy", "soh", "r_charge", "r_discharge")
 _UNIT_LO = np.array([[5e-324], [0.0], [0.0], [0.0], [0.0]])
 _UNIT_HI = np.array([[np.inf], [np.inf], [100.0], [np.inf], [np.inf]])
@@ -57,10 +58,10 @@ class StorageSystem:
 
     id: int
     cap: np.ndarray
-    energy: np.ndarray = 0.0
-    soh: np.ndarray = 100.0
-    r_charge: np.ndarray = 0.0
-    r_discharge: np.ndarray = 0.0
+    energy: np.ndarray | float = 0.0
+    soh: np.ndarray | float = 100.0
+    r_charge: np.ndarray | float = 0.0
+    r_discharge: np.ndarray | float = 0.0
 
     def __post_init__(self) -> None:
         cap = np.array(self.cap, dtype=float, ndmin=1)
