@@ -7,10 +7,10 @@ from .dispatch import (
     allocate_priority,
     charge_deficits,
     charge_wants,
-    discharge_shares,
     inflow,
     positions_by_id,
     prioritize,
+    settle_loads,
     split_equally,
 )
 from .engine import (

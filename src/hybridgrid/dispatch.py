@@ -12,7 +12,7 @@ the still-unsaturated ones.
 Discharge is need-blind: a load draws from its connected systems in
 proportion to how much each currently stores, so a shared pool drains evenly
 toward zero rather than emptying one system first. The split works on
-stored amounts alone, so the engine can settle a day's loads on running
+stored amounts alone, so settle_loads settles a day's loads on running
 system totals without touching units.
 
 Every function works on plain per-system lists in the order of a topology's
@@ -21,9 +21,18 @@ calls them each day. Charge flows come one per wired edge, aligned with
 Wiring.source_rows, so a day costs the connections, not sources x systems;
 inflow() adds them per system. This module only decides system-level amounts.
 Moving energy into and out of units, and the wear that costs, is health.py's job.
+
+The engine calls these functions every day for every arm, on lists of a few
+items each, so they are plain loops: no comprehension, zip or list built
+only to be summed, and comparisons in place of the builtin min() and max(),
+whose calls cost more than the arithmetic. Sums run left to right from 0, as
+sum() adds on CPython 3.11, so results match the comprehension forms bit for
+bit.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,32 +44,37 @@ CHARGE_BUFFER = 1.25
 _REL_TOL = 1e-9
 
 
-def split_equally(total: float, caps: list[float]) -> list[float]:
-    """Split total across slots with per-slot caps by iterated equal shares.
+def split_equally(total: float, caps: list[float], slots: Sequence[int]) -> list[float]:
+    """Split total across the given slots of caps by iterated equal shares.
 
     Each round gives every unsaturated slot an equal share of what is left,
-    clamped at its cap; overflow is re-split among the rest. Returns per-slot
-    amounts; any residue beyond sum(caps) is left unallocated.
+    clamped at its cap; overflow is re-split among the rest. Returns the
+    amounts in slots order; any residue beyond the slots' caps is left
+    unallocated.
     """
     if total < 0:
         raise ValueError(f"cannot split a negative total: {total}")
-    n = len(caps)
-    alloc = [0.0] * n
+    alloc = [0.0] * len(slots)
     remaining = total
-    active = [i for i in range(n) if caps[i] > 0]
+    active = []  # positions in slots
+    for j, i in enumerate(slots):
+        if caps[i] > 0:
+            active.append(j)
     while remaining > 1e-12 and active:
         share = remaining / len(active)
-        saturated = []
-        for i in active:
-            room = caps[i] - alloc[i]
-            take = room if room <= share else share
-            alloc[i] += take
-            remaining -= take
+        unsaturated = []
+        for j in active:
+            room = caps[slots[j]] - alloc[j]
             if room <= share:
-                saturated.append(i)
-        if not saturated:
+                alloc[j] += room
+                remaining -= room
+            else:
+                alloc[j] += share
+                remaining -= share
+                unsaturated.append(j)
+        if len(unsaturated) == len(active):
             break  # everyone absorbed a full share; only float dust remains
-        active = [i for i in active if i not in saturated]
+        active = unsaturated
     return alloc
 
 
@@ -115,25 +129,38 @@ def allocate_priority(
     each curtailment.
     """
     remaining = list(energy)
-    flow = [[0.0] * len(rows) for rows in w.source_rows]
+    flow = []
+    for rows in w.source_rows:
+        flow.append([0.0] * len(rows))
     curtailed = [0.0] * len(energy)
-    # Pass 1: cover deficits in priority order.
+    # Pass 1: cover deficits in priority order. Comparisons stand in for the
+    # builtin min(): min(a, b) is b if b < a else a, NaN and -0.0 included.
+    sources_of, slots_of = w.system_sources, w.system_slots
     for i in order:
-        need = min(deficit[i], headroom[i])
-        for k, j in zip(w.system_sources[i], w.system_slots[i]):
-            if need <= 0:
-                break
-            take = min(need, remaining[k])
+        need, room = deficit[i], headroom[i]
+        if room < need:
+            need = room
+        if need <= 0:
+            continue
+        for k, j in zip(sources_of[i], slots_of[i]):
+            avail = remaining[k]
+            take = avail if avail < need else need
             flow[k][j] = take
             remaining[k] -= take
             headroom[i] -= take
             need -= take
+            if need <= 0:
+                break
     # Pass 2: spread each source's leftover by remaining headroom.
     for k, rows in enumerate(w.source_rows):
         left = remaining[k]
         if left <= 0:
             continue
-        open_room = sum([room for i in rows if (room := headroom[i]) > 0])
+        open_room = 0  # from int 0, as sum() adds
+        for i in rows:
+            room = headroom[i]
+            if room > 0:
+                open_room += room
         fills = left >= open_room
         if fills:
             curtailed[k] = left - open_room
@@ -153,12 +180,15 @@ def allocate_equal(
     """Need-blind baseline: each source in turn splits equally over its rows,
     overflow re-split and the rest curtailed; in and out as allocate_priority."""
     flow, curtailed = [], [0.0] * len(energy)
-    for k, (rows, e) in enumerate(zip(w.source_rows, energy)):
-        flow.append(split_equally(e, [headroom[i] for i in rows]) if e > 0 else [0.0] * len(rows))
-        for i, amt in zip(rows, flow[k]):
+    for k, rows in enumerate(w.source_rows):
+        e = energy[k]
+        gifts = split_equally(e, headroom, rows) if e > 0 else [0.0] * len(rows)
+        flow.append(gifts)
+        delivered = 0  # from int 0, as sum() adds
+        for i, amt in zip(rows, gifts):
             headroom[i] -= amt
-        delivered = sum(flow[k])
-        if e - delivered > _REL_TOL * max(1.0, e):
+            delivered += amt
+        if e - delivered > _REL_TOL * (e if e > 1.0 else 1.0):  # max(1.0, e)
             curtailed[k] = e - delivered
     return flow, curtailed
 
@@ -172,12 +202,37 @@ def inflow(w: Wiring, flow: list[list[float]]) -> list[float]:
     return total
 
 
-def discharge_shares(demand_mwd: float, stored: list[float]) -> tuple[list[float], float]:
-    """A load's draw on its systems' stores, in proportion: (contributions,
-    served). Demand beyond the pool drains each system of exactly what it holds."""
-    if demand_mwd < 0:
-        raise ValueError(f"demand must be >= 0, got {demand_mwd}")
-    pool = sum(stored)
-    if demand_mwd >= pool:
-        return list(stored), pool  # full drain: each system gives what it holds
-    return [energy / pool * demand_mwd for energy in stored], demand_mwd
+def settle_loads(
+    load_rows: list[list[int]], demand: list[float], stored: list[float]
+) -> tuple[list[float], list[float], list[float]]:
+    """Serve each load in turn from its rows' stores, in proportion to what
+    each holds: load_rows and demand are per load in ascending id, stored is
+    per row (drawn down in place, so each load sees what the loads before it
+    left). Demand beyond a load's pool drains each of its rows of exactly what
+    it holds. Returns each load's served and unmet MWd and each row's draw.
+    """
+    served, unmet, took = [], [], [0.0] * len(stored)
+    for d, rows in zip(demand, load_rows):
+        if d < 0:
+            raise ValueError(f"demand must be >= 0, got {d}")
+        pool = 0  # from int 0, as sum() adds
+        for i in rows:
+            pool += stored[i]
+        if d < pool:
+            # A load lists each row once, so each share reads its row's
+            # store before this load draws on it.
+            for i in rows:
+                amount = stored[i] / pool * d
+                stored[i] -= amount
+                took[i] += amount
+            served.append(d)
+            unmet.append(0.0)
+        else:
+            for i in rows:
+                amount = stored[i]
+                stored[i] -= amount
+                took[i] += amount
+            served.append(pool)
+            short = d - pool
+            unmet.append(short if short > 0.0 else 0.0)  # max(0.0, short), NaN to 0.0
+    return served, unmet, took

@@ -14,9 +14,12 @@ the one-arm case; compare() runs two arms. Each day dispatches charging per
 arm at the grid level (priority or equal, on the topology's Wiring index
 lists, one flow per wired edge), distributes each system's inflow across its
 units (health-ranked or equal, row by row), then settles realized demand:
-each arm settles its loads in ascending id on running system totals, each
-load seeing storage as the previous load of its arm left it, and one
-discharge takes every arm's totals from the units. The topology is only read.
+one dispatch.settle_loads call per arm settles its loads in ascending id on
+running system totals, each load seeing storage as the previous load of its
+arm left it, and one discharge takes every arm's totals from the units. The
+dispatch functions are called by name, once per arm and day, so a tracer
+that rebinds those names in this module sees every call. The topology is
+only read.
 step_day writes one row of the state's [days, arms x width] arrays a day; a
 SimulationTrace is one arm's columns of them, and summaries add them in
 day-then-column order.
@@ -42,6 +45,7 @@ from .dispatch import (
     inflow,
     positions_by_id,
     prioritize,
+    settle_loads,
 )
 from .forecast import (
     WeatherSample,
@@ -267,12 +271,16 @@ def step_day(state: SimulationState, day: int) -> None:
     w, energy = t.wiring, state.energy[day]
 
     # 1. Grid-level dispatch per arm; only the priority policy reads forecasts.
-    #    max(x, 0.0) keeps a NaN deficit, as dispatch.charge_deficits does.
+    #    A deficit is max(gap, 0.0), which keeps a NaN gap as
+    #    dispatch.charge_deficits does.
     headroom, stored = units.headroom.tolist(), units.stored.tolist()
     charge_in, curtailed = [], []
     for cfg, rows in zip(state.arms, runs):
         if cfg.priority_enabled:
-            deficit = [max(tg - s, 0.0) for tg, s in zip(state.targets[day], stored[rows])]
+            deficit = []
+            for tg, s in zip(state.targets[day], stored[rows]):
+                gap = tg - s
+                deficit.append(0.0 if gap < 0.0 else gap)
             order = prioritize(deficit, state.by_id)
             flow, curt = allocate_priority(w, order, deficit, headroom[rows], energy)
         else:
@@ -286,25 +294,17 @@ def step_day(state: SimulationState, day: int) -> None:
     units.charge(out["charge_in_mwd"][day], ranked, state.arms[0].weights.soh,
                  state.arms[0].weights.soc)
 
-    # 3. Each arm settles its loads in ascending id on running system totals,
-    #    as dispatch.discharge_shares splits a load. One discharge then takes
-    #    every arm's totals. That equals the per-load draws in sequence: draws
-    #    d1 then d2 take min(e_i, l1 + l2) from unit i, as one draw of d1 + d2
-    #    does, and wear is linear in the amount drawn.
+    # 3. Each arm settles its loads with dispatch.settle_loads on running
+    #    system totals. One discharge then takes every arm's totals. That
+    #    equals the per-load draws in sequence: draws d1 then d2 take
+    #    min(e_i, l1 + l2) from unit i, as one draw of d1 + d2 does, and wear
+    #    is linear in the amount drawn.
     stored = units.stored.tolist()
     served, unmet, drawn = [], [], []
     for rows in runs:
-        left, took = stored[rows], [0.0] * len(t.systems)
-        for d, at in zip(state.demand[day], w.load_rows):
-            give = [left[i] for i in at]
-            pool = sum(give)
-            if d < pool:
-                give, pool = [e / pool * d for e in give], d
-            served.append(pool)
-            unmet.append(max(0.0, d - pool))
-            for i, amount in zip(at, give):
-                left[i] -= amount
-                took[i] += amount
+        arm_served, arm_unmet, took = settle_loads(w.load_rows, state.demand[day], stored[rows])
+        served += arm_served
+        unmet += arm_unmet
         drawn += took
     out["discharge_out_mwd"][day] = drawn
     units.discharge(out["discharge_out_mwd"][day])

@@ -44,7 +44,8 @@ def _total(a: np.ndarray) -> np.ndarray:
 
 
 def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
-    """dispatch.split_equally on every row at once, bit for bit.
+    """dispatch.split_equally on every row at once, each row's slots all of
+    its caps, bit for bit.
 
     Each round gives every unsaturated slot of a row an equal share of what
     the row has left, clamped at its cap, and re-splits the overflow among

@@ -195,6 +195,8 @@ def as_int(value, where: str) -> int:
     Booleans, fractions and anything that is not a number are rejected
     rather than truncated, naming the field.
     """
+    if type(value) is int:  # the common case, without the ABC check below
+        return value
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):

@@ -181,8 +181,9 @@ def _check(value, ok: bool, rule: str, where: str):
 def _size(value, lo: int, hi: int, where: str) -> int:
     """An integer field in [lo, hi]; out of range, the error shows the value as written."""
     n = as_int(value, where)
-    _check(value, n >= lo, f">= {lo}", where)
-    _check(value, n <= hi, f"<= {hi}", where)
+    if not lo <= n <= hi:  # the rule text is built only for the error
+        _check(value, n >= lo, f">= {lo}", where)
+        _check(value, n <= hi, f"<= {hi}", where)
     return n
 
 

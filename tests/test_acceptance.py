@@ -31,13 +31,13 @@ from hybridgrid import (
     charge_deficits,
     charge_wants,
     compare,
-    discharge_shares,
     fit_sarima,
     forecast_one,
     positions_by_id,
     prioritize,
     run_simulation,
     seasonal_naive,
+    settle_loads,
 )
 from hybridgrid.cli import main
 from hybridgrid.scenario import load_scenario, parse_scenario
@@ -163,7 +163,7 @@ def test_criterion_2_conservation_fuzz_10000_instances():
 
         pool = sum(stored)
         demand = float(rng.uniform(0.0, pool * 1.5 + 1.0))
-        contributions, _ = discharge_shares(demand, stored)
+        _, _, contributions = settle_loads(w.load_rows, [demand], list(stored))
         assert abs(sum(contributions) - min(demand, pool)) <= 1e-6
         for given, held in zip(contributions, stored):
             assert given <= held + 1e-6

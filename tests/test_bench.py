@@ -13,8 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hybridgrid import SimulationState, SimulationTrace, StorageSystem
+from hybridgrid import SimulationState, SimulationTrace, StorageSystem, engine
 from hybridgrid.cli import main
+from hybridgrid.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,3 +79,25 @@ def test_runs_never_build_a_bench_only_view(tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(scenario), "--out", out]) == 0
     assert main(["compare", str(scenario), "--axis", "priority", "--out", out]) == 0
     assert main(["forecast", str(tmp_path / "demand.csv")]) == 0
+
+
+def test_tracer_sees_each_dispatch_call_by_name(monkeypatch):
+    # bench/tracer.py times dispatch by replacing these names in the engine's
+    # namespace, so the engine must call them by name, once per arm and day;
+    # otherwise dispatch.allocate_calls and _s would read 0.
+    calls = {}
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("allocate_priority", "allocate_equal", "prioritize"):
+        monkeypatch.setattr(engine, name, counted(name))
+    cfg, topo = load_scenario(ROOT / "scenarios" / "toy.json")
+    engine.compare(cfg, topo, "priority")
+    assert calls == {"allocate_priority": cfg.days, "allocate_equal": cfg.days,
+                     "prioritize": cfg.days}

@@ -18,11 +18,11 @@ from hybridgrid import (
     allocate_priority,
     charge_deficits,
     charge_wants,
-    discharge_shares,
     inflow,
     positions_by_id,
     prioritize,
     reference_topology,
+    settle_loads,
     split_equally,
 )
 
@@ -73,25 +73,33 @@ def column_sums(topo, flow):
 
 
 def test_split_equally_symmetric():
-    assert split_equally(90.0, [1000.0, 1000.0, 1000.0]) == pytest.approx(
+    assert split_equally(90.0, [1000.0, 1000.0, 1000.0], range(3)) == pytest.approx(
         [30.0, 30.0, 30.0]
     )
 
 
 def test_split_equally_water_fills_overflow():
-    assert split_equally(90.0, [10.0, 100.0, 100.0]) == pytest.approx(
+    assert split_equally(90.0, [10.0, 100.0, 100.0], range(3)) == pytest.approx(
         [10.0, 40.0, 40.0]
     )
 
 
 def test_split_equally_respects_caps_exactly():
-    shares = split_equally(100.0, [5.0, 95.0])
+    shares = split_equally(100.0, [5.0, 95.0], range(2))
     assert shares == pytest.approx([5.0, 95.0])
 
 
 def test_split_equally_total_short_of_caps():
-    shares = split_equally(10.0, [100.0])
+    shares = split_equally(10.0, [100.0], range(1))
     assert shares == pytest.approx([10.0])
+
+
+def test_split_equally_reads_only_its_slots_in_their_order():
+    caps = [10.0, 999.0, 100.0, 0.0, 100.0]
+    got = split_equally(90.0, caps, [4, 0, 3, 2])
+    assert got == split_equally(90.0, [100.0, 10.0, 0.0, 100.0], range(4))
+    assert got == pytest.approx([40.0, 10.0, 0.0, 40.0])
+    assert caps == [10.0, 999.0, 100.0, 0.0, 100.0]
 
 
 def test_split_equally_fuzz_conservation_and_caps():
@@ -100,7 +108,7 @@ def test_split_equally_fuzz_conservation_and_caps():
         n = int(rng.integers(1, 8))
         caps = rng.uniform(0.0, 100.0, n)
         total = float(rng.uniform(0.0, caps.sum() * 1.2))
-        shares = split_equally(total, list(caps))
+        shares = split_equally(total, list(caps), range(n))
         assert len(shares) == n
         for share, cap in zip(shares, caps):
             assert -1e-9 <= share <= cap + 1e-9
@@ -317,32 +325,41 @@ def test_allocation_properties(grid):
 # --- discharge ------------------------------------------------------------
 
 
-def test_discharge_shares_proportional_to_stored():
-    give, served = discharge_shares(200.0, [200.0, 100.0, 100.0])
+def settle_one_load(demand, stored):
+    """settle_loads on one load wired to every row: (draws, served, unmet)."""
+    served, unmet, took = settle_loads([list(range(len(stored)))], [demand], list(stored))
+    return took, served[0], unmet[0]
+
+
+def test_settle_loads_proportional_to_stored():
+    give, served, unmet = settle_one_load(200.0, [200.0, 100.0, 100.0])
     assert give == pytest.approx([100.0, 50.0, 50.0])
     assert served == pytest.approx(200.0)
+    assert unmet == 0.0
 
 
-def test_discharge_shares_full_drain_is_exact():
+def test_settle_loads_full_drain_is_exact():
     pool = [123.456, 76.544]
-    give, served = discharge_shares(500.0, pool)
+    give, served, unmet = settle_one_load(500.0, pool)
     # When demand exceeds the pool every system contributes its exact stored
     # energy, bit for bit — no proportional rounding residue.
     assert give == pool
     assert served == pytest.approx(200.0)
-    assert 500.0 - served == pytest.approx(300.0)
+    assert unmet == pytest.approx(300.0)
 
 
-def test_discharge_shares_zero_demand():
-    give, served = discharge_shares(0.0, [100.0])
+def test_settle_loads_zero_demand():
+    give, served, unmet = settle_one_load(0.0, [100.0])
     assert give == pytest.approx([0.0])
     assert served == 0.0
+    assert unmet == 0.0
 
 
-def test_discharge_shares_empty_pool_all_unmet():
-    give, served = discharge_shares(50.0, [0.0])
+def test_settle_loads_empty_pool_all_unmet():
+    give, served, unmet = settle_one_load(50.0, [0.0])
     assert served == 0.0
     assert give == [0.0]
+    assert unmet == 50.0
 
 
 @settings(deadline=None)
@@ -351,14 +368,31 @@ def test_discharge_shares_empty_pool_all_unmet():
     share=st.floats(0.0, 1.5),
     extra=st.floats(0.0, 1.0),
 )
-def test_discharge_shares_properties(stored, share, extra):
+def test_settle_loads_properties(stored, share, extra):
     pool = sum(stored)
     demand = share * pool + extra
-    give, served = discharge_shares(demand, stored)
+    give, served, unmet = settle_one_load(demand, stored)
     assert sum(give) == pytest.approx(min(demand, pool), abs=1e-6)
     for amount, energy in zip(give, stored):
         assert 0.0 <= amount <= energy
     assert served == pytest.approx(min(demand, pool), abs=1e-6)
+    assert served + unmet == pytest.approx(demand, abs=1e-6)
     if demand >= pool:
         # A full drain gives each system exactly what it stores, bit for bit.
         assert give == stored
+
+
+def test_settle_loads_in_turn_on_running_stores():
+    # Load 0 drains row 1; load 1 then finds row 1 empty and only row 2's
+    # 60 MWd, so both loads are short. Row 0 is wired to no load.
+    stored = [7.0, 40.0, 60.0]
+    served, unmet, took = settle_loads([[1], [1, 2]], [50.0, 90.0], stored)
+    assert served == [40.0, 60.0]
+    assert unmet == [10.0, 30.0]
+    assert took == [0.0, 40.0, 60.0]
+    assert stored == [7.0, 0.0, 0.0]
+
+
+def test_settle_loads_rejects_negative_demand():
+    with pytest.raises(ValueError, match="demand must be >= 0"):
+        settle_loads([[0]], [-1.0], [10.0])

@@ -399,7 +399,7 @@ def test_split_equally_rows_equals_split_equally_bitwise(rows):
         padded[i, : len(caps)] = caps
     got = split_equally_rows(np.array([total for total, _ in rows]), padded)
     for i, (total, caps) in enumerate(rows):
-        want = split_equally(total, caps) + [0.0] * (width - len(caps))
+        want = split_equally(total, caps, range(len(caps))) + [0.0] * (width - len(caps))
         assert [x.hex() for x in got[i].tolist()] == [x.hex() for x in want]
 
 

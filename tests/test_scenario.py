@@ -3,10 +3,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from conftest import explicit_doc
 
-from hybridgrid import GridUnits, scenario, validate_topology
+from hybridgrid import GridUnits, model, scenario, validate_topology
 from hybridgrid.scenario import load_scenario, parse_scenario
 
 
@@ -230,7 +231,7 @@ INTEGER_FIELDS = [
 
 
 @pytest.mark.parametrize("keys, path, valid", INTEGER_FIELDS)
-@pytest.mark.parametrize("value", [2.9, 1.5, True, "3"])
+@pytest.mark.parametrize("value", [2.9, 1.5, 2.5, True, "3"])
 def test_parse_rejects_non_integer_fields(keys, path, valid, value):
     doc = explicit_doc()
     _set(doc, keys, value)
@@ -248,6 +249,30 @@ def test_parse_accepts_integral_floats(keys, path, valid):
     for name in ("days", "seed", "forecasting"):
         assert getattr(cfg_f, name) == getattr(cfg_i, name)
     assert topo_f == topo_i
+
+
+@pytest.mark.parametrize("keys, path, valid", INTEGER_FIELDS)
+def test_parse_accepts_numpy_integers(keys, path, valid):
+    plain, numpy_int = explicit_doc(), explicit_doc()
+    _set(plain, keys, valid)
+    _set(numpy_int, keys, np.int64(valid))
+    cfg_i, topo_i = parse_scenario(plain)
+    cfg_n, topo_n = parse_scenario(numpy_int)
+    for name in ("days", "seed", "forecasting"):
+        assert getattr(cfg_n, name) == getattr(cfg_i, name)
+    assert topo_n == topo_i
+
+
+@pytest.mark.parametrize("value, want", [(3, 3), (np.int64(3), 3), (2.0, 2), (-4, -4)])
+def test_as_int_returns_a_plain_int(value, want):
+    got = model.as_int(value, "x")
+    assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, "3", None, float("nan"), float("inf")])
+def test_as_int_rejects_what_is_not_an_integer(value):
+    with pytest.raises(ValueError, match=re.escape(f"x must be an integer, got {value!r}")):
+        model.as_int(value, "x")
 
 
 STREAM_KEYS = ("run.seed", "topology.systems[1].id", "loads.centers[0].id")
