@@ -15,7 +15,6 @@ from hybridgrid import (
     charge_deficits,
     charge_wants,
     inflow,
-    positions_by_id,
     prioritize,
     reference_topology,
 )
@@ -29,10 +28,9 @@ def main():
     units, w = GridUnits(topo.systems), topo.wiring
 
     forecasts = {load.id: 95.0 for load in topo.loads}
-    want = charge_wants(topo, forecasts)
-    targets = np.minimum(units.capacity, want)
-    deficits = charge_deficits(units.capacity, want, units.stored).tolist()
-    order = prioritize(deficits, positions_by_id(units.ids))
+    targets = np.minimum(units.capacity, charge_wants(topo, forecasts)).tolist()
+    deficits = charge_deficits(targets, units.stored.tolist())
+    order = prioritize(deficits)
 
     print("=== Charge targets (25% safety buffer over forecasts) ===")
     for sid, soc, target, deficit in zip(units.ids, units.soc_pct, targets, deficits):
@@ -49,7 +47,7 @@ def main():
 
     # Flows are per source and wired system in the wiring's order; each call
     # uses up the headroom list it is given, so each gets its own.
-    energy = [per_source[src.id] for src in w.sources]
+    energy = [per_source[src.id] for src in topo.sources]
     headroom = units.headroom.tolist()
     priority_flow, priority_curtailed = allocate_priority(
         w, order, deficits, list(headroom), energy

@@ -8,7 +8,6 @@ from .dispatch import (
     charge_deficits,
     charge_wants,
     inflow,
-    positions_by_id,
     prioritize,
     settle_loads,
     split_equally,

@@ -15,11 +15,11 @@ toward zero rather than emptying one system first. The split works on
 stored amounts alone, so settle_loads settles a day's loads on running
 system totals without touching units.
 
-Every function works on plain per-system lists in the order of a topology's
-systems (its rows) and on the topology's Wiring index lists, as the engine
-calls them each day. Charge flows come one per wired edge, aligned with
-Wiring.source_rows, so a day costs the connections, not sources x systems;
-inflow() adds them per system. This module only decides system-level amounts.
+Every function works on plain per-system lists in a topology's row order,
+ascending id, and on its Wiring index lists, as the engine calls them each
+day. Charge flows come one per wired edge, aligned with Wiring.source_rows,
+so a day costs the connections, not sources x systems; inflow() adds them
+per system. This module only decides system-level amounts.
 Moving energy into and out of units, and the wear that costs, is health.py's job.
 
 The engine calls these functions every day for every arm, on lists of a few
@@ -82,40 +82,41 @@ def charge_wants(t: GridTopology, load_forecasts: dict) -> np.ndarray:
     """Each system's demand-driven charge want, before the capacity cap.
 
     Each load's buffered forecast is split equally across the systems it is
-    wired to; a system's want is the sum of its shares, added in load order.
+    wired to; a system's want is the sum of its shares, added in ascending load id.
     Forecasts are scalars or equal-length series; systems are the last axis.
     """
     fcs = {lid: np.asarray(f, dtype=float) for lid, f in load_forecasts.items()}
+    known = {load.id for load in t.loads}
     # 0 <= f < inf is false for NaN and for either infinity.
     bad = [lid for lid, f in fcs.items()
-           if lid not in t.load_by_id or not ((0 <= f) & (f < np.inf)).all()]
+           if lid not in known or not ((0 <= f) & (f < np.inf)).all()]
     missing = [load.id for load in t.loads if load.id not in fcs]
     if bad or missing:
         raise ValueError(
             f"need one finite, non-negative forecast per load: bad {bad}, missing {missing}")
     want = np.zeros(np.broadcast_shapes(*(f.shape for f in fcs.values())) + (len(t.systems),))
-    for load in t.loads:
-        share = CHARGE_BUFFER * fcs[load.id] / len(load.connected_systems)
-        for sid in load.connected_systems:
-            want[..., t.wiring.row_of[sid]] += share
+    for load, rows in zip(t.loads, t.wiring.load_rows):
+        share = CHARGE_BUFFER * fcs[load.id] / len(rows)
+        for i in rows:
+            want[..., i] += share
     return want
 
 
-def charge_deficits(capacity, want, stored) -> np.ndarray:
-    """max(0, min(capacity, want) - stored): the shortfall against the target."""
-    return np.maximum(0.0, np.minimum(capacity, want) - stored)
+def charge_deficits(target: list[float], stored: list[float]) -> list[float]:
+    """Each row's shortfall target - stored, floored at 0.0 by a comparison,
+    so a NaN or -0.0 shortfall stays as it is."""
+    deficit = []
+    for tg, s in zip(target, stored):
+        gap = tg - s
+        deficit.append(0.0 if gap < 0.0 else gap)
+    return deficit
 
 
-def positions_by_id(ids: list[int]) -> list[int]:
-    """Positions in ascending-id order, as prioritize takes them."""
-    return sorted(range(len(ids)), key=ids.__getitem__)
-
-
-def prioritize(deficit: list[float], by_id: list[int]) -> list[int]:
-    """Positions by descending deficit, ties by ascending id; by_id is
-    positions_by_id(ids). A stable sort keeps equal deficits, -0.0 and 0.0
-    among them, in by_id's order under reverse=True too."""
-    return sorted(by_id, key=deficit.__getitem__, reverse=True)
+def prioritize(deficit: list[float]) -> list[int]:
+    """Rows by descending deficit, ties by row, which is ascending id. A
+    stable sort keeps equal deficits, -0.0 and 0.0 among them, in row order
+    under reverse=True too."""
+    return sorted(range(len(deficit)), key=deficit.__getitem__, reverse=True)
 
 
 def allocate_priority(

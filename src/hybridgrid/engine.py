@@ -41,9 +41,9 @@ import numpy as np
 from .dispatch import (
     allocate_equal,
     allocate_priority,
+    charge_deficits,
     charge_wants,
     inflow,
-    positions_by_id,
     prioritize,
     settle_loads,
 )
@@ -103,9 +103,9 @@ class TraceSummary:
 
 @dataclass(eq=False)
 class SimulationTrace:
-    """One arm's run as [days, width] arrays, a row per day, columns in system_ids,
-    load_ids or source_ids order (TRACE_FIELDS); generated_mwd is the state's
-    [days, sources] generation, in source_ids order."""
+    """One arm's run as [days, width] arrays, a row per day, columns in ascending
+    id: system_ids, load_ids or source_ids (TRACE_FIELDS); generated_mwd is the
+    state's [days, sources] generation."""
 
     config_echo: dict
     summary: TraceSummary
@@ -234,21 +234,14 @@ class SimulationState:
 
     @cached_property
     def energy(self) -> list[list[float]]:
-        """E[day][k]: the MWd the wiring's k-th source makes on each day."""
-        t = self.topology
-        col = {src.id: k for k, src in enumerate(t.sources)}
-        return self.generation[:, [col[src.id] for src in t.wiring.sources]].tolist()
+        """E[day][k]: generation as floats."""
+        return self.generation.tolist()
 
     @cached_property
     def demand(self) -> list[list[float]]:
-        """D[day][j]: the wiring's j-th load's realized demand on each day, as floats."""
-        series = [self.demand_by_load[lid] for lid in self.topology.wiring.load_ids]
+        """D[day][j]: the topology's j-th load's realized demand on each day, as floats."""
+        series = [self.demand_by_load[load.id] for load in self.topology.loads]
         return np.reshape(series, (len(series), self.arms[0].days)).T.tolist()
-
-    @cached_property
-    def by_id(self) -> list[int]:
-        """The topology's system positions in ascending-id order, as prioritize takes them."""
-        return positions_by_id([s.id for s in self.topology.systems])
 
     @cached_property
     def arm_rows(self) -> tuple[list[slice], np.ndarray]:
@@ -258,8 +251,8 @@ class SimulationState:
 
     @cached_property
     def rows(self) -> dict[str, np.ndarray]:
-        """Each TRACE_FIELDS array as [days, arms x width], arm-major columns;
-        curtailment columns in wiring source order. step_day fills a row a day."""
+        """Each TRACE_FIELDS array as [days, arms x width], arm-major columns,
+        each arm's in ascending id. step_day fills a row a day."""
         days, t = self.arms[0].days, self.topology
         return {f: np.zeros((days, len(self.arms) * len(getattr(t, of))))
                 for f, of in TRACE_FIELDS.items()}
@@ -271,17 +264,12 @@ def step_day(state: SimulationState, day: int) -> None:
     w, energy = t.wiring, state.energy[day]
 
     # 1. Grid-level dispatch per arm; only the priority policy reads forecasts.
-    #    A deficit is max(gap, 0.0), which keeps a NaN gap as
-    #    dispatch.charge_deficits does.
     headroom, stored = units.headroom.tolist(), units.stored.tolist()
     charge_in, curtailed = [], []
     for cfg, rows in zip(state.arms, runs):
         if cfg.priority_enabled:
-            deficit = []
-            for tg, s in zip(state.targets[day], stored[rows]):
-                gap = tg - s
-                deficit.append(0.0 if gap < 0.0 else gap)
-            order = prioritize(deficit, state.by_id)
+            deficit = charge_deficits(state.targets[day], stored[rows])
+            order = prioritize(deficit)
             flow, curt = allocate_priority(w, order, deficit, headroom[rows], energy)
         else:
             flow, curt = allocate_equal(w, headroom[rows], energy)
@@ -385,20 +373,18 @@ def _run(state: SimulationState) -> list[SimulationTrace]:
     for day in range(state.arms[0].days):
         step_day(state, day)
     t, n_arms = state.topology, len(state.arms)
-    ids, source_ids = [s.id for s in t.systems], [s.id for s in t.sources]
-    wired = np.argsort(np.argsort(source_ids))  # each topology source's wiring column
+    ids, load_ids, source_ids = ([e.id for e in of] for of in (t.systems, t.loads, t.sources))
     final_soh = state.units.mean_soh_pct.tolist()
     traces = []
     for b, cfg in enumerate(state.arms):
         arm = {f: a[:, b * a.shape[1] // n_arms : (b + 1) * a.shape[1] // n_arms]
                for f, a in state.rows.items()}
-        arm["curtailed_mwd"] = arm["curtailed_mwd"][:, wired]
         zero_soc = np.count_nonzero(arm["soc_pct"] <= ZERO_SOC_EPS, axis=0).tolist()
         soh = dict(zip(ids, final_soh[b * len(ids) : (b + 1) * len(ids)]))
         summary = TraceSummary(dict(zip(ids, zero_soc)), soh, _run_total(arm["unmet_mwd"]),
                                _run_total(arm["curtailed_mwd"]))
-        traces.append(SimulationTrace(_effective_config(cfg), summary, ids, t.wiring.load_ids,
-                                      source_ids, state.generation, **arm))
+        traces.append(SimulationTrace(_effective_config(cfg), summary, ids, load_ids, source_ids,
+                                      state.generation, **arm))
     return traces
 
 
@@ -480,11 +466,10 @@ def _f(x: float) -> str:
 
 
 def _per_system_csv(header: str, ids: list[int], *arrays: np.ndarray) -> str:
-    """The header, then per day and system by id: day, id and four values as _f writes them."""
-    cols = sorted(range(len(ids)), key=ids.__getitem__)
+    """The header, then per day and system: day, id and four values as _f writes them."""
     lines = [header]
     for day, (a, b, c, d) in enumerate(zip(*(x.tolist() for x in arrays))):
-        lines += ["%d,%d,%.6f,%.6f,%.6f,%.6f" % (day, ids[i], a[i], b[i], c[i], d[i]) for i in cols]
+        lines += ["%d,%d,%.6f,%.6f,%.6f,%.6f" % (day, *row) for row in zip(ids, a, b, c, d)]
     return "\n".join(lines) + "\n"
 
 
@@ -498,7 +483,7 @@ def summary_csv(trace: SimulationTrace) -> str:
     totals = f"{_f(s.total_unmet_mwd)},{_f(s.total_curtailed_mwd)}"
     lines = [SUMMARY_HEADER] + [
         f"{sid},{s.zero_soc_events[sid]},{_f(s.final_mean_soh_pct[sid])},{totals}"
-        for sid in sorted(s.final_mean_soh_pct)
+        for sid in trace.system_ids
     ]
     return "\n".join(lines) + "\n"
 
@@ -508,7 +493,7 @@ def comparison_csv(report: ComparisonReport) -> str:
     unmet = f"{_f(on.total_unmet_mwd)},{_f(off.total_unmet_mwd)}"
     lines = [COMPARISON_HEADER] + [
         f"{sid},{_f(gain)},{on.zero_soc_events[sid]},{off.zero_soc_events[sid]},{unmet}"
-        for sid, gain in sorted(report.soh_gain_pct_points.items())
+        for sid, gain in report.soh_gain_pct_points.items()
     ]
     return "\n".join(lines) + "\n"
 

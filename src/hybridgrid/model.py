@@ -12,6 +12,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -138,43 +139,44 @@ class EnergySource:
 class Wiring(NamedTuple):
     """A topology's connections as index lists; a row is a position in systems."""
 
-    row_of: dict[int, int]  # system id -> row
-    sources: list[EnergySource]  # ascending id
     source_rows: list[list[int]]  # per source, its systems' rows in connection order
     system_sources: list[list[int]]  # per row, positions in sources, ascending
     system_slots: list[list[int]]  # per row, its position in each of those sources' source_rows
-    load_ids: list[int]  # ascending
     load_rows: list[list[int]]  # per load, its systems' rows in connection order
+
+
+_id = attrgetter("id")
 
 
 @dataclass
 class GridTopology:
-    """Systems, loads, sources, and their static wiring."""
+    """Systems, loads, sources, and their static wiring. Each list is sorted
+    by id once, here, so a row or column is an id's rank from parse to trace
+    and the order a document lists them in never reaches a result."""
 
     systems: list[StorageSystem]
     loads: list[LoadCenter]
     sources: list[EnergySource]
 
     def __post_init__(self) -> None:
-        self.load_by_id = {l.id: l for l in self.loads}
+        self.systems = sorted(self.systems, key=_id)
+        self.loads = sorted(self.loads, key=_id)
+        self.sources = sorted(self.sources, key=_id)
 
     @cached_property
     def wiring(self) -> Wiring:
         """Built on first use, so that validate_topology can still report a
         topology wired to unknown systems."""
         row = {s.id: i for i, s in enumerate(self.systems)}
-        sources = sorted(self.sources, key=lambda s: s.id)
-        source_rows = [[row[sid] for sid in s.connected_systems] for s in sources]
+        source_rows = [[row[sid] for sid in s.connected_systems] for s in self.sources]
         system_sources = [[] for _ in self.systems]
         system_slots = [[] for _ in self.systems]
         for k, rows in enumerate(source_rows):
             for j, i in enumerate(rows):
                 system_sources[i].append(k)
                 system_slots[i].append(j)
-        loads = sorted(self.loads, key=lambda l: l.id)
-        load_rows = [[row[sid] for sid in l.connected_systems] for l in loads]
-        return Wiring(row, sources, source_rows, system_sources, system_slots,
-                      [l.id for l in loads], load_rows)
+        load_rows = [[row[sid] for sid in l.connected_systems] for l in self.loads]
+        return Wiring(source_rows, system_sources, system_slots, load_rows)
 
 
 @dataclass(frozen=True)
@@ -209,13 +211,13 @@ def validate_topology(t: GridTopology) -> list[Violation]:
     out: list[Violation] = []
     sys_ids = [s.id for s in t.systems]
     if len(set(sys_ids)) != len(sys_ids):
-        out.append(Violation("systems", "duplicate-id", f"ids {sorted(sys_ids)}"))
+        out.append(Violation("systems", "duplicate-id", f"ids {sys_ids}"))
     known = set(sys_ids)
 
     for kind, entities in (("load", t.loads), ("source", t.sources)):
         ids = [e.id for e in entities]
         if len(set(ids)) != len(ids):
-            out.append(Violation(f"{kind}s", "duplicate-id", f"ids {sorted(ids)}"))
+            out.append(Violation(f"{kind}s", "duplicate-id", f"ids {ids}"))
         for e in entities:
             name = f"{kind} {e.id}"
             if not e.connected_systems:

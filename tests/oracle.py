@@ -1,10 +1,12 @@
-"""The grid-level day as README states it, by id, in plain Python.
+"""The grid-level day and the unit moves as README states them, in plain Python.
 
 A sequential statement of priority and equal-split dispatch, curtailment,
-each system's inflow and load settlement, kept apart from the package: it
-imports neither numpy nor hybridgrid, and works on dicts keyed by system,
-source and load id rather than on wiring index lists. tests/test_oracle.py
-checks the package's dispatch functions against it on random grids.
+each system's inflow, load settlement and the moves of energy into and out
+of a system's units, kept apart from the package: it imports neither numpy
+nor hybridgrid, and works on dicts keyed by system, source and load id, and
+on one system's units as lists by position, rather than on wiring index
+lists and [system, unit] arrays. tests/test_oracle.py checks the package's
+dispatch functions and GridUnits against it on random grids and fleets.
 
 Each rule adds its terms from 0.0 in the order README gives: a source's
 systems in its connection order, a system's gifts in ascending source id, a
@@ -13,7 +15,8 @@ id. Every float operation therefore matches the package's bit for bit.
 
 Arguments: sources and loads map an id to its connected system ids, in
 connection order; deficit, headroom and stored map a system id to MWd;
-energy maps a source id and demand a load id to MWd.
+energy maps a source id and demand a load id to MWd. A unit move takes one
+system's amount in MWd and its units' energy, soh, cap and wear rate lists.
 """
 
 from __future__ import annotations
@@ -131,3 +134,40 @@ def settle(loads: dict, demand: dict, stored: dict):
         served[lid] = d if d < pool else pool
         unmet[lid] = max(0.0, d - served[lid])
     return served, unmet, drawn
+
+
+def unit_scores(energy: list, soh: list, cap: list, w_soh: float, w_soc: float) -> list:
+    """Charging desirability per unit: healthy and empty score high."""
+    return [w_soh * h / 100.0 + w_soc * (1.0 - e / c) for e, h, c in zip(energy, soh, cap)]
+
+
+def wear(soh: list, moved: list, rate: list, cap: list) -> list:
+    """Each unit that moved energy loses rate SoH points per full cycle of its
+    capacity, pro rata, floored at 0."""
+    return [max(0.0, h - m * r / c) if m > 0 else h for h, m, r, c in zip(soh, moved, rate, cap)]
+
+
+def charge_units(q: float, ranked: bool, energy: list, soh: list, cap: list, rate: list,
+                 w_soh: float, w_soc: float):
+    """Charge q into one system's units: ranked, a greedy fill by descending
+    score, ties by position, each unit taking what is left up to its room;
+    else the equal split over the rooms. Returns (amounts, energy, soh)."""
+    room = [max(0.0, c - e) for c, e in zip(cap, energy)]
+    if ranked:
+        score = unit_scores(energy, soh, cap, w_soh, w_soc)
+        amounts, left = [0.0] * len(cap), q
+        for j in sorted(range(len(cap)), key=lambda j: -score[j]):
+            amounts[j] = max(0.0, min(left, room[j]))
+            left -= amounts[j]
+    else:
+        amounts = water_fill(q, room)
+    energy = [min(c, e + a) if a > 0 else e for c, e, a in zip(cap, energy, amounts)]
+    return amounts, energy, wear(soh, amounts, rate, cap)
+
+
+def discharge_units(d: float, energy: list, soh: list, cap: list, rate: list):
+    """Draw d from one system's units by the equal split over what each
+    holds. Returns (taken, energy, soh)."""
+    taken = water_fill(d, energy)
+    energy = [max(0.0, e - t) for e, t in zip(energy, taken)]
+    return taken, energy, wear(soh, taken, rate, cap)

@@ -33,7 +33,6 @@ from hybridgrid import (
     compare,
     fit_sarima,
     forecast_one,
-    positions_by_id,
     prioritize,
     run_simulation,
     seasonal_naive,
@@ -150,10 +149,11 @@ def test_criterion_2_conservation_fuzz_10000_instances():
         forecasts = {0: float(rng.uniform(0.0, 600.0))}
         units, w = GridUnits(topo.systems), topo.wiring
         stored = units.stored.tolist()
-        deficit = charge_deficits(units.capacity, charge_wants(topo, forecasts), stored).tolist()
+        deficit = charge_deficits(
+            np.minimum(units.capacity, charge_wants(topo, forecasts)).tolist(), stored)
         headrooms = units.headroom.tolist()
-        energy = [energies[src.id] for src in w.sources]
-        order = prioritize(deficit, positions_by_id(units.ids))
+        energy = [energies[src.id] for src in topo.sources]
+        order = prioritize(deficit)
         _assert_allocation_invariants(
             allocate_priority(w, order, deficit, list(headrooms), energy), energy, headrooms, topo
         )
@@ -225,7 +225,7 @@ def test_criterion_3_priority_matches_bruteforce_coverage():
                 # Dispatch only reads the grid, so one grid serves every energy tuple.
                 topo = _complete_topology(n_src, deficits)
                 units = GridUnits(topo.systems)
-                order = prioritize(list(deficits), positions_by_id(units.ids))
+                order = prioritize(list(deficits))
                 for energies in itertools.product(GRID_VALUES, repeat=n_src):
                     flow, _ = allocate_priority(
                         topo.wiring, order, list(deficits), units.headroom.tolist(), list(energies)

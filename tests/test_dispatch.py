@@ -19,7 +19,6 @@ from hybridgrid import (
     charge_deficits,
     charge_wants,
     inflow,
-    positions_by_id,
     prioritize,
     reference_topology,
     settle_loads,
@@ -53,7 +52,8 @@ def make_topology(system_specs, source_map, load_map=None):
 
 def deficits(topo, forecasts):
     units = GridUnits(topo.systems)
-    return charge_deficits(units.capacity, charge_wants(topo, forecasts), units.stored).tolist()
+    targets = np.minimum(units.capacity, charge_wants(topo, forecasts)).tolist()
+    return charge_deficits(targets, units.stored.tolist())
 
 
 def dense(topo, flow):
@@ -160,29 +160,31 @@ def test_charge_wants_rejects_a_forecast_that_is_negative_or_not_finite(bad):
         charge_wants(topo, series)
 
 
+def test_charge_deficits_keep_a_nan_or_negative_zero_shortfall():
+    got = charge_deficits([5.0, math.nan, -0.0, 1.0], [7.0, 1.0, 0.0, 0.25])
+    assert [x.hex() for x in got] == ["0x0.0p+0", "nan", "-0x0.0p+0", "0x1.8000000000000p-1"]
+
+
 def test_prioritize_deficit_descending_with_id_ties():
-    # Returns positions: ids 2 and 3 tie on deficit and go in id order.
-    assert prioritize([50.0, 80.0, 80.0], positions_by_id([1, 2, 3])) == [1, 2, 0]
+    # Returns rows: rows 1 and 2 tie on deficit and go in row order.
+    assert prioritize([50.0, 80.0, 80.0]) == [1, 2, 0]
 
 
 def test_prioritize_all_zero_is_ascending_ids():
-    assert prioritize([0.0, 0.0, 0.0], positions_by_id([3, 1, 2])) == [1, 2, 0]
+    # Systems listed as 3, 1, 2 are held as rows 1, 2, 3, so rows are ids' ranks.
+    topo = make_topology({3: (10.0, 0.0), 1: (10.0, 0.0), 2: (10.0, 0.0)}, {1: [1, 2, 3]})
+    assert [s.id for s in topo.systems] == [1, 2, 3]
+    assert prioritize([0.0, 0.0, 0.0]) == [0, 1, 2]
 
 
 @settings(deadline=None, max_examples=300)
-@given(
-    rows=st.lists(
-        st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(0.0, 1e6), st.integers()),
-        max_size=12,
-        unique_by=lambda row: row[1],
-    )
-)
-def test_prioritize_equals_the_deficit_then_id_key(rows):
-    # A stable reverse sort over positions in id order ranks exactly as the
-    # key (-deficit, id) does, ties and signed zeros included.
-    deficit, ids = [d for d, _ in rows], [i for _, i in rows]
-    key = sorted(range(len(ids)), key=lambda i: (-deficit[i], ids[i]))
-    assert prioritize(deficit, positions_by_id(ids)) == key
+@given(deficit=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(0.0, 1e6),
+                        max_size=12))
+def test_prioritize_equals_the_deficit_then_id_key(deficit):
+    # A stable reverse sort over rows ranks exactly as the key (-deficit,
+    # row) does, ties and signed zeros included; a row is its id's rank.
+    key = sorted(range(len(deficit)), key=lambda i: (-deficit[i], i))
+    assert prioritize(deficit) == key
 
 
 # --- allocate_priority ----------------------------------------------------
@@ -263,7 +265,7 @@ def test_single_source_single_system_policies_agree():
     for energy, stored in [(40.0, 0.0), (500.0, 100.0), (1000.0, 900.0)]:
         topo = make_topology({1: (1000.0, stored)}, {1: [1]})
         deficit = deficits(topo, {0: 200.0})
-        order = prioritize(deficit, [0])
+        order = prioritize(deficit)
         room = GridUnits(topo.systems).headroom.tolist()
         a = allocate_priority(topo.wiring, order, deficit, list(room), [energy])
         b = allocate_equal(topo.wiring, room, [energy])
@@ -299,13 +301,13 @@ def test_allocation_properties(grid):
     deficit = deficits(topo, {0: forecast})
     wired = {(src.id, sid) for src in topo.sources for sid in src.connected_systems}
     for flow, curtailed in (
-        allocate_priority(w, prioritize(deficit, positions_by_id(units.ids)), deficit,
-                          list(room), energies),
+        allocate_priority(w, prioritize(deficit), deficit, list(room), energies),
         allocate_equal(w, list(room), energies),
     ):
         assert all(v >= 0.0 for v in [*(v for gifts in flow for v in gifts), *curtailed])
         # Flow rows are sources in ascending id, one amount per wired system.
-        sources = sorted(topo.sources, key=lambda s: s.id)
+        sources = topo.sources
+        assert [src.id for src in sources] == sorted(src.id for src in sources)
         assert [len(gifts) for gifts in flow] == [len(src.connected_systems) for src in sources]
         given = {(src.id, units.ids[i]) for src, gifts in zip(sources, dense(topo, flow))
                  for i, amount in enumerate(gifts) if amount}

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import random
 import warnings
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_daily_conservation_identities():
 def test_served_plus_unmet_equals_realized_demand():
     cfg, topo = parse_scenario(small_doc(days=40, seed=13))
     state = initialize_state(cfg, topo)
-    load_ids = state.topology.wiring.load_ids
+    load_ids = [load.id for load in state.topology.loads]
     for day in range(cfg.days):
         assert step_day(state, day) is None
         served, unmet = state.rows["served_mwd"][day], state.rows["unmet_mwd"][day]
@@ -101,6 +102,56 @@ def test_identical_seeds_reproduce_exactly():
     trace_b = run_simulation(cfg_b, topo_b)
     assert trace_csv(trace_a) == trace_csv(trace_b)
     assert summary_csv(trace_a) == summary_csv(trace_b)
+
+
+def reference_shaped_doc():
+    """The reference grid as an explicit document: seven systems of ten
+    100 MWd units, eight loads sharing them three apiece, two wind plants on
+    systems 1-4 and two solar plants on systems 4-7, demand scaled to 0.85
+    of generation."""
+    wiring = {0: [1, 2, 3], 1: [2, 3, 4], 2: [3, 4, 5], 3: [4, 5, 6], 4: [5, 6, 7],
+              5: [1, 6, 7], 6: [1, 2, 7], 7: [2, 3, 7]}
+    solar = {"kind": "solar", "site": "inland", "efficiency": 0.21,
+             "connected_systems": [4, 5, 6, 7]}
+    return {
+        "topology": {"initial_soc_pct": 50.0, "systems": [
+            {"id": sid, "unit_count": 10, "unit_capacity_mwd": 100.0} for sid in range(1, 8)]},
+        "sources": [
+            {"id": 1, "kind": "wind", "site": "coastal", "turbine_count": 50,
+             "connected_systems": [1, 2, 3, 4]},
+            {"id": 2, "kind": "wind", "site": "coastal", "turbine_count": 100,
+             "connected_systems": [1, 2, 3, 4]},
+            {"id": 3, "area_m2": 900_000.0, **solar},
+            {"id": 4, "area_m2": 1_500_000.0, **solar},
+        ],
+        "loads": {"kind": "synthetic", "gen_fraction": 0.85, "noise_sd": 0.05, "centers": [
+            {"id": lid, "connected_systems": conn} for lid, conn in wiring.items()]},
+        "degradation": {"r_charge": 0.2, "r_discharge": 0.25, "rate_spread": 0.8},
+        "weather": {"kind": "synthetic", "default": {"cloud_ar": 0.5, "wind_ar": 0.45}},
+        "run": {"days": 365, "seed": 3},
+    }
+
+
+def test_listing_order_never_changes_a_run():
+    # The topology holds each list in ascending id, so a document listing
+    # its systems, loads and sources in another order runs bit for bit the
+    # same: the same want sums, generation mean, priority ties and trace.
+    def digests(doc):
+        cfg, topo = parse_scenario(doc)
+        traces = [run_simulation(cfg, topo)]
+        for axis in ("priority", "health"):
+            report = compare(cfg, topo, axis)
+            traces += [report.treatment, report.baseline]
+        return [records_sha256(trace) for trace in traces]
+
+    doc, shuffled = reference_shaped_doc(), reference_shaped_doc()
+    rng = random.Random(20)
+    for listed in (shuffled["topology"]["systems"], shuffled["loads"]["centers"],
+                   shuffled["sources"]):
+        before = list(listed)
+        while listed == before:
+            rng.shuffle(listed)
+    assert digests(shuffled) == digests(doc)
 
 
 def test_different_seeds_differ():
@@ -246,9 +297,11 @@ def test_generation_reads_each_source_site_in_topology_order(tmp_path):
     doc["weather"] = {"kind": "csv", "path": str(weather)}
     doc["run"]["days"] = 2
     state = initialize_state(*parse_scenario(doc))
-    # Columns follow the topology's sources: solar 2, then wind 1.
+    # Columns follow the topology's sources, held in ascending id: wind 1,
+    # then solar 2, though the document lists solar 2 first.
+    assert [src.id for src in state.topology.sources] == [1, 2]
     day0, day1 = state.generation.tolist()
-    assert day0 == [pytest.approx(189.0), pytest.approx(122.5)]
+    assert day0 == [pytest.approx(122.5), pytest.approx(189.0)]
     # Day 1 swaps the sites' weather: each plant sees only its own site's.
     assert day1 == [0.0, 0.0]
 
@@ -405,8 +458,8 @@ def test_compare_arms_equal_their_own_runs(source, axis):
 
 def test_records_view_equals_the_arrays_bitwise():
     # The DailyRecord view is built from the arrays on first read: the same
-    # floats, keyed in topology system order, ascending load id and topology
-    # source order. A record changed in place stays changed through deepcopy.
+    # floats, keyed in ascending system, load and source id. A record
+    # changed in place stays changed through deepcopy.
     def bits(pairs):
         return [(key, float(value).hex()) for key, value in pairs]
 
@@ -488,11 +541,10 @@ def test_day_inputs_are_built_on_first_use():
     state = engine.SimulationState([cfg, dataclasses.replace(cfg, health_enabled=False)], topo)
     lazy = ("energy", "demand", "arm_rows")
     assert not set(lazy) & set(vars(state))
-    w = topo.wiring
+    assert state.energy == state.generation.tolist()
     for day in range(cfg.days):
-        assert state.energy[day] == [state.generation[day, topo.sources.index(src)]
-                                     for src in w.sources]
-        assert state.demand[day] == [float(state.demand_by_load[lid][day]) for lid in w.load_ids]
+        assert state.demand[day] == [float(state.demand_by_load[load.id][day])
+                                     for load in topo.loads]
     runs, ranked = state.arm_rows
     assert runs == [slice(0, 7), slice(7, 14)]
     assert ranked.tolist() == [True] * 7 + [False] * 7

@@ -1,9 +1,11 @@
-"""Dispatch and settlement on random grids against the sequential oracle.
+"""Dispatch, settlement and unit moves against the sequential oracle.
 
 The package runs the grid-level day on wiring index lists with hand-written
-loops; tests/oracle.py states the same rules by id in plain Python. On any
-grid the two must agree bit for bit: every flow, curtailment, inflow, served
-and unmet amount and every system's draw, compared by float.hex.
+loops, and moves units as [system, unit] arrays; tests/oracle.py states the
+same rules by id, and per unit, in plain Python. On any grid the two must
+agree bit for bit: every flow, curtailment, inflow, served and unmet amount
+and every system's draw, and every unit's amount, energy and SoH after a
+charge and a discharge, compared by float.hex.
 """
 
 import numpy as np
@@ -14,13 +16,13 @@ import oracle
 from hybridgrid import (
     EnergySource,
     GridTopology,
+    GridUnits,
     LoadCenter,
     SolarPlantParams,
     StorageSystem,
     allocate_equal,
     allocate_priority,
     inflow,
-    positions_by_id,
     prioritize,
     settle_loads,
 )
@@ -67,10 +69,11 @@ def check_dispatch(topo, got, want, ids):
     """got is the package's (flow, curtailed), want the oracle's (gifts, curtailed)."""
     w = topo.wiring
     (flow, curtailed), (gifts, want_curtailed) = got, want
+    edges = list(zip(topo.sources, w.source_rows))
     same_bits([g for gs in flow for g in gs],
-              [gifts[src.id, ids[i]] for src, rows in zip(w.sources, w.source_rows) for i in rows])
-    same_bits(curtailed, [want_curtailed[src.id] for src in w.sources])
-    sources = {src.id: [ids[i] for i in rows] for src, rows in zip(w.sources, w.source_rows)}
+              [gifts[src.id, ids[i]] for src, rows in edges for i in rows])
+    same_bits(curtailed, [want_curtailed[src.id] for src in topo.sources])
+    sources = {src.id: [ids[i] for i in rows] for src, rows in edges}
     want_in = oracle.inflow(sources, gifts)
     same_bits(inflow(w, flow), [want_in.get(sid, 0.0) for sid in ids])
 
@@ -78,14 +81,15 @@ def check_dispatch(topo, got, want, ids):
 @settings(deadline=None, max_examples=300)
 @given(grid=grids())
 def test_dispatch_and_settlement_match_the_oracle_bit_for_bit(grid):
-    ids, sources, loads, per = grid
-    topo = topology(ids, sources, loads)
-    w = topo.wiring
+    listed, sources, loads, per = grid
+    topo = topology(listed, sources, loads)
+    w, ids, load_ids = topo.wiring, [s.id for s in topo.systems], [l.id for l in topo.loads]
+    assert ids == sorted(listed)
     deficit = [per["deficit"][sid] for sid in ids]
     headroom = [per["headroom"][sid] for sid in ids]
-    energy = [per["energy"][src.id] for src in w.sources]
+    energy = [per["energy"][src.id] for src in topo.sources]
 
-    order = prioritize(deficit, positions_by_id(ids))
+    order = prioritize(deficit)
     assert [ids[i] for i in order] == oracle.priority_order(per["deficit"])
     check_dispatch(topo, allocate_priority(w, order, deficit, list(headroom), energy),
                    oracle.dispatch_priority(sources, per["deficit"], per["headroom"],
@@ -93,9 +97,63 @@ def test_dispatch_and_settlement_match_the_oracle_bit_for_bit(grid):
     check_dispatch(topo, allocate_equal(w, list(headroom), energy),
                    oracle.dispatch_equal(sources, per["headroom"], per["energy"]), ids)
 
-    served, unmet, took = settle_loads(w.load_rows, [per["demand"][lid] for lid in w.load_ids],
+    served, unmet, took = settle_loads(w.load_rows, [per["demand"][lid] for lid in load_ids],
                                        [per["stored"][sid] for sid in ids])
     want_served, want_unmet, want_drawn = oracle.settle(loads, per["demand"], per["stored"])
-    same_bits(served, [want_served[lid] for lid in w.load_ids])
-    same_bits(unmet, [want_unmet[lid] for lid in w.load_ids])
+    same_bits(served, [want_served[lid] for lid in load_ids])
+    same_bits(unmet, [want_unmet[lid] for lid in load_ids])
     same_bits(took, [want_drawn[sid] for sid in ids])
+
+
+@st.composite
+def fleets(draw):
+    """1-6 systems of 1-5 units each, so rows are ragged, with tie-prone unit
+    state, a ranked flag per system, score weights, and per system a share
+    of its headroom to charge and then of its store to discharge."""
+    share = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    rate = st.sampled_from([0.0, 0.2, 0.25]) | st.floats(0.0, 1.0)
+    unit = st.tuples(st.sampled_from([1.0, 10.0, 100.0, 7.0 / 3.0]) | st.floats(0.1, 200.0), share,
+                     st.sampled_from([100.0, 90.0, 80.5]) | st.floats(0.0, 100.0), rate, rate)
+    systems = []
+    for sid in range(draw(st.integers(1, 6))):
+        cap, fill, soh, r_charge, r_discharge = zip(*draw(st.lists(unit, min_size=1, max_size=5)))
+        energy = [f * c for f, c in zip(fill, cap)]
+        systems.append(StorageSystem(sid, cap, energy, soh, r_charge, r_discharge))
+    n_sys = len(systems)
+    ranked = draw(st.lists(st.booleans(), min_size=n_sys, max_size=n_sys))
+    weights = draw(st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)])
+                   | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    moves = draw(st.lists(st.tuples(share, share), min_size=n_sys, max_size=n_sys))
+    return systems, ranked, weights, moves
+
+
+def unit_state(units, i, system):
+    """Row i's energy and SoH lists, its pads left out."""
+    n = len(system.cap)
+    return units.energy[i, :n].tolist(), units.soh[i, :n].tolist()
+
+
+def check_units(units, systems, got, want):
+    """got is a move's [system, unit] amounts, want the oracle's (amounts,
+    energy, soh) per system, worked out before the move."""
+    for i, (s, (amounts, energy, soh)) in enumerate(zip(systems, want)):
+        now_energy, now_soh = unit_state(units, i, s)
+        same_bits(got[i, : len(s.cap)].tolist(), amounts)
+        same_bits(now_energy, energy)
+        same_bits(now_soh, soh)
+
+
+@settings(deadline=None, max_examples=300)
+@given(fleet=fleets())
+def test_unit_moves_match_the_oracle_bit_for_bit(fleet):
+    systems, ranked, (w_soh, w_soc), moves = fleet
+    units = GridUnits(systems)
+    q = [c * room for (c, _), room in zip(moves, units.headroom.tolist())]
+    want = [oracle.charge_units(q[i], ranked[i], *unit_state(units, i, s), s.cap.tolist(),
+                                s.r_charge.tolist(), w_soh, w_soc) for i, s in enumerate(systems)]
+    check_units(units, systems, units.charge(q, ranked, w_soh, w_soc), want)
+
+    d = [c * stored for (_, c), stored in zip(moves, units.stored.tolist())]
+    want = [oracle.discharge_units(d[i], *unit_state(units, i, s), s.cap.tolist(),
+                                   s.r_discharge.tolist()) for i, s in enumerate(systems)]
+    check_units(units, systems, units.discharge(d), want)
