@@ -36,6 +36,7 @@ from .forecast import (
     WeatherSample,
     fit_sarima,
     fit_sarima_many,
+    forecast_many,
     forecast_one,
     load_demand_csv,
     load_weather_csv,

@@ -25,7 +25,7 @@ from .forecast import (
     DEFAULT_ORDERS,
     SarimaOrders,
     fit_sarima_many,
-    forecast_one,
+    forecast_many,
     load_demand_csv,
 )
 from .model import validate_topology
@@ -138,13 +138,12 @@ def cmd_forecast(args) -> int:
     # the history alone.
     histories = [series.tolist() for _, series in sorted(series_by_load.items())]
     models = fit_sarima_many(histories, orders)
-    steps = [[forecast_one(m)] for m in models]
+    steps = [forecast_many(models).tolist()]
     for _ in range(args.horizon - 1):
-        for history, values in zip(histories, steps):
-            history.append(values[-1])
-        for values, refit in zip(steps, fit_sarima_many(histories, orders)):
-            values.append(forecast_one(refit))
-    for lid, model, values in zip(sorted(series_by_load), models, steps):
+        for history, value in zip(histories, steps[-1]):
+            history.append(value)
+        steps.append(forecast_many(fit_sarima_many(histories, orders)).tolist())
+    for lid, model, values in zip(sorted(series_by_load), models, zip(*steps)):
         coeffs = {
             "ar": list(map(float, model.ar_coeffs)),
             "seasonal_ar": list(map(float, model.seasonal_ar_coeffs)),

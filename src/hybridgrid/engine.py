@@ -2,11 +2,12 @@
 
 A SimulationState is one run, or several in lockstep: one config per arm
 over one topology. Weather, per-source generation, realized demand, the
-day-ahead demand forecasts and each system's charge want do not depend on
-policy, so the state builds them once for all its arms (forecasts, wants and
-the day step's lists on first use, outside set-up; a run's SARIMA fits are
-one fit_sarima_many batch). Weather is a pair of arrays per site and
-generation one [days, sources] array, so set-up builds no per-day objects.
+day-ahead demand forecasts and each system's charge target do not depend on
+policy, so the state builds them once for all its arms (forecasts, targets
+and the day step's lists on first use, outside set-up). Weather is a pair of
+arrays per site, generation one [days, sources] array and the forecasts one
+[days, loads] array, built from shifted demand, one fit_sarima_many batch
+and one forecast_many call, so neither holds per-day objects.
 One health.GridUnits holds every arm's units as arm-major rows (row b * S + i
 is system i of arm b), and step_day makes one charge call and one discharge
 call for the whole batch. run_simulation is
@@ -50,10 +51,9 @@ from .dispatch import (
 from .forecast import (
     WeatherSample,
     fit_sarima_many,
-    forecast_one,
+    forecast_many,
     load_demand_csv,
     load_weather_csv,
-    seasonal_naive,
 )
 from .generation import solar_power, wind_power
 from .health import GridUnits
@@ -142,22 +142,15 @@ class ComparisonReport:
     baseline: SimulationTrace
 
 
-def _warmup_forecast(demand: list[float], day: int, s: int) -> float:
-    """Seasonal-naive once a season of history exists, else the last value."""
-    if day >= s:
-        return max(0.0, seasonal_naive(demand[day - s : day], s))
-    return demand[day - 1] if day else 0.0
-
-
 class SimulationState:
     """One or more runs in lockstep: one config per arm (arms differ only in
     their policy toggles), the policy-independent inputs they share, and
     units with the arms stacked as arm-major rows.
 
     Set-up builds each site's weather as (ghi, wind speed) arrays and the
-    realized demand. Generation, forecasts and wants are computed on first
-    use, so a run whose dispatch never reads forecasts (the equal split)
-    never fits a model.
+    realized demand. Generation, forecasts and charge targets are computed
+    on first use, so a run whose dispatch never reads targets (the equal
+    split) never fits a model.
     """
 
     def __init__(self, arms: list[ScenarioConfig], topology: GridTopology) -> None:
@@ -199,38 +192,35 @@ class SimulationState:
         return [list(day) for day in zip(*per_site)] or [[] for _ in range(self.arms[0].days)]
 
     @cached_property
-    def forecasts(self) -> dict[int, list[float]]:
-        """F[load][day]: the demand forecast dispatch sees on each day, from the
-        realized demand before it. A load sees its last value, then
-        seasonal-naive during warm-up, then a SARIMA model refit every
+    def forecasts(self) -> np.ndarray:
+        """F[day, j]: the demand forecast dispatch sees for the topology's j-th
+        load, from the realized demand before the day: 0.0 on day 0, then the
+        previous day's demand, from day s seasonal-naive (demand s days back,
+        floored at 0), and from the end of warm-up a SARIMA model refit every
         refit_interval_days on the trailing window, its one-step forecast
-        standing until the next refit. All fits of the run are one batch."""
+        standing until the next refit."""
         days, fc = self.arms[0].days, self.arms[0].forecasting
-        o = fc.orders
+        o, every = fc.orders, min(fc.refit_interval_days, max(days, 1))  # np.repeat: a C long
         warmup = max(3 * o.s, 30, o.min_series_length())
-        fit_days = range(warmup, days, fc.refit_interval_days)
-        windows = [series[max(0, day - fc.train_window_days) : day]
-                   for series in self.demand_by_load.values() for day in fit_days]
-        models = iter(fit_sarima_many(windows, o))
-        out = {}
-        for lid, series in self.demand_by_load.items():
-            d = series.tolist()
-            standing = [forecast_one(next(models)) for _ in fit_days]
-            out[lid] = [_warmup_forecast(d, day, o.s) if day < warmup
-                        else standing[(day - warmup) // fc.refit_interval_days]
-                        for day in range(days)]
+        series = [self.demand_by_load[load.id] for load in self.topology.loads]
+        y = np.reshape(series, (len(series), days)).T
+        out = np.zeros_like(y)
+        out[1:] = y[:-1]
+        out[o.s :] = np.where(y[: -o.s] > 0.0, y[: -o.s], 0.0)  # max(0.0, y)
+        fit_days = range(warmup, days, every)
+        windows = [d[max(0, day - fc.train_window_days) : day] for d in series for day in fit_days]
+        standing = forecast_many(fit_sarima_many(windows, o)).reshape(len(series), len(fit_days))
+        out[warmup:] = np.repeat(standing.T, every, axis=0)[: days - warmup]
         return out
 
     @cached_property
-    def wants(self) -> np.ndarray:
-        """W[day, system]: charge_wants over each day's forecasts."""
-        want = charge_wants(self.topology, self.forecasts)
-        return np.broadcast_to(want, (self.arms[0].days, len(self.topology.systems)))
-
-    @cached_property
     def targets(self) -> list[list[float]]:
-        """T[day][i]: min(capacity, want), the stored MWd priority dispatch charges toward."""
-        return np.minimum(self.units.capacity[: len(self.topology.systems)], self.wants).tolist()
+        """T[day][i]: min(capacity, charge_wants of the day's forecasts), the
+        stored MWd priority dispatch charges toward."""
+        t = self.topology
+        want = charge_wants(t, dict(zip([load.id for load in t.loads], self.forecasts.T)))
+        want = np.broadcast_to(want, (self.arms[0].days, len(t.systems)))
+        return np.minimum(self.units.capacity[: len(t.systems)], want).tolist()
 
     @cached_property
     def energy(self) -> list[list[float]]:

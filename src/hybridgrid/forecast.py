@@ -21,10 +21,11 @@ window's lagged values, built once per window. Estimation is deterministic:
 refitting the same history reproduces bit-identical coefficients.
 
 fit_sarima_many fits a batch of windows in one search, each window leaving
-the batch once it converges. A batched fit equals a lone one bit for bit,
-because nothing mixes rows: every update is elementwise or a stacked
-matmul or solve, which makes per row the calls a lone fit makes.
-fit_sarima is a batch of one.
+the batch once it converges, and forecast_many forecasts a list of models
+one step ahead in one array pass. A batch equals lone calls bit for bit,
+because nothing mixes rows: every update is elementwise or a stacked matmul
+or solve, which makes per row the calls a lone one makes. fit_sarima and
+forecast_one are batches of one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -249,59 +252,37 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
 
     Windows may differ in length; each must satisfy fit_sarima's length
     rule, and all are checked before any is fitted. Model i is bit-identical
-    to fit_sarima(windows[i], orders), and each fit warns on its own.
+    to fit_sarima(windows[i], orders), and each fit warns on its own, in
+    window order. Each row (phi, PHI, c) is fitted on w - m, m the mean of
+    the differenced window w, so c = (mu - m) * phi(1) * PHI(1); where the
+    fit puts a unit root in either factor, mu is free and stays at m.
     """
     o = orders
     data = [_differenced(series, o) for series in windows]
     if not data:
         return []
-    means = [float(np.mean(w)) for _, w in data]
+    means = np.array([np.mean(w) for _, w in data])
     lags = sorted({i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)})
     G = _gram([w - m for (_, w), m in zip(data, means)], o, lags)
     xs, converged = _als(G, o, lags)
-    models = []
-    for (y, w), m, x, ok in zip(data, means, xs, converged):
-        models.append(_model(y, w, m, x, bool(ok), o))
-    return models
-
-
-def _model(
-    y: np.ndarray, w: np.ndarray, m: float, x: np.ndarray, converged: bool, o: SarimaOrders
-) -> SarimaModel:
-    """The fitted model of one window; warnings point at fit_sarima_many's caller.
-
-    x is (phi, PHI, c) fitted on w - m, where m is the mean of the
-    differenced series w, so c = (mu - m) * phi(1) * PHI(1). Where the fit
-    puts a unit root in either factor, mu is free and stays at m.
-    """
-    if not converged:
-        warnings.warn(
-            "SARIMA search hit the iteration cap; returning best coefficients so far",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    phi, sphi = x[: o.p], x[o.p : o.p + o.P]
-    gain = (1.0 - sum(map(float, phi))) * (1.0 - sum(map(float, sphi)))
-    mu = m + float(x[-1]) / gain if gain else m
-    for name, coeffs in (("ar", phi), ("seasonal ar", sphi)):
-        if len(coeffs) and np.max(np.abs(coeffs)) >= 1.0:
-            warnings.warn(
-                f"fitted {name} coefficient outside the stationary region: {coeffs}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    L = o.p + o.s * o.P
-    level_len = o.d + o.s * o.D
-    return SarimaModel(
-        orders=o,
-        ar_coeffs=np.array(phi, dtype=float),
-        seasonal_ar_coeffs=np.array(sphi, dtype=float),
-        intercept=mu,
-        converged=converged,
-        _diff_tail=w[-L:].copy() if L > 0 else np.empty(0),
-        _level_tail=y[-level_len:].copy() if level_len > 0 else np.empty(0),
-    )
+    phi, sphi = xs[:, : o.p], xs[:, o.p : o.p + o.P]
+    sums = [reduce(np.add, c.T, np.zeros(len(xs))) for c in (phi, sphi)]  # left to right from 0
+    with np.errstate(all="ignore"):  # a zero gain's quotient is discarded
+        gain = (1.0 - sums[0]) * (1.0 - sums[1])
+        mu = np.where(gain != 0.0, means + xs[:, -1] / gain, means)
+    flags = (~converged, *(np.abs(c).max(axis=1, initial=0.0) >= 1.0 for c in (phi, sphi)))
+    for r in np.flatnonzero(np.logical_or.reduce(flags)).tolist():
+        texts = ("SARIMA search hit the iteration cap; returning best coefficients so far",
+                 f"fitted ar coefficient outside the stationary region: {phi[r]}",
+                 f"fitted seasonal ar coefficient outside the stationary region: {sphi[r]}")
+        for flag, text in zip(flags, texts):
+            if flag[r]:
+                warnings.warn(text, RuntimeWarning, stacklevel=2)
+    L, level_len = o.p + o.s * o.P, o.d + o.s * o.D  # tails, most recent value last
+    diff_tails = np.array([w[len(w) - L :] for _, w in data])
+    level_tails = np.array([y[len(y) - level_len :] for y, _ in data])
+    return list(map(SarimaModel, repeat(o), phi, sphi, mu.tolist(), converged.tolist(),
+                    diff_tails, level_tails))
 
 
 def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
@@ -316,22 +297,30 @@ def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
 
 def forecast_one(model: SarimaModel) -> float:
     """One-step-ahead forecast on the original scale, clamped at zero."""
-    o = model.orders
-    ar = _expand(model.ar_coeffs, model.seasonal_ar_coeffs, o.s)
-    mu = model.intercept
+    return float(forecast_many([model])[0])
 
-    w_hat = 0.0
-    for k in range(1, len(ar)):
-        if ar[k] != 0.0:
-            w_hat -= ar[k] * (model._diff_tail[-k] - mu)
-    w_next = mu + w_hat
 
-    diff = _diff_poly(o.d, o.D, o.s)
-    y_next = w_next
-    for k in range(1, len(diff)):
-        if diff[k] != 0.0:
-            y_next -= diff[k] * model._level_tail[-k]
-    return max(0.0, float(y_next))
+def forecast_many(models: list[SarimaModel]) -> np.ndarray:
+    """forecast_one of each of models of one orders, in one array pass. With
+    a = phi(B) PHI(B^s) from _expand, w = mu - sum_k a_k (w_{t-k} - mu), and y
+    undoes the differencing; both sums take ascending lags, skipping zeros."""
+    if any(m.orders != models[0].orders for m in models):
+        raise ValueError("forecast_many needs models of one orders")
+    if not models:
+        return np.empty(0)
+    o = models[0].orders
+    ar = np.array([_expand(m.ar_coeffs, m.seasonal_ar_coeffs, o.s) for m in models])
+    mu = np.array([m.intercept for m in models])
+    diff_tail = np.array([m._diff_tail for m in models])
+    level_tail = np.array([m._level_tail for m in models])
+    w_hat = np.zeros(len(models))
+    for k in range(1, ar.shape[1]):
+        w_hat = np.where(ar[:, k] != 0.0, w_hat - ar[:, k] * (diff_tail[:, -k] - mu), w_hat)
+    y = mu + w_hat
+    for k, c in enumerate(_diff_poly(o.d, o.D, o.s).tolist()):
+        if k and c != 0.0:
+            y = y - c * level_tail[:, -k]
+    return np.where(y > 0.0, y, 0.0)  # max(0.0, y): NaN and -0.0 become 0.0
 
 
 def seasonal_naive(series, s: int) -> float:

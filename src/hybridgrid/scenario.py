@@ -134,9 +134,27 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict)
 
 
+class _Repeats(dict):
+    """A JSON object whose text gives the key `twice` more than once."""
+
+
+def _object_pairs(pairs: list) -> dict:
+    """load_scenario's object hook: the object, marked if its text repeats a key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = _Repeats(obj)
+        obj.twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return obj
+
+
 def _object(section, where: str) -> dict:
+    """The section, once it is known to be an object whose text repeats no key.
+    Every object of a document is read through here before its keys are."""
     if not isinstance(section, dict):
         raise ValueError(f"{where or 'scenario'} must be a JSON object")
+    if isinstance(section, _Repeats):
+        raise ValueError(f"{where}.{section.twice} is given twice".lstrip("."))
     return section
 
 
@@ -396,10 +414,12 @@ def _finite(token: str) -> float:
 
 
 def load_scenario(path, run_overrides=None) -> tuple[ScenarioConfig, GridTopology]:
-    """Read and parse a scenario JSON file; run_overrides replace keys of its run section."""
+    """Read and parse a scenario JSON file; run_overrides replace keys of its run section.
+    A key given twice in one object, at any depth, is rejected."""
     text = Path(path).read_text()
     try:
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite,
+                         object_pairs_hook=_object_pairs)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

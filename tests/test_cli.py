@@ -325,8 +325,27 @@ def _paths(node, at=()):
         yield from _paths(child, (*at, key))
 
 
+def json_text(node, repeat=None):
+    """node as JSON text; repeat = (obj, key, value) lists key twice in obj,
+    value first, which json.dumps cannot write."""
+    if isinstance(node, dict):
+        pairs = list(node.items())
+        if repeat and repeat[0] is node:
+            pairs.insert(0, repeat[1:])
+        return "{" + ", ".join(f"{json.dumps(k)}: {json_text(v, repeat)}" for k, v in pairs) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(json_text(v, repeat) for v in node) + "]"
+    return json.dumps(node)
+
+
+def dotted(at):
+    """A path into a document as the parser names it: keys dotted, list positions [i]."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in at).lstrip(".")
+
+
 @st.composite
 def mutated_docs(draw):
+    """A mutated document's text, and the dotted key it gives twice or None."""
     doc = copy.deepcopy(MUTATED_DOCS[draw(st.sampled_from(sorted(MUTATED_DOCS)))])
     at = draw(st.sampled_from(list(_paths(doc))))
     value = draw(st.sampled_from(MUTATION_POOL))
@@ -334,7 +353,10 @@ def mutated_docs(draw):
     for key in at[:-1]:
         parent = parent[key]
     target = parent[at[-1]] if at else doc
-    op = draw(st.sampled_from(["replace", "delete", "add"])) if at else "add"
+    ops = ["replace", "delete", "add"] + (["repeat"] if isinstance(parent, dict) else [])
+    op = draw(st.sampled_from(ops)) if at else "add"
+    if op == "repeat":
+        return json_text(doc, (parent, at[-1], value)), dotted(at)
     if op == "add" and isinstance(target, list):
         target.append(value)
     elif op == "add" and isinstance(target, dict):
@@ -343,24 +365,34 @@ def mutated_docs(draw):
         del parent[at[-1]]
     else:
         parent[at[-1]] = value
-    return doc
+    return json.dumps(doc), None
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=mutated_docs())
-def test_mutated_scenario_runs_or_names_what_is_wrong(doc):
+@given(mutated=mutated_docs())
+def test_mutated_scenario_runs_or_names_what_is_wrong(mutated):
+    text, twice = mutated
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         run = ["simulate", str(path), "--out", str(Path(tmp) / "run"), "--days", "3"]
         for argv in (["validate", str(path)], run):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
-            if code != 0:
+            if code != 0 or twice:
                 message = (out.getvalue() + err.getvalue()).strip().splitlines()[-1]
                 message = message.removeprefix("error: invalid input: ")
                 assert code == 1 and NAMES_WHERE.match(message), (argv[0], code, message)
+                assert twice is None or message == f"{twice} is given twice"
+
+
+def test_repeated_run_key_is_rejected(tmp_path, capsys):
+    # The later value would win silently: this document would run 3 days.
+    path = tmp_path / "scenario.json"
+    path.write_text(Path(TOY).read_text().replace('"days": 3,', '"days": 999, "days": 3,'))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == "error: invalid input: run.days is given twice"
 
 
 # --- simulate ------------------------------------------------------------------

@@ -19,9 +19,12 @@ from hybridgrid import (
     compare,
     comparison_csv,
     comparison_series_csv,
+    fit_sarima,
+    forecast_one,
     initialize_state,
     load_weather_csv,
     run_simulation,
+    seasonal_naive,
     step_day,
     summary_csv,
     trace_csv,
@@ -531,7 +534,7 @@ def test_initialize_state_fits_no_model(monkeypatch):
     assert cfg.priority_enabled
     state = initialize_state(cfg, topo)
     assert windows == []
-    assert state.wants.shape == (cfg.days, len(topo.systems))
+    assert np.shape(state.targets) == (cfg.days, len(topo.systems))
     assert len(windows) == 2 * len(topo.loads)
 
 
@@ -605,6 +608,63 @@ def test_shipped_scenarios_fit_without_warnings(path, seeds):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             state.forecasts
+
+
+def warmup_forecast(demand, day, s):
+    """The warm-up rule: 0.0 on day 0, then the last value, then seasonal-naive."""
+    if day >= s:
+        return max(0.0, seasonal_naive(demand[day - s : day], s))
+    return demand[day - 1] if day else 0.0
+
+
+# d + D > 0 and p >= s, so the one-step forecast undoes differencing and
+# _expand sums the two terms at lag s.
+DIFFERENCED_DOC = small_doc(days=150, seed=4, forecasting={
+    "orders": [7, 0, 0, 1, 1, 0, 7], "refit_interval_days": 20, "train_window_days": 120})
+
+
+@pytest.mark.parametrize("source, seed", [
+    *(("scenarios/reference.json", seed) for seed in (1, 2, 3)),
+    ("scenarios/stress.json", 42),
+    (DIFFERENCED_DOC, 4),
+], ids=["reference-1", "reference-2", "reference-3", "stress-42", "differenced"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
+    cfg, topo = load_scenario(source) if isinstance(source, str) else parse_scenario(source)
+    cfg = dataclasses.replace(cfg, seed=seed)
+    state = engine.SimulationState([cfg], topo)
+    fc = cfg.forecasting
+    o, every = fc.orders, fc.refit_interval_days
+    warmup = max(3 * o.s, 30, o.min_series_length())
+    assert state.forecasts.shape == (cfg.days, len(topo.loads))
+    for j, load in enumerate(topo.loads):
+        demand = state.demand_by_load[load.id].tolist()
+        models = {}
+        expected = []
+        for day in range(cfg.days):
+            if day < warmup:
+                expected.append(warmup_forecast(demand, day, o.s))
+                continue
+            fit_day = day - (day - warmup) % every
+            if fit_day not in models:
+                window = demand[max(0, fit_day - fc.train_window_days) : fit_day]
+                models[fit_day] = forecast_one(fit_sarima(window, o))
+            expected.append(models[fit_day])
+        got = state.forecasts[:, j].tolist()
+        assert [v.hex() for v in got] == [float(v).hex() for v in expected], load.id
+
+
+def test_refit_interval_past_the_run_fits_once():
+    # A scenario may give any interval >= 1, such as 1e308; past the last
+    # day it means the one fit at the end of warm-up.
+    states = []
+    for every in (10**308, 80):
+        cfg, topo = parse_scenario(small_doc(days=80, seed=5, forecasting={
+            "refit_interval_days": every}))
+        states.append(engine.SimulationState([cfg], topo))
+    huge, once = (state.forecasts for state in states)
+    assert huge.tobytes() == once.tobytes()
+    assert len({row.tobytes() for row in once[32:]}) == 1
 
 
 def test_atomic_write_text(tmp_path):

@@ -15,6 +15,7 @@ from hybridgrid import (
     SarimaOrders,
     fit_sarima,
     fit_sarima_many,
+    forecast_many,
     forecast_one,
     load_demand_csv,
     load_weather_csv,
@@ -216,6 +217,25 @@ def test_fit_numerics_are_pinned(orders, coeffs, intercept):
     assert bits[:3] == (coeffs, intercept, True)
 
 
+@pytest.mark.parametrize(
+    "orders, seed, intercept, value",
+    [
+        # p >= s: the lag-s collision of _expand, where two products add.
+        (SarimaOrders(8, 0, 0, 1, 0, 0, 7), 21, "0x1.86cd273f4a047p+6", "0x1.8a08ec944179cp+6"),
+        # With both differencings undone, and an intercept whose bits move
+        # if phi(1) adds its coefficients in another order.
+        (SarimaOrders(7, 1, 0, 1, 1, 0, 7), 21, "-0x1.1a40f56219790p-8", "0x1.83f84124523fbp+6"),
+        (SarimaOrders(7, 1, 0, 1, 1, 0, 7), 24, "0x1.9c118be3c9482p-7", "0x1.87a24ffd3017bp+6"),
+    ],
+    ids=["p8", "differenced", "differenced-sum-order"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_high_order_intercept_and_forecast_are_pinned(orders, seed, intercept, value):
+    # Recorded with the per-window intercept and the scalar one-step loop.
+    model = fit_sarima(seasonal_series(200, seed=seed), orders)
+    assert (model.intercept.hex(), forecast_one(model).hex()) == (intercept, value)
+
+
 def test_fit_many_warns_once_per_capped_fit(monkeypatch):
     # These windows converge after 1, 8 and 9 rounds.
     windows = [
@@ -231,6 +251,36 @@ def test_fit_many_warns_once_per_capped_fit(monkeypatch):
     assert [str(w.message) for w in caught] == [
         "SARIMA search hit the iteration cap; returning best coefficients so far"
     ]
+
+
+def test_fit_many_warns_per_fit_in_window_order(monkeypatch):
+    # Beside a flat window, explosive windows whose fits leave the
+    # stationary region in both factors or in PHI alone. With the round cap
+    # at 4 the two that leave it in both also stop short.
+    t = np.arange(120)
+    windows = [
+        100.0 * 1.03**t * (1.0 + 0.5 * (t % 7 == 0) * 1.02**t),
+        np.full(120, 100.0),
+        100.0 * 1.02**t + 5.0 * (-1.02) ** t,
+        100.0 + np.where(t % 7 == 3, 1.04**t, 0.0),
+    ]
+    monkeypatch.setattr(forecast, "MAX_ROUNDS", 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        models = fit_sarima_many(windows, ORDERS_WEEKLY)
+    cap = "SARIMA search hit the iteration cap; returning best coefficients so far"
+    ar, sar = (f"fitted {name} coefficient outside the stationary region: " for name in
+               ("ar", "seasonal ar"))
+    a, _, c, d = models
+    assert [m.converged for m in models] == [False, True, False, True]
+    assert [str(w.message) for w in caught] == [
+        cap, f"{ar}{a.ar_coeffs}", f"{sar}{a.seasonal_ar_coeffs}",
+        cap, f"{ar}{c.ar_coeffs}", f"{sar}{c.seasonal_ar_coeffs}",
+        f"{sar}{d.seasonal_ar_coeffs}",
+    ]
+    assert {w.filename for w in caught} == {__file__}
+    assert abs(a.ar_coeffs[0]) >= 1.0 and abs(c.seasonal_ar_coeffs[0]) >= 1.0
+    assert abs(d.ar_coeffs[0]) < 1.0 <= abs(d.seasonal_ar_coeffs[0])
 
 
 def css(model, series):
@@ -287,6 +337,17 @@ def test_forecast_clamps_negative_to_zero():
     orders = SarimaOrders(p=1, d=1, q=0, P=0, D=0, Q=0, s=7)
     model = fit_sarima(series, orders)
     assert forecast_one(model) >= 0.0
+
+
+def test_forecast_many_is_each_forecast_one():
+    series = seasonal_series(400, seed=9)
+    models = fit_sarima_many([series[-n:] for n in (60, 200, 365)], ORDERS_WEEKLY)
+    assert [v.hex() for v in forecast_many(models).tolist()] == [
+        forecast_one(m).hex() for m in models
+    ]
+    assert forecast_many([]).shape == (0,)
+    with pytest.raises(ValueError, match="models of one orders"):
+        forecast_many([models[0], fit_sarima(series, ORDERS_AR1)])
 
 
 def test_seasonal_naive_returns_one_season_back():
