@@ -14,7 +14,6 @@ from hybridgrid import (
     allocate_priority,
     charge_deficits,
     charge_wants,
-    inflow,
     prioritize,
     reference_topology,
 )
@@ -49,13 +48,13 @@ def main():
     # uses up the headroom list it is given, so each gets its own.
     energy = [per_source[src.id] for src in topo.sources]
     headroom = units.headroom.tolist()
-    priority_flow, priority_curtailed = allocate_priority(
+    _, priority_curtailed, priority_in = allocate_priority(
         w, order, deficits, list(headroom), energy
     )
-    equal_flow, equal_curtailed = allocate_equal(w, list(headroom), energy)
+    _, equal_curtailed, equal_in = allocate_equal(w, list(headroom), energy)
 
     print("  system   priority-inflow   equal-inflow")
-    for sid, p_in, e_in in zip(units.ids, inflow(w, priority_flow), inflow(w, equal_flow)):
+    for sid, p_in, e_in in zip(units.ids, priority_in, equal_in):
         print(f"  {sid:>6}   {p_in:15.1f}   {e_in:12.1f}")
     print(
         f"  curtailed: priority {sum(priority_curtailed):.1f} MWd, "

@@ -7,7 +7,6 @@ from .dispatch import (
     allocate_priority,
     charge_deficits,
     charge_wants,
-    inflow,
     prioritize,
     settle_loads,
     split_equally,

@@ -18,8 +18,9 @@ system totals without touching units.
 Every function works on plain per-system lists in a topology's row order,
 ascending id, and on its Wiring index lists, as the engine calls them each
 day. Charge flows come one per wired edge, aligned with Wiring.source_rows,
-so a day costs the connections, not sources x systems; inflow() adds them
-per system. This module only decides system-level amounts.
+so a day costs the connections, not sources x systems; the allocators also
+add each row's inflow, its gifts in ascending source order from 0.0, as they
+finish each source. This module only decides system-level amounts.
 Moving energy into and out of units, and the wear that costs, is health.py's job.
 
 The engine calls these functions every day for every arm, on lists of a few
@@ -121,19 +122,19 @@ def prioritize(deficit: list[float]) -> list[int]:
 
 def allocate_priority(
     w: Wiring, order: list[int], deficit: list[float], headroom: list[float], energy: list[float]
-) -> tuple[list[list[float]], list[float]]:
+) -> tuple[list[list[float]], list[float], list[float]]:
     """Two-pass priority dispatch: order lists rows, deficit and headroom
     (used up in place) are per row, energy is per source of the wiring. Pass
     one covers deficits in order from each row's sources, ascending; pass two
     spreads each source's leftover by open headroom and curtails the rest.
-    Returns flow[k][j], the MWd source k gives row w.source_rows[k][j], and
-    each curtailment.
+    Returns flow[k][j], the MWd source k gives row w.source_rows[k][j], each
+    curtailment, and each row's inflow.
     """
     remaining = list(energy)
     flow = []
     for rows in w.source_rows:
         flow.append([0.0] * len(rows))
-    curtailed = [0.0] * len(energy)
+    curtailed, into = [0.0] * len(energy), [0.0] * len(headroom)
     # Pass 1: cover deficits in priority order. Comparisons stand in for the
     # builtin min(): min(a, b) is b if b < a else a, NaN and -0.0 included.
     sources_of, slots_of = w.system_sources, w.system_slots
@@ -152,10 +153,13 @@ def allocate_priority(
             need -= take
             if need <= 0:
                 break
-    # Pass 2: spread each source's leftover by remaining headroom.
+    # Pass 2: spread each source's leftover by remaining headroom. Source k's
+    # gifts are final once its pass 2 ran, so inflow adds them in source order.
     for k, rows in enumerate(w.source_rows):
-        left = remaining[k]
+        left, gifts = remaining[k], flow[k]
         if left <= 0:
+            for i, amt in zip(rows, gifts):
+                into[i] += amt
             continue
         open_room = 0  # from int 0, as sum() adds
         for i in rows:
@@ -165,22 +169,22 @@ def allocate_priority(
         fills = left >= open_room
         if fills:
             curtailed[k] = left - open_room
-        gifts = flow[k]
         for j, i in enumerate(rows):  # a source lists each row once
             room = headroom[i]
             if room > 0:
                 amt = room if fills else left * room / open_room
                 gifts[j] += amt
                 headroom[i] -= amt
-    return flow, curtailed
+            into[i] += gifts[j]
+    return flow, curtailed, into
 
 
 def allocate_equal(
     w: Wiring, headroom: list[float], energy: list[float]
-) -> tuple[list[list[float]], list[float]]:
+) -> tuple[list[list[float]], list[float], list[float]]:
     """Need-blind baseline: each source in turn splits equally over its rows,
     overflow re-split and the rest curtailed; in and out as allocate_priority."""
-    flow, curtailed = [], [0.0] * len(energy)
+    flow, curtailed, into = [], [0.0] * len(energy), [0.0] * len(headroom)
     for k, rows in enumerate(w.source_rows):
         e = energy[k]
         gifts = split_equally(e, headroom, rows) if e > 0 else [0.0] * len(rows)
@@ -189,18 +193,10 @@ def allocate_equal(
         for i, amt in zip(rows, gifts):
             headroom[i] -= amt
             delivered += amt
+            into[i] += amt
         if e - delivered > _REL_TOL * (e if e > 1.0 else 1.0):  # max(1.0, e)
             curtailed[k] = e - delivered
-    return flow, curtailed
-
-
-def inflow(w: Wiring, flow: list[list[float]]) -> list[float]:
-    """Each row's MWd in: its sources' gifts added in ascending source order from 0.0."""
-    total = [0.0] * len(w.system_sources)
-    for rows, gifts in zip(w.source_rows, flow):
-        for i, amt in zip(rows, gifts):
-            total[i] += amt
-    return total
+    return flow, curtailed, into
 
 
 def settle_loads(

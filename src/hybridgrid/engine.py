@@ -13,8 +13,8 @@ is system i of arm b), and step_day makes one charge call and one discharge
 call for the whole batch. run_simulation is
 the one-arm case; compare() runs two arms. Each day dispatches charging per
 arm at the grid level (priority or equal, on the topology's Wiring index
-lists, one flow per wired edge), distributes each system's inflow across its
-units (health-ranked or equal, row by row), then settles realized demand:
+lists, one flow per wired edge, with each system's inflow summed), spreads
+that inflow over its units (health-ranked or equal, row by row), then settles realized demand:
 one dispatch.settle_loads call per arm settles its loads in ascending id on
 running system totals, each load seeing storage as the previous load of its
 arm left it, and one discharge takes every arm's totals from the units. The
@@ -44,7 +44,6 @@ from .dispatch import (
     allocate_priority,
     charge_deficits,
     charge_wants,
-    inflow,
     prioritize,
     settle_loads,
 )
@@ -260,10 +259,10 @@ def step_day(state: SimulationState, day: int) -> None:
         if cfg.priority_enabled:
             deficit = charge_deficits(state.targets[day], stored[rows])
             order = prioritize(deficit)
-            flow, curt = allocate_priority(w, order, deficit, headroom[rows], energy)
+            _, curt, into = allocate_priority(w, order, deficit, headroom[rows], energy)
         else:
-            flow, curt = allocate_equal(w, headroom[rows], energy)
-        charge_in += inflow(w, flow)
+            _, curt, into = allocate_equal(w, headroom[rows], energy)
+        charge_in += into
         curtailed += curt
     out["charge_in_mwd"][day] = charge_in
     out["curtailed_mwd"][day] = curtailed
@@ -456,11 +455,12 @@ def _f(x: float) -> str:
 
 
 def _per_system_csv(header: str, ids: list[int], *arrays: np.ndarray) -> str:
-    """The header, then per day and system: day, id and four values as _f writes them."""
-    lines = [header]
-    for day, (a, b, c, d) in enumerate(zip(*(x.tolist() for x in arrays))):
-        lines += ["%d,%d,%.6f,%.6f,%.6f,%.6f" % (day, *row) for row in zip(ids, a, b, c, d)]
-    return "\n".join(lines) + "\n"
+    """The header, then per day and system: day, id and four values as _f writes
+    them. One % writes a day, the ids in its format and the day a float for %d."""
+    fmt, (days, width) = "\n".join(f"%d,{i},%.6f,%.6f,%.6f,%.6f" for i in ids), arrays[0].shape
+    cols = np.stack([np.broadcast_to(np.arange(days)[:, None], (days, width)), *arrays], axis=2)
+    lines = [fmt % tuple(row) for row in cols.reshape(days, 5 * width).tolist()] if ids else []
+    return "\n".join([header, *lines]) + "\n"
 
 
 def trace_csv(trace: SimulationTrace) -> str:

@@ -23,9 +23,9 @@ refitting the same history reproduces bit-identical coefficients.
 fit_sarima_many fits a batch of windows in one search, each window leaving
 the batch once it converges, and forecast_many forecasts a list of models
 one step ahead in one array pass. A batch equals lone calls bit for bit,
-because nothing mixes rows: every update is elementwise or a stacked matmul
-or solve, which makes per row the calls a lone one makes. fit_sarima and
-forecast_one are batches of one.
+because nothing mixes rows: every update is elementwise, a row's reduction,
+or a stacked matmul or solve, making per row the calls a lone one makes.
+fit_sarima and forecast_one are batches of one.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .model import as_int
 
 MAX_ROUNDS = 200
 TOL = 1e-10
+STACK = 8  # windows of one length prepared at once; more grow peak memory, not speed
 # A regressor whose centred sum of squares is below VANISHED times the
 # window's carries no information and is fitted as 0; RIDGE loads each
 # kept diagonal relatively, so exactly collinear regressors stay solvable.
@@ -118,9 +119,9 @@ class SarimaModel:
 def _difference(y: np.ndarray, d: int, D: int, s: int) -> np.ndarray:
     w = y.astype(float)
     for _ in range(d):
-        w = w[1:] - w[:-1]
+        w = w[..., 1:] - w[..., :-1]
     for _ in range(D):
-        w = w[s:] - w[:-s]
+        w = w[..., s:] - w[..., :-s]
     return w
 
 
@@ -149,17 +150,16 @@ def _expand(coeffs: np.ndarray, seasonal: np.ndarray, s: int) -> np.ndarray:
     return np.convolve(a, b)
 
 
-def _gram(ws: list[np.ndarray], o: SarimaOrders, lags: list[int]) -> np.ndarray:
-    """G[k, m+1, m+1]: per window, the Gram matrix of its lagged values at the
-    m distinct lags of phi(B) PHI(B^s), plus a column of ones, over the rows
-    of the conditional sum of squares (from the first full AR window on)."""
-    L = o.p + o.s * o.P
-    G = np.empty((len(ws), len(lags) + 1, len(lags) + 1))
-    for r, w in enumerate(ws):
-        n = len(w)
-        X = np.column_stack([w[L - lag : n - lag] for lag in lags] + [np.ones(n - L)])
-        G[r] = X.T @ X
-    return G
+def _gram(W: np.ndarray, L: int, lags: list[int]) -> np.ndarray:
+    """G[k, m+1, m+1]: per window (row of W), the Gram matrix of its values at
+    the m distinct lags of phi(B) PHI(B^s), plus a column of ones, over the
+    rows of the conditional sum of squares (from the first full AR window on)."""
+    k, n = W.shape
+    X = np.empty((k, n - L, len(lags) + 1))
+    for c, lag in enumerate(lags):
+        X[:, :, c] = W[:, L - lag : n - lag]
+    X[:, :, -1] = 1.0
+    return np.matmul(X.transpose(0, 2, 1), X)
 
 
 def _factor_index(o: SarimaOrders, lags: list[int], seasonal: bool):
@@ -229,41 +229,54 @@ def _als(G: np.ndarray, o: SarimaOrders, lags: list[int]):
     return out, converged
 
 
-def _differenced(series, o: SarimaOrders) -> tuple[np.ndarray, np.ndarray]:
-    """Check one training window and return it with its differenced series."""
-    y = np.asarray(series, dtype=float)
+def _check_window(y: np.ndarray, finite: bool, o: SarimaOrders) -> None:
+    """Raise for the first rule a training window breaks (finite: all its values are)."""
     if y.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    if not np.all(np.isfinite(y)):
+    if not finite:
         raise ValueError("series contains non-finite values")
     if len(y) < o.min_series_length():
-        raise ValueError(
-            f"series too short to identify orders: need >= {o.min_series_length()}, "
-            f"got {len(y)}"
-        )
-    w = _difference(y, o.d, o.D, o.s)
-    if len(w) <= o.p + o.s * o.P + 1:
+        raise ValueError(f"series too short to identify orders: need >= "
+                         f"{o.min_series_length()}, got {len(y)}")
+    if len(y) - o.d - o.s * o.D <= o.p + o.s * o.P + 1:  # the differenced length
         raise ValueError("series too short after differencing for the given orders")
-    return y, w
 
 
 def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[SarimaModel]:
     """Fit one model per window by conditional sum of squares, in one search.
 
     Windows may differ in length; each must satisfy fit_sarima's length
-    rule, and all are checked before any is fitted. Model i is bit-identical
+    rule, and all are checked, up to STACK of one length at a time, before any
+    is fitted; the first bad window raises. Model i is bit-identical
     to fit_sarima(windows[i], orders), and each fit warns on its own, in
     window order. Each row (phi, PHI, c) is fitted on w - m, m the mean of
     the differenced window w, so c = (mu - m) * phi(1) * PHI(1); where the
     fit puts a unit root in either factor, mu is free and stays at m.
     """
     o = orders
-    data = [_differenced(series, o) for series in windows]
-    if not data:
+    ys = [np.asarray(series, dtype=float) for series in windows]
+    if not ys:
         return []
-    means = np.array([np.mean(w) for _, w in data])
+    by_shape: dict[tuple, list[int]] = {}  # window positions, in window order
+    for r, y in enumerate(ys):
+        by_shape.setdefault(y.shape, []).append(r)
+    stacks = [(rows[i : i + STACK], np.array([ys[r] for r in rows[i : i + STACK]]))
+              for rows in by_shape.values() for i in range(0, len(rows), STACK)]
+    finite = np.empty(len(ys), dtype=bool)
+    for rows, Y in stacks:
+        finite[rows] = np.isfinite(Y).reshape(len(rows), -1).all(axis=1)
+    for y, ok in zip(ys, finite.tolist()):
+        _check_window(y, ok, o)
     lags = sorted({i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)})
-    G = _gram([w - m for (_, w), m in zip(data, means)], o, lags)
+    k, L, level_len = len(ys), o.p + o.s * o.P, o.d + o.s * o.D  # tails, most recent last
+    G = np.empty((k, len(lags) + 1, len(lags) + 1))
+    means, diff_tails, level_tails = np.empty(k), np.empty((k, L)), np.empty((k, level_len))
+    for rows, Y in stacks:
+        W = _difference(Y, o.d, o.D, o.s)
+        means[rows] = m = np.mean(W, axis=1)
+        diff_tails[rows] = W[:, W.shape[1] - L :]
+        level_tails[rows] = Y[:, Y.shape[1] - level_len :]
+        G[rows] = _gram(W - m[:, None], L, lags)
     xs, converged = _als(G, o, lags)
     phi, sphi = xs[:, : o.p], xs[:, o.p : o.p + o.P]
     sums = [reduce(np.add, c.T, np.zeros(len(xs))) for c in (phi, sphi)]  # left to right from 0
@@ -278,9 +291,6 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
         for flag, text in zip(flags, texts):
             if flag[r]:
                 warnings.warn(text, RuntimeWarning, stacklevel=2)
-    L, level_len = o.p + o.s * o.P, o.d + o.s * o.D  # tails, most recent value last
-    diff_tails = np.array([w[len(w) - L :] for _, w in data])
-    level_tails = np.array([y[len(y) - level_len :] for y, _ in data])
     return list(map(SarimaModel, repeat(o), phi, sphi, mu.tolist(), converged.tolist(),
                     diff_tails, level_tails))
 
@@ -302,14 +312,24 @@ def forecast_one(model: SarimaModel) -> float:
 
 def forecast_many(models: list[SarimaModel]) -> np.ndarray:
     """forecast_one of each of models of one orders, in one array pass. With
-    a = phi(B) PHI(B^s) from _expand, w = mu - sum_k a_k (w_{t-k} - mu), and y
-    undoes the differencing; both sums take ascending lags, skipping zeros."""
+    a = phi(B) PHI(B^s), w = mu - sum_k a_k (w_{t-k} - mu), and y undoes the
+    differencing; both sums take ascending lags, skipping zeros. For p < s a
+    lag of a is one product phi_i PHI_j, the value _expand's convolution gives
+    it, so one product per lag builds every a; for p >= s two can share a lag."""
     if any(m.orders != models[0].orders for m in models):
         raise ValueError("forecast_many needs models of one orders")
     if not models:
         return np.empty(0)
     o = models[0].orders
-    ar = np.array([_expand(m.ar_coeffs, m.seasonal_ar_coeffs, o.s) for m in models])
+    if o.p < o.s:
+        a, b = np.ones((len(models), o.p + 1)), np.ones((len(models), o.P + 1))
+        np.negative([m.ar_coeffs for m in models], out=a[:, 1:])
+        np.negative([m.seasonal_ar_coeffs for m in models], out=b[:, 1:])
+        ar = np.zeros((len(models), o.p + o.s * o.P + 1))
+        ar[:, [i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)]] = \
+            (a[:, :, None] * b[:, None, :]).reshape(len(models), -1)
+    else:
+        ar = np.array([_expand(m.ar_coeffs, m.seasonal_ar_coeffs, o.s) for m in models])
     mu = np.array([m.intercept for m in models])
     diff_tail = np.array([m._diff_tail for m in models])
     level_tail = np.array([m._level_tail for m in models])

@@ -15,11 +15,14 @@ loop over units (differences and totals run left to right, with
 np.subtract.accumulate and np.add.accumulate), so results are bit for bit
 those of dispatch.split_equally and of such loops. Arrays are small, so a
 step costs its numpy calls: the equal split stops at the first round that
-saturates no slot, a move refreshes stored and headroom once, and charge
-skips a pass that no row takes.
+saturates no slot, a move writes energy and SoH in place where it moved and
+refreshes stored once, headroom waits for its first read, and charge skips a
+pass that no row takes. Returned amounts are never -0.0.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +61,7 @@ def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
     while np.count_nonzero(active):
         share = left / np.maximum(active.sum(axis=1, keepdims=True, dtype=float), 1.0)
         full = active & (room <= share)
-        take = np.minimum(room, share)
-        take *= active  # closed slots take +-0.0, which adds and subtracts as nothing
+        take = np.minimum(room, share, out=np.zeros(caps.shape), where=active)
         alloc += take
         if not np.count_nonzero(full):
             break
@@ -87,14 +89,18 @@ class GridUnits:
                 a[real] = np.concatenate([getattr(s, f) for s in systems])
         self.energy, self.soh, self.cap, self.r_charge, self.r_discharge = state
         self._divisor = np.where(real, self.cap, 1.0)  # pads move nothing
-        self._pad = np.where(real, 0.0, np.inf)  # subtracting a score ranks pads last
+        self._pad = None if real.all() else np.where(real, 0.0, np.inf)  # ranks pads last
         self._flat = np.arange(len(systems))[:, None] * self.cap.shape[1]  # row starts
         self.capacity = _total(self.cap)  # pads add +0.0, which changes no sum
         self._refresh()
 
     def _refresh(self) -> None:
         self.stored = _total(self.energy)
-        self.headroom = np.maximum(0.0, self.capacity - self.stored)
+        self.__dict__.pop("headroom", None)
+
+    @cached_property
+    def headroom(self) -> np.ndarray:
+        return np.maximum(0.0, self.capacity - self.stored)
 
     @property
     def soc_pct(self) -> np.ndarray:
@@ -106,15 +112,20 @@ class GridUnits:
 
     def scores(self, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC) -> np.ndarray:
         """Charging desirability in [0, 1]: healthy and empty scores high; pads -inf."""
-        return w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor) - self._pad
+        score = w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor)
+        return score if self._pad is None else score - self._pad
 
     def _check(self, amounts, limit: np.ndarray, what: str) -> np.ndarray:
         """The amounts as an array, clipped to limit after dust-sized overshoot."""
         amounts = np.asarray(amounts, dtype=float)
-        bad = ~((amounts >= 0) & (amounts <= limit + _REL_TOL * np.maximum(1.0, limit)))
-        if np.count_nonzero(bad):
-            i = int(np.argmax(bad))
-            raise ValueError(f"system {self.ids[i]}: {what} {amounts[i]} outside [0, {limit[i]}]")
+        ok = amounts >= 0  # false for NaN
+        ok &= amounts <= limit  # most calls need no tolerance
+        if np.count_nonzero(ok) < ok.size:
+            ok = (amounts >= 0) & (amounts <= limit + _REL_TOL * np.maximum(1.0, limit))
+            if np.count_nonzero(ok) < ok.size:
+                i = int(np.argmin(ok))
+                raise ValueError(f"system {self.ids[i]}: {what} {amounts[i]} outside "
+                                 f"[0, {limit[i]}]")
         return np.minimum(amounts, limit)
 
     def charge(
@@ -131,6 +142,7 @@ class GridUnits:
         room = np.maximum(0.0, self.cap - self.energy)
         ranked = np.asarray(ranked)
         n_ranked = np.count_nonzero(ranked)
+        mixed = 0 < n_ranked < ranked.size
         amounts = np.zeros(room.shape)
         if n_ranked < ranked.size:
             amounts = split_equally_rows(np.where(ranked, 0.0, left), room)
@@ -138,15 +150,17 @@ class GridUnits:
             # Greedy in rank order: each unit takes what is left, up to its room.
             order = (-self.scores(w_soh, w_soc)).argsort(axis=1, kind="stable") + self._flat
             room = room.take(order)  # order holds flat indices, as take and put read them
-            first = np.where(ranked, left, 0.0)[:, None]
-            rest = np.subtract.accumulate(np.concatenate([first, room], axis=1), axis=1)[:, :-1]
-            amounts.put(order, amounts.take(order) + np.maximum(0.0, np.minimum(rest, room)))
-        np.copyto(self.energy, np.minimum(self.cap, self.energy + amounts), where=amounts > 0)
-        return self._wear(amounts, self.r_charge)
+            # + 0.0 turns a -0.0 request to +0.0, as the add below does on a mixed call.
+            first = np.where(ranked, left, 0.0) if mixed else left + 0.0
+            rest = np.subtract.accumulate(np.concatenate([first[:, None], room], axis=1), axis=1)
+            greedy = np.maximum(0.0, np.minimum(rest[:, :-1], room, out=room), out=room)
+            amounts.put(order, amounts.take(order) + greedy if mixed else greedy)
+        moved = amounts > 0
+        np.minimum(self.cap, self.energy + amounts, out=self.energy, where=moved)
+        return self._wear(amounts, self.r_charge, moved)
 
-    def _wear(self, amounts: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        worn = np.maximum(0.0, self.soh - amounts * rate / self._divisor)
-        np.copyto(self.soh, worn, where=amounts > 0)
+    def _wear(self, amounts: np.ndarray, rate: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        np.maximum(0.0, self.soh - amounts * rate / self._divisor, out=self.soh, where=moved)
         self._refresh()
         return amounts
 
@@ -157,5 +171,6 @@ class GridUnits:
         re-split among the rest. Each unit is worn by what it gave.
         """
         taken = split_equally_rows(self._check(d, self.stored, "discharge"), self.energy)
-        np.maximum(0.0, self.energy - taken, out=self.energy)
-        return self._wear(taken, self.r_discharge)
+        moved = taken > 0
+        np.maximum(0.0, self.energy - taken, out=self.energy, where=moved)
+        return self._wear(taken, self.r_discharge, moved)

@@ -121,10 +121,10 @@ def _random_dispatch_instance(rng):
 
 
 def _assert_allocation_invariants(allocation, energy, headrooms, topo, tol=1e-6):
-    """allocation is (flow[source][edge], curtailed per source), sources in
-    ascending id and each source's edges in its connection order; energy and
-    headrooms are what the sources and systems held before it."""
-    flow, curtailed = allocation
+    """allocation is (flow[source][edge], curtailed per source, inflow per
+    system), sources in ascending id and each source's edges in its connection
+    order; energy and headrooms are what the sources and systems held before it."""
+    flow, curtailed, _ = allocation
     row = {s.id: i for i, s in enumerate(topo.systems)}
     sources = sorted(topo.sources, key=lambda s: s.id)
     assert len(flow) == len(sources)
@@ -227,7 +227,7 @@ def test_criterion_3_priority_matches_bruteforce_coverage():
                 units = GridUnits(topo.systems)
                 order = prioritize(list(deficits))
                 for energies in itertools.product(GRID_VALUES, repeat=n_src):
-                    flow, _ = allocate_priority(
+                    flow, _, _ = allocate_priority(
                         topo.wiring, order, list(deficits), units.headroom.tolist(), list(energies)
                     )
                     # Every source feeds every system in row order: edge j is row j.

@@ -18,7 +18,6 @@ from hybridgrid import (
     allocate_priority,
     charge_deficits,
     charge_wants,
-    inflow,
     prioritize,
     reference_topology,
     settle_loads,
@@ -195,7 +194,7 @@ def test_allocate_priority_two_pass_hand_trace():
     # pass 1 delivers 60, pass 2 delivers the remaining 40, nothing curtailed.
     topo = make_topology({1: (300.0, 0.0)}, {1: [1]})
     room = GridUnits(topo.systems).headroom.tolist()
-    flow, curtailed = allocate_priority(topo.wiring, [0], [60.0], room, [100.0])
+    flow, curtailed, _ = allocate_priority(topo.wiring, [0], [60.0], room, [100.0])
     assert dense(topo, flow) == pytest.approx(np.array([[100.0]]))
     assert curtailed == [0.0]
 
@@ -205,14 +204,14 @@ def test_allocate_priority_exhausts_on_high_priority_first():
     # the other gets the remaining 20.
     topo = make_topology({1: (1000.0, 0.0), 2: (1000.0, 0.0)}, {1: [1, 2]})
     room = GridUnits(topo.systems).headroom.tolist()
-    flow, _ = allocate_priority(topo.wiring, [0, 1], [80.0, 80.0], room, [100.0])
+    flow, _, _ = allocate_priority(topo.wiring, [0, 1], [80.0, 80.0], room, [100.0])
     assert column_sums(topo, flow) == pytest.approx([80.0, 20.0])
 
 
 def test_allocate_priority_curtails_when_full():
     topo = make_topology({1: (100.0, 100.0)}, {1: [1]})
     room = GridUnits(topo.systems).headroom.tolist()
-    flow, curtailed = allocate_priority(topo.wiring, [0], [0.0], room, [100.0])
+    flow, curtailed, _ = allocate_priority(topo.wiring, [0], [0.0], room, [100.0])
     assert column_sums(topo, flow) == pytest.approx([0.0])
     assert curtailed == pytest.approx([100.0])
 
@@ -222,7 +221,7 @@ def test_allocate_priority_pass1_draws_sources_ascending():
     # the rest; pass 2 then spreads leftovers to system 2's headroom.
     topo = make_topology({1: (50.0, 0.0), 2: (1000.0, 0.0)}, {1: [1, 2], 2: [1, 2]})
     room = GridUnits(topo.systems).headroom.tolist()
-    flow, curtailed = allocate_priority(topo.wiring, [0, 1], [50.0, 0.0], room, [30.0, 40.0])
+    flow, curtailed, _ = allocate_priority(topo.wiring, [0, 1], [50.0, 0.0], room, [30.0, 40.0])
     assert dense(topo, flow) == pytest.approx(np.array([[30.0, 0.0], [20.0, 20.0]]))
     assert curtailed == pytest.approx([0.0, 0.0])
 
@@ -230,10 +229,27 @@ def test_allocate_priority_pass1_draws_sources_ascending():
 def test_allocate_priority_respects_adjacency():
     topo = make_topology({1: (1000.0, 0.0), 2: (1000.0, 0.0)}, {1: [1], 2: [2]})
     room = GridUnits(topo.systems).headroom.tolist()
-    flow, _ = allocate_priority(topo.wiring, [1, 0], [10.0, 500.0], room, [100.0, 100.0])
+    flow, _, _ = allocate_priority(topo.wiring, [1, 0], [10.0, 500.0], room, [100.0, 100.0])
     # Source 1 only reaches system 1 even though system 2 has priority.
     assert column_sums(topo, flow) == pytest.approx([100.0, 100.0])
     assert dense(topo, flow)[0][1] == 0.0
+
+
+def test_allocate_priority_adds_each_gift_to_its_inflow_whole():
+    # Source 2 gives system 1 part of its gift in pass 1 and the rest in pass
+    # 2. A row's inflow adds each source's whole gift, sources ascending;
+    # adding the two parts as they are placed would give 0.8220000000000001.
+    topo = make_topology({1: (9.0, 0.0), 2: (1.5, 0.0), 3: (3.0, 0.0)},
+                         {1: [1], 2: [1, 2], 3: [1, 2, 3]})
+    deficit = [0.3, 0.2, 0.3]
+    flow, _, into = allocate_priority(topo.wiring, prioritize(deficit), deficit,
+                                      [9.0, 1.5, 3.0], [0.1, 1.0, 0.1])
+    whole = [0.0, 0.0, 0.0]
+    for rows, gifts in zip(topo.wiring.source_rows, flow):
+        for i, amt in zip(rows, gifts):
+            whole[i] += amt
+    assert [x.hex() for x in into] == [x.hex() for x in whole]
+    assert into[0] == 0.822
 
 
 # --- allocate_equal -------------------------------------------------------
@@ -243,7 +259,7 @@ def test_allocate_equal_symmetric_split():
     topo = make_topology(
         {1: (1000.0, 0.0), 2: (1000.0, 0.0), 3: (1000.0, 0.0)}, {1: [1, 2, 3]}
     )
-    flow, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [90.0])
+    flow, _, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [90.0])
     assert column_sums(topo, flow) == pytest.approx([30.0, 30.0, 30.0])
 
 
@@ -251,13 +267,13 @@ def test_allocate_equal_water_fills_overflow():
     topo = make_topology(
         {1: (10.0, 0.0), 2: (100.0, 0.0), 3: (100.0, 0.0)}, {1: [1, 2, 3]}
     )
-    flow, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [90.0])
+    flow, _, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [90.0])
     assert column_sums(topo, flow) == pytest.approx([10.0, 40.0, 40.0])
 
 
 def test_allocate_equal_curtails_when_all_full():
     topo = make_topology({1: (100.0, 100.0), 2: (50.0, 50.0)}, {1: [1, 2]})
-    _, curtailed = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [75.0])
+    _, curtailed, _ = allocate_equal(topo.wiring, GridUnits(topo.systems).headroom.tolist(), [75.0])
     assert curtailed == pytest.approx([75.0])
 
 
@@ -300,7 +316,7 @@ def test_allocation_properties(grid):
     w, room = topo.wiring, units.headroom.tolist()
     deficit = deficits(topo, {0: forecast})
     wired = {(src.id, sid) for src in topo.sources for sid in src.connected_systems}
-    for flow, curtailed in (
+    for flow, curtailed, into in (
         allocate_priority(w, prioritize(deficit), deficit, list(room), energies),
         allocate_equal(w, list(room), energies),
     ):
@@ -317,7 +333,7 @@ def test_allocation_properties(grid):
         summed = [0.0] * len(room)
         for gifts in dense(topo, flow).tolist():
             summed = [a + b for a, b in zip(summed, gifts)]
-        assert inflow(w, flow) == summed
+        assert into == summed
         for got, open_room in zip(summed, room):
             assert got <= open_room + 1e-6
         for row, energy, curt in zip(flow, energies, curtailed):

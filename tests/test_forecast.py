@@ -201,6 +201,58 @@ def test_fit_many_equals_lone_fits_bitwise(orders, lengths):
 
 
 @pytest.mark.parametrize(
+    "orders", [SarimaOrders(1, 0, 0, 1, 0, 0, 7), SarimaOrders(1, 1, 0, 1, 1, 0, 7)],
+    ids=["weekly", "differenced"],
+)
+def test_stacked_fits_of_shuffled_windows_equal_lone_fits_bitwise(orders):
+    # Windows of one length are prepared STACK at a time. More of them than
+    # two stacks hold, shuffled among other lengths and each ending on its
+    # own day, so a row landing on another window's model would show.
+    series = seasonal_series(420, seed=11)
+    rng = np.random.default_rng(3)
+    lengths = [120] * (2 * forecast.STACK + 1) + [90, 90, 365, 61]
+    rng.shuffle(lengths)
+    windows = [series[end - n : end] for n, end in zip(lengths, rng.integers(365, 421, 99))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        batch = fit_sarima_many(windows, orders)
+        lone = [fit_sarima(w, orders) for w in windows]
+    assert [model_bits(m) for m in batch] == [model_bits(m) for m in lone]
+
+
+def _bad_window(kind):
+    """A 120-day window that breaks one rule of SarimaOrders(1, 0, 0, 3, 2, 0, 7)."""
+    if kind == "nan":
+        return np.where(np.arange(120) == 60, np.nan, 100.0)
+    if kind == "2-d":
+        return np.full((120, 1), 100.0)
+    return np.full({"short": 20, "short after differencing": 35}[kind], 100.0)
+
+
+@pytest.mark.parametrize(
+    "first, later, message",
+    [
+        ("nan", "short", "series contains non-finite values"),
+        ("short", "nan", "series too short to identify orders: need >= 32, got 20"),
+        ("short after differencing", "nan",
+         "series too short after differencing for the given orders"),
+        ("nan", "short after differencing", "series contains non-finite values"),
+        ("2-d", "nan", "series must be one-dimensional"),
+        ("nan", "2-d", "series contains non-finite values"),
+    ],
+)
+@pytest.mark.parametrize("stacks", [(0, 1), (1, 2)], ids=["first-stack", "later-stack"])
+def test_fit_many_names_the_first_bad_window_in_window_order(first, later, message, stacks):
+    # Good 120-day windows fill three stacks. The first bad window sits in
+    # the first or the second of them, the later one in the stack after it.
+    windows = [np.full(120, 100.0 + i) for i in range(3 * forecast.STACK)]
+    i, j = (stack * forecast.STACK + 1 for stack in stacks)
+    windows[i], windows[j] = _bad_window(first), _bad_window(later)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_sarima_many(windows, SarimaOrders(1, 0, 0, 3, 2, 0, 7))
+
+
+@pytest.mark.parametrize(
     "orders, coeffs, intercept",
     [
         (
@@ -348,6 +400,44 @@ def test_forecast_many_is_each_forecast_one():
     assert forecast_many([]).shape == (0,)
     with pytest.raises(ValueError, match="models of one orders"):
         forecast_many([models[0], fit_sarima(series, ORDERS_AR1)])
+
+
+def forecast_by_expand(model):
+    """forecast_one by each model's own _expand convolution and scalar loops,
+    as forecast_many computed it before it built p < s polynomials at once."""
+    o = model.orders
+    ar = forecast._expand(model.ar_coeffs, model.seasonal_ar_coeffs, o.s).tolist()
+    mu, diff_tail, level_tail = model.intercept, model._diff_tail.tolist(), model._level_tail.tolist()
+    w = 0.0
+    for k in range(1, len(ar)):
+        if ar[k] != 0.0:
+            w = w - ar[k] * (diff_tail[-k] - mu)
+    y = mu + w
+    for k, c in enumerate(forecast._diff_poly(o.d, o.D, o.s).tolist()):
+        if k and c != 0.0:
+            y = y - c * level_tail[-k]
+    return y if y > 0.0 else 0.0
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        SarimaOrders(1, 0, 0, 0, 0, 0, 7),  # p < s, P = 0
+        SarimaOrders(0, 0, 0, 1, 0, 0, 7),  # p = 0
+        SarimaOrders(0, 1, 0, 2, 1, 0, 7),
+        SarimaOrders(6, 0, 0, 2, 0, 0, 7),  # p < s, the largest p
+        SarimaOrders(8, 0, 0, 1, 0, 0, 7),  # p >= s, _expand itself
+    ],
+    ids=["p1-P0", "p0", "p0-differenced", "p6", "p8"],
+)
+def test_forecast_many_equals_the_expand_convolution_bitwise(orders):
+    series = seasonal_series(400, seed=13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        models = fit_sarima_many([series[-n:] for n in (60, 90, 200, 365, 400)], orders)
+    assert [v.hex() for v in forecast_many(models).tolist()] == [
+        forecast_by_expand(m).hex() for m in models
+    ]
 
 
 def test_seasonal_naive_returns_one_season_back():

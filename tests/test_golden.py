@@ -1,5 +1,6 @@
-"""Golden traces: sha256 of the CSV artifacts of five pinned runs, and of
-the raw float bits of every daily value of three of them.
+"""Golden traces: sha256 of the CSV artifacts of five pinned runs, of the
+raw float bits of every daily value of three of them, and of the raw bits of
+two scenarios' demand forecasts.
 
 A refactor that claims bit-exact output must leave every hash unchanged; a
 change that moves the numbers on purpose updates the hash and states why.
@@ -15,10 +16,12 @@ no CSV value.
 
 import hashlib
 
+import numpy as np
 import pytest
 from conftest import NO_LOADS_DOC, SHARED_SYSTEMS_DOC, records_sha256
 
 from hybridgrid import (
+    SimulationState,
     compare,
     comparison_csv,
     comparison_series_csv,
@@ -119,3 +122,24 @@ def test_compare_records_are_pinned_bitwise(path, axis, digest):
     cfg, topo = load_scenario(path)
     report = compare(cfg, topo, axis)
     assert records_sha256(report.treatment, report.baseline) == digest
+
+
+@pytest.mark.parametrize(
+    "path, digest",
+    [
+        ("scenarios/reference.json",
+         "e34a13bb9bf60633ad2ec3ac09720caf73f7d355bbac884376f64f75425305e9"),
+        ("scenarios/stress.json",
+         "afa50bcc4b6d5547c4930f076eb9be7805194c04bae824dfa023c2654073f197"),
+    ],
+    ids=["reference-seed-1", "stress-seed-42"],
+)
+def test_forecasts_are_pinned_bitwise(path, digest):
+    # sha256 of the raw float64 bits of the [days, loads] forecasts, recorded
+    # before the fits prepared their windows in stacks. The lone-fit tests
+    # compare the batch with itself, so only a pin like this one sees a
+    # change that moves both.
+    cfg, topo = load_scenario(path)
+    forecasts = SimulationState([cfg], topo).forecasts
+    assert forecasts.dtype == np.float64
+    assert hashlib.sha256(np.ascontiguousarray(forecasts).tobytes()).hexdigest() == digest

@@ -214,6 +214,27 @@ def test_moves_reject_nan_amounts(move):
         g.discharge([np.nan]) if move == "discharge" else g.charge([np.nan], move == "ranked")
 
 
+@pytest.mark.parametrize("move", ["ranked", "equal", "discharge"])
+def test_moves_take_dust_above_their_limit_and_reject_more(move):
+    # A request up to 1e-9 x max(1, limit) above the limit (headroom to
+    # charge, stored energy to discharge) moves exactly the limit; beyond
+    # that it is an error naming the limit. Below the limit the move skips
+    # working out that tolerance.
+    def move_by(g, amount):
+        return g.discharge([amount]) if move == "discharge" else g.charge([amount], move == "ranked")
+
+    def fresh():
+        return grid([unit(capacity=300.0, energy=100.0)])
+
+    g = fresh()
+    limit = float((g.stored if move == "discharge" else g.headroom)[0])
+    assert move_by(g, limit * (1.0 + 0.5e-9)).sum() == limit
+    assert float(g.stored[0]) == (0.0 if move == "discharge" else 300.0)
+    what = "discharge" if move == "discharge" else "charge"
+    with pytest.raises(ValueError, match=f"system 1: {what} .* outside \\[0, {limit}\\]"):
+        move_by(fresh(), limit * (1.0 + 2e-9))
+
+
 # --- distribution fuzz ------------------------------------------------------
 
 
@@ -276,6 +297,10 @@ def fold(values) -> float:
     return total
 
 
+def hexes(a: np.ndarray) -> list[str]:
+    return [x.hex() for x in a.ravel().tolist()]
+
+
 @settings(deadline=None)
 @given(systems=ragged_systems())
 def test_totals_add_units_left_to_right_bitwise(systems):
@@ -287,21 +312,34 @@ def test_totals_add_units_left_to_right_bitwise(systems):
     assert g.mean_soh_pct.tolist() == means
 
 
-@pytest.mark.parametrize("move", ["ranked", "equal", "discharge"])
+@pytest.mark.parametrize("move", ["ranked", "equal", "mixed", "discharge"])
 @settings(deadline=None)
 @given(systems=ragged_systems(), data=st.data())
 def test_unit_state_change_properties(move, systems, data):
+    # Grids of one system, or of systems with equal unit counts, have no
+    # padding; most others do.
     g = GridUnits(systems)
+    n = len(systems)
     discharging = move == "discharge"
     sign, rate = (-1.0, g.r_discharge) if discharging else (1.0, g.r_charge)
     energy, soh, stored = g.energy.copy(), g.soh.copy(), g.stored.copy()
+    assert hexes(g.headroom) == hexes(np.maximum(0.0, g.capacity - stored))
     limit = stored if discharging else g.capacity - stored
-    share = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(systems), max_size=len(systems)))
+    # A -0.0 share asks for -0.0, which every move accepts as nothing.
+    share = data.draw(st.lists(st.one_of(st.just(-0.0), st.floats(0.0, 1.0)),
+                               min_size=n, max_size=n))
     amount = np.array(share) * limit
     tol = 1e-9 * g.capacity
+    if move == "mixed":
+        ranked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        ranked = move == "ranked"
 
-    moved = g.discharge(amount) if discharging else g.charge(amount, move == "ranked")
+    moved = g.discharge(amount) if discharging else g.charge(amount, ranked)
 
+    # headroom was read before the move, and is the moved state's after it.
+    assert hexes(g.headroom) == hexes(np.maximum(0.0, g.capacity - g.stored))
+    assert not np.signbit(moved).any()  # nothing moved reads +0.0, never -0.0
     assert moved.sum(axis=1) == pytest.approx(amount, abs=tol.max())
     assert np.all(np.abs(g.stored - (stored + sign * amount)) <= tol)
     assert (moved >= 0.0).all()
@@ -328,10 +366,6 @@ def test_ranked_charge_reaches_a_unit_only_once_better_units_are_full(systems, s
             for k in range(len(s.cap)):
                 if score[i, k] > score[i, j] or (score[i, k] == score[i, j] and k < j):
                     assert g.energy[i, k] == pytest.approx(g.cap[i, k], abs=1e-9 * g.cap[i, k])
-
-
-def hexes(a: np.ndarray) -> list[str]:
-    return [x.hex() for x in a.ravel().tolist()]
 
 
 @settings(deadline=None)

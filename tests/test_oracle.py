@@ -22,7 +22,6 @@ from hybridgrid import (
     StorageSystem,
     allocate_equal,
     allocate_priority,
-    inflow,
     prioritize,
     settle_loads,
 )
@@ -66,16 +65,16 @@ def same_bits(got, want):
 
 
 def check_dispatch(topo, got, want, ids):
-    """got is the package's (flow, curtailed), want the oracle's (gifts, curtailed)."""
+    """got is the package's (flow, curtailed, inflow), want the oracle's (gifts, curtailed)."""
     w = topo.wiring
-    (flow, curtailed), (gifts, want_curtailed) = got, want
+    (flow, curtailed, into), (gifts, want_curtailed) = got, want
     edges = list(zip(topo.sources, w.source_rows))
     same_bits([g for gs in flow for g in gs],
               [gifts[src.id, ids[i]] for src, rows in edges for i in rows])
     same_bits(curtailed, [want_curtailed[src.id] for src in topo.sources])
     sources = {src.id: [ids[i] for i in rows] for src, rows in edges}
     want_in = oracle.inflow(sources, gifts)
-    same_bits(inflow(w, flow), [want_in.get(sid, 0.0) for sid in ids])
+    same_bits(into, [want_in.get(sid, 0.0) for sid in ids])
 
 
 @settings(deadline=None, max_examples=300)
