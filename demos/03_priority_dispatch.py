@@ -6,14 +6,12 @@ how deficit-priority allocation routes scarce generation compared with a
 plain equal split.
 """
 
-import numpy as np
-
 from hybridgrid import (
     GridUnits,
     allocate_equal,
     allocate_priority,
     charge_deficits,
-    charge_wants,
+    charge_targets,
     prioritize,
     reference_topology,
 )
@@ -26,8 +24,7 @@ def main():
         system.energy[:] = system.cap * 0.12
     units, w = GridUnits(topo.systems), topo.wiring
 
-    forecasts = {load.id: 95.0 for load in topo.loads}
-    targets = np.minimum(units.capacity, charge_wants(topo, forecasts)).tolist()
+    targets = charge_targets(topo, [95.0] * len(topo.loads)).tolist()
     deficits = charge_deficits(targets, units.stored.tolist())
     order = prioritize(deficits)
 

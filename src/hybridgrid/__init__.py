@@ -6,7 +6,7 @@ from .dispatch import (
     allocate_equal,
     allocate_priority,
     charge_deficits,
-    charge_wants,
+    charge_targets,
     prioritize,
     settle_loads,
     split_equally,

@@ -1,8 +1,12 @@
 """Grid-level charge dispatch and load discharge.
 
-Charging runs in two passes. Pass one walks storage systems in priority
-order (largest shortfall against a demand-driven target first) and lets each
-draw from its connected sources until the shortfall is covered. Pass two
+A system's charge target is demand-driven: charge_targets adds each load's
+buffered forecast, split equally over the load's systems, and caps the sum
+at the system's capacity, for one day or for a whole run's forecasts at
+once. Charging runs in two passes. Pass one walks storage systems in
+priority order (largest shortfall against its target first) and lets each
+draw from its connected sources, in ascending source order along its
+Wiring.system_edges, until the shortfall is covered. Pass two
 spreads whatever energy each source still holds across that source's
 connected systems in proportion to remaining headroom; energy that finds no
 headroom is curtailed. The non-prioritized baseline splits each source
@@ -15,12 +19,13 @@ toward zero rather than emptying one system first. The split works on
 stored amounts alone, so settle_loads settles a day's loads on running
 system totals without touching units.
 
-Every function works on plain per-system lists in a topology's row order,
-ascending id, and on its Wiring index lists, as the engine calls them each
-day. Charge flows come one per wired edge, aligned with Wiring.source_rows,
-so a day costs the connections, not sources x systems; the allocators also
-add each row's inflow, its gifts in ascending source order from 0.0, as they
-finish each source. This module only decides system-level amounts.
+The day's functions work on plain per-system lists in a topology's row
+order, ascending id, and on its Wiring index lists, as the engine calls them
+each day; charge_targets, called once a run, works on arrays. Charge flows
+come one per wired edge, aligned with Wiring.source_rows, so a day costs the
+connections, not sources x systems; the allocators also add each row's
+inflow, its gifts in ascending source order from 0.0, as they finish each
+source. This module only decides system-level amounts.
 Moving energy into and out of units, and the wear that costs, is health.py's job.
 
 The engine calls these functions every day for every arm, on lists of a few
@@ -79,28 +84,27 @@ def split_equally(total: float, caps: list[float], slots: Sequence[int]) -> list
     return alloc
 
 
-def charge_wants(t: GridTopology, load_forecasts: dict) -> np.ndarray:
-    """Each system's demand-driven charge want, before the capacity cap.
-
-    Each load's buffered forecast is split equally across the systems it is
-    wired to; a system's want is the sum of its shares, added in ascending load id.
-    Forecasts are scalars or equal-length series; systems are the last axis.
+def charge_targets(t: GridTopology, forecasts) -> np.ndarray:
+    """Each system's charge target, the stored MWd priority dispatch charges
+    toward: each load's buffered forecast split equally across the systems it
+    is wired to, a system's shares added in ascending load id, and the sum
+    capped at the system's capacity_mwd. forecasts holds one value per load on
+    its last axis, in ascending load id; the targets hold one per system on
+    theirs. A wrong width, or a forecast that is negative or not finite, is
+    rejected, naming the first such load.
     """
-    fcs = {lid: np.asarray(f, dtype=float) for lid, f in load_forecasts.items()}
-    known = {load.id for load in t.loads}
-    # 0 <= f < inf is false for NaN and for either infinity.
-    bad = [lid for lid, f in fcs.items()
-           if lid not in known or not ((0 <= f) & (f < np.inf)).all()]
-    missing = [load.id for load in t.loads if load.id not in fcs]
-    if bad or missing:
-        raise ValueError(
-            f"need one finite, non-negative forecast per load: bad {bad}, missing {missing}")
-    want = np.zeros(np.broadcast_shapes(*(f.shape for f in fcs.values())) + (len(t.systems),))
-    for load, rows in zip(t.loads, t.wiring.load_rows):
-        share = CHARGE_BUFFER * fcs[load.id] / len(rows)
+    f = np.asarray(forecasts, dtype=float)
+    if f.shape[-1:] != (len(t.loads),):
+        raise ValueError(f"need one forecast per load ({len(t.loads)}), got shape {f.shape}")
+    bad = np.nonzero(~((0 <= f) & (f < np.inf)))[-1]  # NaN fails both tests
+    if bad.size:
+        raise ValueError(f"load {t.loads[bad.min()].id}: forecast must be finite and >= 0")
+    want = np.zeros(f.shape[:-1] + (len(t.systems),))
+    for j, rows in enumerate(t.wiring.load_rows):
+        share = CHARGE_BUFFER * f[..., j] / len(rows)
         for i in rows:
             want[..., i] += share
-    return want
+    return np.minimum([s.capacity_mwd for s in t.systems], want)
 
 
 def charge_deficits(target: list[float], stored: list[float]) -> list[float]:
@@ -137,14 +141,14 @@ def allocate_priority(
     curtailed, into = [0.0] * len(energy), [0.0] * len(headroom)
     # Pass 1: cover deficits in priority order. Comparisons stand in for the
     # builtin min(): min(a, b) is b if b < a else a, NaN and -0.0 included.
-    sources_of, slots_of = w.system_sources, w.system_slots
+    edges = w.system_edges
     for i in order:
         need, room = deficit[i], headroom[i]
         if room < need:
             need = room
         if need <= 0:
             continue
-        for k, j in zip(sources_of[i], slots_of[i]):
+        for k, j in edges[i]:
             avail = remaining[k]
             take = avail if avail < need else need
             flow[k][j] = take

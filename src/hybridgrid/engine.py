@@ -1,9 +1,10 @@
 """Daily-tick simulation engine and A/B comparison runner.
 
-A SimulationState is one run, or several in lockstep: one config per arm
-over one topology. Weather, per-source generation, realized demand, the
-day-ahead demand forecasts and each system's charge target do not depend on
-policy, so the state builds them once for all its arms (forecasts, targets
+A SimulationState is one run, or several in lockstep: one config and one
+topology, and per arm only its (priority_enabled, health_enabled) pair.
+Weather, per-source generation, realized demand, the day-ahead demand
+forecasts and each system's charge target do not depend on policy, so the
+state builds them once, from the config, for all its arms (forecasts, targets
 and the day step's lists on first use, outside set-up). Weather is a pair of
 arrays per site, generation one [days, sources] array and the forecasts one
 [days, loads] array, built from shifted demand, one fit_sarima_many batch
@@ -43,7 +44,7 @@ from .dispatch import (
     allocate_equal,
     allocate_priority,
     charge_deficits,
-    charge_wants,
+    charge_targets,
     prioritize,
     settle_loads,
 )
@@ -142,9 +143,10 @@ class ComparisonReport:
 
 
 class SimulationState:
-    """One or more runs in lockstep: one config per arm (arms differ only in
-    their policy toggles), the policy-independent inputs they share, and
-    units with the arms stacked as arm-major rows.
+    """One or more runs in lockstep: one config, a (priority_enabled,
+    health_enabled) pair per arm (by default the config's own), the
+    policy-independent inputs the arms share, and units with the arms
+    stacked as arm-major rows.
 
     Set-up builds each site's weather as (ghi, wind speed) arrays and the
     realized demand. Generation, forecasts and charge targets are computed
@@ -152,15 +154,17 @@ class SimulationState:
     split) never fits a model.
     """
 
-    def __init__(self, arms: list[ScenarioConfig], topology: GridTopology) -> None:
+    def __init__(self, cfg: ScenarioConfig, topology: GridTopology,
+                 arms: list[tuple[bool, bool]] | None = None) -> None:
         violations = validate_topology(topology)
         if violations:
             raise ValueError("invalid topology: " + "; ".join(str(v) for v in violations))
-        self.arms = arms
+        self.cfg = cfg
+        self.arms = [(cfg.priority_enabled, cfg.health_enabled)] if arms is None else arms
         self.topology = topology
-        self.units = GridUnits(topology.systems * len(arms))
-        self.weather = _build_weather(arms[0], topology)
-        self.demand_by_load = _build_demand(arms[0], topology, self)
+        self.units = GridUnits(topology.systems * len(self.arms))
+        self.weather = _build_weather(cfg, topology)
+        self.demand_by_load = _build_demand(cfg, topology, self)
 
     @cached_property
     def generation(self) -> np.ndarray:
@@ -169,7 +173,7 @@ class SimulationState:
         doubles as the day-ahead forecast. A constant MW output over the
         one-day tick is the same number in MWd."""
         sources = self.topology.sources
-        out = np.empty((self.arms[0].days, len(sources)))
+        out = np.empty((self.cfg.days, len(sources)))
         for k, src in enumerate(sources):
             ghi, wind = self.weather[src.site]
             if src.kind == "solar":
@@ -185,10 +189,10 @@ class SimulationState:
     def weather_by_day(self) -> list[list[WeatherSample]]:
         """W[day]: each day's samples in sorted-site order, built from the
         arrays on first read; only the benchmark's checks read it."""
-        per_site = [map(WeatherSample, repeat(site), range(self.arms[0].days),
+        per_site = [map(WeatherSample, repeat(site), range(self.cfg.days),
                         ghi.tolist(), wind.tolist())
                     for site, (ghi, wind) in self.weather.items()]
-        return [list(day) for day in zip(*per_site)] or [[] for _ in range(self.arms[0].days)]
+        return [list(day) for day in zip(*per_site)] or [[] for _ in range(self.cfg.days)]
 
     @cached_property
     def forecasts(self) -> np.ndarray:
@@ -198,7 +202,7 @@ class SimulationState:
         floored at 0), and from the end of warm-up a SARIMA model refit every
         refit_interval_days on the trailing window, its one-step forecast
         standing until the next refit."""
-        days, fc = self.arms[0].days, self.arms[0].forecasting
+        days, fc = self.cfg.days, self.cfg.forecasting
         o, every = fc.orders, min(fc.refit_interval_days, max(days, 1))  # np.repeat: a C long
         warmup = max(3 * o.s, 30, o.min_series_length())
         series = [self.demand_by_load[load.id] for load in self.topology.loads]
@@ -214,12 +218,9 @@ class SimulationState:
 
     @cached_property
     def targets(self) -> list[list[float]]:
-        """T[day][i]: min(capacity, charge_wants of the day's forecasts), the
-        stored MWd priority dispatch charges toward."""
-        t = self.topology
-        want = charge_wants(t, dict(zip([load.id for load in t.loads], self.forecasts.T)))
-        want = np.broadcast_to(want, (self.arms[0].days, len(t.systems)))
-        return np.minimum(self.units.capacity[: len(t.systems)], want).tolist()
+        """T[day][i]: the charge targets of the day's forecasts, the stored MWd
+        priority dispatch charges toward."""
+        return charge_targets(self.topology, self.forecasts).tolist()
 
     @cached_property
     def energy(self) -> list[list[float]]:
@@ -230,19 +231,19 @@ class SimulationState:
     def demand(self) -> list[list[float]]:
         """D[day][j]: the topology's j-th load's realized demand on each day, as floats."""
         series = [self.demand_by_load[load.id] for load in self.topology.loads]
-        return np.reshape(series, (len(series), self.arms[0].days)).T.tolist()
+        return np.reshape(series, (len(series), self.cfg.days)).T.tolist()
 
     @cached_property
     def arm_rows(self) -> tuple[list[slice], np.ndarray]:
         """Each arm's rows of units, and per row whether its arm charges them ranked."""
-        n, flags = len(self.topology.systems), [cfg.health_enabled for cfg in self.arms]
+        n, flags = len(self.topology.systems), [health for _, health in self.arms]
         return [slice(b * n, (b + 1) * n) for b in range(len(flags))], np.repeat(flags, n)
 
     @cached_property
     def rows(self) -> dict[str, np.ndarray]:
         """Each TRACE_FIELDS array as [days, arms x width], arm-major columns,
         each arm's in ascending id. step_day fills a row a day."""
-        days, t = self.arms[0].days, self.topology
+        days, t = self.cfg.days, self.topology
         return {f: np.zeros((days, len(self.arms) * len(getattr(t, of))))
                 for f, of in TRACE_FIELDS.items()}
 
@@ -255,8 +256,8 @@ def step_day(state: SimulationState, day: int) -> None:
     # 1. Grid-level dispatch per arm; only the priority policy reads forecasts.
     headroom, stored = units.headroom.tolist(), units.stored.tolist()
     charge_in, curtailed = [], []
-    for cfg, rows in zip(state.arms, runs):
-        if cfg.priority_enabled:
+    for (priority, _), rows in zip(state.arms, runs):
+        if priority:
             deficit = charge_deficits(state.targets[day], stored[rows])
             order = prioritize(deficit)
             _, curt, into = allocate_priority(w, order, deficit, headroom[rows], energy)
@@ -268,8 +269,7 @@ def step_day(state: SimulationState, day: int) -> None:
     out["curtailed_mwd"][day] = curtailed
 
     # 2. Intra-system distribution with charge wear, every arm in one call.
-    units.charge(out["charge_in_mwd"][day], ranked, state.arms[0].weights.soh,
-                 state.arms[0].weights.soc)
+    units.charge(out["charge_in_mwd"][day], ranked, state.cfg.weights.soh, state.cfg.weights.soc)
 
     # 3. Each arm settles its loads with dispatch.settle_loads on running
     #    system totals. One discharge then takes every arm's totals. That
@@ -348,7 +348,7 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology,
 
 def initialize_state(cfg: ScenarioConfig, topology: GridTopology) -> SimulationState:
     """Validate inputs and build one run's inputs and unit state."""
-    return SimulationState([cfg], topology)
+    return SimulationState(cfg, topology)
 
 
 def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTrace:
@@ -359,21 +359,22 @@ def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTra
 
 def _run(state: SimulationState) -> list[SimulationTrace]:
     """Run every arm of the state to the end in lockstep; one trace per arm."""
-    for day in range(state.arms[0].days):
+    cfg, t, n_arms = state.cfg, state.topology, len(state.arms)
+    for day in range(cfg.days):
         step_day(state, day)
-    t, n_arms = state.topology, len(state.arms)
     ids, load_ids, source_ids = ([e.id for e in of] for of in (t.systems, t.loads, t.sources))
     final_soh = state.units.mean_soh_pct.tolist()
     traces = []
-    for b, cfg in enumerate(state.arms):
+    for b, (priority, health) in enumerate(state.arms):
         arm = {f: a[:, b * a.shape[1] // n_arms : (b + 1) * a.shape[1] // n_arms]
                for f, a in state.rows.items()}
         zero_soc = np.count_nonzero(arm["soc_pct"] <= ZERO_SOC_EPS, axis=0).tolist()
         soh = dict(zip(ids, final_soh[b * len(ids) : (b + 1) * len(ids)]))
         summary = TraceSummary(dict(zip(ids, zero_soc)), soh, _run_total(arm["unmet_mwd"]),
                                _run_total(arm["curtailed_mwd"]))
-        traces.append(SimulationTrace(_effective_config(cfg), summary, ids, load_ids, source_ids,
-                                      state.generation, **arm))
+        echo = _effective_config(replace(cfg, priority_enabled=priority, health_enabled=health))
+        traces.append(SimulationTrace(echo, summary, ids, load_ids, source_ids, state.generation,
+                                      **arm))
     return traces
 
 
@@ -409,8 +410,9 @@ def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> Compariso
     if axis not in ("priority", "health"):
         raise ValueError(f"axis must be 'priority' or 'health', got {axis!r}")
 
-    arms = [replace(cfg, **{f"{axis}_enabled": flag}) for flag in (True, False)]
-    treatment, baseline = _run(SimulationState(arms, topology))
+    arms = [(flag, cfg.health_enabled) if axis == "priority" else (cfg.priority_enabled, flag)
+            for flag in (True, False)]
+    treatment, baseline = _run(SimulationState(cfg, topology, arms))
 
     final_t, final_b = treatment.summary.final_mean_soh_pct, baseline.summary.final_mean_soh_pct
     gain = {sid: final_t[sid] - final_b[sid] for sid in final_t}

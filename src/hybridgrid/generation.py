@@ -85,24 +85,16 @@ def wind_power(speed_ms, params: WindPlantParams):
 
     Output is exactly zero below cut-in and above cut-out; both boundary
     speeds themselves produce power. Between the cuts each turbine delivers
-    Cp * rho * A * v^3 / 2 watts. The cube is libm's pow, per element for an
-    array, as Python's float ** takes it: numpy's ** may differ in the last bit.
+    Cp * rho * A * v^3 / 2 watts. The cube is libm's pow, per element, as
+    Python's float ** takes it: numpy's ** may differ in the last bit.
     """
     _require_non_negative(speed_ms, "wind speed")
     v = np.asarray(speed_ms, dtype=float)
     off = (v < params.cut_in_ms) | (v > params.cut_out_ms)
-    if v.ndim == 0:
-        return 0.0 if off else _farm_mw(float(v) ** 3, params)
     # A speed outside the cuts is cubed as 0, so it cannot overflow pow.
     on = np.where(off, 0.0, v).ravel().tolist()
     cube = np.fromiter(map(pow, on, repeat(3)), float, v.size).reshape(v.shape)
+    cp_rho_a = params.power_coefficient * params.air_density * params.rotor_area_m2
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(off, 0.0, _farm_mw(cube, params))
-
-
-def _farm_mw(cube, params: WindPlantParams):
-    """The farm's MW for a wind speed's cube: a float, or an array of them."""
-    per_turbine_w = (
-        params.power_coefficient * params.air_density * params.rotor_area_m2 * cube / 2.0
-    )
-    return params.turbine_count * per_turbine_w / W_PER_MW
+        mw = np.where(off, 0.0, params.turbine_count * (cp_rho_a * cube / 2.0) / W_PER_MW)
+    return float(mw) if v.ndim == 0 else mw

@@ -1,5 +1,7 @@
 """Domain model: storage systems and their battery units, load centers,
-sources, and the wiring between them.
+sources, and the wiring between them. A topology's Wiring states each
+connection once per direction dispatch reads it: per source and per load,
+its systems' rows; per system, its (source, slot) edges.
 
 All stored energy is tracked in MWd under the one-day tick convention.
 State of charge (SoC) of a system is the stored share of total capacity in
@@ -140,8 +142,7 @@ class Wiring(NamedTuple):
     """A topology's connections as index lists; a row is a position in systems."""
 
     source_rows: list[list[int]]  # per source, its systems' rows in connection order
-    system_sources: list[list[int]]  # per row, positions in sources, ascending
-    system_slots: list[list[int]]  # per row, its position in each of those sources' source_rows
+    system_edges: list[list[tuple[int, int]]]  # per row, (k, j) with source_rows[k][j] == row, by k
     load_rows: list[list[int]]  # per load, its systems' rows in connection order
 
 
@@ -169,14 +170,12 @@ class GridTopology:
         topology wired to unknown systems."""
         row = {s.id: i for i, s in enumerate(self.systems)}
         source_rows = [[row[sid] for sid in s.connected_systems] for s in self.sources]
-        system_sources = [[] for _ in self.systems]
-        system_slots = [[] for _ in self.systems]
+        system_edges = [[] for _ in self.systems]
         for k, rows in enumerate(source_rows):
             for j, i in enumerate(rows):
-                system_sources[i].append(k)
-                system_slots[i].append(j)
+                system_edges[i].append((k, j))
         load_rows = [[row[sid] for sid in l.connected_systems] for l in self.loads]
-        return Wiring(source_rows, system_sources, system_slots, load_rows)
+        return Wiring(source_rows, system_edges, load_rows)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ each system's inflow, load settlement and the moves of energy into and out
 of a system's units, kept apart from the package: it imports neither numpy
 nor hybridgrid, and works on dicts keyed by system, source and load id, and
 on one system's units as lists by position, rather than on wiring index
-lists and [system, unit] arrays. tests/test_oracle.py checks the package's
-dispatch functions and GridUnits against it on random grids and fleets.
+lists and [system, unit] arrays. day() composes the parts into one arm's
+day. tests/test_oracle.py checks the package's dispatch functions, GridUnits
+and the engine's stacked day step against it on random grids and fleets.
 
 Each rule adds its terms from 0.0 in the order README gives: a source's
 systems in its connection order, a system's gifts in ascending source id, a
@@ -171,3 +172,36 @@ def discharge_units(d: float, energy: list, soh: list, cap: list, rate: list):
     taken = water_fill(d, energy)
     energy = [max(0.0, e - t) for e, t in zip(energy, taken)]
     return taken, energy, wear(soh, taken, rate, cap)
+
+
+def day(sources: dict, loads: dict, units: dict, energy: dict, demand: dict, target: dict,
+        priority: bool, ranked: bool, w_soh: float, w_soc: float) -> dict:
+    """One arm's day as README states it: dispatch by the arm's policy on the
+    systems' start-of-day stores, each system's inflow charged into its units,
+    the loads settled on the charged stores, and each system's summed draw
+    taken from its units in one move. units maps a system id to its units'
+    [energy, soh, cap, r_charge, r_discharge] lists, whose energy and soh
+    are replaced by the day's end; target maps a system id to MWd. A move
+    takes at most what a system has room for or holds, so float dust in a sum
+    of gifts or draws never overfills or overdraws it. Returns each trace
+    field as {id: MWd or percent}."""
+    capacity = {sid: sum(u[2]) for sid, u in units.items()}
+    stored = {sid: sum(u[0]) for sid, u in units.items()}
+    room = {sid: max(0.0, capacity[sid] - stored[sid]) for sid in units}
+    if priority:
+        deficit = {sid: max(0.0, target[sid] - stored[sid]) for sid in units}
+        gifts, curtailed = dispatch_priority(sources, deficit, room, energy)
+    else:
+        gifts, curtailed = dispatch_equal(sources, room, energy)
+    into = inflow(sources, gifts)
+    for sid, u in units.items():
+        q = min(into[sid], room[sid])
+        _, u[0], u[1] = charge_units(q, ranked, u[0], u[1], u[2], u[3], w_soh, w_soc)
+    stored = {sid: sum(u[0]) for sid, u in units.items()}
+    served, unmet, drawn = settle(loads, demand, stored)
+    for sid, u in units.items():
+        _, u[0], u[1] = discharge_units(min(drawn[sid], stored[sid]), u[0], u[1], u[2], u[4])
+    return {"soc_pct": {sid: sum(u[0]) / capacity[sid] * 100.0 for sid, u in units.items()},
+            "mean_soh_pct": {sid: sum(u[1]) / len(u[1]) for sid, u in units.items()},
+            "charge_in_mwd": into, "discharge_out_mwd": drawn, "served_mwd": served,
+            "unmet_mwd": unmet, "curtailed_mwd": curtailed}

@@ -29,7 +29,7 @@ from hybridgrid import (
     allocate_equal,
     allocate_priority,
     charge_deficits,
-    charge_wants,
+    charge_targets,
     compare,
     fit_sarima,
     forecast_one,
@@ -146,11 +146,10 @@ def test_criterion_2_conservation_fuzz_10000_instances():
     for _ in range(n_instances):
         topo, energies = _random_dispatch_instance(rng)
 
-        forecasts = {0: float(rng.uniform(0.0, 600.0))}
+        forecasts = [float(rng.uniform(0.0, 600.0))]
         units, w = GridUnits(topo.systems), topo.wiring
         stored = units.stored.tolist()
-        deficit = charge_deficits(
-            np.minimum(units.capacity, charge_wants(topo, forecasts)).tolist(), stored)
+        deficit = charge_deficits(charge_targets(topo, forecasts).tolist(), stored)
         headrooms = units.headroom.tolist()
         energy = [energies[src.id] for src in topo.sources]
         order = prioritize(deficit)

@@ -17,7 +17,7 @@ from hybridgrid import (
     allocate_equal,
     allocate_priority,
     charge_deficits,
-    charge_wants,
+    charge_targets,
     prioritize,
     reference_topology,
     settle_loads,
@@ -51,8 +51,7 @@ def make_topology(system_specs, source_map, load_map=None):
 
 def deficits(topo, forecasts):
     units = GridUnits(topo.systems)
-    targets = np.minimum(units.capacity, charge_wants(topo, forecasts)).tolist()
-    return charge_deficits(targets, units.stored.tolist())
+    return charge_deficits(charge_targets(topo, forecasts).tolist(), units.stored.tolist())
 
 
 def dense(topo, flow):
@@ -125,38 +124,55 @@ def test_charge_wants_buffer_split():
         {1: [1, 2, 3]},
         {0: [1, 2, 3]},
     )
-    assert charge_wants(topo, {0: 300.0}).tolist() == pytest.approx([125.0] * 3)
-    assert deficits(topo, {0: 300.0}) == pytest.approx([125.0] * 3)
+    assert charge_targets(topo, [300.0]).tolist() == pytest.approx([125.0] * 3)
+    assert deficits(topo, [300.0]) == pytest.approx([125.0] * 3)
+
+
+def test_charge_targets_of_many_days_equal_each_day_alone():
+    # Loads share systems, so a system adds shares of several loads; the
+    # last axis is the load axis whatever comes before it.
+    topo = make_topology({1: (100.0, 0.0), 2: (1000.0, 0.0), 3: (50.0, 0.0)}, {1: [1, 2, 3]},
+                         {0: [2, 1], 1: [3, 2], 2: [2]})
+    days = np.random.default_rng(3).uniform(0.0, 200.0, (6, 3))
+    rows = [charge_targets(topo, day).tolist() for day in days.tolist()]
+    assert charge_targets(topo, days).tolist() == rows
+    assert rows[0] == [min(100.0, 1.25 * days[0, 0] / 2),
+                       min(1000.0, 1.25 * days[0, 0] / 2 + 1.25 * days[0, 1] / 2
+                           + 1.25 * days[0, 2]),
+                       min(50.0, 1.25 * days[0, 1] / 2)]
 
 
 def test_charge_deficits_capped_by_capacity():
     topo = make_topology({1: (100.0, 0.0)}, {1: [1]}, {0: [1]})
-    assert deficits(topo, {0: 1000.0}) == pytest.approx([100.0])
+    assert deficits(topo, [1000.0]) == pytest.approx([100.0])
 
 
 def test_charge_deficits_nonnegative():
     topo = make_topology({1: (1000.0, 900.0)}, {1: [1]}, {0: [1]})
     # Target 10 < stored 900: deficit clamps at zero.
-    assert deficits(topo, {0: 8.0}) == [0.0]
+    assert deficits(topo, [8.0]) == [0.0]
 
 
 def test_charge_wants_rejects_missing_forecast():
     topo = make_topology({1: (1000.0, 0.0)}, {1: [1]}, {0: [1]})
-    with pytest.raises(ValueError, match="missing \\[0\\]"):
-        charge_wants(topo, {})
+    for forecasts in ([], [1.0, 2.0], 1.0, np.ones((3, 2))):
+        with pytest.raises(ValueError, match=r"need one forecast per load \(1\)"):
+            charge_targets(topo, forecasts)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
 def test_charge_wants_rejects_a_forecast_that_is_negative_or_not_finite(bad):
     # NaN fails no "< 0" test, so it is caught as not finite, naming its load.
     topo = reference_topology()
-    forecasts = {load.id: 100.0 for load in topo.loads}
+    forecasts = np.full(len(topo.loads), 100.0)
     forecasts[4] = bad
-    with pytest.raises(ValueError, match=r"finite, non-negative forecast per load: bad \[4\]"):
-        charge_wants(topo, forecasts)
-    series = {lid: np.full(3, f) for lid, f in forecasts.items()}
-    with pytest.raises(ValueError, match=r"bad \[4\], missing \[\]"):
-        charge_wants(topo, series)
+    with pytest.raises(ValueError, match=r"^load 4: forecast must be finite and >= 0$"):
+        charge_targets(topo, forecasts)
+    # Over many days it names the first load in id order, not in day order.
+    series = np.tile(forecasts, (3, 1))
+    series[0, 6] = bad
+    with pytest.raises(ValueError, match=r"^load 4: "):
+        charge_targets(topo, series)
 
 
 def test_charge_deficits_keep_a_nan_or_negative_zero_shortfall():
@@ -280,7 +296,7 @@ def test_allocate_equal_curtails_when_all_full():
 def test_single_source_single_system_policies_agree():
     for energy, stored in [(40.0, 0.0), (500.0, 100.0), (1000.0, 900.0)]:
         topo = make_topology({1: (1000.0, stored)}, {1: [1]})
-        deficit = deficits(topo, {0: 200.0})
+        deficit = deficits(topo, [200.0])
         order = prioritize(deficit)
         room = GridUnits(topo.systems).headroom.tolist()
         a = allocate_priority(topo.wiring, order, deficit, list(room), [energy])
@@ -314,7 +330,7 @@ def test_allocation_properties(grid):
     topo, energies, forecast = grid
     units = GridUnits(topo.systems)
     w, room = topo.wiring, units.headroom.tolist()
-    deficit = deficits(topo, {0: forecast})
+    deficit = deficits(topo, [forecast])
     wired = {(src.id, sid) for src in topo.sources for sid in src.connected_systems}
     for flow, curtailed, into in (
         allocate_priority(w, prioritize(deficit), deficit, list(room), energies),

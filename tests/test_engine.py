@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import random
 import warnings
 
@@ -340,7 +341,7 @@ def samples_from_arrays(state):
     """The per-day samples the state's weather arrays stand for."""
     return [[WeatherSample(site, day, ghi[day], wind[day])
              for site, (ghi, wind) in state.weather.items()]
-            for day in range(state.arms[0].days)]
+            for day in range(state.cfg.days)]
 
 
 def test_weather_and_generation_are_arrays_with_samples_built_on_read(tmp_path):
@@ -459,6 +460,26 @@ def test_compare_arms_equal_their_own_runs(source, axis):
         assert arm.config_echo == alone.config_echo
 
 
+def test_stacked_arms_of_any_flag_pairs_equal_their_lone_runs():
+    # A state holds one config and a flag pair per arm, so an arm cannot run on
+    # another arm's seed or weather. Any two pairs, in either order, run as
+    # each pair alone would, and each arm's echo names its own flags.
+    cfg, topo = parse_scenario(SHARED_SYSTEMS_DOC)
+    pairs = list(itertools.product((True, False), repeat=2))
+    alone = {(p, h): run_simulation(dataclasses.replace(cfg, priority_enabled=p, health_enabled=h),
+                                    topo) for p, h in pairs}
+    for arms in itertools.permutations(pairs, 2):
+        traces = engine._run(engine.SimulationState(cfg, topo, list(arms)))
+        assert len(traces) == 2
+        for trace, (p, h) in zip(traces, arms):
+            assert records_sha256(trace) == records_sha256(alone[p, h])
+            assert trace.summary == alone[p, h].summary
+            assert trace.config_echo == alone[p, h].config_echo
+            effective = trace.config_echo["effective"]
+            assert (effective["priority_enabled"], effective["health_enabled"]) == (p, h)
+            assert effective["seed"] == cfg.seed
+
+
 def test_records_view_equals_the_arrays_bitwise():
     # The DailyRecord view is built from the arrays on first read: the same
     # floats, keyed in ascending system, load and source id. A record
@@ -541,7 +562,7 @@ def test_initialize_state_fits_no_model(monkeypatch):
 def test_day_inputs_are_built_on_first_use():
     # The day step's policy-independent inputs stay out of a run's set-up.
     cfg, topo = parse_scenario(small_doc(days=20, seed=5))
-    state = engine.SimulationState([cfg, dataclasses.replace(cfg, health_enabled=False)], topo)
+    state = engine.SimulationState(cfg, topo, [(True, True), (True, False)])
     lazy = ("energy", "demand", "arm_rows")
     assert not set(lazy) & set(vars(state))
     assert state.energy == state.generation.tolist()
@@ -604,7 +625,7 @@ def test_shipped_scenarios_fit_without_warnings(path, seeds):
     # Every demand fit of these runs converges inside the stationary region.
     cfg, topo = load_scenario(path)
     for seed in seeds:
-        state = engine.SimulationState([dataclasses.replace(cfg, seed=seed)], topo)
+        state = engine.SimulationState(dataclasses.replace(cfg, seed=seed), topo)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             state.forecasts
@@ -632,7 +653,7 @@ DIFFERENCED_DOC = small_doc(days=150, seed=4, forecasting={
 def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
     cfg, topo = load_scenario(source) if isinstance(source, str) else parse_scenario(source)
     cfg = dataclasses.replace(cfg, seed=seed)
-    state = engine.SimulationState([cfg], topo)
+    state = engine.SimulationState(cfg, topo)
     fc = cfg.forecasting
     o, every = fc.orders, fc.refit_interval_days
     warmup = max(3 * o.s, 30, o.min_series_length())
@@ -661,7 +682,7 @@ def test_refit_interval_past_the_run_fits_once():
     for every in (10**308, 80):
         cfg, topo = parse_scenario(small_doc(days=80, seed=5, forecasting={
             "refit_interval_days": every}))
-        states.append(engine.SimulationState([cfg], topo))
+        states.append(engine.SimulationState(cfg, topo))
     huge, once = (state.forecasts for state in states)
     assert huge.tobytes() == once.tobytes()
     assert len({row.tobytes() for row in once[32:]}) == 1

@@ -155,13 +155,25 @@ def hexes(values):
 @given(wind_plants_and_speeds())
 def test_wind_power_array_equals_scalar_calls_bitwise(case):
     # The engine computes a whole series in one call; each element must carry
-    # the bits of a scalar call, the cube included (numpy's ** is not libm's pow).
+    # the bits of a scalar call and of the formula in plain Python floats, the
+    # cube included (numpy's ** is not libm's pow).
     params, speeds = case
     scalar = [wind_power(v, params) for v in speeds]
     assert all(type(mw) is float for mw in scalar)
     array = wind_power(np.array(speeds), params)
     assert array.dtype == np.float64 and array.shape == (len(speeds),)
     assert hexes(array.tolist()) == hexes(scalar)
+    cp_rho_a = params.power_coefficient * params.air_density * params.rotor_area_m2
+    formula = [0.0 if v < params.cut_in_ms or v > params.cut_out_ms
+               else params.turbine_count * (cp_rho_a * v**3 / 2.0) / 1e6 for v in speeds]
+    assert hexes(scalar) == hexes(formula)
+
+
+@pytest.mark.parametrize("speed", [1e150, np.array([10.0, 1e150])], ids=["float", "array"])
+def test_wind_power_raises_on_a_cube_that_overflows(speed):
+    params = WindPlantParams(cut_out_ms=1e300)
+    with pytest.raises(OverflowError):
+        wind_power(speed, params)
 
 
 @settings(deadline=None, max_examples=300)

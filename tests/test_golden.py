@@ -140,6 +140,6 @@ def test_forecasts_are_pinned_bitwise(path, digest):
     # compare the batch with itself, so only a pin like this one sees a
     # change that moves both.
     cfg, topo = load_scenario(path)
-    forecasts = SimulationState([cfg], topo).forecasts
+    forecasts = SimulationState(cfg, topo).forecasts
     assert forecasts.dtype == np.float64
     assert hashlib.sha256(np.ascontiguousarray(forecasts).tobytes()).hexdigest() == digest

@@ -212,7 +212,7 @@ def test_energy_source_rejects_mismatched_params():
 
 def test_wiring_system_sources_match_a_scan_of_every_source():
     # The one-pass build over source_rows equals testing every row against
-    # every source's rows, and system_slots points back at each row.
+    # every source's rows, and each edge's slot points back at its row.
     rng = np.random.default_rng(7)
     for _ in range(300):
         n_sys, n_src = int(rng.integers(1, 9)), int(rng.integers(1, 7))
@@ -224,6 +224,6 @@ def test_wiring_system_sources_match_a_scan_of_every_source():
         topo = GridTopology([make_system(sid, n_units=1) for sid in ids], [], sources)
         w = topo.wiring
         scanned = [[k for k, rows in enumerate(w.source_rows) if i in rows] for i in range(n_sys)]
-        assert w.system_sources == scanned
-        for i, (ks, slots) in enumerate(zip(w.system_sources, w.system_slots)):
-            assert [w.source_rows[k][j] for k, j in zip(ks, slots)] == [i] * len(ks)
+        assert [[k for k, _ in edges] for edges in w.system_edges] == scanned
+        for i, edges in enumerate(w.system_edges):
+            assert [w.source_rows[k][j] for k, j in edges] == [i] * len(edges)

@@ -1,12 +1,15 @@
-"""Dispatch, settlement and unit moves against the sequential oracle.
+"""Dispatch, settlement, unit moves and the whole day against the sequential oracle.
 
 The package runs the grid-level day on wiring index lists with hand-written
 loops, and moves units as [system, unit] arrays; tests/oracle.py states the
 same rules by id, and per unit, in plain Python. On any grid the two must
 agree bit for bit: every flow, curtailment, inflow, served and unmet amount
-and every system's draw, and every unit's amount, energy and SoH after a
-charge and a discharge, compared by float.hex.
+and every system's draw, every unit's amount, energy and SoH after a charge
+and a discharge, and every trace value of a run of days with one arm or two
+stacked, compared by float.hex.
 """
+
+import random
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from hybridgrid import (
     GridTopology,
     GridUnits,
     LoadCenter,
+    ScenarioConfig,
+    SimulationState,
     SolarPlantParams,
     StorageSystem,
     allocate_equal,
@@ -25,6 +30,8 @@ from hybridgrid import (
     prioritize,
     settle_loads,
 )
+from hybridgrid.engine import TRACE_FIELDS, _run
+from hybridgrid.scenario import ScoreWeights
 
 # Zeros and repeated values make ties in priority, saturated slots and
 # exactly drained pools common, not just possible; thirds of integers round,
@@ -77,9 +84,14 @@ def check_dispatch(topo, got, want, ids):
     same_bits(into, [want_in.get(sid, 0.0) for sid in ids])
 
 
+def spread(rnd, n):
+    """n thirds of integers over four decades, none zero."""
+    return [rnd.randint(1, 30_000) / 3000.0 * 10.0 ** rnd.randint(-2, 2) for _ in range(n)]
+
+
 @settings(deadline=None, max_examples=300)
-@given(grid=grids())
-def test_dispatch_and_settlement_match_the_oracle_bit_for_bit(grid):
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1))
+def test_dispatch_and_settlement_match_the_oracle_bit_for_bit(grid, seed):
     listed, sources, loads, per = grid
     topo = topology(listed, sources, loads)
     w, ids, load_ids = topo.wiring, [s.id for s in topo.systems], [l.id for l in topo.loads]
@@ -103,26 +115,46 @@ def test_dispatch_and_settlement_match_the_oracle_bit_for_bit(grid):
     same_bits(unmet, [want_unmet[lid] for lid in load_ids])
     same_bits(took, [want_drawn[sid] for sid in ids])
 
+    # Two more priority dispatches on the grid, every deficit, room and energy
+    # non-zero and spread over four decades, with room past each deficit. A system
+    # often takes from a short source and a long one in pass 1 and gets the
+    # long one's leftover in pass 2, which is where a gift added in two parts
+    # moves the last bits of its inflow; the draws above seldom do that.
+    rnd = random.Random(seed)
+    for _ in range(2):
+        deficit = dict(zip(ids, spread(rnd, len(ids))))
+        room = {sid: deficit[sid] + x for sid, x in zip(ids, spread(rnd, len(ids)))}
+        energy = dict(zip(sources, spread(rnd, len(sources))))
+        d = [deficit[sid] for sid in ids]
+        check_dispatch(topo, allocate_priority(w, prioritize(d), d, [room[sid] for sid in ids],
+                                               [energy[src.id] for src in topo.sources]),
+                       oracle.dispatch_priority(sources, deficit, room, energy), ids)
+
+
+SHARE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+RATE = st.sampled_from([0.0, 0.2, 0.25]) | st.floats(0.0, 1.0)
+# A unit's (cap, fill share, soh, r_charge, r_discharge).
+UNIT = st.tuples(st.sampled_from([1.0, 10.0, 100.0, 7.0 / 3.0]) | st.floats(0.1, 200.0), SHARE,
+                 st.sampled_from([100.0, 90.0, 80.5]) | st.floats(0.0, 100.0), RATE, RATE)
+
+
+def storage_system(sid, units):
+    cap, fill, soh, r_charge, r_discharge = zip(*units)
+    return StorageSystem(sid, cap, [f * c for f, c in zip(fill, cap)], soh, r_charge, r_discharge)
+
 
 @st.composite
 def fleets(draw):
     """1-6 systems of 1-5 units each, so rows are ragged, with tie-prone unit
     state, a ranked flag per system, score weights, and per system a share
     of its headroom to charge and then of its store to discharge."""
-    share = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
-    rate = st.sampled_from([0.0, 0.2, 0.25]) | st.floats(0.0, 1.0)
-    unit = st.tuples(st.sampled_from([1.0, 10.0, 100.0, 7.0 / 3.0]) | st.floats(0.1, 200.0), share,
-                     st.sampled_from([100.0, 90.0, 80.5]) | st.floats(0.0, 100.0), rate, rate)
-    systems = []
-    for sid in range(draw(st.integers(1, 6))):
-        cap, fill, soh, r_charge, r_discharge = zip(*draw(st.lists(unit, min_size=1, max_size=5)))
-        energy = [f * c for f, c in zip(fill, cap)]
-        systems.append(StorageSystem(sid, cap, energy, soh, r_charge, r_discharge))
+    systems = [storage_system(sid, draw(st.lists(UNIT, min_size=1, max_size=5)))
+               for sid in range(draw(st.integers(1, 6)))]
     n_sys = len(systems)
     ranked = draw(st.lists(st.booleans(), min_size=n_sys, max_size=n_sys))
     weights = draw(st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)])
                    | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
-    moves = draw(st.lists(st.tuples(share, share), min_size=n_sys, max_size=n_sys))
+    moves = draw(st.lists(st.tuples(SHARE, SHARE), min_size=n_sys, max_size=n_sys))
     return systems, ranked, weights, moves
 
 
@@ -156,3 +188,61 @@ def test_unit_moves_match_the_oracle_bit_for_bit(fleet):
     want = [oracle.discharge_units(d[i], *unit_state(units, i, s), s.cap.tolist(),
                                    s.r_discharge.tolist()) for i, s in enumerate(systems)]
     check_units(units, systems, units.discharge(d), want)
+
+
+# A day's values come from one draw each: zeros, repeats and thirds of integers.
+DAY_MWD = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 10.0, 100.0,
+                           *(n / 3.0 for n in range(1, 300, 7))])
+
+
+@st.composite
+def runs(draw):
+    """1-6 systems of 1-5 units, 1-4 sources and 1-5 loads wired at random,
+    every system fed by at least one source; 1-10 days of generation, demand
+    and charge targets; one arm or two with any flag pairs, and score weights."""
+    ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=6, unique=True))
+    systems = [storage_system(sid, draw(st.lists(UNIT, min_size=1, max_size=5))) for sid in ids]
+
+    def wired(n_max):
+        keys = draw(st.lists(st.integers(0, 20), min_size=1, max_size=n_max, unique=True))
+        return {key: draw(st.permutations(ids))[: draw(st.integers(1, len(ids)))] for key in keys}
+
+    sources, loads = wired(4), wired(5)
+    for sid in ids:
+        if not any(sid in conn for conn in sources.values()):
+            sources[draw(st.sampled_from(sorted(sources)))].append(sid)
+    n_days = draw(st.integers(1, 10))
+    per_day = {name: [{key: draw(DAY_MWD) for key in keys} for _ in range(n_days)]
+               for name, keys in (("energy", sources), ("demand", loads), ("targets", ids))}
+    arms = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=2))
+    w_soh = draw(st.sampled_from([0.5, 1.0, 0.0, 0.3]))
+    return systems, sources, loads, per_day, arms, (w_soh, 1.0 - w_soh)
+
+
+@settings(deadline=None, max_examples=100)
+@given(run=runs())
+def test_stacked_days_match_the_oracle_bit_for_bit(run):
+    systems, sources, loads, per_day, arms, (w_soh, w_soc) = run
+    topo = GridTopology(
+        systems=systems,
+        loads=[LoadCenter(lid, tuple(conn)) for lid, conn in loads.items()],
+        sources=[EnergySource(k, "solar", SolarPlantParams(1000.0, 0.2), tuple(conn), "site")
+                 for k, conn in sources.items()],
+    )
+    n_days = len(per_day["energy"])
+    state = SimulationState(ScenarioConfig(n_days, 0, weights=ScoreWeights(w_soh, w_soc)), topo,
+                            arms)
+    cols = {of: [e.id for e in getattr(topo, of)] for of in ("systems", "loads", "sources")}
+    # cached_property leaves these to be set, so no weather or fit is involved.
+    for name, of in (("energy", "sources"), ("demand", "loads"), ("targets", "systems")):
+        setattr(state, name, [[day[key] for key in cols[of]] for day in per_day[name]])
+    traces = _run(state)
+    assert len(traces) == len(arms)
+    for trace, (priority, ranked) in zip(traces, arms):
+        units = {s.id: [s.energy.tolist(), s.soh.tolist(), s.cap.tolist(), s.r_charge.tolist(),
+                        s.r_discharge.tolist()] for s in topo.systems}
+        for d in range(n_days):
+            want = oracle.day(sources, loads, units, per_day["energy"][d], per_day["demand"][d],
+                              per_day["targets"][d], priority, ranked, w_soh, w_soc)
+            for field, of in TRACE_FIELDS.items():
+                same_bits(getattr(trace, field)[d].tolist(), [want[field][i] for i in cols[of]])
