@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .forecast import (
     load_demand_csv,
 )
 from .model import validate_topology
-from .scenario import MAX_SEED, load_scenario
+from .scenario import MAX_DAYS, MAX_SEED, RUN_KEYS, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,23 +44,20 @@ def _on_off(value: str) -> bool:
     return value == "on"
 
 
-# CLI flag -> key of the scenario's run section it overrides.
-_RUN_OVERRIDES = {
-    "days": "days",
-    "seed": "seed",
-    "priority": "priority_enabled",
-    "health": "health_enabled",
-}
+def _integer(text: str) -> int:
+    """An integer as the scenario's JSON and CSV files take one: ASCII digits
+    after an optional sign, spaces around. int() alone also takes '1_0' and
+    non-ASCII digits."""
+    if not re.fullmatch(r" *[+-]?[0-9]+ *", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _load(config_path: str, args):
+    """The scenario, each run key given as a flag (the flag's dest) overridden."""
     if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
         raise ValueError(f"--seed must be in [0, {MAX_SEED}], got {args.seed}")
-    run = {
-        key: getattr(args, flag)
-        for flag, key in _RUN_OVERRIDES.items()
-        if getattr(args, flag, None) is not None
-    }
+    run = {key: getattr(args, key) for key in RUN_KEYS if getattr(args, key, None) is not None}
     return load_scenario(config_path, run)
 
 
@@ -115,16 +113,16 @@ def _parse_orders(text: str) -> SarimaOrders:
     values = []
     for i, token in enumerate(text.split(",")):
         try:
-            values.append(int(token))
-        except ValueError:
+            values.append(_integer(token))
+        except argparse.ArgumentTypeError:
             raise ValueError(f"--orders[{i}] must be an integer, got {token!r}") from None
     return SarimaOrders.from_sequence(values, "--orders")
 
 
 def cmd_forecast(args) -> int:
     orders = _parse_orders(args.orders) if args.orders else DEFAULT_ORDERS
-    if args.horizon < 1:
-        raise ValueError("--horizon must be >= 1")
+    if not 1 <= args.horizon <= MAX_DAYS:  # each step refits on a longer history
+        raise ValueError(f"--horizon must be in [1, {MAX_DAYS}], got {args.horizon}")
     series_by_load = load_demand_csv(args.history)
     if not series_by_load:
         raise ValueError(f"demand history {args.history} has no rows")
@@ -169,25 +167,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one scenario and write trace artifacts")
     p.add_argument("config")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--days", type=int)
-    p.add_argument("--priority", type=_on_off, help="on|off")
-    p.add_argument("--health", type=_on_off, help="on|off")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--days", type=_integer)
+    p.add_argument("--priority", type=_on_off, dest="priority_enabled", help="on|off")
+    p.add_argument("--health", type=_on_off, dest="health_enabled", help="on|off")
+    p.add_argument("--seed", type=_integer)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="A/B one axis with identical data")
     p.add_argument("config")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--axis", required=True, choices=("priority", "health"))
-    p.add_argument("--days", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--days", type=_integer)
+    p.add_argument("--seed", type=_integer)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("forecast", help="fit the demand forecaster on a history csv")
     p.add_argument("history")
     p.add_argument("--orders", help="p,d,q,P,D,Q,s (default 1,0,0,1,0,0,7)")
-    p.add_argument("--horizon", type=int, default=1)
-    p.add_argument("--load-id", type=int, dest="load_id")
+    p.add_argument("--horizon", type=_integer, default=1)
+    p.add_argument("--load-id", type=_integer, dest="load_id")
     p.set_defaults(func=cmd_forecast)
     return parser
 

@@ -4,11 +4,12 @@ A SimulationState is one run, or several in lockstep: one config and one
 topology, and per arm only its (priority_enabled, health_enabled) pair.
 Weather, per-source generation, realized demand, the day-ahead demand
 forecasts and each system's charge target do not depend on policy, so the
-state builds them once, from the config, for all its arms (forecasts, targets
-and the day step's lists on first use, outside set-up). Weather is a pair of
-arrays per site, generation one [days, sources] array and the forecasts one
-[days, loads] array, built from shifted demand, one fit_sarima_many batch
-and one forecast_many call, so neither holds per-day objects.
+state builds them once, from the config, for all its arms (generation,
+demand, forecasts and targets on first use, outside set-up). Weather is a
+pair of arrays per site; generation, demand, forecasts and targets are each
+one [days, width] array, the forecasts built from shifted demand, one
+fit_sarima_many batch and one forecast_many call, so none holds per-day
+objects; step_day takes each day's row as floats.
 One health.GridUnits holds every arm's units as arm-major rows (row b * S + i
 is system i of arm b), and step_day makes one charge call and one discharge
 call for the whole batch. run_simulation is
@@ -149,9 +150,9 @@ class SimulationState:
     stacked as arm-major rows.
 
     Set-up builds each site's weather as (ghi, wind speed) arrays and the
-    realized demand. Generation, forecasts and charge targets are computed
-    on first use, so a run whose dispatch never reads targets (the equal
-    split) never fits a model.
+    realized demand by load. Generation, demand, forecasts and charge targets
+    are [days, width] arrays computed on first use, so a run whose dispatch
+    never reads targets (the equal split) never fits a model.
     """
 
     def __init__(self, cfg: ScenarioConfig, topology: GridTopology,
@@ -205,33 +206,27 @@ class SimulationState:
         days, fc = self.cfg.days, self.cfg.forecasting
         o, every = fc.orders, min(fc.refit_interval_days, max(days, 1))  # np.repeat: a C long
         warmup = max(3 * o.s, 30, o.min_series_length())
-        series = [self.demand_by_load[load.id] for load in self.topology.loads]
-        y = np.reshape(series, (len(series), days)).T
+        y = self.demand
         out = np.zeros_like(y)
         out[1:] = y[:-1]
         out[o.s :] = np.where(y[: -o.s] > 0.0, y[: -o.s], 0.0)  # max(0.0, y)
         fit_days = range(warmup, days, every)
-        windows = [d[max(0, day - fc.train_window_days) : day] for d in series for day in fit_days]
-        standing = forecast_many(fit_sarima_many(windows, o)).reshape(len(series), len(fit_days))
+        windows = [d[max(0, day - fc.train_window_days) : day] for d in y.T for day in fit_days]
+        standing = forecast_many(fit_sarima_many(windows, o)).reshape(y.shape[1], len(fit_days))
         out[warmup:] = np.repeat(standing.T, every, axis=0)[: days - warmup]
         return out
 
     @cached_property
-    def targets(self) -> list[list[float]]:
-        """T[day][i]: the charge targets of the day's forecasts, the stored MWd
+    def targets(self) -> np.ndarray:
+        """T[day, i]: the charge targets of the day's forecasts, the stored MWd
         priority dispatch charges toward."""
-        return charge_targets(self.topology, self.forecasts).tolist()
+        return charge_targets(self.topology, self.forecasts)
 
     @cached_property
-    def energy(self) -> list[list[float]]:
-        """E[day][k]: generation as floats."""
-        return self.generation.tolist()
-
-    @cached_property
-    def demand(self) -> list[list[float]]:
-        """D[day][j]: the topology's j-th load's realized demand on each day, as floats."""
+    def demand(self) -> np.ndarray:
+        """D[day, j]: the topology's j-th load's realized demand on each day."""
         series = [self.demand_by_load[load.id] for load in self.topology.loads]
-        return np.reshape(series, (len(series), self.cfg.days)).T.tolist()
+        return np.reshape(series, (len(series), self.cfg.days)).T
 
     @cached_property
     def arm_rows(self) -> tuple[list[slice], np.ndarray]:
@@ -251,14 +246,15 @@ class SimulationState:
 def step_day(state: SimulationState, day: int) -> None:
     """Advance every arm of the state by one day, writing row day of state.rows."""
     t, units, (runs, ranked), out = state.topology, state.units, state.arm_rows, state.rows
-    w, energy = t.wiring, state.energy[day]
+    w, energy = t.wiring, state.generation[day].tolist()
 
     # 1. Grid-level dispatch per arm; only the priority policy reads forecasts.
     headroom, stored = units.headroom.tolist(), units.stored.tolist()
+    target = state.targets[day].tolist() if any(p for p, _ in state.arms) else None
     charge_in, curtailed = [], []
     for (priority, _), rows in zip(state.arms, runs):
         if priority:
-            deficit = charge_deficits(state.targets[day], stored[rows])
+            deficit = charge_deficits(target, stored[rows])
             order = prioritize(deficit)
             _, curt, into = allocate_priority(w, order, deficit, headroom[rows], energy)
         else:
@@ -276,10 +272,10 @@ def step_day(state: SimulationState, day: int) -> None:
     #    equals the per-load draws in sequence: draws d1 then d2 take
     #    min(e_i, l1 + l2) from unit i, as one draw of d1 + d2 does, and wear
     #    is linear in the amount drawn.
-    stored = units.stored.tolist()
+    stored, demand = units.stored.tolist(), state.demand[day].tolist()
     served, unmet, drawn = [], [], []
     for rows in runs:
-        arm_served, arm_unmet, took = settle_loads(w.load_rows, state.demand[day], stored[rows])
+        arm_served, arm_unmet, took = settle_loads(w.load_rows, demand, stored[rows])
         served += arm_served
         unmet += arm_unmet
         drawn += took
@@ -296,7 +292,7 @@ def _build_weather(cfg: ScenarioConfig,
     """Each site a source names, in sorted order: its (ghi, wind speed) arrays,
     one value a day."""
     sites = sorted({src.site for src in t.sources})
-    if cfg.weather.kind == "csv":
+    if cfg.weather.path is not None:
         by_site = load_weather_csv(cfg.weather.path)
         series = {site: by_site.get(site, (np.empty(0), np.empty(0))) for site in sites}
         # A site's arrays end the day before its first missing day.
@@ -312,7 +308,7 @@ def _build_weather(cfg: ScenarioConfig,
 def _build_demand(cfg: ScenarioConfig, t: GridTopology,
                   state: SimulationState) -> dict[int, np.ndarray]:
     load_ids = [load.id for load in t.loads]
-    if cfg.demand.kind == "csv":
+    if cfg.demand.path is not None:
         series = load_demand_csv(cfg.demand.path)
         out = {}
         for lid in load_ids:

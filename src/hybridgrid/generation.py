@@ -65,6 +65,10 @@ class WindPlantParams:
             )
 
 
+# Each source kind and the parameter class its plant takes.
+PLANTS = {"solar": SolarPlantParams, "wind": WindPlantParams}
+
+
 def _require_non_negative(x, what: str) -> None:
     negative = np.asarray(x)[np.less(x, 0)]
     if negative.size:

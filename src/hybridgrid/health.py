@@ -3,7 +3,8 @@
 GridUnits is the one API and the only writer of unit state: it holds every
 unit of a grid as [system, unit] arrays and reports each system's stored
 energy, SoC and mean SoH; the systems it is built from are never changed.
-Shorter systems are padded with zero-capacity units. Every MWd moved through
+Shorter systems are padded with zero-capacity units, which have no room, so
+every move gives them +0.0 wherever they rank. Every MWd moved through
 a unit costs SoH in proportion to its cycle-wear rate. Ranked charging fills
 each system's healthiest, emptiest units first, steering throughput away from
 worn units; the baseline, and discharge always, split equally across units.
@@ -89,7 +90,6 @@ class GridUnits:
                 a[real] = np.concatenate([getattr(s, f) for s in systems])
         self.energy, self.soh, self.cap, self.r_charge, self.r_discharge = state
         self._divisor = np.where(real, self.cap, 1.0)  # pads move nothing
-        self._pad = None if real.all() else np.where(real, 0.0, np.inf)  # ranks pads last
         self._flat = np.arange(len(systems))[:, None] * self.cap.shape[1]  # row starts
         self.capacity = _total(self.cap)  # pads add +0.0, which changes no sum
         self._refresh()
@@ -111,9 +111,8 @@ class GridUnits:
         return _total(self.soh) / self._count
 
     def scores(self, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC) -> np.ndarray:
-        """Charging desirability in [0, 1]: healthy and empty scores high; pads -inf."""
-        score = w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor)
-        return score if self._pad is None else score - self._pad
+        """Charging desirability in [0, 1]: healthy and empty scores high."""
+        return w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor)
 
     def _check(self, amounts, limit: np.ndarray, what: str) -> np.ndarray:
         """The amounts as an array, clipped to limit after dust-sized overshoot."""

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .generation import SolarPlantParams, WindPlantParams
+from .generation import PLANTS, SolarPlantParams, WindPlantParams
 
 
 class UnitView(NamedTuple):
@@ -131,10 +131,9 @@ class EnergySource:
 
     def __post_init__(self) -> None:
         self.connected_systems = tuple(self.connected_systems)
-        if self.kind not in ("solar", "wind"):
+        if self.kind not in PLANTS:
             raise ValueError(f"source {self.id}: unknown kind {self.kind!r}")
-        expected = SolarPlantParams if self.kind == "solar" else WindPlantParams
-        if not isinstance(self.params, expected):
+        if not isinstance(self.params, PLANTS[self.kind]):
             raise ValueError(f"source {self.id}: params do not match kind {self.kind!r}")
 
 

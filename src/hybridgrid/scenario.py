@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .forecast import DEFAULT_ORDERS, SarimaOrders
-from .generation import SolarPlantParams, WindPlantParams
+from .generation import PLANTS
 from .health import DEFAULT_R_CHARGE, DEFAULT_R_DISCHARGE, DEFAULT_W_SOC, DEFAULT_W_SOH
 from .model import (
     EnergySource,
@@ -39,8 +39,8 @@ _TOP_KEYS = ("topology", "sources", "loads", "forecasting", "degradation", "weat
 _TOPOLOGY_KEYS = ("reference", "initial_soc_pct", "initial_soh_pct", "systems")
 _SYSTEM_KEYS = ("id", "unit_count", "unit_capacity_mwd")
 _CENTER_KEYS = ("id", "connected_systems")
-_RUN_KEYS = ("days", "seed", "priority_enabled", "health_enabled", "score_weights")
-_PLANTS = {"solar": SolarPlantParams, "wind": WindPlantParams}
+# The run section's keys; the CLI's override flags store under the same names.
+RUN_KEYS = ("days", "seed", "priority_enabled", "health_enabled", "score_weights")
 
 # Size caps, so that a typo cannot ask for more memory than any grid needs.
 # The unit caps are checked before any unit is built.
@@ -101,8 +101,7 @@ class ScoreWeights:
 
 @dataclass(frozen=True)
 class WeatherConfig:
-    kind: str  # "synthetic" | "csv"
-    path: str | None = None
+    path: str | None = None  # the CSV file to read; None runs the seeded generator
     site_params: dict[str, SynthWeatherParams] = field(default_factory=dict)
     default_params: SynthWeatherParams = SynthWeatherParams()
 
@@ -112,8 +111,7 @@ class WeatherConfig:
 
 @dataclass(frozen=True)
 class DemandConfig:
-    kind: str  # "synthetic" | "csv"
-    path: str | None = None
+    path: str | None = None  # the CSV file to read; None runs the seeded generator
     base_by_load: dict[int, float] = field(default_factory=dict)
     params: SynthDemandParams = SynthDemandParams()
 
@@ -127,8 +125,8 @@ class ScenarioConfig:
     forecasting: ForecastingConfig = ForecastingConfig()
     degradation: DegradationConfig = DegradationConfig()
     weights: ScoreWeights = ScoreWeights()
-    weather: WeatherConfig = WeatherConfig(kind="synthetic")
-    demand: DemandConfig = DemandConfig(kind="synthetic")
+    weather: WeatherConfig = WeatherConfig()
+    demand: DemandConfig = DemandConfig()
     initial_soc_pct: float = 50.0
     initial_soh_pct: float = 100.0
     raw: dict = field(default_factory=dict)
@@ -268,9 +266,9 @@ def _read(cls, section, where: str, structural: tuple[str, ...] = ()):
 
 def _parse_source(entry: dict, where: str) -> EnergySource:
     kind = _string(_require(_object(entry, where), "kind", where), f"{where}.kind")
-    if kind not in _PLANTS:
+    if kind not in PLANTS:
         raise ValueError(f"{where}: unknown kind {kind!r}")
-    params = _read(_PLANTS[kind], entry, where, ("kind", "id", "site", "connected_systems"))
+    params = _read(PLANTS[kind], entry, where, ("kind", "id", "site", "connected_systems"))
     if kind == "wind":
         _require(entry, "turbine_count", where)  # required here, unlike in WindPlantParams
     sid = _ref(_require(entry, "id", where), f"{where}.id")
@@ -353,14 +351,14 @@ def _parse_weather(section, sites: set[str]) -> WeatherConfig:
     if _is_csv(section, "weather"):
         _known(section, ("kind", "path"), "weather")
         path = _string(_require(section, "path", "weather"), "weather.path")
-        return WeatherConfig(kind="csv", path=path)
+        return WeatherConfig(path)
     _known(section, ("kind", "sites", "default"), "weather")
     site_params = {
         site: _weather_params(params, f"weather.sites.{site}")
         for site, params in _known(section.get("sites", {}), sites, "weather.sites").items()
     }
     default = _weather_params(section.get("default", {}), "weather.default")
-    return WeatherConfig(kind="synthetic", site_params=site_params, default_params=default)
+    return WeatherConfig(site_params=site_params, default_params=default)
 
 
 def _weather_params(section, where: str) -> SynthWeatherParams:
@@ -375,20 +373,20 @@ def _parse_demand(section, load_ids: set[str]) -> DemandConfig:
     if _is_csv(section, "loads"):
         _known(section, ("kind", "path", "centers"), "loads")
         path = _string(_require(section, "path", "loads"), "loads.path")
-        return DemandConfig(kind="csv", path=path)
+        return DemandConfig(path)
     params = _read(SynthDemandParams, section, "loads", ("kind", "centers", "base_mwd"))
     base = _known(section.get("base_mwd", {}), load_ids, "loads.base_mwd")
     base_by_load = {}
     for k, v in base.items():
         mwd = _number(v, f"loads.base_mwd.{k}")
         base_by_load[int(k)] = _check(mwd, mwd >= 0, ">= 0", f"loads.base_mwd.{k}")
-    return DemandConfig(kind="synthetic", base_by_load=base_by_load, params=params)
+    return DemandConfig(base_by_load=base_by_load, params=params)
 
 
 def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     """Build the run configuration and topology from a parsed JSON document."""
     _known(doc, _TOP_KEYS, "")
-    run = _known(doc.get("run", {}), _RUN_KEYS, "run")
+    run = _known(doc.get("run", {}), RUN_KEYS, "run")
     cfg = ScenarioConfig(
         days=_size(run.get("days", 365), 0, MAX_DAYS, "run.days"),
         seed=_size(run.get("seed", 0), 0, MAX_SEED, "run.seed"),

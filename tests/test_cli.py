@@ -801,6 +801,60 @@ def test_forecast_letter_in_orders_is_validation_error(tmp_path, capsys):
     assert "invalid input: --orders[0] must be an integer, got 'x'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["simulate", TOY, "--days", "1_0"],
+        ["simulate", TOY, "--seed", "\u0667"],
+        ["simulate", TOY, "--days", "\uff13"],
+        ["compare", TOY, "--axis", "health", "--seed", "1_2"],
+        ["forecast", "{history}", "--horizon", "1_0"],
+        ["forecast", "{history}", "--horizon", "\u0663"],
+        ["forecast", "{history}", "--load-id", "\u0660"],
+        ["forecast", "{history}", "--load-id", "0 0"],
+    ],
+)
+def test_integer_flags_take_ascii_decimal_digits_only(tmp_path, capsys, flags):
+    # int() takes underscores and any Unicode decimal digit; the scenario's
+    # JSON and CSV files take neither, so a flag gets argparse's usage error.
+    history = tmp_path / "history.csv"
+    make_history_csv(history)
+    argv = [a.format(history=history) for a in flags]
+    if argv[0] != "forecast":
+        argv += ["--out", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"invalid int value: {flags[-1]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("token", ["\u0667", "1_0", "\uff17"])
+def test_forecast_orders_take_ascii_decimal_digits_only(tmp_path, capsys, token):
+    history = tmp_path / "history.csv"
+    make_history_csv(history)
+    assert main(["forecast", str(history), "--orders", f"1,0,0,1,0,0,{token}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid input: --orders[6] must be an integer, got {token!r}" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--days", " 3"], ["--days", "+3"], ["--seed", "007"]])
+def test_integer_flags_take_what_the_csv_readers_take(tmp_path, flags):
+    assert main(["simulate", TOY, "--out", str(tmp_path / "run"), *flags]) == 0
+
+
+def test_forecast_horizon_past_the_day_cap_is_validation_error(tmp_path, capsys):
+    # Each step refits on a longer history, so a typo's horizon is refused
+    # before any fit.
+    history = tmp_path / "history.csv"
+    make_history_csv(history)
+    assert main(["forecast", str(history), "--horizon", "36501"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: --horizon must be in [1, 36500], got 36501" in captured.err
+
+
 def test_forecast_fits_each_load_as_alone(tmp_path, capsys):
     # All loads of a step are fitted in one batch; each line matches a
     # forecast of that load's history on its own.

@@ -563,15 +563,28 @@ def test_day_inputs_are_built_on_first_use():
     # The day step's policy-independent inputs stay out of a run's set-up.
     cfg, topo = parse_scenario(small_doc(days=20, seed=5))
     state = engine.SimulationState(cfg, topo, [(True, True), (True, False)])
-    lazy = ("energy", "demand", "arm_rows")
+    lazy = ("demand", "arm_rows")
     assert not set(lazy) & set(vars(state))
-    assert state.energy == state.generation.tolist()
-    for day in range(cfg.days):
-        assert state.demand[day] == [float(state.demand_by_load[load.id][day])
-                                     for load in topo.loads]
+    want = [state.demand_by_load[load.id] for load in topo.loads]
+    assert state.demand.tobytes() == np.array(want).T.tobytes()
     runs, ranked = state.arm_rows
     assert runs == [slice(0, 7), slice(7, 14)]
     assert ranked.tolist() == [True] * 7 + [False] * 7
+
+
+def test_day_inputs_are_held_once_as_arrays():
+    # A compare's state holds each per-day input as one [days, width] float64
+    # array; step_day takes each day's row as floats, and keeps no list copy.
+    cfg, topo = parse_scenario(small_doc(days=40, seed=5))
+    state = engine.SimulationState(cfg, topo, [(True, True), (False, True)])
+    engine._run(state)
+    widths = {"generation": len(topo.sources), "demand": len(topo.loads),
+              "forecasts": len(topo.loads), "targets": len(topo.systems)}
+    for name, width in widths.items():
+        got = vars(state)[name]
+        assert type(got) is np.ndarray and got.dtype == np.float64, name
+        assert got.shape == (cfg.days, width), name
+    assert not hasattr(state, "energy")
 
 
 def test_equal_split_run_fits_no_model(monkeypatch):

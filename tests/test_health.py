@@ -60,12 +60,32 @@ def test_rank_units_orders_by_score_then_position():
     assert g.charge([75.0], True)[0] == pytest.approx([25.0, 50.0, 0.0])
 
 
-def test_padding_units_rank_last_and_take_nothing():
+def test_padding_units_take_nothing_wherever_they_rank():
     g = grid([unit()], [unit()] * 3)
-    assert g.scores()[0, 1:].tolist() == [-np.inf, -np.inf]
     moved = g.charge([100.0, 90.0], False)
     assert moved.tolist() == [[100.0, 0.0, 0.0], [30.0, 30.0, 30.0]]
     assert g.energy[0, 1:].tolist() == [0.0, 0.0]
+
+    # A pad has no room, so it takes +0.0 and leaves the rest to the units
+    # after it exactly as it found it: it ranks between system 1's units on
+    # the ranked charge and first on the mixed one. The amounts, SoH and
+    # energy are pinned by float.hex (hexes, below), row by row.
+    g = grid([unit(30.0, 27.0, 50.0, 0.2), unit(70.0, 10.0, 90.0, 0.2)],
+             [unit(40.0, 5.0, 95.0, 0.2), unit(40.0, 20.0, 99.0, 0.2), unit(40.0, 0.0, 70.0, 0.2)])
+    assert g.scores()[0, 2] > g.scores()[0, 0]
+    assert hexes(g.charge([61.7, 33.3], True)) == [
+        "0x1.b333333333340p+0", "0x1.e000000000000p+5", "0x0.0p+0",
+        "0x1.0a66666666666p+5", "0x0.0p+0", "0x0.0p+0"]
+    assert g.scores()[0, 2] > g.scores()[0, :2].max()
+    assert hexes(g.charge([1.1, 20.9], [True, False])) == [
+        "0x1.199999999999ap+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.b333333333340p+0", "0x1.3333333333332p+3", "0x1.3333333333332p+3"]
+    assert hexes(g.soh) == [
+        "0x1.8fd9c54a69217p+5", "0x1.6750750750750p+6", "0x0.0p+0",
+        "0x1.7b4cccccccccdp+6", "0x1.8bced916872b0p+6", "0x1.17ced916872b0p+6"]
+    assert hexes(g.energy) == [
+        "0x1.dcccccccccccep+4", "0x1.1800000000000p+6", "0x0.0p+0",
+        "0x1.4000000000000p+5", "0x1.d999999999999p+4", "0x1.3333333333332p+3"]
 
 
 # --- degradation ----------------------------------------------------------

@@ -234,8 +234,9 @@ def test_stacked_days_match_the_oracle_bit_for_bit(run):
                             arms)
     cols = {of: [e.id for e in getattr(topo, of)] for of in ("systems", "loads", "sources")}
     # cached_property leaves these to be set, so no weather or fit is involved.
-    for name, of in (("energy", "sources"), ("demand", "loads"), ("targets", "systems")):
-        setattr(state, name, [[day[key] for key in cols[of]] for day in per_day[name]])
+    for name, of, attr in (("energy", "sources", "generation"), ("demand", "loads", "demand"),
+                           ("targets", "systems", "targets")):
+        setattr(state, attr, np.array([[day[key] for key in cols[of]] for day in per_day[name]]))
     traces = _run(state)
     assert len(traces) == len(arms)
     for trace, (priority, ranked) in zip(traces, arms):
