@@ -4,10 +4,11 @@ A SimulationState is one run, or several in lockstep: one config and one
 topology, and per arm only its (priority_enabled, health_enabled) pair.
 Weather, per-source generation, realized demand, the day-ahead demand
 forecasts and each system's charge target do not depend on policy, so the
-state builds them once, from the config, for all its arms (generation,
-demand, forecasts and targets on first use, outside set-up). Weather is a
-pair of arrays per site; generation, demand, forecasts and targets are each
-one [days, width] array, the forecasts built from shifted demand, one
+state builds them once, from the config, for all its arms. Set-up builds
+weather, demand, the units and, when loads.gen_fraction scales demand to
+it, generation; the rest is built on first use. Weather is a pair of arrays
+per site; generation, demand, forecasts and targets are each one
+[days, width] array, the forecasts built from shifted demand, one
 fit_sarima_many batch and one forecast_many call, so none holds per-day
 objects; step_day takes each day's row as floats.
 One health.GridUnits holds every arm's units as arm-major rows (row b * S + i
@@ -149,10 +150,12 @@ class SimulationState:
     policy-independent inputs the arms share, and units with the arms
     stacked as arm-major rows.
 
-    Set-up builds each site's weather as (ghi, wind speed) arrays and the
-    realized demand by load. Generation, demand, forecasts and charge targets
-    are [days, width] arrays computed on first use, so a run whose dispatch
-    never reads targets (the equal split) never fits a model.
+    Set-up builds each site's weather as (ghi, wind speed) arrays, demand as
+    one [days, loads] array, the units and, under loads.gen_fraction, the
+    generation demand is scaled to. Generation otherwise, forecasts and
+    charge targets are built on first use, so a run whose dispatch never
+    reads targets (the equal split) never fits a model. weather_by_day and
+    demand_by_load are views that only the benchmark's checks read.
     """
 
     def __init__(self, cfg: ScenarioConfig, topology: GridTopology,
@@ -165,7 +168,7 @@ class SimulationState:
         self.topology = topology
         self.units = GridUnits(topology.systems * len(self.arms))
         self.weather = _build_weather(cfg, topology)
-        self.demand_by_load = _build_demand(cfg, topology, self)
+        self.demand = _build_demand(cfg, topology, self)
 
     @cached_property
     def generation(self) -> np.ndarray:
@@ -223,10 +226,10 @@ class SimulationState:
         return charge_targets(self.topology, self.forecasts)
 
     @cached_property
-    def demand(self) -> np.ndarray:
-        """D[day, j]: the topology's j-th load's realized demand on each day."""
-        series = [self.demand_by_load[load.id] for load in self.topology.loads]
-        return np.reshape(series, (len(series), self.cfg.days)).T
+    def demand_by_load(self) -> dict[int, np.ndarray]:
+        """Each load's column of demand by id, built on first read; only the
+        benchmark's checks (bench/run.py, bench/selftest.py) read it."""
+        return {load.id: self.demand[:, j] for j, load in enumerate(self.topology.loads)}
 
     @cached_property
     def arm_rows(self) -> tuple[list[slice], np.ndarray]:
@@ -305,41 +308,43 @@ def _build_weather(cfg: ScenarioConfig,
             for site in sites}
 
 
-def _build_demand(cfg: ScenarioConfig, t: GridTopology,
-                  state: SimulationState) -> dict[int, np.ndarray]:
+def _build_demand(cfg: ScenarioConfig, t: GridTopology, state: SimulationState) -> np.ndarray:
+    """D[day, j]: the topology's j-th load's realized demand on each day, the
+    transpose of a [loads, days] block, so each load's column is contiguous."""
     load_ids = [load.id for load in t.loads]
     if cfg.demand.path is not None:
         series = load_demand_csv(cfg.demand.path)
-        out = {}
-        for lid in load_ids:
+        block = np.empty((len(load_ids), cfg.days))
+        for row, lid in zip(block, load_ids):
             if lid not in series:
                 raise SimulationError(f"demand csv has no rows for load {lid}")
             if len(series[lid]) < cfg.days:
                 raise SimulationError(f"demand data exhausted for load {lid}: "
                                       f"{len(series[lid])} days < {cfg.days}")
-            out[lid] = series[lid][: cfg.days]
-        return out
+            row[:] = series[lid][: cfg.days]
+        return block.T
 
     base = {lid: cfg.demand.base_by_load.get(lid, DEFAULT_BASE_DEMAND_MWD) for lid in load_ids}
     with np.errstate(over="ignore", invalid="ignore"):
         demand = synth_demand(cfg.seed, cfg.days, base, cfg.demand.params)
-        total = sum(float(np.sum(d)) for d in demand.values())
+        block = np.reshape(list(demand.values()), (len(load_ids), cfg.days))
+        total = sum(float(np.sum(d)) for d in block)
     if not np.isfinite(total):
         raise ValueError("loads: synthetic demand summed over loads and days is not finite")
 
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:
         mean_gen = _run_total(state.generation) / cfg.days
-        mean_demand = sum(float(np.mean(d)) for d in demand.values())
+        mean_demand = sum(float(np.mean(d)) for d in block)
         if mean_demand <= 0:
             raise SimulationError("gen_fraction scaling needs positive base demand")
         scale = frac * mean_gen / mean_demand
         with np.errstate(over="ignore", invalid="ignore"):
-            demand = {lid: d * scale for lid, d in demand.items()}
-        if not all(np.isfinite(d).all() for d in demand.values()):
+            block = block * scale
+        if not np.isfinite(block).all():
             raise ValueError(f"loads.gen_fraction: demand scaled to {frac:g} of mean generation "
                              "is not finite")
-    return demand
+    return block.T
 
 
 def initialize_state(cfg: ScenarioConfig, topology: GridTopology) -> SimulationState:

@@ -313,23 +313,13 @@ def forecast_one(model: SarimaModel) -> float:
 def forecast_many(models: list[SarimaModel]) -> np.ndarray:
     """forecast_one of each of models of one orders, in one array pass. With
     a = phi(B) PHI(B^s), w = mu - sum_k a_k (w_{t-k} - mu), and y undoes the
-    differencing; both sums take ascending lags, skipping zeros. For p < s a
-    lag of a is one product phi_i PHI_j, the value _expand's convolution gives
-    it, so one product per lag builds every a; for p >= s two can share a lag."""
+    differencing; both sums take ascending lags, skipping zeros."""
     if any(m.orders != models[0].orders for m in models):
         raise ValueError("forecast_many needs models of one orders")
     if not models:
         return np.empty(0)
     o = models[0].orders
-    if o.p < o.s:
-        a, b = np.ones((len(models), o.p + 1)), np.ones((len(models), o.P + 1))
-        np.negative([m.ar_coeffs for m in models], out=a[:, 1:])
-        np.negative([m.seasonal_ar_coeffs for m in models], out=b[:, 1:])
-        ar = np.zeros((len(models), o.p + o.s * o.P + 1))
-        ar[:, [i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)]] = \
-            (a[:, :, None] * b[:, None, :]).reshape(len(models), -1)
-    else:
-        ar = np.array([_expand(m.ar_coeffs, m.seasonal_ar_coeffs, o.s) for m in models])
+    ar = np.array([_expand(m.ar_coeffs, m.seasonal_ar_coeffs, o.s) for m in models])
     mu = np.array([m.intercept for m in models])
     diff_tail = np.array([m._diff_tail for m in models])
     level_tail = np.array([m._level_tail for m in models])

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import StorageSystem
+from .model import UNIT_FIELDS, StorageSystem
 
 _REL_TOL = 1e-9
 
@@ -86,9 +86,9 @@ class GridUnits:
         real = np.arange(self._count.max(initial=1)) < self._count[:, None]
         state = np.zeros((5, *real.shape))
         if systems:
-            for a, f in zip(state, ("energy", "soh", "cap", "r_charge", "r_discharge")):
+            for a, f in zip(state, UNIT_FIELDS):
                 a[real] = np.concatenate([getattr(s, f) for s in systems])
-        self.energy, self.soh, self.cap, self.r_charge, self.r_discharge = state
+        self.cap, self.energy, self.soh, self.r_charge, self.r_discharge = state
         self._divisor = np.where(real, self.cap, 1.0)  # pads move nothing
         self._flat = np.arange(len(systems))[:, None] * self.cap.shape[1]  # row starts
         self.capacity = _total(self.cap)  # pads add +0.0, which changes no sum

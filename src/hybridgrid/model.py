@@ -37,7 +37,7 @@ class UnitView(NamedTuple):
 # least positive float is its lower bound), energy >= 0 (its upper bound,
 # cap + 1e-9, is checked apart), SoH in [0, 100] and wear rates >= 0. NaN is
 # outside every bound.
-_UNIT_FIELDS = ("cap", "energy", "soh", "r_charge", "r_discharge")
+UNIT_FIELDS = ("cap", "energy", "soh", "r_charge", "r_discharge")
 _UNIT_LO = np.array([[5e-324], [0.0], [0.0], [0.0], [0.0]])
 _UNIT_HI = np.array([[np.inf], [np.inf], [100.0], [np.inf], [np.inf]])
 _UNIT_RULES = ("capacity must be positive", "energy outside [0, capacity]",
@@ -89,7 +89,7 @@ class StorageSystem:
         if not isinstance(other, StorageSystem):
             return NotImplemented
         return self.id == other.id and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in _UNIT_FIELDS)
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in UNIT_FIELDS)
 
     @property
     def capacity_mwd(self) -> float:
@@ -100,7 +100,7 @@ class StorageSystem:
     def units(self) -> tuple[UnitView, ...]:
         """The units as UnitView tuples, built on each read from the arrays;
         only the benchmark's checks (bench/checks.py, bench/run.py) read it."""
-        values = (getattr(self, f).tolist() for f in _UNIT_FIELDS)
+        values = (getattr(self, f).tolist() for f in UNIT_FIELDS)
         return tuple(map(UnitView, range(len(self.cap)), *values))
 
 

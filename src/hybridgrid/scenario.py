@@ -297,12 +297,11 @@ def _parse_center(entry, where: str) -> LoadCenter:
     return LoadCenter(id=lid, connected_systems=_items(wired, _ref, f"{where}.connected_systems"))
 
 
-def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
+def _build_topology(doc: dict, seed: int,
+                    deg: DegradationConfig) -> tuple[GridTopology, float, float]:
     topo = _known(doc.get("topology", {"reference": True}), _TOPOLOGY_KEYS, "topology")
-    soc0 = _percent(topo, "initial_soc_pct", cfg.initial_soc_pct, "topology")
-    soh0 = _percent(topo, "initial_soh_pct", cfg.initial_soh_pct, "topology")
-    cfg.initial_soc_pct, cfg.initial_soh_pct = soc0, soh0
-    deg = cfg.degradation
+    soc0 = _percent(topo, "initial_soc_pct", ScenarioConfig.initial_soc_pct, "topology")
+    soh0 = _percent(topo, "initial_soh_pct", ScenarioConfig.initial_soh_pct, "topology")
     demand = _object(doc.get("loads", {}), "loads")
 
     if _flag(topo, "reference", False, "topology"):
@@ -334,9 +333,9 @@ def _build_topology(doc: dict, cfg: ScenarioConfig) -> GridTopology:
 
     if deg.rate_spread > 0:  # seeded per-unit wear rates, one multiply per system
         for system in t.systems:
-            mult = wear_multipliers(cfg.seed, system.id, len(system.cap), deg.rate_spread)
+            mult = wear_multipliers(seed, system.id, len(system.cap), deg.rate_spread)
             system.r_charge, system.r_discharge = deg.r_charge * mult, deg.r_discharge * mult
-    return t
+    return t, soc0, soh0
 
 
 def _is_csv(section, where: str) -> bool:
@@ -387,7 +386,7 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     """Build the run configuration and topology from a parsed JSON document."""
     _known(doc, _TOP_KEYS, "")
     run = _known(doc.get("run", {}), RUN_KEYS, "run")
-    cfg = ScenarioConfig(
+    fields = dict(
         days=_size(run.get("days", 365), 0, MAX_DAYS, "run.days"),
         seed=_size(run.get("seed", 0), 0, MAX_SEED, "run.seed"),
         priority_enabled=_flag(run, "priority_enabled", True, "run"),
@@ -395,13 +394,13 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
         forecasting=_read(ForecastingConfig, doc.get("forecasting", {}), "forecasting"),
         degradation=_read(DegradationConfig, doc.get("degradation", {}), "degradation"),
         weights=_read(ScoreWeights, run.get("score_weights", {}), "run.score_weights"),
-        raw=doc,
     )
-    topology = _build_topology(doc, cfg)
+    topology, soc0, soh0 = _build_topology(doc, fields["seed"], fields["degradation"])
     # Weather sites and base demands must name a site or load of the built grid.
-    cfg.weather = _parse_weather(doc.get("weather", {}), {s.site for s in topology.sources})
-    cfg.demand = _parse_demand(doc.get("loads", {}), {str(load.id) for load in topology.loads})
-    return cfg, topology
+    weather = _parse_weather(doc.get("weather", {}), {s.site for s in topology.sources})
+    demand = _parse_demand(doc.get("loads", {}), {str(load.id) for load in topology.loads})
+    return ScenarioConfig(**fields, weather=weather, demand=demand, initial_soc_pct=soc0,
+                          initial_soh_pct=soh0, raw=doc), topology
 
 
 def _finite(token: str) -> float:

@@ -36,14 +36,15 @@ def test_bench_selftest_passes():
 # Views that only the benchmark reads, and the objects whose attribute
 # "units" the package may still read: a SimulationState's GridUnits, as
 # engine.py reaches it through self or state.
-BENCH_ONLY_VIEWS = {"units", "records", "weather_by_day"}
+BENCH_ONLY_VIEWS = {"units", "records", "weather_by_day", "demand_by_load"}
 STATE_UNITS = {("engine.py", "self"), ("engine.py", "state")}
 
 
 def test_package_code_reads_no_bench_only_view():
-    # StorageSystem.units, SimulationTrace.records and
-    # SimulationState.weather_by_day exist for bench/ alone, so the next
-    # benchmark change can delete them once bench/ reads the arrays instead.
+    # StorageSystem.units, SimulationTrace.records,
+    # SimulationState.weather_by_day and SimulationState.demand_by_load exist
+    # for bench/ alone, so the next benchmark change can delete them once
+    # bench/ reads the arrays instead.
     reads = []
     for path in sorted((ROOT / "src" / "hybridgrid").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -61,7 +62,7 @@ def test_runs_never_build_a_bench_only_view(tmp_path, monkeypatch, capsys):
         raise AssertionError("a bench-only view was read")
 
     for cls, name in ((StorageSystem, "units"), (SimulationTrace, "records"),
-                      (SimulationState, "weather_by_day")):
+                      (SimulationState, "weather_by_day"), (SimulationState, "demand_by_load")):
         monkeypatch.setattr(cls, name, property(refuse))
     (tmp_path / "weather.csv").write_text(
         "site_id,day_index,ghi_w_m2,wind_speed_ms\n"

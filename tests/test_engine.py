@@ -91,12 +91,11 @@ def test_daily_conservation_identities():
 def test_served_plus_unmet_equals_realized_demand():
     cfg, topo = parse_scenario(small_doc(days=40, seed=13))
     state = initialize_state(cfg, topo)
-    load_ids = [load.id for load in state.topology.loads]
     for day in range(cfg.days):
         assert step_day(state, day) is None
         served, unmet = state.rows["served_mwd"][day], state.rows["unmet_mwd"][day]
-        for j, lid in enumerate(load_ids):
-            assert served[j] + unmet[j] == pytest.approx(state.demand_by_load[lid][day], abs=1e-9)
+        for j in range(len(topo.loads)):
+            assert served[j] + unmet[j] == pytest.approx(state.demand[day, j], abs=1e-9)
 
 
 def test_identical_seeds_reproduce_exactly():
@@ -560,22 +559,37 @@ def test_initialize_state_fits_no_model(monkeypatch):
 
 
 def test_day_inputs_are_built_on_first_use():
-    # The day step's policy-independent inputs stay out of a run's set-up.
+    # The arms' rows and the bench-only demand_by_load view stay out of a
+    # run's set-up; demand is built there (test_day_inputs_are_held_once_as_arrays).
     cfg, topo = parse_scenario(small_doc(days=20, seed=5))
     state = engine.SimulationState(cfg, topo, [(True, True), (True, False)])
-    lazy = ("demand", "arm_rows")
+    lazy = ("demand_by_load", "arm_rows")
     assert not set(lazy) & set(vars(state))
-    want = [state.demand_by_load[load.id] for load in topo.loads]
-    assert state.demand.tobytes() == np.array(want).T.tobytes()
+    assert [state.demand_by_load[load.id].tobytes() for load in topo.loads] == [
+        state.demand[:, j].tobytes() for j in range(len(topo.loads))]
     runs, ranked = state.arm_rows
     assert runs == [slice(0, 7), slice(7, 14)]
     assert ranked.tolist() == [True] * 7 + [False] * 7
 
 
-def test_day_inputs_are_held_once_as_arrays():
+def test_day_inputs_are_held_once_as_arrays(tmp_path):
     # A compare's state holds each per-day input as one [days, width] float64
     # array; step_day takes each day's row as floats, and keeps no list copy.
+    # Set-up builds demand as that array, each load's column contiguous,
+    # whether it is read from a CSV file or drawn and scaled by gen_fraction
+    # (which builds generation at set-up too).
     cfg, topo = parse_scenario(small_doc(days=40, seed=5))
+    (tmp_path / "demand.csv").write_text("load_id,day_index,demand_mwd\n" + "".join(
+        f"{load.id},{day},{day + load.id / 8}\n" for load in topo.loads for day in range(45)))
+    from_csv = engine.SimulationState(*parse_scenario(
+        small_doc(days=40, seed=5, loads={"kind": "csv", "path": str(tmp_path / "demand.csv")})))
+    for state, scaled in ((engine.SimulationState(cfg, topo), True), (from_csv, False)):
+        demand = vars(state)["demand"]
+        assert type(demand) is np.ndarray and demand.dtype == np.float64
+        assert demand.shape == (cfg.days, len(topo.loads)) and demand.T.flags.c_contiguous
+        assert ("generation" in vars(state)) is scaled
+    assert from_csv.demand.T.tolist() == [[day + load.id / 8 for day in range(40)]
+                                          for load in topo.loads]
     state = engine.SimulationState(cfg, topo, [(True, True), (False, True)])
     engine._run(state)
     widths = {"generation": len(topo.sources), "demand": len(topo.loads),
@@ -672,7 +686,7 @@ def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
     warmup = max(3 * o.s, 30, o.min_series_length())
     assert state.forecasts.shape == (cfg.days, len(topo.loads))
     for j, load in enumerate(topo.loads):
-        demand = state.demand_by_load[load.id].tolist()
+        demand = state.demand[:, j].tolist()
         models = {}
         expected = []
         for day in range(cfg.days):

@@ -404,7 +404,7 @@ def test_forecast_many_is_each_forecast_one():
 
 def forecast_by_expand(model):
     """forecast_one by each model's own _expand convolution and scalar loops,
-    as forecast_many computed it before it built p < s polynomials at once."""
+    one model at a time."""
     o = model.orders
     ar = forecast._expand(model.ar_coeffs, model.seasonal_ar_coeffs, o.s).tolist()
     mu, diff_tail, level_tail = model.intercept, model._diff_tail.tolist(), model._level_tail.tolist()
@@ -422,13 +422,14 @@ def forecast_by_expand(model):
 @pytest.mark.parametrize(
     "orders",
     [
+        SarimaOrders(1, 0, 0, 1, 0, 0, 7),  # the default orders, the only ones a workload runs
         SarimaOrders(1, 0, 0, 0, 0, 0, 7),  # p < s, P = 0
         SarimaOrders(0, 0, 0, 1, 0, 0, 7),  # p = 0
         SarimaOrders(0, 1, 0, 2, 1, 0, 7),
         SarimaOrders(6, 0, 0, 2, 0, 0, 7),  # p < s, the largest p
-        SarimaOrders(8, 0, 0, 1, 0, 0, 7),  # p >= s, _expand itself
+        SarimaOrders(8, 0, 0, 1, 0, 0, 7),  # p >= s, two products share lag s
     ],
-    ids=["p1-P0", "p0", "p0-differenced", "p6", "p8"],
+    ids=["default", "p1-P0", "p0", "p0-differenced", "p6", "p8"],
 )
 def test_forecast_many_equals_the_expand_convolution_bitwise(orders):
     series = seasonal_series(400, seed=13)
