@@ -11,7 +11,7 @@ spreads whatever energy each source still holds across that source's
 connected systems in proportion to remaining headroom; energy that finds no
 headroom is curtailed. The non-prioritized baseline splits each source
 equally across its connected systems instead, re-splitting overflow among
-the still-unsaturated ones.
+the still-unsaturated ones until nothing is left.
 
 Discharge is need-blind: a load draws from its connected systems in
 proportion to how much each currently stores, so a shared pool drains evenly
@@ -42,21 +42,19 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .model import GridTopology, Wiring
+from .model import REL_TOL, GridTopology, Wiring
 
 # Charge targets anticipate next-day demand with a fixed safety margin.
 CHARGE_BUFFER = 1.25
-
-_REL_TOL = 1e-9
 
 
 def split_equally(total: float, caps: list[float], slots: Sequence[int]) -> list[float]:
     """Split total across the given slots of caps by iterated equal shares.
 
     Each round gives every unsaturated slot an equal share of what is left,
-    clamped at its cap; overflow is re-split among the rest. Returns the
-    amounts in slots order; any residue beyond the slots' caps is left
-    unallocated.
+    clamped at its cap, until nothing is left or a round saturates no slot.
+    Returns the amounts in slots order; any residue beyond the slots' caps
+    is left unallocated.
     """
     if total < 0:
         raise ValueError(f"cannot split a negative total: {total}")
@@ -66,7 +64,7 @@ def split_equally(total: float, caps: list[float], slots: Sequence[int]) -> list
     for j, i in enumerate(slots):
         if caps[i] > 0:
             active.append(j)
-    while remaining > 1e-12 and active:
+    while remaining > 0.0 and active:
         share = remaining / len(active)
         unsaturated = []
         for j in active:
@@ -187,18 +185,19 @@ def allocate_equal(
     w: Wiring, headroom: list[float], energy: list[float]
 ) -> tuple[list[list[float]], list[float], list[float]]:
     """Need-blind baseline: each source in turn splits equally over its rows,
-    overflow re-split and the rest curtailed; in and out as allocate_priority."""
+    overflow re-split, and a rest above REL_TOL of its energy is curtailed;
+    in and out as allocate_priority."""
     flow, curtailed, into = [], [0.0] * len(energy), [0.0] * len(headroom)
     for k, rows in enumerate(w.source_rows):
         e = energy[k]
-        gifts = split_equally(e, headroom, rows) if e > 0 else [0.0] * len(rows)
+        gifts = split_equally(e, headroom, rows)
         flow.append(gifts)
         delivered = 0  # from int 0, as sum() adds
         for i, amt in zip(rows, gifts):
             headroom[i] -= amt
             delivered += amt
             into[i] += amt
-        if e - delivered > _REL_TOL * (e if e > 1.0 else 1.0):  # max(1.0, e)
+        if e - delivered > REL_TOL * e:
             curtailed[k] = e - delivered
     return flow, curtailed, into
 

@@ -27,9 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import UNIT_FIELDS, StorageSystem
-
-_REL_TOL = 1e-9
+from .model import REL_TOL, UNIT_FIELDS, StorageSystem
 
 DEFAULT_W_SOH = 0.5
 DEFAULT_W_SOC = 0.5
@@ -54,11 +52,11 @@ def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
     Each round gives every unsaturated slot of a row an equal share of what
     the row has left, clamped at its cap, and re-splits the overflow among
     the rest; a row stops when it has nothing left, no open slot, or no slot
-    saturated in its last round. A round that saturates no slot ends the split.
+    saturated in its last round, so every split ends.
     """
     room, alloc = caps, np.zeros(caps.shape)
     left = np.asarray(totals, dtype=float).reshape(-1, 1)
-    active = (room > 0) & (left > 1e-12)
+    active = (room > 0) & (left > 0.0)
     while np.count_nonzero(active):
         share = left / np.maximum(active.sum(axis=1, keepdims=True, dtype=float), 1.0)
         full = active & (room <= share)
@@ -67,7 +65,7 @@ def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
         if not np.count_nonzero(full):
             break
         left = np.subtract.accumulate(np.concatenate([left, take], axis=1), axis=1)[:, -1:]
-        active &= ~full & full.any(axis=1, keepdims=True) & (left > 1e-12)
+        active &= ~full & full.any(axis=1, keepdims=True) & (left > 0.0)
         room = caps - alloc
     return alloc
 
@@ -115,12 +113,12 @@ class GridUnits:
         return w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor)
 
     def _check(self, amounts, limit: np.ndarray, what: str) -> np.ndarray:
-        """The amounts as an array, clipped to limit after dust-sized overshoot."""
+        """The amounts as an array, clipped to limit after overshoot up to REL_TOL of it."""
         amounts = np.asarray(amounts, dtype=float)
         ok = amounts >= 0  # false for NaN
         ok &= amounts <= limit  # most calls need no tolerance
         if np.count_nonzero(ok) < ok.size:
-            ok = (amounts >= 0) & (amounts <= limit + _REL_TOL * np.maximum(1.0, limit))
+            ok = (amounts >= 0) & (amounts <= limit + REL_TOL * limit)
             if np.count_nonzero(ok) < ok.size:
                 i = int(np.argmin(ok))
                 raise ValueError(f"system {self.ids[i]}: {what} {amounts[i]} outside "

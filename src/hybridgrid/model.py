@@ -33,10 +33,13 @@ class UnitView(NamedTuple):
     r_discharge: float
 
 
+# The one tolerance for float dust, as a share of the quantity it guards (a
+# limit, a capacity, a source's energy), so MWd scaled by 2^k run the same.
+REL_TOL = 1e-9
 # Each unit array's bounds, in StorageSystem field order: capacity > 0 (the
 # least positive float is its lower bound), energy >= 0 (its upper bound,
-# cap + 1e-9, is checked apart), SoH in [0, 100] and wear rates >= 0. NaN is
-# outside every bound.
+# cap * (1 + REL_TOL), is checked apart), SoH in [0, 100] and wear rates
+# >= 0. NaN is outside every bound.
 UNIT_FIELDS = ("cap", "energy", "soh", "r_charge", "r_discharge")
 _UNIT_LO = np.array([[5e-324], [0.0], [0.0], [0.0], [0.0]])
 _UNIT_HI = np.array([[np.inf], [np.inf], [100.0], [np.inf], [np.inf]])
@@ -55,8 +58,8 @@ class StorageSystem:
     points a unit loses per equivalent full cycle of charging / discharging
     (throughput equal to its capacity; default 0). A scalar stands for every
     unit. Each array is copied and checked once: cap > 0, energy in
-    [0, cap + 1e-9], soh in [0, 100] and rates >= 0, NaN failing each. An
-    error names the first unit that breaks a rule, and its first rule broken.
+    [0, cap * (1 + REL_TOL)], soh in [0, 100] and rates >= 0, NaN failing
+    each. An error names the first unit that breaks a rule and its first one.
     """
 
     id: int
@@ -78,7 +81,7 @@ class StorageSystem:
             raise ValueError(f"system {self.id}: unit arrays must have one value per unit "
                              f"({cap.size})") from None
         bad = ~((units >= _UNIT_LO) & (units <= _UNIT_HI))
-        bad[1] |= units[1] > units[0] + 1e-9
+        bad[1] |= units[1] > units[0] * (1.0 + REL_TOL)
         if np.count_nonzero(bad):
             # Name the first unit that breaks a rule, and its first rule broken.
             k = int(np.argmax(bad.any(axis=0)))

@@ -69,12 +69,12 @@ def dispatch_priority(sources: dict, deficit: dict, headroom: dict, energy: dict
 
 def water_fill(total: float, caps: list) -> list:
     """Equal shares of what is left to every open slot, each clamped at its
-    cap, overflow re-split among the rest, until nothing is left (1e-12), no
-    slot is open, or a round saturates no slot."""
+    cap, overflow re-split among the rest, until nothing is left (exactly
+    0.0), no slot is open, or a round saturates no slot."""
     alloc = [0.0] * len(caps)
     remaining = total
     active = [j for j, cap in enumerate(caps) if cap > 0]
-    while remaining > 1e-12 and active:
+    while remaining > 0.0 and active:
         share = remaining / len(active)
         saturated = []
         for j in active:
@@ -92,18 +92,18 @@ def water_fill(total: float, caps: list) -> list:
 
 def dispatch_equal(sources: dict, headroom: dict, energy: dict):
     """Each source in ascending id water-fills its systems' room; what it
-    cannot place beyond a 1e-9 relative tolerance is curtailed."""
+    cannot place beyond 1e-9 of its energy is curtailed."""
     room = dict(headroom)
     gifts, curtailed = {}, {k: 0.0 for k in sources}
     for k in sorted(sources):
         e, conn = energy[k], sources[k]
-        split = water_fill(e, [room[sid] for sid in conn]) if e > 0 else [0.0] * len(conn)
+        split = water_fill(e, [room[sid] for sid in conn])
         delivered = 0.0
         for sid, amount in zip(conn, split):
             gifts[k, sid] = amount
             room[sid] -= amount
             delivered += amount
-        if e - delivered > 1e-9 * max(1.0, e):
+        if e - delivered > 1e-9 * e:
             curtailed[k] = e - delivered
     return gifts, curtailed
 

@@ -234,22 +234,26 @@ def test_moves_reject_nan_amounts(move):
         g.discharge([np.nan]) if move == "discharge" else g.charge([np.nan], move == "ranked")
 
 
-@pytest.mark.parametrize("move", ["ranked", "equal", "discharge"])
-def test_moves_take_dust_above_their_limit_and_reject_more(move):
-    # A request up to 1e-9 x max(1, limit) above the limit (headroom to
-    # charge, stored energy to discharge) moves exactly the limit; beyond
-    # that it is an error naming the limit. Below the limit the move skips
-    # working out that tolerance.
+@pytest.mark.parametrize(
+    "move, scale",
+    [("ranked", 1.0), ("equal", 1.0), ("discharge", 1.0), ("discharge", 2.0**-30)],
+    ids=["ranked", "equal", "discharge", "discharge-below-1-mwd"],
+)
+def test_moves_take_dust_above_their_limit_and_reject_more(move, scale):
+    # A request up to 1e-9 x limit above the limit (headroom to charge,
+    # stored energy to discharge) moves exactly the limit; beyond that it is
+    # an error naming the limit, a limit below 1 MWd too. Below the limit the
+    # move skips working out that tolerance.
     def move_by(g, amount):
         return g.discharge([amount]) if move == "discharge" else g.charge([amount], move == "ranked")
 
     def fresh():
-        return grid([unit(capacity=300.0, energy=100.0)])
+        return grid([unit(capacity=300.0 * scale, energy=100.0 * scale)])
 
     g = fresh()
     limit = float((g.stored if move == "discharge" else g.headroom)[0])
     assert move_by(g, limit * (1.0 + 0.5e-9)).sum() == limit
-    assert float(g.stored[0]) == (0.0 if move == "discharge" else 300.0)
+    assert float(g.stored[0]) == (0.0 if move == "discharge" else 300.0 * scale)
     what = "discharge" if move == "discharge" else "charge"
     with pytest.raises(ValueError, match=f"system 1: {what} .* outside \\[0, {limit}\\]"):
         move_by(fresh(), limit * (1.0 + 2e-9))

@@ -43,7 +43,7 @@ def test_battery_unit_rejects_bad_soh():
         ({"cap": [100.0, 0.0]}, "unit 1: capacity must be positive"),
         ({"cap": [100.0, -5.0]}, "unit 1: capacity must be positive"),
         ({"cap": [np.nan]}, "unit 0: capacity must be positive"),
-        ({"energy": [0.0, 100.0 + 2e-9]}, "unit 1: energy outside [0, capacity]"),
+        ({"energy": [0.0, 100.0 * (1.0 + 2e-9)]}, "unit 1: energy outside [0, capacity]"),
         ({"energy": [0.0, np.nan]}, "unit 1: energy outside [0, capacity]"),
         ({"soh": [100.0, -0.5]}, "unit 1: SoH outside [0, 100]"),
         ({"r_charge": [0.0, -1.0]}, "unit 1: degradation rates must be >= 0"),
@@ -52,6 +52,9 @@ def test_battery_unit_rejects_bad_soh():
         ({"soh": [100.0, 200.0], "energy": [0.0, -1.0], "r_charge": [-1.0, 0.0]},
          "unit 0: degradation rates must be >= 0"),
         ({"cap": [100.0, 0.0], "energy": [0.0, 5.0]}, "unit 1: capacity must be positive"),
+        # The energy bound is relative to the capacity, however small it is.
+        ({"cap": [100.0, 2.0**-20], "energy": [0.0, 2.0**-20 * (1.0 + 2e-9)]},
+         "unit 1: energy outside [0, capacity]"),
     ],
 )
 def test_storage_system_checks_each_unit_array(arrays, message):
