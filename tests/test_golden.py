@@ -11,7 +11,10 @@ alternating least squares solve, which moved some daily values in their sixth
 decimal. The raw-float hashes were re-recorded after that, when the synthetic
 cloud factor's normal CDF moved from scipy's ndtr to math.erfc: the two differ
 by at most 2.2e-16 on some inputs, which moves last bits of daily records but
-no CSV value.
+no CSV value. The reference-health records hash was re-recorded when both
+equal splits began to stop only when nothing is left, not below 1e-12 MWd:
+the dust they used to leave is now placed, which moves last bits of daily
+records but no CSV value.
 """
 
 import hashlib
@@ -113,7 +116,7 @@ def test_shared_systems_records_are_pinned_bitwise():
         (
             "scenarios/reference.json",
             "health",
-            "f2b9be42287165044d4a40c1274c61a0c2d13e64967e2e893c76489471fd371a",
+            "f0922f437c5f37a6cc81db02d572ccc34543c40a6ddea3ba12fd04e3ecb60ac2",
         ),
     ],
     ids=["stress-priority", "reference-health"],
