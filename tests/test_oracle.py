@@ -219,25 +219,38 @@ def runs(draw):
     return systems, sources, loads, per_day, arms, (w_soh, 1.0 - w_soh)
 
 
-@settings(deadline=None, max_examples=100)
-@given(run=runs())
-def test_stacked_days_match_the_oracle_bit_for_bit(run):
-    systems, sources, loads, per_day, arms, (w_soh, w_soc) = run
-    topo = GridTopology(
+def run_topology(systems, sources, loads):
+    """The grid of a runs() draw, every source a solar plant at one site."""
+    return GridTopology(
         systems=systems,
         loads=[LoadCenter(lid, tuple(conn)) for lid, conn in loads.items()],
         sources=[EnergySource(k, "solar", SolarPlantParams(1000.0, 0.2), tuple(conn), "site")
                  for k, conn in sources.items()],
     )
+
+
+def run_state(topo, per_day, arms, weights):
+    """A state of topo with these arms and score weights, its generation,
+    demand and targets assigned from per_day as [days, width] arrays in
+    ascending id. cached_property leaves them to be set, so no weather or fit
+    is involved."""
     n_days = len(per_day["energy"])
-    state = SimulationState(ScenarioConfig(n_days, 0, weights=ScoreWeights(w_soh, w_soc)), topo,
-                            arms)
-    cols = {of: [e.id for e in getattr(topo, of)] for of in ("systems", "loads", "sources")}
-    # cached_property leaves these to be set, so no weather or fit is involved.
+    state = SimulationState(ScenarioConfig(n_days, 0, weights=ScoreWeights(*weights)), topo, arms)
     for name, of, attr in (("energy", "sources", "generation"), ("demand", "loads", "demand"),
                            ("targets", "systems", "targets")):
-        setattr(state, attr, np.array([[day[key] for key in cols[of]] for day in per_day[name]]))
-    traces = _run(state)
+        ids = [e.id for e in getattr(topo, of)]
+        setattr(state, attr, np.array([[day[key] for key in ids] for day in per_day[name]]))
+    return state
+
+
+@settings(deadline=None, max_examples=100)
+@given(run=runs())
+def test_stacked_days_match_the_oracle_bit_for_bit(run):
+    systems, sources, loads, per_day, arms, (w_soh, w_soc) = run
+    topo = run_topology(systems, sources, loads)
+    n_days = len(per_day["energy"])
+    traces = _run(run_state(topo, per_day, arms, (w_soh, w_soc)))
+    cols = {of: [e.id for e in getattr(topo, of)] for of in ("systems", "loads", "sources")}
     assert len(traces) == len(arms)
     for trace, (priority, ranked) in zip(traces, arms):
         units = {s.id: [s.energy.tolist(), s.soh.tolist(), s.cap.tolist(), s.r_charge.tolist(),
