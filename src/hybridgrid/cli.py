@@ -12,6 +12,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .engine import (
     SimulationError,
     atomic_write_text,
@@ -121,7 +123,7 @@ def _parse_orders(text: str) -> SarimaOrders:
 
 def cmd_forecast(args) -> int:
     orders = _parse_orders(args.orders) if args.orders else DEFAULT_ORDERS
-    if not 1 <= args.horizon <= MAX_DAYS:  # each step refits on a longer history
+    if not 1 <= args.horizon <= MAX_DAYS:
         raise ValueError(f"--horizon must be in [1, {MAX_DAYS}], got {args.horizon}")
     series_by_load = load_demand_csv(args.history)
     if not series_by_load:
@@ -131,17 +133,13 @@ def cmd_forecast(args) -> int:
             raise ValueError(f"no history for load {args.load_id}")
         series_by_load = {args.load_id: series_by_load[args.load_id]}
 
-    # Later steps refit on the histories extended by earlier forecasts, all
-    # loads of a step in one batch; the printed model is the one fitted on
-    # the history alone.
-    histories = [series.tolist() for _, series in sorted(series_by_load.items())]
-    models = fit_sarima_many(histories, orders)
-    steps = [forecast_many(models).tolist()]
-    for _ in range(args.horizon - 1):
-        for history, value in zip(histories, steps[-1]):
-            history.append(value)
-        steps.append(forecast_many(fit_sarima_many(histories, orders)).tolist())
-    for lid, model, values in zip(sorted(series_by_load), models, zip(*steps)):
+    # One batch fits every load; each step's forecasts end the next step's tails.
+    models = fit_sarima_many([series for _, series in sorted(series_by_load.items())], orders)
+    tails, steps = np.array([m._tail for m in models]), []
+    for _ in range(args.horizon):
+        steps.append(forecast_many(models, tails))
+        tails = np.concatenate([tails, steps[-1][:, None]], axis=1)[:, 1:]
+    for lid, model, values in zip(sorted(series_by_load), models, np.transpose(steps).tolist()):
         coeffs = {
             "ar": list(map(float, model.ar_coeffs)),
             "seasonal_ar": list(map(float, model.seasonal_ar_coeffs)),

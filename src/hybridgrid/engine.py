@@ -4,13 +4,10 @@ A SimulationState is one run, or several in lockstep: one config and one
 topology, and per arm only its (priority_enabled, health_enabled) pair.
 Weather, per-source generation, realized demand, the day-ahead demand
 forecasts and each system's charge target do not depend on policy, so the
-state builds them once, from the config, for all its arms. Set-up builds
-weather, demand, the units and, when loads.gen_fraction scales demand to
-it, generation; the rest is built on first use. Weather is a pair of arrays
-per site; generation, demand, forecasts and targets are each one
-[days, width] array, the forecasts built from shifted demand, one
-fit_sarima_many batch and one forecast_many call, so none holds per-day
-objects; step_day takes each day's row as floats.
+state builds them once, from the config, for all its arms (SimulationState
+says which at set-up). Weather is a pair of arrays per site; generation,
+demand, forecasts and targets are each one [days, width] array, so none
+holds per-day objects; step_day takes each day's row as floats.
 One health.GridUnits holds every arm's units as arm-major rows (row b * S + i
 is system i of arm b), and step_day makes one charge call and one discharge
 call for the whole batch. run_simulation is
@@ -41,6 +38,7 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dispatch import (
     allocate_equal,
@@ -203,11 +201,11 @@ class SimulationState:
         """F[day, j]: the demand forecast dispatch sees for the topology's j-th
         load, from the realized demand before the day: 0.0 on day 0, then the
         previous day's demand, from day s seasonal-naive (demand s days back,
-        floored at 0), and from the end of warm-up a SARIMA model refit every
-        refit_interval_days on the trailing window, its one-step forecast
-        standing until the next refit."""
+        floored at 0), and from the end of warm-up the one-step forecast of a
+        SARIMA model refit every refit_interval_days on the trailing window,
+        each day of the model's block evaluated on the K days before it."""
         days, fc = self.cfg.days, self.cfg.forecasting
-        o, every = fc.orders, min(fc.refit_interval_days, max(days, 1))  # np.repeat: a C long
+        o, every = fc.orders, fc.refit_interval_days
         warmup = max(3 * o.s, 30, o.min_series_length())
         y = self.demand
         out = np.zeros_like(y)
@@ -215,8 +213,12 @@ class SimulationState:
         out[o.s :] = np.where(y[: -o.s] > 0.0, y[: -o.s], 0.0)  # max(0.0, y)
         fit_days = range(warmup, days, every)
         windows = [d[max(0, day - fc.train_window_days) : day] for d in y.T for day in fit_days]
-        standing = forecast_many(fit_sarima_many(windows, o)).reshape(y.shape[1], len(fit_days))
-        out[warmup:] = np.repeat(standing.T, every, axis=0)[: days - warmup]
+        models = fit_sarima_many(windows, o)
+        K = o.p + o.s * o.P + o.d + o.s * o.D
+        for b, day in enumerate(fit_days):  # a window holds more than K days, so day > K
+            end = min(day + every, days)
+            tails = sliding_window_view(y[day - K : end - 1], K, axis=0)  # [end - day, loads, K]
+            out[day:end] = forecast_many(models[b :: len(fit_days)], tails)
         return out
 
     @cached_property

@@ -21,11 +21,12 @@ window's lagged values, built once per window. Estimation is deterministic:
 refitting the same history reproduces bit-identical coefficients.
 
 fit_sarima_many fits a batch of windows in one search, each window leaving
-the batch once it converges, and forecast_many forecasts a list of models
-one step ahead in one array pass. A batch equals lone calls bit for bit,
-because nothing mixes rows: every update is elementwise, a row's reduction,
-or a stacked matmul or solve, making per row the calls a lone one makes.
-fit_sarima and forecast_one are batches of one.
+the batch once it converges. forecast_many is the one forecast rule: a fitted
+model's one-step forecast from the K = p + s*P + d + s*D level values before
+the day, by default its window's last K (its tail). A batch equals lone calls
+bit for bit, because nothing mixes rows: every update is elementwise, a row's
+reduction, or a stacked matmul or solve, making per row the calls a lone one
+makes. fit_sarima and forecast_one are batches of one.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ class SarimaModel:
     seasonal_ar_coeffs: np.ndarray
     intercept: float
     converged: bool
-    # Tails, most recent value last.
-    _diff_tail: np.ndarray
-    _level_tail: np.ndarray
+    # The window's last K = p + s*P + d + s*D values, most recent last.
+    _tail: np.ndarray
 
 
 def _difference(y: np.ndarray, d: int, D: int, s: int) -> np.ndarray:
@@ -268,14 +268,13 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
     for y, ok in zip(ys, finite.tolist()):
         _check_window(y, ok, o)
     lags = sorted({i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)})
-    k, L, level_len = len(ys), o.p + o.s * o.P, o.d + o.s * o.D  # tails, most recent last
+    k, L = len(ys), o.p + o.s * o.P
     G = np.empty((k, len(lags) + 1, len(lags) + 1))
-    means, diff_tails, level_tails = np.empty(k), np.empty((k, L)), np.empty((k, level_len))
+    means, tails = np.empty(k), np.empty((k, L + o.d + o.s * o.D))
     for rows, Y in stacks:
         W = _difference(Y, o.d, o.D, o.s)
         means[rows] = m = np.mean(W, axis=1)
-        diff_tails[rows] = W[:, W.shape[1] - L :]
-        level_tails[rows] = Y[:, Y.shape[1] - level_len :]
+        tails[rows] = Y[:, Y.shape[1] - tails.shape[1] :]
         G[rows] = _gram(W - m[:, None], L, lags)
     xs, converged = _als(G, o, lags)
     phi, sphi = xs[:, : o.p], xs[:, o.p : o.p + o.P]
@@ -291,8 +290,7 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
         for flag, text in zip(flags, texts):
             if flag[r]:
                 warnings.warn(text, RuntimeWarning, stacklevel=2)
-    return list(map(SarimaModel, repeat(o), phi, sphi, mu.tolist(), converged.tolist(),
-                    diff_tails, level_tails))
+    return list(map(SarimaModel, repeat(o), phi, sphi, mu.tolist(), converged.tolist(), tails))
 
 
 def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
@@ -310,9 +308,11 @@ def forecast_one(model: SarimaModel) -> float:
     return float(forecast_many([model])[0])
 
 
-def forecast_many(models: list[SarimaModel]) -> np.ndarray:
-    """forecast_one of each of models of one orders, in one array pass. With
-    a = phi(B) PHI(B^s), w = mu - sum_k a_k (w_{t-k} - mu), and y undoes the
+def forecast_many(models: list[SarimaModel], tails: np.ndarray | None = None) -> np.ndarray:
+    """forecast_one of each of models of one orders, in one array pass, on
+    tails [..., len(models), K] of level values before the day, most recent
+    last (by default each model's own). With a = phi(B) PHI(B^s) and w the
+    differenced tails, w = mu - sum_k a_k (w_{t-k} - mu), and y undoes the
     differencing; both sums take ascending lags, skipping zeros."""
     if any(m.orders != models[0].orders for m in models):
         raise ValueError("forecast_many needs models of one orders")
@@ -321,15 +321,15 @@ def forecast_many(models: list[SarimaModel]) -> np.ndarray:
     o = models[0].orders
     ar = np.array([_expand(m.ar_coeffs, m.seasonal_ar_coeffs, o.s) for m in models])
     mu = np.array([m.intercept for m in models])
-    diff_tail = np.array([m._diff_tail for m in models])
-    level_tail = np.array([m._level_tail for m in models])
-    w_hat = np.zeros(len(models))
+    level = np.array([m._tail for m in models]) if tails is None else tails
+    diff = _difference(level, o.d, o.D, o.s)
+    w_hat = np.zeros(level.shape[:-1])
     for k in range(1, ar.shape[1]):
-        w_hat = np.where(ar[:, k] != 0.0, w_hat - ar[:, k] * (diff_tail[:, -k] - mu), w_hat)
+        w_hat = np.where(ar[:, k] != 0.0, w_hat - ar[:, k] * (diff[..., -k] - mu), w_hat)
     y = mu + w_hat
     for k, c in enumerate(_diff_poly(o.d, o.D, o.s).tolist()):
         if k and c != 0.0:
-            y = y - c * level_tail[:, -k]
+            y = y - c * level[..., -k]
     return np.where(y > 0.0, y, 0.0)  # max(0.0, y): NaN and -0.0 become 0.0
 
 

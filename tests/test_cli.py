@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import copy
+import hashlib
 import io
 import json
 import math
@@ -15,8 +16,10 @@ from conftest import SHARED_SYSTEMS_DOC, explicit_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridgrid import compare
+import hybridgrid.cli as cli
+from hybridgrid import compare, fit_sarima, forecast_one
 from hybridgrid.cli import main
+from hybridgrid.forecast import DEFAULT_ORDERS, SarimaOrders, load_demand_csv
 from hybridgrid.scenario import load_scenario
 
 TOY = "scenarios/toy.json"
@@ -845,7 +848,7 @@ def test_integer_flags_take_what_the_csv_readers_take(tmp_path, flags):
 
 
 def test_forecast_horizon_past_the_day_cap_is_validation_error(tmp_path, capsys):
-    # Each step refits on a longer history, so a typo's horizon is refused
+    # A horizon is capped like a run's days, so a typo's horizon is refused
     # before any fit.
     history = tmp_path / "history.csv"
     make_history_csv(history)
@@ -872,6 +875,64 @@ def test_forecast_fits_each_load_as_alone(tmp_path, capsys):
         assert main(["forecast", str(history), "--horizon", "2", "--load-id", str(lid)]) == 0
         alone.append(capsys.readouterr().out.strip())
     assert together == alone
+
+
+def write_noisy_history(path):
+    """Two loads' weekly histories with noise, 120 and 100 days."""
+    rng = np.random.default_rng(6)
+    rows = ["load_id,day_index,demand_mwd"]
+    for lid, n in ((0, 120), (1, 100)):
+        level = 90.0 + 10.0 * lid
+        rows += [f"{lid},{day},{level + 6.0 * (day % 7) + rng.normal(0.0, 2.0)}"
+                 for day in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+DIFFERENCED_ORDERS = "7,0,0,1,1,0,7"
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "e2d527470a783e5d91eb919b6c6d07c5d6fe045fbcc9a1c3f35317b08cc28c41"),
+    (["--orders", DIFFERENCED_ORDERS],
+     "6a5925ba10a6c9ca8e6ea198ae1ef5f0e744ea90962931e10bfd7c29dbfb02b1"),
+], ids=["default", "differenced"])
+def test_forecast_one_step_output_is_pinned(tmp_path, capsys, flags, digest):
+    # sha256 of stdout at --horizon 1, recorded while each horizon step still
+    # refitted; the first step reads the history alone, so it did not move.
+    history = tmp_path / "history.csv"
+    write_noisy_history(history)
+    assert main(["forecast", str(history), *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("orders", [None, DIFFERENCED_ORDERS], ids=["default", "differenced"])
+def test_forecast_horizon_feeds_each_step_back_bitwise(tmp_path, capsys, monkeypatch, orders):
+    # Step h is forecast_one of the model fitted on the history, its tail
+    # shifted by the h - 1 forecasts before it.
+    history, horizon = tmp_path / "history.csv", 40
+    write_noisy_history(history)
+    steps, forecast_many = [], cli.forecast_many
+    monkeypatch.setattr(cli, "forecast_many", lambda *a: steps.append(forecast_many(*a)) or steps[-1])
+    flags = ["--orders", orders] if orders else []
+    assert main(["forecast", str(history), "--horizon", str(horizon), *flags]) == 0
+    printed = [line.split(" forecast ")[1].split() for line in capsys.readouterr().out.splitlines()]
+    o = SarimaOrders.from_sequence(map(int, orders.split(","))) if orders else DEFAULT_ORDERS
+    for j, series in enumerate(load_demand_csv(history).values()):
+        model, expected = fit_sarima(series, o), []
+        for _ in range(horizon):
+            expected.append(forecast_one(model))
+            model._tail = np.append(model._tail[1:], expected[-1])
+        assert [step[j].hex() for step in steps] == [v.hex() for v in expected]
+        assert printed[j] == [f"{v:.6f}" for v in expected]
+
+
+def test_forecast_fits_once_for_any_horizon(tmp_path, monkeypatch):
+    history = tmp_path / "history.csv"
+    write_noisy_history(history)
+    batches, fit_many = [], cli.fit_sarima_many
+    monkeypatch.setattr(cli, "fit_sarima_many", lambda *a: batches.append(a) or fit_many(*a))
+    assert main(["forecast", str(history), "--horizon", "30"]) == 0
+    assert len(batches) == 1 and len(batches[0][0]) == 2
 
 
 def test_forecast_history_without_rows_is_validation_error(tmp_path, capsys):

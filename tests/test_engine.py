@@ -678,41 +678,49 @@ DIFFERENCED_DOC = small_doc(days=150, seed=4, forecasting={
 ], ids=["reference-1", "reference-2", "reference-3", "stress-42", "differenced"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
+    # From warm-up on, day t's forecast is its block's lone fit evaluated on
+    # the realized demand of days t - K .. t - 1.
     cfg, topo = load_scenario(source) if isinstance(source, str) else parse_scenario(source)
     cfg = dataclasses.replace(cfg, seed=seed)
     state = engine.SimulationState(cfg, topo)
     fc = cfg.forecasting
     o, every = fc.orders, fc.refit_interval_days
     warmup = max(3 * o.s, 30, o.min_series_length())
+    K = o.p + o.s * o.P + o.d + o.s * o.D
     assert state.forecasts.shape == (cfg.days, len(topo.loads))
     for j, load in enumerate(topo.loads):
-        demand = state.demand[:, j].tolist()
+        demand = state.demand[:, j]
         models = {}
         expected = []
         for day in range(cfg.days):
             if day < warmup:
-                expected.append(warmup_forecast(demand, day, o.s))
+                expected.append(warmup_forecast(demand.tolist(), day, o.s))
                 continue
             fit_day = day - (day - warmup) % every
             if fit_day not in models:
-                window = demand[max(0, fit_day - fc.train_window_days) : fit_day]
-                models[fit_day] = forecast_one(fit_sarima(window, o))
-            expected.append(models[fit_day])
+                window = demand[max(0, fit_day - fc.train_window_days) : fit_day].tolist()
+                models[fit_day] = fit_sarima(window, o)
+            model = models[fit_day]
+            model._tail = demand[day - K : day]
+            expected.append(forecast_one(model))
         got = state.forecasts[:, j].tolist()
         assert [v.hex() for v in got] == [float(v).hex() for v in expected], load.id
 
 
-def test_refit_interval_past_the_run_fits_once():
+def test_refit_interval_past_the_run_fits_once(monkeypatch):
     # A scenario may give any interval >= 1, such as 1e308; past the last
-    # day it means the one fit at the end of warm-up.
-    states = []
+    # day it means the one fit at the end of warm-up, whose block runs to the
+    # end of the run.
+    windows = record_fit_windows(monkeypatch)
+    forecasts = []
     for every in (10**308, 80):
         cfg, topo = parse_scenario(small_doc(days=80, seed=5, forecasting={
             "refit_interval_days": every}))
-        states.append(engine.SimulationState(cfg, topo))
-    huge, once = (state.forecasts for state in states)
+        forecasts.append(engine.SimulationState(cfg, topo).forecasts)
+        assert len(windows) == len(topo.loads)
+        windows.clear()
+    huge, once = forecasts
     assert huge.tobytes() == once.tobytes()
-    assert len({row.tobytes() for row in once[32:]}) == 1
 
 
 def test_atomic_write_text(tmp_path):

@@ -177,7 +177,7 @@ def model_bits(model):
         [[float(v).hex() for v in c] for c in coeffs],
         float(model.intercept).hex(),
         model.converged,
-        [t.tobytes() for t in (model._diff_tail, model._level_tail)],
+        model._tail.tobytes(),
     )
 
 
@@ -404,10 +404,11 @@ def test_forecast_many_is_each_forecast_one():
 
 def forecast_by_expand(model):
     """forecast_one by each model's own _expand convolution and scalar loops,
-    one model at a time."""
+    one model at a time, on its tail and the tail differenced."""
     o = model.orders
     ar = forecast._expand(model.ar_coeffs, model.seasonal_ar_coeffs, o.s).tolist()
-    mu, diff_tail, level_tail = model.intercept, model._diff_tail.tolist(), model._level_tail.tolist()
+    diff_tail = forecast._difference(model._tail, o.d, o.D, o.s).tolist()
+    mu, level_tail = model.intercept, model._tail.tolist()
     w = 0.0
     for k in range(1, len(ar)):
         if ar[k] != 0.0:
