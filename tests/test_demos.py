@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "01_generation_models.py": "9f07943cd1f1d46bd36603c53abd994eedba3e357eec1e35a262fcf7308ed5fe",
     "03_priority_dispatch.py": "d8ec1167d0aebf7276b6d9553843e8acfbfd69e43b106533cbcfdc6a7218385c",
     "04_unit_health.py": "0ddc1117412a3c0cfb8c8ac84457a0ac250cc8a368b991b2339e0aca751618aa",
-    "05_full_comparison.py": "bf965a8a443253961e5bc84063e863be701f016f59dd55d8ccf68bc8e6eb0614",
+    "05_full_comparison.py": "6152e3320af80fbee5ed8b8de656cf9f102311f08c56b456173b7850d0831699",
 }
 
 

@@ -14,7 +14,11 @@ by at most 2.2e-16 on some inputs, which moves last bits of daily records but
 no CSV value. The reference-health records hash was re-recorded when both
 equal splits began to stop only when nothing is left, not below 1e-12 MWd:
 the dust they used to leave is now placed, which moves last bits of daily
-records but no CSV value.
+records but no CSV value. Every hash but the toy and no-load runs' was
+re-recorded when each day's demand forecast became the last refit's
+one-step forecast on the days before it, instead of the fit day's forecast
+held until the next refit: the forecasts between refits move, and with
+them priority dispatch and the daily values of every run that reads them.
 """
 
 import hashlib
@@ -56,14 +60,14 @@ def test_toy_run_is_pinned():
         (
             "scenarios/stress.json",
             "priority",
-            "88bedd42083ec609607cf3141e2061d902a856bb4ac66133fa0fa43f6c9f54c3",
-            "a8c9b6bcd220c64039885fd06140f5fa95758ca8d93327d816c8ad5d18629fe0",
+            "03d1eecd55c4de546e9394234645cce5ae3b03e2daa0fafa721968a4ba57b272",
+            "d223ee398a01c7ccf675e9775231f7a204dfcf9cfc6a21cf0d44b10325f5c167",
         ),
         (
             "scenarios/reference.json",
             "health",
-            "91b68a914459ae655f7a5de53d5ee9efc24436057db000da8b2f6b48715e7aea",
-            "c1824e9935fe35a3c0fc81cdadf3fd2987f096d454725019fa2b718f51dcd6af",
+            "62f66f9b5fd0c466466284cd4f44ca0db127ffb091c0a468aae68aa63387e9af",
+            "b6a45e8e4fb962f1b8ae3c8189bf18b3fe63c54c7a97895001bb8b80fcfae30f",
         ),
     ],
     ids=["stress-priority", "reference-health"],
@@ -80,10 +84,10 @@ def test_shared_multi_unit_systems_run_is_pinned():
     trace = run_simulation(cfg, topo)
     assert sum(trace.summary.zero_soc_events.values()) > 0
     assert sha256(trace_csv(trace)) == (
-        "3ba086bd1601d6ad1e32abf3183f2c9c5c059953231f1a2598f8423f7714b0ec"
+        "97442653918d289e77df98fea689077980c1af32d19e68be1ee8713aa433350b"
     )
     assert sha256(summary_csv(trace)) == (
-        "50f4ebb68ff3774e9448db9b4508dc2d4f69603a6080ffaf2b2b265744413c10"
+        "ce415e50bdf486e0dc3d57a3baa41815da593dadb2b4cd859642f4cb6cebb062"
     )
 
 
@@ -101,7 +105,7 @@ def test_grid_without_loads_run_is_pinned():
 def test_shared_systems_records_are_pinned_bitwise():
     cfg, topo = parse_scenario(SHARED_SYSTEMS_DOC)
     assert records_sha256(run_simulation(cfg, topo)) == (
-        "01f39461478727aec1be7ef6d114d2d2d9445bd4ab4a66d8a7b41850c74f15d0"
+        "bbd9df1538454283819471d8d9361cf15a63b0ddb131b74fc87856286423a0f6"
     )
 
 
@@ -111,12 +115,12 @@ def test_shared_systems_records_are_pinned_bitwise():
         (
             "scenarios/stress.json",
             "priority",
-            "8b75f8d25fd3753f619d0755af4ba68b9a7a7aae8cb20893b17e5e3f3991b05f",
+            "4d0347c88a8628adcb787e14f85f1a85de01a8ac4277834e1f55c6de37e49060",
         ),
         (
             "scenarios/reference.json",
             "health",
-            "f0922f437c5f37a6cc81db02d572ccc34543c40a6ddea3ba12fd04e3ecb60ac2",
+            "ca0d8c529d8d9d67ae3d6222ee309d1cf9d41ba31e4ebf0c8269d1128ab03ff5",
         ),
     ],
     ids=["stress-priority", "reference-health"],
@@ -131,15 +135,15 @@ def test_compare_records_are_pinned_bitwise(path, axis, digest):
     "path, digest",
     [
         ("scenarios/reference.json",
-         "e34a13bb9bf60633ad2ec3ac09720caf73f7d355bbac884376f64f75425305e9"),
+         "3600c2d0cdbd9b9829b82c57034481d1f0a91e2ec580131ac26a3f93899f4e14"),
         ("scenarios/stress.json",
-         "afa50bcc4b6d5547c4930f076eb9be7805194c04bae824dfa023c2654073f197"),
+         "39beeffc297ca2b1952df26e9dc674e6392cdfc99694bbfffaee7b2a1d2925f1"),
     ],
     ids=["reference-seed-1", "stress-seed-42"],
 )
 def test_forecasts_are_pinned_bitwise(path, digest):
     # sha256 of the raw float64 bits of the [days, loads] forecasts, recorded
-    # before the fits prepared their windows in stacks. The lone-fit tests
+    # when each day began to be forecast from the days before it. The lone-fit tests
     # compare the batch with itself, so only a pin like this one sees a
     # change that moves both.
     cfg, topo = load_scenario(path)
