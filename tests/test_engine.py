@@ -689,19 +689,19 @@ def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
     K = o.p + o.s * o.P + o.d + o.s * o.D
     assert state.forecasts.shape == (cfg.days, len(topo.loads))
     for j, load in enumerate(topo.loads):
-        demand = state.demand[:, j]
+        demand = state.demand[:, j].tolist()
         models = {}
         expected = []
         for day in range(cfg.days):
             if day < warmup:
-                expected.append(warmup_forecast(demand.tolist(), day, o.s))
+                expected.append(warmup_forecast(demand, day, o.s))
                 continue
             fit_day = day - (day - warmup) % every
             if fit_day not in models:
-                window = demand[max(0, fit_day - fc.train_window_days) : fit_day].tolist()
+                window = demand[max(0, fit_day - fc.train_window_days) : fit_day]
                 models[fit_day] = fit_sarima(window, o)
             model = models[fit_day]
-            model._tail = demand[day - K : day]
+            model._tail = np.array(demand[day - K : day])
             expected.append(forecast_one(model))
         got = state.forecasts[:, j].tolist()
         assert [v.hex() for v in got] == [float(v).hex() for v in expected], load.id
