@@ -139,7 +139,7 @@ def cmd_forecast(args) -> int:
     for _ in range(args.horizon):
         steps.append(forecast_many(models, tails))
         tails = np.concatenate([tails, steps[-1][:, None]], axis=1)[:, 1:]
-    for lid, model, values in zip(sorted(series_by_load), models, np.transpose(steps).tolist()):
+    for lid, model, values in zip(sorted(series_by_load), models, zip(*steps)):
         coeffs = {
             "ar": list(map(float, model.ar_coeffs)),
             "seasonal_ar": list(map(float, model.seasonal_ar_coeffs)),
