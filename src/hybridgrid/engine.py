@@ -206,7 +206,7 @@ class SimulationState:
         each day of the model's block evaluated on the K days before it."""
         days, fc = self.cfg.days, self.cfg.forecasting
         o, every = fc.orders, fc.refit_interval_days
-        warmup = max(3 * o.s, 30, o.min_series_length())
+        warmup = max(30, o.min_series_length())
         y = self.demand
         out = np.zeros_like(y)
         out[1:] = y[:-1]
@@ -214,7 +214,7 @@ class SimulationState:
         fit_days = range(warmup, days, every)
         windows = [d[max(0, day - fc.train_window_days) : day] for d in y.T for day in fit_days]
         models = fit_sarima_many(windows, o)
-        K = o.p + o.s * o.P + o.d + o.s * o.D
+        K = o.K
         for b, day in enumerate(fit_days):  # a window holds more than K days, so day > K
             end = min(day + every, days)
             tails = sliding_window_view(y[day - K : end - 1], K, axis=0)  # [end - day, loads, K]

@@ -8,7 +8,9 @@ differences:
 
 with phi(B) = 1 - phi_1 B - ... and PHI(B^s) = 1 - PHI_1 B^s - .... The
 orders keep the (p, d, q)(P, D, Q)_s shape, but the moving-average orders q
-and Q must be 0.
+and Q must be 0. SarimaOrders states each rule the orders imply once: the
+lag i + s*j of each AR term phi_i * PHI_j, the tail K = p + s*P + d + s*D
+and the shortest window a fit takes, max(3s + p + 10, K + 2).
 
 A fit minimizes the conditional sum of squared one-step residuals, from the
 first full AR window on. With PHI fixed the residual is affine in phi and
@@ -22,11 +24,11 @@ refitting the same history reproduces bit-identical coefficients.
 
 fit_sarima_many fits a batch of windows in one search, each window leaving
 the batch once it converges. forecast_many is the one forecast rule: a fitted
-model's one-step forecast from the K = p + s*P + d + s*D level values before
-the day, by default its window's last K (its tail). A batch equals lone calls
-bit for bit, because nothing mixes rows: every update is elementwise, a row's
-reduction, or a stacked matmul or solve, making per row the calls a lone one
-makes. fit_sarima and forecast_one are batches of one.
+model's one-step forecast from the K level values before the day, by default
+its window's last K (its tail). A batch equals lone calls bit for bit,
+because nothing mixes rows: every update is elementwise, a row's reduction,
+or a stacked matmul or solve, making per row the calls a lone one makes.
+fit_sarima and forecast_one are batches of one.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
-
-from .model import as_int
 
 MAX_ROUNDS = 200
 TOL = 1e-10
@@ -88,7 +89,7 @@ class SarimaOrders:
 
     @classmethod
     def from_sequence(cls, seq, where: str = "orders") -> "SarimaOrders":
-        vals = [as_int(v, f"{where}[{i}]") for i, v in enumerate(seq)]
+        vals = list(seq)
         if len(vals) != 7:
             raise ValueError(f"{where} needs exactly 7 integers p,d,q,P,D,Q,s, got {len(vals)}")
         try:
@@ -96,8 +97,26 @@ class SarimaOrders:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
+    @property
+    def K(self) -> int:
+        """The level values a one-step forecast reads: p + s*P + d + s*D."""
+        return self.p + self.s * self.P + self.d + self.s * self.D
+
+    @property
+    def ar_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lag map of phi(B) PHI(B^s): i, j and lag i + s*j per term, in (i, j) order."""
+        i, j = np.indices((self.p + 1, self.P + 1)).reshape(2, -1)
+        return i, j, i + self.s * j
+
+    @property
+    def ar_lags(self) -> list[int]:
+        """The distinct lags of ar_terms, ascending from 0."""
+        return sorted(set(self.ar_terms[2].tolist()))
+
     def min_series_length(self) -> int:
-        return 3 * self.s + self.p + 10
+        """The shortest window a fit takes: 3s + p + 10 days to identify the
+        seasons, and at least K + 2 for two rows of the sum of squares."""
+        return max(3 * self.s + self.p + 10, self.K + 2)
 
 
 DEFAULT_ORDERS = SarimaOrders(1, 0, 0, 1, 0, 0, 7)
@@ -125,29 +144,11 @@ def _difference(y: np.ndarray, d: int, D: int, s: int) -> np.ndarray:
     return w
 
 
-def _diff_poly(d: int, D: int, s: int) -> np.ndarray:
-    """Coefficients of (1-B)^d (1-B^s)^D in powers of B."""
-    poly = np.array([1.0])
-    for _ in range(d):
-        poly = np.convolve(poly, [1.0, -1.0])
-    seasonal = np.zeros(s + 1)
-    seasonal[0], seasonal[s] = 1.0, -1.0
-    for _ in range(D):
-        poly = np.convolve(poly, seasonal)
-    return poly
-
-
-def _expand(coeffs: np.ndarray, seasonal: np.ndarray, s: int) -> np.ndarray:
-    """Multiplicative AR lag polynomial (1 - c_1 B - ...)(1 - C_1 B^s - ...)."""
-    a = np.zeros(len(coeffs) + 1)
-    a[0] = 1.0
-    if len(coeffs):
-        a[1:] = -coeffs
-    b = np.zeros(len(seasonal) * s + 1)
-    b[0] = 1.0
-    if len(seasonal):
-        b[s::s] = -seasonal
-    return np.convolve(a, b)
+def _diff_terms(o: SarimaOrders) -> list[tuple[int, int]]:
+    """(lag, coefficient) of (1-B)^d (1-B^s)^D past lag 0, ascending. As
+    d + D <= 2 and s >= 2, no two terms share a lag."""
+    return sorted((i + o.s * j, (-1) ** (i + j) * comb(o.d, i) * comb(o.D, j))
+                  for i in range(o.d + 1) for j in range(o.D + 1) if i or j)
 
 
 def _gram(W: np.ndarray, L: int, lags: list[int]) -> np.ndarray:
@@ -166,9 +167,8 @@ def _factor_index(o: SarimaOrders, lags: list[int], seasonal: bool):
     """Where each term phi_i * PHI_j of the AR product lands when one factor
     is solved for: its lag slot, the solved factor's column (j when seasonal,
     else i) and the fixed factor's entry (the other one)."""
-    pairs = [(i, j) for i in range(o.p + 1) for j in range(o.P + 1)]
-    slots = [lags.index(i + j * o.s) for i, j in pairs]
-    i, j = zip(*pairs)
+    i, j, lag = o.ar_terms
+    slots = np.searchsorted(lags, lag)
     return (slots, j, i) if seasonal else (slots, i, j)
 
 
@@ -238,8 +238,6 @@ def _check_window(y: np.ndarray, finite: bool, o: SarimaOrders) -> None:
     if len(y) < o.min_series_length():
         raise ValueError(f"series too short to identify orders: need >= "
                          f"{o.min_series_length()}, got {len(y)}")
-    if len(y) - o.d - o.s * o.D <= o.p + o.s * o.P + 1:  # the differenced length
-        raise ValueError("series too short after differencing for the given orders")
 
 
 def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[SarimaModel]:
@@ -267,10 +265,10 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
         finite[rows] = np.isfinite(Y).reshape(len(rows), -1).all(axis=1)
     for y, ok in zip(ys, finite.tolist()):
         _check_window(y, ok, o)
-    lags = sorted({i + j * o.s for i in range(o.p + 1) for j in range(o.P + 1)})
-    k, L = len(ys), o.p + o.s * o.P
+    lags = o.ar_lags
+    k, L = len(ys), lags[-1]
     G = np.empty((k, len(lags) + 1, len(lags) + 1))
-    means, tails = np.empty(k), np.empty((k, L + o.d + o.s * o.D))
+    means, tails = np.empty(k), np.empty((k, o.K))
     for rows, Y in stacks:
         W = _difference(Y, o.d, o.D, o.s)
         means[rows] = m = np.mean(W, axis=1)
@@ -294,12 +292,10 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
 
 
 def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
-    """Fit by conditional sum of squares on the differenced series.
-
-    Requires len(series) >= 3s + p + 10 so the seasonal structure is
-    identifiable. Warns (without failing) when the search hits the iteration
-    cap or a fitted coefficient leaves the stationary region.
-    """
+    """Fit by conditional sum of squares on the differenced series, which
+    needs len(series) >= orders.min_series_length(). Warns (without failing)
+    when the search hits the iteration cap or a fitted coefficient leaves
+    the stationary region."""
     return fit_sarima_many([series], orders)[0]
 
 
@@ -319,17 +315,21 @@ def forecast_many(models: list[SarimaModel], tails: np.ndarray | None = None) ->
     if not models:
         return np.empty(0)
     o = models[0].orders
-    ar = np.array([_expand(m.ar_coeffs, m.seasonal_ar_coeffs, o.s) for m in models])
+    i, j, lag = o.ar_terms
+    f, F = np.ones((len(models), o.p + 1)), np.ones((len(models), o.P + 1))
+    f[:, 1:] = [-m.ar_coeffs for m in models]
+    F[:, 1:] = [-m.seasonal_ar_coeffs for m in models]
+    ar = np.zeros((len(models), lag[-1] + 1))
+    np.add.at(ar, (slice(None), lag), f[:, i] * F[:, j])  # a lag's terms in (i, j) order
     mu = np.array([m.intercept for m in models])
     level = np.array([m._tail for m in models]) if tails is None else tails
     diff = _difference(level, o.d, o.D, o.s)
     w_hat = np.zeros(level.shape[:-1])
-    for k in range(1, ar.shape[1]):
+    for k in o.ar_lags[1:]:
         w_hat = np.where(ar[:, k] != 0.0, w_hat - ar[:, k] * (diff[..., -k] - mu), w_hat)
     y = mu + w_hat
-    for k, c in enumerate(_diff_poly(o.d, o.D, o.s).tolist()):
-        if k and c != 0.0:
-            y = y - c * level[..., -k]
+    for k, c in _diff_terms(o):
+        y = y - c * level[..., -k]
     return np.where(y > 0.0, y, 0.0)  # max(0.0, y): NaN and -0.0 become 0.0
 
 

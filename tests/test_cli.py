@@ -297,6 +297,33 @@ def test_validate_empty_grid_is_ok(tmp_path, capsys):
     assert "ok: 0 systems, 0 loads, 0 sources" in capsys.readouterr().out
 
 
+# Orders whose one-step tail, K = p + s*P + d + s*D = 36 days, is longer than
+# the 3s + p + 10 = 32 days seasonal identification asks for: a fit needs
+# K + 2 = 38 days, and parsing checks the train window against that.
+def write_long_tail_toy(tmp_path, **forecasting):
+    doc = json.loads(Path(TOY).read_text())
+    doc["run"]["days"] = 60
+    doc["forecasting"] = {"orders": [1, 0, 0, 3, 2, 0, 7], **forecasting}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 38-day fits may be non-stationary
+def test_long_tail_orders_validate_and_simulate_alike(tmp_path, capsys):
+    path = write_long_tail_toy(tmp_path)
+    assert main(["validate", str(path)]) == 0
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
+
+
+def test_train_window_below_the_long_tail_minimum_is_validation_error(tmp_path, capsys):
+    path = write_long_tail_toy(tmp_path, train_window_days=37)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid input: forecasting: train window shorter than the fit minimum (38 days)\n"
+    )
+
+
 # --- mutated documents -------------------------------------------------------
 
 # One value replaced, deleted or added anywhere in a known-good document, from a

@@ -9,11 +9,14 @@ import warnings
 import numpy as np
 import pytest
 from conftest import NO_LOADS_DOC, SHARED_SYSTEMS_DOC, records_sha256
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hybridgrid.engine as engine
 from hybridgrid.engine import TRACE_FIELDS
 from hybridgrid import (
     GridUnits,
+    SarimaOrders,
     SimulationError,
     WeatherSample,
     atomic_write_text,
@@ -666,7 +669,7 @@ def warmup_forecast(demand, day, s):
 
 
 # d + D > 0 and p >= s, so the one-step forecast undoes differencing and
-# _expand sums the two terms at lag s.
+# two terms of the AR product add at lag s.
 DIFFERENCED_DOC = small_doc(days=150, seed=4, forecasting={
     "orders": [7, 0, 0, 1, 1, 0, 7], "refit_interval_days": 20, "train_window_days": 120})
 
@@ -705,6 +708,42 @@ def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
             expected.append(forecast_one(model))
         got = state.forecasts[:, j].tolist()
         assert [v.hex() for v in got] == [float(v).hex() for v in expected], load.id
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    p=st.integers(0, 8),
+    P=st.integers(0, 3),
+    d_D=st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+    s=st.integers(2, 8),
+    offset=st.integers(-3, 3),
+    every=st.integers(1, 4),
+    extra_days=st.integers(1, 6),
+)
+@example(p=1, P=3, d_D=(0, 2), s=7, offset=0, every=1, extra_days=1)  # K + 2 > 3s + p + 10
+def test_a_train_window_parses_exactly_when_every_fit_of_the_run_takes_it(
+    p, P, d_D, s, offset, every, extra_days
+):
+    # Around the fit minimum, the scenario accepts a train window exactly
+    # when a fit takes a window of its length, and then every fit of the run
+    # takes its window, so validate and simulate agree.
+    o = SarimaOrders(p, d_D[0], 0, P, d_D[1], 0, s)
+    window = o.min_series_length() + offset
+    days = max(30, o.min_series_length()) + extra_days
+    doc = small_doc(days=days, seed=2, forecasting={
+        "orders": [p, d_D[0], 0, P, d_D[1], 0, s], "refit_interval_days": every,
+        "train_window_days": window})
+    if window < o.min_series_length():
+        with pytest.raises(ValueError, match="^forecasting: train window shorter"):
+            parse_scenario(doc)
+        with pytest.raises(ValueError, match="^series too short"):
+            fit_sarima(np.full(window, 100.0), o)
+        return
+    cfg, topo = parse_scenario(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        forecasts = engine.SimulationState(cfg, topo).forecasts
+    assert forecasts.shape == (days, len(topo.loads))
 
 
 def test_refit_interval_past_the_run_fits_once(monkeypatch):

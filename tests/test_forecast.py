@@ -1,6 +1,7 @@
 """Unit tests for the seasonal forecaster and the data-loading helpers."""
 
 import dataclasses
+import functools
 import re
 import warnings
 
@@ -233,9 +234,9 @@ def _bad_window(kind):
     "first, later, message",
     [
         ("nan", "short", "series contains non-finite values"),
-        ("short", "nan", "series too short to identify orders: need >= 32, got 20"),
+        ("short", "nan", "series too short to identify orders: need >= 38, got 20"),
         ("short after differencing", "nan",
-         "series too short after differencing for the given orders"),
+         "series too short to identify orders: need >= 38, got 35"),
         ("nan", "short after differencing", "series contains non-finite values"),
         ("2-d", "nan", "series must be one-dimensional"),
         ("nan", "2-d", "series contains non-finite values"),
@@ -272,7 +273,7 @@ def test_fit_numerics_are_pinned(orders, coeffs, intercept):
 @pytest.mark.parametrize(
     "orders, seed, intercept, value",
     [
-        # p >= s: the lag-s collision of _expand, where two products add.
+        # p >= s: two products of the AR product add at lag s.
         (SarimaOrders(8, 0, 0, 1, 0, 0, 7), 21, "0x1.86cd273f4a047p+6", "0x1.8a08ec944179cp+6"),
         # With both differencings undone, and an intercept whose bits move
         # if phi(1) adds its coefficients in another order.
@@ -335,11 +336,41 @@ def test_fit_many_warns_per_fit_in_window_order(monkeypatch):
     assert abs(d.ar_coeffs[0]) < 1.0 <= abs(d.seasonal_ar_coeffs[0])
 
 
+def poly_mul(a, b):
+    """The product of two polynomials in B, as lists by power, each power's
+    products added in ascending (i, j) order from 0.0."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def in_powers_of_b_to_the(coeffs, s):
+    """The polynomial in B of one in B^s: coeffs at powers 0, s, 2s, ..."""
+    out = [0.0] * (s * (len(coeffs) - 1) + 1)
+    out[::s] = coeffs
+    return out
+
+
+def ar_product(model):
+    """phi(B) PHI(B^s), the factors (1, -c_1, ...), by lag."""
+    phi = [1.0, *(-c for c in model.ar_coeffs.tolist())]
+    sphi = [1.0, *(-c for c in model.seasonal_ar_coeffs.tolist())]
+    return poly_mul(phi, in_powers_of_b_to_the(sphi, model.orders.s))
+
+
+def diff_poly(o):
+    """(1-B)^d (1-B^s)^D by power of B."""
+    factors = [[1.0, -1.0]] * o.d + [in_powers_of_b_to_the([1.0, -1.0], o.s)] * o.D
+    return functools.reduce(poly_mul, factors, [1.0])
+
+
 def css(model, series):
     """The conditional sum of squares of a fitted model, from its residuals."""
     o = model.orders
     w = forecast._difference(np.asarray(series, dtype=float), o.d, o.D, o.s)
-    ar = forecast._expand(model.ar_coeffs, model.seasonal_ar_coeffs, o.s)
+    ar = ar_product(model)
     L = len(ar) - 1
     e = sum(ar[k] * (w[L - k : len(w) - k] - model.intercept) for k in range(len(ar)))
     return float(e @ e)
@@ -403,10 +434,10 @@ def test_forecast_many_is_each_forecast_one():
 
 
 def forecast_by_expand(model):
-    """forecast_one by each model's own _expand convolution and scalar loops,
-    one model at a time, on its tail and the tail differenced."""
+    """forecast_one by each model's own plain-Python AR product and scalar
+    loops, one model at a time, on its tail and the tail differenced."""
     o = model.orders
-    ar = forecast._expand(model.ar_coeffs, model.seasonal_ar_coeffs, o.s).tolist()
+    ar = ar_product(model)
     diff_tail = forecast._difference(model._tail, o.d, o.D, o.s).tolist()
     mu, level_tail = model.intercept, model._tail.tolist()
     w = 0.0
@@ -414,7 +445,7 @@ def forecast_by_expand(model):
         if ar[k] != 0.0:
             w = w - ar[k] * (diff_tail[-k] - mu)
     y = mu + w
-    for k, c in enumerate(forecast._diff_poly(o.d, o.D, o.s).tolist()):
+    for k, c in enumerate(diff_poly(o)):
         if k and c != 0.0:
             y = y - c * level_tail[-k]
     return y if y > 0.0 else 0.0
@@ -429,8 +460,12 @@ def forecast_by_expand(model):
         SarimaOrders(0, 1, 0, 2, 1, 0, 7),
         SarimaOrders(6, 0, 0, 2, 0, 0, 7),  # p < s, the largest p
         SarimaOrders(8, 0, 0, 1, 0, 0, 7),  # p >= s, two products share lag s
+        # Several products share a lag, where a sum in another order (such as
+        # numpy.convolve's) can differ in the last bit.
+        SarimaOrders(3, 0, 0, 2, 0, 0, 2),
+        SarimaOrders(14, 0, 0, 2, 0, 0, 7),  # three products at lag 14
     ],
-    ids=["default", "p1-P0", "p0", "p0-differenced", "p6", "p8"],
+    ids=["default", "p1-P0", "p0", "p0-differenced", "p6", "p8", "p3-P2-s2", "p14-P2"],
 )
 def test_forecast_many_equals_the_expand_convolution_bitwise(orders):
     series = seasonal_series(400, seed=13)
@@ -439,6 +474,13 @@ def test_forecast_many_equals_the_expand_convolution_bitwise(orders):
         models = fit_sarima_many([series[-n:] for n in (60, 90, 200, 365, 400)], orders)
     assert [v.hex() for v in forecast_many(models).tolist()] == [
         forecast_by_expand(m).hex() for m in models
+    ]
+    # Random tails show a coefficient's last bits more often than the models'
+    # own tails do: on them the sum order at a shared lag is seen.
+    tails = np.random.default_rng(0).uniform(0.0, 200.0, (20, len(models), orders.K))
+    assert [v.hex() for v in forecast_many(models, tails).ravel().tolist()] == [
+        forecast_by_expand(dataclasses.replace(m, _tail=t)).hex()
+        for row in tails for m, t in zip(models, row)
     ]
 
 
