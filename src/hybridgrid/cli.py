@@ -181,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="fit the demand forecaster on a history csv")
     p.add_argument("history")
-    p.add_argument("--orders", help="p,d,q,P,D,Q,s (default 1,0,0,1,0,0,7)")
+    orders = vars(DEFAULT_ORDERS)  # field name -> value, in the order --orders lists them
+    p.add_argument("--orders", help=f"{','.join(orders)} (default "
+                                    f"{','.join(map(str, orders.values()))})")
     p.add_argument("--horizon", type=_integer, default=1)
     p.add_argument("--load-id", type=_integer, dest="load_id")
     p.set_defaults(func=cmd_forecast)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -394,7 +394,7 @@ def _effective_config(cfg: ScenarioConfig) -> dict:
     return {"source_document": cfg.raw, "effective": {
         "days": cfg.days, "seed": cfg.seed,
         "priority_enabled": cfg.priority_enabled, "health_enabled": cfg.health_enabled,
-        "orders": [o.p, o.d, o.q, o.P, o.D, o.Q, o.s],
+        "orders": list(astuple(o)),
         "refit_interval_days": fc.refit_interval_days, "train_window_days": fc.train_window_days,
         "r_charge": deg.r_charge, "r_discharge": deg.r_discharge, "rate_spread": deg.rate_spread,
         "score_weights": {"soh": cfg.weights.soh, "soc": cfg.weights.soc},
@@ -455,17 +455,18 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _f(x: float) -> str:
-    return f"{x:.6f}"
+def _table(header: str, fmt: str, rows) -> str:
+    """The header, then fmt % row for each row: every artifact's one text form,
+    with floats as %.6f and ids and counts as %d."""
+    return "\n".join([header, *(fmt % tuple(row) for row in rows)]) + "\n"
 
 
 def _per_system_csv(header: str, ids: list[int], *arrays: np.ndarray) -> str:
-    """The header, then per day and system: day, id and four values as _f writes
-    them. One % writes a day, the ids in its format and the day a float for %d."""
+    """The header, then per day and system: day, id and four values. One row
+    writes a day, the ids in its format and the day a float for %d."""
     fmt, (days, width) = "\n".join(f"%d,{i},%.6f,%.6f,%.6f,%.6f" for i in ids), arrays[0].shape
     cols = np.stack([np.broadcast_to(np.arange(days)[:, None], (days, width)), *arrays], axis=2)
-    lines = [fmt % tuple(row) for row in cols.reshape(days, 5 * width).tolist()] if ids else []
-    return "\n".join([header, *lines]) + "\n"
+    return _table(header, fmt, cols.reshape(days, 5 * width).tolist() if ids else [])
 
 
 def trace_csv(trace: SimulationTrace) -> str:
@@ -475,22 +476,16 @@ def trace_csv(trace: SimulationTrace) -> str:
 
 def summary_csv(trace: SimulationTrace) -> str:
     s = trace.summary
-    totals = f"{_f(s.total_unmet_mwd)},{_f(s.total_curtailed_mwd)}"
-    lines = [SUMMARY_HEADER] + [
-        f"{sid},{s.zero_soc_events[sid]},{_f(s.final_mean_soh_pct[sid])},{totals}"
-        for sid in trace.system_ids
-    ]
-    return "\n".join(lines) + "\n"
+    return _table(SUMMARY_HEADER, "%d,%d,%.6f,%.6f,%.6f", (
+        (sid, s.zero_soc_events[sid], s.final_mean_soh_pct[sid], s.total_unmet_mwd,
+         s.total_curtailed_mwd) for sid in trace.system_ids))
 
 
 def comparison_csv(report: ComparisonReport) -> str:
     on, off = report.treatment.summary, report.baseline.summary
-    unmet = f"{_f(on.total_unmet_mwd)},{_f(off.total_unmet_mwd)}"
-    lines = [COMPARISON_HEADER] + [
-        f"{sid},{_f(gain)},{on.zero_soc_events[sid]},{off.zero_soc_events[sid]},{unmet}"
-        for sid, gain in report.soh_gain_pct_points.items()
-    ]
-    return "\n".join(lines) + "\n"
+    return _table(COMPARISON_HEADER, "%d,%.6f,%d,%d,%.6f,%.6f", (
+        (sid, gain, on.zero_soc_events[sid], off.zero_soc_events[sid], on.total_unmet_mwd,
+         off.total_unmet_mwd) for sid, gain in report.soh_gain_pct_points.items()))
 
 
 def comparison_series_csv(report: ComparisonReport) -> str:

@@ -271,20 +271,10 @@ def reference_topology(
     ]
 
     loads = [LoadCenter(id=i, connected_systems=w) for i, w in _REFERENCE_LOAD_WIRING.items()]
-
-    def wind_params(turbines: int) -> WindPlantParams:
-        return WindPlantParams(
-            power_coefficient=0.4,
-            air_density=1.225,
-            rotor_area_m2=10_000.0,
-            turbine_count=turbines,
-            cut_in_ms=3.0,
-            cut_out_ms=25.0,
-        )
-
+    # The wind farms are WindPlantParams' default turbine, 50 and 100 of it.
     sources = [
-        EnergySource(1, "wind", wind_params(50), (1, 2, 3, 4), WIND_SITE),
-        EnergySource(2, "wind", wind_params(100), (1, 2, 3, 4), WIND_SITE),
+        EnergySource(1, "wind", WindPlantParams(turbine_count=50), (1, 2, 3, 4), WIND_SITE),
+        EnergySource(2, "wind", WindPlantParams(turbine_count=100), (1, 2, 3, 4), WIND_SITE),
         EnergySource(3, "solar", SolarPlantParams(area_m2=900_000.0, efficiency=0.21),
                      (4, 5, 6, 7), SOLAR_SITE),
         EnergySource(4, "solar", SolarPlantParams(area_m2=1_500_000.0, efficiency=0.21),

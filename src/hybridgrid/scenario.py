@@ -25,6 +25,7 @@ from .forecast import DEFAULT_ORDERS, SarimaOrders
 from .generation import PLANTS
 from .health import DEFAULT_R_CHARGE, DEFAULT_R_DISCHARGE, DEFAULT_W_SOC, DEFAULT_W_SOH
 from .model import (
+    REL_TOL,
     EnergySource,
     GridTopology,
     LoadCenter,
@@ -95,7 +96,7 @@ class ScoreWeights:
     soc: float = DEFAULT_W_SOC
 
     def __post_init__(self) -> None:
-        if self.soh < 0 or self.soc < 0 or abs(self.soh + self.soc - 1.0) > 1e-9:
+        if self.soh < 0 or self.soc < 0 or abs(self.soh + self.soc - 1.0) > REL_TOL:
             raise ValueError("score weights must be non-negative and sum to 1")
 
 
@@ -338,18 +339,20 @@ def _build_topology(doc: dict, seed: int,
     return t, soc0, soh0
 
 
-def _is_csv(section, where: str) -> bool:
-    """Whether a weather or loads section reads a CSV file rather than its generator."""
+def _csv_path(section, where: str, keys: tuple[str, ...]) -> str | None:
+    """A weather or loads section's CSV path, or None when it runs its
+    generator; a CSV section takes only the given keys."""
     kind = _object(section, where).get("kind", "synthetic")
     if kind not in ("csv", "synthetic"):
         raise ValueError(f"{where} kind must be synthetic or csv, got {kind!r}")
-    return kind == "csv"
+    if kind == "synthetic":
+        return None
+    _known(section, keys, where)
+    return _string(_require(section, "path", where), f"{where}.path")
 
 
 def _parse_weather(section, sites: set[str]) -> WeatherConfig:
-    if _is_csv(section, "weather"):
-        _known(section, ("kind", "path"), "weather")
-        path = _string(_require(section, "path", "weather"), "weather.path")
+    if (path := _csv_path(section, "weather", ("kind", "path"))) is not None:
         return WeatherConfig(path)
     _known(section, ("kind", "sites", "default"), "weather")
     site_params = {
@@ -369,9 +372,7 @@ def _weather_params(section, where: str) -> SynthWeatherParams:
 
 
 def _parse_demand(section, load_ids: set[str]) -> DemandConfig:
-    if _is_csv(section, "loads"):
-        _known(section, ("kind", "path", "centers"), "loads")
-        path = _string(_require(section, "path", "loads"), "loads.path")
+    if (path := _csv_path(section, "loads", ("kind", "path", "centers"))) is not None:
         return DemandConfig(path)
     params = _read(SynthDemandParams, section, "loads", ("kind", "centers", "base_mwd"))
     base = _known(section.get("base_mwd", {}), load_ids, "loads.base_mwd")

@@ -1,8 +1,16 @@
-"""Shared test tooling: a one-line PASS/FAIL digest for each acceptance
-check, the one digest of a trace's daily values, scenarios shared by the
-golden and engine tests, and a small explicit grid the scenario and CLI tests mutate."""
+"""Shared test tooling: the Hypothesis profile, a one-line PASS/FAIL digest
+for each acceptance check, the one digest of a trace's daily values,
+scenarios shared by the golden and engine tests, and a small explicit grid
+the scenario and CLI tests mutate."""
 
 import hashlib
+
+from hypothesis import settings
+
+# A failing example is also printed as a @reproduce_failure blob, which
+# rebuilds it even when its repr is only an object's address.
+settings.register_profile("blob", print_blob=True)
+settings.load_profile("blob")
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 

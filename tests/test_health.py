@@ -226,6 +226,13 @@ def test_apply_discharge_rejects_overdraw():
         g.discharge([51.0])
 
 
+def test_a_positive_discharge_from_an_empty_system_names_it():
+    # REL_TOL times an empty store is 0: no dust, however small, leaves it.
+    g = grid([unit(energy=5.0)], [unit(energy=0.0)] * 2)
+    with pytest.raises(ValueError, match=r"system 2: discharge 2\.225.*e-311 outside \[0, 0\.0\]"):
+        g.discharge([1.0, 2.225073858507e-311])
+
+
 @pytest.mark.parametrize("move", ["ranked", "equal", "discharge"])
 def test_moves_reject_nan_amounts(move):
     g = grid([unit(energy=50.0)])
@@ -463,19 +470,13 @@ def test_split_equally_rows_equals_split_equally_bitwise(rows):
 
 @st.composite
 def draws_on_systems(draw):
-    """Two grids of the same ragged systems and 1-6 rounds of draws that sum,
-    per system, to at most its store."""
+    """Two grids of the same ragged systems and 1-6 rounds of shares in [0, 1]
+    per system: each round draws its share of what the system holds before it."""
     systems = draw(ragged_systems(max_units=12, min_soh=50.0, max_rate=10.0))
-    stored = GridUnits(systems).stored
     rounds = draw(st.integers(1, 6))
-    weights = np.array(
-        draw(st.lists(st.floats(0.0, 1.0), min_size=rounds * len(systems),
-                      max_size=rounds * len(systems)))
-    ).reshape(rounds, len(systems))
-    fill = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(systems),
-                                  max_size=len(systems))))
-    scale = fill * stored / np.maximum(1.0, weights.sum(axis=0))
-    return GridUnits(systems), GridUnits(systems), weights * scale
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=rounds * len(systems),
+                           max_size=rounds * len(systems)))
+    return GridUnits(systems), GridUnits(systems), np.reshape(shares, (rounds, len(systems)))
 
 
 @settings(deadline=None)
@@ -485,9 +486,12 @@ def test_successive_discharges_equal_one_discharge_of_their_sum(case):
     # grid once; that is exact because the equal split with water-filling
     # composes and wear is linear in the amount drawn. SoH starts at 50% or
     # more and one full drain costs at most 10 points, so its floor never binds.
-    stepwise, at_once, amounts = case
-    for draw in amounts:
-        stepwise.discharge(draw)
-    at_once.discharge(amounts.sum(axis=0))
+    stepwise, at_once, shares = case
+    total = np.zeros(len(stepwise.stored))
+    for share in shares:
+        amounts = share * stepwise.stored  # a drained system is asked for 0.0
+        stepwise.discharge(amounts)
+        total += amounts
+    at_once.discharge(total)
     assert stepwise.energy == pytest.approx(at_once.energy, abs=1e-9)
     assert stepwise.soh == pytest.approx(at_once.soh, abs=1e-9)

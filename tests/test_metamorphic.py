@@ -9,8 +9,9 @@ relations need no restatement:
 - Scale: with every capacity, stored energy, generation, demand and forecast
   multiplied by 2^k, SoC and SoH are bit-identical and every MWd flow is
   exactly 2^k times its old value.
-- Disjoint union: a grid of two id-shifted copies, each with its own inputs
-  as a block of columns, gives each copy its lone run, bit for bit.
+- Disjoint union: a grid of two parts with disjoint ids, each with its own
+  inputs as a block of columns, gives each part its lone run, bit for bit;
+  the parts are id-shifted copies of one grid, or two different grids.
 - Prefix causality: the first M days of a run, forecasts included, equal an
   M-day run on the first M days of its inputs.
 
@@ -118,6 +119,34 @@ def test_runs_scaled_by_a_power_of_two_scale_every_flow_exactly(run, k):
 SHIFT = 100  # runs() draws ids in [0, 20]
 
 
+def shifted(systems, sources, loads):
+    """A runs() grid with every system, source and load id moved up by SHIFT."""
+    systems = [StorageSystem(s.id + SHIFT, s.cap, s.energy, s.soh, s.r_charge, s.r_discharge)
+               for s in systems]
+    sources, loads = ({key + SHIFT: [sid + SHIFT for sid in conn] for key, conn in wired.items()}
+                      for wired in (sources, loads))
+    return systems, sources, loads
+
+
+def check_union(first, second, arms, weights):
+    """Two (systems, sources, loads, per_day) parts with disjoint ids, run as
+    one grid: each part's block of columns equals its lone run, bit for bit."""
+    (systems, sources, loads, per_day), (systems2, sources2, loads2, per_day2) = first, second
+    topo = run_topology(systems + systems2, {**sources, **sources2}, {**loads, **loads2})
+    inputs = {name: [{**a, **b} for a, b in zip(per_day[name], per_day2[name])]
+              for name in per_day}
+    alone = [_run(run_state(run_topology(*part[:3]), part[3], arms, weights))
+             for part in (first, second)]
+    width = {"systems": len(systems), "sources": len(sources), "loads": len(loads)}
+    for u, a, b in zip(_run(run_state(topo, inputs, arms, weights)), *alone):
+        for field, of in FIELDS.items():
+            got = getattr(u, field)
+            assert bits(got[:, : width[of]]) == bits(getattr(a, field)), field
+            assert bits(got[:, width[of] :]) == bits(getattr(b, field)), field
+        assert u.summary.final_mean_soh_pct == {**a.summary.final_mean_soh_pct,
+                                                **b.summary.final_mean_soh_pct}
+
+
 @st.composite
 def unions(draw):
     """A runs() draw, and a second set of day inputs for its id-shifted copy."""
@@ -133,25 +162,23 @@ def unions(draw):
 @given(case=unions())
 def test_a_disjoint_union_runs_each_copy_as_alone(case):
     (systems, sources, loads, per_day, arms, weights), other = case
-    copy_systems = [StorageSystem(s.id + SHIFT, s.cap, s.energy, s.soh, s.r_charge,
-                                  s.r_discharge) for s in systems]
-    copy_sources, copy_loads = ({key + SHIFT: [sid + SHIFT for sid in conn]
-                                 for key, conn in wired.items()} for wired in (sources, loads))
-    lone = run_topology(systems, sources, loads)
-    lone_copy = run_topology(copy_systems, copy_sources, copy_loads)
-    topo = run_topology(systems + copy_systems, {**sources, **copy_sources},
-                        {**loads, **copy_loads})
-    inputs = {name: [{**a, **b} for a, b in zip(per_day[name], other[name])] for name in per_day}
-    union = _run(run_state(topo, inputs, arms, weights))
-    for u, a, b in zip(union, _run(run_state(lone, per_day, arms, weights)),
-                       _run(run_state(lone_copy, other, arms, weights))):
-        for field, of in FIELDS.items():
-            n = len(getattr(topo, of)) // 2
-            got = getattr(u, field)
-            assert bits(got[:, :n]) == bits(getattr(a, field)), field
-            assert bits(got[:, n:]) == bits(getattr(b, field)), field
-        assert u.summary.final_mean_soh_pct == {**a.summary.final_mean_soh_pct,
-                                                **b.summary.final_mean_soh_pct}
+    check_union((systems, sources, loads, per_day),
+                (*shifted(systems, sources, loads), other), arms, weights)
+
+
+@settings(deadline=None, max_examples=40)
+@given(first=runs(), second=runs())
+def test_a_disjoint_union_of_two_grids_runs_each_as_alone(first, second):
+    # Two independent draws: where their widest systems differ in unit count,
+    # GridUnits pads one grid's rows to the other's width, and each grid must
+    # still run as if the other were not there. Both run the first draw's
+    # arms and weights over the days both drew.
+    systems, sources, loads, per_day, arms, weights = first
+    n = min(len(per_day["energy"]), len(second[3]["energy"]))
+    other = {name: [{key + SHIFT: v for key, v in day.items()} for day in days[:n]]
+             for name, days in second[3].items()}
+    check_union((systems, sources, loads, {name: days[:n] for name, days in per_day.items()}),
+                (*shifted(*second[:3]), other), arms, weights)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
