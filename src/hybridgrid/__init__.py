@@ -55,7 +55,6 @@ from .model import (
     LoadCenter,
     StorageSystem,
     Violation,
-    reference_topology,
     validate_topology,
 )
 from .scenario import (
@@ -67,6 +66,7 @@ from .scenario import (
     WeatherConfig,
     load_scenario,
     parse_scenario,
+    reference_topology,
 )
 from .synth import (
     SynthDemandParams,

@@ -31,9 +31,8 @@ Moving energy into and out of units, and the wear that costs, is health.py's job
 The engine calls these functions every day for every arm, on lists of a few
 items each, so they are plain loops: no comprehension, zip or list built
 only to be summed, and comparisons in place of the builtin min() and max(),
-whose calls cost more than the arithmetic. Sums run left to right from 0, as
-sum() adds on CPython 3.11, so results match the comprehension forms bit for
-bit.
+whose calls cost more than the arithmetic. Every sum adds its terms left to
+right from 0, in the order the docstrings give, on every Python version.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def allocate_priority(
             for i, amt in zip(rows, gifts):
                 into[i] += amt
             continue
-        open_room = 0  # from int 0, as sum() adds
+        open_room = 0  # from int 0, left to right
         for i in rows:
             room = headroom[i]
             if room > 0:
@@ -192,7 +191,7 @@ def allocate_equal(
         e = energy[k]
         gifts = split_equally(e, headroom, rows)
         flow.append(gifts)
-        delivered = 0  # from int 0, as sum() adds
+        delivered = 0  # from int 0, left to right
         for i, amt in zip(rows, gifts):
             headroom[i] -= amt
             delivered += amt
@@ -215,7 +214,7 @@ def settle_loads(
     for d, rows in zip(demand, load_rows):
         if d < 0:
             raise ValueError(f"demand must be >= 0, got {d}")
-        pool = 0  # from int 0, as sum() adds
+        pool = 0  # from int 0, left to right
         for i in rows:
             pool += stored[i]
         if d < pool:

@@ -330,14 +330,14 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology, state: SimulationState) 
     with np.errstate(over="ignore", invalid="ignore"):
         demand = synth_demand(cfg.seed, cfg.days, base, cfg.demand.params)
         block = np.reshape(list(demand.values()), (len(load_ids), cfg.days))
-        total = sum(float(np.sum(d)) for d in block)
+        total = _run_total(np.sum(block, axis=1)[None])  # the load totals, left to right
     if not np.isfinite(total):
         raise ValueError("loads: synthetic demand summed over loads and days is not finite")
 
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:
         mean_gen = _run_total(state.generation) / cfg.days
-        mean_demand = sum(float(np.mean(d)) for d in block)
+        mean_demand = _run_total(np.mean(block, axis=1)[None])
         if mean_demand <= 0:
             raise SimulationError("gen_fraction scaling needs positive base demand")
         scale = frac * mean_gen / mean_demand

@@ -21,6 +21,9 @@ W_PER_MW = 1e6
 
 # Betz limit: no rotor extracts more than 16/27 of the kinetic energy flux.
 BETZ_LIMIT = 16.0 / 27.0
+# A cap on a farm's turbines, so that a count too large for a float exits
+# as a bad input rather than overflowing the power curve.
+MAX_TURBINE_COUNT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,9 @@ class WindPlantParams:
             raise ValueError(f"rotor area must be positive, got {self.rotor_area_m2}")
         if self.turbine_count < 1:
             raise ValueError(f"turbine count must be >= 1, got {self.turbine_count}")
+        if self.turbine_count > MAX_TURBINE_COUNT:
+            raise ValueError(f"turbine count must be <= {MAX_TURBINE_COUNT}, "
+                             f"got {self.turbine_count}")
         if self.cut_in_ms < 0 or self.cut_out_ms <= self.cut_in_ms:
             raise ValueError(
                 f"need 0 <= cut-in < cut-out, got {self.cut_in_ms}, {self.cut_out_ms}"

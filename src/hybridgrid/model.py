@@ -234,50 +234,3 @@ def validate_topology(t: GridTopology) -> list[Violation]:
         if sid not in fed:
             out.append(Violation(f"system {sid}", "unsourced-system", "no source feeds it"))
     return out
-
-
-# Benchmark grid used throughout the test-bed scenarios: seven storage
-# systems of ten 100 MWd units each, eight load centers wired to three
-# systems apiece, two wind plants feeding systems 1-4 and two solar plants
-# feeding systems 4-7 (system 4 touches all four plants).
-_REFERENCE_LOAD_WIRING = {
-    0: (1, 2, 3),
-    1: (2, 3, 4),
-    2: (3, 4, 5),
-    3: (4, 5, 6),
-    4: (5, 6, 7),
-    5: (1, 6, 7),
-    6: (1, 2, 7),
-    7: (2, 3, 7),
-}
-
-WIND_SITE = "coastal"
-SOLAR_SITE = "inland"
-
-
-def reference_topology(
-    initial_soc_pct: float = 50.0,
-    initial_soh_pct: float = 100.0,
-    r_charge: float = 0.0,
-    r_discharge: float = 0.0,
-) -> GridTopology:
-    """Construct the benchmark grid with uniform initial unit state."""
-    if not 0.0 <= initial_soc_pct <= 100.0:
-        raise ValueError("initial SoC must be in [0, 100]")
-    systems = [
-        StorageSystem(sid, np.full(10, 100.0), 100.0 * initial_soc_pct / 100.0, initial_soh_pct,
-                      r_charge, r_discharge)
-        for sid in range(1, 8)
-    ]
-
-    loads = [LoadCenter(id=i, connected_systems=w) for i, w in _REFERENCE_LOAD_WIRING.items()]
-    # The wind farms are WindPlantParams' default turbine, 50 and 100 of it.
-    sources = [
-        EnergySource(1, "wind", WindPlantParams(turbine_count=50), (1, 2, 3, 4), WIND_SITE),
-        EnergySource(2, "wind", WindPlantParams(turbine_count=100), (1, 2, 3, 4), WIND_SITE),
-        EnergySource(3, "solar", SolarPlantParams(area_m2=900_000.0, efficiency=0.21),
-                     (4, 5, 6, 7), SOLAR_SITE),
-        EnergySource(4, "solar", SolarPlantParams(area_m2=1_500_000.0, efficiency=0.21),
-                     (4, 5, 6, 7), SOLAR_SITE),
-    ]
-    return GridTopology(systems=systems, loads=loads, sources=sources)

@@ -1,8 +1,9 @@
 """Scenario configuration: one JSON document describing a full experiment.
 
 Sections: topology, sources, loads, forecasting, degradation, weather, run.
-The topology section either names the built-in reference grid or lists
-systems explicitly; sources and loads may then be listed explicitly too.
+The topology section either names the built-in reference grid,
+REFERENCE_GRID, or lists systems, with sources and load centers beside it;
+both grids are read by the same rules.
 Weather and demand each come from a CSV file (a section of just kind, path
 and, for loads, centers) or a documented seeded generator. A section that
 configures a parameter dataclass takes exactly its fields, each read as the
@@ -31,7 +32,6 @@ from .model import (
     LoadCenter,
     StorageSystem,
     as_int,
-    reference_topology,
 )
 from .synth import SynthDemandParams, SynthWeatherParams, wear_multipliers
 
@@ -298,45 +298,50 @@ def _parse_center(entry, where: str) -> LoadCenter:
     return LoadCenter(id=lid, connected_systems=_items(wired, _ref, f"{where}.connected_systems"))
 
 
-def _build_topology(doc: dict, seed: int,
-                    deg: DegradationConfig) -> tuple[GridTopology, float, float]:
-    topo = _known(doc.get("topology", {"reference": True}), _TOPOLOGY_KEYS, "topology")
-    soc0 = _percent(topo, "initial_soc_pct", ScenarioConfig.initial_soc_pct, "topology")
-    soh0 = _percent(topo, "initial_soh_pct", ScenarioConfig.initial_soh_pct, "topology")
-    demand = _object(doc.get("loads", {}), "loads")
+# The benchmark grid of the paper's results, as an explicit document's three
+# lists, read by the same rules: seven systems of the default units, eight loads
+# wired to three systems each, two wind farms on systems 1-4 and two solar on 4-7.
+REFERENCE_GRID = {
+    "topology": {"systems": [{"id": n} for n in range(1, 8)]},
+    "loads": {"centers": [
+        {"id": i, "connected_systems": wired} for i, wired in enumerate(
+            ([1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6], [5, 6, 7], [1, 6, 7], [1, 2, 7], [2, 3, 7]))
+    ]},
+    "sources": [
+        *({"id": k, "kind": "wind", "site": "coastal", "connected_systems": [1, 2, 3, 4],
+           "turbine_count": n} for k, n in ((1, 50), (2, 100))),
+        *({"id": k, "kind": "solar", "site": "inland", "connected_systems": [4, 5, 6, 7],
+           "area_m2": area, "efficiency": 0.21} for k, area in ((3, 900_000.0), (4, 1_500_000.0))),
+    ],
+}
 
-    if _flag(topo, "reference", False, "topology"):
-        # The built-in grid brings its own plants, loads and systems.
-        for listed, present in (
-            ("sources", "sources" in doc),
-            ("loads.centers", "centers" in demand),
-            ("topology.systems", "systems" in topo),
-        ):
-            if present:
-                raise ValueError(f"{listed} cannot be given with topology.reference: true")
-        t = reference_topology(soc0, soh0, deg.r_charge, deg.r_discharge)
-    else:
-        sizes = _items(
-            _require(topo, "systems", "topology"), _parse_system, "topology.systems", MAX_SYSTEMS
-        )
-        total = sum(count for _, count, _ in sizes)
-        at = "the total unit_count of topology.systems"
-        _check(total, total <= MAX_TOTAL_UNITS, f"<= {MAX_TOTAL_UNITS}", at)
-        centers = _require(demand, "centers", "loads")
-        loads = _items(centers, _parse_center, "loads.centers", MAX_LOADS)
-        sources = _items(_require(doc, "sources", "scenario"), _parse_source, "sources", MAX_SOURCES)
-        systems = [
-            StorageSystem(sid, np.full(count, cap), cap * soc0 / 100.0, soh0, deg.r_charge,
-                          deg.r_discharge)
-            for sid, count, cap in sizes
-        ]
-        t = GridTopology(systems, list(loads), list(sources))
 
-    if deg.rate_spread > 0:  # seeded per-unit wear rates, one multiply per system
-        for system in t.systems:
-            mult = wear_multipliers(seed, system.id, len(system.cap), deg.rate_spread)
-            system.r_charge, system.r_discharge = deg.r_charge * mult, deg.r_discharge * mult
-    return t, soc0, soh0
+def _build_topology(grid: dict, soc0: float, soh0: float, seed: int,
+                    deg: DegradationConfig) -> GridTopology:
+    """The grid that a document's topology.systems, loads.centers and sources
+    lists give, each list read right after it is required. Every unit starts
+    at soc0 and soh0, with the seeded wear rates of deg."""
+    sizes = _items(_require(grid["topology"], "systems", "topology"), _parse_system,
+                   "topology.systems", MAX_SYSTEMS)
+    total = sum(count for _, count, _ in sizes)
+    at = "the total unit_count of topology.systems"
+    _check(total, total <= MAX_TOTAL_UNITS, f"<= {MAX_TOTAL_UNITS}", at)
+    centers = _require(grid.get("loads", {}), "centers", "loads")
+    loads = _items(centers, _parse_center, "loads.centers", MAX_LOADS)
+    sources = _items(_require(grid, "sources", "scenario"), _parse_source, "sources", MAX_SOURCES)
+    systems = []
+    for sid, count, cap in sizes:
+        mult = wear_multipliers(seed, sid, count, deg.rate_spread)
+        systems.append(StorageSystem(sid, np.full(count, cap), cap * soc0 / 100.0, soh0,
+                                     deg.r_charge * mult, deg.r_discharge * mult))
+    return GridTopology(systems, list(loads), list(sources))
+
+
+def reference_topology(initial_soc_pct: float = 50.0, initial_soh_pct: float = 100.0,
+                       r_charge: float = 0.0, r_discharge: float = 0.0) -> GridTopology:
+    """REFERENCE_GRID with uniform initial unit state and wear rates."""
+    deg = DegradationConfig(r_charge, r_discharge)
+    return _build_topology(REFERENCE_GRID, initial_soc_pct, initial_soh_pct, 0, deg)
 
 
 def _csv_path(section, where: str, keys: tuple[str, ...]) -> str | None:
@@ -396,10 +401,25 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
         degradation=_read(DegradationConfig, doc.get("degradation", {}), "degradation"),
         weights=_read(ScoreWeights, run.get("score_weights", {}), "run.score_weights"),
     )
-    topology, soc0, soh0 = _build_topology(doc, fields["seed"], fields["degradation"])
+    topo = _known(doc.get("topology", {"reference": True}), _TOPOLOGY_KEYS, "topology")
+    soc0 = _percent(topo, "initial_soc_pct", ScenarioConfig.initial_soc_pct, "topology")
+    soh0 = _percent(topo, "initial_soh_pct", ScenarioConfig.initial_soh_pct, "topology")
+    loads = _object(doc.get("loads", {}), "loads")
+    grid = doc
+    if _flag(topo, "reference", False, "topology"):
+        # The built-in grid brings its own plants, loads and systems.
+        for listed, present in (
+            ("sources", "sources" in doc),
+            ("loads.centers", "centers" in loads),
+            ("topology.systems", "systems" in topo),
+        ):
+            if present:
+                raise ValueError(f"{listed} cannot be given with topology.reference: true")
+        grid = REFERENCE_GRID
+    topology = _build_topology(grid, soc0, soh0, fields["seed"], fields["degradation"])
     # Weather sites and base demands must name a site or load of the built grid.
     weather = _parse_weather(doc.get("weather", {}), {s.site for s in topology.sources})
-    demand = _parse_demand(doc.get("loads", {}), {str(load.id) for load in topology.loads})
+    demand = _parse_demand(loads, {str(load.id) for load in topology.loads})
     return ScenarioConfig(**fields, weather=weather, demand=demand, initial_soc_pct=soc0,
                           initial_soh_pct=soh0, raw=doc), topology
 

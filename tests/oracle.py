@@ -23,6 +23,15 @@ system's amount in MWd and its units' energy, soh, cap and wear rate lists.
 from __future__ import annotations
 
 
+def fold(values) -> float:
+    """Left-to-right float sum from 0.0, as a plain loop adds; the builtin sum()
+    adds floats with compensation from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def priority_order(deficit: dict) -> list:
     """System ids by descending deficit, ties by ascending id."""
     return sorted(deficit, key=lambda sid: (-deficit[sid], sid))
@@ -185,8 +194,8 @@ def day(sources: dict, loads: dict, units: dict, energy: dict, demand: dict, tar
     takes at most what a system has room for or holds, so float dust in a sum
     of gifts or draws never overfills or overdraws it. Returns each trace
     field as {id: MWd or percent}."""
-    capacity = {sid: sum(u[2]) for sid, u in units.items()}
-    stored = {sid: sum(u[0]) for sid, u in units.items()}
+    capacity = {sid: fold(u[2]) for sid, u in units.items()}
+    stored = {sid: fold(u[0]) for sid, u in units.items()}
     room = {sid: max(0.0, capacity[sid] - stored[sid]) for sid in units}
     if priority:
         deficit = {sid: max(0.0, target[sid] - stored[sid]) for sid in units}
@@ -197,11 +206,11 @@ def day(sources: dict, loads: dict, units: dict, energy: dict, demand: dict, tar
     for sid, u in units.items():
         q = min(into[sid], room[sid])
         _, u[0], u[1] = charge_units(q, ranked, u[0], u[1], u[2], u[3], w_soh, w_soc)
-    stored = {sid: sum(u[0]) for sid, u in units.items()}
+    stored = {sid: fold(u[0]) for sid, u in units.items()}
     served, unmet, drawn = settle(loads, demand, stored)
     for sid, u in units.items():
         _, u[0], u[1] = discharge_units(min(drawn[sid], stored[sid]), u[0], u[1], u[2], u[4])
-    return {"soc_pct": {sid: sum(u[0]) / capacity[sid] * 100.0 for sid, u in units.items()},
-            "mean_soh_pct": {sid: sum(u[1]) / len(u[1]) for sid, u in units.items()},
+    return {"soc_pct": {sid: fold(u[0]) / capacity[sid] * 100.0 for sid, u in units.items()},
+            "mean_soh_pct": {sid: fold(u[1]) / len(u[1]) for sid, u in units.items()},
             "charge_in_mwd": into, "discharge_out_mwd": drawn, "served_mwd": served,
             "unmet_mwd": unmet, "curtailed_mwd": curtailed}

@@ -255,6 +255,14 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
             {"centers": [{"id": 0, "connected_systems": [1e308]}]},
             "loads.centers[0].connected_systems[0] must be <= 2147483647, got 1e+308",
         ),
+        # A turbine count is capped, so that it cannot overflow the power curve.
+        pytest.param(
+            "sources",
+            [SHARED_SYSTEMS_DOC["sources"][0],
+             {**SHARED_SYSTEMS_DOC["sources"][1], "turbine_count": 10**400}],
+            f"sources[1]: turbine count must be <= 1000000, got {10**400}",
+            id="sources[1].turbine_count-1e400",
+        ),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):

@@ -561,6 +561,25 @@ def test_initialize_state_fits_no_model(monkeypatch):
     assert len(windows) == 2 * len(topo.loads)
 
 
+def _neumaier_sum(values, start=0):
+    """sum() of floats as CPython adds them from 3.12 on: compensated (Neumaier)."""
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp
+
+
+def test_demand_does_not_depend_on_how_sum_adds(monkeypatch):
+    # On reference seed 2 the compensated and the plain sums of the per-load
+    # means differ, so demand read through sum() would move with the Python.
+    cfg, topo = load_scenario("scenarios/reference.json", {"seed": 2})
+    plain = initialize_state(cfg, topo).demand.tobytes()
+    monkeypatch.setattr(engine, "sum", _neumaier_sum, raising=False)
+    assert initialize_state(cfg, topo).demand.tobytes() == plain
+
+
 def test_day_inputs_are_built_on_first_use():
     # The arms' rows and the bench-only demand_by_load view stay out of a
     # run's set-up; demand is built there (test_day_inputs_are_held_once_as_arrays).

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import fold
 
 from hybridgrid import (
     GridUnits,
@@ -318,14 +319,6 @@ def ragged_systems(draw, max_units=8, min_soh=0.0, max_rate=1.0):
             )
         systems.append(system(sid, units))
     return systems
-
-
-def fold(values) -> float:
-    """Left-to-right float sum, as a plain loop (and Python's sum before 3.12) adds."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def hexes(a: np.ndarray) -> list[str]:

@@ -2,12 +2,14 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import explicit_doc
+from conftest import explicit_doc, records_sha256
 
-from hybridgrid import GridUnits, model, scenario, validate_topology
+from hybridgrid import GridUnits, compare, model, scenario, validate_topology
+from hybridgrid.generation import MAX_TURBINE_COUNT
 from hybridgrid.scenario import load_scenario, parse_scenario
 
 
@@ -29,6 +31,53 @@ def test_parse_reference_topology():
     assert cfg.priority_enabled and cfg.health_enabled
     assert len(topo.systems) == 7
     assert validate_topology(topo) == []
+
+
+# The reference grid written out as an explicit document, units and plants
+# spelled out as README describes them.
+SPELLED_OUT_REFERENCE = {
+    "topology": {"initial_soc_pct": 50.0, "systems": [
+        {"id": n, "unit_count": 10, "unit_capacity_mwd": 100.0} for n in range(1, 8)
+    ]},
+    "sources": [
+        {"id": 1, "kind": "wind", "site": "coastal", "turbine_count": 50,
+         "connected_systems": [1, 2, 3, 4]},
+        {"id": 2, "kind": "wind", "site": "coastal", "turbine_count": 100,
+         "connected_systems": [1, 2, 3, 4]},
+        {"id": 3, "kind": "solar", "site": "inland", "area_m2": 900_000.0, "efficiency": 0.21,
+         "connected_systems": [4, 5, 6, 7]},
+        {"id": 4, "kind": "solar", "site": "inland", "area_m2": 1_500_000.0, "efficiency": 0.21,
+         "connected_systems": [4, 5, 6, 7]},
+    ],
+    "centers": [
+        {"id": 0, "connected_systems": [1, 2, 3]},
+        {"id": 1, "connected_systems": [2, 3, 4]},
+        {"id": 2, "connected_systems": [3, 4, 5]},
+        {"id": 3, "connected_systems": [4, 5, 6]},
+        {"id": 4, "connected_systems": [5, 6, 7]},
+        {"id": 5, "connected_systems": [1, 6, 7]},
+        {"id": 6, "connected_systems": [1, 2, 7]},
+        {"id": 7, "connected_systems": [2, 3, 7]},
+    ],
+}
+
+
+def test_reference_grid_equals_its_explicit_document():
+    doc = json.loads(Path("scenarios/reference.json").read_text())
+    doc["run"]["days"] = 60
+    assert doc["degradation"]["rate_spread"] > 0  # the seeded wear rates are compared too
+    explicit = {**doc, "topology": SPELLED_OUT_REFERENCE["topology"],
+                "sources": SPELLED_OUT_REFERENCE["sources"],
+                "loads": {**doc["loads"], "centers": SPELLED_OUT_REFERENCE["centers"]}}
+    cfg, reference = parse_scenario(doc)
+    explicit_cfg, spelled = parse_scenario(explicit)
+    assert repr(spelled) == repr(reference)
+    for got, want in zip(spelled.systems, reference.systems, strict=True):
+        for name in model.UNIT_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for axis in ("priority", "health"):
+        a, b = compare(explicit_cfg, spelled, axis), compare(cfg, reference, axis)
+        assert records_sha256(a.treatment, a.baseline) == records_sha256(b.treatment, b.baseline)
 
 
 def test_parse_applies_initial_soc():
@@ -454,6 +503,19 @@ def test_parse_plant_without_its_size_is_rejected(i, key):
     doc = explicit_doc()
     del doc["sources"][i][key]
     with pytest.raises(ValueError, match=re.escape(f"sources[{i}]: missing required key {key!r}")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("count", [MAX_TURBINE_COUNT + 1, 1e308, 10**400],
+                         ids=["cap+1", "1e308", "1e400"])
+def test_parse_caps_turbine_count(count):
+    doc = explicit_doc()
+    doc["sources"][1]["turbine_count"] = MAX_TURBINE_COUNT
+    parse_scenario(doc)
+    doc["sources"][1]["turbine_count"] = count
+    with pytest.raises(ValueError, match=re.escape(
+        f"sources[1]: turbine count must be <= {MAX_TURBINE_COUNT}, got {int(count)}"
+    )):
         parse_scenario(doc)
 
 
