@@ -31,7 +31,7 @@ from .forecast import (
     forecast_many,
     load_demand_csv,
 )
-from .model import validate_topology
+from .model import total, validate_topology
 from .scenario import MAX_DAYS, MAX_SEED, RUN_KEYS, load_scenario
 
 EXIT_OK = 0
@@ -102,7 +102,7 @@ def cmd_compare(args) -> int:
     atomic_write_text(out / "comparison.csv", comparison_csv(report))
     atomic_write_text(out / "series.csv", comparison_series_csv(report))
     gains = list(report.soh_gain_pct_points.values())
-    mean_gain = f"{sum(gains) / len(gains):+.3f} pp" if gains else "n/a"
+    mean_gain = f"{(0.0 + float(total(gains))) / len(gains):+.3f} pp" if gains else "n/a"
     print(
         f"axis={args.axis}: mean SoH gain {mean_gain}, zero-SoC events "
         f"{sum(report.treatment.summary.zero_soc_events.values())} (on) vs "
@@ -134,12 +134,12 @@ def cmd_forecast(args) -> int:
         series_by_load = {args.load_id: series_by_load[args.load_id]}
 
     # One batch fits every load; each step's forecasts end the next step's tails.
-    models = fit_sarima_many([series for _, series in sorted(series_by_load.items())], orders)
+    models = fit_sarima_many(list(series_by_load.values()), orders)
     tails, steps = np.array([m._tail for m in models]), []
     for _ in range(args.horizon):
         steps.append(forecast_many(models, tails))
         tails = np.concatenate([tails, steps[-1][:, None]], axis=1)[:, 1:]
-    for lid, model, values in zip(sorted(series_by_load), models, zip(*steps)):
+    for lid, model, values in zip(series_by_load, models, zip(*steps)):
         coeffs = {
             "ar": list(map(float, model.ar_coeffs)),
             "seasonal_ar": list(map(float, model.seasonal_ar_coeffs)),

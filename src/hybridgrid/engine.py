@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -57,7 +57,7 @@ from .forecast import (
 )
 from .generation import solar_power, wind_power
 from .health import GridUnits
-from .model import GridTopology, validate_topology
+from .model import GridTopology, total, validate_topology
 from .scenario import ScenarioConfig
 from .synth import synth_demand, synth_weather
 
@@ -200,8 +200,8 @@ class SimulationState:
     def forecasts(self) -> np.ndarray:
         """F[day, j]: the demand forecast dispatch sees for the topology's j-th
         load, from the realized demand before the day: 0.0 on day 0, then the
-        previous day's demand, from day s seasonal-naive (demand s days back,
-        floored at 0), and from the end of warm-up the one-step forecast of a
+        previous day's demand, from day s forecast.seasonal_naive (demand s
+        days back), and from the end of warm-up the one-step forecast of a
         SARIMA model refit every refit_interval_days on the trailing window,
         each day of the model's block evaluated on the K days before it."""
         days, fc = self.cfg.days, self.cfg.forecasting
@@ -210,7 +210,7 @@ class SimulationState:
         y = self.demand
         out = np.zeros_like(y)
         out[1:] = y[:-1]
-        out[o.s :] = np.where(y[: -o.s] > 0.0, y[: -o.s], 0.0)  # max(0.0, y)
+        out[o.s :] = y[: -o.s]
         fit_days = range(warmup, days, every)
         windows = [d[max(0, day - fc.train_window_days) : day] for d in y.T for day in fit_days]
         models = fit_sarima_many(windows, o)
@@ -384,20 +384,15 @@ def _run(state: SimulationState) -> list[SimulationTrace]:
 def _run_total(a: np.ndarray) -> float:
     """Every value of a [days, width] array, added as the per-day loops did:
     each day's row left to right, then the day totals in order from 0.0."""
-    if not a.size:
-        return 0.0
-    return 0.0 + float(np.add.accumulate(np.add.accumulate(a, axis=1)[:, -1])[-1])
+    return 0.0 + float(total(total(a)))
 
 
 def _effective_config(cfg: ScenarioConfig) -> dict:
-    o, fc, deg = cfg.forecasting.orders, cfg.forecasting, cfg.degradation
     return {"source_document": cfg.raw, "effective": {
         "days": cfg.days, "seed": cfg.seed,
         "priority_enabled": cfg.priority_enabled, "health_enabled": cfg.health_enabled,
-        "orders": list(astuple(o)),
-        "refit_interval_days": fc.refit_interval_days, "train_window_days": fc.train_window_days,
-        "r_charge": deg.r_charge, "r_discharge": deg.r_discharge, "rate_spread": deg.rate_spread,
-        "score_weights": {"soh": cfg.weights.soh, "soc": cfg.weights.soc},
+        **asdict(cfg.forecasting), "orders": list(astuple(cfg.forecasting.orders)),
+        **asdict(cfg.degradation), "score_weights": asdict(cfg.weights),
         "initial_soc_pct": cfg.initial_soc_pct, "initial_soh_pct": cfg.initial_soh_pct,
     }}
 

@@ -10,7 +10,7 @@ with phi(B) = 1 - phi_1 B - ... and PHI(B^s) = 1 - PHI_1 B^s - .... The
 orders keep the (p, d, q)(P, D, Q)_s shape, but the moving-average orders q
 and Q must be 0. SarimaOrders states each rule the orders imply once: the
 lag i + s*j of each AR term phi_i * PHI_j, the tail K = p + s*P + d + s*D
-and the shortest window a fit takes, max(3s + p + 10, K + 2).
+and the shortest window a fit takes, max(3s + p + 10, K + p + P + 2).
 
 A fit minimizes the conditional sum of squared one-step residuals, from the
 first full AR window on. With PHI fixed the residual is affine in phi and
@@ -36,12 +36,13 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
+
+from .model import total
 
 MAX_ROUNDS = 200
 TOL = 1e-10
@@ -115,8 +116,8 @@ class SarimaOrders:
 
     def min_series_length(self) -> int:
         """The shortest window a fit takes: 3s + p + 10 days to identify the
-        seasons, and at least K + 2 for two rows of the sum of squares."""
-        return max(3 * self.s + self.p + 10, self.K + 2)
+        seasons, and K + p + P + 2 for n - K CSS rows above p + P + 1 unknowns."""
+        return max(3 * self.s + self.p + 10, self.K + self.p + self.P + 2)
 
 
 DEFAULT_ORDERS = SarimaOrders(1, 0, 0, 1, 0, 0, 7)
@@ -248,8 +249,8 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
     is fitted; the first bad window raises. Model i is bit-identical
     to fit_sarima(windows[i], orders), and each fit warns on its own, in
     window order. Each row (phi, PHI, c) is fitted on w - m, m the mean of
-    the differenced window w, so c = (mu - m) * phi(1) * PHI(1); where the
-    fit puts a unit root in either factor, mu is free and stays at m.
+    the differenced window w, so c = (mu - m) * phi(1) * PHI(1), each sum by
+    model.total; at a unit root in either factor, mu is free and stays at m.
     """
     o = orders
     ys = [np.asarray(series, dtype=float) for series in windows]
@@ -276,9 +277,8 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
         G[rows] = _gram(W - m[:, None], L, lags)
     xs, converged = _als(G, o, lags)
     phi, sphi = xs[:, : o.p], xs[:, o.p : o.p + o.P]
-    sums = [reduce(np.add, c.T, np.zeros(len(xs))) for c in (phi, sphi)]  # left to right from 0
     with np.errstate(all="ignore"):  # a zero gain's quotient is discarded
-        gain = (1.0 - sums[0]) * (1.0 - sums[1])
+        gain = (1.0 - total(phi)) * (1.0 - total(sphi))
         mu = np.where(gain != 0.0, means + xs[:, -1] / gain, means)
     flags = (~converged, *(np.abs(c).max(axis=1, initial=0.0) >= 1.0 for c in (phi, sphi)))
     for r in np.flatnonzero(np.logical_or.reduce(flags)).tolist():

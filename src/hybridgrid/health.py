@@ -12,13 +12,13 @@ Every step is row by row, so compare() stacks its arms as more rows and one
 charge call mixes ranked rows with equal ones.
 
 Every step keeps the per-element arithmetic and the order of a sequential
-loop over units (differences and totals run left to right, with
-np.subtract.accumulate and np.add.accumulate), so results are bit for bit
-those of dispatch.split_equally and of such loops. Arrays are small, so a
-step costs its numpy calls: the equal split stops at the first round that
-saturates no slot, a move writes energy and SoH in place where it moved and
-refreshes stored once, headroom waits for its first read, and charge skips a
-pass that no row takes. Returned amounts are never -0.0.
+loop over units (differences run left to right with np.subtract.accumulate,
+totals with model.total), so results are bit for bit those of
+dispatch.split_equally and of such loops. Arrays are small, so a step costs
+its numpy calls: the equal split stops at the first round that saturates no
+slot, a move writes energy and SoH in place where it moved and refreshes
+stored once, headroom waits for its first read, and charge skips a pass that
+no row takes. Returned amounts are never -0.0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import REL_TOL, UNIT_FIELDS, StorageSystem
+from .model import REL_TOL, UNIT_FIELDS, StorageSystem, total
 
 DEFAULT_W_SOH = 0.5
 DEFAULT_W_SOC = 0.5
@@ -38,11 +38,6 @@ DEFAULT_W_SOC = 0.5
 # become measurably different; see scenarios/reference.json.
 DEFAULT_R_CHARGE = 0.2
 DEFAULT_R_DISCHARGE = 0.25
-
-
-def _total(a: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as a loop adds (np.sum adds pairwise)."""
-    return np.add.accumulate(a, axis=1)[:, -1]
 
 
 def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
@@ -89,11 +84,11 @@ class GridUnits:
         self.cap, self.energy, self.soh, self.r_charge, self.r_discharge = state
         self._divisor = np.where(real, self.cap, 1.0)  # pads move nothing
         self._flat = np.arange(len(systems))[:, None] * self.cap.shape[1]  # row starts
-        self.capacity = _total(self.cap)  # pads add +0.0, which changes no sum
+        self.capacity = total(self.cap)  # pads add +0.0, which changes no sum
         self._refresh()
 
     def _refresh(self) -> None:
-        self.stored = _total(self.energy)
+        self.stored = total(self.energy)
         self.__dict__.pop("headroom", None)
 
     @cached_property
@@ -106,7 +101,7 @@ class GridUnits:
 
     @property
     def mean_soh_pct(self) -> np.ndarray:
-        return _total(self.soh) / self._count
+        return total(self.soh) / self._count
 
     def scores(self, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC) -> np.ndarray:
         """Charging desirability in [0, 1]: healthy and empty scores high."""

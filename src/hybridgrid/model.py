@@ -48,6 +48,13 @@ _UNIT_RULES = ("capacity must be positive", "energy outside [0, capacity]",
                "degradation rates must be >= 0")
 
 
+def total(a) -> np.ndarray:
+    """The sums along a's last axis, each added left to right from its first
+    term as a loop adds (np.sum adds pairwise), and 0.0 for an empty axis."""
+    a = np.asarray(a, dtype=float)
+    return np.add.accumulate(a, axis=-1)[..., -1] if a.shape[-1] else np.zeros(a.shape[:-1])
+
+
 @dataclass(eq=False)
 class StorageSystem:
     """A bank of battery units operated as one grid-level storage system.
@@ -97,7 +104,7 @@ class StorageSystem:
     @property
     def capacity_mwd(self) -> float:
         """The units' capacities added in order."""
-        return float(np.add.accumulate(self.cap)[-1])
+        return float(total(self.cap))
 
     @property
     def units(self) -> tuple[UnitView, ...]:

@@ -323,9 +323,11 @@ def _build_topology(grid: dict, soc0: float, soh0: float, seed: int,
     at soc0 and soh0, with the seeded wear rates of deg."""
     sizes = _items(_require(grid["topology"], "systems", "topology"), _parse_system,
                    "topology.systems", MAX_SYSTEMS)
-    total = sum(count for _, count, _ in sizes)
-    at = "the total unit_count of topology.systems"
-    _check(total, total <= MAX_TOTAL_UNITS, f"<= {MAX_TOTAL_UNITS}", at)
+    counts = [count for _, count, _ in sizes]  # GridUnits pads each system to the widest
+    pads = len(counts) * max(counts, default=0) - sum(counts)
+    for at, n in (("the total unit_count of topology.systems", sum(counts)),
+                  ("the pad units that even out topology.systems", pads)):
+        _check(n, n <= MAX_TOTAL_UNITS, f"<= {MAX_TOTAL_UNITS}", at)
     centers = _require(grid.get("loads", {}), "centers", "loads")
     loads = _items(centers, _parse_center, "loads.centers", MAX_LOADS)
     sources = _items(_require(grid, "sources", "scenario"), _parse_source, "sources", MAX_SOURCES)
@@ -337,7 +339,8 @@ def _build_topology(grid: dict, soc0: float, soh0: float, seed: int,
     return GridTopology(systems, list(loads), list(sources))
 
 
-def reference_topology(initial_soc_pct: float = 50.0, initial_soh_pct: float = 100.0,
+def reference_topology(initial_soc_pct: float = ScenarioConfig.initial_soc_pct,
+                       initial_soh_pct: float = ScenarioConfig.initial_soh_pct,
                        r_charge: float = 0.0, r_discharge: float = 0.0) -> GridTopology:
     """REFERENCE_GRID with uniform initial unit state and wear rates."""
     deg = DegradationConfig(r_charge, r_discharge)
@@ -395,8 +398,8 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig, GridTopology]:
     fields = dict(
         days=_size(run.get("days", 365), 0, MAX_DAYS, "run.days"),
         seed=_size(run.get("seed", 0), 0, MAX_SEED, "run.seed"),
-        priority_enabled=_flag(run, "priority_enabled", True, "run"),
-        health_enabled=_flag(run, "health_enabled", True, "run"),
+        priority_enabled=_flag(run, "priority_enabled", ScenarioConfig.priority_enabled, "run"),
+        health_enabled=_flag(run, "health_enabled", ScenarioConfig.health_enabled, "run"),
         forecasting=_read(ForecastingConfig, doc.get("forecasting", {}), "forecasting"),
         degradation=_read(DegradationConfig, doc.get("degradation", {}), "degradation"),
         weights=_read(ScoreWeights, run.get("score_weights", {}), "run.score_weights"),

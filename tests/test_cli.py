@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -263,6 +264,14 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
             f"sources[1]: turbine count must be <= 1000000, got {10**400}",
             id="sources[1].turbine_count-1e400",
         ),
+        # GridUnits pads every system to the widest, so its pad units are capped.
+        pytest.param(
+            "topology",
+            {"systems": [{"id": k, "unit_count": 1} for k in range(9_999)]
+             + [{"id": 9_999, "unit_count": 10_000}]},
+            "the pad units that even out topology.systems must be <= 1000000, got 99980001",
+            id="topology.systems-padded",
+        ),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):
@@ -307,7 +316,7 @@ def test_validate_empty_grid_is_ok(tmp_path, capsys):
 
 # Orders whose one-step tail, K = p + s*P + d + s*D = 36 days, is longer than
 # the 3s + p + 10 = 32 days seasonal identification asks for: a fit needs
-# K + 2 = 38 days, and parsing checks the train window against that.
+# K + p + P + 2 = 42 days, and parsing checks the train window against that.
 def write_long_tail_toy(tmp_path, **forecasting):
     doc = json.loads(Path(TOY).read_text())
     doc["run"]["days"] = 60
@@ -317,7 +326,7 @@ def write_long_tail_toy(tmp_path, **forecasting):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 38-day fits may be non-stationary
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 42-day fits may be non-stationary
 def test_long_tail_orders_validate_and_simulate_alike(tmp_path, capsys):
     path = write_long_tail_toy(tmp_path)
     assert main(["validate", str(path)]) == 0
@@ -325,10 +334,10 @@ def test_long_tail_orders_validate_and_simulate_alike(tmp_path, capsys):
 
 
 def test_train_window_below_the_long_tail_minimum_is_validation_error(tmp_path, capsys):
-    path = write_long_tail_toy(tmp_path, train_window_days=37)
+    path = write_long_tail_toy(tmp_path, train_window_days=41)
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == (
-        "error: invalid input: forecasting: train window shorter than the fit minimum (38 days)\n"
+        "error: invalid input: forecasting: train window shorter than the fit minimum (42 days)\n"
     )
 
 
@@ -910,6 +919,31 @@ def test_forecast_fits_each_load_as_alone(tmp_path, capsys):
         assert main(["forecast", str(history), "--horizon", "2", "--load-id", str(lid)]) == 0
         alone.append(capsys.readouterr().out.strip())
     assert together == alone
+
+
+def _sum_of_ints(values, start=0):
+    """The builtin sum(), refusing floats: it adds them with compensation from
+    Python 3.12 on, so a float total through it would move with the Python."""
+    values = list(values)
+    if any(isinstance(v, float) for v in (start, *values)):
+        raise AssertionError(f"sum() of floats: {values}")
+    return sum(values, start)
+
+
+def test_no_float_total_goes_through_sum(tmp_path, monkeypatch):
+    # README: a seeded run is byte-identical on every supported Python
+    # version, because every float total is added by model.total.
+    history = tmp_path / "history.csv"
+    write_noisy_history(history)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "hybridgrid":
+            monkeypatch.setattr(module, "sum", _sum_of_ints, raising=False)
+    ref = "scenarios/reference.json"
+    for argv in (["simulate", ref, "--days", "90", "--out", str(tmp_path / "run")],
+                 ["compare", ref, "--axis", "priority", "--days", "90", "--out", str(tmp_path)],
+                 ["compare", ref, "--axis", "health", "--days", "90", "--out", str(tmp_path)],
+                 ["forecast", str(history), "--horizon", "3"]):
+        assert main(argv) == 0, argv
 
 
 def write_noisy_history(path):

@@ -623,6 +623,26 @@ def test_day_inputs_are_held_once_as_arrays(tmp_path):
     assert not hasattr(state, "energy")
 
 
+def test_a_negative_zero_demand_moves_no_target(tmp_path):
+    # The warm-up forecast is seasonal_naive, with no floor: demand is never
+    # below 0, so a CSV -0 reaches the forecasts as -0.0, and the charge
+    # targets add it into a +0.0 sum, as they add a 0.
+    targets = []
+    for zero in ("0", "-0"):
+        path = tmp_path / f"demand{zero}.csv"
+        path.write_text("load_id,day_index,demand_mwd\n" + "".join(
+            f"{lid},{day},{zero if day % 5 == 0 else 50.0 + day % 7}\n"
+            for lid in range(8) for day in range(60)))
+        cfg, topo = parse_scenario({"topology": {"reference": True}, "run": {"days": 60},
+                                    "loads": {"kind": "csv", "path": str(path)}})
+        state, o = engine.SimulationState(cfg, topo), cfg.forecasting.orders
+        warm = state.forecasts[o.s : max(30, o.min_series_length())]  # seasonal-naive days
+        assert warm.tobytes() == state.demand[: len(warm)].tobytes()
+        targets.append(state.targets.tobytes())
+    assert np.signbit(warm).any()
+    assert targets[0] == targets[1]
+
+
 def test_equal_split_run_fits_no_model(monkeypatch):
     windows = record_fit_windows(monkeypatch)
     doc = small_doc(days=80, seed=5)
@@ -683,7 +703,7 @@ def test_shipped_scenarios_fit_without_warnings(path, seeds):
 def warmup_forecast(demand, day, s):
     """The warm-up rule: 0.0 on day 0, then the last value, then seasonal-naive."""
     if day >= s:
-        return max(0.0, seasonal_naive(demand[day - s : day], s))
+        return seasonal_naive(demand[day - s : day], s)
     return demand[day - 1] if day else 0.0
 
 
@@ -739,7 +759,7 @@ def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
     every=st.integers(1, 4),
     extra_days=st.integers(1, 6),
 )
-@example(p=1, P=3, d_D=(0, 2), s=7, offset=0, every=1, extra_days=1)  # K + 2 > 3s + p + 10
+@example(p=1, P=3, d_D=(0, 2), s=7, offset=0, every=1, extra_days=1)  # K + p + P + 2 > 3s + p + 10
 def test_a_train_window_parses_exactly_when_every_fit_of_the_run_takes_it(
     p, P, d_D, s, offset, every, extra_days
 ):

@@ -234,9 +234,9 @@ def _bad_window(kind):
     "first, later, message",
     [
         ("nan", "short", "series contains non-finite values"),
-        ("short", "nan", "series too short to identify orders: need >= 38, got 20"),
+        ("short", "nan", "series too short to identify orders: need >= 42, got 20"),
         ("short after differencing", "nan",
-         "series too short to identify orders: need >= 38, got 35"),
+         "series too short to identify orders: need >= 42, got 35"),
         ("nan", "short after differencing", "series contains non-finite values"),
         ("2-d", "nan", "series must be one-dimensional"),
         ("nan", "2-d", "series contains non-finite values"),

@@ -1,9 +1,14 @@
 """Unit tests for grid entities, state accessors, and topology validation."""
 
 import re
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import fold
 
 from hybridgrid import (
     EnergySource,
@@ -16,6 +21,28 @@ from hybridgrid import (
     reference_topology,
     validate_topology,
 )
+from hybridgrid.model import total
+
+
+TERMS = st.floats(width=64) | st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308])
+
+
+@settings(deadline=None, max_examples=200)
+@given(rows=st.integers(0, 4), width=st.integers(0, 20), data=st.data())
+def test_total_adds_each_row_left_to_right_bit_for_bit(rows, width, data):
+    # model.total is every float total of the package. Each row's sum is a
+    # loop's, from its first term: fold's (which adds from 0.0) but for the
+    # sign of a zero sum, and an empty row sums to 0.0.
+    values = data.draw(st.lists(st.lists(TERMS, min_size=width, max_size=width),
+                                min_size=rows, max_size=rows))
+    with np.errstate(over="ignore", invalid="ignore"):  # a loop overflows, and inf - inf, alike
+        got = total(np.array(values, dtype=float).reshape(rows, width))
+        first = [float(total(row)) for row in values[:1]]  # a 1-D array's one sum
+    assert got.shape == (rows,)
+    for row, t in zip(values, got.tolist()):
+        assert float.hex(t) == float.hex(reduce(add, row) if row else 0.0)
+        assert float.hex(0.0 + t) == float.hex(fold(row))
+    assert [t.hex() for t in first] == [t.hex() for t in got.tolist()[:1]]
 
 
 def make_system(system_id=1, n_units=10, capacity=100.0, energy=50.0, soh=100.0):

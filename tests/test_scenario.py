@@ -573,7 +573,9 @@ def _no_units(*args):
 
 
 # Each case is over a cap by its counts alone: 101 systems of 10,000 units would
-# need about 180 MB, and 10,001 list entries would each be read.
+# need about 180 MB, and 10,001 list entries would each be read. GridUnits pads
+# every system to the widest, so 9,999 one-unit systems beside one of 10,000
+# units (19,999 units) would hold 1e8 unit slots per arm, about 11 GB.
 @pytest.mark.parametrize(
     "keys, value, message",
     [
@@ -593,8 +595,14 @@ def _no_units(*args):
             "loads.centers must have at most 10000 entries, got 10001",
         ),
         (("sources",), [{}] * 10_001, "sources must have at most 10000 entries, got 10001"),
+        (
+            ("topology", "systems"),
+            [{"id": k, "unit_count": 1} for k in range(9_999)]
+            + [{"id": 9_999, "unit_count": 10_000}],
+            "the pad units that even out topology.systems must be <= 1000000, got 99980001",
+        ),
     ],
-    ids=["total-units", "systems", "loads", "sources"],
+    ids=["total-units", "systems", "loads", "sources", "padded-units"],
 )
 def test_parse_grid_over_a_size_cap_builds_no_unit(monkeypatch, keys, value, message):
     monkeypatch.setattr(scenario, "StorageSystem", _no_units)
@@ -603,6 +611,20 @@ def test_parse_grid_over_a_size_cap_builds_no_unit(monkeypatch, keys, value, mes
     for key in keys[:-1]:
         section = section[key]
     section[keys[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_scenario(doc)
+
+
+def test_parse_pad_unit_cap_is_inclusive(monkeypatch):
+    # explicit_doc() with three one-unit systems added has 2 + 4 + 3 units,
+    # padded to 5 x 4: 11 pad units.
+    doc = explicit_doc()
+    doc["topology"]["systems"] += [{"id": k, "unit_count": 1} for k in (3, 4, 5)]
+    monkeypatch.setattr(scenario, "MAX_TOTAL_UNITS", 11)
+    _, topo = parse_scenario(doc)
+    assert len(topo.systems) * max(len(s.cap) for s in topo.systems) == 20
+    monkeypatch.setattr(scenario, "MAX_TOTAL_UNITS", 10)
+    message = "the pad units that even out topology.systems must be <= 10, got 11"
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_scenario(doc)
 
