@@ -55,7 +55,7 @@ def split_equally(total: float, caps: list[float], slots: Sequence[int]) -> list
     Returns the amounts in slots order; any residue beyond the slots' caps
     is left unallocated.
     """
-    if total < 0:
+    if not total >= 0:  # NaN too
         raise ValueError(f"cannot split a negative total: {total}")
     alloc = [0.0] * len(slots)
     remaining = total
@@ -212,7 +212,7 @@ def settle_loads(
     """
     served, unmet, took = [], [], [0.0] * len(stored)
     for d, rows in zip(demand, load_rows):
-        if d < 0:
+        if not d >= 0:  # NaN too
             raise ValueError(f"demand must be >= 0, got {d}")
         pool = 0  # from int 0, left to right
         for i in rows:

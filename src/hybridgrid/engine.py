@@ -148,12 +148,14 @@ class SimulationState:
     policy-independent inputs the arms share, and units with the arms
     stacked as arm-major rows.
 
-    Set-up builds each site's weather as (ghi, wind speed) arrays, demand as
-    one [days, loads] array, the units and, under loads.gen_fraction, the
-    generation demand is scaled to. Generation otherwise, forecasts and
-    charge targets are built on first use, so a run whose dispatch never
-    reads targets (the equal split) never fits a model. weather_by_day and
-    demand_by_load are views that only the benchmark's checks read.
+    Set-up builds each site's weather as (ghi, wind speed) arrays, generation
+    and demand as [days, sources] and [days, loads] arrays, the units, each
+    arm's slice of unit rows with a per-row ranked flag (arm_rows), and the
+    TRACE_FIELDS arrays step_day writes a full row of a day, [days, arms x
+    width] with arm-major columns (rows). Only the forecasts and charge
+    targets wait for first use, so a run whose dispatch never reads targets
+    (the equal split) never fits a model. weather_by_day and demand_by_load
+    are views that only the benchmark's checks read.
     """
 
     def __init__(self, cfg: ScenarioConfig, topology: GridTopology,
@@ -166,26 +168,12 @@ class SimulationState:
         self.topology = topology
         self.units = GridUnits(topology.systems * len(self.arms))
         self.weather = _build_weather(cfg, topology)
-        self.demand = _build_demand(cfg, topology, self)
-
-    @cached_property
-    def generation(self) -> np.ndarray:
-        """G[day, k]: the MWd the topology's k-th source makes on each day, one
-        power-curve call per source over its site's series; the provider series
-        doubles as the day-ahead forecast. A constant MW output over the
-        one-day tick is the same number in MWd."""
-        sources = self.topology.sources
-        out = np.empty((self.cfg.days, len(sources)))
-        for k, src in enumerate(sources):
-            ghi, wind = self.weather[src.site]
-            if src.kind == "solar":
-                mw = solar_power(ghi, src.params)
-            else:
-                mw = wind_power(wind, src.params)
-            if not np.isfinite(mw).all():
-                raise ValueError(f"source {src.id}: generation is not finite")
-            out[:, k] = mw
-        return out
+        self.generation = _build_generation(cfg.days, topology, self.weather)
+        self.demand = _build_demand(cfg, topology, self.generation)
+        n, flags = len(topology.systems), [health for _, health in self.arms]
+        self.arm_rows = [slice(b * n, (b + 1) * n) for b in range(len(flags))], np.repeat(flags, n)
+        self.rows = {f: np.empty((cfg.days, len(self.arms) * len(getattr(topology, of))))
+                     for f, of in TRACE_FIELDS.items()}
 
     @cached_property
     def weather_by_day(self) -> list[list[WeatherSample]]:
@@ -232,20 +220,6 @@ class SimulationState:
         """Each load's column of demand by id, built on first read; only the
         benchmark's checks (bench/run.py, bench/selftest.py) read it."""
         return {load.id: self.demand[:, j] for j, load in enumerate(self.topology.loads)}
-
-    @cached_property
-    def arm_rows(self) -> tuple[list[slice], np.ndarray]:
-        """Each arm's rows of units, and per row whether its arm charges them ranked."""
-        n, flags = len(self.topology.systems), [health for _, health in self.arms]
-        return [slice(b * n, (b + 1) * n) for b in range(len(flags))], np.repeat(flags, n)
-
-    @cached_property
-    def rows(self) -> dict[str, np.ndarray]:
-        """Each TRACE_FIELDS array as [days, arms x width], arm-major columns,
-        each arm's in ascending id. step_day fills a row a day."""
-        days, t = self.cfg.days, self.topology
-        return {f: np.zeros((days, len(self.arms) * len(getattr(t, of))))
-                for f, of in TRACE_FIELDS.items()}
 
 
 def step_day(state: SimulationState, day: int) -> None:
@@ -310,7 +284,23 @@ def _build_weather(cfg: ScenarioConfig,
             for site in sites}
 
 
-def _build_demand(cfg: ScenarioConfig, t: GridTopology, state: SimulationState) -> np.ndarray:
+def _build_generation(days: int, t: GridTopology,
+                      weather: dict[str, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """G[day, k]: the MWd the topology's k-th source makes on each day, one
+    power-curve call per source over its site's series; the provider series
+    doubles as the day-ahead forecast. A constant MW output over the
+    one-day tick is the same number in MWd."""
+    out = np.empty((days, len(t.sources)))
+    for k, src in enumerate(t.sources):
+        ghi, wind = weather[src.site]
+        mw = solar_power(ghi, src.params) if src.kind == "solar" else wind_power(wind, src.params)
+        if not np.isfinite(mw).all():
+            raise ValueError(f"source {src.id}: generation is not finite")
+        out[:, k] = mw
+    return out
+
+
+def _build_demand(cfg: ScenarioConfig, t: GridTopology, generation: np.ndarray) -> np.ndarray:
     """D[day, j]: the topology's j-th load's realized demand on each day, the
     transpose of a [loads, days] block, so each load's column is contiguous."""
     load_ids = [load.id for load in t.loads]
@@ -336,7 +326,7 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology, state: SimulationState) 
 
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:
-        mean_gen = _run_total(state.generation) / cfg.days
+        mean_gen = _run_total(generation) / cfg.days
         mean_demand = _run_total(np.mean(block, axis=1)[None])
         if mean_demand <= 0:
             raise SimulationError("gen_fraction scaling needs positive base demand")

@@ -17,13 +17,11 @@ totals with model.total), so results are bit for bit those of
 dispatch.split_equally and of such loops. Arrays are small, so a step costs
 its numpy calls: the equal split stops at the first round that saturates no
 slot, a move writes energy and SoH in place where it moved and refreshes
-stored once, headroom waits for its first read, and charge skips a pass that
-no row takes. Returned amounts are never -0.0.
+stored and headroom once, and charge skips a pass that no row takes.
+Returned amounts are never -0.0.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -89,11 +87,7 @@ class GridUnits:
 
     def _refresh(self) -> None:
         self.stored = total(self.energy)
-        self.__dict__.pop("headroom", None)
-
-    @cached_property
-    def headroom(self) -> np.ndarray:
-        return np.maximum(0.0, self.capacity - self.stored)
+        self.headroom = np.maximum(0.0, self.capacity - self.stored)
 
     @property
     def soc_pct(self) -> np.ndarray:

@@ -100,6 +100,13 @@ def test_split_equally_reads_only_its_slots_in_their_order():
     assert caps == [10.0, 999.0, 100.0, 0.0, 100.0]
 
 
+def test_split_equally_rejects_a_negative_total():
+    # NaN fails total >= 0 too; unguarded it splits into zeros.
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="cannot split a negative total"):
+            split_equally(bad, [10.0, 10.0], range(2))
+
+
 def test_split_equally_fuzz_conservation_and_caps():
     rng = np.random.default_rng(101)
     for _ in range(2000):
@@ -430,3 +437,6 @@ def test_settle_loads_in_turn_on_running_stores():
 def test_settle_loads_rejects_negative_demand():
     with pytest.raises(ValueError, match="demand must be >= 0"):
         settle_loads([[0]], [-1.0], [10.0])
+    # NaN fails d >= 0 too; unguarded it drains both rows and reports no shortfall.
+    with pytest.raises(ValueError, match="demand must be >= 0"):
+        settle_loads([[0, 1]], [math.nan], [5.0, 3.0])

@@ -580,13 +580,14 @@ def test_demand_does_not_depend_on_how_sum_adds(monkeypatch):
     assert initialize_state(cfg, topo).demand.tobytes() == plain
 
 
-def test_day_inputs_are_built_on_first_use():
-    # The arms' rows and the bench-only demand_by_load view stay out of a
-    # run's set-up; demand is built there (test_day_inputs_are_held_once_as_arrays).
+def test_day_inputs_are_built_at_set_up():
+    # Set-up builds generation, demand, the arms' rows and the trace rows;
+    # only the fit behind forecasts and targets, and the bench-only views,
+    # wait for first use, so an equal-split run fits no model.
     cfg, topo = parse_scenario(small_doc(days=20, seed=5))
     state = engine.SimulationState(cfg, topo, [(True, True), (True, False)])
-    lazy = ("demand_by_load", "arm_rows")
-    assert not set(lazy) & set(vars(state))
+    assert {"generation", "demand", "arm_rows", "rows"} <= set(vars(state))
+    assert not {"forecasts", "targets", "weather_by_day", "demand_by_load"} & set(vars(state))
     assert [state.demand_by_load[load.id].tobytes() for load in topo.loads] == [
         state.demand[:, j].tobytes() for j in range(len(topo.loads))]
     runs, ranked = state.arm_rows
@@ -597,19 +598,21 @@ def test_day_inputs_are_built_on_first_use():
 def test_day_inputs_are_held_once_as_arrays(tmp_path):
     # A compare's state holds each per-day input as one [days, width] float64
     # array; step_day takes each day's row as floats, and keeps no list copy.
-    # Set-up builds demand as that array, each load's column contiguous,
-    # whether it is read from a CSV file or drawn and scaled by gen_fraction
-    # (which builds generation at set-up too).
+    # Set-up builds generation and demand as such arrays, each load's column
+    # contiguous, whether demand is read from a CSV file or drawn and scaled
+    # by gen_fraction.
     cfg, topo = parse_scenario(small_doc(days=40, seed=5))
     (tmp_path / "demand.csv").write_text("load_id,day_index,demand_mwd\n" + "".join(
         f"{load.id},{day},{day + load.id / 8}\n" for load in topo.loads for day in range(45)))
     from_csv = engine.SimulationState(*parse_scenario(
         small_doc(days=40, seed=5, loads={"kind": "csv", "path": str(tmp_path / "demand.csv")})))
-    for state, scaled in ((engine.SimulationState(cfg, topo), True), (from_csv, False)):
+    for state in (engine.SimulationState(cfg, topo), from_csv):
         demand = vars(state)["demand"]
         assert type(demand) is np.ndarray and demand.dtype == np.float64
         assert demand.shape == (cfg.days, len(topo.loads)) and demand.T.flags.c_contiguous
-        assert ("generation" in vars(state)) is scaled
+        generation = vars(state)["generation"]
+        assert type(generation) is np.ndarray and generation.dtype == np.float64
+        assert generation.shape == (cfg.days, len(topo.sources))
     assert from_csv.demand.T.tolist() == [[day + load.id / 8 for day in range(40)]
                                           for load in topo.loads]
     state = engine.SimulationState(cfg, topo, [(True, True), (False, True)])

@@ -166,12 +166,14 @@ def unit_state(units, i, system):
 
 def check_units(units, systems, got, want):
     """got is a move's [system, unit] amounts, want the oracle's (amounts,
-    energy, soh) per system, worked out before the move."""
+    energy, soh) per system, worked out before the move; headroom is
+    capacity - stored, floored at 0.0, as of the move."""
     for i, (s, (amounts, energy, soh)) in enumerate(zip(systems, want)):
         now_energy, now_soh = unit_state(units, i, s)
         same_bits(got[i, : len(s.cap)].tolist(), amounts)
         same_bits(now_energy, energy)
         same_bits(now_soh, soh)
+    same_bits(units.headroom.tolist(), np.maximum(0.0, units.capacity - units.stored).tolist())
 
 
 @settings(deadline=None, max_examples=300)
@@ -231,9 +233,9 @@ def run_topology(systems, sources, loads):
 
 def run_state(topo, per_day, arms, weights):
     """A state of topo with these arms and score weights, its generation,
-    demand and targets assigned from per_day as [days, width] arrays in
-    ascending id. cached_property leaves them to be set, so no weather or fit
-    is involved."""
+    demand and targets replaced by per_day's as [days, width] arrays in
+    ascending id. Set-up built the first two; targets wait for first use, so
+    assigning them first means no fit is involved."""
     n_days = len(per_day["energy"])
     state = SimulationState(ScenarioConfig(n_days, 0, weights=ScoreWeights(*weights)), topo, arms)
     for name, of, attr in (("energy", "sources", "generation"), ("demand", "loads", "demand"),
