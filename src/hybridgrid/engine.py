@@ -191,7 +191,12 @@ class SimulationState:
         previous day's demand, from day s forecast.seasonal_naive (demand s
         days back), and from the end of warm-up the one-step forecast of a
         SARIMA model refit every refit_interval_days on the trailing window,
-        each day of the model's block evaluated on the K days before it."""
+        each day of the model's block evaluated on the K days before it.
+
+        One forecast_many call evaluates every block: per load, the days each
+        block's tails read are one row of a copy (the last block's padded with
+        the run's last day), so day t of every block reads its K-day tail at
+        one offset and meets all the models at once; padded days are cut."""
         days, fc = self.cfg.days, self.cfg.forecasting
         o, every = fc.orders, fc.refit_interval_days
         warmup = max(30, o.min_series_length())
@@ -201,12 +206,14 @@ class SimulationState:
         out[o.s :] = y[: -o.s]
         fit_days = range(warmup, days, every)
         windows = [d[max(0, day - fc.train_window_days) : day] for d in y.T for day in fit_days]
-        models = fit_sarima_many(windows, o)
-        K = o.K
-        for b, day in enumerate(fit_days):  # a window holds more than K days, so day > K
-            end = min(day + every, days)
-            tails = sliding_window_view(y[day - K : end - 1], K, axis=0)  # [end - day, loads, K]
-            out[day:end] = forecast_many(models[b :: len(fit_days)], tails)
+        models = fit_sarima_many(windows, o)  # model j * blocks + b: load j, block b
+        if models:  # a window holds more than K days, so warmup > K
+            K, n, blocks = o.K, min(every, days - warmup), len(fit_days)
+            read = warmup - K + n * np.arange(blocks)[:, None] + np.arange(n + K - 1)
+            spans = y.T[:, np.minimum(read, days - 1)].reshape(len(models), -1)
+            tails = sliding_window_view(spans, K, axis=1).transpose(1, 0, 2)  # [n, models, K]
+            by_block = forecast_many(models, tails).reshape(n, -1, blocks).transpose(2, 0, 1)
+            out[warmup:] = by_block.reshape(blocks * n, -1)[: days - warmup]
         return out
 
     @cached_property

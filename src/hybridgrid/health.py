@@ -15,9 +15,14 @@ Every step keeps the per-element arithmetic and the order of a sequential
 loop over units (differences run left to right with np.subtract.accumulate,
 totals with model.total), so results are bit for bit those of
 dispatch.split_equally and of such loops. Arrays are small, so a step costs
-its numpy calls: the equal split stops at the first round that saturates no
-slot, a move writes energy and SoH in place where it moved and refreshes
-stored and headroom once, and charge skips a pass that no row takes.
+its numpy calls, and each call keeps to numpy's fast paths: constant operands
+are 0-d float64 arrays, never Python literals; a masked result is computed for
+every unit and written where the mask holds with np.putmask, never through a
+ufunc's where=; reductions are ufunc reduce calls, not array methods. The
+equal split stops at the first round that saturates no slot, a move
+refreshes stored and headroom once, and charge skips a pass that no row
+takes. As the wear of unmoved units is computed and then discarded, every
+unit's wear rate times its capacity is finite (StorageSystem checks it).
 Returned amounts are never -0.0.
 """
 
@@ -37,6 +42,10 @@ DEFAULT_W_SOC = 0.5
 DEFAULT_R_CHARGE = 0.2
 DEFAULT_R_DISCHARGE = 0.25
 
+# The day path's scalar operands, as 0-d float64 arrays: the same values and
+# dtype as the literals, which numpy would convert on every call.
+_ZERO, _ONE, _HUNDRED = np.array(0.0), np.array(1.0), np.array(100.0)
+
 
 def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
     """dispatch.split_equally on every row at once, each row's slots all of
@@ -49,16 +58,17 @@ def split_equally_rows(totals, caps: np.ndarray) -> np.ndarray:
     """
     room, alloc = caps, np.zeros(caps.shape)
     left = np.asarray(totals, dtype=float).reshape(-1, 1)
-    active = (room > 0) & (left > 0.0)
+    active = (room > _ZERO) & (left > _ZERO)
     while np.count_nonzero(active):
-        share = left / np.maximum(active.sum(axis=1, keepdims=True, dtype=float), 1.0)
+        share = left / np.maximum(np.add.reduce(active, axis=1, dtype=float, keepdims=True), _ONE)
         full = active & (room <= share)
-        take = np.minimum(room, share, out=np.zeros(caps.shape), where=active)
+        take = np.minimum(room, share)
+        np.putmask(take, ~active, _ZERO)
         alloc += take
         if not np.count_nonzero(full):
             break
         left = np.subtract.accumulate(np.concatenate([left, take], axis=1), axis=1)[:, -1:]
-        active &= ~full & full.any(axis=1, keepdims=True) & (left > 0.0)
+        active &= ~full & np.logical_or.reduce(full, axis=1, keepdims=True) & (left > _ZERO)
         room = caps - alloc
     return alloc
 
@@ -87,11 +97,11 @@ class GridUnits:
 
     def _refresh(self) -> None:
         self.stored = total(self.energy)
-        self.headroom = np.maximum(0.0, self.capacity - self.stored)
+        self.headroom = np.maximum(_ZERO, self.capacity - self.stored)
 
     @property
     def soc_pct(self) -> np.ndarray:
-        return self.stored / self.capacity * 100.0
+        return self.stored / self.capacity * _HUNDRED
 
     @property
     def mean_soh_pct(self) -> np.ndarray:
@@ -99,15 +109,15 @@ class GridUnits:
 
     def scores(self, w_soh: float = DEFAULT_W_SOH, w_soc: float = DEFAULT_W_SOC) -> np.ndarray:
         """Charging desirability in [0, 1]: healthy and empty scores high."""
-        return w_soh * self.soh / 100.0 + w_soc * (1.0 - self.energy / self._divisor)
+        return w_soh * self.soh / _HUNDRED + w_soc * (_ONE - self.energy / self._divisor)
 
     def _check(self, amounts, limit: np.ndarray, what: str) -> np.ndarray:
         """The amounts as an array, clipped to limit after overshoot up to REL_TOL of it."""
         amounts = np.asarray(amounts, dtype=float)
-        ok = amounts >= 0  # false for NaN
+        ok = amounts >= _ZERO  # false for NaN
         ok &= amounts <= limit  # most calls need no tolerance
         if np.count_nonzero(ok) < ok.size:
-            ok = (amounts >= 0) & (amounts <= limit + REL_TOL * limit)
+            ok = (amounts >= _ZERO) & (amounts <= limit + REL_TOL * limit)
             if np.count_nonzero(ok) < ok.size:
                 i = int(np.argmin(ok))
                 raise ValueError(f"system {self.ids[i]}: {what} {amounts[i]} outside "
@@ -125,28 +135,28 @@ class GridUnits:
         other rows split equally across their units, overflow re-split.
         """
         left = self._check(q, self.headroom, "charge")
-        room = np.maximum(0.0, self.cap - self.energy)
+        room = np.maximum(_ZERO, self.cap - self.energy)
         ranked = np.asarray(ranked)
         n_ranked = np.count_nonzero(ranked)
         mixed = 0 < n_ranked < ranked.size
         amounts = np.zeros(room.shape)
         if n_ranked < ranked.size:
-            amounts = split_equally_rows(np.where(ranked, 0.0, left), room)
+            amounts = split_equally_rows(np.where(ranked, _ZERO, left), room)
         if n_ranked:
             # Greedy in rank order: each unit takes what is left, up to its room.
             order = (-self.scores(w_soh, w_soc)).argsort(axis=1, kind="stable") + self._flat
             room = room.take(order)  # order holds flat indices, as take and put read them
             # + 0.0 turns a -0.0 request to +0.0, as the add below does on a mixed call.
-            first = np.where(ranked, left, 0.0) if mixed else left + 0.0
+            first = np.where(ranked, left, _ZERO) if mixed else left + _ZERO
             rest = np.subtract.accumulate(np.concatenate([first[:, None], room], axis=1), axis=1)
-            greedy = np.maximum(0.0, np.minimum(rest[:, :-1], room, out=room), out=room)
+            greedy = np.maximum(_ZERO, np.minimum(rest[:, :-1], room, out=room), out=room)
             amounts.put(order, amounts.take(order) + greedy if mixed else greedy)
-        moved = amounts > 0
-        np.minimum(self.cap, self.energy + amounts, out=self.energy, where=moved)
+        moved = amounts > _ZERO
+        np.putmask(self.energy, moved, np.minimum(self.cap, self.energy + amounts))
         return self._wear(amounts, self.r_charge, moved)
 
     def _wear(self, amounts: np.ndarray, rate: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        np.maximum(0.0, self.soh - amounts * rate / self._divisor, out=self.soh, where=moved)
+        np.putmask(self.soh, moved, np.maximum(_ZERO, self.soh - amounts * rate / self._divisor))
         self._refresh()
         return amounts
 
@@ -157,6 +167,6 @@ class GridUnits:
         re-split among the rest. Each unit is worn by what it gave.
         """
         taken = split_equally_rows(self._check(d, self.stored, "discharge"), self.energy)
-        moved = taken > 0
-        np.maximum(0.0, self.energy - taken, out=self.energy, where=moved)
+        moved = taken > _ZERO
+        np.putmask(self.energy, moved, np.maximum(_ZERO, self.energy - taken))
         return self._wear(taken, self.r_discharge, moved)

@@ -39,13 +39,14 @@ REL_TOL = 1e-9
 # Each unit array's bounds, in StorageSystem field order: capacity > 0 (the
 # least positive float is its lower bound), energy >= 0 (its upper bound,
 # cap * (1 + REL_TOL), is checked apart), SoH in [0, 100] and wear rates
-# >= 0. NaN is outside every bound.
+# >= 0 (times the capacity finite, checked apart: a move computes the wear of
+# every unit, moved or not). NaN is outside every bound.
 UNIT_FIELDS = ("cap", "energy", "soh", "r_charge", "r_discharge")
 _UNIT_LO = np.array([[5e-324], [0.0], [0.0], [0.0], [0.0]])
 _UNIT_HI = np.array([[np.inf], [np.inf], [100.0], [np.inf], [np.inf]])
-_UNIT_RULES = ("capacity must be positive", "energy outside [0, capacity]",
-               "SoH outside [0, 100]", "degradation rates must be >= 0",
-               "degradation rates must be >= 0")
+_UNIT_RULES = ("capacity must be positive", "energy outside [0, capacity]", "SoH outside [0, 100]",
+               "degradation rates must be >= 0 and finite times capacity",
+               "degradation rates must be >= 0 and finite times capacity")
 
 
 def total(a) -> np.ndarray:
@@ -89,6 +90,8 @@ class StorageSystem:
                              f"({cap.size})") from None
         bad = ~((units >= _UNIT_LO) & (units <= _UNIT_HI))
         bad[1] |= units[1] > units[0] * (1.0 + REL_TOL)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0.0 is NaN, and fails too
+            bad[3:] |= ~np.isfinite(units[3:] * units[0])
         if np.count_nonzero(bad):
             # Name the first unit that breaks a rule, and its first rule broken.
             k = int(np.argmax(bad.any(axis=0)))

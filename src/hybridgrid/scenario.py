@@ -332,10 +332,14 @@ def _build_topology(grid: dict, soc0: float, soh0: float, seed: int,
     loads = _items(centers, _parse_center, "loads.centers", MAX_LOADS)
     sources = _items(_require(grid, "sources", "scenario"), _parse_source, "sources", MAX_SOURCES)
     systems = []
-    for sid, count, cap in sizes:
-        mult = wear_multipliers(seed, sid, count, deg.rate_spread)
-        systems.append(StorageSystem(sid, np.full(count, cap), cap * soc0 / 100.0, soh0,
-                                     deg.r_charge * mult, deg.r_discharge * mult))
+    with np.errstate(over="ignore"):  # a rate that overflows to inf fails the unit rule
+        for sid, count, cap in sizes:
+            mult = wear_multipliers(seed, sid, count, deg.rate_spread)
+            try:
+                systems.append(StorageSystem(sid, np.full(count, cap), cap * soc0 / 100.0, soh0,
+                                             deg.r_charge * mult, deg.r_discharge * mult))
+            except ValueError as exc:  # parsed caps, SoC and SoH hold, so a rate broke the rule
+                raise ValueError(f"degradation: {exc}") from None
     return GridTopology(systems, list(loads), list(sources))
 
 

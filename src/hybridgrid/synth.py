@@ -45,7 +45,7 @@ _SQRT2 = math.sqrt(2.0)
 
 def normal_cdf(x) -> np.ndarray:
     """The standard normal CDF of each element of the 1-d array x."""
-    return np.array([0.5 * math.erfc(-v / _SQRT2) for v in x.tolist()])
+    return 0.5 * np.fromiter(map(math.erfc, (-x / _SQRT2).tolist()), float, len(x))
 
 
 def _ar1_noise(rng: np.random.Generator, days: int, rho: float) -> np.ndarray:
@@ -54,10 +54,10 @@ def _ar1_noise(rng: np.random.Generator, days: int, rho: float) -> np.ndarray:
     if rho <= 0 or days == 0:
         return g
     # The recurrence runs on Python floats: the same bits as numpy scalars, faster.
-    out = g.tolist()
-    scale = math.sqrt(1.0 - rho * rho)
+    out = (math.sqrt(1.0 - rho * rho) * g).tolist()
+    out[0] = float(g[0])
     for t in range(1, days):
-        out[t] = rho * out[t - 1] + scale * out[t]
+        out[t] = rho * out[t - 1] + out[t]
     return np.array(out)
 
 

@@ -272,6 +272,13 @@ def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
             "the pad units that even out topology.systems must be <= 1000000, got 99980001",
             id="topology.systems-padded",
         ),
+        # A wear rate whose product with a unit's capacity overflows is named.
+        pytest.param(
+            "degradation",
+            {"r_charge": 1e308},
+            "degradation: system 1 unit 0: degradation rates must be >= 0 and finite times capacity",
+            id="degradation.r_charge-1e308",
+        ),
     ],
 )
 def test_validate_malformed_section_names_its_path(tmp_path, capsys, section, body, message):

@@ -716,11 +716,19 @@ DIFFERENCED_DOC = small_doc(days=150, seed=4, forecasting={
     "orders": [7, 0, 0, 1, 1, 0, 7], "refit_interval_days": 20, "train_window_days": 120})
 
 
+# Refit blocks of one day, of a week, and of 45 days with a partial last block
+# (days 77-99), all evaluated in the state's one forecast pass.
+REFIT_DOCS = [small_doc(days=days, forecasting={"refit_interval_days": every})
+              for days, every in ((45, 1), (60, 7), (100, 45))]
+
+
 @pytest.mark.parametrize("source, seed", [
     *(("scenarios/reference.json", seed) for seed in (1, 2, 3)),
     ("scenarios/stress.json", 42),
     (DIFFERENCED_DOC, 4),
-], ids=["reference-1", "reference-2", "reference-3", "stress-42", "differenced"])
+    *((doc, 3) for doc in REFIT_DOCS),
+], ids=["reference-1", "reference-2", "reference-3", "stress-42", "differenced",
+        "refit-1", "refit-7", "refit-45-partial"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
     # From warm-up on, day t's forecast is its block's lone fit evaluated on

@@ -82,6 +82,8 @@ def test_battery_unit_rejects_bad_soh():
         # The energy bound is relative to the capacity, however small it is.
         ({"cap": [100.0, 2.0**-20], "energy": [0.0, 2.0**-20 * (1.0 + 2e-9)]},
          "unit 1: energy outside [0, capacity]"),
+        # A move computes every unit's wear, so a rate times its capacity is finite.
+        ({"r_charge": [np.inf]}, "unit 0: degradation rates must be >= 0 and finite times capacity"),
     ],
 )
 def test_storage_system_checks_each_unit_array(arrays, message):
