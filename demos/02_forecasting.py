@@ -34,7 +34,7 @@ def main():
     print(f"  day-to-day persistence : {model.ar_coeffs[0]:+.3f}")
     print(f"  week-to-week persistence: {model.seasonal_ar_coeffs[0]:+.3f}")
     print(f"  level                  : {model.intercept:.1f} MWd")
-    print(f"  tomorrow's forecast    : {forecast_one(model):.1f} MWd")
+    print(f"  tomorrow's forecast    : {forecast_one(model, train):.1f} MWd")
 
     print()
     print(f"=== One-step accuracy on the last {holdout} days ===")
@@ -44,7 +44,7 @@ def main():
         history = series[:cut]
         actual = series[cut]
         refit = fit_sarima(history, orders)
-        err_model.append(abs(forecast_one(refit) - actual) / actual)
+        err_model.append(abs(forecast_one(refit, history) - actual) / actual)
         err_naive.append(abs(seasonal_naive(history, 7) - actual) / actual)
     mape_model = 100.0 * float(np.mean(err_model))
     mape_naive = 100.0 * float(np.mean(err_naive))

@@ -135,7 +135,7 @@ def cmd_forecast(args) -> int:
 
     # One batch fits every load; each step's forecasts end the next step's tails.
     models = fit_sarima_many(list(series_by_load.values()), orders)
-    tails, steps = np.array([m._tail for m in models]), []
+    tails, steps = np.array([y[len(y) - orders.K :] for y in series_by_load.values()]), []
     for _ in range(args.horizon):
         steps.append(forecast_many(models, tails))
         tails = np.concatenate([tails, steps[-1][:, None]], axis=1)[:, 1:]

@@ -23,9 +23,9 @@ window's lagged values, built once per window. Estimation is deterministic:
 refitting the same history reproduces bit-identical coefficients.
 
 fit_sarima_many fits a batch of windows in one search, each window leaving
-the batch once it converges. forecast_many is the one forecast rule: a fitted
-model's one-step forecast from the K level values before the day, by default
-its window's last K (its tail). A batch equals lone calls bit for bit,
+the batch once it converges. A fitted model holds only its coefficients;
+forecast_many is the one forecast rule, a fitted model's one-step forecast
+from the K level values before the day. A batch equals lone calls bit for bit,
 because nothing mixes rows: every update is elementwise, a row's reduction,
 or a stacked matmul or solve, making per row the calls a lone one makes.
 fit_sarima and forecast_one are batches of one.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from math import comb
 from typing import NamedTuple
@@ -90,9 +90,10 @@ class SarimaOrders:
 
     @classmethod
     def from_sequence(cls, seq, where: str = "orders") -> "SarimaOrders":
-        vals = list(seq)
-        if len(vals) != 7:
-            raise ValueError(f"{where} needs exactly 7 integers p,d,q,P,D,Q,s, got {len(vals)}")
+        vals, names = list(seq), [f.name for f in fields(cls)]
+        if len(vals) != len(names):
+            raise ValueError(f"{where} needs exactly {len(names)} integers {','.join(names)}, "
+                             f"got {len(vals)}")
         try:
             return cls(*vals)
         except ValueError as exc:
@@ -125,19 +126,17 @@ DEFAULT_ORDERS = SarimaOrders(1, 0, 0, 1, 0, 0, 7)
 
 @dataclass
 class SarimaModel:
-    """A fitted forecaster, carrying just enough history for one-step use."""
+    """A fitted forecaster: its orders and coefficients; a forecast takes its history."""
 
     orders: SarimaOrders
     ar_coeffs: np.ndarray
     seasonal_ar_coeffs: np.ndarray
     intercept: float
     converged: bool
-    # The window's last K = p + s*P + d + s*D values, most recent last.
-    _tail: np.ndarray
 
 
 def _difference(y: np.ndarray, d: int, D: int, s: int) -> np.ndarray:
-    w = y.astype(float)
+    w = y.astype(float, copy=False)
     for _ in range(d):
         w = w[..., 1:] - w[..., :-1]
     for _ in range(D):
@@ -269,11 +268,10 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
     lags = o.ar_lags
     k, L = len(ys), lags[-1]
     G = np.empty((k, len(lags) + 1, len(lags) + 1))
-    means, tails = np.empty(k), np.empty((k, o.K))
+    means = np.empty(k)
     for rows, Y in stacks:
         W = _difference(Y, o.d, o.D, o.s)
         means[rows] = m = np.mean(W, axis=1)
-        tails[rows] = Y[:, Y.shape[1] - tails.shape[1] :]
         G[rows] = _gram(W - m[:, None], L, lags)
     xs, converged = _als(G, o, lags)
     phi, sphi = xs[:, : o.p], xs[:, o.p : o.p + o.P]
@@ -288,7 +286,7 @@ def fit_sarima_many(windows, orders: SarimaOrders = DEFAULT_ORDERS) -> list[Sari
         for flag, text in zip(flags, texts):
             if flag[r]:
                 warnings.warn(text, RuntimeWarning, stacklevel=2)
-    return list(map(SarimaModel, repeat(o), phi, sphi, mu.tolist(), converged.tolist(), tails))
+    return list(map(SarimaModel, repeat(o), phi, sphi, mu.tolist(), converged.tolist()))
 
 
 def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
@@ -299,22 +297,27 @@ def fit_sarima(series, orders: SarimaOrders = DEFAULT_ORDERS) -> SarimaModel:
     return fit_sarima_many([series], orders)[0]
 
 
-def forecast_one(model: SarimaModel) -> float:
-    """One-step-ahead forecast on the original scale, clamped at zero."""
-    return float(forecast_many([model])[0])
+def forecast_one(model: SarimaModel, history) -> float:
+    """One-step forecast of the day after history from its last K values, clamped at zero."""
+    K = model.orders.K
+    if len(history) < K:
+        raise ValueError(f"need at least K = {K} observations, got {len(history)}")
+    return float(forecast_many([model], [history[len(history) - K :]])[0])
 
 
-def forecast_many(models: list[SarimaModel], tails: np.ndarray | None = None) -> np.ndarray:
+def forecast_many(models: list[SarimaModel], tails: np.ndarray) -> np.ndarray:
     """forecast_one of each of models of one orders, in one array pass, on
     tails [..., len(models), K] of level values before the day, most recent
-    last (by default each model's own). With a = phi(B) PHI(B^s) and w the
-    differenced tails, w = mu - sum_k a_k (w_{t-k} - mu), and y undoes the
-    differencing; both sums take ascending lags, skipping zeros."""
+    last. With a = phi(B) PHI(B^s) and w the differenced tails,
+    w = mu - sum_k a_k (w_{t-k} - mu), and y undoes the differencing; both
+    sums take ascending lags, skipping zeros."""
     if any(m.orders != models[0].orders for m in models):
         raise ValueError("forecast_many needs models of one orders")
     if not models:
         return np.empty(0)
-    o = models[0].orders
+    o, level = models[0].orders, np.asarray(tails, dtype=float)
+    if level.shape[-2:] != (len(models), o.K):
+        raise ValueError(f"tails must end in (models, K) = {(len(models), o.K)}, got {level.shape}")
     i, j, lag = o.ar_terms
     f, F = np.ones((len(models), o.p + 1)), np.ones((len(models), o.P + 1))
     f[:, 1:] = [-m.ar_coeffs for m in models]
@@ -322,7 +325,6 @@ def forecast_many(models: list[SarimaModel], tails: np.ndarray | None = None) ->
     ar = np.zeros((len(models), lag[-1] + 1))
     np.add.at(ar, (slice(None), lag), f[:, i] * F[:, j])  # a lag's terms in (i, j) order
     mu = np.array([m.intercept for m in models])
-    level = np.array([m._tail for m in models]) if tails is None else tails
     diff = _difference(level, o.d, o.D, o.s)
     w_hat = np.zeros(level.shape[:-1])
     for k in o.ar_lags[1:]:

@@ -40,11 +40,13 @@ REL_TOL = 1e-9
 # least positive float is its lower bound), energy >= 0 (its upper bound,
 # cap * (1 + REL_TOL), is checked apart), SoH in [0, 100] and wear rates
 # >= 0 (times the capacity finite, checked apart: a move computes the wear of
-# every unit, moved or not). NaN is outside every bound.
+# every unit, moved or not). Every value is finite; NaN is outside every bound.
 UNIT_FIELDS = ("cap", "energy", "soh", "r_charge", "r_discharge")
+_MAX = np.finfo(float).max
 _UNIT_LO = np.array([[5e-324], [0.0], [0.0], [0.0], [0.0]])
-_UNIT_HI = np.array([[np.inf], [np.inf], [100.0], [np.inf], [np.inf]])
-_UNIT_RULES = ("capacity must be positive", "energy outside [0, capacity]", "SoH outside [0, 100]",
+_UNIT_HI = np.array([[_MAX], [_MAX], [100.0], [_MAX], [_MAX]])
+_UNIT_RULES = ("capacity must be positive and finite", "energy outside [0, capacity]",
+               "SoH outside [0, 100]",
                "degradation rates must be >= 0 and finite times capacity",
                "degradation rates must be >= 0 and finite times capacity")
 
@@ -66,8 +68,8 @@ class StorageSystem:
     points a unit loses per equivalent full cycle of charging / discharging
     (throughput equal to its capacity; default 0). A scalar stands for every
     unit. Each array is copied and checked once: cap > 0, energy in
-    [0, cap * (1 + REL_TOL)], soh in [0, 100] and rates >= 0, NaN failing
-    each. An error names the first unit that breaks a rule and its first one.
+    [0, cap * (1 + REL_TOL)], soh in [0, 100] and rates >= 0, all finite.
+    An error names the first unit that breaks a rule and its first one.
     """
 
     id: int
@@ -89,8 +91,8 @@ class StorageSystem:
             raise ValueError(f"system {self.id}: unit arrays must have one value per unit "
                              f"({cap.size})") from None
         bad = ~((units >= _UNIT_LO) & (units <= _UNIT_HI))
-        bad[1] |= units[1] > units[0] * (1.0 + REL_TOL)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0.0 is NaN, and fails too
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, inf * 0.0 NaN
+            bad[1] |= units[1] > units[0] * (1.0 + REL_TOL)
             bad[3:] |= ~np.isfinite(units[3:] * units[0])
         if np.count_nonzero(bad):
             # Name the first unit that breaks a rule, and its first rule broken.

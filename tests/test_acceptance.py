@@ -315,7 +315,7 @@ def test_criterion_6_forecaster_quality():
         history = series[: 500 + k]
         actual = series[500 + k]
         refit = fit_sarima(history, orders)
-        rel_err_model.append(abs(forecast_one(refit) - actual) / abs(actual))
+        rel_err_model.append(abs(forecast_one(refit, history) - actual) / abs(actual))
         rel_err_naive.append(abs(seasonal_naive(history, 7) - actual) / abs(actual))
     mape_model = float(np.mean(rel_err_model))
     mape_naive = float(np.mean(rel_err_naive))

@@ -830,6 +830,15 @@ def test_forecast_bad_orders_is_validation_error(tmp_path):
     assert main(["forecast", str(history), "--orders", "1,0"]) == 1
 
 
+def test_forecast_orders_of_the_wrong_count_name_the_layout(tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    make_history_csv(history)
+    assert main(["forecast", str(history), "--orders", "1,0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--orders needs exactly 7 integers p,d,q,P,D,Q,s, got 3" in captured.err
+
+
 def test_forecast_moving_average_orders_is_validation_error(tmp_path, capsys):
     history = tmp_path / "history.csv"
     make_history_csv(history)
@@ -983,8 +992,8 @@ def test_forecast_one_step_output_is_pinned(tmp_path, capsys, flags, digest):
 
 @pytest.mark.parametrize("orders", [None, DIFFERENCED_ORDERS], ids=["default", "differenced"])
 def test_forecast_horizon_feeds_each_step_back_bitwise(tmp_path, capsys, monkeypatch, orders):
-    # Step h is forecast_one of the model fitted on the history, its tail
-    # shifted by the h - 1 forecasts before it.
+    # Step h is forecast_one of the model fitted on the history, on the
+    # history followed by the h - 1 forecasts before it.
     history, horizon = tmp_path / "history.csv", 40
     write_noisy_history(history)
     steps, forecast_many = [], cli.forecast_many
@@ -996,8 +1005,7 @@ def test_forecast_horizon_feeds_each_step_back_bitwise(tmp_path, capsys, monkeyp
     for j, series in enumerate(load_demand_csv(history).values()):
         model, expected = fit_sarima(series, o), []
         for _ in range(horizon):
-            expected.append(forecast_one(model))
-            model._tail = np.append(model._tail[1:], expected[-1])
+            expected.append(forecast_one(model, np.append(series, expected)))
         assert [step[j].hex() for step in steps] == [v.hex() for v in expected]
         assert printed[j] == [f"{v:.6f}" for v in expected]
 

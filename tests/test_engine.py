@@ -753,9 +753,7 @@ def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
             if fit_day not in models:
                 window = demand[max(0, fit_day - fc.train_window_days) : fit_day]
                 models[fit_day] = fit_sarima(window, o)
-            model = models[fit_day]
-            model._tail = np.array(demand[day - K : day])
-            expected.append(forecast_one(model))
+            expected.append(forecast_one(models[fit_day], demand[day - K : day]))
         got = state.forecasts[:, j].tolist()
         assert [v.hex() for v in got] == [float(v).hex() for v in expected], load.id
 

@@ -103,7 +103,7 @@ def test_fit_constant_series_recovers_level():
     series = np.full(120, 100.0)
     model = fit_sarima(series, ORDERS_AR1)
     assert model.intercept == pytest.approx(100.0, abs=1e-4)
-    assert forecast_one(model) == pytest.approx(100.0, abs=1e-4)
+    assert forecast_one(model, series) == pytest.approx(100.0, abs=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +127,7 @@ def test_fit_rank_deficient_windows_are_finite(orders, level):
         assert np.all(np.isfinite(model.ar_coeffs))
         assert np.all(np.isfinite(model.seasonal_ar_coeffs))
         assert np.isfinite(model.intercept)
-        assert forecast_one(model) == pytest.approx(expected, rel=1e-9)
+        assert forecast_one(model, series) == pytest.approx(expected, rel=1e-9)
 
 
 def test_fit_is_deterministic():
@@ -137,7 +137,7 @@ def test_fit_is_deterministic():
     assert a.ar_coeffs == b.ar_coeffs
     assert a.seasonal_ar_coeffs == b.seasonal_ar_coeffs
     assert a.intercept == b.intercept
-    assert forecast_one(a) == forecast_one(b)
+    assert forecast_one(a, series) == forecast_one(b, series)
 
 
 def test_fit_seasonal_structure_recovered():
@@ -178,7 +178,6 @@ def model_bits(model):
         [[float(v).hex() for v in c] for c in coeffs],
         float(model.intercept).hex(),
         model.converged,
-        model._tail.tobytes(),
     )
 
 
@@ -285,8 +284,9 @@ def test_fit_numerics_are_pinned(orders, coeffs, intercept):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_high_order_intercept_and_forecast_are_pinned(orders, seed, intercept, value):
     # Recorded with the per-window intercept and the scalar one-step loop.
-    model = fit_sarima(seasonal_series(200, seed=seed), orders)
-    assert (model.intercept.hex(), forecast_one(model).hex()) == (intercept, value)
+    series = seasonal_series(200, seed=seed)
+    model = fit_sarima(series, orders)
+    assert (model.intercept.hex(), forecast_one(model, series).hex()) == (intercept, value)
 
 
 def test_fit_many_warns_once_per_capped_fit(monkeypatch):
@@ -419,35 +419,56 @@ def test_forecast_clamps_negative_to_zero():
     series = np.linspace(100.0, 0.5, 120)
     orders = SarimaOrders(p=1, d=1, q=0, P=0, D=0, Q=0, s=7)
     model = fit_sarima(series, orders)
-    assert forecast_one(model) >= 0.0
+    assert forecast_one(model, series) >= 0.0
 
 
 def test_forecast_many_is_each_forecast_one():
     series = seasonal_series(400, seed=9)
-    models = fit_sarima_many([series[-n:] for n in (60, 200, 365)], ORDERS_WEEKLY)
-    assert [v.hex() for v in forecast_many(models).tolist()] == [
-        forecast_one(m).hex() for m in models
+    windows = [series[-n:] for n in (60, 200, 365)]
+    models = fit_sarima_many(windows, ORDERS_WEEKLY)
+    tails = np.array([w[len(w) - ORDERS_WEEKLY.K :] for w in windows])
+    assert [v.hex() for v in forecast_many(models, tails).tolist()] == [
+        forecast_one(m, w).hex() for m, w in zip(models, windows)
     ]
-    assert forecast_many([]).shape == (0,)
+    assert forecast_many([], np.empty((0, ORDERS_WEEKLY.K))).shape == (0,)
     with pytest.raises(ValueError, match="models of one orders"):
-        forecast_many([models[0], fit_sarima(series, ORDERS_AR1)])
+        forecast_many([models[0], fit_sarima(series, ORDERS_AR1)], tails[:2])
 
 
-def forecast_by_expand(model):
+def test_forecasts_reject_history_of_the_wrong_shape():
+    series = seasonal_series(400, seed=9)
+    models = fit_sarima_many([series[-200:], series[-365:]], ORDERS_WEEKLY)
+    K = ORDERS_WEEKLY.K
+    # One row of tails is not broadcast over two models, and a short tail is
+    # named, not read past its start.
+    for shape in ((1, K), (2, K - 1), (2, K + 1), (K,), (3, 1, K)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"tails must end in (models, K) = (2, {K}), got {shape}"
+        )):
+            forecast_many(models, np.full(shape, 100.0))
+    with pytest.raises(ValueError, match=re.escape(f"need at least K = {K} observations, got 7")):
+        forecast_one(models[0], series[:7])
+    # A forecast reads the last K values of its history.
+    one = forecast_one(models[0], series[-K:])
+    assert forecast_one(models[0], series).hex() == one.hex()
+    assert forecast_many(models[:1], series[None, -K:])[0].hex() == one.hex()
+
+
+def forecast_by_expand(model, tail):
     """forecast_one by each model's own plain-Python AR product and scalar
-    loops, one model at a time, on its tail and the tail differenced."""
+    loops, one model at a time, on a tail and the tail differenced."""
     o = model.orders
     ar = ar_product(model)
-    diff_tail = forecast._difference(model._tail, o.d, o.D, o.s).tolist()
-    mu, level_tail = model.intercept, model._tail.tolist()
+    diff = forecast._difference(tail, o.d, o.D, o.s).tolist()
+    mu, level = model.intercept, tail.tolist()
     w = 0.0
     for k in range(1, len(ar)):
         if ar[k] != 0.0:
-            w = w - ar[k] * (diff_tail[-k] - mu)
+            w = w - ar[k] * (diff[-k] - mu)
     y = mu + w
     for k, c in enumerate(diff_poly(o)):
         if k and c != 0.0:
-            y = y - c * level_tail[-k]
+            y = y - c * level[-k]
     return y if y > 0.0 else 0.0
 
 
@@ -471,15 +492,17 @@ def test_forecast_many_equals_the_expand_convolution_bitwise(orders):
     series = seasonal_series(400, seed=13)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        models = fit_sarima_many([series[-n:] for n in (60, 90, 200, 365, 400)], orders)
-    assert [v.hex() for v in forecast_many(models).tolist()] == [
-        forecast_by_expand(m).hex() for m in models
+        windows = [series[-n:] for n in (60, 90, 200, 365, 400)]
+        models = fit_sarima_many(windows, orders)
+    own = np.array([w[len(w) - orders.K :] for w in windows])
+    assert [v.hex() for v in forecast_many(models, own).tolist()] == [
+        forecast_by_expand(m, t).hex() for m, t in zip(models, own)
     ]
     # Random tails show a coefficient's last bits more often than the models'
     # own tails do: on them the sum order at a shared lag is seen.
     tails = np.random.default_rng(0).uniform(0.0, 200.0, (20, len(models), orders.K))
     assert [v.hex() for v in forecast_many(models, tails).ravel().tolist()] == [
-        forecast_by_expand(dataclasses.replace(m, _tail=t)).hex()
+        forecast_by_expand(m, t).hex()
         for row in tails for m, t in zip(models, row)
     ]
 

@@ -84,8 +84,12 @@ def test_battery_unit_rejects_bad_soh():
          "unit 1: energy outside [0, capacity]"),
         # A move computes every unit's wear, so a rate times its capacity is finite.
         ({"r_charge": [np.inf]}, "unit 0: degradation rates must be >= 0 and finite times capacity"),
+        # Every value is finite, and an energy bound past the float range warns of nothing.
+        ({"cap": [np.inf]}, "unit 0: capacity must be positive and finite"),
+        ({"cap": [np.finfo(float).max], "energy": np.inf}, "unit 0: energy outside [0, capacity]"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_storage_system_checks_each_unit_array(arrays, message):
     with pytest.raises(ValueError, match=re.escape(f"system 7 {message}")):
         StorageSystem(7, **{"cap": [100.0, 100.0], **arrays})

@@ -536,6 +536,15 @@ def test_parse_rejects_non_integer_orders(value):
         parse_scenario(doc)
 
 
+def test_parse_orders_of_the_wrong_count_name_the_layout():
+    doc = explicit_doc()
+    doc["forecasting"]["orders"] = [1, 0, 0, 1, 0, 0]
+    with pytest.raises(ValueError, match=re.escape(
+        "forecasting.orders needs exactly 7 integers p,d,q,P,D,Q,s, got 6"
+    )):
+        parse_scenario(doc)
+
+
 def test_parse_fractional_days_and_seed_are_not_truncated(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(minimal_doc(days=2.9, seed=1.7)))
