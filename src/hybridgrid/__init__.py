@@ -19,6 +19,7 @@ from .engine import (
     SimulationTrace,
     TraceSummary,
     atomic_write_text,
+    build_inputs,
     compare,
     comparison_csv,
     comparison_series_csv,

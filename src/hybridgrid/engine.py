@@ -4,10 +4,10 @@ A SimulationState is one run, or several in lockstep: one config and one
 topology, and per arm only its (priority_enabled, health_enabled) pair.
 Weather, per-source generation, realized demand, the day-ahead demand
 forecasts and each system's charge target do not depend on policy, so the
-state builds them once, from the config, for all its arms (SimulationState
-says which at set-up). Weather is a pair of arrays per site; generation,
-demand, forecasts and targets are each one [days, width] array, so none
-holds per-day objects; step_day takes each day's row as floats.
+arms share them: build_inputs is the one builder of weather, generation and
+demand, which a state takes as given, and the state derives the rest. Weather
+is a pair of arrays per site; generation, demand, forecasts and targets are
+each one [days, width] array; step_day takes each day's row as floats.
 One health.GridUnits holds every arm's units as arm-major rows (row b * S + i
 is system i of arm b), and step_day makes one charge call and one discharge
 call for the whole batch. run_simulation is
@@ -148,28 +148,29 @@ class SimulationState:
     policy-independent inputs the arms share, and units with the arms
     stacked as arm-major rows.
 
-    Set-up builds each site's weather as (ghi, wind speed) arrays, generation
-    and demand as [days, sources] and [days, loads] arrays, the units, each
-    arm's slice of unit rows with a per-row ranked flag (arm_rows), and the
+    inputs is build_inputs' (weather, generation, demand): each site's (ghi,
+    wind speed) arrays and [days, sources] and [days, loads] arrays, kept as
+    given once their shapes check out. Set-up builds the units, each arm's
+    slice of unit rows with a per-row ranked flag (arm_rows), and the
     TRACE_FIELDS arrays step_day writes a full row of a day, [days, arms x
     width] with arm-major columns (rows). Only the forecasts and charge
-    targets wait for first use, so a run whose dispatch never reads targets
-    (the equal split) never fits a model. weather_by_day and demand_by_load
-    are views that only the benchmark's checks read.
+    targets wait for first use, so an equal-split run never fits a model.
+    weather_by_day and demand_by_load are views only the benchmark reads.
     """
 
     def __init__(self, cfg: ScenarioConfig, topology: GridTopology,
+                 inputs: tuple[dict, np.ndarray, np.ndarray],
                  arms: list[tuple[bool, bool]] | None = None) -> None:
-        violations = validate_topology(topology)
-        if violations:
-            raise ValueError("invalid topology: " + "; ".join(str(v) for v in violations))
+        _check_topology(topology)
+        self.weather, self.generation, self.demand = inputs
+        for name, of in (("generation", "sources"), ("demand", "loads")):
+            shape, want = np.shape(getattr(self, name)), (cfg.days, len(getattr(topology, of)))
+            if shape != want:
+                raise ValueError(f"{name} must be shaped (days, {of}) = {want}, got {shape}")
         self.cfg = cfg
         self.arms = [(cfg.priority_enabled, cfg.health_enabled)] if arms is None else arms
         self.topology = topology
         self.units = GridUnits(topology.systems * len(self.arms))
-        self.weather = _build_weather(cfg, topology)
-        self.generation = _build_generation(cfg.days, topology, self.weather)
-        self.demand = _build_demand(cfg, topology, self.generation)
         n, flags = len(topology.systems), [health for _, health in self.arms]
         self.arm_rows = [slice(b * n, (b + 1) * n) for b in range(len(flags))], np.repeat(flags, n)
         self.rows = {f: np.empty((cfg.days, len(self.arms) * len(getattr(topology, of))))
@@ -273,6 +274,30 @@ def step_day(state: SimulationState, day: int) -> None:
     out["mean_soh_pct"][day] = units.mean_soh_pct
 
 
+def _check_topology(t: GridTopology) -> None:
+    if violations := validate_topology(t):
+        raise ValueError("invalid topology: " + "; ".join(str(v) for v in violations))
+
+
+def build_inputs(cfg: ScenarioConfig, t: GridTopology) -> tuple[dict, np.ndarray, np.ndarray]:
+    """A run's (weather, generation, demand), once its topology checks out.
+    G[day, k] is the MWd the topology's k-th source makes on each day: one
+    power-curve call per source over its site's series (the provider series
+    doubles as the day-ahead forecast; a constant MW output over the one-day
+    tick is the same number in MWd), checked before demand scales to it.
+    The CSV readers and synth are called by name in this module, so a tracer
+    that rebinds them here sees each call."""
+    _check_topology(t)
+    weather, generation = _build_weather(cfg, t), np.empty((cfg.days, len(t.sources)))
+    for k, src in enumerate(t.sources):
+        ghi, wind = weather[src.site]
+        mw = solar_power(ghi, src.params) if src.kind == "solar" else wind_power(wind, src.params)
+        if not np.isfinite(mw).all():
+            raise ValueError(f"source {src.id}: generation is not finite")
+        generation[:, k] = mw
+    return weather, generation, _build_demand(cfg, t, generation)
+
+
 def _build_weather(cfg: ScenarioConfig,
                    t: GridTopology) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each site a source names, in sorted order: its (ghi, wind speed) arrays,
@@ -289,22 +314,6 @@ def _build_weather(cfg: ScenarioConfig,
         return {site: (ghi[: cfg.days], wind[: cfg.days]) for site, (ghi, wind) in series.items()}
     return {site: synth_weather(cfg.seed, cfg.days, site, cfg.weather.params_for(site))
             for site in sites}
-
-
-def _build_generation(days: int, t: GridTopology,
-                      weather: dict[str, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """G[day, k]: the MWd the topology's k-th source makes on each day, one
-    power-curve call per source over its site's series; the provider series
-    doubles as the day-ahead forecast. A constant MW output over the
-    one-day tick is the same number in MWd."""
-    out = np.empty((days, len(t.sources)))
-    for k, src in enumerate(t.sources):
-        ghi, wind = weather[src.site]
-        mw = solar_power(ghi, src.params) if src.kind == "solar" else wind_power(wind, src.params)
-        if not np.isfinite(mw).all():
-            raise ValueError(f"source {src.id}: generation is not finite")
-        out[:, k] = mw
-    return out
 
 
 def _build_demand(cfg: ScenarioConfig, t: GridTopology, generation: np.ndarray) -> np.ndarray:
@@ -348,7 +357,7 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology, generation: np.ndarray) 
 
 def initialize_state(cfg: ScenarioConfig, topology: GridTopology) -> SimulationState:
     """Validate inputs and build one run's inputs and unit state."""
-    return SimulationState(cfg, topology)
+    return SimulationState(cfg, topology, build_inputs(cfg, topology))
 
 
 def run_simulation(cfg: ScenarioConfig, topology: GridTopology) -> SimulationTrace:
@@ -407,7 +416,7 @@ def compare(cfg: ScenarioConfig, topology: GridTopology, axis: str) -> Compariso
 
     arms = [(flag, cfg.health_enabled) if axis == "priority" else (cfg.priority_enabled, flag)
             for flag in (True, False)]
-    treatment, baseline = _run(SimulationState(cfg, topology, arms))
+    treatment, baseline = _run(SimulationState(cfg, topology, build_inputs(cfg, topology), arms))
 
     final_t, final_b = treatment.summary.final_mean_soh_pct, baseline.summary.final_mean_soh_pct
     gain = {sid: final_t[sid] - final_b[sid] for sid in final_t}

@@ -314,7 +314,7 @@ def forecast_many(models: list[SarimaModel], tails: np.ndarray) -> np.ndarray:
     if any(m.orders != models[0].orders for m in models):
         raise ValueError("forecast_many needs models of one orders")
     if not models:
-        return np.empty(0)
+        return np.empty(np.shape(tails)[:-1])
     o, level = models[0].orders, np.asarray(tails, dtype=float)
     if level.shape[-2:] != (len(models), o.K):
         raise ValueError(f"tails must end in (models, K) = {(len(models), o.K)}, got {level.shape}")

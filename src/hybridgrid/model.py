@@ -11,6 +11,7 @@ decreases as energy is cycled through the unit.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,8 +69,9 @@ class StorageSystem:
     points a unit loses per equivalent full cycle of charging / discharging
     (throughput equal to its capacity; default 0). A scalar stands for every
     unit. Each array is copied and checked once: cap > 0, energy in
-    [0, cap * (1 + REL_TOL)], soh in [0, 100] and rates >= 0, all finite.
-    An error names the first unit that breaks a rule and its first one.
+    [0, cap * (1 + REL_TOL)], soh in [0, 100] and rates >= 0, all finite,
+    and so are the capacity and stored-energy totals. An error names the
+    first unit that breaks a rule and its first one.
     """
 
     id: int
@@ -94,10 +96,13 @@ class StorageSystem:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, inf * 0.0 NaN
             bad[1] |= units[1] > units[0] * (1.0 + REL_TOL)
             bad[3:] |= ~np.isfinite(units[3:] * units[0])
+            totals = total(units[:2]).tolist()  # capacity and stored energy, as GridUnits adds them
         if np.count_nonzero(bad):
             # Name the first unit that breaks a rule, and its first rule broken.
             k = int(np.argmax(bad.any(axis=0)))
             raise ValueError(f"system {self.id} unit {k}: {_UNIT_RULES[np.argmax(bad[:, k])]}")
+        if not all(map(math.isfinite, totals)):
+            raise ValueError(f"system {self.id} totals: capacity and stored energy must be finite")
         self.cap, self.energy, self.soh, self.r_charge, self.r_discharge = units
 
     def __eq__(self, other) -> bool:

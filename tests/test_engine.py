@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import random
+import re
 import warnings
 
 import numpy as np
@@ -18,8 +19,10 @@ from hybridgrid import (
     GridUnits,
     SarimaOrders,
     SimulationError,
+    SimulationState,
     WeatherSample,
     atomic_write_text,
+    build_inputs,
     compare,
     comparison_csv,
     comparison_series_csv,
@@ -471,7 +474,7 @@ def test_stacked_arms_of_any_flag_pairs_equal_their_lone_runs():
     alone = {(p, h): run_simulation(dataclasses.replace(cfg, priority_enabled=p, health_enabled=h),
                                     topo) for p, h in pairs}
     for arms in itertools.permutations(pairs, 2):
-        traces = engine._run(engine.SimulationState(cfg, topo, list(arms)))
+        traces = engine._run(SimulationState(cfg, topo, build_inputs(cfg, topo), list(arms)))
         assert len(traces) == 2
         for trace, (p, h) in zip(traces, arms):
             assert records_sha256(trace) == records_sha256(alone[p, h])
@@ -581,11 +584,11 @@ def test_demand_does_not_depend_on_how_sum_adds(monkeypatch):
 
 
 def test_day_inputs_are_built_at_set_up():
-    # Set-up builds generation, demand, the arms' rows and the trace rows;
-    # only the fit behind forecasts and targets, and the bench-only views,
-    # wait for first use, so an equal-split run fits no model.
+    # Set-up takes generation and demand and builds the arms' rows and the
+    # trace rows; only the fit behind forecasts and targets, and the
+    # bench-only views, wait for first use, so an equal-split run fits no model.
     cfg, topo = parse_scenario(small_doc(days=20, seed=5))
-    state = engine.SimulationState(cfg, topo, [(True, True), (True, False)])
+    state = SimulationState(cfg, topo, build_inputs(cfg, topo), [(True, True), (True, False)])
     assert {"generation", "demand", "arm_rows", "rows"} <= set(vars(state))
     assert not {"forecasts", "targets", "weather_by_day", "demand_by_load"} & set(vars(state))
     assert [state.demand_by_load[load.id].tobytes() for load in topo.loads] == [
@@ -593,6 +596,23 @@ def test_day_inputs_are_built_at_set_up():
     runs, ranked = state.arm_rows
     assert runs == [slice(0, 7), slice(7, 14)]
     assert ranked.tolist() == [True] * 7 + [False] * 7
+
+
+@pytest.mark.parametrize("name, of", [("generation", "sources"), ("demand", "loads")])
+@pytest.mark.parametrize("cut", [np.s_[:, 1:], np.s_[1:]], ids=["width", "length"])
+def test_state_rejects_inputs_of_the_wrong_shape(name, of, cut):
+    cfg, topo = parse_scenario(small_doc(days=20, seed=5))
+    inputs = dict(zip(("weather", "generation", "demand"), build_inputs(cfg, topo)))
+    want, inputs[name] = inputs[name].shape, inputs[name][cut]
+    message = f"{name} must be shaped (days, {of}) = {want}, got {inputs[name].shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimulationState(cfg, topo, tuple(inputs.values()))
+
+
+def test_a_state_of_built_inputs_runs_as_initialize_state():
+    cfg, topo = load_scenario("scenarios/reference.json")
+    (trace,) = engine._run(SimulationState(cfg, topo, build_inputs(cfg, topo)))
+    assert records_sha256(trace) == records_sha256(*engine._run(initialize_state(cfg, topo)))
 
 
 def test_day_inputs_are_held_once_as_arrays(tmp_path):
@@ -604,9 +624,9 @@ def test_day_inputs_are_held_once_as_arrays(tmp_path):
     cfg, topo = parse_scenario(small_doc(days=40, seed=5))
     (tmp_path / "demand.csv").write_text("load_id,day_index,demand_mwd\n" + "".join(
         f"{load.id},{day},{day + load.id / 8}\n" for load in topo.loads for day in range(45)))
-    from_csv = engine.SimulationState(*parse_scenario(
+    from_csv = initialize_state(*parse_scenario(
         small_doc(days=40, seed=5, loads={"kind": "csv", "path": str(tmp_path / "demand.csv")})))
-    for state in (engine.SimulationState(cfg, topo), from_csv):
+    for state in (initialize_state(cfg, topo), from_csv):
         demand = vars(state)["demand"]
         assert type(demand) is np.ndarray and demand.dtype == np.float64
         assert demand.shape == (cfg.days, len(topo.loads)) and demand.T.flags.c_contiguous
@@ -615,7 +635,7 @@ def test_day_inputs_are_held_once_as_arrays(tmp_path):
         assert generation.shape == (cfg.days, len(topo.sources))
     assert from_csv.demand.T.tolist() == [[day + load.id / 8 for day in range(40)]
                                           for load in topo.loads]
-    state = engine.SimulationState(cfg, topo, [(True, True), (False, True)])
+    state = SimulationState(cfg, topo, build_inputs(cfg, topo), [(True, True), (False, True)])
     engine._run(state)
     widths = {"generation": len(topo.sources), "demand": len(topo.loads),
               "forecasts": len(topo.loads), "targets": len(topo.systems)}
@@ -638,7 +658,7 @@ def test_a_negative_zero_demand_moves_no_target(tmp_path):
             for lid in range(8) for day in range(60)))
         cfg, topo = parse_scenario({"topology": {"reference": True}, "run": {"days": 60},
                                     "loads": {"kind": "csv", "path": str(path)}})
-        state, o = engine.SimulationState(cfg, topo), cfg.forecasting.orders
+        state, o = initialize_state(cfg, topo), cfg.forecasting.orders
         warm = state.forecasts[o.s : max(30, o.min_series_length())]  # seasonal-naive days
         assert warm.tobytes() == state.demand[: len(warm)].tobytes()
         targets.append(state.targets.tobytes())
@@ -697,7 +717,7 @@ def test_shipped_scenarios_fit_without_warnings(path, seeds):
     # Every demand fit of these runs converges inside the stationary region.
     cfg, topo = load_scenario(path)
     for seed in seeds:
-        state = engine.SimulationState(dataclasses.replace(cfg, seed=seed), topo)
+        state = initialize_state(dataclasses.replace(cfg, seed=seed), topo)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             state.forecasts
@@ -735,7 +755,7 @@ def test_forecasts_equal_lone_fits_and_the_warmup_rule_bitwise(source, seed):
     # the realized demand of days t - K .. t - 1.
     cfg, topo = load_scenario(source) if isinstance(source, str) else parse_scenario(source)
     cfg = dataclasses.replace(cfg, seed=seed)
-    state = engine.SimulationState(cfg, topo)
+    state = initialize_state(cfg, topo)
     fc = cfg.forecasting
     o, every = fc.orders, fc.refit_interval_days
     warmup = max(3 * o.s, 30, o.min_series_length())
@@ -790,7 +810,7 @@ def test_a_train_window_parses_exactly_when_every_fit_of_the_run_takes_it(
     cfg, topo = parse_scenario(doc)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        forecasts = engine.SimulationState(cfg, topo).forecasts
+        forecasts = initialize_state(cfg, topo).forecasts
     assert forecasts.shape == (days, len(topo.loads))
 
 
@@ -803,7 +823,7 @@ def test_refit_interval_past_the_run_fits_once(monkeypatch):
     for every in (10**308, 80):
         cfg, topo = parse_scenario(small_doc(days=80, seed=5, forecasting={
             "refit_interval_days": every}))
-        forecasts.append(engine.SimulationState(cfg, topo).forecasts)
+        forecasts.append(initialize_state(cfg, topo).forecasts)
         assert len(windows) == len(topo.loads)
         windows.clear()
     huge, once = forecasts

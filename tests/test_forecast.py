@@ -431,6 +431,7 @@ def test_forecast_many_is_each_forecast_one():
         forecast_one(m, w).hex() for m, w in zip(models, windows)
     ]
     assert forecast_many([], np.empty((0, ORDERS_WEEKLY.K))).shape == (0,)
+    assert forecast_many([], np.empty((5, 0, ORDERS_WEEKLY.K))).shape == (5, 0)
     with pytest.raises(ValueError, match="models of one orders"):
         forecast_many([models[0], fit_sarima(series, ORDERS_AR1)], tails[:2])
 

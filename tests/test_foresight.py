@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from test_oracle import run_state, run_topology, runs
 
-from hybridgrid import SimulationState, compare
+from hybridgrid import compare, initialize_state
 from hybridgrid.engine import _run
 from hybridgrid.scenario import load_scenario
 
@@ -97,7 +97,7 @@ def assert_above_bound(state, traces):
 def test_compare_priority_is_above_the_foresight_bound(path):
     cfg, topo = load_scenario(path)
     report = compare(cfg, topo, "priority")
-    assert_above_bound(SimulationState(cfg, topo), [report.treatment, report.baseline])
+    assert_above_bound(initialize_state(cfg, topo), [report.treatment, report.baseline])
 
 
 @settings(deadline=None, max_examples=50)

@@ -28,10 +28,10 @@ import pytest
 from conftest import NO_LOADS_DOC, SHARED_SYSTEMS_DOC, records_sha256
 
 from hybridgrid import (
-    SimulationState,
     compare,
     comparison_csv,
     comparison_series_csv,
+    initialize_state,
     run_simulation,
     summary_csv,
     trace_csv,
@@ -147,6 +147,6 @@ def test_forecasts_are_pinned_bitwise(path, digest):
     # compare the batch with itself, so only a pin like this one sees a
     # change that moves both.
     cfg, topo = load_scenario(path)
-    forecasts = SimulationState(cfg, topo).forecasts
+    forecasts = initialize_state(cfg, topo).forecasts
     assert forecasts.dtype == np.float64
     assert hashlib.sha256(np.ascontiguousarray(forecasts).tobytes()).hexdigest() == digest

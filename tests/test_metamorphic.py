@@ -14,6 +14,9 @@ relations need no restatement:
   the parts are id-shifted copies of one grid, or two different grids.
 - Prefix causality: the first M days of a run, forecasts included, equal an
   M-day run on the first M days of its inputs.
+- Health toggle: a health compare's arms differ only in how each system
+  spreads its flows over its units, so every grid-level flow agrees within
+  REL_TOL of the day's generation plus demand.
 
 Arrays are compared by their raw bytes, so -0.0 and 0.0 differ.
 """
@@ -28,8 +31,9 @@ from hypothesis import strategies as st
 from test_engine import DIFFERENCED_DOC
 from test_oracle import DAY_MWD, run_state, run_topology, runs
 
-from hybridgrid import SimulationState, StorageSystem
+from hybridgrid import SimulationState, StorageSystem, build_inputs, compare
 from hybridgrid.engine import TRACE_FIELDS, _run
+from hybridgrid.model import REL_TOL, total
 from hybridgrid.scenario import load_scenario, parse_scenario
 
 # Every trace array: the TRACE_FIELDS and the generation each arm carries.
@@ -58,7 +62,7 @@ def scenario_run(name):
     """The scenario's state with FLAG_PAIRS stacked, and its traces. The
     state keeps its inputs, forecasts included, after the run."""
     cfg, topo = SCENARIOS[name]()
-    state = SimulationState(cfg, topo, FLAG_PAIRS)
+    state = SimulationState(cfg, topo, build_inputs(cfg, topo), FLAG_PAIRS)
     return cfg, topo, state, _run(state)
 
 
@@ -82,16 +86,14 @@ def test_scenarios_scaled_by_a_power_of_two_scale_every_flow_exactly(name, k):
     cfg, topo, base, traces = scenario_run(name)
     f = 2.0**k
     state = SimulationState(cfg, replace(topo, systems=scaled_systems(topo.systems, f)),
-                            FLAG_PAIRS)
-    state.generation, state.demand, state.forecasts = (
-        a * f for a in (base.generation, base.demand, base.forecasts))
+                            (base.weather, base.generation * f, base.demand * f), FLAG_PAIRS)
+    state.forecasts = base.forecasts * f
     check_scaled(traces, _run(state), f)
 
 
-def scaled(state, f):
-    for attr in ("generation", "demand", "targets"):
-        setattr(state, attr, getattr(state, attr) * f)
-    return state
+def scaled(per_day, f):
+    return {name: [{key: v * f for key, v in day.items()} for day in days]
+            for name, days in per_day.items()}
 
 
 # 2^k of a value near the bottom of the float range is subnormal and loses
@@ -113,7 +115,7 @@ def test_runs_scaled_by_a_power_of_two_scale_every_flow_exactly(run, k):
     f = 2.0**k
     base = _run(run_state(run_topology(systems, sources, loads), per_day, arms, weights))
     topo = run_topology(scaled_systems(systems, f), sources, loads)
-    check_scaled(base, _run(scaled(run_state(topo, per_day, arms, weights), f)), f)
+    check_scaled(base, _run(run_state(topo, scaled(per_day, f), arms, weights)), f)
 
 
 SHIFT = 100  # runs() draws ids in [0, 20]
@@ -187,10 +189,28 @@ def test_a_disjoint_union_of_two_grids_runs_each_as_alone(first, second):
 def test_a_run_prefix_equals_the_run_of_its_inputs_prefix(name, data):
     cfg, topo, base, traces = scenario_run(name)
     m = data.draw(st.integers(1, cfg.days), label="days")
-    state = SimulationState(replace(cfg, days=m), topo, FLAG_PAIRS)
-    state.generation, state.demand = base.generation[:m], base.demand[:m]
+    weather = {site: (ghi[:m], wind[:m]) for site, (ghi, wind) in base.weather.items()}
+    state = SimulationState(replace(cfg, days=m), topo,
+                            (weather, base.generation[:m], base.demand[:m]), FLAG_PAIRS)
     got = _run(state)
     assert bits(state.forecasts) == bits(base.forecasts[:m])
     for g, t in zip(got, traces):
         for field in FIELDS:
             assert bits(getattr(g, field)) == bits(getattr(t, field)[:m]), field
+
+
+@pytest.mark.parametrize("path, seed", [("scenarios/reference.json", 1),
+                                        ("scenarios/reference.json", 2),
+                                        ("scenarios/reference.json", 3),
+                                        ("scenarios/stress.json", 42)])
+def test_a_health_compare_arms_agree_on_every_grid_level_flow(path, seed):
+    # Each system's totals are its units' energy added in another order in
+    # each arm, so the arms' dispatch sees them apart only by rounding.
+    cfg, topo = load_scenario(path, {"seed": seed})
+    _, generation, demand = build_inputs(cfg, topo)
+    bound = REL_TOL * (total(generation) + total(demand))[:, None]
+    report = compare(cfg, topo, "health")
+    for field in ("charge_in_mwd", "curtailed_mwd", "discharge_out_mwd", "served_mwd",
+                  "unmet_mwd"):
+        gap = np.abs(getattr(report.treatment, field) - getattr(report.baseline, field))
+        assert (gap <= bound).all(), (field, gap.max())

@@ -87,6 +87,11 @@ def test_battery_unit_rejects_bad_soh():
         # Every value is finite, and an energy bound past the float range warns of nothing.
         ({"cap": [np.inf]}, "unit 0: capacity must be positive and finite"),
         ({"cap": [np.finfo(float).max], "energy": np.inf}, "unit 0: energy outside [0, capacity]"),
+        # So is each total, capacity and stored energy, that GridUnits adds.
+        ({"cap": [np.finfo(float).max] * 2, "energy": np.finfo(float).max},
+         "totals: capacity and stored energy must be finite"),
+        ({"cap": [np.finfo(float).max / 2] * 2, "energy": np.finfo(float).max / 2 * (1.0 + 1e-9)},
+         "totals: capacity and stored energy must be finite"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

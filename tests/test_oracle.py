@@ -238,16 +238,15 @@ def run_topology(systems, sources, loads):
 
 
 def run_state(topo, per_day, arms, weights):
-    """A state of topo with these arms and score weights, its generation,
-    demand and targets replaced by per_day's as [days, width] arrays in
-    ascending id. Set-up built the first two; targets wait for first use, so
-    assigning them first means no fit is involved."""
-    n_days = len(per_day["energy"])
-    state = SimulationState(ScenarioConfig(n_days, 0, weights=ScoreWeights(*weights)), topo, arms)
-    for name, of, attr in (("energy", "sources", "generation"), ("demand", "loads", "demand"),
-                           ("targets", "systems", "targets")):
-        ids = [e.id for e in getattr(topo, of)]
-        setattr(state, attr, np.array([[day[key] for key in ids] for day in per_day[name]]))
+    """A state of topo with these arms and score weights on per_day's
+    generation and demand, as [days, width] arrays in ascending id, with no
+    weather. Targets wait for first use, so setting per_day's first means no
+    fit is involved."""
+    rows = {name: np.array([[day[e.id] for e in getattr(topo, of)] for day in per_day[name]])
+            for name, of in (("energy", "sources"), ("demand", "loads"), ("targets", "systems"))}
+    cfg = ScenarioConfig(len(per_day["energy"]), 0, weights=ScoreWeights(*weights))
+    state = SimulationState(cfg, topo, ({}, rows["energy"], rows["demand"]), arms)
+    state.targets = rows["targets"]
     return state
 
 
