@@ -5,22 +5,22 @@ topology, and per arm only its (priority_enabled, health_enabled) pair.
 Weather, per-source generation, realized demand, the day-ahead demand
 forecasts and each system's charge target do not depend on policy, so the
 arms share them: build_inputs is the one builder of weather, generation and
-demand, which a state takes as given, and the state derives the rest. Weather
-is a pair of arrays per site; generation, demand, forecasts and targets are
-each one [days, width] array; step_day takes each day's row as floats.
-One health.GridUnits holds every arm's units as arm-major rows (row b * S + i
-is system i of arm b), and step_day makes one charge call and one discharge
-call for the whole batch. run_simulation is
-the one-arm case; compare() runs two arms. Each day dispatches charging per
-arm at the grid level (priority or equal, on the topology's Wiring index
-lists, one flow per wired edge, with each system's inflow summed), spreads
-that inflow over its units (health-ranked or equal, row by row), then settles realized demand:
-one dispatch.settle_loads call per arm settles its loads in ascending id on
-running system totals, each load seeing storage as the previous load of its
-arm left it, and one discharge takes every arm's totals from the units. The
-dispatch functions are called by name, once per arm and day, so a tracer
-that rebinds those names in this module sees every call. The topology is
-only read.
+demand, on any topology. The state is the run's one topology check, takes
+generation and demand as finite, non-negative float64 arrays and derives the
+rest. Weather is a pair of arrays per site; generation, demand, forecasts and
+targets are each one [days, width] array; step_day takes each day's row as
+floats. One health.GridUnits holds every arm's units as arm-major rows (row
+b * S + i is system i of arm b), and step_day makes one charge call and one
+discharge call for the whole batch. run_simulation is the one-arm case;
+compare() runs two arms. Each day dispatches charging per arm at the grid level
+(priority or equal, on the topology's Wiring index lists, one flow per wired
+edge, with each system's inflow summed), spreads that inflow over its units
+(health-ranked or equal, row by row), then settles realized demand: one
+dispatch.settle_loads call per arm settles its loads in ascending id on running
+system totals, each load seeing storage as the previous load of its arm left
+it, and one discharge takes every arm's totals from the units. The dispatch
+functions are called by name, once per arm and day, so a tracer that rebinds
+those names in this module sees every call. The topology is only read.
 step_day writes one row of the state's [days, arms x width] arrays a day; a
 SimulationTrace is one arm's columns of them, and summaries add them in
 day-then-column order.
@@ -149,24 +149,29 @@ class SimulationState:
     stacked as arm-major rows.
 
     inputs is build_inputs' (weather, generation, demand): each site's (ghi,
-    wind speed) arrays and [days, sources] and [days, loads] arrays, kept as
-    given once their shapes check out. Set-up builds the units, each arm's
+    wind speed) arrays and [days, sources] and [days, loads] arrays, taken as
+    float64 (a float64 array as given, not copied) once so shaped, finite and
+    >= 0; the topology is checked first. Set-up builds the units, each arm's
     slice of unit rows with a per-row ranked flag (arm_rows), and the
     TRACE_FIELDS arrays step_day writes a full row of a day, [days, arms x
-    width] with arm-major columns (rows). Only the forecasts and charge
-    targets wait for first use, so an equal-split run never fits a model.
+    width] with arm-major columns (rows). Only the forecasts and charge targets
+    wait for first use, so an equal-split run never fits a model.
     weather_by_day and demand_by_load are views only the benchmark reads.
     """
 
     def __init__(self, cfg: ScenarioConfig, topology: GridTopology,
                  inputs: tuple[dict, np.ndarray, np.ndarray],
                  arms: list[tuple[bool, bool]] | None = None) -> None:
-        _check_topology(topology)
-        self.weather, self.generation, self.demand = inputs
+        if violations := validate_topology(topology):
+            raise ValueError("invalid topology: " + "; ".join(str(v) for v in violations))
+        self.weather, generation, demand = inputs
+        self.generation, self.demand = np.asarray(generation, float), np.asarray(demand, float)
         for name, of in (("generation", "sources"), ("demand", "loads")):
-            shape, want = np.shape(getattr(self, name)), (cfg.days, len(getattr(topology, of)))
-            if shape != want:
-                raise ValueError(f"{name} must be shaped (days, {of}) = {want}, got {shape}")
+            a, want = getattr(self, name), (cfg.days, len(getattr(topology, of)))
+            if a.shape != want:
+                raise ValueError(f"{name} must be shaped (days, {of}) = {want}, got {a.shape}")
+            if not ((a >= 0) & (a < np.inf)).all():
+                raise ValueError(f"{name} must be finite and >= 0")
         self.cfg = cfg
         self.arms = [(cfg.priority_enabled, cfg.health_enabled)] if arms is None else arms
         self.topology = topology
@@ -274,20 +279,14 @@ def step_day(state: SimulationState, day: int) -> None:
     out["mean_soh_pct"][day] = units.mean_soh_pct
 
 
-def _check_topology(t: GridTopology) -> None:
-    if violations := validate_topology(t):
-        raise ValueError("invalid topology: " + "; ".join(str(v) for v in violations))
-
-
 def build_inputs(cfg: ScenarioConfig, t: GridTopology) -> tuple[dict, np.ndarray, np.ndarray]:
-    """A run's (weather, generation, demand), once its topology checks out.
+    """A run's (weather, generation, demand), on any topology: the state checks it.
     G[day, k] is the MWd the topology's k-th source makes on each day: one
     power-curve call per source over its site's series (the provider series
     doubles as the day-ahead forecast; a constant MW output over the one-day
     tick is the same number in MWd), checked before demand scales to it.
     The CSV readers and synth are called by name in this module, so a tracer
     that rebinds them here sees each call."""
-    _check_topology(t)
     weather, generation = _build_weather(cfg, t), np.empty((cfg.days, len(t.sources)))
     for k, src in enumerate(t.sources):
         ghi, wind = weather[src.site]
@@ -335,7 +334,7 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology, generation: np.ndarray) 
     base = {lid: cfg.demand.base_by_load.get(lid, DEFAULT_BASE_DEMAND_MWD) for lid in load_ids}
     with np.errstate(over="ignore", invalid="ignore"):
         demand = synth_demand(cfg.seed, cfg.days, base, cfg.demand.params)
-        block = np.reshape(list(demand.values()), (len(load_ids), cfg.days))
+        block = np.reshape([demand[lid] for lid in load_ids], (len(load_ids), cfg.days))
         total = _run_total(np.sum(block, axis=1)[None])  # the load totals, left to right
     if not np.isfinite(total):
         raise ValueError("loads: synthetic demand summed over loads and days is not finite")
@@ -356,7 +355,7 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology, generation: np.ndarray) 
 
 
 def initialize_state(cfg: ScenarioConfig, topology: GridTopology) -> SimulationState:
-    """Validate inputs and build one run's inputs and unit state."""
+    """Build one run's inputs, then its state, which checks the topology."""
     return SimulationState(cfg, topology, build_inputs(cfg, topology))
 
 

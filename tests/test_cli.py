@@ -55,42 +55,63 @@ def test_validate_bad_json_is_validation_error(tmp_path, capsys):
 
 
 # A topology that parses but breaks an invariant is bad input to every command.
-@pytest.mark.parametrize(
-    "command",
-    [
-        pytest.param(["validate"], id="validate"),
-        pytest.param(["simulate", "--out", "out"], id="simulate"),
-        pytest.param(["compare", "--axis", "priority", "--out", "out"], id="compare"),
+UNKNOWN_SYSTEM_DOC = {
+    "topology": {"systems": [{"id": 1, "unit_count": 1, "unit_capacity_mwd": 10.0}]},
+    "sources": [
+        {
+            "id": 1,
+            "kind": "solar",
+            "site": "s",
+            "area_m2": 10.0,
+            "efficiency": 0.2,
+            "connected_systems": [1],
+        }
     ],
-)
-def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
-    doc = {
-        "topology": {"systems": [{"id": 1, "unit_count": 1, "unit_capacity_mwd": 10.0}]},
-        "sources": [
-            {
-                "id": 1,
-                "kind": "solar",
-                "site": "s",
-                "area_m2": 10.0,
-                "efficiency": 0.2,
-                "connected_systems": [1],
-            }
-        ],
-        "loads": {
-            "kind": "synthetic",
-            "centers": [{"id": 0, "connected_systems": [99]}],
-            "base_mwd": {"0": 1.0},
-        },
-        "weather": {"kind": "synthetic"},
-        "run": {"days": 1, "seed": 1},
-    }
+    "loads": {
+        "kind": "synthetic",
+        "centers": [{"id": 0, "connected_systems": [99]}],
+        "base_mwd": {"0": 1.0},
+    },
+    "weather": {"kind": "synthetic"},
+    "run": {"days": 1, "seed": 1},
+}
+COMMANDS = [
+    pytest.param(["validate"], id="validate"),
+    pytest.param(["simulate", "--out", "out"], id="simulate"),
+    pytest.param(["compare", "--axis", "priority", "--out", "out"], id="compare"),
+]
+
+
+def run_doc(tmp_path, doc, command) -> int:
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     name, *flags = command
     flags = [str(tmp_path / f) if f == "out" else f for f in flags]
-    assert main([name, str(path), *flags]) == 1
+    return main([name, str(path), *flags])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_validate_bad_topology_reports_violations(tmp_path, capsys, command):
+    assert run_doc(tmp_path, UNKNOWN_SYSTEM_DOC, command) == 1
     printed = capsys.readouterr()
     assert "load 0: unknown-system" in printed.out + printed.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_run_reports_an_input_fault_before_a_topology_violation(tmp_path, capsys, command):
+    # validate checks the topology alone; a run builds its inputs before its
+    # state checks the topology, so the demand file's fault comes first.
+    (tmp_path / "d.csv").write_text("load_id,day_index,demand_mwd\n5,0,1.0\n")
+    loads = {"kind": "csv", "path": str(tmp_path / "d.csv"),
+             "centers": UNKNOWN_SYSTEM_DOC["loads"]["centers"]}
+    code = run_doc(tmp_path, {**UNKNOWN_SYSTEM_DOC, "loads": loads}, command)
+    printed = capsys.readouterr()
+    if command[0] == "validate":
+        assert code == 1 and "violation: load 0: unknown-system" in printed.out
+    else:
+        assert code == 3
+        assert printed.err == "error: simulation failed: demand csv has no rows for load 0\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -397,20 +418,15 @@ def dotted(at):
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in at).lstrip(".")
 
 
-@st.composite
-def mutated_docs(draw):
-    """A mutated document's text, and the dotted key it gives twice or None."""
-    doc = copy.deepcopy(MUTATED_DOCS[draw(st.sampled_from(sorted(MUTATED_DOCS)))])
-    at = draw(st.sampled_from(list(_paths(doc))))
-    value = draw(st.sampled_from(MUTATION_POOL))
+def mutate(doc, at, op, value) -> str:
+    """doc's text after one replace, delete or add of value at path at: an add
+    to a list appends, an add to an object sets key "extra", and an add to a
+    scalar replaces it. tests/parity.py runs every such text."""
+    doc = copy.deepcopy(doc)
     parent = doc
     for key in at[:-1]:
         parent = parent[key]
     target = parent[at[-1]] if at else doc
-    ops = ["replace", "delete", "add"] + (["repeat"] if isinstance(parent, dict) else [])
-    op = draw(st.sampled_from(ops)) if at else "add"
-    if op == "repeat":
-        return json_text(doc, (parent, at[-1], value)), dotted(at)
     if op == "add" and isinstance(target, list):
         target.append(value)
     elif op == "add" and isinstance(target, dict):
@@ -419,7 +435,23 @@ def mutated_docs(draw):
         del parent[at[-1]]
     else:
         parent[at[-1]] = value
-    return json.dumps(doc), None
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_docs(draw):
+    """A mutated document's text, and the dotted key it gives twice or None."""
+    doc = MUTATED_DOCS[draw(st.sampled_from(sorted(MUTATED_DOCS)))]
+    at = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(st.sampled_from(MUTATION_POOL))
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    ops = ["replace", "delete", "add"] + (["repeat"] if isinstance(parent, dict) else [])
+    op = draw(st.sampled_from(ops)) if at else "add"
+    if op == "repeat":
+        return json_text(doc, (parent, at[-1], value)), dotted(at)
+    return mutate(doc, at, op, value), None
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import hybridgrid.engine as engine
 from hybridgrid.engine import TRACE_FIELDS
 from hybridgrid import (
+    GridTopology,
     GridUnits,
     SarimaOrders,
     SimulationError,
@@ -599,14 +600,52 @@ def test_day_inputs_are_built_at_set_up():
 
 
 @pytest.mark.parametrize("name, of", [("generation", "sources"), ("demand", "loads")])
-@pytest.mark.parametrize("cut", [np.s_[:, 1:], np.s_[1:]], ids=["width", "length"])
+@pytest.mark.parametrize("cut", [np.s_[:, 1:], np.s_[1:], -1.0, np.nan, np.inf],
+                         ids=["width", "length", "negative", "nan", "inf"])
 def test_state_rejects_inputs_of_the_wrong_shape(name, of, cut):
+    # A wrong shape, or one value on day 1 that is negative or not finite: a
+    # priority arm would run on negative generation to the end silently.
     cfg, topo = parse_scenario(small_doc(days=20, seed=5))
     inputs = dict(zip(("weather", "generation", "demand"), build_inputs(cfg, topo)))
-    want, inputs[name] = inputs[name].shape, inputs[name][cut]
-    message = f"{name} must be shaped (days, {of}) = {want}, got {inputs[name].shape}"
+    if isinstance(cut, float):
+        inputs[name][1, -1] = cut
+        message = f"{name} must be finite and >= 0"
+    else:
+        want, inputs[name] = inputs[name].shape, inputs[name][cut]
+        message = f"{name} must be shaped (days, {of}) = {want}, got {inputs[name].shape}"
     with pytest.raises(ValueError, match=re.escape(message)):
         SimulationState(cfg, topo, tuple(inputs.values()))
+
+
+def test_a_run_checks_its_topology_once(monkeypatch):
+    calls = []
+    check = engine.validate_topology
+    monkeypatch.setattr(engine, "validate_topology", lambda t: calls.append(t) or check(t))
+    cfg, topo = load_scenario(TOY)
+    for run in (initialize_state, run_simulation, lambda c, t: compare(c, t, "health"),
+                lambda c, t: compare(c, t, "priority")):
+        calls.clear()
+        run(cfg, topo)
+        assert calls == [topo]
+
+
+def test_a_state_takes_nested_lists_as_its_arrays():
+    cfg, topo = parse_scenario(small_doc(days=60, seed=5))
+    weather, generation, demand = build_inputs(cfg, topo)
+    listed = SimulationState(cfg, topo, (weather, generation.tolist(), demand.tolist()))
+    assert records_sha256(*engine._run(listed)) == records_sha256(
+        *engine._run(SimulationState(cfg, topo, (weather, generation, demand))))
+
+
+def test_inputs_build_on_a_repeated_load_id_and_the_state_rejects_it():
+    cfg, topo = load_scenario(TOY)
+    topo = GridTopology(topo.systems, [*topo.loads, topo.loads[2]], topo.sources)
+    inputs = build_inputs(cfg, topo)
+    demand = inputs[2]
+    assert demand.shape == (cfg.days, len(topo.loads))
+    assert demand[:, 2].tobytes() == demand[:, 3].tobytes()
+    with pytest.raises(ValueError, match="^invalid topology: loads: duplicate-id"):
+        SimulationState(cfg, topo, inputs)
 
 
 def test_a_state_of_built_inputs_runs_as_initialize_state():
@@ -635,7 +674,9 @@ def test_day_inputs_are_held_once_as_arrays(tmp_path):
         assert generation.shape == (cfg.days, len(topo.sources))
     assert from_csv.demand.T.tolist() == [[day + load.id / 8 for day in range(40)]
                                           for load in topo.loads]
-    state = SimulationState(cfg, topo, build_inputs(cfg, topo), [(True, True), (False, True)])
+    weather, generation, demand = build_inputs(cfg, topo)
+    state = SimulationState(cfg, topo, (weather, generation, demand), [(True, True), (False, True)])
+    assert state.generation is generation and state.demand is demand  # taken, not copied
     engine._run(state)
     widths = {"generation": len(topo.sources), "demand": len(topo.loads),
               "forecasts": len(topo.loads), "targets": len(topo.systems)}
