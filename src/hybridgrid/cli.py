@@ -80,12 +80,10 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg, topology = _load(args.config, args)
     trace = run_simulation(cfg, topology)
-    out = Path(args.out)
-    atomic_write_text(out / "trace.csv", trace_csv(trace))
-    atomic_write_text(out / "summary.csv", summary_csv(trace))
-    atomic_write_text(
-        out / "config-echo.json", json.dumps(trace.config_echo, indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write_text(args.out / "trace.csv", trace_csv(trace))
+    atomic_write_text(args.out / "summary.csv", summary_csv(trace))
+    atomic_write_text(args.out / "config-echo.json",
+                      json.dumps(trace.config_echo, indent=2, sort_keys=True) + "\n")
     zero_total = sum(trace.summary.zero_soc_events.values())
     print(
         f"simulated {cfg.days} days: zero-SoC events {zero_total}, "
@@ -98,9 +96,8 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg, topology = _load(args.config, args)
     report = compare(cfg, topology, args.axis)
-    out = Path(args.out)
-    atomic_write_text(out / "comparison.csv", comparison_csv(report))
-    atomic_write_text(out / "series.csv", comparison_series_csv(report))
+    atomic_write_text(args.out / "comparison.csv", comparison_csv(report))
+    atomic_write_text(args.out / "series.csv", comparison_series_csv(report))
     gains = list(report.soh_gain_pct_points.values())
     mean_gain = f"{(0.0 + float(total(gains))) / len(gains):+.3f} pp" if gains else "n/a"
     print(
@@ -132,6 +129,10 @@ def cmd_forecast(args) -> int:
         if args.load_id not in series_by_load:
             raise ValueError(f"no history for load {args.load_id}")
         series_by_load = {args.load_id: series_by_load[args.load_id]}
+    for lid, y in series_by_load.items():  # the fit's length rule, naming the load
+        if len(y) < orders.min_series_length():
+            raise ValueError(f"load {lid}: series too short to identify orders: need >= "
+                             f"{orders.min_series_length()}, got {len(y)}")
 
     # One batch fits every load; each step's forecasts end the next step's tails.
     models = fit_sarima_many(list(series_by_load.values()), orders)
@@ -162,21 +163,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", help="run one scenario and write trace artifacts")
-    p.add_argument("config")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--days", type=_integer)
+    run = argparse.ArgumentParser(add_help=False)  # what simulate and compare both take
+    run.add_argument("config")
+    run.add_argument("--out", type=Path, required=True, help="output directory")
+    run.add_argument("--days", type=_integer)
+    run.add_argument("--seed", type=_integer)
+
+    p = sub.add_parser("simulate", parents=[run], help="run one scenario and write trace artifacts")
     p.add_argument("--priority", type=_on_off, dest="priority_enabled", help="on|off")
     p.add_argument("--health", type=_on_off, dest="health_enabled", help="on|off")
-    p.add_argument("--seed", type=_integer)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="A/B one axis with identical data")
-    p.add_argument("config")
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("compare", parents=[run], help="A/B one axis with identical data")
     p.add_argument("--axis", required=True, choices=("priority", "health"))
-    p.add_argument("--days", type=_integer)
-    p.add_argument("--seed", type=_integer)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("forecast", help="fit the demand forecaster on a history csv")

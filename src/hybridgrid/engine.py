@@ -149,9 +149,9 @@ class SimulationState:
     stacked as arm-major rows.
 
     inputs is build_inputs' (weather, generation, demand): each site's (ghi,
-    wind speed) arrays and [days, sources] and [days, loads] arrays, taken as
-    float64 (a float64 array as given, not copied) once so shaped, finite and
-    >= 0; the topology is checked first. Set-up builds the units, each arm's
+    wind speed) arrays and [days, sources] and [days, loads] float64 arrays,
+    kept as given (not converted or copied) once so shaped, finite and >= 0;
+    the topology is checked first. Set-up builds the units, each arm's
     slice of unit rows with a per-row ranked flag (arm_rows), and the
     TRACE_FIELDS arrays step_day writes a full row of a day, [days, arms x
     width] with arm-major columns (rows). Only the forecasts and charge targets
@@ -164,10 +164,11 @@ class SimulationState:
                  arms: list[tuple[bool, bool]] | None = None) -> None:
         if violations := validate_topology(topology):
             raise ValueError("invalid topology: " + "; ".join(str(v) for v in violations))
-        self.weather, generation, demand = inputs
-        self.generation, self.demand = np.asarray(generation, float), np.asarray(demand, float)
+        self.weather, self.generation, self.demand = inputs
         for name, of in (("generation", "sources"), ("demand", "loads")):
             a, want = getattr(self, name), (cfg.days, len(getattr(topology, of)))
+            if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+                raise ValueError(f"{name} must be a float64 array: {getattr(a, 'dtype', type(a))}")
             if a.shape != want:
                 raise ValueError(f"{name} must be shaped (days, {of}) = {want}, got {a.shape}")
             if not ((a >= 0) & (a < np.inf)).all():
@@ -242,11 +243,10 @@ def step_day(state: SimulationState, day: int) -> None:
 
     # 1. Grid-level dispatch per arm; only the priority policy reads forecasts.
     headroom, stored = units.headroom.tolist(), units.stored.tolist()
-    target = state.targets[day].tolist() if any(p for p, _ in state.arms) else None
     charge_in, curtailed = [], []
     for (priority, _), rows in zip(state.arms, runs):
         if priority:
-            deficit = charge_deficits(target, stored[rows])
+            deficit = charge_deficits(state.targets[day].tolist(), stored[rows])
             order = prioritize(deficit)
             _, curt, into = allocate_priority(w, order, deficit, headroom[rows], energy)
         else:
@@ -335,14 +335,15 @@ def _build_demand(cfg: ScenarioConfig, t: GridTopology, generation: np.ndarray) 
     with np.errstate(over="ignore", invalid="ignore"):
         demand = synth_demand(cfg.seed, cfg.days, base, cfg.demand.params)
         block = np.reshape([demand[lid] for lid in load_ids], (len(load_ids), cfg.days))
-        total = _run_total(np.sum(block, axis=1)[None])  # the load totals, left to right
+        sums = np.sum(block, axis=1)
+        total = _run_total(sums[None])  # the load totals, left to right
     if not np.isfinite(total):
         raise ValueError("loads: synthetic demand summed over loads and days is not finite")
 
     frac = cfg.demand.params.gen_fraction
     if frac is not None and cfg.days > 0:
         mean_gen = _run_total(generation) / cfg.days
-        mean_demand = _run_total(np.mean(block, axis=1)[None])
+        mean_demand = _run_total((sums / cfg.days)[None])  # np.mean's bits
         if mean_demand <= 0:
             raise SimulationError("gen_fraction scaling needs positive base demand")
         scale = frac * mean_gen / mean_demand

@@ -344,11 +344,10 @@ def _build_topology(grid: dict, soc0: float, soh0: float, seed: int,
 
 
 def reference_topology(initial_soc_pct: float = ScenarioConfig.initial_soc_pct,
-                       initial_soh_pct: float = ScenarioConfig.initial_soh_pct,
-                       r_charge: float = 0.0, r_discharge: float = 0.0) -> GridTopology:
-    """REFERENCE_GRID with uniform initial unit state and wear rates."""
-    deg = DegradationConfig(r_charge, r_discharge)
-    return _build_topology(REFERENCE_GRID, initial_soc_pct, initial_soh_pct, 0, deg)
+                       initial_soh_pct: float = ScenarioConfig.initial_soh_pct) -> GridTopology:
+    """REFERENCE_GRID with uniform initial unit state and no wear."""
+    return _build_topology(REFERENCE_GRID, initial_soc_pct, initial_soh_pct, 0,
+                           DegradationConfig(0.0, 0.0))
 
 
 def _csv_path(section, where: str, keys: tuple[str, ...]) -> str | None:

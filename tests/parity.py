@@ -12,7 +12,8 @@ runs, in one process, every case below through hybridgrid.cli.main:
 - validate, a 3-day simulate and a 3-day compare --axis health on each
   distinct document that test_cli.mutate makes by one replace, delete or add
   of a value of test_cli.MUTATION_POOL at any path of a
-  test_cli.MUTATED_DOCS document.
+  test_cli.MUTATED_DOCS document;
+- each subcommand's --help, at 80 columns, so a change of CLI text shows.
 
 Per case it writes the exit code, stdout, the last stderr line and the
 sha256 of each file the case wrote. Every input and output goes under --work,
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread, as bench/run.py pins it, before numpy loads.
+# One BLAS thread, as bench/run.py pins it, before numpy loads; argparse
+# wraps help at COLUMNS.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "80"
 
 import argparse
 import hashlib
@@ -47,6 +50,7 @@ RUNS = {"simulate": ["simulate"], "compare-priority": ["compare", "--axis", "pri
         "compare-health": ["compare", "--axis", "health"]}
 MUTANT_RUNS = {"validate": ["validate"], "simulate": ["simulate", "--days", "3"],
                "compare-health": ["compare", "--axis", "health", "--days", "3"]}
+SUBCOMMANDS = ("validate", "simulate", "compare", "forecast")
 
 
 def mutants() -> dict[str, str]:
@@ -73,6 +77,8 @@ def run_case(main, argv: list[str], out: Path) -> dict:
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
             code = main(argv)
+        except SystemExit as exc:  # argparse's exit after --help or a usage error
+            code = exc.code
         except Exception as exc:  # an outcome to compare, not a crash
             code = f"raised {type(exc).__name__}: {exc}"
     lines = stderr.getvalue().splitlines()
@@ -112,6 +118,8 @@ def record(out_json: Path, work: Path) -> int:
             extra = [] if run == "validate" else ["--out", str(out)]
             cases[f"{name} | {run}"] = run_case(main, [argv[0], str(path), *extra, *argv[1:]],
                                                 out)
+    for name in SUBCOMMANDS:
+        cases[f"help {name}"] = run_case(main, [name, "--help"], out)
     out_json.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(cases)} cases to {out_json}")
     return 0

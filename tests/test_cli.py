@@ -500,7 +500,9 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert main(["simulate", TOY, "--out", str(out_dir)]) == 0
     trace = (out_dir / "trace.csv").read_text()
     summary = (out_dir / "summary.csv").read_text()
-    echo = json.loads((out_dir / "config-echo.json").read_text())
+    text = (out_dir / "config-echo.json").read_text()
+    echo = json.loads(text)
+    assert text.startswith('{\n  "effective": {\n    "days": 3,\n')  # indent 2, sorted keys
     assert trace.startswith(
         "day,system_id,soc_pct,mean_soh_pct,charge_in_mwd,discharge_out_mwd"
     )
@@ -854,6 +856,18 @@ def test_forecast_short_series_is_validation_error(tmp_path, capsys):
     history = tmp_path / "history.csv"
     make_history_csv(history, days=5)
     assert main(["forecast", str(history)]) == 1
+
+
+def test_forecast_names_the_load_whose_history_is_too_short(tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    make_history_csv(history, days=60)
+    with history.open("a") as fh:
+        fh.writelines(f"7,{day},{100.0 + day % 7}\n" for day in range(20))
+    assert main(["forecast", str(history)]) == 1
+    assert capsys.readouterr().err == ("error: invalid input: load 7: series too short to "
+                                       "identify orders: need >= 32, got 20\n")
+    make_history_csv(history, days=32, loads=(0, 7))  # the minimum is long enough
+    assert main(["forecast", str(history)]) == 0
 
 
 def test_forecast_bad_orders_is_validation_error(tmp_path):

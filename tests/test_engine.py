@@ -600,14 +600,23 @@ def test_day_inputs_are_built_at_set_up():
 
 
 @pytest.mark.parametrize("name, of", [("generation", "sources"), ("demand", "loads")])
-@pytest.mark.parametrize("cut", [np.s_[:, 1:], np.s_[1:], -1.0, np.nan, np.inf],
-                         ids=["width", "length", "negative", "nan", "inf"])
+@pytest.mark.parametrize("cut", [np.s_[:, 1:], np.s_[1:], -1.0, np.nan, np.inf,
+                                 "list", "ragged", "int64"],
+                         ids=["width", "length", "negative", "nan", "inf",
+                              "list", "ragged", "int64"])
 def test_state_rejects_inputs_of_the_wrong_shape(name, of, cut):
     # A wrong shape, or one value on day 1 that is negative or not finite: a
-    # priority arm would run on negative generation to the end silently.
+    # priority arm would run on negative generation to the end silently. The
+    # state converts nothing, so nested lists, ragged or not, and an int64
+    # array are rejected by name.
     cfg, topo = parse_scenario(small_doc(days=20, seed=5))
     inputs = dict(zip(("weather", "generation", "demand"), build_inputs(cfg, topo)))
-    if isinstance(cut, float):
+    if isinstance(cut, str):
+        a = inputs[name]
+        inputs[name] = {"list": a.tolist(), "ragged": [a[0, 1:].tolist(), *a[1:].tolist()],
+                        "int64": a.astype(np.int64)}[cut]
+        message = f"{name} must be a float64 array: " + ("int64" if cut == "int64" else str(list))
+    elif isinstance(cut, float):
         inputs[name][1, -1] = cut
         message = f"{name} must be finite and >= 0"
     else:
@@ -627,14 +636,6 @@ def test_a_run_checks_its_topology_once(monkeypatch):
         calls.clear()
         run(cfg, topo)
         assert calls == [topo]
-
-
-def test_a_state_takes_nested_lists_as_its_arrays():
-    cfg, topo = parse_scenario(small_doc(days=60, seed=5))
-    weather, generation, demand = build_inputs(cfg, topo)
-    listed = SimulationState(cfg, topo, (weather, generation.tolist(), demand.tolist()))
-    assert records_sha256(*engine._run(listed)) == records_sha256(
-        *engine._run(SimulationState(cfg, topo, (weather, generation, demand))))
 
 
 def test_inputs_build_on_a_repeated_load_id_and_the_state_rejects_it():

@@ -1,5 +1,6 @@
 """Unit tests for grid entities, state accessors, and topology validation."""
 
+import inspect
 import re
 from functools import reduce
 from operator import add
@@ -190,6 +191,14 @@ def test_reference_topology_initial_state_applied():
     units = GridUnits(reference_topology(initial_soc_pct=80.0, initial_soh_pct=95.0).systems)
     assert units.soc_pct == pytest.approx([80.0] * 7)
     assert units.mean_soh_pct == pytest.approx([95.0] * 7)
+
+
+def test_reference_topology_units_do_not_wear():
+    # The reference grid takes its initial state only; its one wear form is none.
+    assert list(inspect.signature(reference_topology).parameters) == [
+        "initial_soc_pct", "initial_soh_pct"]
+    for s in reference_topology().systems:
+        assert s.r_charge.tolist() == s.r_discharge.tolist() == [0.0] * len(s.cap)
 
 
 def test_reference_topology_validates_clean():
